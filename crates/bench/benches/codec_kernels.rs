@@ -1,0 +1,150 @@
+//! ns per 4 KiB page of each codec kernel, per page class.
+//!
+//! The inner loop for work on `cc-compress`'s hot paths: `probe_bdi`, BDI
+//! encode/decode, LZRW1 encode (unbounded, and bounded at the 4:3 admit
+//! bound the store passes), LZRW1 decode, and each decoder through its
+//! `Vec` API against its slice form. The classes are ccbench's
+//! (`benchmark/src/pages.rs`, re-created here because that package stands
+//! alone): near-zero, 16-bit counters, base+delta, text, noise. Every
+//! measurement cycles through 64 different pages of its class — one page
+//! compressed over and over teaches the branch predictor that page, and
+//! mispredicted branches are most of what these kernels used to cost.
+//!
+//! It gates nothing; end-to-end claims are made with ccbench.
+
+use cc_compress::{probe_bdi, Bdi, Compressor, Lzrw1, ThresholdPolicy};
+use cc_util::SplitMix64;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::hint::black_box;
+
+const PAGE: usize = 4096;
+const VARIANTS: usize = 64;
+
+#[rustfmt::skip]
+const VOCABULARY: [&str; 32] = [
+    "page", "cache", "memory", "compress", "disk", "fault", "the", "of", "and", "to", "in", "is",
+    "that", "for", "system", "sprite", "kernel", "buffer", "write", "read", "clean", "dirty",
+    "threshold", "ratio", "backing", "store", "swap", "frame", "segment", "virtual", "physical",
+    "bandwidth",
+];
+
+const CLASSES: [&str; 5] = ["near_zero", "counters16", "base_delta", "text", "noise"];
+
+fn fill(class: &str, rng: &mut SplitMix64, page: &mut [u8]) {
+    match class {
+        "near_zero" => {
+            for w in page.chunks_exact_mut(8).step_by(64) {
+                w.copy_from_slice(&(1 + rng.next_u64() % 1000).to_le_bytes());
+            }
+        }
+        "counters16" => {
+            for w in page.chunks_exact_mut(8) {
+                w.copy_from_slice(&(256 + rng.next_u64() % 30_000).to_le_bytes());
+            }
+        }
+        "base_delta" => {
+            let base = 0x7F00_0000_0000u64 | (rng.next_u64() & 0xFFFF_F000);
+            for w in page.chunks_exact_mut(8) {
+                w.copy_from_slice(&(base + rng.next_u64() % 100).to_le_bytes());
+            }
+        }
+        "text" => {
+            let mut at = 0;
+            while at < page.len() {
+                let word = VOCABULARY[(rng.next_u64() % VOCABULARY.len() as u64) as usize];
+                for &b in word.as_bytes().iter().chain(b" ") {
+                    if at < page.len() {
+                        page[at] = b;
+                        at += 1;
+                    }
+                }
+            }
+        }
+        _ => page.fill_with(|| rng.next_u64() as u8),
+    }
+}
+
+fn pages(class: &str) -> Vec<Vec<u8>> {
+    let mut rng = SplitMix64::new(0x6B65_726E);
+    (0..VARIANTS)
+        .map(|_| {
+            let mut page = vec![0u8; PAGE];
+            fill(class, &mut rng, &mut page);
+            page
+        })
+        .collect()
+}
+
+/// Time `f` over `inputs` in rotation, one input per iteration.
+fn rotate<T>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    kernel: &str,
+    class: &str,
+    inputs: &[T],
+    mut f: impl FnMut(&T),
+) {
+    let mut next = 0;
+    group.bench_function(BenchmarkId::new(kernel, class), |b| {
+        b.iter(|| {
+            f(black_box(&inputs[next % inputs.len()]));
+            next += 1;
+        })
+    });
+}
+
+fn bench_kernels(c: &mut Criterion) {
+    let admit = ThresholdPolicy::default().max_compressed_len(PAGE);
+    let mut group = c.benchmark_group("codec_kernels");
+    group.throughput(Throughput::Bytes(PAGE as u64));
+    for class in CLASSES {
+        let pages = pages(class);
+        let (mut bdi, mut lz) = (Bdi::new(), Lzrw1::new());
+        let mut sealed = Vec::new();
+        let mut plain = vec![0u8; PAGE];
+
+        rotate(&mut group, "probe_bdi", class, &pages, |p| {
+            black_box(probe_bdi(p, admit));
+        });
+        rotate(&mut group, "bdi_encode", class, &pages, |p| {
+            black_box(bdi.compress(p, &mut sealed));
+        });
+        rotate(&mut group, "lzrw1_encode", class, &pages, |p| {
+            black_box(lz.compress(p, &mut sealed));
+        });
+        rotate(&mut group, "lzrw1_encode_bounded", class, &pages, |p| {
+            black_box(lz.compress_bounded(p, &mut sealed, admit));
+        });
+
+        let seal = |codec: &mut dyn Compressor| -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            pages
+                .iter()
+                .map(|p| {
+                    codec.compress(p, &mut out);
+                    out.clone()
+                })
+                .collect()
+        };
+        let (bdi_blocks, lz_blocks) = (seal(&mut bdi), seal(&mut lz));
+        rotate(&mut group, "bdi_decode_vec", class, &bdi_blocks, |b| {
+            bdi.decompress(b, &mut sealed, PAGE).expect("own block");
+        });
+        rotate(&mut group, "bdi_decode_slice", class, &bdi_blocks, |b| {
+            Bdi::decode_into(b, &mut plain).expect("own block");
+        });
+        rotate(&mut group, "lzrw1_decode_vec", class, &lz_blocks, |b| {
+            lz.decompress(b, &mut sealed, PAGE).expect("own block");
+        });
+        rotate(&mut group, "lzrw1_decode_slice", class, &lz_blocks, |b| {
+            Lzrw1::decode_into(b, &mut plain).expect("own block");
+        });
+    }
+    group.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = Criterion::default().sample_size(15).warm_up_time(std::time::Duration::from_millis(100)).measurement_time(std::time::Duration::from_millis(450));
+    targets = bench_kernels
+}
+criterion_main!(benches);

@@ -23,7 +23,7 @@
 //! input falls back to the shared stored block (method `0`), so the worst
 //! case is `n + 1` bytes like every other codec here.
 
-use crate::{load_raw, store_raw, Compressor, CostProfile, DecompressError, METHOD_STORED};
+use crate::{load_raw_into, store_raw, Compressor, CostProfile, DecompressError, METHOD_STORED};
 
 /// Method tag for a BDI-coded block.
 pub(crate) const METHOD_BDI: u8 = 5;
@@ -31,6 +31,10 @@ pub(crate) const METHOD_BDI: u8 = 5;
 const SCHEME_ZERO: u8 = 0;
 const SCHEME_REP: u8 = 1;
 const SCHEME_DELTA: u8 = 2;
+
+/// Bytes ahead of the deltas in the delta scheme: method, scheme, width,
+/// 8-byte base.
+const DELTA_HEADER: usize = 2 + 1 + 8;
 
 /// Single-pass base+delta-immediate codec over 8-byte little-endian words.
 #[derive(Debug, Clone, Default)]
@@ -43,32 +47,141 @@ impl Bdi {
     }
 }
 
-/// Smallest signed width (1, 2, 4, or 8 bytes) that holds `v` exactly.
-/// Shared with the codec-selection probe, which predicts delta widths
-/// from a sample of words.
+/// Fold a two's-complement delta onto the non-negative value of the same
+/// signed width (`d` itself, or `!d` when negative). The highest set bit
+/// of an OR of folds is the highest set bit of the widest one, so a whole
+/// page's delta width falls out of one accumulator with no per-word
+/// comparison — a width test per word is an unpredictable branch on pages
+/// whose values straddle a width class.
 #[inline]
-pub(crate) fn sig_width(v: i64) -> usize {
-    if v >= i8::MIN as i64 && v <= i8::MAX as i64 {
-        1
-    } else if v >= i16::MIN as i64 && v <= i16::MAX as i64 {
-        2
-    } else if v >= i32::MIN as i64 && v <= i32::MAX as i64 {
-        4
-    } else {
-        8
+pub(crate) fn sign_fold(d: u64) -> u64 {
+    d ^ ((d as i64 >> 63) as u64)
+}
+
+/// Smallest signed width (1, 2, 4, or 8 bytes) that holds every delta
+/// OR-ed into `folds` by [`sign_fold`] exactly. Shared with the
+/// codec-selection probe, which predicts delta widths from a sample of
+/// words.
+#[inline]
+pub(crate) fn width_of(folds: u64) -> usize {
+    match folds {
+        0..=0x7F => 1,
+        0x80..=0x7FFF => 2,
+        0x8000..=0x7FFF_FFFF => 4,
+        _ => 8,
     }
 }
 
 /// Encoded size of the delta scheme for `nwords` words at `width` plus a
-/// raw `tail`-byte remainder: method + scheme + width byte + 8-byte base.
+/// raw `tail`-byte remainder.
 #[inline]
-fn delta_cost(width: usize, nwords: usize, tail: usize) -> usize {
-    2 + 1 + 8 + width * nwords + tail
+pub(crate) fn delta_cost(width: usize, nwords: usize, tail: usize) -> usize {
+    DELTA_HEADER + width * nwords + tail
 }
 
 #[inline]
-fn word_at(src: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(src[i * 8..i * 8 + 8].try_into().expect("8-byte word"))
+pub(crate) fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// Write each word of `words` minus `base`, truncated to `W` bytes.
+#[inline]
+fn pack<const W: usize>(words: &[u8], base: u64, deltas: &mut [u8]) {
+    for (d, w) in deltas.chunks_exact_mut(W).zip(words.chunks_exact(8)) {
+        d.copy_from_slice(&word(w).wrapping_sub(base).to_le_bytes()[..W]);
+    }
+}
+
+/// Write `base` plus each sign-extended `W`-byte delta as a whole word.
+#[inline]
+fn unpack<const W: usize>(
+    deltas: &[u8],
+    base: u64,
+    words: &mut [u8],
+    sign_extend: impl Fn([u8; W]) -> i64,
+) {
+    for (w, d) in words.chunks_exact_mut(8).zip(deltas.chunks_exact(W)) {
+        let d = sign_extend(d.try_into().expect("W-byte delta"));
+        w.copy_from_slice(&base.wrapping_add(d as u64).to_le_bytes());
+    }
+}
+
+impl Bdi {
+    /// Decode `src` into exactly `out.len()` bytes — the page's recorded
+    /// original length — writing whole words straight into the caller's
+    /// buffer. Malformed input is an error, never a panic; on error the
+    /// contents of `out` are unspecified.
+    pub fn decode_into(src: &[u8], out: &mut [u8]) -> Result<(), DecompressError> {
+        let (&method, body) = src.split_first().ok_or(DecompressError::Truncated)?;
+        if method == METHOD_STORED {
+            return load_raw_into(body, out);
+        }
+        if method != METHOD_BDI {
+            return Err(DecompressError::BadMethod(method));
+        }
+        let (&scheme, body) = body.split_first().ok_or(DecompressError::Truncated)?;
+        match scheme {
+            SCHEME_ZERO | SCHEME_REP => {
+                let want = if scheme == SCHEME_ZERO { 4 } else { 12 };
+                if body.len() < want {
+                    return Err(DecompressError::Truncated);
+                }
+                if body.len() > want {
+                    return Err(DecompressError::TrailingGarbage);
+                }
+                let recorded =
+                    u32::from_le_bytes(body[0..4].try_into().expect("4-byte len")) as usize;
+                if recorded > out.len() {
+                    return Err(DecompressError::OutputOverrun);
+                }
+                if recorded < out.len() {
+                    return Err(DecompressError::Truncated);
+                }
+                if scheme == SCHEME_ZERO {
+                    out.fill(0);
+                } else {
+                    let pattern: [u8; 8] = body[4..12].try_into().expect("8-byte word");
+                    let mut words = out.chunks_exact_mut(8);
+                    for w in &mut words {
+                        w.copy_from_slice(&pattern);
+                    }
+                    let tail = words.into_remainder();
+                    tail.copy_from_slice(&pattern[..tail.len()]);
+                }
+                Ok(())
+            }
+            SCHEME_DELTA => {
+                let (&width, body) = body.split_first().ok_or(DecompressError::Truncated)?;
+                let width = width as usize;
+                if !matches!(width, 1 | 2 | 4) {
+                    return Err(DecompressError::BadMethod(width as u8));
+                }
+                if body.len() < 8 {
+                    return Err(DecompressError::Truncated);
+                }
+                let (base, body) = body.split_at(8);
+                let base = word(base);
+                let nwords = out.len() / 8;
+                let want = width * nwords + out.len() % 8;
+                if body.len() < want {
+                    return Err(DecompressError::Truncated);
+                }
+                if body.len() > want {
+                    return Err(DecompressError::TrailingGarbage);
+                }
+                let (deltas, tail) = body.split_at(width * nwords);
+                let (words, out_tail) = out.split_at_mut(nwords * 8);
+                match width {
+                    1 => unpack::<1>(deltas, base, words, |d| i8::from_le_bytes(d) as i64),
+                    2 => unpack::<2>(deltas, base, words, |d| i16::from_le_bytes(d) as i64),
+                    _ => unpack::<4>(deltas, base, words, |d| i32::from_le_bytes(d) as i64),
+                }
+                out_tail.copy_from_slice(tail);
+                Ok(())
+            }
+            other => Err(DecompressError::BadMethod(other)),
+        }
+    }
 }
 
 impl Compressor for Bdi {
@@ -79,23 +192,24 @@ impl Compressor for Bdi {
     fn compress(&mut self, src: &[u8], dst: &mut Vec<u8>) -> usize {
         let n = src.len();
         let nwords = n / 8;
-        let tail = &src[nwords * 8..];
+        let (words, tail) = src.split_at(nwords * 8);
 
-        // One pass: classify. All-zero and repeated-word fall out of the
-        // same scan that sizes the two delta candidates (base = first
-        // word, base = 0 for narrow values).
-        let mut all_zero = tail.iter().all(|&b| b == 0);
-        let (mut rep, mut wbase, mut wzero) = (true, 1usize, 1usize);
-        let base = if nwords > 0 { word_at(src, 0) } else { 0 };
-        for i in 0..nwords {
-            let w = word_at(src, i);
-            all_zero &= w == 0;
-            rep &= w == base;
-            wbase = wbase.max(sig_width(w.wrapping_sub(base) as i64));
-            wzero = wzero.max(sig_width(w as i64));
+        // One branch-free pass: classify. All-zero and repeated-word fall
+        // out of the same OR-reductions that size the two delta candidates
+        // (base = first word, base = 0 for narrow values).
+        let base = words.first_chunk::<8>().map_or(0, |w| word(w));
+        let (mut any, mut differs, mut vs_base, mut vs_zero) = (0u64, 0u64, 0u64, 0u64);
+        for w in words.chunks_exact(8) {
+            let w = word(w);
+            any |= w;
+            differs |= w ^ base;
+            vs_base |= sign_fold(w.wrapping_sub(base));
+            vs_zero |= sign_fold(w);
         }
+        let all_zero = any == 0 && tail.iter().all(|&b| b == 0);
         // Repeated-word also requires the tail to continue the pattern.
-        rep = rep && nwords > 0 && *tail == base.to_le_bytes()[..tail.len()];
+        let rep = differs == 0 && nwords > 0 && *tail == base.to_le_bytes()[..tail.len()];
+        let (wbase, wzero) = (width_of(vs_base), width_of(vs_zero));
 
         // Pick the cheapest applicable scheme; stored (n + 1) wins ties.
         let mut best_cost = n + 1;
@@ -117,25 +231,29 @@ impl Compressor for Bdi {
         let Some((scheme, width, base)) = best else {
             return store_raw(src, dst);
         };
-        dst.clear();
-        dst.push(METHOD_BDI);
-        dst.push(scheme);
-        match scheme {
-            SCHEME_ZERO => dst.extend_from_slice(&(n as u32).to_le_bytes()),
-            SCHEME_REP => {
-                dst.extend_from_slice(&(n as u32).to_le_bytes());
+        if scheme != SCHEME_DELTA {
+            dst.clear();
+            dst.extend_from_slice(&[METHOD_BDI, scheme]);
+            dst.extend_from_slice(&(n as u32).to_le_bytes());
+            if scheme == SCHEME_REP {
                 dst.extend_from_slice(&base.to_le_bytes());
             }
-            _ => {
-                dst.push(width as u8);
-                dst.extend_from_slice(&base.to_le_bytes());
-                for i in 0..nwords {
-                    let d = word_at(src, i).wrapping_sub(base) as i64;
-                    dst.extend_from_slice(&d.to_le_bytes()[..width]);
-                }
-                dst.extend_from_slice(tail);
-            }
+            return dst.len();
         }
+        // The size is known before a byte is written, so size the buffer
+        // once and fill it by slice. No `clear` first: a reused buffer
+        // keeps its length and is not zeroed again.
+        dst.resize(delta_cost(width, nwords, tail.len()), 0);
+        let (header, body) = dst.split_at_mut(DELTA_HEADER);
+        header[..3].copy_from_slice(&[METHOD_BDI, SCHEME_DELTA, width as u8]);
+        header[3..].copy_from_slice(&base.to_le_bytes());
+        let (deltas, out_tail) = body.split_at_mut(width * nwords);
+        match width {
+            1 => pack::<1>(words, base, deltas),
+            2 => pack::<2>(words, base, deltas),
+            _ => pack::<4>(words, base, deltas),
+        }
+        out_tail.copy_from_slice(tail);
         debug_assert!(dst.len() <= n + 1, "bdi exceeded stored fallback");
         dst.len()
     }
@@ -146,80 +264,9 @@ impl Compressor for Bdi {
         dst: &mut Vec<u8>,
         expected_len: usize,
     ) -> Result<(), DecompressError> {
-        let (&method, body) = src.split_first().ok_or(DecompressError::Truncated)?;
-        if method == METHOD_STORED {
-            return load_raw(body, dst, expected_len);
-        }
-        if method != METHOD_BDI {
-            return Err(DecompressError::BadMethod(method));
-        }
-        let (&scheme, body) = body.split_first().ok_or(DecompressError::Truncated)?;
-        match scheme {
-            SCHEME_ZERO | SCHEME_REP => {
-                let want = if scheme == SCHEME_ZERO { 4 } else { 12 };
-                if body.len() < want {
-                    return Err(DecompressError::Truncated);
-                }
-                if body.len() > want {
-                    return Err(DecompressError::TrailingGarbage);
-                }
-                let recorded =
-                    u32::from_le_bytes(body[0..4].try_into().expect("4-byte len")) as usize;
-                if recorded > expected_len {
-                    return Err(DecompressError::OutputOverrun);
-                }
-                if recorded < expected_len {
-                    return Err(DecompressError::Truncated);
-                }
-                dst.clear();
-                if scheme == SCHEME_ZERO {
-                    dst.resize(expected_len, 0);
-                } else {
-                    let word = body[4..12].try_into().expect("8-byte word");
-                    let word = u64::from_le_bytes(word).to_le_bytes();
-                    dst.reserve(expected_len);
-                    while dst.len() + 8 <= expected_len {
-                        dst.extend_from_slice(&word);
-                    }
-                    dst.extend_from_slice(&word[..expected_len - dst.len()]);
-                }
-                Ok(())
-            }
-            SCHEME_DELTA => {
-                let (&width, body) = body.split_first().ok_or(DecompressError::Truncated)?;
-                let width = width as usize;
-                if !matches!(width, 1 | 2 | 4) {
-                    return Err(DecompressError::BadMethod(width as u8));
-                }
-                if body.len() < 8 {
-                    return Err(DecompressError::Truncated);
-                }
-                let base = u64::from_le_bytes(body[..8].try_into().expect("8-byte base"));
-                let body = &body[8..];
-                let nwords = expected_len / 8;
-                let tail = expected_len % 8;
-                let want = width * nwords + tail;
-                if body.len() < want {
-                    return Err(DecompressError::Truncated);
-                }
-                if body.len() > want {
-                    return Err(DecompressError::TrailingGarbage);
-                }
-                dst.clear();
-                dst.reserve(expected_len);
-                for i in 0..nwords {
-                    let raw = &body[i * width..(i + 1) * width];
-                    // Sign-extend the truncated two's-complement delta.
-                    let mut d = [if raw[width - 1] & 0x80 != 0 { 0xFF } else { 0 }; 8];
-                    d[..width].copy_from_slice(raw);
-                    let w = base.wrapping_add(i64::from_le_bytes(d) as u64);
-                    dst.extend_from_slice(&w.to_le_bytes());
-                }
-                dst.extend_from_slice(&body[width * nwords..]);
-                Ok(())
-            }
-            other => Err(DecompressError::BadMethod(other)),
-        }
+        // Only growth is zeroed: a reused page-sized buffer costs nothing.
+        dst.resize(expected_len, 0);
+        Bdi::decode_into(src, dst)
     }
 
     fn cost_profile(&self) -> CostProfile {

@@ -9,14 +9,14 @@
 //! the page with a cheap sampled probe ([`probe_bdi`]) and falls back to
 //! LZRW1 when the pattern codec would miss the keep-compressed threshold.
 
-use crate::bdi::Bdi;
+use crate::bdi::{self, Bdi};
 use crate::lzrw1::Lzrw1;
 use crate::lzss::Lzss;
 use crate::null::Null;
 use crate::rle::Rle;
 use crate::samefilled::SameFilled;
 use crate::threshold::{CompressDecision, ThresholdPolicy};
-use crate::{store_raw, Compressor, DecompressError};
+use crate::{load_raw_into, store_raw, Compressor, DecompressError};
 
 /// Stable on-the-wire codec identifier, recorded per entry and per spill
 /// extent. Values match each codec's leading method byte, so the id and
@@ -182,24 +182,22 @@ pub fn probe_bdi(page: &[u8], admit_bound: usize) -> bool {
     if nwords == 0 {
         return false;
     }
-    let word_at =
-        |i: usize| u64::from_le_bytes(page[i * 8..i * 8 + 8].try_into().expect("8-byte word"));
+    let word_at = |i: usize| bdi::word(&page[i * 8..i * 8 + 8]);
     let base = word_at(0);
     let samples = PROBE_WORDS.min(nwords);
-    let (mut wbase, mut wzero) = (1usize, 1usize);
+    let (mut vs_base, mut vs_zero) = (0u64, 0u64);
     for s in 0..samples {
         let w = word_at(s * nwords / samples);
-        wbase = wbase.max(crate::bdi::sig_width(w.wrapping_sub(base) as i64));
-        wzero = wzero.max(crate::bdi::sig_width(w as i64));
+        vs_base |= bdi::sign_fold(w.wrapping_sub(base));
+        vs_zero |= bdi::sign_fold(w);
     }
-    let width = wbase.min(wzero);
+    let width = bdi::width_of(vs_base).min(bdi::width_of(vs_zero));
     if width == 8 {
         return false;
     }
     // Predicted delta-scheme size (zero/repeated pages predict smaller
     // still; the delta bound covers them).
-    let predicted = 2 + 1 + 8 + width * nwords + page.len() % 8;
-    predicted <= admit_bound
+    bdi::delta_cost(width, nwords, page.len() % 8) <= admit_bound
 }
 
 /// What [`CodecSet::compress_with_policy`] chose and produced.
@@ -293,62 +291,52 @@ impl CodecSet {
         let n = page.len();
         // Per-codec scratch sizing: reserve the worst case for *this*
         // policy's codec set up front so no codec ever reallocates
-        // mid-compress or overruns a smaller codec's assumption.
+        // mid-compress or overruns a smaller codec's assumption. The
+        // length is left alone — the codecs size `dst` themselves and a
+        // reused buffer is not zeroed again.
         let bound = self.max_compressed_len(policy, n);
-        dst.clear();
-        dst.reserve(bound);
+        dst.reserve(bound.saturating_sub(dst.len()));
 
+        // LZRW1 stops at the admit bound: past it the threshold below
+        // rejects the page whatever the final size, so the rest of the
+        // pass is the paper's "wasted effort" (§5.2) and the decision is
+        // the same without it.
         let admit = threshold.max_compressed_len(n);
-        let (codec, fell_back) = match policy {
-            CodecPolicy::Lzrw1Only => {
-                self.lzrw1.compress(page, dst);
-                (CodecId::Lzrw1, false)
+        let try_bdi = match policy {
+            CodecPolicy::Lzrw1Only => false,
+            CodecPolicy::BdiOnly => true,
+            CodecPolicy::Adaptive => probe_hint.unwrap_or_else(|| probe_bdi(page, admit)),
+        };
+        let (codec, fell_back, sealed) = match try_bdi.then(|| self.bdi.compress(page, dst)) {
+            Some(len) if policy == CodecPolicy::BdiOnly || len <= admit => {
+                (CodecId::Bdi, false, Some(len))
             }
-            CodecPolicy::BdiOnly => {
-                self.bdi.compress(page, dst);
-                (CodecId::Bdi, false)
-            }
-            CodecPolicy::Adaptive => {
-                if probe_hint.unwrap_or_else(|| probe_bdi(page, admit)) {
-                    let len = self.bdi.compress(page, dst);
-                    if len <= admit {
-                        (CodecId::Bdi, false)
-                    } else {
-                        // The sampled probe was too optimistic; pay the
-                        // LZ pass it was meant to avoid.
-                        self.lzrw1.compress(page, dst);
-                        (CodecId::Lzrw1, true)
-                    }
-                } else {
-                    self.lzrw1.compress(page, dst);
-                    (CodecId::Lzrw1, false)
-                }
-            }
+            // No BDI attempt, or the sampled probe was too optimistic and
+            // the LZ pass it was meant to avoid is paid after all.
+            tried => (
+                CodecId::Lzrw1,
+                tried.is_some(),
+                self.lzrw1.compress_bounded(page, dst, admit),
+            ),
         };
         assert!(
-            dst.len() <= bound,
-            "{} produced {} bytes for {} input, over its {} bound",
+            sealed.is_none_or(|len| len <= bound),
+            "{} produced {sealed:?} bytes for {n} input, over its {bound} bound",
             codec.name(),
-            dst.len(),
-            n,
-            bound
         );
-        match threshold.evaluate(n, dst.len()) {
-            CompressDecision::Keep => Selection {
+        match sealed.filter(|&len| threshold.evaluate(n, len) == CompressDecision::Keep) {
+            Some(len) => Selection {
                 codec,
-                len: dst.len(),
+                len,
                 admitted: true,
                 fell_back,
             },
-            CompressDecision::Reject => {
-                let len = store_raw(page, dst);
-                Selection {
-                    codec: CodecId::Raw,
-                    len,
-                    admitted: false,
-                    fell_back,
-                }
-            }
+            None => Selection {
+                codec: CodecId::Raw,
+                len: store_raw(page, dst),
+                admitted: false,
+                fell_back,
+            },
         }
     }
 
@@ -363,13 +351,7 @@ impl CodecSet {
         dst: &mut Vec<u8>,
         expected_len: usize,
     ) -> Result<(), DecompressError> {
-        match src.first() {
-            None => return Err(DecompressError::Truncated),
-            // A stored block is decodable by any codec; any other method
-            // byte must match the recorded codec id exactly.
-            Some(&m) if m != 0 && m != codec.as_u8() => return Err(DecompressError::BadMethod(m)),
-            _ => {}
-        }
+        check_method(codec, src)?;
         match codec {
             CodecId::Raw => Null::new().decompress(src, dst, expected_len),
             CodecId::Lzrw1 => self.lzrw1.decompress(src, dst, expected_len),
@@ -378,6 +360,36 @@ impl CodecSet {
             CodecId::SameFilled => SameFilled::new().decompress(src, dst, expected_len),
             CodecId::Bdi => self.bdi.decompress(src, dst, expected_len),
         }
+    }
+}
+
+/// Like [`CodecSet::decompress`], but straight into the caller's page:
+/// `out.len()` is the expected length, and the codecs a store seals with
+/// (raw, LZRW1, BDI) write it with no intermediate buffer. Decoding needs
+/// no codec state, hence no [`CodecSet`]. On error the contents of `out`
+/// are unspecified.
+pub fn decode_into(codec: CodecId, src: &[u8], out: &mut [u8]) -> Result<(), DecompressError> {
+    check_method(codec, src)?;
+    match codec {
+        CodecId::Raw => load_raw_into(&src[1..], out),
+        CodecId::Lzrw1 => Lzrw1::decode_into(src, out),
+        CodecId::Bdi => Bdi::decode_into(src, out),
+        CodecId::Rle | CodecId::Lzss | CodecId::SameFilled => {
+            let mut page = Vec::new();
+            codec_for(codec).decompress(src, &mut page, out.len())?;
+            out.copy_from_slice(&page);
+            Ok(())
+        }
+    }
+}
+
+/// A stored block is decodable by any codec; any other method byte must
+/// match the recorded codec id exactly.
+fn check_method(codec: CodecId, src: &[u8]) -> Result<(), DecompressError> {
+    match src.first() {
+        None => Err(DecompressError::Truncated),
+        Some(&m) if m != 0 && m != codec.as_u8() => Err(DecompressError::BadMethod(m)),
+        _ => Ok(()),
     }
 }
 
@@ -426,6 +438,10 @@ mod tests {
                 packed[0],
                 id.as_u8()
             );
+            // Every id decodes through the set, into a Vec or a slice.
+            let mut out = vec![0u8; input.len()];
+            decode_into(id, &packed, &mut out).unwrap();
+            assert_eq!(out, input, "{}", id.name());
         }
         assert_eq!(CodecId::from_u8(6), None);
         assert_eq!(CodecId::from_u8(0xEE), None);
@@ -539,6 +555,10 @@ mod tests {
                 set.decompress(sel.codec, &dst, &mut out, page.len())
                     .unwrap_or_else(|e| panic!("{:?}/{}: {e}", policy, sel.codec.name()));
                 assert_eq!(out, page);
+                out.fill(0xEE);
+                decode_into(sel.codec, &dst, &mut out)
+                    .unwrap_or_else(|e| panic!("{:?}/{}: {e}", policy, sel.codec.name()));
+                assert_eq!(out, page);
             }
         }
     }
@@ -564,6 +584,11 @@ mod tests {
             assert!(
                 set.decompress(wrong, &dst, &mut out, 4096).is_err(),
                 "{} decoded bdi bytes",
+                wrong.name()
+            );
+            assert!(
+                decode_into(wrong, &dst, &mut [0u8; 4096]).is_err(),
+                "{} decoded bdi bytes into a slice",
                 wrong.name()
             );
         }

@@ -43,12 +43,16 @@ pub mod codec;
 pub mod lzrw1;
 pub mod lzss;
 pub mod null;
+#[cfg(test)]
+mod reference;
 pub mod rle;
 pub mod samefilled;
 pub mod threshold;
 
 pub use bdi::Bdi;
-pub use codec::{codec_for, probe_bdi, Codec, CodecId, CodecPolicy, CodecSet, Selection};
+pub use codec::{
+    codec_for, decode_into, probe_bdi, Codec, CodecId, CodecPolicy, CodecSet, Selection,
+};
 pub use lzrw1::Lzrw1;
 pub use lzss::Lzss;
 pub use null::Null;
@@ -169,20 +173,33 @@ pub(crate) fn store_raw(src: &[u8], dst: &mut Vec<u8>) -> usize {
     dst.len()
 }
 
-/// Decode a stored block (after the method byte has been checked).
-pub(crate) fn load_raw(
-    body: &[u8],
-    dst: &mut Vec<u8>,
-    expected_len: usize,
-) -> Result<(), DecompressError> {
+/// A stored block's body must be exactly the expected length.
+fn check_raw_len(body: &[u8], expected_len: usize) -> Result<(), DecompressError> {
     if body.len() < expected_len {
         return Err(DecompressError::Truncated);
     }
     if body.len() > expected_len {
         return Err(DecompressError::TrailingGarbage);
     }
+    Ok(())
+}
+
+/// Decode a stored block (after the method byte has been checked).
+pub(crate) fn load_raw(
+    body: &[u8],
+    dst: &mut Vec<u8>,
+    expected_len: usize,
+) -> Result<(), DecompressError> {
+    check_raw_len(body, expected_len)?;
     dst.clear();
     dst.extend_from_slice(body);
+    Ok(())
+}
+
+/// Decode a stored block into exactly `out.len()` bytes.
+pub(crate) fn load_raw_into(body: &[u8], out: &mut [u8]) -> Result<(), DecompressError> {
+    check_raw_len(body, out.len())?;
+    out.copy_from_slice(body);
     Ok(())
 }
 

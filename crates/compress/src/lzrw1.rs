@@ -22,7 +22,7 @@
 //! measured for this paper, the hash table is 16 Kbytes."). Modeling entries
 //! as 4-byte pointers, 16 KB ⇒ 4096 entries, which is the default here.
 
-use crate::{load_raw, store_raw, Compressor, CostProfile, DecompressError, METHOD_STORED};
+use crate::{load_raw_into, store_raw, Compressor, CostProfile, DecompressError, METHOD_STORED};
 
 /// Method byte identifying an LZRW1-encoded block.
 const METHOD_LZRW1: u8 = 1;
@@ -31,10 +31,17 @@ const METHOD_LZRW1: u8 = 1;
 const MIN_MATCH: usize = 3;
 /// Maximum match length (`MIN_MATCH + 15`, one nibble of length).
 const MAX_MATCH: usize = 18;
-/// Maximum back-reference distance (12 bits of offset).
-const MAX_OFFSET: usize = 4095;
+/// A back-reference reaches `1..2^12` bytes back (12 bits of offset).
+const OFFSET_BITS: u32 = 12;
 /// Items per control word.
 const GROUP: usize = 16;
+/// Where the encoder's marker bit, shifted right once per item from bit
+/// 31, arrives when a group has all its items.
+const GROUP_FULL: u32 = 1 << (31 - GROUP);
+
+/// Largest block one call may compress: a slot must keep at least one
+/// generation bit above the position.
+const MAX_BLOCK: usize = 1 << 31;
 
 /// The LZRW1 codec. Holds its hash table across calls, mirroring the
 /// kernel's one static buffer.
@@ -56,15 +63,19 @@ const GROUP: usize = 16;
 #[derive(Debug, Clone)]
 pub struct Lzrw1 {
     /// Hash table: for each trigram hash, the packed
-    /// `(generation << 32) | position` of its most recent occurrence.
-    /// Stamping entries with the current generation makes stale slots
-    /// self-invalidating, so the table never needs clearing between
+    /// `(generation << pos_bits) | position` of its most recent
+    /// occurrence. Stamping entries with the current generation makes
+    /// stale slots self-invalidating, so the table is not cleared between
     /// blocks — that memset used to cost more than compressing a page.
-    table: Vec<u64>,
-    /// `table.len() - 1`; table length is always a power of two.
-    mask: usize,
-    /// Current compression generation (bumped per `compress` call).
+    /// Four bytes a slot keep the default table at 16 KiB, half of a
+    /// 32 KiB L1D, where 8-byte slots filled it.
+    /// Its length is always a power of two.
+    table: Vec<u32>,
+    /// Current compression generation (bumped per block).
     generation: u32,
+    /// Width of the position field the table's slots were written with:
+    /// the bits that hold any position of the last block.
+    pos_bits: u32,
 }
 
 impl Default for Lzrw1 {
@@ -99,28 +110,258 @@ impl Lzrw1 {
             "hash table entries must be a power of two >= 256"
         );
         Lzrw1 {
-            // Generation 0 marks never-written slots; the first compress
-            // call runs as generation 1.
+            // Generation 0 marks never-written slots; the first block
+            // runs as generation 1.
             table: vec![0; entries],
-            mask: entries - 1,
             generation: 0,
+            pos_bits: 0,
         }
     }
 
     /// The modeled memory footprint of the hash table in bytes
-    /// (4 bytes per entry, as on the 32-bit DECstation — the host-side
-    /// generation stamps are an implementation detail, not part of the
-    /// modeled 1993 kernel).
+    /// (4 bytes per entry, as on the 32-bit DECstation).
     pub fn table_bytes(&self) -> usize {
         self.table.len() * 4
     }
 
-    /// Williams's multiplicative trigram hash.
-    #[inline]
-    fn hash(&self, b0: u8, b1: u8, b2: u8) -> usize {
-        let k = ((((b0 as u32) << 4) ^ (b1 as u32)) << 4) ^ (b2 as u32);
-        ((40543u32.wrapping_mul(k)) >> 4) as usize & self.mask
+    /// Open a block of `n` bytes: bump the generation instead of clearing
+    /// the table, so entries stamped by an older block read as empty and
+    /// compressed pages stay independently decompressible without a table
+    /// memset per 4 KB block. The table is cleared for real only when the
+    /// generation field wraps (every 2^20 blocks at 4 KB) or when `n`
+    /// needs a different position width than the slots were written with.
+    /// Returns the generation in slot position.
+    fn open_block(&mut self, n: usize) -> u32 {
+        assert!(n <= MAX_BLOCK, "block too large for packed table entries");
+        let pos_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        let mut generation = self.generation as u64 + 1;
+        if pos_bits != self.pos_bits || generation >> (32 - pos_bits) != 0 {
+            self.table.fill(0);
+            self.pos_bits = pos_bits;
+            generation = 1;
+        }
+        self.generation = generation as u32;
+        self.generation << pos_bits
     }
+
+    /// Compress `src` into `dst` unless the result would exceed `limit`
+    /// bytes: `None` exactly when [`Compressor::compress`] would return
+    /// more than `limit`, and the very same bytes otherwise. The encoder
+    /// gives up at the first group boundary past `limit`, so a caller that
+    /// discards anything larger (the keep-compressed threshold) does not
+    /// pay for the rest of an incompressible page. On `None` the contents
+    /// of `dst` are unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is longer than 2 GiB.
+    pub fn compress_bounded(
+        &mut self,
+        src: &[u8],
+        dst: &mut Vec<u8>,
+        limit: usize,
+    ) -> Option<usize> {
+        let n = src.len();
+        // Worst case is all-literal output: 1 method byte + n literals +
+        // 2 control bytes per 16 items. Sizing `dst` to it once lets the
+        // emit loop write by index; only growth is zeroed.
+        dst.resize(1 + n + 2 * n.div_ceil(GROUP), 0);
+        // Output longer than the input is replaced by a stored block, so
+        // the LZ pass is bounded by `n` whatever the caller allows.
+        match self.encode(src, dst, limit.min(n)) {
+            Some(len) => {
+                dst.truncate(len);
+                Some(len)
+            }
+            // Expansion: fall back to a stored block (original LZRW1 sets
+            // a copy flag and memcpys).
+            None => (n < limit).then(|| store_raw(src, dst)),
+        }
+    }
+
+    /// The LZRW1 pass proper, into a worst-case-sized `out`: the encoded
+    /// length, or `None` as soon as it is known to exceed `cap`.
+    fn encode(&mut self, src: &[u8], out: &mut [u8], cap: usize) -> Option<usize> {
+        let n = src.len();
+        let tag = self.open_block(n);
+        let pos_mask = (1u32 << self.pos_bits) - 1;
+        let table = &mut self.table[..];
+        let mask = table.len() - 1;
+
+        out[0] = METHOD_LZRW1;
+        let (mut i, mut o) = (0usize, 1usize);
+        while i < n {
+            if o > cap {
+                return None;
+            }
+            // A group: control word, then up to 16 items. The flags shift
+            // in at the top of `ctrl` above a marker bit, which reaches
+            // `GROUP_FULL` after the sixteenth.
+            let ctrl_at = o;
+            o += 2;
+            let mut ctrl = 1u32 << 31;
+            while ctrl & GROUP_FULL == 0 && i < n {
+                ctrl >>= 1;
+                if n - i >= MIN_MATCH {
+                    let here = trigram(src, i);
+                    let h = hash(here) & mask;
+                    // The slot against this block's tag: position in the
+                    // low bits, and above them zero unless the slot is
+                    // stale (another generation, or never written).
+                    let slot = table[h] ^ tag;
+                    table[h] = tag | i as u32;
+                    let cand = (slot & pos_mask) as usize;
+                    // A live slot lies below `i`, so its four bytes are in
+                    // bounds. A stale one may point anywhere below
+                    // `2^pos_bits`; out of bounds it reads as 0, which is
+                    // as good as anything since it is a miss already.
+                    // (With one page size this branch never fails; a
+                    // clamp in its place would be a conditional move on
+                    // the path every position waits on.)
+                    let there = src
+                        .get(cand..cand + 4)
+                        .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+                    // Three reasons the slot is no match — stale, further
+                    // back than an offset reaches, a different trigram —
+                    // OR-ed as integers into one test: on incompressible
+                    // input "is this slot from this block?" is a coin
+                    // flip, and as a branch of its own it mispredicts
+                    // every other byte.
+                    let miss = (slot & !pos_mask) as usize
+                        | i.wrapping_sub(cand) >> OFFSET_BITS
+                        | ((here ^ there) << 8) as usize;
+                    if miss == 0 {
+                        let len = extend_match(src, cand, i, MAX_MATCH.min(n - i));
+                        let offset = i - cand;
+                        ctrl |= 1 << 31;
+                        let item = [
+                            (((offset >> 8) as u8) << 4) | ((len - MIN_MATCH) as u8),
+                            offset as u8,
+                        ];
+                        out[o..o + 2].copy_from_slice(&item);
+                        o += 2;
+                        i += len;
+                        continue;
+                    }
+                }
+                out[o] = src[i];
+                o += 1;
+                i += 1;
+            }
+            // Drop the marker and what lies below it: the first item's
+            // flag lands on bit 0 however many items the group got.
+            let ctrl = (ctrl >> (ctrl.trailing_zeros() + 1)) as u16;
+            out[ctrl_at..ctrl_at + 2].copy_from_slice(&ctrl.to_le_bytes());
+        }
+        (o <= cap).then_some(o)
+    }
+
+    /// Decode `src` into exactly `out.len()` bytes — the block's recorded
+    /// original length — straight into the caller's buffer. Malformed
+    /// input is an error, never a panic; on error the contents of `out`
+    /// are unspecified.
+    pub fn decode_into(src: &[u8], out: &mut [u8]) -> Result<(), DecompressError> {
+        let (&method, body) = src.split_first().ok_or(DecompressError::Truncated)?;
+        match method {
+            METHOD_STORED => return load_raw_into(body, out),
+            METHOD_LZRW1 => {}
+            other => return Err(DecompressError::BadMethod(other)),
+        }
+        let n = out.len();
+        let (mut pos, mut at) = (0usize, 0usize);
+        while at < n {
+            let Some(ctrl) = body.get(pos..pos + 2) else {
+                return Err(DecompressError::Truncated);
+            };
+            let ctrl = u16::from_le_bytes([ctrl[0], ctrl[1]]);
+            pos += 2;
+            let mut bit = 0;
+            while bit < GROUP && at < n {
+                if ctrl & (1 << bit) != 0 {
+                    let Some(item) = body.get(pos..pos + 2) else {
+                        return Err(DecompressError::Truncated);
+                    };
+                    let (b0, b1) = (item[0] as usize, item[1] as usize);
+                    pos += 2;
+                    let offset = ((b0 & 0xF0) << 4) | b1;
+                    let len = (b0 & 0x0F) + MIN_MATCH;
+                    if offset == 0 || offset > at {
+                        return Err(DecompressError::BadOffset { offset, at });
+                    }
+                    if at + len > n {
+                        return Err(DecompressError::OutputOverrun);
+                    }
+                    let from = at - offset;
+                    if offset >= len {
+                        // Disjoint source and destination. Away from the
+                        // end of the page, copy the maximum match length
+                        // whatever `len` is: a fixed-size move instead of
+                        // a `memmove` call, and the surplus lands on
+                        // bytes the next items overwrite.
+                        if at + MAX_MATCH <= n {
+                            out.copy_within(from..from + MAX_MATCH, at);
+                        } else {
+                            out.copy_within(from..from + len, at);
+                        }
+                    } else if offset == 1 {
+                        // RLE-like run of one byte: a fill, not a loop.
+                        let b = out[from];
+                        out[at..at + len].fill(b);
+                    } else {
+                        // Genuinely overlapping short copy (len <= 18):
+                        // byte-at-a-time is both correct and cheap here.
+                        for k in at..at + len {
+                            out[k] = out[k - offset];
+                        }
+                    }
+                    at += len;
+                    bit += 1;
+                } else {
+                    // Batch the whole run of literal items implied by the
+                    // consecutive clear control bits into one copy.
+                    let run = ((ctrl >> bit).trailing_zeros() as usize)
+                        .min(GROUP - bit)
+                        .min(n - at);
+                    debug_assert!(run >= 1);
+                    let Some(literals) = body.get(pos..pos + run) else {
+                        return Err(DecompressError::Truncated);
+                    };
+                    out[at..at + run].copy_from_slice(literals);
+                    pos += run;
+                    at += run;
+                    bit += run;
+                }
+            }
+        }
+        if pos != body.len() {
+            return Err(DecompressError::TrailingGarbage);
+        }
+        Ok(())
+    }
+}
+
+/// The three bytes at `src[at..at + 3]` in the low 24 bits, as one load
+/// wherever a fourth byte exists; the top byte is whatever follows and is
+/// ignored by every user. Only the last trigram of a block takes the
+/// byte-wise arm.
+#[inline]
+fn trigram(src: &[u8], at: usize) -> u32 {
+    match src.get(at..at + 4) {
+        Some(four) => u32::from_le_bytes(four.try_into().expect("4 bytes")),
+        None => src[at] as u32 | (src[at + 1] as u32) << 8 | (src[at + 2] as u32) << 16,
+    }
+}
+
+/// Williams's multiplicative trigram hash (before masking to the table).
+#[inline]
+fn hash(trigram: u32) -> usize {
+    let (b0, b1, b2) = (
+        trigram & 0xFF,
+        (trigram >> 8) & 0xFF,
+        (trigram >> 16) & 0xFF,
+    );
+    let k = (((b0 << 4) ^ b1) << 4) ^ b2;
+    (40543u32.wrapping_mul(k) >> 4) as usize
 }
 
 /// Extend a verified `MIN_MATCH`-byte match at `src[cand]` / `src[i]` up
@@ -149,90 +390,8 @@ impl Compressor for Lzrw1 {
     }
 
     fn compress(&mut self, src: &[u8], dst: &mut Vec<u8>) -> usize {
-        dst.clear();
-        if src.is_empty() {
-            dst.push(METHOD_STORED);
-            return dst.len();
-        }
-        // Bump the block generation instead of clearing the table:
-        // entries stamped with an older generation are treated as empty,
-        // so compressed pages stay independently decompressible without
-        // paying a table memset per 4 KB block.
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // u32 wraparound (once per 4G blocks): flush for real.
-            self.table.iter_mut().for_each(|e| *e = 0);
-            self.generation = 1;
-        }
-        let gen_tag = (self.generation as u64) << 32;
-
-        let n = src.len();
-        debug_assert!(n < (1 << 32), "block too large for packed table entries");
-        // Worst case is all-literal output: 1 method byte + n literals +
-        // 2 control bytes per 16 items. Reserving it up front keeps the
-        // emit loop free of reallocation.
-        dst.reserve(n + n / 8 + 4);
-        dst.push(METHOD_LZRW1);
-        let mut i = 0usize;
-        // Position of the current group's control word within dst.
-        let mut ctrl_pos = dst.len();
-        dst.extend_from_slice(&[0, 0]);
-        let mut ctrl: u16 = 0;
-        let mut items_in_group = 0usize;
-
-        while i < n {
-            if items_in_group == GROUP {
-                dst[ctrl_pos] = (ctrl & 0xFF) as u8;
-                dst[ctrl_pos + 1] = (ctrl >> 8) as u8;
-                ctrl_pos = dst.len();
-                dst.extend_from_slice(&[0, 0]);
-                ctrl = 0;
-                items_in_group = 0;
-            }
-
-            let mut emitted_copy = false;
-            if n - i >= MIN_MATCH {
-                let h = self.hash(src[i], src[i + 1], src[i + 2]);
-                let slot = self.table[h];
-                self.table[h] = gen_tag | i as u64;
-                // A slot from an older block reads as a generation
-                // mismatch; a slot from this block always holds a
-                // position strictly below `i`.
-                if slot >> 32 == self.generation as u64 {
-                    let cand = (slot & 0xFFFF_FFFF) as usize;
-                    let offset = i - cand;
-                    // Check and extend the match.
-                    if offset <= MAX_OFFSET
-                        && src[cand] == src[i]
-                        && src[cand + 1] == src[i + 1]
-                        && src[cand + 2] == src[i + 2]
-                    {
-                        let limit = MAX_MATCH.min(n - i);
-                        let len = extend_match(src, cand, i, limit);
-                        ctrl |= 1 << items_in_group;
-                        dst.push((((offset >> 8) as u8) << 4) | ((len - MIN_MATCH) as u8));
-                        dst.push((offset & 0xFF) as u8);
-                        i += len;
-                        emitted_copy = true;
-                    }
-                }
-            }
-            if !emitted_copy {
-                dst.push(src[i]);
-                i += 1;
-            }
-            items_in_group += 1;
-        }
-        // Flush the final (possibly partial) control word.
-        dst[ctrl_pos] = (ctrl & 0xFF) as u8;
-        dst[ctrl_pos + 1] = (ctrl >> 8) as u8;
-
-        if dst.len() > src.len() {
-            // Expansion: fall back to a stored block (original LZRW1 sets a
-            // copy flag and memcpys).
-            return store_raw(src, dst);
-        }
-        dst.len()
+        self.compress_bounded(src, dst, usize::MAX)
+            .expect("a stored block fits any limit")
     }
 
     fn decompress(
@@ -241,75 +400,9 @@ impl Compressor for Lzrw1 {
         dst: &mut Vec<u8>,
         expected_len: usize,
     ) -> Result<(), DecompressError> {
-        let (&method, body) = src.split_first().ok_or(DecompressError::Truncated)?;
-        match method {
-            METHOD_STORED => return load_raw(body, dst, expected_len),
-            METHOD_LZRW1 => {}
-            other => return Err(DecompressError::BadMethod(other)),
-        }
-        dst.clear();
-        dst.reserve(expected_len);
-        let mut pos = 0usize;
-        while dst.len() < expected_len {
-            if pos + 2 > body.len() {
-                return Err(DecompressError::Truncated);
-            }
-            let ctrl = u16::from_le_bytes([body[pos], body[pos + 1]]);
-            pos += 2;
-            let mut bit = 0;
-            while bit < GROUP && dst.len() < expected_len {
-                if ctrl & (1 << bit) != 0 {
-                    if pos + 2 > body.len() {
-                        return Err(DecompressError::Truncated);
-                    }
-                    let b0 = body[pos] as usize;
-                    let b1 = body[pos + 1] as usize;
-                    pos += 2;
-                    let offset = ((b0 & 0xF0) << 4) | b1;
-                    let len = (b0 & 0x0F) + MIN_MATCH;
-                    let at = dst.len();
-                    if offset == 0 || offset > at {
-                        return Err(DecompressError::BadOffset { offset, at });
-                    }
-                    if at + len > expected_len {
-                        return Err(DecompressError::OutputOverrun);
-                    }
-                    if offset >= len {
-                        // Disjoint source and destination: one memcpy.
-                        dst.extend_from_within(at - offset..at - offset + len);
-                    } else if offset == 1 {
-                        // RLE-like run of one byte: a fill, not a loop.
-                        let b = dst[at - 1];
-                        dst.resize(at + len, b);
-                    } else {
-                        // Genuinely overlapping short copy (len <= 18):
-                        // byte-at-a-time is both correct and cheap here.
-                        for k in 0..len {
-                            let b = dst[at - offset + k];
-                            dst.push(b);
-                        }
-                    }
-                    bit += 1;
-                } else {
-                    // Batch the whole run of literal items implied by the
-                    // consecutive clear control bits into one copy.
-                    let run = ((ctrl >> bit).trailing_zeros() as usize)
-                        .min(GROUP - bit)
-                        .min(expected_len - dst.len());
-                    debug_assert!(run >= 1);
-                    if pos + run > body.len() {
-                        return Err(DecompressError::Truncated);
-                    }
-                    dst.extend_from_slice(&body[pos..pos + run]);
-                    pos += run;
-                    bit += run;
-                }
-            }
-        }
-        if pos != body.len() {
-            return Err(DecompressError::TrailingGarbage);
-        }
-        Ok(())
+        // Only growth is zeroed: a reused page-sized buffer costs nothing.
+        dst.resize(expected_len, 0);
+        Lzrw1::decode_into(src, dst)
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -323,6 +416,7 @@ impl Compressor for Lzrw1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::class_page;
     use cc_util::SplitMix64;
 
     fn roundtrip(lz: &mut Lzrw1, input: &[u8]) -> usize {
@@ -448,6 +542,59 @@ mod tests {
         assert_eq!(Lzrw1::with_table_bytes(16 * 1024).table_bytes(), 16 * 1024);
         assert_eq!(Lzrw1::with_table_bytes(5000).table_bytes(), 4096);
         assert_eq!(Lzrw1::with_table_bytes(1).table_bytes(), 1024);
+    }
+
+    /// Compress `input` on `lz` and on a fresh encoder: same bytes.
+    fn assert_like_fresh(lz: &mut Lzrw1, input: &[u8]) {
+        let (mut shared, mut fresh) = (Vec::new(), Vec::new());
+        lz.compress(input, &mut shared);
+        Lzrw1::with_entries(lz.table.len()).compress(input, &mut fresh);
+        assert!(shared == fresh, "{} bytes: table state leaked", input.len());
+        assert!(shared.len() < input.len(), "input must exercise the table");
+    }
+
+    #[test]
+    fn generation_wrap_clears_the_table() {
+        let mut lz = Lzrw1::new();
+        let pages: Vec<Vec<u8>> = (0..6).map(|s| class_page(3, s, 4096)).collect();
+        assert_like_fresh(&mut lz, &pages[0]);
+        // 12 position bits leave 20 of generation: jump to its last value
+        // but two instead of compressing a million pages.
+        assert_eq!(lz.pos_bits, 12);
+        lz.generation = (1 << 20) - 3;
+        for page in &pages {
+            assert_like_fresh(&mut lz, page);
+        }
+        assert_eq!(lz.generation, 4, "two blocks before the wrap, four after");
+        // Slots written at the top generation must not read as live under
+        // the restarted count: same page, same slots, across the wrap.
+        lz.generation = (1 << 20) - 2;
+        assert_like_fresh(&mut lz, &pages[0]);
+        assert_like_fresh(&mut lz, &pages[0]);
+        assert_eq!(lz.generation, 1);
+    }
+
+    #[test]
+    fn block_sizes_alternate_on_one_encoder() {
+        // 4 KiB and 512 KiB split a slot differently (12 and 19 position
+        // bits); a slot written under one split must never be read under
+        // the other.
+        let mut lz = Lzrw1::new();
+        let small = class_page(3, 7, 4096);
+        let big = class_page(3, 8, 512 * 1024);
+        for _ in 0..3 {
+            assert_like_fresh(&mut lz, &small);
+            assert_eq!(lz.pos_bits, 12);
+            assert_like_fresh(&mut lz, &big);
+            assert_eq!(lz.pos_bits, 19);
+        }
+        // Lengths either side of a power of two, and the degenerate ones.
+        for n in [4097, 4096, 4095, 3, 2, 1, 0, 4096] {
+            let (mut shared, mut fresh) = (Vec::new(), Vec::new());
+            lz.compress(&big[..n], &mut shared);
+            Lzrw1::new().compress(&big[..n], &mut fresh);
+            assert_eq!(shared, fresh, "{n} bytes");
+        }
     }
 
     #[test]

@@ -123,8 +123,8 @@ use crate::persist::{
 };
 use crate::tier::{PlacementQuery, TierDecision, TierPolicy};
 use cc_compress::{
-    expand_same_filled, probe_bdi, same_filled_pattern, CodecId, CodecPolicy, CodecSet,
-    ThresholdPolicy,
+    decode_into, expand_same_filled, probe_bdi, same_filled_pattern, CodecId, CodecPolicy,
+    CodecSet, ThresholdPolicy,
 };
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx, Tracer};
 use cc_telemetry::{Telemetry, TelemetrySpec};
@@ -1008,15 +1008,14 @@ struct Completion {
 }
 
 /// Scratch space reused across calls on each thread: the codec set
-/// (LZRW1's hash table lives here) plus compression, staging, and
-/// decompression buffers. `comp` is sized by
+/// (LZRW1's hash table lives here) plus compression and staging buffers
+/// (decompression writes the caller's page directly). `comp` is sized by
 /// [`CodecSet::max_compressed_len`] for the active policy on every
 /// compress — each codec's own worst case, not LZRW1's.
 struct Scratch {
     codecs: CodecSet,
     comp: Vec<u8>,
     stage: Vec<u8>,
-    decomp: Vec<u8>,
     /// Demotion's compression output. Separate from `comp` because hot
     /// demotion can run *inside* a put's eviction loop on the same
     /// thread, while the put's own sealed bytes are still parked in
@@ -1029,7 +1028,6 @@ thread_local! {
         codecs: CodecSet::new(),
         comp: Vec::new(),
         stage: Vec::new(),
-        decomp: Vec::new(),
         demote: Vec::new(),
     });
 }
@@ -2276,7 +2274,7 @@ impl StoreCore {
                     });
                     shard.lru.touch(handle);
                     drop(shard);
-                    self.decompress_staged(codec, orig_len, out);
+                    self.decompress_staged(codec, out);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
                     self.sample_end_traced(top::GET_MEMORY, t0, ctx);
                     let q = PlacementQuery {
@@ -2298,7 +2296,7 @@ impl StoreCore {
                     tout.tier = strier::MEMORY;
                     let data = Arc::clone(data);
                     drop(shard);
-                    self.decompress_into(codec, &data, orig_len, out);
+                    self.decompress_into(codec, &data, out);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
                     self.sample_end_traced(top::GET_MEMORY, t0, ctx);
                     return Ok(Some(HitTier::Memory));
@@ -2406,7 +2404,7 @@ impl StoreCore {
                         shard_idx,
                     );
                     self.tel.count(shard_idx, tstat::HITS_SPILL, 1);
-                    self.decompress_staged(codec, orig_len, out);
+                    self.decompress_staged(codec, out);
                     self.sample_end_traced(top::GET_SPILL, t0, ctx);
                     let q = PlacementQuery {
                         key,
@@ -2524,39 +2522,18 @@ impl StoreCore {
         self.tel.record(op, t0.elapsed().as_nanos() as u64);
     }
 
-    /// Decompress this thread's staging buffer into `out`, dispatching on
-    /// the entry's recorded codec id.
-    fn decompress_staged(&self, codec: u8, orig_len: usize, out: &mut [u8]) {
+    /// Decode `data`, sealed by the entry's recorded codec id, straight
+    /// into `out`.
+    fn decompress_into(&self, codec: u8, data: &[u8], out: &mut [u8]) {
         let id = CodecId::from_u8(codec).expect("unknown codec id in entry");
         let t0 = self.sample_start();
-        SCRATCH.with(|c| {
-            let s = &mut *c.borrow_mut();
-            let Scratch {
-                codecs,
-                stage,
-                decomp,
-                ..
-            } = &mut *s;
-            codecs
-                .decompress(id, stage, decomp, orig_len)
-                .expect("corrupt page in store");
-            out.copy_from_slice(decomp);
-        });
+        decode_into(id, data, out).expect("corrupt page in store");
         self.record_decompress(id, t0);
     }
 
-    fn decompress_into(&self, codec: u8, data: &[u8], orig_len: usize, out: &mut [u8]) {
-        let id = CodecId::from_u8(codec).expect("unknown codec id in entry");
-        let t0 = self.sample_start();
-        SCRATCH.with(|c| {
-            let s = &mut *c.borrow_mut();
-            let Scratch { codecs, decomp, .. } = &mut *s;
-            codecs
-                .decompress(id, data, decomp, orig_len)
-                .expect("corrupt page in store");
-            out.copy_from_slice(decomp);
-        });
-        self.record_decompress(id, t0);
+    /// [`StoreCore::decompress_into`] from this thread's staging buffer.
+    fn decompress_staged(&self, codec: u8, out: &mut [u8]) {
+        SCRATCH.with(|c| self.decompress_into(codec, &c.borrow().stage, out));
     }
 
     /// Persistence hook for every path that removes (or supersedes) an

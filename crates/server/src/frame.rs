@@ -25,7 +25,7 @@
 //!   reactor appends whatever the socket had and parses as many
 //!   complete frames as arrived, however the bytes were split.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::ops::Range;
 
 /// Bytes of length prefix at the start of the header.
@@ -100,9 +100,23 @@ pub fn header(len: usize, seq: u32) -> [u8; HEADER_LEN] {
 }
 
 /// Write `body` as one frame tagged `seq` and flush the transport.
+///
+/// Header and body go out in one vectored write: on a `TCP_NODELAY`
+/// socket two `write_all`s are two syscalls, two segments and up to two
+/// wake-ups of the peer per frame. A transport that takes only part of
+/// the pair is handed the rest until it is all gone.
 pub fn write_frame(w: &mut impl Write, seq: u32, body: &[u8]) -> std::io::Result<()> {
-    w.write_all(&header(body.len(), seq))?;
-    w.write_all(body)?;
+    let header = header(body.len(), seq);
+    let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -235,6 +249,56 @@ mod tests {
             read_frame(&mut cursor, &mut buf, 1024),
             Err(FrameError::Closed)
         ));
+    }
+
+    /// A transport that takes at most `take` bytes per call and counts
+    /// the calls.
+    struct Dribble {
+        wire: Vec<u8>,
+        take: usize,
+        calls: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut left = self.take;
+            for buf in bufs {
+                let n = left.min(buf.len());
+                self.wire.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.take - left)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_survives_partial_ones() {
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 9, b"payload").unwrap();
+        for take in [1, 3, HEADER_LEN, HEADER_LEN + 2, usize::MAX] {
+            let mut w = Dribble {
+                wire: Vec::new(),
+                take,
+                calls: 0,
+            };
+            write_frame(&mut w, 9, b"payload").unwrap();
+            assert_eq!(w.wire, whole, "{take} bytes per write");
+            assert_eq!(w.calls, whole.len().div_ceil(take).max(1));
+        }
+        let mut stuck = Dribble {
+            wire: Vec::new(),
+            take: 0,
+            calls: 0,
+        };
+        let err = write_frame(&mut stuck, 9, b"payload").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 
     #[test]
