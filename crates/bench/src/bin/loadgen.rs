@@ -677,9 +677,8 @@ struct TraceInfo {
     exemplar_resolved: bool,
 }
 
-/// Throughput cost of tracing at the default sampling rate: the same
-/// interleaved best-of-3 construction as the storebench telemetry
-/// gate, so machine noise hits both configurations alike.
+/// Throughput cost of tracing at the default sampling rate: interleaved
+/// best-of-3, so machine noise hits both configurations alike.
 struct TraceOverhead {
     ops_per_sec_on: f64,
     ops_per_sec_off: f64,

@@ -91,10 +91,15 @@
 //! stats read takes no shard lock and no field can tear), put/get/spill
 //! I/O and GC pauses feed lock-free latency histograms, and structural
 //! events (batch commits, GC passes, evictions, threshold rejects,
-//! same-filled elisions) flow through a bounded lossy event ring. Get a
-//! [`cc_telemetry::Snapshot`] via [`CompressedStore::telemetry_snapshot`];
-//! disable the sampling (never the counters) with
-//! [`StoreConfig::with_telemetry`].
+//! same-filled elisions) flow through a bounded lossy event ring.
+//! Counters and events are exact. Latency is *sampled* on the data
+//! path: each put or get makes one timing decision from its operation
+//! stamp — 1 in [`cc_telemetry::LATENCY_SAMPLE_PERIOD`], traced
+//! requests always — and an unsampled operation reads no clock and
+//! writes no histogram; the writer, GC and demoter threads time every
+//! call. Get a [`cc_telemetry::Snapshot`] via
+//! [`CompressedStore::telemetry_snapshot`]; disable the timing and the
+//! events (never the counters) with [`StoreConfig::with_telemetry`].
 //!
 //! ```
 //! use cc_core::store::{CompressedStore, StoreConfig};
@@ -217,6 +222,14 @@ mod tstat {
 }
 
 /// Timed-operation indices (one lock-free latency histogram each).
+///
+/// Foreground ops (everything a put or get times) are fed by
+/// [`Telemetry::op_timer`]: 1 operation in
+/// [`cc_telemetry::LATENCY_SAMPLE_PERIOD`], traced requests always, so
+/// their `count` is a number of *samples* — the op totals are the
+/// `hits_*`/`puts_*` counters — and their `max` the largest sampled or
+/// traced latency. The [`top::BACKGROUND`] ops are recorded on every
+/// call by the thread that owns them.
 mod top {
     pub const PUT: usize = 0;
     pub const GET_MEMORY: usize = 1;
@@ -233,6 +246,9 @@ mod top {
     pub const PROMOTE: usize = 12;
     pub const DEMOTE_PAUSE: usize = 13;
     pub const RECOVERY: usize = 14;
+    /// Off the data path (spill writer, GC, demoter, open): every call
+    /// is timed.
+    pub const BACKGROUND: &[usize] = &[SPILL_WRITE, GC_PAUSE, DEMOTE_PAUSE, RECOVERY];
     pub const NAMES: &[&str] = &[
         "put",
         "get_memory",
@@ -1582,15 +1598,21 @@ impl CompressedStore {
 
     /// A full telemetry snapshot — counter sums, latency summaries,
     /// event counts, the ring window since the last snapshot — with the
-    /// store's byte gauges attached. Feed it to
+    /// store's byte gauges and the `latency_sample_period` its
+    /// foreground histograms were sampled at attached. Feed it to
     /// [`cc_telemetry::Snapshot::to_json`], `to_prometheus`, or
     /// `render_text`, or hand a closure over it to
     /// [`cc_telemetry::Exporter::spawn`].
     pub fn telemetry_snapshot(&self) -> cc_telemetry::Snapshot {
         self.core.absorb_completed_spills();
+        let sampled: Vec<&'static str> = (0..top::NAMES.len())
+            .filter(|op| !top::BACKGROUND.contains(op))
+            .map(|op| top::NAMES[op])
+            .collect();
         self.core
             .tel
             .snapshot()
+            .sampled(&sampled)
             .gauge(
                 "resident_bytes",
                 self.core.resident.load(Ordering::Relaxed) as u64,
@@ -1720,33 +1742,21 @@ impl StoreCore {
         }
     }
 
-    /// Start a latency sample iff sampling is enabled — the hot paths
-    /// never call the clock when telemetry is off.
+    /// Clock read for one step inside an operation (compress, spill
+    /// read, promotion). The operation's one timing decision
+    /// ([`Telemetry::op_timer`], passed down as `timed`) governs it; a
+    /// traced request also reads the clock for its child span when
+    /// telemetry is off.
     #[inline]
-    fn sample_start(&self) -> Option<Instant> {
-        if self.tel.timing_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
+    fn step_start(timed: bool, ctx: TraceCtx) -> Option<Instant> {
+        (timed || ctx.sampled()).then(Instant::now)
     }
 
-    /// Finish a latency sample started by [`StoreCore::sample_start`].
+    /// Record a step started by [`StoreCore::step_start`] on `op`'s
+    /// histogram if the operation is timed.
     #[inline]
-    fn sample_end(&self, op: usize, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.tel.record(op, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Like [`StoreCore::sample_end`], tagging the sample with the
-    /// request's trace id so the histogram keeps tail exemplars.
-    #[inline]
-    fn sample_end_traced(&self, op: usize, t0: Option<Instant>, ctx: TraceCtx) {
-        if let Some(t0) = t0 {
-            self.tel
-                .record_traced(op, t0.elapsed().as_nanos() as u64, ctx.trace_id);
-        }
+    fn step_end(&self, op: usize, timed: bool, t0: Option<Instant>) {
+        self.tel.record_since(op, t0.filter(|_| timed), 0);
     }
 
     /// Start tracing one store operation under a sampled request:
@@ -1847,8 +1857,12 @@ impl StoreCore {
         ctx: TraceCtx,
         tout: &mut TraceOut,
     ) -> Result<(), StoreError> {
-        let t0 = self.sample_start();
-        let now = self.touch_clock.fetch_add(1, Ordering::Relaxed) as u32;
+        // The op's unique stamp decides, once, whether it is timed; the
+        // answer is passed down to every clock read below.
+        let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+        let t0 = self.tel.op_timer(stamp, ctx.sampled());
+        let timed = t0.is_some();
+        let now = stamp as u32;
         // Fix the page size (or reject a mismatch) before compressing.
         match self
             .page_size
@@ -1890,21 +1904,16 @@ impl StoreCore {
             if self.tel.timing_enabled() {
                 self.tel.event(tevent::SAME_FILLED, key, pattern);
             }
-            self.sample_end_traced(top::PUT, t0, ctx);
+            self.tel.record_since(top::PUT, t0, ctx.trace_id);
             return Ok(());
         }
 
-        // Probe compressibility once, here, for both the tier decision
-        // and codec selection — the entry records the verdict so a later
-        // demotion of this page never probes again.
-        let hint = (self.cfg.codec_policy == CodecPolicy::Adaptive)
-            .then(|| probe_bdi(page, self.cfg.threshold.max_compressed_len(page.len())));
-
         // Keep-hot fast path: a re-put of a still-fresh hot page can
         // stay hot, replacing the raw bytes in place and skipping the
-        // compressor entirely — the demoter will seal it if it ever
-        // goes cold. Gated on the policy's capability flag so flat
-        // policies pay no extra lock acquisition.
+        // probe and the compressor entirely — the entry records "not
+        // probed", and the demoter probes once when it seals the page,
+        // if it ever goes cold. Gated on the policy's capability flag so
+        // flat policies pay no extra lock acquisition.
         if self.cfg.tier_policy.may_keep_hot() {
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
@@ -1924,7 +1933,7 @@ impl StoreCore {
                         if self.cfg.tier_policy.keep_hot(&q) {
                             data.copy_from_slice(page);
                             let handle = *handle;
-                            e.probe = probe_code(hint);
+                            e.probe = probe_code(None);
                             e.gets = 0;
                             e.last_touch = now;
                             shard.lru_hot.touch(handle);
@@ -1932,7 +1941,7 @@ impl StoreCore {
                             tout.tier = strier::HOT;
                             tout.codec = CodecId::Raw.as_u8();
                             self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
-                            self.sample_end_traced(top::PUT, t0, ctx);
+                            self.tel.record_since(top::PUT, t0, ctx.trace_id);
                             return Ok(());
                         }
                     }
@@ -1940,15 +1949,22 @@ impl StoreCore {
             }
         }
 
+        // Probe compressibility once, here, for both the tier decision
+        // and codec selection — the entry records the verdict so a later
+        // demotion of this page never probes again. The probe is a pure
+        // function of the bytes and the threshold, so running it after
+        // the keep-hot check changes no routing decision.
+        let hint = (self.cfg.codec_policy == CodecPolicy::Adaptive)
+            .then(|| probe_bdi(page, self.cfg.threshold.max_compressed_len(page.len())));
+
         // Compress outside any lock, into this thread's reusable buffer.
         // The policy picks the codec (probe → BDI or LZRW1), the
         // threshold then admits or rewrites the buffer as a stored block;
         // either way the selection names exactly the codec that sealed
         // what sits in `comp`.
-        let timing = self.tel.timing_enabled();
         let (sel, comp_ns) = SCRATCH.with(|c| {
             let s = &mut *c.borrow_mut();
-            let ct0 = (timing || ctx.sampled()).then(Instant::now);
+            let ct0 = Self::step_start(timed, ctx);
             let sel = s.codecs.compress_with_hint(
                 self.cfg.codec_policy,
                 self.cfg.threshold,
@@ -2006,7 +2022,7 @@ impl StoreCore {
                     .count(shard_idx, tstat::LZRW1_IN_BYTES, page.len() as u64);
                 self.tel
                     .count(shard_idx, tstat::LZRW1_OUT_BYTES, len as u64);
-                if let Some(ns) = comp_ns.filter(|_| timing) {
+                if let Some(ns) = comp_ns.filter(|_| timed) {
                     self.tel.record(top::COMPRESS_LZRW1, ns);
                 }
             }
@@ -2016,14 +2032,14 @@ impl StoreCore {
                 self.tel
                     .count(shard_idx, tstat::BDI_IN_BYTES, page.len() as u64);
                 self.tel.count(shard_idx, tstat::BDI_OUT_BYTES, len as u64);
-                if let Some(ns) = comp_ns.filter(|_| timing) {
+                if let Some(ns) = comp_ns.filter(|_| timed) {
                     self.tel.record(top::COMPRESS_BDI, ns);
                 }
             }
             _ => {
                 debug_assert_eq!(sel.codec, CodecId::Raw, "unexpected put codec");
                 self.tel.count(shard_idx, tstat::STORED_RAW, 1);
-                if timing {
+                if self.tel.timing_enabled() {
                     self.tel.event(tevent::THRESHOLD_REJECT, key, len as u64);
                 }
             }
@@ -2180,7 +2196,7 @@ impl StoreCore {
             },
         );
         drop(shard);
-        self.sample_end_traced(top::PUT, t0, ctx);
+        self.tel.record_since(top::PUT, t0, ctx.trace_id);
         Ok(())
     }
 
@@ -2206,8 +2222,11 @@ impl StoreCore {
         tout: &mut TraceOut,
     ) -> Result<Option<HitTier>, StoreError> {
         self.absorb_completed_spills();
-        let t0 = self.sample_start();
-        let now = self.touch_clock.fetch_add(1, Ordering::Relaxed) as u32;
+        // One timing decision per op, as in `put_inner`.
+        let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+        let t0 = self.tel.op_timer(stamp, ctx.sampled());
+        let timed = t0.is_some();
+        let now = stamp as u32;
         let shard_idx = self.shard_index(key);
         // Transient spill-read failures (I/O errors, corrupt extents)
         // consumed so far by this get; bounded by the retry policy.
@@ -2249,7 +2268,7 @@ impl StoreCore {
                     shard.lru_hot.touch(handle);
                     drop(shard);
                     self.tel.count(shard_idx, tstat::HITS_HOT, 1);
-                    self.sample_end_traced(top::GET_HOT, t0, ctx);
+                    self.tel.record_since(top::GET_HOT, t0, ctx.trace_id);
                     return Ok(Some(HitTier::Hot));
                 }
                 Residence::SameFilled { pattern } => {
@@ -2258,7 +2277,8 @@ impl StoreCore {
                     drop(shard);
                     expand_same_filled(out, pattern);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    self.sample_end_traced(top::GET_SAME_FILLED, t0, ctx);
+                    self.tel
+                        .record_since(top::GET_SAME_FILLED, t0, ctx.trace_id);
                     return Ok(Some(HitTier::SameFilled));
                 }
                 Residence::Memory { data, handle } => {
@@ -2274,9 +2294,9 @@ impl StoreCore {
                     });
                     shard.lru.touch(handle);
                     drop(shard);
-                    self.decompress_staged(codec, out);
+                    self.decompress_staged(codec, out, timed);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    self.sample_end_traced(top::GET_MEMORY, t0, ctx);
+                    self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
                     let q = PlacementQuery {
                         key,
                         page_len: orig_len,
@@ -2288,7 +2308,7 @@ impl StoreCore {
                         pressure_pct: self.pressure_pct(),
                     };
                     if self.cfg.tier_policy.promote(&q) {
-                        self.try_promote(key, shard_idx, now, strier::MEMORY, out, ctx);
+                        self.try_promote(key, shard_idx, now, strier::MEMORY, out, ctx, timed);
                     }
                     return Ok(Some(HitTier::Memory));
                 }
@@ -2296,19 +2316,18 @@ impl StoreCore {
                     tout.tier = strier::MEMORY;
                     let data = Arc::clone(data);
                     drop(shard);
-                    self.decompress_into(codec, &data, out);
+                    self.decompress_into(codec, &data, out, timed);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    self.sample_end_traced(top::GET_MEMORY, t0, ctx);
+                    self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
                     return Ok(Some(HitTier::Memory));
                 }
                 Residence::Spilled { offset, len, gen } => {
                     tout.tier = strier::SPILL;
                     let (offset, len, gen) = (*offset, *len, *gen);
                     drop(shard);
-                    let rspan_t0 = ctx.sampled().then(Instant::now);
-                    let rt0 = self.sample_start();
+                    let rt0 = Self::step_start(timed, ctx);
                     let io = self.read_spill(offset, len);
-                    self.sample_end(top::SPILL_READ, rt0);
+                    self.step_end(top::SPILL_READ, timed, rt0);
                     // Validate after the read: if the entry still names
                     // this exact extent, GC cannot have clobbered it (it
                     // republishes an extent, under this shard's lock,
@@ -2330,7 +2349,7 @@ impl StoreCore {
                     if let Err(e) = io {
                         self.child_span(
                             ctx,
-                            rspan_t0,
+                            rt0,
                             sop::SPILL_READ,
                             strier::SPILL,
                             codec,
@@ -2357,7 +2376,7 @@ impl StoreCore {
                         }
                         self.child_span(
                             ctx,
-                            rspan_t0,
+                            rt0,
                             sop::SPILL_READ,
                             strier::SPILL,
                             codec,
@@ -2395,7 +2414,7 @@ impl StoreCore {
                     }
                     self.child_span(
                         ctx,
-                        rspan_t0,
+                        rt0,
                         sop::SPILL_READ,
                         strier::SPILL,
                         codec,
@@ -2404,8 +2423,8 @@ impl StoreCore {
                         shard_idx,
                     );
                     self.tel.count(shard_idx, tstat::HITS_SPILL, 1);
-                    self.decompress_staged(codec, out);
-                    self.sample_end_traced(top::GET_SPILL, t0, ctx);
+                    self.decompress_staged(codec, out, timed);
+                    self.tel.record_since(top::GET_SPILL, t0, ctx.trace_id);
                     let q = PlacementQuery {
                         key,
                         page_len: orig_len,
@@ -2417,7 +2436,7 @@ impl StoreCore {
                         pressure_pct: self.pressure_pct(),
                     };
                     if self.cfg.tier_policy.promote(&q) {
-                        self.try_promote(key, shard_idx, now, strier::SPILL, out, ctx);
+                        self.try_promote(key, shard_idx, now, strier::SPILL, out, ctx, timed);
                     }
                     return Ok(Some(HitTier::Spill));
                 }
@@ -2508,32 +2527,26 @@ impl StoreCore {
         })
     }
 
-    /// Record a decompression latency sample on the per-codec histogram.
-    #[inline]
-    fn record_decompress(&self, codec: CodecId, t0: Option<Instant>) {
-        let Some(t0) = t0 else { return };
+    /// Decode `data`, sealed by the entry's recorded codec id, straight
+    /// into `out`; a `timed` get records the decode on the per-codec
+    /// histogram.
+    fn decompress_into(&self, codec: u8, data: &[u8], out: &mut [u8], timed: bool) {
+        let id = CodecId::from_u8(codec).expect("unknown codec id in entry");
+        let t0 = timed.then(Instant::now);
+        decode_into(id, data, out).expect("corrupt page in store");
         // Raw blocks are a memcpy, not a codec — they are excluded so the
         // per-codec histograms measure real decode work.
-        let op = match codec {
+        let op = match id {
             CodecId::Bdi => top::DECOMPRESS_BDI,
             CodecId::Lzrw1 => top::DECOMPRESS_LZRW1,
             _ => return,
         };
-        self.tel.record(op, t0.elapsed().as_nanos() as u64);
-    }
-
-    /// Decode `data`, sealed by the entry's recorded codec id, straight
-    /// into `out`.
-    fn decompress_into(&self, codec: u8, data: &[u8], out: &mut [u8]) {
-        let id = CodecId::from_u8(codec).expect("unknown codec id in entry");
-        let t0 = self.sample_start();
-        decode_into(id, data, out).expect("corrupt page in store");
-        self.record_decompress(id, t0);
+        self.tel.record_since(op, t0, 0);
     }
 
     /// [`StoreCore::decompress_into`] from this thread's staging buffer.
-    fn decompress_staged(&self, codec: u8, out: &mut [u8]) {
-        SCRATCH.with(|c| self.decompress_into(codec, &c.borrow().stage, out));
+    fn decompress_staged(&self, codec: u8, out: &mut [u8], timed: bool) {
+        SCRATCH.with(|c| self.decompress_into(codec, &c.borrow().stage, out, timed));
     }
 
     /// Persistence hook for every path that removes (or supersedes) an
@@ -2767,7 +2780,9 @@ impl StoreCore {
     /// delta is CAS-reserved outright and the promotion is abandoned
     /// (counted) when it doesn't fit. The entry must still carry this
     /// get's unique `now` stamp — any interleaved put or get stamps its
-    /// own clock value, so a stale swap is impossible.
+    /// own clock value, so a stale swap is impossible. `timed` is the
+    /// get's timing decision.
+    #[allow(clippy::too_many_arguments)]
     fn try_promote(
         &self,
         key: u64,
@@ -2776,9 +2791,9 @@ impl StoreCore {
         src_tier: u8,
         page: &[u8],
         ctx: TraceCtx,
+        timed: bool,
     ) {
-        let t0 = self.sample_start();
-        let pt0 = ctx.sampled().then(Instant::now);
+        let t0 = Self::step_start(timed, ctx);
         let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
         let Some(e) = shard.entries.get(&key) else {
             return;
@@ -2846,10 +2861,10 @@ impl StoreCore {
         if self.tel.timing_enabled() {
             self.tel.event(tevent::PROMOTE, key, src_tier as u64);
         }
-        self.sample_end(top::PROMOTE, t0);
+        self.step_end(top::PROMOTE, timed, t0);
         self.child_span(
             ctx,
-            pt0,
+            t0,
             sop::PROMOTE,
             src_tier,
             CodecId::Raw.as_u8(),
@@ -4370,19 +4385,47 @@ mod tests {
 
     #[test]
     fn telemetry_snapshot_covers_tiers_and_events() {
+        use cc_telemetry::LATENCY_SAMPLE_PERIOD;
         let (dir, path) = temp_path("tel");
         {
+            let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
             let store = CompressedStore::new(
-                StoreConfig::with_spill(8 * 1024, &path).with_spill_batch_bytes(2 * 1024),
+                StoreConfig::with_spill(8 * 1024, &path)
+                    .with_spill_batch_bytes(2 * 1024)
+                    .with_tracer(Arc::clone(&tracer)),
             );
+            // Traced requests are always timed: every one of these is in
+            // its histogram, so the counts are exact.
             for k in 0..64u64 {
-                store.put(k, &page(k as u8)).unwrap();
+                store
+                    .put_traced(k, &page(k as u8), tracer.sample())
+                    .unwrap();
             }
-            store.put(100, &vec![0u8; 4096]).unwrap();
+            store
+                .put_traced(100, &vec![0u8; 4096], tracer.sample())
+                .unwrap();
             store.flush().unwrap();
             let mut out = vec![0u8; 4096];
-            for k in 0..64u64 {
-                assert!(store.get(k, &mut out).unwrap());
+            assert!(store.get_traced(100, &mut out, tracer.sample()).unwrap());
+            let snap = store.telemetry_snapshot();
+            let put = snap.op("put").unwrap();
+            assert_eq!(put.count, 65);
+            assert_ne!(put.max_trace, 0, "{put:?}");
+            assert_eq!(snap.op("get_same_filled").unwrap().count, 1);
+            assert_eq!(snap.op("compress_lzrw1").unwrap().count, 64);
+
+            // Untraced requests are sampled, by a hash of their stamp.
+            const ROUNDS: u64 = 8;
+            for round in 1..=ROUNDS {
+                for k in 0..64u64 {
+                    store.put(k, &page((k + round) as u8)).unwrap();
+                }
+            }
+            store.flush().unwrap();
+            for _ in 0..ROUNDS {
+                for k in 0..64u64 {
+                    assert!(store.get(k, &mut out).unwrap());
+                }
             }
             assert_eq!(
                 store.get_tier(100, &mut out).unwrap(),
@@ -4390,25 +4433,53 @@ mod tests {
             );
             assert!(!store.get(999, &mut out).unwrap());
 
+            // Counters, events and gauges are never sampled.
             let snap = store.telemetry_snapshot();
-            assert_eq!(snap.counter("compressed"), Some(64));
+            let (puts, gets) = (64 * ROUNDS, 64 * ROUNDS + 1);
+            assert_eq!(snap.counter("compressed"), Some(64 + puts));
             assert_eq!(snap.counter("same_filled"), Some(1));
             assert_eq!(snap.counter("misses"), Some(1));
-            assert_eq!(snap.op("put").unwrap().count, 65);
-            assert!(snap.op("get_memory").unwrap().count > 0);
-            assert_eq!(snap.op("get_same_filled").unwrap().count, 1);
-            assert!(snap.op("get_spill").unwrap().count > 0, "{snap:?}");
-            assert!(snap.op("spill_write").unwrap().count > 0);
-            assert!(snap.op("spill_read").unwrap().count > 0);
+            let hits = ["hits_hot", "hits_memory", "hits_spill"].map(|c| snap.counter(c).unwrap());
+            assert_eq!(hits.iter().sum::<u64>(), gets + 1, "{hits:?}");
             assert!(snap.event_count("batch_commit").unwrap() > 0);
             assert!(snap.event_count("evict").unwrap() > 0);
+            assert_eq!(snap.event_count("same_filled"), Some(1));
             assert!(!snap.recent.is_empty());
-            let g = snap.op("get_spill").unwrap();
-            assert!(g.p50 <= g.p99 && g.p99 <= g.max, "{g:?}");
             assert!(snap.gauges.iter().any(|(n, _)| *n == "bytes_on_spill"));
+            assert!(snap
+                .gauges
+                .contains(&("latency_sample_period", LATENCY_SAMPLE_PERIOD)));
+
+            // Every foreground histogram has samples, never more than
+            // there were operations, in order.
+            let sampled_puts = snap.op("put").unwrap().count - 65;
+            assert!(
+                (puts / (2 * LATENCY_SAMPLE_PERIOD)..=2 * puts / LATENCY_SAMPLE_PERIOD)
+                    .contains(&sampled_puts),
+                "{sampled_puts} of {puts} untraced puts timed"
+            );
+            let sampled_same_filled = snap.op("get_same_filled").unwrap().count - 1;
+            assert!(sampled_same_filled <= 1);
+            for (op, at_most) in [
+                ("put", 65 + puts),
+                ("compress_lzrw1", 64 + puts),
+                ("get_memory", hits[1]),
+                ("get_spill", hits[2]),
+                ("spill_read", hits[2]),
+                ("decompress_lzrw1", hits[1] + hits[2]),
+            ] {
+                let h = snap.op(op).unwrap();
+                assert!(0 < h.count && h.count <= at_most, "{op}: {h:?}");
+                assert!(h.p50 <= h.p99 && h.p99 <= h.max, "{op}: {h:?}");
+            }
+            // The writer thread times every batch.
+            assert_eq!(
+                snap.op("spill_write").unwrap().count,
+                snap.counter("spill_batches").unwrap()
+            );
             // Stats and telemetry are the same counters, not two books.
             let s = store.stats();
-            assert_eq!(s.compressed, 64);
+            assert_eq!(s.compressed, 64 + puts);
             assert_eq!(s.hits_spill, snap.counter("hits_spill").unwrap());
         }
         cleanup(dir, path);
@@ -4713,5 +4784,91 @@ mod tests {
             store.shutdown();
         }
         cleanup(dir, path);
+    }
+
+    /// `(codec id, sealed payload length)` of `key`'s stored form.
+    fn sealed_form(store: &CompressedStore, key: u64) -> (u8, usize) {
+        store.flush().unwrap();
+        let shard = store.core.shard(key);
+        let e = shard.entries.get(&key).expect("key stored");
+        let len = match &e.residence {
+            Residence::Memory { data, .. } => data.len(),
+            Residence::Spilled { len, .. } => *len as usize - EXTENT_HEADER,
+            _ => panic!("key {key} is not sealed"),
+        };
+        (e.codec, len)
+    }
+
+    /// A re-put that keeps a page hot skips the probe, so the entry
+    /// records "not probed" and the demoter probes at seal time. The
+    /// probe is a pure function of the bytes: the sealed form must be
+    /// exactly what a put that probes up front produces, on every route.
+    #[test]
+    fn kept_hot_reput_seals_like_a_probed_put() {
+        let (dir, path) = temp_path("tier-reput");
+        let (dir_flat, path_flat) = temp_path("tier-reput-flat");
+        {
+            let policy = crate::tier::RecencyCompressibility {
+                hot_idle: 4,
+                warm_idle: u64::MAX,
+                hot_demote_pressure_pct: 0,
+                ..Default::default()
+            };
+            let store = CompressedStore::new(
+                StoreConfig::with_spill(1 << 20, &path)
+                    .with_tier_policy(Arc::new(policy))
+                    // Only the explicit demote_now() below runs.
+                    .with_demote_interval(Duration::from_secs(3600)),
+            );
+            let flat = CompressedStore::new(
+                StoreConfig::with_spill(1 << 20, &path_flat)
+                    .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+            );
+            let routes = [
+                (1u64, bdi_page(1), CodecId::Bdi),
+                (2, page(2), CodecId::Lzrw1),
+                (3, noise_page(3), CodecId::Raw),
+            ];
+            let mut out = vec![0u8; 4096];
+            for (key, bytes, _) in &routes {
+                // Compressible pages are admitted warm and climb to hot on
+                // the second get; the 4:3-rejected one is admitted hot.
+                store.put(*key, bytes).unwrap();
+                store.get(*key, &mut out).unwrap();
+                store.get(*key, &mut out).unwrap();
+                assert_eq!(store.peek_tier(*key), Some(HitTier::Hot), "key {key}");
+                let before = store.stats();
+                store.put(*key, bytes).unwrap();
+                let after = store.stats();
+                assert_eq!(store.peek_tier(*key), Some(HitTier::Hot), "key {key}");
+                assert_eq!(after.puts_hot, before.puts_hot + 1, "kept hot in place");
+                assert_eq!(
+                    (after.compressed, after.stored_raw),
+                    (before.compressed, before.stored_raw),
+                    "a kept-hot re-put runs no codec"
+                );
+                assert_eq!(store.core.shard(*key).entries[key].probe, probe_code(None));
+            }
+            // Age every page past `hot_idle`, then seal them all.
+            for k in 100..104u64 {
+                store.put(k, &vec![k as u8; 4096]).unwrap();
+            }
+            let fallbacks = store.stats().codec_fallbacks;
+            assert_eq!(store.demote_now().0, 3);
+            assert_eq!(store.stats().codec_fallbacks, fallbacks);
+            for (key, bytes, codec) in &routes {
+                flat.put(*key, bytes).unwrap();
+                let sealed = sealed_form(&store, *key);
+                assert_eq!(sealed, sealed_form(&flat, *key), "key {key}");
+                assert_eq!(sealed.0, codec.as_u8(), "key {key}");
+                assert!(store.get(*key, &mut out).unwrap());
+                assert_eq!(&out, bytes, "key {key}");
+            }
+            assert_eq!(flat.stats().codec_fallbacks, 0);
+            store.shutdown();
+            flat.shutdown();
+        }
+        cleanup(dir, path);
+        cleanup(dir_flat, path_flat);
     }
 }

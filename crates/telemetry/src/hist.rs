@@ -3,9 +3,12 @@
 //! An [`AtomicHistogram`] is the wait-free mirror of
 //! [`cc_util::Histogram`]: the same log2 + 8-linear-sub-buckets layout
 //! (±12.5% resolution), but every bucket is an `AtomicU64` in a
-//! fixed-size array, so recording from any thread is one relaxed
-//! `fetch_add` with no allocation and no lock — cheap enough for the
-//! store's put/get hot path. Reading converts back into a plain
+//! fixed-size array, so recording from any thread is five relaxed RMWs
+//! (bucket, count, sum, min, max) with no allocation and no lock. On
+//! words every thread shares that is tens of nanoseconds — more than a
+//! hot-tier hit can carry on every call, which is why the store's data
+//! path records 1 operation in [`crate::LATENCY_SAMPLE_PERIOD`]
+//! ([`crate::Telemetry::op_timer`]). Reading converts back into a plain
 //! [`cc_util::Histogram`] (via `Histogram::from_raw`) for quantiles.
 
 use cc_util::hist::{bucket_index, BUCKETS};
@@ -64,7 +67,7 @@ impl AtomicHistogram {
         }
     }
 
-    /// Record one sample. Wait-free: four relaxed RMWs, no allocation.
+    /// Record one sample. Wait-free: five relaxed RMWs, no allocation.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_traced(v, 0);

@@ -20,11 +20,26 @@
 //!   synchronously or from a background timer thread.
 //!
 //! The [`Telemetry`] facade bundles one of each behind a single handle.
-//! Its hot-path cost budget: a counter bump is one uncontended atomic
-//! add on a private cache line; a histogram record is four; an event is
-//! one CAS plus three stores. The `storebench --smoke` CI gate measures
-//! the end-to-end overhead on the store's mixed zipfian workload and
-//! fails the build if instrumentation costs more than 5%.
+//! Its hot-path costs: a counter bump is one uncontended atomic add on
+//! a private cache line; an event is one CAS plus three stores; a
+//! histogram record is five RMWs (bucket, count, sum, min, max) on
+//! words every thread shares, and a timed operation reads the clock
+//! twice — together ~130 ns a call when paid on every call (ccbench's
+//! `store.telemetry_overhead_ns_per_op` on `store_hot_read`), as much
+//! as the hot-tier hit they were measuring.
+//! So a data-path operation asks [`Telemetry::op_timer`] once whether
+//! it is timed at all: 1 in [`LATENCY_SAMPLE_PERIOD`] by a hash of its
+//! operation stamp, traced requests always, and the other fifteen read
+//! no clock and write no histogram. Counters and events are never
+//! sampled. What sampling gives up: a sampled histogram's `count` is
+//! the number of samples, not of operations (those are counters), and
+//! its `max` is the largest sampled or traced latency, not the largest
+//! of all. [`Telemetry::record`] itself records every call it is given
+//! — background threads, the simulator's virtual-time histograms and
+//! the server's per-request histograms are not sampled. The
+//! `storebench --smoke` CI gate measures the end-to-end overhead on the
+//! store's mixed zipfian workload and fails the build if
+//! instrumentation costs more than 5%.
 
 #![warn(missing_docs)]
 
@@ -59,14 +74,40 @@ pub struct TelemetrySpec {
 /// Default event-ring capacity (events kept between snapshots).
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
+/// A foreground operation is timed 1 time in this many (see
+/// [`Telemetry::op_timer`]). A power of two: the decision is a multiply
+/// and a shift. Exported beside the histograms it thins as the
+/// `latency_sample_period` gauge ([`Snapshot::sampled`]).
+pub const LATENCY_SAMPLE_PERIOD: u64 = 16;
+
+/// Whether the operation that drew `stamp` — any per-operation unique
+/// number, e.g. a generation clock — is one of the 1 in
+/// [`LATENCY_SAMPLE_PERIOD`] whose latency is recorded.
+///
+/// The decision is a multiplicative (Fibonacci) hash of the stamp, not
+/// `stamp % period`: callers time their own operations on a stride
+/// (ccbench's driver reads the clock around every 8th), and a strided
+/// sampler would land on always or never the operations such a caller
+/// times, so its latencies would describe only timed or only untimed
+/// calls. The hash picks 0.90–1.07 sixteenths of any 4096 stamps in
+/// arithmetic progression with stride up to 64 (the test below holds
+/// it to between 1/32 and 1/8), and never leaves more than 21
+/// consecutive stamps unpicked.
+#[inline]
+fn stamp_sampled(stamp: u64) -> bool {
+    const SHIFT: u32 = 64 - LATENCY_SAMPLE_PERIOD.trailing_zeros();
+    stamp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SHIFT == 0
+}
+
 /// One telemetry instance: a counter bank, a latency histogram per
 /// operation, cumulative event counts, and the event ring.
 ///
 /// Counters are always live (they are the system's statistics of
-/// record). Latency sampling and event capture can be disabled at
+/// record). Latency timing and event capture can be disabled at
 /// construction ([`Telemetry::timing_enabled`]); instrumented code
-/// checks that flag before calling the clock, so a disabled instance
-/// costs nothing but the counter adds.
+/// takes its clock reads from [`Telemetry::op_timer`] and checks the
+/// flag before pushing an event, so a disabled instance costs nothing
+/// but the counter adds.
 pub struct Telemetry {
     spec: TelemetrySpec,
     timing: bool,
@@ -111,11 +152,40 @@ impl Telemetry {
     }
 
     /// Whether latency sampling and event capture are enabled. Hot paths
-    /// check this before calling `Instant::now()`; cold paths (the spill
-    /// writer, GC) record unconditionally.
+    /// check this before pushing an event and take their clock reads
+    /// from [`Telemetry::op_timer`]; cold paths (the spill writer, GC)
+    /// record unconditionally.
     #[inline]
     pub fn timing_enabled(&self) -> bool {
         self.timing
+    }
+
+    /// The one timing decision of a foreground operation: the start
+    /// instant if this operation is timed, `None` — and no clock read —
+    /// if it is not. An operation is timed iff timing is enabled and it
+    /// is either `forced` (a traced request: always timed, so the `max`
+    /// and tail exemplars keep resolving to span trees) or one of the
+    /// 1 in [`LATENCY_SAMPLE_PERIOD`] picked by a multiplicative hash of
+    /// its `stamp` — any number unique to the operation, e.g. a
+    /// generation clock. Hashed, not `stamp % period`, so that a caller
+    /// timing its own calls on a stride sees the same mix of timed and
+    /// untimed operations as everyone else. The caller passes the answer
+    /// down to every sub-step it would time (codec, spill read,
+    /// promotion) and finishes with [`Telemetry::record_since`]; nothing
+    /// below decides again.
+    #[inline]
+    pub fn op_timer(&self, stamp: u64, forced: bool) -> Option<Instant> {
+        (self.timing && (forced || stamp_sampled(stamp))).then(Instant::now)
+    }
+
+    /// Record the time since `t0` on `op` if the operation was timed
+    /// (`t0` from [`Telemetry::op_timer`]), tagged with the request's
+    /// trace id (0 = untraced).
+    #[inline]
+    pub fn record_since(&self, op: usize, t0: Option<Instant>, trace: u64) {
+        if let Some(t0) = t0 {
+            self.record_traced(op, t0.elapsed().as_nanos() as u64, trace);
+        }
     }
 
     /// Bump `counter` by `n` on `stripe`. Always live.
@@ -185,6 +255,7 @@ impl Telemetry {
                 .enumerate()
                 .map(|(i, &n)| (n, self.ops[i].summary()))
                 .collect(),
+            sampled_ops: Vec::new(),
             events: self
                 .spec
                 .events
@@ -249,6 +320,99 @@ mod tests {
         // Counters still work; that is the contract.
         tel.count(0, 0, 1);
         assert_eq!(tel.counter_sum(0), 1);
+    }
+
+    #[test]
+    fn sampler_picks_one_in_sixteen_of_consecutive_stamps() {
+        let n = 1u64 << 16;
+        let picks: Vec<u64> = (0..n).filter(|&s| stamp_sampled(s)).collect();
+        let want = (n / LATENCY_SAMPLE_PERIOD) as f64;
+        let picked = picks.len() as f64;
+        assert!((picked - want).abs() <= want * 0.10, "{picked} of {n}");
+        // And evenly: a rotation by the golden ratio revisits an interval
+        // at no more than three distinct gaps.
+        let longest = picks.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(longest <= 21, "{longest} consecutive stamps unpicked");
+    }
+
+    /// A caller that times its own operations on a stride must see the
+    /// sampler's share, not all or nothing. ccbench is the case in
+    /// point: its driver reads the clock around every 8th operation
+    /// (`benchmark/src/driver.rs`, `LAT_EVERY`), so a `stamp % 16`
+    /// sampler would time either half of those or none of them.
+    #[test]
+    fn sampler_is_not_periodic_in_the_stamp() {
+        for stride in 1..=64u64 {
+            for offset in 0..stride {
+                let picked = (0..4096u64)
+                    .filter(|&i| stamp_sampled(offset + i * stride))
+                    .count();
+                assert!(
+                    (4096 / 32..=4096 / 8).contains(&picked),
+                    "stride {stride} offset {offset}: {picked} of 4096"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forced_ops_are_always_timed_and_nothing_is_when_disabled() {
+        let on = Telemetry::new(SPEC, 1);
+        let off = Telemetry::with_options(SPEC, 1, 16, false);
+        let mut unforced = 0;
+        for stamp in 0..1024u64 {
+            assert!(on.op_timer(stamp, true).is_some(), "stamp {stamp}");
+            assert_eq!(on.op_timer(stamp, false).is_some(), stamp_sampled(stamp));
+            unforced += on.op_timer(stamp, false).is_some() as u32;
+            assert!(off.op_timer(stamp, true).is_none());
+            assert!(off.op_timer(stamp, false).is_none());
+        }
+        assert!(unforced > 0 && unforced < 1024 / 8, "{unforced}");
+        // An untimed op records nothing; a timed one records once.
+        on.record_since(0, None, 0);
+        assert_eq!(on.op_summary(0).count, 0);
+        on.record_since(0, on.op_timer(0, true), 9);
+        let s = on.op_summary(0);
+        assert_eq!((s.count, s.max_trace), (1, 9));
+    }
+
+    /// What sampling keeps: the shape. A histogram fed every latency and
+    /// one fed the sampler's pick of the same stream agree on every
+    /// exported percentile to within one (12.5 %) bucket.
+    #[test]
+    fn sampled_histogram_keeps_the_percentiles() {
+        let tel = Telemetry::new(SPEC, 1);
+        let (all, picked) = (0, 1);
+        let mut rng = cc_util::SplitMix64::new(19);
+        for stamp in 0..100_000u64 {
+            // Log-uniform over 128 ns .. 8 µs, with one op in 64 a
+            // further 16x slower: a hit path with a tail.
+            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            let mut ns = (128.0 * (6.0 * u).exp2()) as u64;
+            if rng.gen_range(64) == 0 {
+                ns *= 16;
+            }
+            tel.record(all, ns);
+            if stamp_sampled(stamp) {
+                tel.record(picked, ns);
+            }
+        }
+        let (a, p) = (tel.op_summary(all), tel.op_summary(picked));
+        assert_eq!(a.count, 100_000);
+        let want = 100_000 / LATENCY_SAMPLE_PERIOD;
+        assert!(p.count.abs_diff(want) <= want / 10, "{}", p.count);
+        for (name, full, sampled) in [
+            ("p50", a.p50, p.p50),
+            ("p90", a.p90, p.p90),
+            ("p99", a.p99, p.p99),
+        ] {
+            let (bf, bs) = (
+                cc_util::hist::bucket_index(full),
+                cc_util::hist::bucket_index(sampled),
+            );
+            assert!(bf.abs_diff(bs) <= 1, "{name}: {full} vs {sampled}");
+        }
+        assert!(p.max <= a.max);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::hist::HistSummary;
 use crate::ring::Event;
+use crate::LATENCY_SAMPLE_PERIOD;
 use cc_util::fmt;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -26,6 +27,10 @@ pub struct Snapshot {
     pub gauges: Vec<(&'static str, u64)>,
     /// Per-operation latency summaries (nanoseconds), in op order.
     pub ops: Vec<(&'static str, HistSummary)>,
+    /// The ops whose histograms describe a sample of the calls, not all
+    /// of them (see [`Snapshot::sampled`]); empty for an instance that
+    /// records every call.
+    pub sampled_ops: Vec<&'static str>,
     /// Cumulative per-kind event counts (counted at record time, so they
     /// include events the ring later dropped).
     pub events: Vec<(&'static str, u64)>,
@@ -46,6 +51,17 @@ impl Snapshot {
     pub fn gauge(mut self, name: &'static str, value: u64) -> Self {
         self.gauges.push((name, value));
         self
+    }
+
+    /// Declare that the histograms of `ops` were fed by
+    /// [`crate::Telemetry::op_timer`] — 1 operation in
+    /// [`LATENCY_SAMPLE_PERIOD`], traced requests always — so their
+    /// `count` is a number of samples and their `max` the largest
+    /// sampled latency. Appends the `latency_sample_period` gauge and
+    /// makes the Prometheus HELP of those ops say so (chainable).
+    pub fn sampled(mut self, ops: &[&'static str]) -> Self {
+        self.sampled_ops = ops.to_vec();
+        self.gauge("latency_sample_period", LATENCY_SAMPLE_PERIOD)
     }
 
     /// Look up a counter sum by name.
@@ -151,8 +167,13 @@ impl Snapshot {
             out.push_str(&format!("{prefix}_{n} {v}\n"));
         }
         for (n, s) in &self.ops {
+            let sampling = if self.sampled_ops.contains(n) {
+                format!(" (sampled 1 in {LATENCY_SAMPLE_PERIOD}; traced requests always)")
+            } else {
+                String::new()
+            };
             out.push_str(&format!(
-                "# HELP {prefix}_{n}_latency_ns Latency of {n} operations in nanoseconds.\n"
+                "# HELP {prefix}_{n}_latency_ns Latency of {n} operations in nanoseconds{sampling}.\n"
             ));
             out.push_str(&format!("# TYPE {prefix}_{n}_latency_ns summary\n"));
             for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
@@ -402,6 +423,7 @@ mod tests {
                     tail,
                 },
             )],
+            sampled_ops: Vec::new(),
             events: vec![("gc_run", 2)],
             recent: vec![Event {
                 seq: 0,
@@ -459,8 +481,29 @@ mod tests {
     /// and every sample line parses as `name value`.
     #[test]
     fn prometheus_exposition_conformance() {
-        let p = sample().to_prometheus("cc_x");
+        // A store-shaped snapshot: one op fed through the sampler, one
+        // (a background thread's) that records every call.
+        let mut snap = sample();
+        snap.ops.push(("gc_pause", snap.ops[0].1));
+        let p = snap.sampled(&["put"]).to_prometheus("cc_x");
         let lines: Vec<&str> = p.lines().collect();
+        // The period is a gauge like any other, and only the sampled
+        // op's HELP line mentions it.
+        let period = lines
+            .iter()
+            .position(|l| *l == format!("cc_x_latency_sample_period {LATENCY_SAMPLE_PERIOD}"))
+            .expect("latency_sample_period sample line");
+        assert_eq!(lines[period - 1], "# TYPE cc_x_latency_sample_period gauge");
+        let help = |family: &str| {
+            let prefix = format!("# HELP {family} ");
+            *lines
+                .iter()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("no HELP for {family}"))
+        };
+        let said = format!("sampled 1 in {LATENCY_SAMPLE_PERIOD}; traced requests always");
+        assert!(help("cc_x_put_latency_ns").contains(&said), "{p}");
+        assert!(!help("cc_x_gc_pause_latency_ns").contains("sampled"), "{p}");
         let mut summaries = Vec::new();
         for (i, line) in lines.iter().enumerate() {
             if let Some(rest) = line.strip_prefix("# TYPE ") {
@@ -496,6 +539,23 @@ mod tests {
             assert!(name.starts_with("cc_x_"), "foreign metric: {line}");
             assert!(value.parse::<f64>().is_ok(), "non-numeric value: {line}");
         }
+    }
+
+    #[test]
+    fn sampling_period_is_in_every_rendering() {
+        let snap = sample().sampled(&["put"]);
+        assert_eq!(
+            snap.gauges.last(),
+            Some(&("latency_sample_period", LATENCY_SAMPLE_PERIOD))
+        );
+        let needle = format!("\"latency_sample_period\": {LATENCY_SAMPLE_PERIOD}");
+        assert!(snap.to_json(0).contains(&needle));
+        let table = snap.render_text();
+        let row = table
+            .lines()
+            .find(|l| l.contains("latency_sample_period"))
+            .expect("gauge row in the table");
+        assert!(row.contains(&LATENCY_SAMPLE_PERIOD.to_string()), "{row}");
     }
 
     #[test]
