@@ -49,7 +49,11 @@
 //!
 //! `--smoke` runs a reduced-ops spill + same-filled + codec-sweep +
 //! tier-sweep pass and exits nonzero if the resident-bytes budget is
-//! ever exceeded, the spill pipeline goes unexercised, the latency
+//! ever exceeded, the spill pipeline goes unexercised, the spill
+//! trial's put-only phase (8 × budget of fresh keys, no reads) sees
+//! more than the budget in flight to the writer, sees it fail to drain
+//! within a second without a flush, or grows `VmRSS` by more than 3 ×
+//! budget, the latency
 //! histograms fail basic sanity (empty, or p50/p99/max out of order),
 //! telemetry costs more than 5% of throughput, adaptive codec selection
 //! is slower at put p50 than the lzrw1-only baseline on the pattern mix
@@ -316,10 +320,81 @@ struct SpillTrial {
     spill_dead_bytes: u64,
     file_bytes_on_disk: u64,
     max_resident_seen: u64,
+    put_only: PutOnlyPhase,
     /// Full telemetry snapshot taken after the final flush: per-tier
     /// latency histograms plus ring event counts, embedded in the JSON
     /// output and sanity-gated by `--smoke`.
     telemetry: Snapshot,
+}
+
+/// What the spill trial's put-only phase saw: fresh keys worth
+/// [`PUT_ONLY_BUDGETS`] × the budget in stored bytes, put by one thread
+/// with no get, remove or flush — nothing but the spill writer itself
+/// can return the memory of what it wrote. Gated by `--smoke`: "the
+/// budget means memory".
+struct PutOnlyPhase {
+    /// Largest `spill_inflight_bytes` read (after every put, and while
+    /// draining).
+    max_inflight: u64,
+    /// Largest `resident_bytes` read after a put.
+    max_resident: u64,
+    /// How long after the last put the gauge read zero, if it did
+    /// within [`PUT_ONLY_DRAIN`].
+    drained_after: Option<Duration>,
+    /// `VmRSS` growth over the phase, drain included (0 where
+    /// `/proc/self/status` does not exist).
+    rss_growth: u64,
+}
+
+const PUT_ONLY_BUDGETS: u64 = 8;
+const PUT_ONLY_DRAIN: Duration = Duration::from_secs(1);
+
+/// Resident set of this process in bytes (`VmRSS`), 0 if unreadable.
+fn rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+            line.split_whitespace().next()?.parse::<u64>().ok()
+        })
+        .map_or(0, |kb| kb * 1024)
+}
+
+fn run_put_only_phase(store: &CompressedStore) -> PutOnlyPhase {
+    let stored = |s: &cc_core::StoreStats| {
+        s.lzrw1_out_bytes + s.bdi_out_bytes + s.stored_raw * (PAGE as u64 + 1)
+    };
+    let rss0 = rss_bytes();
+    let stored0 = stored(&store.stats());
+    let mut page = vec![0u8; PAGE];
+    let (mut max_inflight, mut max_resident) = (0, 0);
+    for key in KEYS.. {
+        page_for(key, &mut page);
+        store.put(key, &page).expect("put-only put");
+        let s = store.stats();
+        max_inflight = max_inflight.max(s.spill_inflight_bytes);
+        max_resident = max_resident.max(s.resident_bytes);
+        if stored(&s) - stored0 >= PUT_ONLY_BUDGETS * SPILL_BUDGET as u64 {
+            break;
+        }
+    }
+    let last_put = Instant::now();
+    let mut drained_after = None;
+    while drained_after.is_none() && last_put.elapsed() < PUT_ONLY_DRAIN {
+        let inflight = store.stats().spill_inflight_bytes;
+        max_inflight = max_inflight.max(inflight);
+        if inflight == 0 {
+            drained_after = Some(last_put.elapsed());
+        } else {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+    PutOnlyPhase {
+        max_inflight,
+        max_resident,
+        drained_after,
+        rss_growth: rss_bytes().saturating_sub(rss0),
+    }
 }
 
 fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> SpillTrial {
@@ -403,6 +478,11 @@ fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> Spi
     store.flush().expect("flush");
     stop.store(true, Ordering::Relaxed);
     let max_resident_seen = watcher.join().expect("watcher panicked");
+    // With the watcher gone no other thread calls into the store: the
+    // phase would catch a store whose reads lend the writer a hand.
+    let put_only = run_put_only_phase(&store);
+    let max_resident_seen = max_resident_seen.max(put_only.max_resident);
+    store.flush().expect("flush");
     put_ns.sort_unstable();
     mem_ns.sort_unstable();
     disk_ns.sort_unstable();
@@ -429,6 +509,7 @@ fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> Spi
         spill_dead_bytes: s.spill_dead_bytes,
         file_bytes_on_disk,
         max_resident_seen,
+        put_only,
         telemetry,
     }
 }
@@ -1354,6 +1435,15 @@ fn run_smoke() -> i32 {
         spill.max_resident_seen,
     );
     eprintln!(
+        "  put-only phase ({PUT_ONLY_BUDGETS} x budget of fresh keys, no reads): max in flight {} B, drained {}, VmRSS +{} B",
+        spill.put_only.max_inflight,
+        match spill.put_only.drained_after {
+            Some(d) => format!("{} us after the last put", d.as_micros()),
+            None => "never".into(),
+        },
+        spill.put_only.rss_growth,
+    );
+    eprintln!(
         "  same-filled: {} elided puts, p50 {} ns vs compressed p50 {} ns",
         same.same_filled_counter, same.put_same_filled_p50_ns, same.put_compressed_p50_ns,
     );
@@ -1371,6 +1461,26 @@ fn run_smoke() -> i32 {
         failures.push(format!(
             "budget exceeded: saw {} resident bytes with budget {SPILL_BUDGET}",
             spill.max_resident_seen
+        ));
+    }
+    // The budget means memory: what the writer holds is bounded, and it
+    // gives it back on its own.
+    let po = &spill.put_only;
+    if po.max_inflight > SPILL_BUDGET as u64 {
+        failures.push(format!(
+            "put-only phase: spill_inflight_bytes read {} with budget {SPILL_BUDGET}",
+            po.max_inflight
+        ));
+    }
+    if po.drained_after.is_none() {
+        failures.push(format!(
+            "put-only phase: spill_inflight_bytes not back to 0 within {PUT_ONLY_DRAIN:?} of the last put (no flush)"
+        ));
+    }
+    if po.rss_growth > 3 * SPILL_BUDGET as u64 {
+        failures.push(format!(
+            "put-only phase: VmRSS grew {} B putting {PUT_ONLY_BUDGETS} x the {SPILL_BUDGET} B budget (limit 3 x budget)",
+            po.rss_growth
         ));
     }
     if spill.spilled == 0 {

@@ -26,11 +26,20 @@
 //! the paper's §4.3 backing-store interface: the writer thread coalesces
 //! queued entries into [`StoreConfig::spill_batch_bytes`]-sized batches
 //! (32 KB by default, the paper's batch size) and issues one seek + one
-//! write per batch, publishing each entry's `{offset, len}` only after
-//! the batch is durable. Removed or replaced spilled entries leave dead
-//! bytes behind; when the dead fraction of the file crosses
-//! [`StoreConfig::gc_dead_ratio`] the writer compacts live extents toward
-//! the file head and truncates — the paper's fragment garbage collection.
+//! write per batch. Once the batch (and, on a persistent store, its
+//! journal records) is durable the writer itself takes each member's
+//! shard lock, publishes its `{offset, len}` and drops the in-memory
+//! payload there and then — a page's memory is returned when its write
+//! lands, whatever the foreground is doing. Payload bytes handed to the
+//! writer and not yet published are counted
+//! ([`StoreStats::spill_inflight_bytes`]) and bounded by
+//! [`StoreConfig::memory_budget`]: payload in RAM is at most twice the
+//! budget, and a put that would push the in-flight half past it
+//! releases its shard lock and waits for the writer. Removed or
+//! replaced spilled entries leave dead bytes behind; when the dead
+//! fraction of the file crosses [`StoreConfig::gc_dead_ratio`] the
+//! writer compacts live extents toward the file head and truncates —
+//! the paper's fragment garbage collection.
 //! Pages that are a single repeated machine word (zswap's "same-filled"
 //! pages) bypass the compressor entirely and are stored as an 8-byte
 //! pattern with zero residency cost.
@@ -178,6 +187,8 @@ mod tstat {
     pub const JOURNAL_RECORDS_WRITTEN: usize = 36;
     pub const JOURNAL_COMPACTIONS: usize = 37;
     pub const CLEAN_RECOVERIES: usize = 38;
+    pub const PUT_BACKPRESSURE_WAITS: usize = 39;
+    pub const INVARIANT_VIOLATIONS: usize = 40;
     pub const NAMES: &[&str] = &[
         "compressed",
         "stored_raw",
@@ -218,6 +229,8 @@ mod tstat {
         "journal_records_written",
         "journal_compactions",
         "clean_recoveries",
+        "put_backpressure_waits",
+        "invariant_violations",
     ];
 }
 
@@ -694,7 +707,7 @@ pub struct StoreStats {
     /// Longest single compaction pass observed, in nanoseconds.
     pub gc_pause_max_ns: u64,
     /// Entries reverted to memory residence because their batch write
-    /// hard-failed (the [`SPILL_FAILED`] fallback path).
+    /// hard-failed (or the writer died with their job in flight).
     pub spill_fallback_resident: u64,
     /// Entries dropped outright (cache-miss semantics) to restore the
     /// budget — degraded-mode eviction and post-fallback shedding.
@@ -718,6 +731,17 @@ pub struct StoreStats {
     /// Bytes in the spill file belonging to removed or replaced entries,
     /// reclaimable by the next compaction (gauge).
     pub spill_dead_bytes: u64,
+    /// Payload bytes handed to the spill writer and not yet published
+    /// or failed by it (gauge): memory the budget counter has stopped
+    /// counting and the process still holds. Never above
+    /// [`StoreConfig::memory_budget`] (a single payload larger than the
+    /// whole budget travels alone).
+    pub spill_inflight_bytes: u64,
+    /// Times a put found the in-flight bound reached, released its
+    /// shard lock and blocked until the writer published.
+    pub put_backpressure_waits: u64,
+    /// Failed [`CompressedStore::check_invariants`] calls.
+    pub invariant_violations: u64,
     /// Current compressed bytes resident in memory (same as
     /// [`StoreStats::resident_bytes`]; kept for source compatibility).
     pub memory_bytes: u64,
@@ -774,10 +798,11 @@ enum Residence {
     /// the pattern. Never LRU-tracked or spilled: reconstructing it is
     /// cheaper than any I/O, and it occupies no budget.
     SameFilled { pattern: u64 },
-    /// Handed to the writer; data still readable until the write lands.
-    /// The generation ties the eventual completion to *this* hand-off: a
-    /// key can be replaced and re-spilled while an older job is still
-    /// queued, and the stale completion must not be believed.
+    /// Handed to the writer; data still readable until the write lands
+    /// and the writer flips this to `Spilled`. The generation ties that
+    /// publish to *this* hand-off: a key can be replaced and re-spilled
+    /// while an older job is still queued, and the writer must not
+    /// publish the stale job's location over the newer entry.
     Spilling { data: Arc<Vec<u8>>, gen: u64 },
     /// On the spill file. `len` is the full extent length — the
     /// [`EXTENT_HEADER`]-byte self-verifying header plus the compressed
@@ -938,9 +963,6 @@ struct TraceOut {
     codec: u8,
 }
 
-/// Completion offset reported when the batch write itself failed.
-const SPILL_FAILED: u64 = u64::MAX;
-
 /// Magic leading every on-file extent header. The low nibble is the
 /// format version: `..E001` was the PR 5 codec-less layout (20-byte
 /// header, CRC over the payload only); `..E002` added the codec id byte
@@ -1014,15 +1036,6 @@ fn backoff(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << (attempt - 1).min(10))
 }
 
-/// A durable (or failed) write the store must fold into its entry maps.
-struct Completion {
-    key: u64,
-    gen: u64,
-    /// File offset, or [`SPILL_FAILED`].
-    offset: u64,
-    len: u32,
-}
-
 /// Scratch space reused across calls on each thread: the codec set
 /// (LZRW1's hash table lives here) plus compression and staging buffers
 /// (decompression writes the caller's page directly). `comp` is sized by
@@ -1087,11 +1100,33 @@ struct StoreCore {
     /// spilling until the probation probe clears it.
     degraded: AtomicBool,
     /// Set when the writer thread has exited — normally (shutdown /
-    /// drop) or by panic. With this set, `Spilling` entries that have
-    /// no completion yet will never get one.
+    /// drop) or by panic. With this set, `Spilling` entries the writer
+    /// has not published yet never will be.
     writer_dead: AtomicBool,
-    /// Completed writes, published by the writer after each batch.
-    done: Mutex<Vec<Completion>>,
+    /// Payload bytes handed to the writer and not yet published or
+    /// failed by it: up (by CAS, bounded by the budget — see
+    /// [`StoreCore::reserve_inflight`]) at every hand-off, down exactly
+    /// once per job, both under the job key's shard lock. Relaxed: the
+    /// entries it describes are published by the shard locks, and
+    /// waiters re-read it under `spill_waiters`.
+    spill_inflight: AtomicUsize,
+    /// The part of `spill_inflight` whose entry was removed or replaced
+    /// while the job was queued: the job still holds its payload until
+    /// the writer reaches it, so the gauge (and the bound) keep counting
+    /// it. Kept so [`CompressedStore::check_invariants`] can state the
+    /// gauge as an identity instead of an inequality.
+    spill_orphaned: AtomicUsize,
+    /// Threads blocked in [`StoreCore::wait_for_writer`]. The writer
+    /// takes this lock after every batch it publishes (and when it
+    /// exits) and signals `spill_cv` only if somebody waits.
+    spill_waiters: Mutex<usize>,
+    /// Signalled on writer progress: in-flight bytes went down, or the
+    /// writer exited.
+    spill_cv: Condvar,
+    /// Non-zero while a thread is between pushing `resident` over the
+    /// budget (a failed write's memory fallback) and shedding it back —
+    /// the one window in which `resident > memory_budget` is legal.
+    shedding: AtomicUsize,
     /// Counters, latency histograms, and the event ring. Counters are
     /// striped by shard index and are the statistics of record behind
     /// [`StoreStats`]; sampling obeys [`StoreConfig::telemetry`].
@@ -1361,7 +1396,11 @@ impl CompressedStore {
             medium,
             degraded: AtomicBool::new(false),
             writer_dead: AtomicBool::new(false),
-            done: Mutex::new(Vec::new()),
+            spill_inflight: AtomicUsize::new(0),
+            spill_orphaned: AtomicUsize::new(0),
+            spill_waiters: Mutex::new(0),
+            spill_cv: Condvar::new(),
+            shedding: AtomicUsize::new(0),
             tel,
             spill_file_bytes: AtomicU64::new(init_cursor),
             spill_dead_bytes: AtomicU64::new(0),
@@ -1438,10 +1477,11 @@ impl CompressedStore {
                         .spawn(move || {
                             // A panic anywhere in the writer (including
                             // inside a hostile medium) must not strand
-                            // `flush()` callers: mark the thread dead so
-                            // flush can reclaim orphaned jobs, and
+                            // `flush()` callers or back-pressured puts:
                             // degrade the store so eviction sheds
-                            // instead of queueing into the void.
+                            // instead of queueing into the void, then
+                            // mark the thread dead and wake them, so
+                            // flush can reclaim orphaned jobs.
                             let body = std::panic::AssertUnwindSafe(move || {
                                 SpillWriter {
                                     core: writer_core,
@@ -1453,10 +1493,10 @@ impl CompressedStore {
                                 .run(rx)
                             });
                             let result = std::panic::catch_unwind(body);
-                            exit_core.writer_dead.store(true, Ordering::Relaxed);
                             if result.is_err() {
                                 exit_core.enter_degraded(0);
                             }
+                            exit_core.writer_exited();
                         })
                         .expect("spawn cleaner thread"),
                 )
@@ -1531,7 +1571,6 @@ impl CompressedStore {
     /// spill tier (no re-PUT happened); `Spilling` reports as
     /// [`HitTier::Memory`] since that is where a read would be served.
     pub fn peek_tier(&self, key: u64) -> Option<HitTier> {
-        self.core.absorb_completed_spills();
         let shard = self.core.shard(key);
         shard.entries.get(&key).map(|e| match e.residence {
             Residence::Hot { .. } => HitTier::Hot,
@@ -1550,14 +1589,12 @@ impl CompressedStore {
 
     /// Remove a key (e.g. the page was freed). Returns whether it existed.
     pub fn remove(&self, key: u64) -> bool {
-        self.core.absorb_completed_spills();
         let mut shard = self.core.shard(key);
         self.core.remove_locked(&mut shard, key)
     }
 
     /// Whether the store currently knows `key`.
     pub fn contains(&self, key: u64) -> bool {
-        self.core.absorb_completed_spills();
         self.core.shard(key).entries.contains_key(&key)
     }
 
@@ -1604,7 +1641,6 @@ impl CompressedStore {
     /// `render_text`, or hand a closure over it to
     /// [`cc_telemetry::Exporter::spawn`].
     pub fn telemetry_snapshot(&self) -> cc_telemetry::Snapshot {
-        self.core.absorb_completed_spills();
         let sampled: Vec<&'static str> = (0..top::NAMES.len())
             .filter(|op| !top::BACKGROUND.contains(op))
             .map(|op| top::NAMES[op])
@@ -1634,13 +1670,19 @@ impl CompressedStore {
                 self.core.spill_dead_bytes.load(Ordering::Relaxed),
             )
             .gauge(
+                "spill_inflight_bytes",
+                self.core.spill_inflight.load(Ordering::Relaxed) as u64,
+            )
+            .gauge(
                 "degraded",
                 self.core.degraded.load(Ordering::Relaxed) as u64,
             )
     }
 
-    /// Block until the cleaner has drained all pending spills (tests and
-    /// orderly shutdown). Entries sitting in a partially-filled batch are
+    /// Block until the spill writer has published everything handed to
+    /// it — [`StoreStats::spill_inflight_bytes`] reads zero — then make
+    /// any queued journal tombstones durable (tests and orderly
+    /// shutdown). Entries sitting in a partially-filled batch are
     /// committed by the writer's bounded linger, so this terminates even
     /// mid-batch. If the writer thread has died (panicked medium), the
     /// orphaned in-flight entries are reverted to memory residence, the
@@ -1673,6 +1715,38 @@ impl CompressedStore {
         if let Some(handle) = self.demoter.lock().expect("demoter handle poisoned").take() {
             let _ = handle.join();
         }
+    }
+
+    /// Check the in-memory bookkeeping against the entries themselves,
+    /// with every shard lock held (taken in index order) so the picture
+    /// is one instant's:
+    ///
+    /// - `resident == Σ len(Hot) + Σ len(Memory)`, and the `hot` and
+    ///   `warm` gauges partition it exactly;
+    /// - a key is on the hot LRU ⇔ its residence is `Hot`, on the warm
+    ///   LRU ⇔ `Memory`, on neither otherwise (and both lists pass
+    ///   [`cc_util::LruList::check_invariants`], which panics);
+    /// - `spill_inflight_bytes == Σ len(Spilling payloads)` plus the
+    ///   payloads of jobs whose entry was removed or replaced while they
+    ///   were queued (still held by the job, still counted);
+    /// - no two `Spilled` extents overlap and none reaches past
+    ///   `bytes_on_spill`;
+    /// - `resident <= memory_budget`, unless a failed write's memory
+    ///   fallback is being shed at this moment.
+    ///
+    /// Safe to call at any time, from any thread, with the background
+    /// threads running. A failure bumps the `invariant_violations`
+    /// counter and returns the first broken identity. The on-file
+    /// identities — every journaled key resolves to a CRC-valid extent,
+    /// and `spill_dead_bytes == file extent − Σ live extents`, which is
+    /// only approximate under churn today — are not checked here; they
+    /// stay with ROADMAP item 1(a)'s remainder.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let res = self.core.check_invariants();
+        if res.is_err() {
+            self.core.tel.count(0, tstat::INVARIANT_VIOLATIONS, 1);
+        }
+        res
     }
 
     /// Run one demotion sweep inline on the calling thread, exactly as
@@ -2080,41 +2154,50 @@ impl StoreCore {
                     Err(actual) => cur = actual,
                 }
             }
-            match self.make_room(shard_idx, &mut shard)? {
+            // `Some(bytes)`: the writer must publish before `bytes` more
+            // payload may be handed to it; `None`: another putter is in
+            // the way.
+            let wait = match self.make_room(shard_idx, &mut shard)? {
                 Progress::Evicted => continue,
                 Progress::NoVictim => {
                     // Nothing left to evict (everything is already
                     // spilling, or the page alone exceeds the budget):
                     // bypass residence and spill this entry directly.
-                    reserved = false;
-                    break;
+                    if shard.tx.is_none() {
+                        // The writer is gone (the store was shut down):
+                        // fail the put instead of panicking. The old
+                        // entry was already removed above — acceptable
+                        // for a store that is being torn down.
+                        drop(shard);
+                        return Err(StoreError::ShuttingDown);
+                    }
+                    if self.degraded.load(Ordering::Relaxed) {
+                        // Spill is disabled and nothing was evictable:
+                        // the memory-only store is genuinely full.
+                        drop(shard);
+                        return Err(StoreError::OutOfMemory);
+                    }
+                    if self.reserve_inflight(len) {
+                        reserved = false;
+                        break;
+                    }
+                    Some(len)
                 }
-                Progress::Blocked => {
-                    // Victims may exist on shards other putters hold.
-                    // Release ours so the system can make progress, then
-                    // retry from scratch.
-                    drop(shard);
-                    std::thread::yield_now();
-                    shard = self.shard(key);
-                }
+                Progress::WriterFull(bytes) => Some(bytes),
+                // Victims may exist on shards other putters hold.
+                Progress::Blocked => None,
+            };
+            // Release our shard so the system can make progress — the
+            // writer publishes under it — then retry from scratch.
+            drop(shard);
+            match wait {
+                Some(bytes) => self.wait_for_writer(bytes, shard_idx),
+                None => std::thread::yield_now(),
             }
-        }
-
-        if !reserved {
-            if shard.tx.is_none() {
-                // Straight-to-spill needed but the writer is gone (the
-                // store was shut down): fail the put instead of
-                // panicking. The old entry was already removed above —
-                // acceptable for a store that is being torn down.
-                drop(shard);
-                return Err(StoreError::ShuttingDown);
-            }
-            if self.degraded.load(Ordering::Relaxed) {
-                // Spill is disabled and nothing was evictable: the
-                // memory-only store is genuinely full.
-                drop(shard);
-                return Err(StoreError::OutOfMemory);
-            }
+            shard = self.shard(key);
+            // The key was unlocked meanwhile: a concurrent put of it may
+            // have landed, and this one supersedes it.
+            self.remove_locked(&mut shard, key);
         }
         tout.tier = match (reserved, place_hot) {
             (true, true) => strier::HOT,
@@ -2139,7 +2222,8 @@ impl StoreCore {
                 let handle = shard.lru.push_mru(key);
                 Ok(Residence::Memory { data, handle })
             } else {
-                // Straight-to-spill path (see above): never resident.
+                // Straight-to-spill path (see above): never resident,
+                // its `len` bytes already counted in flight.
                 let data = Arc::new(compressed.to_vec());
                 let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
                 let tx = shard.tx.as_ref().expect("checked above");
@@ -2157,6 +2241,7 @@ impl StoreCore {
                 {
                     // The receiver is gone without a shutdown(): the
                     // writer panicked. Degrade and fail this put.
+                    self.spill_inflight.fetch_sub(len, Ordering::Relaxed);
                     self.writer_dead.store(true, Ordering::Relaxed);
                     self.enter_degraded(0);
                     return Err(StoreError::ShuttingDown);
@@ -2221,7 +2306,6 @@ impl StoreCore {
         ctx: TraceCtx,
         tout: &mut TraceOut,
     ) -> Result<Option<HitTier>, StoreError> {
-        self.absorb_completed_spills();
         // One timing decision per op, as in `put_inner`.
         let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
         let t0 = self.tel.op_timer(stamp, ctx.sampled());
@@ -2445,7 +2529,6 @@ impl StoreCore {
     }
 
     fn stats(&self) -> StoreStats {
-        self.absorb_completed_spills();
         let resident = self.resident.load(Ordering::Relaxed) as u64;
         StoreStats {
             compressed: self.tel.counter_sum(tstat::COMPRESSED),
@@ -2483,6 +2566,9 @@ impl StoreCore {
             degraded: self.degraded.load(Ordering::Relaxed),
             bytes_on_spill: self.spill_file_bytes.load(Ordering::Relaxed),
             spill_dead_bytes: self.spill_dead_bytes.load(Ordering::Relaxed),
+            spill_inflight_bytes: self.spill_inflight.load(Ordering::Relaxed) as u64,
+            put_backpressure_waits: self.tel.counter_sum(tstat::PUT_BACKPRESSURE_WAITS),
+            invariant_violations: self.tel.counter_sum(tstat::INVARIANT_VIOLATIONS),
             memory_bytes: resident,
             resident_bytes: resident,
             hot_bytes: self.hot_resident.load(Ordering::Relaxed) as u64,
@@ -2588,10 +2674,15 @@ impl StoreCore {
                         self.spill_dead_bytes
                             .fetch_add(len as u64, Ordering::Relaxed);
                     }
-                    // An in-flight job's bytes become dead when its now-
-                    // orphaned completion is absorbed; same-filled entries
-                    // occupy nothing anywhere.
-                    Residence::Spilling { .. } | Residence::SameFilled { .. } => {}
+                    // The job is still in flight and still holds the
+                    // payload: it stays counted until the writer reaches
+                    // it, finds no entry waiting on its generation, and
+                    // counts the extent it wrote as dead bytes.
+                    Residence::Spilling { data, .. } => {
+                        self.spill_orphaned.fetch_add(data.len(), Ordering::Relaxed);
+                    }
+                    // Same-filled entries occupy nothing anywhere.
+                    Residence::SameFilled { .. } => {}
                 }
                 true
             }
@@ -2608,8 +2699,9 @@ impl StoreCore {
         // background demoter an early wakeup so it sweeps aged entries
         // before the next put has to.
         self.demote_cv.notify_one();
-        if self.evict_one(local) {
-            return Ok(Progress::Evicted);
+        match self.evict_one(local) {
+            Progress::NoVictim => {}
+            progress => return Ok(progress),
         }
         let mut blocked = false;
         for (i, other) in self.shards.iter().enumerate() {
@@ -2617,11 +2709,10 @@ impl StoreCore {
                 continue;
             }
             match other.0.try_lock() {
-                Ok(mut guard) => {
-                    if self.evict_one(&mut guard) {
-                        return Ok(Progress::Evicted);
-                    }
-                }
+                Ok(mut guard) => match self.evict_one(&mut guard) {
+                    Progress::NoVictim => {}
+                    progress => return Ok(progress),
+                },
                 Err(_) => blocked = true,
             }
         }
@@ -2639,42 +2730,53 @@ impl StoreCore {
 
     /// Free budget from `shard`: spill its coldest warm entry (already
     /// sealed — the cheapest victim), else compress-and-demote its
-    /// coldest hot entry. When degraded, shed instead. Returns false if
-    /// nothing on this shard can make progress.
-    fn evict_one(&self, shard: &mut Shard) -> bool {
+    /// coldest hot entry. When degraded, shed instead. `NoVictim` if
+    /// nothing on this shard can make progress; `WriterFull` (shard
+    /// untouched) if the victim's payload does not fit in flight — the
+    /// caller holds this shard's lock, so it is the caller's to release
+    /// before anyone waits.
+    fn evict_one(&self, shard: &mut Shard) -> Progress {
+        let freed = |freed: bool| {
+            if freed {
+                Progress::Evicted
+            } else {
+                Progress::NoVictim
+            }
+        };
         let warm_victim = shard.lru.peek_lru().map(|(_, &k)| k);
         let Some(tx) = shard.tx.clone() else {
             // No writer (memory-only store, or shut down): warm pages
             // have nowhere to go, but a hot page whose compressed form
             // is smaller can still be squeezed down to warm in place.
             if self.degraded.load(Ordering::Relaxed) {
-                return false;
+                return Progress::NoVictim;
             }
             if let Some((_, &victim)) = shard.lru_hot.peek_lru() {
-                return matches!(
+                return freed(matches!(
                     self.demote_hot_locked(shard, victim, None),
                     DemoteOutcome::Warm
-                );
+                ));
             }
-            return false;
+            return Progress::NoVictim;
         };
         if self.degraded.load(Ordering::Relaxed) {
             // Degraded: the medium can't be trusted with this page, but
             // the budget still must be honored. Shedding drops the
             // coldest entry entirely — cache-miss semantics.
-            return self.shed_one(shard);
+            return freed(self.shed_one(shard));
         }
         let Some(victim) = warm_victim else {
             // Only hot entries left: compress the coldest and demote it
             // (to warm when compression frees memory, straight to the
             // spill channel otherwise — guaranteed progress either way).
             if let Some((_, &victim)) = shard.lru_hot.peek_lru() {
-                return matches!(
-                    self.demote_hot_locked(shard, victim, Some(&tx)),
-                    DemoteOutcome::Warm | DemoteOutcome::Spilled
-                );
+                return match self.demote_hot_locked(shard, victim, Some(&tx)) {
+                    DemoteOutcome::Warm | DemoteOutcome::Spilled => Progress::Evicted,
+                    DemoteOutcome::Kept => Progress::NoVictim,
+                    DemoteOutcome::WriterFull(bytes) => Progress::WriterFull(bytes),
+                };
             }
-            return false;
+            return Progress::NoVictim;
         };
         let entry = shard.entries.get_mut(&victim).expect("lru/map sync");
         let codec = entry.codec;
@@ -2683,6 +2785,9 @@ impl StoreCore {
         let Residence::Memory { data, handle } = &mut entry.residence else {
             unreachable!("LRU entry not in memory")
         };
+        if !self.reserve_inflight(data.len()) {
+            return Progress::WriterFull(data.len());
+        }
         let handle = *handle;
         let data = Arc::new(std::mem::take(data));
         let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
@@ -2694,7 +2799,7 @@ impl StoreCore {
         shard.lru.remove(handle);
         self.resident.fetch_sub(data.len(), Ordering::Relaxed);
         self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
-        let len = data.len() as u64;
+        let len = data.len();
         if tx
             .send(SpillJob {
                 key: victim,
@@ -2709,7 +2814,8 @@ impl StoreCore {
         {
             // The writer died without a shutdown() (panic): degrade, and
             // shed the victim we just flipped to `Spilling` — its job
-            // will never be received, let alone completed.
+            // will never be received, let alone published.
+            self.spill_inflight.fetch_sub(len, Ordering::Relaxed);
             self.writer_dead.store(true, Ordering::Relaxed);
             self.enter_degraded(0);
             shard.entries.remove(&victim);
@@ -2719,15 +2825,15 @@ impl StoreCore {
             let idx = self.shard_index(victim);
             self.tel.count(idx, tstat::SHED_PAGES, 1);
             if self.tel.timing_enabled() {
-                self.tel.event(tevent::SHED, victim, len);
+                self.tel.event(tevent::SHED, victim, len as u64);
             }
-            return true;
+            return Progress::Evicted;
         }
         self.tel.count(self.shard_index(victim), tstat::SPILLED, 1);
         if self.tel.timing_enabled() {
-            self.tel.event(tevent::EVICT, victim, len);
+            self.tel.event(tevent::EVICT, victim, len as u64);
         }
-        true
+        Progress::Evicted
     }
 
     /// Drop `shard`'s coldest memory entry entirely (degraded-mode
@@ -2879,6 +2985,7 @@ impl StoreCore {
     /// sealed form is smaller, else to the spill channel when one is
     /// available. `Kept` means neither helped; the entry is cycled to
     /// the hot MRU end so a bounded sweep doesn't re-grind it.
+    /// `WriterFull` means the spill writer has no room in flight for it.
     fn demote_hot_locked(
         &self,
         shard: &mut Shard,
@@ -2935,7 +3042,11 @@ impl StoreCore {
             DemoteOutcome::Warm
         } else if let Some(tx) = tx {
             // Incompressible (that's usually why it was hot): hand the
-            // sealed bytes straight to the spill writer.
+            // sealed bytes straight to the spill writer, if they fit in
+            // flight (the entry is untouched if they do not).
+            if !self.reserve_inflight(sel.len) {
+                return DemoteOutcome::WriterFull(sel.len);
+            }
             let sealed = Arc::new(SCRATCH.with(|c| c.borrow().demote[..sel.len].to_vec()));
             let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
             let mut e = shard.entries.remove(&key).expect("checked above");
@@ -2968,6 +3079,7 @@ impl StoreCore {
             {
                 // Writer died mid-demotion: degrade and shed the victim,
                 // exactly as the warm eviction path does.
+                self.spill_inflight.fetch_sub(sel.len, Ordering::Relaxed);
                 self.writer_dead.store(true, Ordering::Relaxed);
                 self.enter_degraded(0);
                 shard.entries.remove(&key);
@@ -3035,6 +3147,8 @@ impl StoreCore {
                     match self.demote_hot_locked(&mut shard, victim, tx.as_ref()) {
                         DemoteOutcome::Warm | DemoteOutcome::Spilled => hot_n += 1,
                         DemoteOutcome::Kept => {}
+                        // The demoter never waits on the writer: skip.
+                        DemoteOutcome::WriterFull(_) => break,
                     }
                 }
             }
@@ -3051,7 +3165,9 @@ impl StoreCore {
                     if age < warm_idle {
                         break;
                     }
-                    if !self.evict_one(&mut shard) {
+                    // `WriterFull` included: the demoter skips, it
+                    // never waits on the writer.
+                    if !matches!(self.evict_one(&mut shard), Progress::Evicted) {
                         break;
                     }
                     self.tel.count(shard_idx, tstat::DEMOTED_WARM, 1);
@@ -3129,168 +3245,268 @@ impl StoreCore {
                 }
             }
             if !progress {
-                // Nothing left to shed (the overshoot is entirely
-                // in-flight or already gone); leave the gauge to the
-                // next absorb.
+                // Nothing left to shed: every byte `resident` counts is
+                // on an LRU list, so it is back under the budget.
                 return;
             }
         }
     }
 
-    /// Fold completed writer jobs into the entry maps. A completion only
-    /// lands if the entry is still waiting on that exact generation —
-    /// replaced-and-respilled keys ignore stale completions, whose bytes
-    /// on the file are accounted dead.
+    /// Count `bytes` of payload as handed to the spill writer, unless
+    /// that would take the in-flight total past the memory budget —
+    /// payload in RAM, resident plus in flight, stays within twice the
+    /// budget. A lone job is always admitted, so a payload larger than
+    /// the whole budget can still leave. Called with the job key's
+    /// shard lock held, in the same hold that flips the entry to
+    /// `Spilling`; whoever ends that state — the writer's publish, or a
+    /// failed `send` — takes the bytes out again, exactly once.
+    fn reserve_inflight(&self, bytes: usize) -> bool {
+        let budget = self.cfg.memory_budget;
+        self.spill_inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (cur == 0 || cur.saturating_add(bytes) <= budget).then_some(cur + bytes)
+            })
+            .is_ok()
+    }
+
+    /// Block until `ready(in-flight bytes)` holds or the writer thread
+    /// has exited; `on_block` runs once, before the first wait, if there
+    /// is one.
     ///
-    /// The done-list lock is held across the entire fold (not just the
-    /// drain): GC relies on "after my own absorb returns, every committed
-    /// offset is published" to take a complete live-extent snapshot, and
-    /// releasing the lock before publishing would let a concurrent
-    /// absorber (e.g. `flush`) publish a pre-GC offset after GC has
-    /// compacted and truncated that region. Lock order is done → shard,
-    /// everywhere.
-    fn absorb_completed_spills(&self) {
-        if !self.has_spill() {
-            return;
-        }
-        let mut over_budget = false;
-        let mut done = self.done.lock().expect("done list poisoned");
-        for c in done.drain(..) {
-            let mut shard = self.shard(c.key);
-            let Some(e) = shard.entries.get_mut(&c.key) else {
-                // Removed while its write was queued: the write landed
-                // anyway (unless it failed) and its bytes are dead.
-                if c.offset != SPILL_FAILED {
-                    self.spill_dead_bytes
-                        .fetch_add(c.len as u64, Ordering::Relaxed);
-                }
-                continue;
-            };
-            let data = match &e.residence {
-                Residence::Spilling { gen, data } if *gen == c.gen => Arc::clone(data),
-                _ => {
-                    // Replaced (and possibly re-spilled under a newer
-                    // generation) while this write was queued.
-                    if c.offset != SPILL_FAILED {
-                        self.spill_dead_bytes
-                            .fetch_add(c.len as u64, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-            };
-            if c.offset == SPILL_FAILED {
-                // Write failed: fall back to memory residence. This is
-                // the one path that may push `resident` past the budget
-                // transiently — the alternative is losing the page. The
-                // overshoot is counted, and repaired by shedding the
-                // coldest entries once the drain completes.
-                let handle = shard.lru.push_mru(c.key);
-                let bytes = data.len();
-                let buf = Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone());
-                let e = shard.entries.get_mut(&c.key).expect("just looked up");
-                e.residence = Residence::Memory { data: buf, handle };
-                let shard_idx = self.shard_index(c.key);
-                drop(shard);
-                self.tel.count(shard_idx, tstat::SPILL_FALLBACK_RESIDENT, 1);
-                self.warm_resident.fetch_add(bytes, Ordering::Relaxed);
-                if self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes
-                    > self.cfg.memory_budget
-                {
-                    over_budget = true;
-                }
-            } else {
-                e.residence = Residence::Spilled {
-                    offset: c.offset,
-                    len: c.len,
-                    gen: c.gen,
-                };
+    /// This is the one place a thread waits on the spill writer, and it
+    /// must be entered with **no shard lock held**: the writer publishes
+    /// under the shard locks, so a waiter that kept one could be waiting
+    /// on a writer that is waiting on it. Puts release theirs first (the
+    /// `Progress::WriterFull` arm of `put_inner`), `flush` holds none,
+    /// and the demoter skips instead of coming here.
+    fn wait_on_writer(&self, ready: impl Fn(usize) -> bool, on_block: impl FnOnce()) {
+        let mut waiters = self.spill_waiters.lock().expect("spill waiters poisoned");
+        let mut on_block = Some(on_block);
+        // The writer changes what is read here and *then* takes
+        // `spill_waiters` to signal, so a change made after these loads
+        // finds this thread already counted and wakes it.
+        while !ready(self.spill_inflight.load(Ordering::Relaxed))
+            && !self.writer_dead.load(Ordering::Relaxed)
+        {
+            if let Some(f) = on_block.take() {
+                f();
             }
+            *waiters += 1;
+            waiters = self.spill_cv.wait(waiters).expect("spill waiters poisoned");
+            *waiters -= 1;
         }
-        drop(done);
-        if over_budget {
-            // Shed after releasing the done lock: shedding only needs
-            // shard locks, and the overshoot window stays bounded by the
-            // batches the writer failed while this drain ran.
-            self.shed_to_budget();
+    }
+
+    /// Put-side back-pressure: wait until `bytes` more payload fits in
+    /// flight, or until the writer can make no more room — it exited, or
+    /// the store degraded and evicts by shedding. See
+    /// [`StoreCore::wait_on_writer`] for the locking rule.
+    fn wait_for_writer(&self, bytes: usize, shard_idx: usize) {
+        let budget = self.cfg.memory_budget;
+        self.wait_on_writer(
+            |inflight| {
+                inflight == 0
+                    || inflight.saturating_add(bytes) <= budget
+                    || self.degraded.load(Ordering::Relaxed)
+            },
+            || self.tel.count(shard_idx, tstat::PUT_BACKPRESSURE_WAITS, 1),
+        );
+    }
+
+    /// Wake the threads in [`StoreCore::wait_on_writer`]. Called by the
+    /// writer after it published a batch (in-flight bytes went down, or
+    /// the store went degraded) and when it exits.
+    fn notify_writer_progress(&self) {
+        if *self.spill_waiters.lock().expect("spill waiters poisoned") > 0 {
+            self.spill_cv.notify_all();
         }
+    }
+
+    /// The writer thread is gone: nothing still in flight will ever be
+    /// published. Release whoever waits on it.
+    fn writer_exited(&self) {
+        self.writer_dead.store(true, Ordering::Relaxed);
+        self.notify_writer_progress();
+    }
+
+    /// Put `key`'s `Spilling` payload back into memory residence on the
+    /// warm LRU — the medium let it down (failed batch, degraded mode,
+    /// dead writer). The one path that may push `resident` past the
+    /// budget: the alternative is losing the page. Returns whether it
+    /// did; the caller sheds once it has let go of the shard, with
+    /// `shedding` raised from before this call until after the shed.
+    fn revert_to_memory(&self, shard: &mut Shard, key: u64) -> bool {
+        let e = shard.entries.get_mut(&key).expect("caller looked it up");
+        let old = std::mem::replace(&mut e.residence, Residence::SameFilled { pattern: 0 });
+        let Residence::Spilling { data, .. } = old else {
+            unreachable!("caller checked the residence")
+        };
+        let bytes = data.len();
+        // A reader may still be decoding from its clone of the payload.
+        let data = Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone());
+        let handle = shard.lru.push_mru(key);
+        e.residence = Residence::Memory { data, handle };
+        self.tel
+            .count(self.shard_index(key), tstat::SPILL_FALLBACK_RESIDENT, 1);
+        self.warm_resident.fetch_add(bytes, Ordering::Relaxed);
+        self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes > self.cfg.memory_budget
     }
 
     fn flush(&self) -> Result<(), StoreError> {
-        loop {
-            self.absorb_completed_spills();
-            let pending = self.shards.iter().any(|s| {
-                s.0.lock()
-                    .expect("shard poisoned")
-                    .entries
-                    .values()
-                    .any(|e| matches!(e.residence, Residence::Spilling { .. }))
-            });
-            if !pending {
-                // Durability barrier for the journal too: any tombstones
-                // queued by removes ride out with the flush, so a crash
-                // after a successful flush can never resurrect a key the
-                // caller saw removed before the barrier.
-                if let Some(p) = &self.persist {
-                    let n = p.commit_pending().map_err(StoreError::Io)?;
-                    if n > 0 {
-                        self.tel.count(0, tstat::JOURNAL_RECORDS_WRITTEN, n);
-                    }
-                }
-                return Ok(());
-            }
-            if self.writer_dead.load(Ordering::Relaxed) {
-                // The writer is gone but jobs are still in flight: their
-                // completions will never arrive. Revert them to memory
-                // residence (the data is still held by the `Spilling`
-                // Arc), restore the budget by shedding, and report the
-                // truth instead of spinning forever.
+        if self.has_spill() {
+            self.wait_on_writer(|inflight| inflight == 0, || {});
+            if self.spill_inflight.load(Ordering::Relaxed) != 0 {
+                // The writer is gone with jobs still in flight: nobody
+                // will publish them. Revert them to memory residence
+                // (the data is still held by the `Spilling` Arc),
+                // restore the budget by shedding, and report the truth
+                // instead of waiting forever.
                 self.reclaim_orphaned_spilling();
-                self.shed_to_budget();
                 return Err(StoreError::ShuttingDown);
             }
-            std::thread::yield_now();
         }
+        // Durability barrier for the journal too: any tombstones queued
+        // by removes ride out with the flush, so a crash after a
+        // successful flush can never resurrect a key the caller saw
+        // removed before the barrier.
+        if let Some(p) = &self.persist {
+            let n = p.commit_pending().map_err(StoreError::Io)?;
+            if n > 0 {
+                self.tel.count(0, tstat::JOURNAL_RECORDS_WRITTEN, n);
+            }
+        }
+        Ok(())
     }
 
-    /// Convert every `Spilling` entry whose completion can never arrive
-    /// (dead writer) back to memory residence. Counted on the same
+    fn check_invariants(&self) -> Result<(), String> {
+        let shards: Vec<MutexGuard<'_, Shard>> = self
+            .shards
+            .iter()
+            .map(|s| s.0.lock().expect("shard poisoned"))
+            .collect();
+        let (mut hot, mut warm, mut spilling) = (0usize, 0usize, 0usize);
+        let mut extents: Vec<(u64, u64)> = Vec::new();
+        for (i, shard) in shards.iter().enumerate() {
+            let (mut n_hot, mut n_warm) = (0usize, 0usize);
+            for (&key, e) in &shard.entries {
+                match &e.residence {
+                    Residence::Hot { data, handle } => {
+                        hot += data.len();
+                        n_hot += 1;
+                        if shard.lru_hot.get(*handle) != Some(&key) {
+                            return Err(format!("shard {i}: hot key {key} not on the hot LRU"));
+                        }
+                    }
+                    Residence::Memory { data, handle } => {
+                        warm += data.len();
+                        n_warm += 1;
+                        if shard.lru.get(*handle) != Some(&key) {
+                            return Err(format!("shard {i}: warm key {key} not on the warm LRU"));
+                        }
+                    }
+                    Residence::Spilling { data, .. } => spilling += data.len(),
+                    Residence::Spilled { offset, len, .. } => {
+                        extents.push((*offset, *offset + *len as u64));
+                    }
+                    Residence::SameFilled { .. } => {}
+                }
+            }
+            // Every Hot/Memory entry owns a distinct node of its list,
+            // so equal lengths leave no room for a key of another kind.
+            if shard.lru_hot.check_invariants() != n_hot || shard.lru.check_invariants() != n_warm {
+                return Err(format!(
+                    "shard {i}: LRU lengths hot {} warm {} but {n_hot} Hot and {n_warm} Memory entries",
+                    shard.lru_hot.len(),
+                    shard.lru.len()
+                ));
+            }
+        }
+        let gauge = |a: &AtomicUsize| a.load(Ordering::Relaxed);
+        let (resident, hot_g, warm_g) = (
+            gauge(&self.resident),
+            gauge(&self.hot_resident),
+            gauge(&self.warm_resident),
+        );
+        if (resident, hot_g, warm_g) != (hot + warm, hot, warm) {
+            return Err(format!(
+                "resident {resident} (hot {hot_g} + warm {warm_g}) but entries hold hot {hot} + warm {warm}"
+            ));
+        }
+        let (inflight, orphaned) = (gauge(&self.spill_inflight), gauge(&self.spill_orphaned));
+        if inflight != spilling + orphaned {
+            return Err(format!(
+                "spill_inflight_bytes {inflight} but Spilling entries hold {spilling} and orphaned jobs {orphaned}"
+            ));
+        }
+        extents.sort_unstable();
+        if let Some(w) = extents.windows(2).find(|w| w[0].1 > w[1].0) {
+            return Err(format!(
+                "spilled extents overlap: {:?} and {:?}",
+                w[0], w[1]
+            ));
+        }
+        let file = self.spill_file_bytes.load(Ordering::Relaxed);
+        if let Some(last) = extents.last().filter(|e| e.1 > file) {
+            return Err(format!(
+                "spilled extent {last:?} past the file's {file} bytes"
+            ));
+        }
+        if resident > self.cfg.memory_budget && self.shedding.load(Ordering::SeqCst) == 0 {
+            return Err(format!(
+                "resident {resident} over the budget {} with no fallback being shed",
+                self.cfg.memory_budget
+            ));
+        }
+        Ok(())
+    }
+
+    /// Convert every `Spilling` entry — the writer is dead, none will be
+    /// published — back to memory residence, return the in-flight gauge
+    /// to zero, and shed back to the budget. Counted on the same
     /// fallback counter as failed-batch reverts — either way the entry
     /// went back to memory because the medium let it down.
     fn reclaim_orphaned_spilling(&self) {
-        // One more absorb first: completions the writer *did* publish
-        // before dying must win over the blanket revert.
-        self.absorb_completed_spills();
-        for s in &self.shards {
-            let mut shard = s.0.lock().expect("shard poisoned");
-            let orphaned: Vec<u64> = shard
-                .entries
+        self.shedding.fetch_add(1, Ordering::SeqCst);
+        {
+            // Every shard at once, in index order (no other thread blocks
+            // on a second shard): with all of them held no hand-off is
+            // between its reservation and its failed `send`, so what the
+            // gauge still counts is exactly the jobs that died with the
+            // writer, and zeroing it cannot race a late release.
+            let mut shards: Vec<MutexGuard<'_, Shard>> = self
+                .shards
                 .iter()
-                .filter(|(_, e)| matches!(e.residence, Residence::Spilling { .. }))
-                .map(|(&k, _)| k)
+                .map(|s| s.0.lock().expect("shard poisoned"))
                 .collect();
-            for key in orphaned {
-                let handle = shard.lru.push_mru(key);
-                let e = shard.entries.get_mut(&key).expect("just listed");
-                let old = std::mem::replace(&mut e.residence, Residence::SameFilled { pattern: 0 });
-                let Residence::Spilling { data, .. } = old else {
-                    unreachable!("just filtered")
-                };
-                let bytes = data.len();
-                let buf = Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone());
-                e.residence = Residence::Memory { data: buf, handle };
-                self.resident.fetch_add(bytes, Ordering::Relaxed);
-                self.warm_resident.fetch_add(bytes, Ordering::Relaxed);
-                let idx = self.shard_index(key);
-                self.tel.count(idx, tstat::SPILL_FALLBACK_RESIDENT, 1);
+            for shard in &mut shards {
+                let orphaned: Vec<u64> = shard
+                    .entries
+                    .iter()
+                    .filter(|(_, e)| matches!(e.residence, Residence::Spilling { .. }))
+                    .map(|(&k, _)| k)
+                    .collect();
+                for key in orphaned {
+                    self.revert_to_memory(shard, key);
+                }
             }
+            self.spill_inflight.store(0, Ordering::Relaxed);
+            self.spill_orphaned.store(0, Ordering::Relaxed);
         }
+        self.shed_to_budget();
+        self.shedding.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
+/// How far one attempt to free budget got ([`StoreCore::make_room`],
+/// [`StoreCore::evict_one`]).
 enum Progress {
     Evicted,
     NoVictim,
+    /// Shards held by other putters could not be inspected.
     Blocked,
+    /// A victim of this many payload bytes exists, but the spill writer
+    /// already holds [`StoreConfig::memory_budget`] bytes in flight.
+    WriterFull(usize),
 }
 
 /// What [`StoreCore::demote_hot_locked`] did with its victim.
@@ -3301,6 +3517,9 @@ enum DemoteOutcome {
     Spilled,
     /// Nothing freed and nowhere to spill; cycled to the hot MRU end.
     Kept,
+    /// The sealed form (this many bytes) must spill and does not fit in
+    /// flight; the entry is untouched.
+    WriterFull(usize),
 }
 
 /// Per-LRU-list cap on entries each demoter pass inspects per shard —
@@ -3318,7 +3537,11 @@ const BATCH_LINGER: Duration = Duration::from_micros(200);
 /// positioned write each, and runs spill-file compaction between
 /// batches. It is the sole allocator of file space (`cursor`), which is
 /// what makes both contiguous batch packing and post-GC cursor reset
-/// race-free. It also owns the degraded-mode state machine: consecutive
+/// race-free, and the only publisher of its own results: after a batch
+/// is durable it flips each member `Spilling` → `Spilled` under the
+/// member's shard lock ([`SpillWriter::publish`]), so no foreground call
+/// has anything to fold in and a page's memory is returned when its
+/// write lands. It also owns the degraded-mode state machine: consecutive
 /// hard batch failures flip the store degraded; while degraded it fails
 /// queued jobs immediately (no medium traffic) and probes the medium
 /// with a canary round-trip every [`StoreConfig::probe_interval`],
@@ -3335,7 +3558,7 @@ struct SpillWriter {
 }
 
 /// A job staged into the current batch: its place in the batch buffer
-/// plus the identity its completion must carry. `len` is the full
+/// plus the identity it is published under. `len` is the full
 /// extent length (header + payload) as it will live on the file.
 struct StagedJob {
     key: u64,
@@ -3455,16 +3678,74 @@ impl SpillWriter {
         });
     }
 
-    /// Publish an immediate `SPILL_FAILED` completion for a job received
-    /// while degraded.
+    /// Fail a job received while degraded, the way a failed batch fails
+    /// its members: the page goes back to memory residence.
     fn fail_job(&self, job: SpillJob) {
-        let mut done = self.core.done.lock().expect("done list poisoned");
-        done.push(Completion {
-            key: job.key,
-            gen: job.gen,
-            offset: SPILL_FAILED,
-            len: (job.data.len() + EXTENT_HEADER) as u32,
-        });
+        let SpillJob { key, gen, data, .. } = job;
+        let payload = data.len();
+        // The entry's copy of the payload is the one that goes back.
+        drop(data);
+        self.publish_failed(std::iter::once((key, gen, payload)));
+        self.core.notify_writer_progress();
+    }
+
+    /// Publish one job's outcome under its key's shard lock — the only
+    /// way an entry leaves `Spilling` while the writer lives — and take
+    /// its `payload` bytes out of flight in the same hold. `landed` is
+    /// the extent's `(offset, len)` on the file, `None` if its write
+    /// failed. An entry still waiting on this generation becomes
+    /// `Spilled` (its payload freed here and now) or reverts to memory;
+    /// a missing key or a stale generation means the entry was removed
+    /// or replaced while the job was queued, and whatever was written
+    /// for it is dead bytes. Returns whether a revert took `resident`
+    /// past the budget.
+    fn publish(&self, key: u64, gen: u64, payload: usize, landed: Option<(u64, u32)>) -> bool {
+        let core = &self.core;
+        let mut shard = core.shard(key);
+        // The payload is freed after the lock is released.
+        let (mut freed, mut over_budget) = (None, false);
+        let waiting = match shard.entries.get_mut(&key) {
+            Some(e) if matches!(e.residence, Residence::Spilling { gen: g, .. } if g == gen) => {
+                if let Some((offset, len)) = landed {
+                    freed = Some(std::mem::replace(
+                        &mut e.residence,
+                        Residence::Spilled { offset, len, gen },
+                    ));
+                }
+                true
+            }
+            _ => false,
+        };
+        if !waiting {
+            core.spill_orphaned.fetch_sub(payload, Ordering::Relaxed);
+            if let Some((_, len)) = landed {
+                core.spill_dead_bytes
+                    .fetch_add(len as u64, Ordering::Relaxed);
+            }
+        } else if landed.is_none() {
+            over_budget = core.revert_to_memory(&mut shard, key);
+        }
+        core.spill_inflight.fetch_sub(payload, Ordering::Relaxed);
+        drop(shard);
+        drop(freed);
+        over_budget
+    }
+
+    /// Publish `(key, generation, payload bytes)` jobs whose write did
+    /// not happen, then repair the budget: reverts may overshoot it, and
+    /// `shedding` is raised across the overshoot.
+    fn publish_failed(&self, jobs: impl Iterator<Item = (u64, u64, usize)>) {
+        self.core.shedding.fetch_add(1, Ordering::SeqCst);
+        let mut over_budget = false;
+        for (key, gen, payload) in jobs {
+            over_budget |= self.publish(key, gen, payload, None);
+        }
+        if over_budget {
+            // Shedding only needs shard locks, one at a time; the
+            // overshoot window is this one batch.
+            self.core.shed_to_budget();
+        }
+        self.core.shedding.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// One canary write/read round-trip at the cursor (unallocated
@@ -3501,11 +3782,13 @@ impl SpillWriter {
         false
     }
 
-    /// Write one coalesced batch at the cursor and publish per-entry
-    /// completions. Entries become visible as `Spilled` only after the
-    /// whole batch is on the file. A hard failure (retries exhausted)
-    /// reports `SPILL_FAILED` for every member and advances the
-    /// degraded-mode countdown.
+    /// Write one coalesced batch at the cursor and publish every member
+    /// ([`SpillWriter::publish`]). Entries become visible as `Spilled`
+    /// only after the whole batch is on the file and journaled. A hard
+    /// failure (retries exhausted) reverts every member to memory
+    /// residence — rather than losing data or leaving `flush` waiting on
+    /// bytes that never leave flight — and advances the degraded-mode
+    /// countdown.
     fn commit_batch(&mut self, buf: &[u8], staged: &[StagedJob]) {
         let base = self.cursor;
         // Always timed: this thread is off the data path, and the write
@@ -3565,24 +3848,20 @@ impl SpillWriter {
                 );
             }
         }
-        let mut done = self.core.done.lock().expect("done list poisoned");
-        for j in staged {
-            // A failed batch reports SPILL_FAILED for every member: the
-            // store reverts those entries to memory residence rather than
-            // losing data or hanging `flush` on completions that never
-            // come.
-            let offset = if ok {
-                base + j.rel as u64
-            } else {
-                SPILL_FAILED
-            };
-            done.push(Completion {
-                key: j.key,
-                gen: j.gen,
-                offset,
-                len: j.len as u32,
-            });
+        let payload = |j: &StagedJob| j.len - EXTENT_HEADER;
+        if ok {
+            for j in staged {
+                self.publish(
+                    j.key,
+                    j.gen,
+                    payload(j),
+                    Some((base + j.rel as u64, j.len as u32)),
+                );
+            }
+        } else {
+            self.publish_failed(staged.iter().map(|j| (j.key, j.gen, payload(j))));
         }
+        self.core.notify_writer_progress();
     }
 
     /// Append one journal PUT record per staged job, plus any tombstones
@@ -3614,9 +3893,9 @@ impl SpillWriter {
     }
 
     /// Compact the spill file if enough of it is dead. Runs between
-    /// batches on this thread — the sole producer of completions and the
-    /// sole writer of the file — which is what makes the live-extent
-    /// snapshot complete and the cursor reset safe.
+    /// batches on this thread — the only one that turns an entry into
+    /// `Spilled` and the sole writer of the file — which is what makes
+    /// the live-extent snapshot complete and the cursor reset safe.
     ///
     /// Persistent stores add a crash discipline on top: each move
     /// journals a relocation record *before* the copy that might clobber
@@ -3641,12 +3920,11 @@ impl SpillWriter {
         if (dead as f64) < self.core.cfg.gc_dead_ratio * (self.cursor - floor) as f64 {
             return;
         }
-        // Absorb pending completions first: entries only become `Spilled`
-        // through completions, no new ones can appear while this thread
-        // is sweeping, and absorb holds the done-list lock across its
-        // publishes — so once this call returns, no other absorber is
-        // mid-publish and the snapshot below sees every live extent.
-        self.core.absorb_completed_spills();
+        // The snapshot below sees every live extent: an entry only
+        // becomes `Spilled` in `publish`, on this thread, and every batch
+        // committed so far was published before this call — the thread
+        // that sweeps is the thread that published, and it publishes
+        // nothing while it sweeps.
         // Pause clock + relocation meter: the paper's cleaner cost, the
         // modern system's GC stall. Always timed (writer thread).
         let t0 = Instant::now();
@@ -4448,6 +4726,11 @@ mod tests {
             assert!(snap.gauges.iter().any(|(n, _)| *n == "bytes_on_spill"));
             assert!(snap
                 .gauges
+                .iter()
+                .any(|(n, _)| *n == "spill_inflight_bytes"));
+            assert!(snap.counter("put_backpressure_waits").is_some());
+            assert!(snap
+                .gauges
                 .contains(&("latency_sample_period", LATENCY_SAMPLE_PERIOD)));
 
             // Every foreground histogram has samples, never more than
@@ -4545,6 +4828,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.len(), 8 * 500);
+        store.check_invariants().unwrap();
     }
 
     #[test]
@@ -4577,6 +4861,7 @@ mod tests {
                 h.join().unwrap();
             }
             store.flush().unwrap();
+            store.check_invariants().unwrap();
             let mut out = vec![0u8; 4096];
             for t in 0..4u64 {
                 for i in 0..200u64 {
@@ -4585,6 +4870,7 @@ mod tests {
                     assert_eq!(out, page((key % 251) as u8), "key {key} corrupted");
                 }
             }
+            store.check_invariants().unwrap();
         }
         cleanup(dir, path);
     }

@@ -128,6 +128,7 @@ proptest! {
                 prop_assert_eq!(store.get(key, &mut out).unwrap(), false);
                 prop_assert!(!store.contains(key));
             }
+            prop_assert_eq!(store.check_invariants(), Ok(()));
             store.shutdown();
         }
         let _ = std::fs::remove_file(&path);
@@ -231,6 +232,7 @@ proptest! {
                 "exactly the flipped extent must fail: {:?}", corrupt_keys
             );
             prop_assert_eq!(store.stats().corrupt_detected, 1);
+            prop_assert_eq!(store.check_invariants(), Ok(()));
             store.shutdown();
         }
         let _ = std::fs::remove_file(&path);
@@ -369,6 +371,7 @@ fn chaos_stress_survives_faulty_medium() {
         "budget violated after settling: {} > {BUDGET} ({s:?})",
         s.resident_bytes
     );
+    assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
     let _ = std::fs::remove_file(&path);
 }
@@ -454,6 +457,7 @@ fn write_outage_degrades_then_probes_recover() {
         }
     }
     assert!(after.resident_bytes <= BUDGET as u64, "{after:?}");
+    assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
     let _ = std::fs::remove_file(&path);
 }
@@ -539,6 +543,7 @@ fn writer_panic_degrades_and_flush_never_hangs() {
         store.flush(),
         Err(StoreError::ShuttingDown) | Ok(())
     ));
+    assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
 }
 
@@ -614,6 +619,7 @@ fn spill_failed_fallback_restores_budget_without_degrading() {
         "{missing} keys missing but only {} shed",
         s.shed_pages
     );
+    assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -161,6 +161,7 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
             }
             Op::Barrier => {
                 store.flush().expect("flush");
+                assert_eq!(store.check_invariants(), Ok(()), "at barrier {barrier}");
                 let must_serve = shadow
                     .iter()
                     .filter(|&(&k, _)| store.peek_tier(k) == Some(HitTier::Spill))
@@ -236,6 +237,9 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
         Arc::new(o.journal.share()) as Arc<dyn SpillMedium>,
     )
     .expect("recovery must succeed whenever a superblock slot survives");
+    // The recovered location map is a consistent one: no two extents
+    // overlap, none lies past the recovered cursor.
+    assert_eq!(reopened.check_invariants(), Ok(()), "cut at {}", o.cut_at);
     let stats = reopened.stats();
     let mut out = vec![0u8; PAGE];
 
@@ -309,6 +313,8 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
             model.must_serve.len()
         );
     }
+    reopened.flush().expect("recovered flush");
+    assert_eq!(reopened.check_invariants(), Ok(()), "cut at {}", o.cut_at);
     stats
 }
 

@@ -101,6 +101,12 @@ fn run_ops(store: &CompressedStore, ops: &[Op]) -> Result<(), TestCaseError> {
                 prop_assert_eq!(existed, model.remove(&key).is_some(), "op {}", i);
             }
         }
+        // The script is single-threaded, the spill writer and the demoter
+        // are not: the checker holds every shard lock, so what it sees is
+        // one instant of their work.
+        if let Err(e) = store.check_invariants() {
+            prop_assert!(false, "after op {i} ({op:?}): {e}");
+        }
     }
     // Final verification of every key.
     for (key, expect) in &model {
@@ -109,6 +115,12 @@ fn run_ops(store: &CompressedStore, ops: &[Op]) -> Result<(), TestCaseError> {
         prop_assert_eq!(&out, expect, "final key {} corrupted", key);
     }
     prop_assert_eq!(store.len(), model.len());
+    // Quiescent: nothing in flight, nothing left `Spilling`.
+    store.flush().unwrap();
+    if let Err(e) = store.check_invariants() {
+        prop_assert!(false, "after the final flush: {e}");
+    }
+    prop_assert_eq!(store.stats().spill_inflight_bytes, 0);
     Ok(())
 }
 

@@ -113,6 +113,7 @@ fn stress_in_memory_unbounded() {
     let s = store.stats();
     assert!(s.resident_bytes <= 48 << 20);
     assert_eq!(s.resident_bytes, s.memory_bytes);
+    store.check_invariants().unwrap();
 }
 
 #[test]
@@ -175,6 +176,7 @@ fn stress_spill_under_budget_pressure() {
             "budget exceeded: saw {max_seen} resident with budget {BUDGET}"
         );
         store.flush().unwrap();
+        store.check_invariants().unwrap();
         let s = store.stats();
         assert!(s.resident_bytes <= BUDGET as u64);
         assert!(s.spilled > 0, "pressure test never spilled: {s:?}");
@@ -272,6 +274,7 @@ fn stress_gc_churn_with_same_filled() {
             "budget exceeded during GC churn: saw {max_seen} with budget {BUDGET}"
         );
         store.flush().unwrap();
+        store.check_invariants().unwrap();
         let s = store.stats();
         assert!(s.spilled > 0, "GC stress never spilled: {s:?}");
         assert!(s.gc_runs > 0, "GC never ran under replace churn: {s:?}");
@@ -402,6 +405,7 @@ fn stress_tiering_with_background_demoter() {
             "budget exceeded under demoter churn: saw {max_seen} with budget {BUDGET}"
         );
         store.flush().unwrap();
+        store.check_invariants().unwrap();
         let s = store.stats();
         // Every tier mechanism must actually have fired under this load.
         assert!(s.puts_hot > 0, "no hot placements: {s:?}");

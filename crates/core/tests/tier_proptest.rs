@@ -128,6 +128,10 @@ fn run_ops(store: &CompressedStore, ops: &[Op]) -> Result<(), TestCaseError> {
     let s = store.stats();
     prop_assert_eq!(s.hot_bytes + s.warm_bytes, s.resident_bytes, "{:?}", s);
     prop_assert!(s.resident_bytes <= 8 * PAGE as u64, "over budget: {s:?}");
+    store.flush().unwrap();
+    if let Err(e) = store.check_invariants() {
+        prop_assert!(false, "after the final flush: {e}");
+    }
     Ok(())
 }
 

@@ -738,6 +738,19 @@ fn stats_is_scrapeable_prometheus() {
             "missing recovery series {series}: {text}"
         );
     }
+    // So is the memory the budget counter does not count: what is in
+    // flight to the spill writer (a gauge: no `_total`), the puts that
+    // waited on its bound, and the invariant checker's verdicts.
+    for series in [
+        "cc_store_spill_inflight_bytes ",
+        "cc_store_put_backpressure_waits_total ",
+        "cc_store_invariant_violations_total 0",
+    ] {
+        assert!(
+            text.lines().any(|l| l.starts_with(series)),
+            "missing series {series}: {text}"
+        );
+    }
     for line in text
         .lines()
         .filter(|l| !l.starts_with('#') && !l.is_empty())
