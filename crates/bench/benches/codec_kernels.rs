@@ -3,7 +3,9 @@
 //! The inner loop for work on `cc-compress`'s hot paths: `probe_bdi`, BDI
 //! encode/decode, LZRW1 encode (unbounded, and bounded at the 4:3 admit
 //! bound the store passes), LZRW1 decode, and each decoder through its
-//! `Vec` API against its slice form. The classes are ccbench's
+//! `Vec` API against its slice form, and `crc32` — the checksum that
+//! guards every spilled extent — in ns per extent at three extent sizes
+//! (a BDI block, the mean spilled extent, a raw page). The classes are ccbench's
 //! (`benchmark/src/pages.rs`, re-created here because that package stands
 //! alone): near-zero, 16-bit counters, base+delta, text, noise. Every
 //! measurement cycles through 64 different pages of its class — one page
@@ -13,7 +15,7 @@
 //! It gates nothing; end-to-end claims are made with ccbench.
 
 use cc_compress::{probe_bdi, Bdi, Compressor, Lzrw1, ThresholdPolicy};
-use cc_util::SplitMix64;
+use cc_util::{crc32, SplitMix64};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -137,6 +139,17 @@ fn bench_kernels(c: &mut Criterion) {
         });
         rotate(&mut group, "lzrw1_decode_slice", class, &lz_blocks, |b| {
             Lzrw1::decode_into(b, &mut plain).expect("own block");
+        });
+    }
+    // A table-driven CRC costs the same on any bytes; noise keeps the
+    // sixteen tables' lines all in play. Starts rotate over the 16
+    // alignments a payload can have inside a batch buffer.
+    let noise: Vec<u8> = pages("noise").concat();
+    let starts: Vec<usize> = (0..VARIANTS).map(|i| i * PAGE / 2 + i % 16).collect();
+    for extent in [600usize, 1500, 4097] {
+        group.throughput(Throughput::Bytes(extent as u64));
+        rotate(&mut group, "crc32", &extent.to_string(), &starts, |&at| {
+            black_box(crc32(&noise[at..at + extent]));
         });
     }
     group.finish();

@@ -53,7 +53,10 @@
 //! trial's put-only phase (8 × budget of fresh keys, no reads) sees
 //! more than the budget in flight to the writer, sees it fail to drain
 //! within a second without a flush, or grows `VmRSS` by more than 3 ×
-//! budget, the latency
+//! budget, the same trial under the default tier policy counts more
+//! than one demoter pass per 16 puts (a put must not wake the demoter),
+//! `crc32` takes more than 2 µs per 1 500-byte extent in a release
+//! build, the latency
 //! histograms fail basic sanity (empty, or p50/p99/max out of order),
 //! telemetry costs more than 5% of throughput, adaptive codec selection
 //! is slower at put p50 than the lzrw1-only baseline on the pattern mix
@@ -77,7 +80,7 @@ use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, SpillMe
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::tier::{CompressAll, PaperThreshold, RecencyCompressibility, TierPolicy};
 use cc_telemetry::Snapshot;
-use cc_util::SplitMix64;
+use cc_util::{crc32, SplitMix64};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -306,6 +309,12 @@ fn run_trial(
 struct SpillTrial {
     threads: usize,
     ops_per_sec: f64,
+    /// Puts the timed workers issued, and the demoter passes the store
+    /// counted from open to the end of the put-only phase: `--smoke`'s
+    /// "a put never wakes the demoter" gate, run under the default tier
+    /// policy (under the pinned flat one the demoter has no work).
+    puts: u64,
+    demoter_passes: u64,
     put_p50_ns: u64,
     put_p99_ns: u64,
     get_memory_p50_ns: u64,
@@ -397,10 +406,15 @@ fn run_put_only_phase(store: &CompressedStore) -> PutOnlyPhase {
     }
 }
 
-fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> SpillTrial {
+fn run_spill_trial(
+    threads: usize,
+    ops_per_thread: u64,
+    zipf: &Arc<Zipf>,
+    policy: Arc<dyn TierPolicy>,
+) -> SpillTrial {
     let path = std::env::temp_dir().join(format!("storebench-spill-{}.bin", std::process::id()));
     let store = Arc::new(CompressedStore::new(
-        StoreConfig::with_spill(SPILL_BUDGET, &path).with_tier_policy(flat_tiering()),
+        StoreConfig::with_spill(SPILL_BUDGET, &path).with_tier_policy(policy),
     ));
     let mut page = vec![0u8; PAGE];
     for key in 0..KEYS {
@@ -495,6 +509,8 @@ fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> Spi
     SpillTrial {
         threads,
         ops_per_sec: ops as f64 / elapsed,
+        puts: put_ns.len() as u64,
+        demoter_passes: s.demoter_passes,
         put_p50_ns: pct(&put_ns, 0.50),
         put_p99_ns: pct(&put_ns, 0.99),
         get_memory_p50_ns: pct(&mem_ns, 0.50),
@@ -1414,12 +1430,37 @@ fn chaos_page(key: u64, version: u64, buf: &mut [u8]) {
 
 /// Reduced-ops CI gate: exercise the spill pipeline, same-filled path,
 /// and telemetry plane for real, and fail loudly if an invariant breaks.
+/// Extent size for the checksum probe: the mean spilled extent.
+const CRC_EXTENT: usize = 1500;
+
+/// Fastest of 32 timed batches of 256 `crc32` calls over a
+/// [`CRC_EXTENT`]-byte buffer, in nanoseconds per call.
+fn crc32_ns_per_extent() -> f64 {
+    let mut rng = SplitMix64::new(0xC4C3);
+    let buf: Vec<u8> = (0..CRC_EXTENT).map(|_| rng.next_u64() as u8).collect();
+    (0..32)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..256 {
+                std::hint::black_box(crc32(std::hint::black_box(&buf)));
+            }
+            t0.elapsed().as_nanos() as f64 / 256.0
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn run_smoke() -> i32 {
     let zipf = Arc::new(Zipf::new(KEYS, ZIPF_S));
     eprintln!(
-        "storebench --smoke: spill pipeline + same-filled + telemetry + codec-sweep + tier-sweep gate"
+        "storebench --smoke: spill pipeline + demoter wake + crc32 + same-filled + telemetry + codec-sweep + tier-sweep gate"
     );
-    let spill = run_spill_trial(SPILL_THREADS, 10_000, &zipf);
+    let spill = run_spill_trial(SPILL_THREADS, 10_000, &zipf, flat_tiering());
+    let tiered = run_spill_trial(
+        SPILL_THREADS,
+        10_000,
+        &zipf,
+        cc_core::tier::default_policy(),
+    );
     let same = run_same_filled_trial(20_000);
     let ovh = run_overhead_probe(60_000, &zipf);
     let sweep = run_codec_sweep(20_000, &zipf, 10_000);
@@ -1433,6 +1474,10 @@ fn run_smoke() -> i32 {
         spill.gc_runs,
         spill.file_bytes_on_disk,
         spill.max_resident_seen,
+    );
+    eprintln!(
+        "  spill, default tier policy: {:.0} ops/s, {} demoter passes over {} puts",
+        tiered.ops_per_sec, tiered.demoter_passes, tiered.puts,
     );
     eprintln!(
         "  put-only phase ({PUT_ONLY_BUDGETS} x budget of fresh keys, no reads): max in flight {} B, drained {}, VmRSS +{} B",
@@ -1483,6 +1528,24 @@ fn run_smoke() -> i32 {
             po.rss_growth
         ));
     }
+    // A put never wakes the demoter: it sleeps its interval and drains
+    // per wake. One kick per eviction reads about one pass per five puts
+    // here; the interval alone, about one per two hundred.
+    if tiered.demoter_passes > tiered.puts / 16 {
+        failures.push(format!(
+            "spill trial, default tier policy: {} demoter passes for {} puts (limit 1 per 16): something wakes the demoter per put",
+            tiered.demoter_passes, tiered.puts
+        ));
+    }
+    // The checksum guards every spilled extent in both directions; the
+    // byte-at-a-time kernel read ~4 400 ns here, the 16-byte stride ~800.
+    let crc_ns = crc32_ns_per_extent();
+    eprintln!("  crc32: {crc_ns:.0} ns per {CRC_EXTENT}-byte extent");
+    if !cfg!(debug_assertions) && crc_ns > 2_000.0 {
+        failures.push(format!(
+            "crc32 takes {crc_ns:.0} ns per {CRC_EXTENT}-byte extent (limit 2000 ns in release)"
+        ));
+    }
     if spill.spilled == 0 {
         failures.push("spill pipeline unexercised: nothing spilled".into());
     }
@@ -1501,6 +1564,7 @@ fn run_smoke() -> i32 {
         "get_spill",
         "spill_write",
         "spill_read",
+        "spill_verify",
     ] {
         if let Some(f) = smoke::check_hist(&spill.telemetry, op) {
             failures.push(f);
@@ -1696,7 +1760,7 @@ fn main() {
             .unwrap_or(1.0);
     eprintln!("  sharded 8-thread / 1-thread scaling: {scaling:.2}x (upper bound: min(8, {host_cpus} host cpus))");
 
-    let spill = run_spill_trial(SPILL_THREADS, ops_per_thread / 4, &zipf);
+    let spill = run_spill_trial(SPILL_THREADS, ops_per_thread / 4, &zipf, flat_tiering());
     eprintln!(
         "  [spill]    threads={:<2} {:>12.0} ops/s  put p50={} ns  get(mem) p50={} ns  get(disk) p50={} ns",
         spill.threads,

@@ -332,11 +332,27 @@ impl CodecSet {
                 fell_back,
             },
             None => Selection {
-                codec: CodecId::Raw,
-                len: store_raw(page, dst),
-                admitted: false,
                 fell_back,
+                ..Self::seal_rejected(page, dst)
             },
+        }
+    }
+
+    /// Seal `page` as the stored block a threshold reject leaves in `dst`
+    /// — the reject arm of [`CodecSet::compress_with_hint`] and nothing
+    /// else: no probe, no codec pass.
+    ///
+    /// For a caller that remembers, per entry, that the threshold already
+    /// rejected these exact bytes under the same policy and threshold:
+    /// the verdict is a pure function of the three, so the selection
+    /// equals what `compress_with_hint` would return (with `fell_back`
+    /// unset — which codecs ran to reach the verdict is not remembered).
+    pub fn seal_rejected(page: &[u8], dst: &mut Vec<u8>) -> Selection {
+        Selection {
+            codec: CodecId::Raw,
+            len: store_raw(page, dst),
+            admitted: false,
+            fell_back: false,
         }
     }
 
@@ -509,6 +525,23 @@ mod tests {
         set.decompress(sel.codec, &dst, &mut out, page.len())
             .unwrap();
         assert_eq!(out, page);
+    }
+
+    #[test]
+    fn seal_rejected_is_the_reject_arm_under_every_policy() {
+        let mut set = CodecSet::new();
+        let t = ThresholdPolicy::default();
+        let page = noise_page(4096, 29);
+        for policy in CodecPolicy::all() {
+            let mut full = Vec::new();
+            let sel = set.compress_with_policy(policy, t, &page, &mut full);
+            assert!(!sel.admitted, "noise admitted under {}", policy.name());
+            // A reused, longer buffer: the stored block replaces it.
+            let mut short = vec![0xEEu8; 6000];
+            assert_eq!(CodecSet::seal_rejected(&page, &mut short), sel);
+            assert_eq!(short, full);
+            assert_eq!((sel.codec, sel.len), (CodecId::Raw, page.len() + 1));
+        }
     }
 
     #[test]

@@ -658,7 +658,7 @@ pub(crate) fn recover(
             ext_buf.clear();
             ext_buf.resize(entry.len as usize, 0);
             let ok = data.read_at(&mut ext_buf, entry.offset).is_ok()
-                && verify_extent(&ext_buf, entry.gen, entry.codec);
+                && verify_extent(&ext_buf, entry.gen, entry.codec).is_some();
             if !ok {
                 // Fall back to the pre-relocation copy: same generation,
                 // same bytes, still in place if the move was torn.
@@ -666,7 +666,7 @@ pub(crate) fn recover(
                     ext_buf.clear();
                     ext_buf.resize(entry.len as usize, 0);
                     data.read_at(&mut ext_buf, off).is_ok()
-                        && verify_extent(&ext_buf, entry.gen, entry.codec)
+                        && verify_extent(&ext_buf, entry.gen, entry.codec).is_some()
                 });
                 match (fallback, prev_offset) {
                     (true, Some(off)) => entry.offset = off,
@@ -708,6 +708,7 @@ pub(crate) fn recover(
 mod tests {
     use super::*;
     use crate::medium::MemMedium;
+    use crate::store::tests::unhex;
 
     fn sb(seq: u64, clean: bool) -> Superblock {
         Superblock {
@@ -769,6 +770,40 @@ mod tests {
         }
         // A zero-filled region is not a record.
         assert_eq!(decode_record(&[0u8; JOURNAL_RECORD]), None);
+    }
+
+    /// A superblock slot and a journal PUT record as the build before the
+    /// 16-byte-stride CRC kernel wrote them (`sb(7, true)`; the record of
+    /// `records_roundtrip_and_any_bit_flip_rejects` at epoch 42): both
+    /// must still decode, and encoding must reproduce them byte for byte.
+    #[test]
+    fn golden_superblock_and_record_from_the_bytewise_crc_build() {
+        let mut slot = unhex(
+            "01005bcc010000000700000000000000001000003258815001000000030000006000000000000000\
+             0004000000000000e001000000000000",
+        );
+        slot.resize(SB_CRC_OFFSET, 0);
+        slot.extend_from_slice(&unhex("abd80a09"));
+        assert_eq!(decode_superblock(&slot), Some(sb(7, true)));
+        assert_eq!(encode_superblock(&sb(7, true))[..], slot[..]);
+
+        let golden = unhex(
+            "010000002a0000002823000000000000efbeadde0000000000100000000000002c03000000100000\
+             0100000006492d97",
+        );
+        let rec = JournalRecord {
+            kind: jkind::PUT,
+            lsn: 9000,
+            key: 0xDEAD_BEEF,
+            offset: 4096,
+            len: 812,
+            orig_len: 4096,
+            codec: 1,
+        };
+        assert_eq!(decode_record(&golden), Some((rec, 42)));
+        let mut buf = Vec::new();
+        encode_record(&rec, 42, &mut buf);
+        assert_eq!(buf, golden);
     }
 
     fn put_rec(key: u64, lsn: u64, offset: u64) -> JournalRecord {

@@ -138,7 +138,7 @@ use crate::persist::{
 use crate::tier::{PlacementQuery, TierDecision, TierPolicy};
 use cc_compress::{
     decode_into, expand_same_filled, probe_bdi, same_filled_pattern, CodecId, CodecPolicy,
-    CodecSet, ThresholdPolicy,
+    CodecSet, Selection, ThresholdPolicy,
 };
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx, Tracer};
 use cc_telemetry::{Telemetry, TelemetrySpec};
@@ -259,6 +259,9 @@ mod top {
     pub const PROMOTE: usize = 12;
     pub const DEMOTE_PAUSE: usize = 13;
     pub const RECOVERY: usize = 14;
+    /// The header check and CRC pass over an extent [`SPILL_READ`]
+    /// brought back, a sub-step of the same sampled get.
+    pub const SPILL_VERIFY: usize = 15;
     /// Off the data path (spill writer, GC, demoter, open): every call
     /// is timed.
     pub const BACKGROUND: &[usize] = &[SPILL_WRITE, GC_PAUSE, DEMOTE_PAUSE, RECOVERY];
@@ -278,6 +281,7 @@ mod top {
         "promote",
         "demote_pause",
         "recovery_duration",
+        "spill_verify",
     ];
 }
 
@@ -822,10 +826,16 @@ struct Entry {
     /// cross-checked after a read. Hot entries record [`CodecId::Raw`]
     /// (nothing is sealed while hot).
     codec: u8,
-    /// The put path's sampled BDI-probe verdict for these exact page
-    /// bytes: 0 = not probed (non-adaptive policy), 1 = predicted BDI,
-    /// 2 = predicted not-BDI. Demotion hands this back to the codec
-    /// layer so aging a hot page never re-probes it.
+    /// What the put path learned about these exact page bytes: 0 = not
+    /// probed (non-adaptive policy, a kept-hot re-put, a recovered
+    /// entry), 1 = the sampled probe predicted BDI, 2 = it predicted
+    /// not-BDI, [`PROBE_REJECTED`] = the codecs ran and the threshold
+    /// rejected their output. Demotion hands 1 and 2 back to the codec
+    /// layer so aging a hot page never re-probes it, and seals a
+    /// rejected page as the stored block it already was — no second
+    /// compression of a page that is hot *because* the first one failed.
+    /// The code cannot go stale: a hot entry's bytes change only through
+    /// the kept-hot re-put, which resets it to 0.
     probe: u8,
     /// Gets served since the last put of this key (saturating). The
     /// promotion signal: re-access frequency within the recency window.
@@ -851,6 +861,10 @@ fn probe_code(hint: Option<bool>) -> u8 {
         Some(false) => 2,
     }
 }
+
+/// [`Entry::probe`] code of a page whose compressed form the threshold
+/// rejected (`!Selection::admitted`) on the put that stored these bytes.
+const PROBE_REJECTED: u8 = 3;
 
 /// Decode [`probe_code`] back into the codec layer's hint form.
 fn probe_hint(code: u8) -> Option<bool> {
@@ -1001,33 +1015,52 @@ pub(crate) fn encode_extent(buf: &mut Vec<u8>, gen: u64, codec: u8, payload: &[u
 }
 
 /// Check `ext` (a full extent as read back) against the generation and
-/// codec id the entry map says live there. Any mismatch — magic/version,
-/// length, generation, codec, or CRC over header + payload — means the
-/// bytes must not be decompressed. The codec is checked twice over: the
-/// header byte must equal the entry's recorded id, *and* the CRC covers
-/// that byte, so neither a flipped header nor a stale entry can route
-/// the payload to the wrong decoder.
-pub(crate) fn verify_extent(ext: &[u8], gen: u64, codec: u8) -> bool {
-    if ext.len() < EXTENT_HEADER {
-        return false;
+/// codec id the entry map says live there, and hand back its payload.
+/// Any mismatch — magic/version, length, generation, codec, or CRC over
+/// header + payload — is `None`: the bytes must not be decompressed. The
+/// header fields are compared first, so a misdirected or stale read
+/// costs no checksum pass. The codec is checked twice over: the header
+/// byte must equal the entry's recorded id, *and* the CRC covers that
+/// byte, so neither a flipped header nor a stale entry can route the
+/// payload to the wrong decoder.
+pub(crate) fn verify_extent(ext: &[u8], gen: u64, codec: u8) -> Option<&[u8]> {
+    let (header, payload) = ext.split_at_checked(EXTENT_HEADER)?;
+    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice"));
+    let plen = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice")) as usize;
+    let hgen = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
+    let hcodec = header[16];
+    if magic != EXTENT_MAGIC || hgen != gen || hcodec != codec || plen != payload.len() {
+        return None;
     }
-    let magic = u32::from_le_bytes(ext[0..4].try_into().expect("4-byte slice"));
-    let plen = u32::from_le_bytes(ext[4..8].try_into().expect("4-byte slice")) as usize;
-    let hgen = u64::from_le_bytes(ext[8..16].try_into().expect("8-byte slice"));
-    let hcodec = ext[16];
     let crc = u32::from_le_bytes(
-        ext[EXTENT_CRC_OFFSET..EXTENT_HEADER]
+        header[EXTENT_CRC_OFFSET..]
             .try_into()
             .expect("4-byte slice"),
     );
     let mut h = Crc32::new();
-    h.update(&ext[..EXTENT_CRC_OFFSET]);
-    h.update(&ext[EXTENT_HEADER..]);
-    magic == EXTENT_MAGIC
-        && hgen == gen
-        && hcodec == codec
-        && plen == ext.len() - EXTENT_HEADER
-        && crc == h.finish()
+    h.update(&header[..EXTENT_CRC_OFFSET]);
+    h.update(payload);
+    (crc == h.finish()).then_some(payload)
+}
+
+/// How one attempt at a cold get ended ([`StoreCore::read_cold`]).
+enum ColdRead {
+    /// The page is in the caller's buffer.
+    Served,
+    /// The entry stopped naming the extent while it was being read.
+    Moved,
+    /// The medium failed the read ([`StoreError::Io`]), or the extent
+    /// came back and failed verification ([`StoreError::Corrupt`]).
+    Failed(StoreError),
+}
+
+/// Whether `key`'s entry is spilled at exactly `at` = `(offset, len,
+/// generation)`.
+fn names_extent(shard: &Shard, key: u64, at: (u64, u32, u64)) -> bool {
+    matches!(
+        shard.entries.get(&key).map(|e| &e.residence),
+        Some(&Residence::Spilled { offset, len, gen }) if (offset, len, gen) == at
+    )
 }
 
 /// Backoff before retry `attempt` (1-based): `base << (attempt - 1)`,
@@ -1050,6 +1083,16 @@ struct Scratch {
     /// thread, while the put's own sealed bytes are still parked in
     /// `comp` waiting for budget.
     demote: Vec<u8>,
+}
+
+/// The first `len` bytes of a staging buffer that only ever grows: the
+/// zero fill is paid once, when a longer extent than any before is
+/// staged, not on every read that is about to overwrite the bytes.
+fn stage_slot(stage: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if stage.len() < len {
+        stage.resize(len, 0);
+    }
+    &mut stage[..len]
 }
 
 thread_local! {
@@ -1085,8 +1128,9 @@ struct StoreCore {
     touch_clock: AtomicU64,
     /// Demoter shutdown flag, under the condvar's mutex.
     demote_stop: Mutex<bool>,
-    /// Wakes the demoter early (budget-pressure evictions) or for
-    /// shutdown; it otherwise sleeps `cfg.demote_interval` per pass.
+    /// Wakes the demoter for shutdown, and for nothing else: it sleeps
+    /// `cfg.demote_interval` between wakes and drains its backlog per
+    /// wake, so no put ever makes a syscall on its behalf.
     demote_cv: Condvar,
     /// Fixed at first put; 0 = not yet fixed.
     page_size: AtomicUsize,
@@ -2274,7 +2318,11 @@ impl StoreCore {
                 } else {
                     sel.codec.as_u8()
                 },
-                probe: probe_code(hint),
+                probe: if sel.admitted {
+                    probe_code(hint)
+                } else {
+                    PROBE_REJECTED
+                },
                 gets: 0,
                 last_touch: now,
                 journaled,
@@ -2372,13 +2420,13 @@ impl StoreCore {
                     let handle = *handle;
                     let sealed_len = data.len();
                     SCRATCH.with(|c| {
-                        let s = &mut *c.borrow_mut();
-                        s.stage.clear();
-                        s.stage.extend_from_slice(data);
+                        stage_slot(&mut c.borrow_mut().stage, sealed_len).copy_from_slice(data)
                     });
                     shard.lru.touch(handle);
                     drop(shard);
-                    self.decompress_staged(codec, out, timed);
+                    SCRATCH.with(|c| {
+                        self.decompress_into(codec, &c.borrow().stage[..sealed_len], out, timed)
+                    });
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
                     self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
                     let q = PlacementQuery {
@@ -2409,105 +2457,36 @@ impl StoreCore {
                     tout.tier = strier::SPILL;
                     let (offset, len, gen) = (*offset, *len, *gen);
                     drop(shard);
-                    let rt0 = Self::step_start(timed, ctx);
-                    let io = self.read_spill(offset, len);
-                    self.step_end(top::SPILL_READ, timed, rt0);
-                    // Validate after the read: if the entry still names
-                    // this exact extent, GC cannot have clobbered it (it
-                    // republishes an extent, under this shard's lock,
-                    // before any byte of its old home is overwritten).
-                    let shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-                    let valid = matches!(
-                        shard.entries.get(&key).map(|e| &e.residence),
-                        Some(Residence::Spilled {
-                            offset: o,
-                            len: l,
-                            gen: g
-                        }) if *o == offset && *l == len && *g == gen
-                    );
-                    drop(shard);
-                    if !valid {
-                        continue;
-                    }
-                    // Transient I/O failure: bounded retry with backoff.
-                    if let Err(e) = io {
-                        self.child_span(
-                            ctx,
-                            rt0,
-                            sop::SPILL_READ,
-                            strier::SPILL,
-                            codec,
-                            1,
-                            offset,
-                            shard_idx,
-                        );
+                    let at = (offset, len, gen);
+                    let failed = match self.read_cold(key, at, codec, out, ctx, timed) {
+                        ColdRead::Served => None,
+                        // The entry no longer names this extent (replaced,
+                        // or relocated by GC mid-read): look again.
+                        ColdRead::Moved => continue,
+                        ColdRead::Failed(e) => Some(e),
+                    };
+                    // Transient I/O failure or corrupt extent: bounded
+                    // retry with backoff.
+                    if let Some(e) = failed {
                         io_attempts += 1;
                         if io_attempts >= self.cfg.spill_retry_attempts.max(1) {
+                            if matches!(e, StoreError::Corrupt) {
+                                // Persistent corruption: drop the entry (if
+                                // it still names this extent) so later gets
+                                // miss and can refill, instead of serving
+                                // the same garbage forever.
+                                let mut shard =
+                                    self.shards[shard_idx].0.lock().expect("shard poisoned");
+                                if names_extent(&shard, key, at) {
+                                    self.remove_locked(&mut shard, key);
+                                }
+                            }
                             return Err(e);
                         }
                         self.tel.count(shard_idx, tstat::IO_RETRIES, 1);
                         std::thread::sleep(backoff(self.cfg.spill_retry_base, io_attempts));
                         continue;
                     }
-                    // Verify AFTER revalidation: a torn read caused by a
-                    // legitimate GC relocation took the `continue` above
-                    // and never reaches here, so a failure now is real
-                    // corruption — count it, never decompress it.
-                    if !self.verify_staged(gen, codec) {
-                        self.tel.count(shard_idx, tstat::CORRUPT_DETECTED, 1);
-                        if self.tel.timing_enabled() {
-                            self.tel.event(tevent::CORRUPT, key, offset);
-                        }
-                        self.child_span(
-                            ctx,
-                            rt0,
-                            sop::SPILL_READ,
-                            strier::SPILL,
-                            codec,
-                            2,
-                            offset,
-                            shard_idx,
-                        );
-                        if let Some(tr) = self.cfg.tracer.as_deref() {
-                            tr.anomaly(AnomalyKind::Corrupt, ctx.trace_id, key, offset);
-                        }
-                        io_attempts += 1;
-                        if io_attempts >= self.cfg.spill_retry_attempts.max(1) {
-                            // Persistent corruption: drop the entry (if
-                            // it still names this extent) so later gets
-                            // miss and can refill, instead of serving
-                            // the same garbage forever.
-                            let mut shard =
-                                self.shards[shard_idx].0.lock().expect("shard poisoned");
-                            let same = matches!(
-                                shard.entries.get(&key).map(|e| &e.residence),
-                                Some(Residence::Spilled {
-                                    offset: o,
-                                    len: l,
-                                    gen: g
-                                }) if *o == offset && *l == len && *g == gen
-                            );
-                            if same {
-                                self.remove_locked(&mut shard, key);
-                            }
-                            return Err(StoreError::Corrupt);
-                        }
-                        self.tel.count(shard_idx, tstat::IO_RETRIES, 1);
-                        std::thread::sleep(backoff(self.cfg.spill_retry_base, io_attempts));
-                        continue;
-                    }
-                    self.child_span(
-                        ctx,
-                        rt0,
-                        sop::SPILL_READ,
-                        strier::SPILL,
-                        codec,
-                        0,
-                        offset,
-                        shard_idx,
-                    );
-                    self.tel.count(shard_idx, tstat::HITS_SPILL, 1);
-                    self.decompress_staged(codec, out, timed);
                     self.tel.record_since(top::GET_SPILL, t0, ctx.trace_id);
                     let q = PlacementQuery {
                         key,
@@ -2585,31 +2564,80 @@ impl StoreCore {
         }
     }
 
-    /// Read `len` bytes at `offset` into this thread's staging buffer.
-    fn read_spill(&self, offset: u64, len: u32) -> Result<(), StoreError> {
+    /// One attempt at serving `key` from the extent `at` = `(offset, len,
+    /// generation)` its entry named a moment ago, in one borrow of this
+    /// thread's staging buffer: read, revalidate, verify, decode into
+    /// `out`. The caller holds no lock and owns the retry policy.
+    fn read_cold(
+        &self,
+        key: u64,
+        at: (u64, u32, u64),
+        codec: u8,
+        out: &mut [u8],
+        ctx: TraceCtx,
+        timed: bool,
+    ) -> ColdRead {
+        let (offset, len, gen) = at;
+        let shard_idx = self.shard_index(key);
+        let spill_read_span = |rt0, status| {
+            self.child_span(
+                ctx,
+                rt0,
+                sop::SPILL_READ,
+                strier::SPILL,
+                codec,
+                status,
+                offset,
+                shard_idx,
+            )
+        };
         SCRATCH.with(|c| {
-            let s = &mut *c.borrow_mut();
-            s.stage.clear();
-            s.stage.resize(len as usize, 0);
-            self.medium
+            let mut scratch = c.borrow_mut();
+            let ext = stage_slot(&mut scratch.stage, len as usize);
+            let rt0 = Self::step_start(timed, ctx);
+            let io = self
+                .medium
                 .as_ref()
                 .expect("spilled entry without spill medium")
-                .read_at(&mut s.stage, offset)?;
-            Ok(())
-        })
-    }
-
-    /// Verify the staged extent against `gen` and the entry's recorded
-    /// `codec`; on success strip the header so only the payload remains
-    /// staged for decompression.
-    fn verify_staged(&self, gen: u64, codec: u8) -> bool {
-        SCRATCH.with(|c| {
-            let s = &mut *c.borrow_mut();
-            if !verify_extent(&s.stage, gen, codec) {
-                return false;
+                .read_at(ext, offset);
+            self.step_end(top::SPILL_READ, timed, rt0);
+            // Validate after the read: if the entry still names this
+            // exact extent, GC cannot have clobbered it (it republishes
+            // an extent, under this shard's lock, before any byte of its
+            // old home is overwritten).
+            if !names_extent(
+                &self.shards[shard_idx].0.lock().expect("shard poisoned"),
+                key,
+                at,
+            ) {
+                return ColdRead::Moved;
             }
-            s.stage.drain(..EXTENT_HEADER);
-            true
+            if let Err(e) = io {
+                spill_read_span(rt0, 1);
+                return ColdRead::Failed(e.into());
+            }
+            // Verify AFTER revalidation: a torn read caused by a
+            // legitimate GC relocation returned `Moved` above and never
+            // reaches here, so a failure now is real corruption — count
+            // it, never decompress it.
+            let vt0 = Self::step_start(timed, ctx);
+            let payload = verify_extent(ext, gen, codec);
+            self.step_end(top::SPILL_VERIFY, timed, vt0);
+            let Some(payload) = payload else {
+                self.tel.count(shard_idx, tstat::CORRUPT_DETECTED, 1);
+                if self.tel.timing_enabled() {
+                    self.tel.event(tevent::CORRUPT, key, offset);
+                }
+                spill_read_span(rt0, 2);
+                if let Some(tr) = self.cfg.tracer.as_deref() {
+                    tr.anomaly(AnomalyKind::Corrupt, ctx.trace_id, key, offset);
+                }
+                return ColdRead::Failed(StoreError::Corrupt);
+            };
+            spill_read_span(rt0, 0);
+            self.tel.count(shard_idx, tstat::HITS_SPILL, 1);
+            self.decompress_into(codec, payload, out, timed);
+            ColdRead::Served
         })
     }
 
@@ -2628,11 +2656,6 @@ impl StoreCore {
             _ => return,
         };
         self.tel.record_since(op, t0, 0);
-    }
-
-    /// [`StoreCore::decompress_into`] from this thread's staging buffer.
-    fn decompress_staged(&self, codec: u8, out: &mut [u8], timed: bool) {
-        SCRATCH.with(|c| self.decompress_into(codec, &c.borrow().stage, out, timed));
     }
 
     /// Persistence hook for every path that removes (or supersedes) an
@@ -2695,10 +2718,6 @@ impl StoreCore {
     /// shard; falls back to try-locking the others so two concurrent
     /// putters can never deadlock.
     fn make_room(&self, local_idx: usize, local: &mut Shard) -> Result<Progress, StoreError> {
-        // Budget pressure reached the foreground path: give the
-        // background demoter an early wakeup so it sweeps aged entries
-        // before the next put has to.
-        self.demote_cv.notify_one();
         match self.evict_one(local) {
             Progress::NoVictim => {}
             progress => return Ok(progress),
@@ -2996,7 +3015,7 @@ impl StoreCore {
         let Some(e) = shard.entries.get(&key) else {
             return DemoteOutcome::Kept;
         };
-        let hint = probe_hint(e.probe);
+        let probe = e.probe;
         let Residence::Hot { data, .. } = &e.residence else {
             return DemoteOutcome::Kept;
         };
@@ -3006,15 +3025,35 @@ impl StoreCore {
         // copy plus revalidation — more overhead than it saves on a
         // background path.
         let sel = SCRATCH.with(|c| {
-            let s = &mut *c.borrow_mut();
-            let Scratch { codecs, demote, .. } = &mut *s;
-            codecs.compress_with_hint(
-                self.cfg.codec_policy,
-                self.cfg.threshold,
-                data,
-                demote,
-                hint,
-            )
+            let Scratch { codecs, demote, .. } = &mut *c.borrow_mut();
+            let mut compress = |hint| {
+                codecs.compress_with_hint(
+                    self.cfg.codec_policy,
+                    self.cfg.threshold,
+                    data,
+                    demote,
+                    hint,
+                )
+            };
+            if probe != PROBE_REJECTED {
+                return compress(probe_hint(probe));
+            }
+            // The put that stored these bytes already ran the codecs and
+            // the threshold rejected them; the verdict is a pure
+            // function of bytes, policy and threshold, none of which
+            // changed. Debug builds re-derive it, so every suite that
+            // demotes a rejected page proves the remembered verdict.
+            let derived = cfg!(debug_assertions).then(|| compress(None));
+            let sealed = CodecSet::seal_rejected(data, demote);
+            if let Some(derived) = derived {
+                // Which codecs ran to reach the verdict is not remembered.
+                let derived = Selection {
+                    fell_back: false,
+                    ..derived
+                };
+                assert_eq!(derived, sealed, "stale reject verdict on key {key}");
+            }
+            sealed
         });
         if sel.len < orig_len {
             // Hot → warm: swap the raw page for its sealed form at the
@@ -3106,6 +3145,17 @@ impl StoreCore {
         }
     }
 
+    /// `list`'s coldest key, if it has idled at least `idle` operations.
+    /// The clock is read under `shard`'s lock: every stamp in the shard
+    /// was drawn before the hold that wrote it, so none is ahead of this
+    /// read and the wrapping age cannot come out as a huge one.
+    fn aged_victim(&self, shard: &Shard, list: &LruList<u64>, idle: u64) -> Option<u64> {
+        let now = self.touch_clock.load(Ordering::Relaxed) as u32;
+        let (_, &victim) = list.peek_lru()?;
+        let age = now.wrapping_sub(shard.entries.get(&victim)?.last_touch) as u64;
+        (age >= idle).then_some(victim)
+    }
+
     /// One bounded demotion sweep across every shard. Hot entries idle
     /// past the policy's `hot_idle` window are compressed down to warm
     /// (or straight to spill if incompressible); warm entries idle past
@@ -3126,23 +3176,17 @@ impl StoreCore {
             return (0, 0);
         }
         let t0 = Instant::now();
-        let now = self.touch_clock.load(Ordering::Relaxed) as u32;
         let (mut hot_n, mut warm_n) = (0u64, 0u64);
+        // One entry per lock hold: the shard lock is re-taken (and the
+        // LRU re-peeked) for every victim, so a foreground op on the
+        // shard waits for at most one seal, never for a batch of them.
         for (shard_idx, slot) in self.shards.iter().enumerate() {
-            let mut shard = slot.0.lock().expect("shard poisoned");
             if do_hot {
                 for _ in 0..DEMOTE_SHARD_BATCH {
-                    let Some((_, &victim)) = shard.lru_hot.peek_lru() else {
+                    let mut shard = slot.0.lock().expect("shard poisoned");
+                    let Some(victim) = self.aged_victim(&shard, &shard.lru_hot, hot_idle) else {
                         break;
                     };
-                    let age = shard
-                        .entries
-                        .get(&victim)
-                        .map(|e| now.wrapping_sub(e.last_touch) as u64)
-                        .unwrap_or(0);
-                    if age < hot_idle {
-                        break;
-                    }
                     let tx = shard.tx.clone();
                     match self.demote_hot_locked(&mut shard, victim, tx.as_ref()) {
                         DemoteOutcome::Warm | DemoteOutcome::Spilled => hot_n += 1,
@@ -3154,15 +3198,8 @@ impl StoreCore {
             }
             if do_warm {
                 for _ in 0..DEMOTE_SHARD_BATCH {
-                    let Some((_, &victim)) = shard.lru.peek_lru() else {
-                        break;
-                    };
-                    let age = shard
-                        .entries
-                        .get(&victim)
-                        .map(|e| now.wrapping_sub(e.last_touch) as u64)
-                        .unwrap_or(0);
-                    if age < warm_idle {
+                    let mut shard = slot.0.lock().expect("shard poisoned");
+                    if self.aged_victim(&shard, &shard.lru, warm_idle).is_none() {
                         break;
                     }
                     // `WriterFull` included: the demoter skips, it
@@ -3204,11 +3241,13 @@ impl StoreCore {
         (hot_n, warm_n)
     }
 
-    /// Body of the `cc-store-demoter` thread: sleep `demote_interval`
-    /// (or until a pressured put kicks the condvar), then run one
-    /// [`Self::demote_pass`]. Exits when `shutdown()`/`Drop` sets
-    /// `demote_stop`.
+    /// Body of the `cc-store-demoter` thread: sleep `demote_interval`,
+    /// then repeat [`Self::demote_pass`] until a pass demotes nothing —
+    /// the aged backlog is drained per wake, and nobody kicks the
+    /// condvar but `shutdown()`/`Drop`, which set `demote_stop` and end
+    /// the loop (between two passes at the latest).
     fn demoter_loop(&self) {
+        let stopped = || *self.demote_stop.lock().expect("demoter stop poisoned");
         loop {
             let guard = self.demote_stop.lock().expect("demoter stop poisoned");
             if *guard {
@@ -3222,7 +3261,11 @@ impl StoreCore {
                 return;
             }
             drop(guard);
-            self.demote_pass();
+            while self.demote_pass() != (0, 0) {
+                if stopped() {
+                    return;
+                }
+            }
         }
     }
 
@@ -3627,12 +3670,12 @@ impl SpillWriter {
             let Ok(first) = rx.recv() else { return };
             buf.clear();
             staged.clear();
-            Self::stage(&mut buf, &mut staged, first);
+            let mut stage_ns = Self::stage(&mut buf, &mut staged, first);
             let deadline = Instant::now() + BATCH_LINGER;
             let mut disconnected = false;
             while buf.len() < target {
                 match rx.try_recv() {
-                    Ok(j) => Self::stage(&mut buf, &mut staged, j),
+                    Ok(j) => stage_ns += Self::stage(&mut buf, &mut staged, j),
                     Err(TryRecvError::Disconnected) => {
                         disconnected = true;
                         break;
@@ -3643,7 +3686,7 @@ impl SpillWriter {
                             break;
                         }
                         match rx.recv_timeout(deadline - now) {
-                            Ok(j) => Self::stage(&mut buf, &mut staged, j),
+                            Ok(j) => stage_ns += Self::stage(&mut buf, &mut staged, j),
                             Err(RecvTimeoutError::Timeout) => break,
                             Err(RecvTimeoutError::Disconnected) => {
                                 disconnected = true;
@@ -3653,7 +3696,7 @@ impl SpillWriter {
                     }
                 }
             }
-            self.commit_batch(&buf, &staged);
+            self.commit_batch(&buf, &staged, stage_ns);
             self.maybe_gc();
             if disconnected {
                 return;
@@ -3663,7 +3706,10 @@ impl SpillWriter {
 
     /// Frame `job` into the batch as a self-verifying extent: header
     /// (with the payload CRC, computed here at commit time) + payload.
-    fn stage(buf: &mut Vec<u8>, staged: &mut Vec<StagedJob>, job: SpillJob) {
+    /// Returns the nanoseconds that took — the checksum is most of it —
+    /// for the batch's `spill_write` sample.
+    fn stage(buf: &mut Vec<u8>, staged: &mut Vec<StagedJob>, job: SpillJob) -> u64 {
+        let t0 = Instant::now();
         let rel = buf.len();
         encode_extent(buf, job.gen, job.codec, &job.data);
         staged.push(StagedJob {
@@ -3676,6 +3722,7 @@ impl SpillWriter {
             ctx: job.ctx,
             queued: job.queued,
         });
+        t0.elapsed().as_nanos() as u64
     }
 
     /// Fail a job received while degraded, the way a failed batch fails
@@ -3789,10 +3836,12 @@ impl SpillWriter {
     /// residence — rather than losing data or leaving `flush` waiting on
     /// bytes that never leave flight — and advances the degraded-mode
     /// countdown.
-    fn commit_batch(&mut self, buf: &[u8], staged: &[StagedJob]) {
+    fn commit_batch(&mut self, buf: &[u8], staged: &[StagedJob], stage_ns: u64) {
         let base = self.cursor;
         // Always timed: this thread is off the data path, and the write
-        // histogram is what the bench gates sanity-check.
+        // histogram is what the bench gates sanity-check. A sample is the
+        // batch's staging (`stage_ns`: framing and checksums, spread over
+        // the linger) plus its write and journal commit.
         let t0 = Instant::now();
         let mut ok = self.write_with_retry(buf, base);
         if ok {
@@ -3811,7 +3860,7 @@ impl SpillWriter {
                 .store(self.cursor, Ordering::Relaxed);
             self.core
                 .tel
-                .record(top::SPILL_WRITE, t0.elapsed().as_nanos() as u64);
+                .record(top::SPILL_WRITE, stage_ns + t0.elapsed().as_nanos() as u64);
             self.core.tel.count(0, tstat::SPILL_BATCHES, 1);
             self.core
                 .tel
@@ -4093,7 +4142,7 @@ impl SpillWriter {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn page(tag: u8) -> Vec<u8> {
@@ -4110,6 +4159,14 @@ mod tests {
         (dir.clone(), dir.join("spill.bin"))
     }
 
+    /// Bytes of a hex string (the golden on-disk records).
+    pub(crate) fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     fn cleanup(dir: std::path::PathBuf, path: std::path::PathBuf) {
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_dir(dir);
@@ -4122,16 +4179,15 @@ mod tests {
         let mut ext = Vec::new();
         encode_extent(&mut ext, 42, codec, &payload);
         assert_eq!(ext.len(), EXTENT_HEADER + payload.len());
-        assert!(verify_extent(&ext, 42, codec));
-        assert_eq!(&ext[EXTENT_HEADER..], &payload[..]);
+        assert_eq!(verify_extent(&ext, 42, codec), Some(&payload[..]));
         // Wrong generation: a stale or misdirected read.
-        assert!(!verify_extent(&ext, 43, codec));
+        assert!(verify_extent(&ext, 43, codec).is_none());
         // Wrong codec: the entry and the extent disagree about how the
         // payload was sealed — never decode.
-        assert!(!verify_extent(&ext, 42, CodecId::Bdi.as_u8()));
+        assert!(verify_extent(&ext, 42, CodecId::Bdi.as_u8()).is_none());
         // Truncated extent (torn write).
-        assert!(!verify_extent(&ext[..ext.len() - 1], 42, codec));
-        assert!(!verify_extent(&ext[..EXTENT_HEADER - 1], 42, codec));
+        assert!(verify_extent(&ext[..ext.len() - 1], 42, codec).is_none());
+        assert!(verify_extent(&ext[..EXTENT_HEADER - 1], 42, codec).is_none());
         // Any single bit flip — header (including the codec byte and its
         // padding) or payload — is caught.
         let mut tampered = ext.clone();
@@ -4139,13 +4195,30 @@ mod tests {
             for bit in 0..8 {
                 tampered[byte] ^= 1 << bit;
                 assert!(
-                    !verify_extent(&tampered, 42, codec),
+                    verify_extent(&tampered, 42, codec).is_none(),
                     "flip at {byte}:{bit} undetected"
                 );
                 tampered[byte] ^= 1 << bit;
             }
         }
         assert_eq!(tampered, ext);
+    }
+
+    /// An extent written by the build before the CRC kernel took 16
+    /// bytes a step (payload `(i * 37 + 11) % 251`, 45 bytes): it must
+    /// still verify, and encoding must reproduce it byte for byte —
+    /// nothing already on a spill file changes meaning.
+    #[test]
+    fn golden_extent_from_the_bytewise_crc_build() {
+        const GOLDEN: &str = "02e05ecc2d000000efcdab8967452301050000002a2ef99b\
+            0b30557a9fc4e913385d82a7ccf11b40658aafd4f923486d92b7dc062b50759abfe40e33587da2c7ec163b6085";
+        let golden = unhex(GOLDEN);
+        let payload: Vec<u8> = (0..45u32).map(|i| ((i * 37 + 11) % 251) as u8).collect();
+        let (gen, codec) = (0x0123_4567_89AB_CDEF, CodecId::Bdi.as_u8());
+        assert_eq!(verify_extent(&golden, gen, codec), Some(&payload[..]));
+        let mut ext = Vec::new();
+        encode_extent(&mut ext, gen, codec, &payload);
+        assert_eq!(ext, golden);
     }
 
     /// Regression (format versioning): a PR 5-era extent — 20-byte header
@@ -4163,7 +4236,7 @@ mod tests {
         v1.extend_from_slice(&payload);
         for codec in 0..=u8::MAX {
             assert!(
-                !verify_extent(&v1, gen, codec),
+                verify_extent(&v1, gen, codec).is_none(),
                 "v1 extent accepted under codec {codec}"
             );
         }
@@ -4749,12 +4822,24 @@ mod tests {
                 ("get_memory", hits[1]),
                 ("get_spill", hits[2]),
                 ("spill_read", hits[2]),
+                ("spill_verify", hits[2]),
                 ("decompress_lzrw1", hits[1] + hits[2]),
             ] {
                 let h = snap.op(op).unwrap();
                 assert!(0 < h.count && h.count <= at_most, "{op}: {h:?}");
                 assert!(h.p50 <= h.p99 && h.p99 <= h.max, "{op}: {h:?}");
             }
+            // The checksum pass is a sub-step of the read it follows, on
+            // the same timing decision, named in every rendering.
+            assert!(snap.op("spill_verify").unwrap().count <= snap.op("spill_read").unwrap().count);
+            let prom = snap.to_prometheus("cc_store");
+            let help = prom
+                .lines()
+                .find(|l| l.starts_with("# HELP cc_store_spill_verify_latency_ns "))
+                .expect("spill_verify family");
+            assert!(help.contains("sampled 1 in"), "{help}");
+            assert!(snap.to_json(0).contains("\"spill_verify\": {"));
+            assert!(snap.render_text().contains("spill_verify"));
             // The writer thread times every batch.
             assert_eq!(
                 snap.op("spill_write").unwrap().count,
@@ -5156,5 +5241,232 @@ mod tests {
         }
         cleanup(dir, path);
         cleanup(dir_flat, path_flat);
+    }
+    /// A page is hot *because* the threshold rejected its compressed
+    /// form, and the entry remembers that: demotion seals it as the
+    /// stored block it already was — same codec id, same length, same
+    /// bytes on the spill file as a put that compresses up front — and
+    /// the memory survives promotion. A kept-hot re-put of different
+    /// bytes forgets it.
+    #[test]
+    fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
+        let (dir, path) = temp_path("tier-rejected");
+        let (dir_flat, path_flat) = temp_path("tier-rejected-flat");
+        {
+            let policy = crate::tier::RecencyCompressibility {
+                hot_idle: 4,
+                warm_idle: u64::MAX,
+                hot_demote_pressure_pct: 0,
+                ..Default::default()
+            };
+            let store = CompressedStore::new(
+                StoreConfig::with_spill(1 << 20, &path)
+                    .with_tier_policy(Arc::new(policy))
+                    // Only the explicit demote_now() below runs.
+                    .with_demote_interval(Duration::from_secs(3600)),
+            );
+            let flat = CompressedStore::new(
+                StoreConfig::with_spill(1 << 20, &path_flat)
+                    .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+            );
+            let probe_of = |key: u64| store.core.shard(key).entries[&key].probe;
+            let age = |from: u64| {
+                for k in from..from + 4 {
+                    store.put(k, &vec![k as u8; 4096]).unwrap();
+                }
+            };
+            let mut out = vec![0u8; 4096];
+
+            store.put(3, &noise_page(3)).unwrap();
+            store.put(4, &noise_page(4)).unwrap();
+            for key in [3, 4] {
+                assert_eq!(store.peek_tier(key), Some(HitTier::Hot));
+                assert_eq!(probe_of(key), PROBE_REJECTED);
+            }
+            // Key 4 is overwritten in place with compressible bytes: the
+            // verdict was about the old ones.
+            store.put(4, &bdi_page(4)).unwrap();
+            assert_eq!(store.peek_tier(4), Some(HitTier::Hot));
+            assert_eq!(probe_of(4), probe_code(None));
+
+            age(100);
+            assert_eq!(store.demote_now().0, 2);
+            flat.put(3, &noise_page(3)).unwrap();
+            flat.put(4, &bdi_page(4)).unwrap();
+            let raw = (CodecId::Raw.as_u8(), 4096 + 1);
+            assert_eq!(sealed_form(&store, 3), raw);
+            assert_eq!(sealed_form(&flat, 3), raw);
+            assert_eq!(sealed_form(&store, 4), sealed_form(&flat, 4));
+            assert_eq!(sealed_form(&store, 4).0, CodecId::Bdi.as_u8());
+
+            // Back from the spill file intact, promoted with the verdict
+            // still attached, and sealed the same way a second time.
+            for _ in 0..2 {
+                assert_eq!(store.get_tier(3, &mut out).unwrap(), Some(HitTier::Spill));
+                assert_eq!(out, noise_page(3));
+            }
+            assert_eq!(store.peek_tier(3), Some(HitTier::Hot));
+            assert_eq!(probe_of(3), PROBE_REJECTED);
+            age(200);
+            assert_eq!(store.demote_now().0, 1);
+            assert_eq!(sealed_form(&store, 3), raw);
+            assert!(store.get(3, &mut out).unwrap());
+            assert_eq!(out, noise_page(3));
+            assert!(store.get(4, &mut out).unwrap());
+            assert_eq!(out, bdi_page(4));
+            store.check_invariants().unwrap();
+            store.shutdown();
+            flat.shutdown();
+        }
+        cleanup(dir, path);
+        cleanup(dir_flat, path_flat);
+    }
+
+    /// Nobody wakes the demoter but its own interval, and one wake drains
+    /// the whole aged backlog: after the last put, with no eviction to
+    /// ride on, every aged hot page still leaves the hot tier — in a
+    /// number of passes that is small beside the operations issued.
+    #[test]
+    fn demoter_drains_aged_backlog_without_a_kick() {
+        let (dir, path) = temp_path("tier-drain");
+        {
+            let policy = crate::tier::RecencyCompressibility {
+                hot_idle: 512,
+                warm_idle: u64::MAX,
+                hot_demote_pressure_pct: 0,
+                ..Default::default()
+            };
+            let store = CompressedStore::new(
+                StoreConfig::with_spill(1 << 20, &path)
+                    .with_tier_policy(Arc::new(policy))
+                    .with_demote_interval(Duration::from_millis(2)),
+            );
+            let mut out = vec![0u8; 4096];
+            let mut ops = 0u64;
+            // Same-filled bystanders: reading them ticks the op clock and
+            // holds no hot byte.
+            for k in 1000..1008u64 {
+                store.put(k, &vec![k as u8; 4096]).unwrap();
+                ops += 1;
+            }
+            // 64 pages hot because incompressible, 64 hot because promoted.
+            for k in 0..64u64 {
+                store.put(k, &noise_page(k)).unwrap();
+                store.put(64 + k, &page(k as u8)).unwrap();
+                store.get(64 + k, &mut out).unwrap();
+                store.get(64 + k, &mut out).unwrap();
+                ops += 4;
+            }
+            let s = store.stats();
+            assert_eq!((s.puts_hot, s.promotions), (64, 64), "{s:?}");
+            // Age all 128, then go quiet: no put, no get of them.
+            for i in 0..16_384u64 {
+                assert!(store.get(1000 + i % 8, &mut out).unwrap());
+                ops += 1;
+            }
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while store.stats().hot_bytes != 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "backlog not drained: {:?}",
+                    store.stats()
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let s = store.stats();
+            assert_eq!(s.demoted_hot, 128, "{s:?}");
+            assert!(s.demoter_passes < ops / 8, "{s:?} after {ops} ops");
+            store.flush().unwrap();
+            store.check_invariants().unwrap();
+            for k in 0..64u64 {
+                assert_ne!(store.peek_tier(k), Some(HitTier::Hot));
+                assert_eq!(store.peek_tier(64 + k), Some(HitTier::Memory));
+                assert!(store.get(k, &mut out).unwrap());
+                assert_eq!(out, noise_page(k));
+                assert!(store.get(64 + k, &mut out).unwrap());
+                assert_eq!(out, page(k as u8));
+            }
+            store.shutdown();
+        }
+        cleanup(dir, path);
+    }
+
+    /// Four putters at budget pressure while the demoter, woken every
+    /// millisecond, takes and drops each shard lock once per victim: the
+    /// re-lock-per-entry path under contention. Every key must read back
+    /// as its last put and the bookkeeping must add up.
+    #[test]
+    fn putters_at_pressure_race_a_fast_demoter() {
+        const PUTTERS: u64 = 4;
+        const KEYS_EACH: u64 = 96;
+        let (dir, path) = temp_path("tier-race");
+        {
+            let policy = crate::tier::RecencyCompressibility {
+                hot_idle: 64,
+                warm_idle: 128,
+                hot_demote_pressure_pct: 0,
+                warm_demote_pressure_pct: 0,
+                ..Default::default()
+            };
+            let store = CompressedStore::new(
+                StoreConfig::with_spill(256 << 10, &path)
+                    .with_tier_policy(Arc::new(policy))
+                    .with_demote_interval(Duration::from_millis(1)),
+            );
+            // Version `v` of key `k`: every third key incompressible.
+            let page_of = |k: u64, v: u64| {
+                if k.is_multiple_of(3) {
+                    noise_page(k * 1_000_003 + v)
+                } else {
+                    page((k * 7 + v) as u8)
+                }
+            };
+            let stop_at = Instant::now() + Duration::from_secs(1);
+            let last: Vec<Vec<u64>> = std::thread::scope(|scope| {
+                let putters: Vec<_> = (0..PUTTERS)
+                    .map(|t| {
+                        let (store, page_of) = (&store, &page_of);
+                        scope.spawn(move || {
+                            let mut versions = vec![0u64; KEYS_EACH as usize];
+                            let mut out = vec![0u8; 4096];
+                            let mut rng = cc_util::SplitMix64::new(t + 1);
+                            while Instant::now() < stop_at {
+                                let i = rng.next_u64() % KEYS_EACH;
+                                let key = t * KEYS_EACH + i;
+                                if rng.next_u64().is_multiple_of(4) && versions[i as usize] > 0 {
+                                    assert!(store.get(key, &mut out).unwrap(), "key {key}");
+                                    assert_eq!(out, page_of(key, versions[i as usize]));
+                                } else {
+                                    versions[i as usize] += 1;
+                                    store.put(key, &page_of(key, versions[i as usize])).unwrap();
+                                }
+                            }
+                            versions
+                        })
+                    })
+                    .collect();
+                putters
+                    .into_iter()
+                    .map(|h| h.join().expect("putter panicked"))
+                    .collect()
+            });
+            store.flush().unwrap();
+            store.check_invariants().unwrap();
+            let s = store.stats();
+            assert!(s.demoter_passes > 0 && s.spilled > 0, "{s:?}");
+            assert!(s.resident_bytes <= 256 << 10, "{s:?}");
+            let mut out = vec![0u8; 4096];
+            for (t, versions) in last.iter().enumerate() {
+                for (i, &v) in versions.iter().enumerate() {
+                    let key = t as u64 * KEYS_EACH + i as u64;
+                    assert_eq!(store.get(key, &mut out).unwrap(), v > 0, "key {key}");
+                    if v > 0 {
+                        assert_eq!(out, page_of(key, v), "key {key}");
+                    }
+                }
+            }
+            store.shutdown();
+        }
+        cleanup(dir, path);
     }
 }

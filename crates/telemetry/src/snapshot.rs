@@ -481,11 +481,13 @@ mod tests {
     /// and every sample line parses as `name value`.
     #[test]
     fn prometheus_exposition_conformance() {
-        // A store-shaped snapshot: one op fed through the sampler, one
-        // (a background thread's) that records every call.
+        // A store-shaped snapshot: two ops fed through the sampler (an
+        // operation and a sub-step of one), and one (a background
+        // thread's) that records every call.
         let mut snap = sample();
         snap.ops.push(("gc_pause", snap.ops[0].1));
-        let p = snap.sampled(&["put"]).to_prometheus("cc_x");
+        snap.ops.push(("spill_verify", snap.ops[0].1));
+        let p = snap.sampled(&["put", "spill_verify"]).to_prometheus("cc_x");
         let lines: Vec<&str> = p.lines().collect();
         // The period is a gauge like any other, and only the sampled
         // op's HELP line mentions it.
@@ -503,6 +505,7 @@ mod tests {
         };
         let said = format!("sampled 1 in {LATENCY_SAMPLE_PERIOD}; traced requests always");
         assert!(help("cc_x_put_latency_ns").contains(&said), "{p}");
+        assert!(help("cc_x_spill_verify_latency_ns").contains(&said), "{p}");
         assert!(!help("cc_x_gc_pause_latency_ns").contains("sampled"), "{p}");
         let mut summaries = Vec::new();
         for (i, line) in lines.iter().enumerate() {
