@@ -539,7 +539,7 @@ struct Overhead {
     ops_per_sec_on: f64,
     ops_per_sec_off: f64,
     /// Throughput lost to telemetry, percent of the telemetry-off rate
-    /// (clamped at 0 — on a noisy host "on" can measure faster).
+    /// (clamped at 0).
     overhead_pct: f64,
     /// The same cost as time: nanoseconds telemetry adds to one
     /// operation (not clamped).
@@ -548,11 +548,6 @@ struct Overhead {
 
 /// Adjacent off/on trial pairs in the overhead probe.
 const OVERHEAD_PAIRS: usize = 108;
-
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
 
 /// `total_ops` operations per arm as [`OVERHEAD_PAIRS`] very short
 /// trials per arm against one prefilled store each, strictly
@@ -590,28 +585,19 @@ fn run_overhead_probe(total_ops: u64, zipf: &Arc<Zipf>) -> Overhead {
         }
         (store, SplitMix64::new(0xBEEF))
     });
-    let mut rates = [Vec::new(), Vec::new()];
-    let mut ratios = Vec::new();
-    for pair in 0..OVERHEAD_PAIRS {
-        // Which arm of a pair runs first alternates, so neither always
-        // follows the other's cache state.
-        for arm in [pair % 2, (pair + 1) % 2] {
-            let (store, rng) = &mut arms[arm];
-            let start = Instant::now();
-            for _ in 0..ops {
-                mixed_op(store, zipf, rng, &mut page, &mut out);
-            }
-            rates[arm].push(ops as f64 / start.elapsed().as_secs_f64());
+    let r = cc_bench::paired_rates(OVERHEAD_PAIRS, |arm| {
+        let (store, rng) = &mut arms[arm];
+        let start = Instant::now();
+        for _ in 0..ops {
+            mixed_op(store, zipf, rng, &mut page, &mut out);
         }
-        ratios.push(rates[1][pair] / rates[0][pair]);
-    }
-    let on_over_off = median(&mut ratios);
-    let [off, on] = rates.map(|mut r| median(&mut r));
+        ops as f64 / start.elapsed().as_secs_f64()
+    });
     Overhead {
-        ops_per_sec_on: on,
-        ops_per_sec_off: off,
-        overhead_pct: ((1.0 - on_over_off) * 100.0).max(0.0),
-        ns_per_op: 1e9 / off * (1.0 / on_over_off - 1.0),
+        ops_per_sec_on: r.on,
+        ops_per_sec_off: r.off,
+        overhead_pct: r.overhead_pct(),
+        ns_per_op: 1e9 / r.off * (1.0 / r.on_over_off - 1.0),
     }
 }
 

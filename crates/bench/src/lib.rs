@@ -103,6 +103,59 @@ pub fn render_table1(rows: &[PairResult]) -> String {
     cc_util::fmt::table(&header, &body)
 }
 
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// What [`paired_rates`] read: each arm's median trial rate (for scale)
+/// and the median over the pairs of `rate on / rate off` — the cost of
+/// the "on" arm is read off that ratio, not off the two rates.
+#[derive(Debug, Clone, Copy)]
+pub struct PairedRates {
+    /// Median trial rate of the "off" arm.
+    pub off: f64,
+    /// Median trial rate of the "on" arm.
+    pub on: f64,
+    /// Median of the per-pair `on / off` ratios.
+    pub on_over_off: f64,
+}
+
+/// The overhead-probe loop `storebench` and `loadgen` share: `pairs`
+/// adjacent trials of arm 0 ("off") and arm 1 ("on"), strictly
+/// interleaved, `trial(arm)` running one short trial against that arm's
+/// long-lived state and returning its rate.
+///
+/// Why this shape: the host's speed wanders ±10 % over tens of
+/// milliseconds, in both directions, so the arms must alternate faster
+/// than that and be compared pair by pair, each pair sharing its
+/// weather. Which arm of a pair runs first alternates, so neither
+/// always follows the other's cache state.
+pub fn paired_rates(pairs: usize, mut trial: impl FnMut(usize) -> f64) -> PairedRates {
+    let mut rates = [Vec::new(), Vec::new()];
+    let mut ratios = Vec::new();
+    for pair in 0..pairs {
+        for arm in [pair % 2, (pair + 1) % 2] {
+            rates[arm].push(trial(arm));
+        }
+        ratios.push(rates[1][pair] / rates[0][pair]);
+    }
+    let [off, on] = rates.map(|mut r| median(&mut r));
+    PairedRates {
+        off,
+        on,
+        on_over_off: median(&mut ratios),
+    }
+}
+
+impl PairedRates {
+    /// Throughput the "on" arm loses, percent of the "off" rate (clamped
+    /// at 0 — on a noisy host "on" can measure faster).
+    pub fn overhead_pct(&self) -> f64 {
+        ((1.0 - self.on_over_off) * 100.0).max(0.0)
+    }
+}
+
 /// Whether `--quick` was passed.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")

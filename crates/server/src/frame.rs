@@ -19,7 +19,7 @@
 //! Two consumption styles share the format:
 //!
 //! - [`read_frame`] blocks on a [`Read`] until one whole frame arrives
-//!   (the client's reaper and the threaded backend's stepped reads);
+//!   (the client's reaper);
 //! - [`parse_frame`] inspects an in-memory byte accumulation and
 //!   extracts a complete frame if one is present — the nonblocking
 //!   reactor appends whatever the socket had and parses as many

@@ -4,37 +4,30 @@
 //! The compression cache grew up: Douglis's in-kernel compressed tier is
 //! today deployed as a *networked* cache service (ZipCache's DRAM/SSD
 //! tiers, TMTS's software-defined far memory), and this crate is that
-//! serving surface for the workspace. A [`Server`] runs one of two
-//! interchangeable engines behind [`ServerBackend`]:
+//! serving surface for the workspace. A [`Server`] is one thread running
+//! a readiness loop ([`reactor`]) over nonblocking sockets ([`event`]:
+//! epoll on Linux, poll(2) elsewhere or when [`ServerBackend::EventedPoll`]
+//! asks for it). Connections cost buffers, not threads, so thousands of
+//! mostly-idle connections are cheap, and the seq-tagged framing lets one
+//! connection pipeline a window of requests.
 //!
-//! - **Threaded** — a fixed worker pool ([`ServerConfig::workers`]
-//!   threads) behind a counted admission gate; each worker serves one
-//!   connection at a time, end to end. Simple, and the baseline the
-//!   evented engine is benchmarked against.
-//! - **Evented** — a single-threaded readiness loop ([`reactor`]) over
-//!   nonblocking sockets ([`event`]: epoll on Linux, poll(2) fallback).
-//!   Connections cost buffers, not threads, so thousands of mostly-idle
-//!   connections are cheap, and the seq-tagged framing lets one
-//!   connection pipeline a window of requests.
-//!
-//! Both engines share the protocol ([`proto`], [`frame`]: PUT / GET /
+//! Around the loop: the protocol ([`proto`], [`frame`]: PUT / GET /
 //! DEL / FLUSH / STATS / PING in tagged, length-prefixed frames), the
 //! request dispatcher and wire telemetry ([`service`]), counted
 //! admission with `BUSY` rejection, wall-clock idle timeouts, and
-//! graceful drain shutdown — the integration suite runs against both.
-//! STATS returns the store's and server's Prometheus snapshots verbatim,
-//! so the service is scrapeable from day one. A blocking,
-//! connection-reusing [`Client`] (with a pipelined mode) lives in
-//! [`client`].
+//! graceful drain shutdown — the integration suite runs all of it on
+//! both pollers. STATS returns the store's and server's Prometheus
+//! snapshots verbatim, so the service is scrapeable from day one. A
+//! blocking, connection-reusing [`Client`] (with a pipelined mode) lives
+//! in [`client`].
 //!
 //! ```no_run
 //! use cc_core::store::{CompressedStore, StoreConfig};
-//! use cc_server::{Client, Server, ServerBackend, ServerConfig};
+//! use cc_server::{Client, Server, ServerConfig};
 //! use std::sync::Arc;
 //!
 //! let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(64 << 20)));
-//! let cfg = ServerConfig::default().with_backend(ServerBackend::Evented);
-//! let server = Server::spawn(store, "127.0.0.1:0", cfg).unwrap();
+//! let server = Server::spawn(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(server.local_addr()).unwrap();
 //! client.put(7, &[0xAB; 4096]).unwrap();
 //! let mut page = Vec::new();
@@ -47,10 +40,8 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub(crate) mod conn;
 pub mod event;
 pub mod frame;
-pub mod pool;
 pub mod proto;
 pub(crate) mod reactor;
 pub mod service;
@@ -61,65 +52,31 @@ pub use proto::{Opcode, ProtoError, Request, Response, Status};
 pub use service::Service;
 
 use cc_core::store::CompressedStore;
-use pool::WorkerPool;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Which serving engine a [`Server`] runs.
+/// Which readiness poller the [`Server`]'s event loop runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerBackend {
-    /// Blocking fixed worker pool: one thread per in-flight connection.
+    /// The platform poller (epoll on Linux).
     #[default]
-    Threaded,
-    /// Readiness-based event loop on the platform backend (epoll on
-    /// Linux).
     Evented,
-    /// The event loop forced onto the portable poll(2) backend — for
-    /// tests and A/B runs exercising the fallback path.
+    /// The portable poll(2) poller, forced — what platforms without
+    /// epoll get anyway; the test suite runs on it so that path stays
+    /// exercised on Linux.
     EventedPoll,
-}
-
-impl ServerBackend {
-    /// Parse a CLI-style backend name (`threaded`, `evented`,
-    /// `evented-poll`).
-    pub fn parse(s: &str) -> Option<ServerBackend> {
-        match s {
-            "threaded" => Some(ServerBackend::Threaded),
-            "evented" => Some(ServerBackend::Evented),
-            "evented-poll" => Some(ServerBackend::EventedPoll),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name (`threaded` / `evented` / `evented-poll`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerBackend::Threaded => "threaded",
-            ServerBackend::Evented => "evented",
-            ServerBackend::EventedPoll => "evented-poll",
-        }
-    }
 }
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Which engine serves connections.
+    /// Which poller the event loop runs on.
     pub backend: ServerBackend,
-    /// Worker threads (threaded backend); each serves one connection at
-    /// a time. This is the hard concurrency bound of the threaded
-    /// service.
-    pub workers: usize,
-    /// Connections admitted beyond the worker count (threaded backend;
-    /// they wait for the next free worker). `0` (the default) admits
-    /// exactly `workers` connections; the next one is answered `BUSY`.
-    pub backlog: usize,
-    /// Admission cap of the evented backend: connections registered
-    /// with the reactor at once. The next accept beyond it is answered
-    /// `BUSY`.
+    /// Admission cap: connections registered with the reactor at once.
+    /// The next accept beyond it is answered `BUSY`.
     pub max_conns: usize,
     /// Ceiling on a request frame body; a length prefix above this is
     /// malformed and closes the connection.
@@ -136,8 +93,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             backend: ServerBackend::default(),
-            workers: 4,
-            backlog: 0,
             max_conns: 1024,
             max_frame_bytes: frame::DEFAULT_MAX_FRAME,
             idle_timeout: Duration::from_secs(30),
@@ -147,26 +102,13 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Choose the serving engine.
+    /// Choose the poller.
     pub fn with_backend(mut self, backend: ServerBackend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Override the worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Override the admission backlog (threaded backend).
-    pub fn with_backlog(mut self, backlog: usize) -> Self {
-        self.backlog = backlog;
-        self
-    }
-
-    /// Override the evented backend's connection cap (clamped to at
-    /// least 1).
+    /// Override the connection cap (clamped to at least 1).
     pub fn with_max_conns(mut self, max_conns: usize) -> Self {
         self.max_conns = max_conns.max(1);
         self
@@ -192,94 +134,54 @@ impl ServerConfig {
     }
 }
 
-/// The engine-specific half of a running server.
-enum Engine {
-    Threaded {
-        accept: Option<JoinHandle<()>>,
-        pool: Option<WorkerPool>,
-    },
-    Evented {
-        reactor: Option<JoinHandle<()>>,
-        waker: event::WakeHandle,
-    },
-}
-
 /// A running cache server. Dropping it (or calling
 /// [`Server::shutdown`]) stops accepting, drains in-flight requests,
-/// joins every thread, and flushes the store's spill writer.
+/// joins the reactor thread, and flushes the store's spill writer.
 pub struct Server {
     service: Arc<Service>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    engine: Mutex<Engine>,
+    reactor: Option<JoinHandle<()>>,
+    waker: event::WakeHandle,
 }
-
-/// How often the threaded accept loop polls the shutdown flag while no
-/// connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// configured engine.
+    /// reactor thread.
     pub fn spawn(
         store: Arc<CompressedStore>,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
         let cfg = Arc::new(ServerConfig {
-            workers: cfg.workers.max(1),
             max_conns: cfg.max_conns.max(1),
             ..cfg
         });
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (service, engine) = match cfg.backend {
-            ServerBackend::Threaded => {
-                let service = Arc::new(Service::new(Arc::clone(&store), cfg.workers));
-                let engine = spawn_threaded(
-                    listener,
-                    Arc::clone(&service),
-                    Arc::clone(&cfg),
-                    Arc::clone(&shutdown),
-                )?;
-                (service, engine)
-            }
-            ServerBackend::Evented | ServerBackend::EventedPoll => {
-                // One stripe for the reactor thread, plus the extra
-                // stripe `Service::new` reserves for admission.
-                let service = Arc::new(Service::new(Arc::clone(&store), 1));
-                let kind = match cfg.backend {
-                    ServerBackend::EventedPoll => BackendKind::Poll,
-                    _ => BackendKind::Platform,
-                };
-                let (reactor, waker) = reactor::Reactor::new(
-                    kind,
-                    listener,
-                    Arc::clone(&service),
-                    Arc::clone(&cfg),
-                    Arc::clone(&shutdown),
-                )?;
-                let handle = std::thread::Builder::new()
-                    .name("cc-server-reactor".into())
-                    .spawn(move || reactor.run())
-                    .expect("spawn reactor");
-                (
-                    service,
-                    Engine::Evented {
-                        reactor: Some(handle),
-                        waker,
-                    },
-                )
-            }
+        let service = Arc::new(Service::new(store));
+        let kind = match cfg.backend {
+            ServerBackend::Evented => BackendKind::Platform,
+            ServerBackend::EventedPoll => BackendKind::Poll,
         };
-
+        let (reactor, waker) = reactor::Reactor::new(
+            kind,
+            listener,
+            Arc::clone(&service),
+            cfg,
+            Arc::clone(&shutdown),
+        )?;
+        let reactor = std::thread::Builder::new()
+            .name("cc-server-reactor".into())
+            .spawn(move || reactor.run())
+            .expect("spawn reactor");
         Ok(Server {
             service,
             local_addr,
             shutdown,
-            engine: Mutex::new(engine),
+            reactor: Some(reactor),
+            waker,
         })
     }
 
@@ -295,29 +197,19 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, let every in-flight request
-    /// complete and its response flush, join all threads, then drain
-    /// the store's spill writer. Idempotent via [`Drop`].
+    /// complete and its response flush, join the reactor thread, then
+    /// drain the store's spill writer. Idempotent via [`Drop`].
     pub fn shutdown(self) {
         // Drop runs the teardown.
     }
+}
 
-    fn shutdown_inner(&self) {
+impl Drop for Server {
+    fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        match &mut *self.engine.lock().expect("engine poisoned") {
-            Engine::Threaded { accept, pool } => {
-                if let Some(h) = accept.take() {
-                    let _ = h.join();
-                }
-                if let Some(mut p) = pool.take() {
-                    p.join();
-                }
-            }
-            Engine::Evented { reactor, waker } => {
-                waker.wake();
-                if let Some(h) = reactor.take() {
-                    let _ = h.join();
-                }
-            }
+        self.waker.wake();
+        if let Some(h) = self.reactor.take() {
+            let _ = h.join();
         }
         // The paper's cleaner must not be left with queued work: an
         // orderly server exit leaves every accepted PUT durable. A dead
@@ -325,85 +217,4 @@ impl Server {
         // to memory; nothing more a teardown can do about it.
         let _ = self.service.store().flush();
     }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// Start the blocking engine: nonblocking accept loop + worker pool.
-fn spawn_threaded(
-    listener: TcpListener,
-    service: Arc<Service>,
-    cfg: Arc<ServerConfig>,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<Engine> {
-    // Non-blocking accept + short poll: the loop notices the shutdown
-    // flag without needing a wake-up connection.
-    listener.set_nonblocking(true)?;
-    let pool = WorkerPool::new(
-        Arc::clone(&service),
-        Arc::clone(&cfg),
-        Arc::clone(&shutdown),
-    );
-    let accept = {
-        // The accept thread owns this dispatcher (and its sender
-        // clone); it drops when the thread exits, which (with the
-        // pool's own sender dropped in join) is what disconnects the
-        // workers.
-        let dispatcher = pool.dispatcher();
-        let busy_stripe = cfg.workers; // the accept loop's own counter stripe
-        std::thread::Builder::new()
-            .name("cc-server-accept".into())
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if let Err(stream) = dispatcher.try_dispatch(stream) {
-                            reject_busy(&service, busy_stripe, stream);
-                        }
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        if shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                }
-            })
-            .expect("spawn accept loop")
-    };
-    Ok(Engine::Threaded {
-        accept: Some(accept),
-        pool: Some(pool),
-    })
-}
-
-/// Answer `BUSY` (unsolicited tag 0) on a connection the pool could not
-/// admit, then close. The write is best-effort; the rejection is always
-/// counted.
-fn reject_busy(service: &Service, stripe: usize, mut stream: std::net::TcpStream) {
-    let conn_id = service.next_conn_id();
-    service.busy_rejected(stripe, conn_id);
-    let mut body = Vec::with_capacity(1);
-    Response {
-        status: Status::Busy,
-        payload: &[],
-    }
-    .encode(&mut body);
-    let _ = frame::write_frame(&mut stream, frame::SEQ_UNSOLICITED, &body);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }

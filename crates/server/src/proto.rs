@@ -21,9 +21,10 @@
 //! | `DUMP` (7) | empty | flight-recorder JSON (UTF-8) |
 //!
 //! Statuses: `OK` (0), `NOT_FOUND` (1, GET/DEL of an absent key),
-//! `BUSY` (2, the worker pool is saturated — retry later), `ERR` (3,
-//! with a UTF-8 message payload; sent for malformed frames and store
-//! errors, and the connection is closed after a malformed frame).
+//! `BUSY` (2, the server is at its connection cap — retry later),
+//! `ERR` (3, with a UTF-8 message payload; sent for malformed frames
+//! and store errors, and the connection is closed after a malformed
+//! frame).
 //!
 //! `PUT` carries an explicit `page_len` even though the frame length
 //! implies it: the redundancy is what lets the server *detect* (rather
@@ -98,7 +99,7 @@ pub enum Status {
     Ok = 0,
     /// GET/DEL of a key the store does not hold.
     NotFound = 1,
-    /// The worker pool is saturated; the request was not executed.
+    /// The server is at its connection cap; the request was not executed.
     Busy = 2,
     /// Error; payload is a UTF-8 message. After a malformed frame the
     /// server sends this and closes the connection.

@@ -1,13 +1,11 @@
-//! The evented server core: one thread, a readiness loop, and a
+//! The server core: one thread, a readiness loop, and a
 //! per-connection state machine.
 //!
-//! Where the threaded backend spends a whole OS thread per in-flight
-//! connection (and 20 ms stepped reads to stay responsive), the reactor
-//! multiplexes *every* connection over a single nonblocking readiness
-//! loop ([`crate::event::EventBackend`]): sockets are only touched when
-//! the kernel says they are ready, so ten thousand idle connections
-//! cost ten thousand fds and some buffer bytes — not ten thousand
-//! threads.
+//! The reactor multiplexes *every* connection over a single nonblocking
+//! readiness loop ([`crate::event::EventBackend`]): sockets are only
+//! touched when the kernel says they are ready, so ten thousand idle
+//! connections cost ten thousand fds and some buffer bytes — not ten
+//! thousand threads.
 //!
 //! Each connection walks the classic state machine
 //!
@@ -17,23 +15,22 @@
 //!        +------------- next frame ------+
 //! ```
 //!
-//! driven by the same total decoders the threaded path uses
-//! ([`crate::frame`], [`crate::proto`]). Because input is parsed out of
+//! driven by the total decoders of [`crate::frame`] and
+//! [`crate::proto`]. Because input is parsed out of
 //! an accumulation buffer, the protocol is naturally **pipelined**: a
 //! burst of `W` tagged request frames is executed back-to-back and the
 //! `W` tagged responses are staged into one write buffer — no
 //! per-request round-trip, no reordering hazard (each response carries
 //! its request's `seq`).
 //!
-//! Operational behaviour is contractually identical to the threaded
-//! backend, verified by running the same integration suite over both:
+//! Operational behaviour, pinned by the integration suite on both
+//! pollers:
 //!
 //! - **Counted admission** — at most [`crate::ServerConfig::max_conns`]
 //!   connections; the next accept is answered `BUSY` (tag 0) and
 //!   closed.
-//! - **Idle timeout** — wall-clock, enforced by a coarse timer wheel
-//!   instead of stepped reads; an idle connection is closed and counted
-//!   once.
+//! - **Idle timeout** — wall-clock, enforced by a coarse timer wheel;
+//!   an idle connection is closed and counted once.
 //! - **Malformed input** — counts, best-effort `ERR`, close. Nothing on
 //!   the wire can panic the reactor.
 //! - **Backpressure** — a peer that writes requests but never reads
@@ -48,11 +45,10 @@
 //!   frame, flush every staged response, then close; bounded by a drain
 //!   deadline.
 
-use crate::conn::malformed_class;
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, Waker};
 use crate::frame::{self, FrameError, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
-use crate::service::Service;
+use crate::service::{malformed_class, Service};
 use crate::ServerConfig;
 use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, Span};
 use cc_util::Slab;
@@ -78,8 +74,7 @@ const ACCEPT_BATCH: usize = 64;
 pub(crate) const WRITE_BACKPRESSURE: usize = 1 << 20;
 /// Hard cap on how long a drain-shutdown waits for started frames.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
-/// The reactor's telemetry stripe (the evented service has stripes for
-/// the reactor and for admission).
+/// The reactor's telemetry stripe.
 const STRIPE: usize = 0;
 
 /// Where a connection is in its request cycle (observable in tests;
@@ -778,9 +773,8 @@ impl Reactor {
 
 /// A coarse hashed timing wheel. Entries are `(token, conn_id)` pairs;
 /// expiry is *lazy* — the reactor revalidates the real deadline when a
-/// slot fires and reschedules if the connection was active since. This
-/// replaces the threaded backend's 20 ms stepped reads: cost is O(1)
-/// per scheduled timer, independent of connection count.
+/// slot fires and reschedules if the connection was active since. Cost
+/// is O(1) per scheduled timer, independent of connection count.
 pub(crate) struct TimerWheel {
     slots: Vec<Vec<(usize, u64)>>,
     granularity: Duration,
@@ -838,7 +832,7 @@ mod tests {
 
         pub fn service() -> Service {
             let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(8 << 20)));
-            Service::new(store, 1)
+            Service::new(store)
         }
 
         pub fn put_frame(seq: u32, key: u64, page: &[u8]) -> Vec<u8> {

@@ -1,9 +1,9 @@
 //! Request dispatch over the store, plus the server's wire telemetry.
 //!
-//! One [`Service`] is shared by the accept loop and every worker. It
-//! owns a [`cc_telemetry::Telemetry`] instance built from the same
-//! striped-counter / latency-histogram / event-ring types the store
-//! uses, striped per worker so request counting never contends. STATS
+//! One [`Service`] belongs to a server and is driven by its reactor
+//! thread. It owns a [`cc_telemetry::Telemetry`] instance built from the
+//! same striped-counter / latency-histogram / event-ring types the store
+//! uses. STATS
 //! responses concatenate the store's Prometheus snapshot (prefix
 //! `cc_store`) with the server's own (prefix `cc_server`), both rendered
 //! by [`cc_telemetry::Snapshot::to_prometheus`] — the exact schema the
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wire-level counter indices (striped per worker).
+/// Wire-level counter indices.
 pub mod wstat {
     /// PUT requests executed.
     pub const REQ_PUT: usize = 0;
@@ -32,11 +32,11 @@ pub mod wstat {
     pub const REQ_STATS: usize = 4;
     /// PING requests executed.
     pub const REQ_PING: usize = 5;
-    /// Connections rejected with BUSY by the saturated pool.
+    /// Connections rejected with BUSY at the admission cap.
     pub const BUSY_REJECTED: usize = 6;
     /// Frames that failed framing or protocol decoding.
     pub const MALFORMED_FRAMES: usize = 7;
-    /// Connections a worker started serving.
+    /// Connections admitted and served.
     pub const CONNS_OPENED: usize = 8;
     /// Connections closed (any reason).
     pub const CONNS_CLOSED: usize = 9;
@@ -76,10 +76,20 @@ pub mod wevent {
     /// `a` = connection id rejected at admission.
     pub const BUSY: usize = 2;
     /// `a` = connection id, `b` = malformed-frame class (see
-    /// [`crate::conn`]).
+    /// [`super::malformed_class`]).
     pub const MALFORMED: usize = 3;
     /// Event name table.
     pub const NAMES: &[&str] = &["conn_open", "conn_close", "busy", "malformed"];
+}
+
+/// Malformed-frame classes (the `b` value of a `malformed` wire event).
+pub(crate) mod malformed_class {
+    /// EOF inside a frame (truncated header or body).
+    pub const TRUNCATED: u64 = 1;
+    /// Length prefix above the configured frame ceiling.
+    pub const OVERSIZED: u64 = 2;
+    /// Frame arrived whole but the body failed protocol decoding.
+    pub const UNDECODABLE: u64 = 3;
 }
 
 const SERVER_TELEMETRY: TelemetrySpec = TelemetrySpec {
@@ -102,13 +112,13 @@ pub struct Service {
 }
 
 impl Service {
-    /// Build a service over `store` with `workers + 1` counter stripes
-    /// (one per worker, one for the accept loop).
-    pub fn new(store: Arc<CompressedStore>, workers: usize) -> Service {
+    /// Build a service over `store`.
+    pub fn new(store: Arc<CompressedStore>) -> Service {
         let tracer = store.tracer().cloned();
         Service {
             store,
-            tel: Telemetry::new(SERVER_TELEMETRY, workers + 1),
+            // One counter stripe: the reactor thread is the only writer.
+            tel: Telemetry::new(SERVER_TELEMETRY, 1),
             tracer,
             open_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),

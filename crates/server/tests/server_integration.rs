@@ -5,15 +5,14 @@
 //! shadow model, the store budget watched throughout), saturation
 //! answering `BUSY` with the rejection visible in the wire counters,
 //! each malformed-input class closing the connection with `ERR` without
-//! panicking the engine, wall-clock idle-timeout reaping, pipelined
+//! panicking the reactor, wall-clock idle-timeout reaping, pipelined
 //! windows round-tripping tagged responses, STATS being a parseable
 //! Prometheus payload, graceful shutdown leaving the store flushed and
 //! readable — and the `open_connections` gauge returning to zero on
 //! every path.
 //!
-//! Where the contract is backend-independent, the same scenario runs
-//! against the threaded pool, the epoll reactor, and the poll(2)
-//! fallback reactor.
+//! Every scenario runs on both pollers: the platform one (epoll) and
+//! the poll(2) fallback.
 
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_server::frame::{self, FrameError};
@@ -29,12 +28,8 @@ use std::time::Duration;
 
 const PAGE: usize = 1024;
 
-/// Every engine the integration contract must hold on.
-const ALL_BACKENDS: [ServerBackend; 3] = [
-    ServerBackend::Threaded,
-    ServerBackend::Evented,
-    ServerBackend::EventedPoll,
-];
+/// Every poller the integration contract must hold on.
+const ALL_BACKENDS: [ServerBackend; 2] = [ServerBackend::Evented, ServerBackend::EventedPoll];
 
 /// Deterministic page content for `(key, version)`; half the versions
 /// compress well, the rest are noise.
@@ -92,13 +87,7 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
     const KEYS_PER_THREAD: u64 = 256;
     const BUDGET: usize = 256 << 10; // well under the working set: spill exercised
 
-    let (server, store) = spill_server(
-        BUDGET,
-        ServerConfig::default()
-            .with_backend(backend)
-            .with_workers(THREADS),
-        tag,
-    );
+    let (server, store) = spill_server(BUDGET, ServerConfig::default().with_backend(backend), tag);
     let addr = server.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -197,12 +186,13 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
 
 #[test]
 fn concurrent_integrity_under_mixed_load() {
-    mixed_load(ServerBackend::Threaded, 10_000, "integrity");
+    mixed_load(ServerBackend::Evented, 10_000, "integrity");
 }
 
+/// The same load through the poll(2) fallback of the evented backend.
 #[test]
 fn concurrent_integrity_evented_backend() {
-    mixed_load(ServerBackend::Evented, 5_000, "integrity-ev");
+    mixed_load(ServerBackend::EventedPoll, 5_000, "integrity-poll");
 }
 
 /// Reads one response frame (with its tag) off a raw connection.
@@ -216,70 +206,13 @@ fn read_response(stream: &mut TcpStream) -> Result<(u32, Status, Vec<u8>), Frame
     Ok((seq, resp.status, resp.payload.to_vec()))
 }
 
-/// Saturation is bounded and observable: with one worker occupied and a
-/// zero backlog, the next connection is answered `BUSY` (unsolicited
-/// tag 0) and the rejection shows up in both the counter and the event
-/// ring.
-#[test]
-fn saturated_pool_answers_busy() {
-    let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
-    let server = Server::spawn(
-        store,
-        "127.0.0.1:0",
-        ServerConfig::default().with_workers(1).with_backlog(0),
-    )
-    .expect("spawn server");
-    let addr = server.local_addr();
-
-    // Occupy the only worker; the completed PING proves the connection
-    // was admitted and is being served.
-    let mut holder = Client::connect(addr).expect("connect holder");
-    holder.ping().expect("ping");
-
-    // The pool is now full: the next connection must be told BUSY. The
-    // server writes the frame unsolicited and closes, so read directly.
-    let mut extra = TcpStream::connect(addr).expect("connect extra");
-    let (seq, status, payload) = read_response(&mut extra).expect("read BUSY frame");
-    assert_eq!(seq, frame::SEQ_UNSOLICITED, "BUSY must carry tag 0");
-    assert_eq!(status, Status::Busy);
-    assert!(payload.is_empty());
-    let mut rest = Vec::new();
-    assert!(
-        matches!(
-            frame::read_frame(&mut extra, &mut rest, frame::DEFAULT_MAX_FRAME),
-            Err(FrameError::Closed)
-        ),
-        "rejected connection should be closed after BUSY"
-    );
-
-    // A Client sees the same thing as ClientError::Busy.
-    match Client::connect(addr).expect("connect second extra").ping() {
-        Err(ClientError::Busy) => {}
-        // The unsolicited BUSY + close can race the client's write into
-        // an I/O error on some kernels; the counters below still pin
-        // that both rejections happened server-side.
-        Err(ClientError::Io(_)) => {}
-        other => panic!("expected BUSY, got {other:?}"),
-    }
-
-    let snap = server.service().snapshot();
-    assert_eq!(snap.counter("busy_rejected"), Some(2));
-    assert_eq!(snap.event_count("busy"), Some(2));
-    assert_eq!(snap.counter("malformed_frames"), Some(0));
-
-    // The held connection still works: rejection never hurts admitted
-    // traffic.
-    holder.ping().expect("holder still served");
-    drop(holder);
-    shutdown_and_check_gauge(server, "saturated pool");
-}
-
-/// The evented engine's counted admission: with `max_conns = 1` and one
-/// connection registered, the next accept is answered `BUSY` (tag 0)
-/// and closed — and admitted traffic is untouched.
+/// Counted admission is bounded and observable: with `max_conns = 1`
+/// and one connection registered, the next accept is answered `BUSY`
+/// (unsolicited tag 0) and closed, each rejection shows up in both the
+/// counter and the event ring — and admitted traffic is untouched.
 #[test]
 fn evented_admission_answers_busy() {
-    for backend in [ServerBackend::Evented, ServerBackend::EventedPoll] {
+    for backend in ALL_BACKENDS {
         let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
         let server = Server::spawn(
             store,
@@ -308,9 +241,20 @@ fn evented_admission_answers_busy() {
             "{backend:?}: rejected connection should be closed after BUSY"
         );
 
+        // A Client sees the same thing as ClientError::Busy.
+        match Client::connect(addr).expect("connect second extra").ping() {
+            Err(ClientError::Busy) => {}
+            // The unsolicited BUSY + close can race the client's write
+            // into an I/O error on some kernels; the counters below
+            // still pin that both rejections happened server-side.
+            Err(ClientError::Io(_)) => {}
+            other => panic!("{backend:?}: expected BUSY, got {other:?}"),
+        }
+
         let snap = server.service().snapshot();
-        assert_eq!(snap.counter("busy_rejected"), Some(1), "{backend:?}");
-        assert_eq!(snap.event_count("busy"), Some(1), "{backend:?}");
+        assert_eq!(snap.counter("busy_rejected"), Some(2), "{backend:?}");
+        assert_eq!(snap.event_count("busy"), Some(2), "{backend:?}");
+        assert_eq!(snap.counter("malformed_frames"), Some(0), "{backend:?}");
 
         // Releasing the held slot frees admission for the next client.
         holder.ping().expect("holder still served");
@@ -341,84 +285,13 @@ impl AndThenPing for std::io::Result<Client> {
 }
 
 /// The client's bounded retry-with-backoff rides out a saturation
-/// window. With one worker held busy, a no-retry client gets `BUSY`
-/// immediately; a retrying client keeps reconnecting with backoff and
-/// succeeds once the holder releases the worker — within the policy's
+/// window. With the only admission slot held, a no-retry client gets
+/// `BUSY` immediately; a retrying client keeps reconnecting with backoff
+/// and succeeds once the holder releases the slot — within the policy's
 /// `max_backoff_total` bound (plus I/O slack). A retrying client
-/// against a *permanently* saturated pool still fails, in bounded time.
+/// against a *permanently* saturated server still fails, in bounded time.
 #[test]
 fn client_retry_rides_out_saturation() {
-    let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
-    let server = Server::spawn(
-        store,
-        "127.0.0.1:0",
-        ServerConfig::default().with_workers(1).with_backlog(0),
-    )
-    .expect("spawn server");
-    let addr = server.local_addr();
-
-    // Occupy the only worker (the completed PING proves admission).
-    let holder = {
-        let mut c = Client::connect(addr).expect("connect holder");
-        c.ping().expect("ping");
-        c
-    };
-
-    // Default policy (one attempt): BUSY surfaces immediately.
-    match Client::connect(addr).expect("connect no-retry").ping() {
-        Err(ClientError::Busy) | Err(ClientError::Io(_)) => {}
-        other => panic!("expected immediate BUSY without retry, got {other:?}"),
-    }
-
-    // Exhausted retries against a pool that never frees up: the failure
-    // is still BUSY and the total wait respects the backoff bound.
-    let mut capped = Client::connect(addr)
-        .expect("connect capped")
-        .with_retry(4, Duration::from_millis(2));
-    let bound = capped.retry_policy().max_backoff_total();
-    assert_eq!(bound, Duration::from_millis(2 + 4 + 8));
-    let start = std::time::Instant::now();
-    match capped.ping() {
-        Err(ClientError::Busy) | Err(ClientError::Io(_)) => {}
-        other => panic!("expected BUSY after exhausting retries, got {other:?}"),
-    }
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed < bound + Duration::from_secs(5),
-        "retry loop unbounded: {elapsed:?} for bound {bound:?}"
-    );
-
-    // Release the worker mid-retry: the retrying client must succeed.
-    let release = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(40));
-        drop(holder);
-    });
-    let mut retrier = Client::connect(addr)
-        .expect("connect retrier")
-        .with_retry(10, Duration::from_millis(10));
-    let start = std::time::Instant::now();
-    retrier
-        .ping()
-        .expect("retrying client should succeed once the pool frees up");
-    let elapsed = start.elapsed();
-    let bound = retrier.retry_policy().max_backoff_total() + Duration::from_secs(10);
-    assert!(elapsed < bound, "retry took {elapsed:?}, bound {bound:?}");
-    release.join().expect("release thread");
-
-    // The retried connection is a normal, reusable connection.
-    retrier.put(9, &vec![0x5A; PAGE]).expect("put after retry");
-    let mut out = Vec::new();
-    assert!(retrier.get(9, &mut out).expect("get after retry"));
-    assert_eq!(out, vec![0x5A; PAGE]);
-    drop(retrier);
-    shutdown_and_check_gauge(server, "client retry");
-}
-
-/// Every malformed-input class on every backend: the server answers
-/// `ERR`, closes the connection, bumps `malformed_frames`, and keeps
-/// serving new connections (no engine panics).
-#[test]
-fn malformed_frames_close_with_err_and_count() {
     for backend in ALL_BACKENDS {
         let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
         let server = Server::spawn(
@@ -426,7 +299,81 @@ fn malformed_frames_close_with_err_and_count() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_backend(backend)
-                .with_workers(2),
+                .with_max_conns(1),
+        )
+        .expect("spawn server");
+        let addr = server.local_addr();
+
+        // Occupy the only slot (the completed PING proves admission).
+        let holder = {
+            let mut c = Client::connect(addr).expect("connect holder");
+            c.ping().expect("ping");
+            c
+        };
+
+        // Default policy (one attempt): BUSY surfaces immediately.
+        match Client::connect(addr).expect("connect no-retry").ping() {
+            Err(ClientError::Busy) | Err(ClientError::Io(_)) => {}
+            other => panic!("{backend:?}: expected immediate BUSY without retry, got {other:?}"),
+        }
+
+        // Exhausted retries against a server that never frees up: the
+        // failure is still BUSY and the total wait respects the backoff
+        // bound.
+        let mut capped = Client::connect(addr)
+            .expect("connect capped")
+            .with_retry(4, Duration::from_millis(2));
+        let bound = capped.retry_policy().max_backoff_total();
+        assert_eq!(bound, Duration::from_millis(2 + 4 + 8));
+        let start = std::time::Instant::now();
+        match capped.ping() {
+            Err(ClientError::Busy) | Err(ClientError::Io(_)) => {}
+            other => panic!("{backend:?}: expected BUSY after exhausting retries, got {other:?}"),
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < bound + Duration::from_secs(5),
+            "retry loop unbounded: {elapsed:?} for bound {bound:?}"
+        );
+
+        // Release the slot mid-retry: the retrying client must succeed.
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(40));
+            drop(holder);
+        });
+        let mut retrier = Client::connect(addr)
+            .expect("connect retrier")
+            .with_retry(10, Duration::from_millis(10));
+        let start = std::time::Instant::now();
+        retrier
+            .ping()
+            .expect("retrying client should succeed once the slot frees up");
+        let elapsed = start.elapsed();
+        let bound = retrier.retry_policy().max_backoff_total() + Duration::from_secs(10);
+        assert!(elapsed < bound, "retry took {elapsed:?}, bound {bound:?}");
+        release.join().expect("release thread");
+
+        // The retried connection is a normal, reusable connection.
+        retrier.put(9, &vec![0x5A; PAGE]).expect("put after retry");
+        let mut out = Vec::new();
+        assert!(retrier.get(9, &mut out).expect("get after retry"));
+        assert_eq!(out, vec![0x5A; PAGE]);
+        drop(retrier);
+        shutdown_and_check_gauge(server, "client retry");
+    }
+}
+
+/// Every malformed-input class on every backend: the server answers
+/// `ERR`, closes the connection, bumps `malformed_frames`, and keeps
+/// serving new connections (the reactor never panics).
+#[test]
+fn malformed_frames_close_with_err_and_count() {
+    for backend in ALL_BACKENDS {
+        let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
+        let server = Server::spawn(
+            store,
+            "127.0.0.1:0",
+            ServerConfig::default().with_backend(backend),
         )
         .expect("spawn server");
         let addr = server.local_addr();
@@ -521,10 +468,9 @@ fn malformed_frames_close_with_err_and_count() {
     }
 }
 
-/// Satellite: the idle timeout is wall-clock on every backend. A
-/// connection idle for exactly `timeout + ε` is closed — the close
-/// lands near the deadline, not rounded up in 20 ms read-step quanta —
-/// and is counted exactly once.
+/// The idle timeout is wall-clock on every backend. A connection idle
+/// for exactly `timeout + ε` is closed — the close lands near the
+/// deadline — and is counted exactly once.
 #[test]
 fn idle_timeout_is_wall_clock_and_counted_once() {
     const TIMEOUT: Duration = Duration::from_millis(250);
@@ -535,7 +481,6 @@ fn idle_timeout_is_wall_clock_and_counted_once() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_backend(backend)
-                .with_workers(1)
                 .with_idle_timeout(TIMEOUT),
         )
         .expect("spawn server");
@@ -675,12 +620,110 @@ fn pipelined_window_roundtrips_tagged_responses() {
     }
 }
 
+/// A window whose replies out-run the reactor's write backpressure:
+/// 400 GETs of a 4 KiB page stage ≈ 1.6 MiB of responses before the
+/// client reaps one, past the 1 MiB cap at which the reactor stops
+/// parsing a connection — so parsing must park and then resume as the
+/// client drains, with no further readable event to prompt it. A
+/// smaller window never reaches the cap and would not test that.
+#[test]
+fn pipelined_window_survives_write_backpressure() {
+    const BIG_PAGE: usize = 4096;
+    const WINDOW: usize = 400;
+    for backend in ALL_BACKENDS {
+        let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(64 << 20)));
+        let server = Server::spawn(
+            store,
+            "127.0.0.1:0",
+            ServerConfig::default().with_backend(backend),
+        )
+        .expect("spawn server");
+
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let page = vec![0xA5u8; BIG_PAGE];
+        for key in 0..WINDOW as u64 {
+            client.put(key, &page).expect("put");
+        }
+
+        let mut pipe = Pipeline::new();
+        for key in 0..WINDOW as u64 {
+            pipe.send(&mut client, &Request::Get { key }).expect("send");
+        }
+        let mut out = Vec::new();
+        for i in 0..WINDOW {
+            let (seq, status) = pipe
+                .recv(&mut client, &mut out)
+                .unwrap_or_else(|e| panic!("{backend:?}: reap {i} failed: {e:?}"));
+            assert_eq!(status, Status::Ok, "{backend:?}: tag {seq}");
+            assert_eq!(out.len(), BIG_PAGE, "{backend:?}: tag {seq}");
+        }
+        drop(client);
+        shutdown_and_check_gauge(server, "backpressure window");
+    }
+}
+
+/// The default configuration is the reactor: it admits 64 connections
+/// that are open and idle — each answered a PING — while a 65th runs
+/// verified PUT/GET traffic, and rejects none of them.
+#[test]
+fn default_config_holds_idle_connections() {
+    const IDLE: usize = 64;
+    assert_eq!(ServerBackend::default(), ServerBackend::Evented);
+    let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
+    let server = Server::spawn(store, "127.0.0.1:0", ServerConfig::default()).expect("spawn");
+    let addr = server.local_addr();
+
+    let idle: Vec<Client> = (0..IDLE)
+        .map(|i| {
+            let mut c = Client::connect(addr).expect("connect idle");
+            c.ping()
+                .unwrap_or_else(|e| panic!("idle connection {i} not admitted: {e}"));
+            c
+        })
+        .collect();
+    assert_eq!(server.service().open_connections(), IDLE as u64);
+
+    let mut hot = Client::connect(addr).expect("connect hot");
+    let mut page = vec![0u8; PAGE];
+    let mut expect = vec![0u8; PAGE];
+    let mut out = Vec::new();
+    for round in 1..=4u64 {
+        for key in 0..32 {
+            fill_page(key, round, &mut page);
+            hot.put(key, &page).expect("put");
+        }
+        for key in 0..32 {
+            assert!(hot.get(key, &mut out).expect("get"), "key {key} missing");
+            fill_page(key, round, &mut expect);
+            assert_eq!(out, expect, "GET({key}) wrong in round {round}");
+        }
+    }
+
+    let snap = server.service().snapshot();
+    assert_eq!(snap.counter("busy_rejected"), Some(0));
+    assert_eq!(snap.counter("conns_opened"), Some(IDLE as u64 + 1));
+    drop(hot);
+    drop(idle);
+    shutdown_and_check_gauge(server, "default config");
+}
+
 /// STATS over the wire is a parseable Prometheus payload carrying both
 /// the store's and the server's metric families, schema-identical to
 /// the in-process snapshot renderers.
 #[test]
 fn stats_is_scrapeable_prometheus() {
-    let (server, store) = spill_server(64 << 10, ServerConfig::default().with_workers(2), "stats");
+    ALL_BACKENDS.into_iter().for_each(stats_scrape_on);
+}
+
+fn stats_scrape_on(backend: ServerBackend) {
+    let (server, store) = spill_server(
+        64 << 10,
+        ServerConfig::default().with_backend(backend),
+        &format!("stats-{backend:?}"),
+    );
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     let mut page = vec![0u8; PAGE];
@@ -790,10 +833,17 @@ fn stats_is_scrapeable_prometheus() {
 /// in the warm server's STATS payload.
 #[test]
 fn warm_restarted_server_serves_gets_without_reput() {
+    ALL_BACKENDS.into_iter().for_each(warm_restart_on);
+}
+
+fn warm_restart_on(backend: ServerBackend) {
     use cc_core::store::HitTier;
     const BUDGET: usize = 16 << 10; // tiny: most of the working set spills
     const KEYS: u64 = 96;
-    let path = std::env::temp_dir().join(format!("cc-server-test-warm-{}.bin", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "cc-server-test-warm-{backend:?}-{}.bin",
+        std::process::id()
+    ));
     let map = path.with_extension("bin.map");
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&map);
@@ -805,7 +855,7 @@ fn warm_restarted_server_serves_gets_without_reput() {
     let server = Server::spawn(
         Arc::clone(&store),
         "127.0.0.1:0",
-        ServerConfig::default().with_workers(2),
+        ServerConfig::default().with_backend(backend),
     )
     .expect("spawn cold server");
     let mut client = Client::connect(server.local_addr()).expect("connect cold");
@@ -849,7 +899,7 @@ fn warm_restarted_server_serves_gets_without_reput() {
     let server = Server::spawn(
         Arc::clone(&reopened),
         "127.0.0.1:0",
-        ServerConfig::default().with_workers(2),
+        ServerConfig::default().with_backend(backend),
     )
     .expect("spawn warm server");
     let mut client = Client::connect(server.local_addr()).expect("connect warm");
@@ -885,19 +935,17 @@ fn warm_restarted_server_serves_gets_without_reput() {
     let _ = std::fs::remove_file(&map);
 }
 
-/// Graceful shutdown drains the spill writer on both engines: every
+/// Graceful shutdown drains the spill writer on both pollers: every
 /// acknowledged PUT is readable from the store afterwards, and the
 /// listener is gone.
 #[test]
 fn shutdown_flushes_store_and_stops_listening() {
     const BUDGET: usize = 32 << 10; // force most pages through the spill writer
-    for backend in [ServerBackend::Threaded, ServerBackend::Evented] {
+    for backend in ALL_BACKENDS {
         let (server, store) = spill_server(
             BUDGET,
-            ServerConfig::default()
-                .with_backend(backend)
-                .with_workers(2),
-            &format!("shutdown-{}", backend.name()),
+            ServerConfig::default().with_backend(backend),
+            &format!("shutdown-{backend:?}"),
         );
         let addr = server.local_addr();
         let mut client = Client::connect(addr).expect("connect");
@@ -948,7 +996,6 @@ fn gauge_survives_connection_churn() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_backend(backend)
-                .with_workers(2)
                 .with_idle_timeout(Duration::from_secs(30)),
         )
         .expect("spawn server");
