@@ -5,7 +5,10 @@
 //! bound the store passes), LZRW1 decode, and each decoder through its
 //! `Vec` API against its slice form, and `crc32` — the checksum that
 //! guards every spilled extent — in ns per extent at three extent sizes
-//! (a BDI block, the mean spilled extent, a raw page). The classes are ccbench's
+//! (a BDI block, the mean spilled extent, a raw page). The simulator's
+//! comparator codecs, LZSS and RLE, get encode and decode rows too: their
+//! speed relative to LZRW1 is the basis of the `CostProfile` scale
+//! factors in `cc-compress`. The classes are ccbench's
 //! (`benchmark/src/pages.rs`, re-created here because that package stands
 //! alone): near-zero, 16-bit counters, base+delta, text, noise. Every
 //! measurement cycles through 64 different pages of its class — one page
@@ -14,7 +17,7 @@
 //!
 //! It gates nothing; end-to-end claims are made with ccbench.
 
-use cc_compress::{probe_bdi, Bdi, Compressor, Lzrw1, ThresholdPolicy};
+use cc_compress::{probe_bdi, Bdi, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy};
 use cc_util::{crc32, SplitMix64};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -101,6 +104,7 @@ fn bench_kernels(c: &mut Criterion) {
     for class in CLASSES {
         let pages = pages(class);
         let (mut bdi, mut lz) = (Bdi::new(), Lzrw1::new());
+        let (mut lzss, mut rle) = (Lzss::new(), Rle::new());
         let mut sealed = Vec::new();
         let mut plain = vec![0u8; PAGE];
 
@@ -116,6 +120,12 @@ fn bench_kernels(c: &mut Criterion) {
         rotate(&mut group, "lzrw1_encode_bounded", class, &pages, |p| {
             black_box(lz.compress_bounded(p, &mut sealed, admit));
         });
+        rotate(&mut group, "lzss_encode", class, &pages, |p| {
+            black_box(lzss.compress(p, &mut sealed));
+        });
+        rotate(&mut group, "rle_encode", class, &pages, |p| {
+            black_box(rle.compress(p, &mut sealed));
+        });
 
         let seal = |codec: &mut dyn Compressor| -> Vec<Vec<u8>> {
             let mut out = Vec::new();
@@ -128,6 +138,7 @@ fn bench_kernels(c: &mut Criterion) {
                 .collect()
         };
         let (bdi_blocks, lz_blocks) = (seal(&mut bdi), seal(&mut lz));
+        let (lzss_blocks, rle_blocks) = (seal(&mut lzss), seal(&mut rle));
         rotate(&mut group, "bdi_decode_vec", class, &bdi_blocks, |b| {
             bdi.decompress(b, &mut sealed, PAGE).expect("own block");
         });
@@ -139,6 +150,12 @@ fn bench_kernels(c: &mut Criterion) {
         });
         rotate(&mut group, "lzrw1_decode_slice", class, &lz_blocks, |b| {
             Lzrw1::decode_into(b, &mut plain).expect("own block");
+        });
+        rotate(&mut group, "lzss_decode_vec", class, &lzss_blocks, |b| {
+            lzss.decompress(b, &mut sealed, PAGE).expect("own block");
+        });
+        rotate(&mut group, "rle_decode_vec", class, &rle_blocks, |b| {
+            rle.decompress(b, &mut sealed, PAGE).expect("own block");
         });
     }
     // A table-driven CRC costs the same on any bytes; noise keeps the

@@ -37,7 +37,7 @@
 //! fails Prometheus parsing; `--trace` adds the flight-recorder gates.
 //! CI runs it on every push next to `storebench --smoke`.
 
-use cc_bench::{smoke, PairedRates};
+use cc_bench::{smoke, PairedRates, Zipf};
 use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium};
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_server::proto::Request;
@@ -56,31 +56,6 @@ const ZIPF_S: f64 = 0.99;
 /// Store budget: far under the compressed working set, so most of the
 /// key space lives on the spill file and GETs split across tiers.
 const BUDGET: usize = 1 << 20;
-
-/// Zipfian sampler: precomputed CDF + binary search.
-struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    fn new(n: u64, s: f64) -> Self {
-        let mut cdf = Vec::with_capacity(n as usize);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cdf.push(total);
-        }
-        for v in cdf.iter_mut() {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    fn sample(&self, rng: &mut SplitMix64) -> u64 {
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        self.cdf.partition_point(|&c| c < u) as u64
-    }
-}
 
 /// Deterministic page content for `(key, version)`: mostly ~2:1
 /// compressible filler, every fifth version incompressible noise, so

@@ -15,10 +15,39 @@
 //! smoke runs; full-scale settings match EXPERIMENTS.md.
 
 use cc_sim::{Mode, SimConfig, System};
-use cc_util::Ns;
+use cc_util::{Ns, SplitMix64};
 use cc_workloads::{Workload, WorkloadSummary};
 
 pub mod smoke;
+
+/// Zipfian sampler over ranks `0..n` for `storebench` and `loadgen`: a
+/// precomputed CDF and a binary search, so a draw is one `SplitMix64`
+/// step and a `partition_point`.
+pub struct Zipf {
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    /// Rank `k` is drawn with weight `1 / (k + 1)^s`.
+    pub fn new(n: u64, s: f64) -> Self {
+        let mut cdf = Vec::with_capacity(n as usize);
+        let mut total = 0.0;
+        for k in 1..=n {
+            total += 1.0 / (k as f64).powf(s);
+            cdf.push(total);
+        }
+        for v in cdf.iter_mut() {
+            *v /= total;
+        }
+        Zipf { cdf }
+    }
+
+    /// One draw: a rank `< n`, rank 0 the most frequent.
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        self.cdf.partition_point(|&c| c < u) as u64
+    }
+}
 
 /// Measurements from one std-vs-cc pair of runs.
 #[derive(Debug, Clone)]
@@ -192,5 +221,21 @@ mod tests {
         let table = render_table1(std::slice::from_ref(&result));
         assert!(table.contains("thrasher"));
         assert!(table.contains("Speedup"));
+    }
+
+    #[test]
+    fn zipf_cdf_ends_at_one_and_rank_zero_leads() {
+        const N: u64 = 100;
+        let zipf = Zipf::new(N, 0.99);
+        assert!(zipf.cdf.windows(2).all(|w| w[0] < w[1]), "CDF not monotone");
+        assert_eq!(zipf.cdf.last().copied(), Some(1.0));
+        let mut rng = SplitMix64::new(7);
+        let mut hits = [0u32; N as usize];
+        for _ in 0..100_000 {
+            let k = zipf.sample(&mut rng);
+            assert!(k < N, "sample {k} out of 0..{N}");
+            hits[k as usize] += 1;
+        }
+        assert!(hits[1..].iter().all(|&h| h < hits[0]), "{hits:?}");
     }
 }

@@ -4,10 +4,11 @@
 //! The store records *which* codec sealed each page — in the in-memory
 //! entry and in the spill extent header — so decode always dispatches on
 //! the recorded [`CodecId`], never on guesswork. Selection between codecs
-//! is a policy ([`CodecPolicy`]): LZRW1-only (the paper's configuration),
-//! BDI-only (the word-pattern fast path), or adaptive, which classifies
-//! the page with a cheap sampled probe ([`probe_bdi`]) and falls back to
-//! LZRW1 when the pattern codec would miss the keep-compressed threshold.
+//! is a policy ([`CodecPolicy`]): LZRW1-only (the paper's configuration)
+//! or adaptive, which classifies the page with a cheap sampled probe
+//! ([`probe_bdi`]), runs the BDI word-pattern codec when it predicts a
+//! win, and falls back to LZRW1 when BDI would miss the keep-compressed
+//! threshold.
 
 use crate::bdi::{self, Bdi};
 use crate::lzrw1::Lzrw1;
@@ -127,9 +128,6 @@ pub fn codec_for(id: CodecId) -> Box<dyn Codec> {
 pub enum CodecPolicy {
     /// Always LZRW1 (the paper's configuration; pre-codec-layer behavior).
     Lzrw1Only,
-    /// Always BDI (word-pattern pages compress hard, everything else
-    /// stores raw — an ablation arm, not a production setting).
-    BdiOnly,
     /// Probe each page; BDI when the word-pattern classifier predicts it
     /// beats the admit bound, LZRW1 otherwise (with fallback if the
     /// prediction misses).
@@ -138,32 +136,17 @@ pub enum CodecPolicy {
 }
 
 impl CodecPolicy {
-    /// Stable name, also accepted by [`CodecPolicy::parse`].
+    /// Stable name for reports.
     pub fn name(self) -> &'static str {
         match self {
             CodecPolicy::Lzrw1Only => "lzrw1-only",
-            CodecPolicy::BdiOnly => "bdi-only",
             CodecPolicy::Adaptive => "adaptive",
         }
     }
 
-    /// Parse a policy name as used by bench CLIs.
-    pub fn parse(s: &str) -> Option<CodecPolicy> {
-        match s {
-            "lzrw1-only" | "lzrw1" => Some(CodecPolicy::Lzrw1Only),
-            "bdi-only" | "bdi" => Some(CodecPolicy::BdiOnly),
-            "adaptive" => Some(CodecPolicy::Adaptive),
-            _ => None,
-        }
-    }
-
-    /// All sweepable policies, for bench iteration.
-    pub fn all() -> [CodecPolicy; 3] {
-        [
-            CodecPolicy::Lzrw1Only,
-            CodecPolicy::Adaptive,
-            CodecPolicy::BdiOnly,
-        ]
+    /// Every policy, for sweeps and tests.
+    pub fn all() -> [CodecPolicy; 2] {
+        [CodecPolicy::Lzrw1Only, CodecPolicy::Adaptive]
     }
 }
 
@@ -249,7 +232,6 @@ impl CodecSet {
         let stored = n + 1;
         match policy {
             CodecPolicy::Lzrw1Only => lz.max(stored),
-            CodecPolicy::BdiOnly => bdi.max(stored),
             CodecPolicy::Adaptive => lz.max(bdi).max(stored),
         }
     }
@@ -304,13 +286,10 @@ impl CodecSet {
         let admit = threshold.max_compressed_len(n);
         let try_bdi = match policy {
             CodecPolicy::Lzrw1Only => false,
-            CodecPolicy::BdiOnly => true,
             CodecPolicy::Adaptive => probe_hint.unwrap_or_else(|| probe_bdi(page, admit)),
         };
         let (codec, fell_back, sealed) = match try_bdi.then(|| self.bdi.compress(page, dst)) {
-            Some(len) if policy == CodecPolicy::BdiOnly || len <= admit => {
-                (CodecId::Bdi, false, Some(len))
-            }
+            Some(len) if len <= admit => (CodecId::Bdi, false, Some(len)),
             // No BDI attempt, or the sampled probe was too optimistic and
             // the LZ pass it was meant to avoid is paid after all.
             tried => (
@@ -600,8 +579,10 @@ mod tests {
     fn mismatched_codec_id_is_rejected_not_misdecoded() {
         let mut set = CodecSet::new();
         let mut dst = Vec::new();
+        // Adaptive routes the narrow page to BDI (see
+        // `adaptive_picks_bdi_on_patterns_and_lzrw1_on_text`).
         let sel = set.compress_with_policy(
-            CodecPolicy::BdiOnly,
+            CodecPolicy::Adaptive,
             ThresholdPolicy::default(),
             &narrow_page(4096),
             &mut dst,
@@ -628,11 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_parse() {
-        for p in CodecPolicy::all() {
-            assert_eq!(CodecPolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(CodecPolicy::parse("gzip"), None);
+    fn policy_names_are_distinct_and_adaptive_is_default() {
+        let [a, b] = CodecPolicy::all();
+        assert_ne!(a.name(), b.name());
         assert_eq!(CodecPolicy::default(), CodecPolicy::Adaptive);
     }
 }

@@ -22,7 +22,7 @@
 //! The [`codec`] module layers identity and selection on top: a stable
 //! [`CodecId`] per codec (persisted in store entries and spill extent
 //! headers so decode always uses the codec that sealed the bytes), a
-//! [`CodecPolicy`] (`lzrw1-only` / `bdi-only` / `adaptive`), the sampled
+//! [`CodecPolicy`] (`lzrw1-only` / `adaptive`), the sampled
 //! [`probe_bdi`] classifier, and [`CodecSet`] — the per-thread bundle the
 //! store's put path selects from.
 //!

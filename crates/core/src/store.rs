@@ -354,10 +354,10 @@ pub struct StoreConfig {
     /// Which codec(s) the put path may use. The default,
     /// [`CodecPolicy::Adaptive`], probes each page and runs the BDI
     /// word-pattern codec when it predicts a win, LZRW1 otherwise;
-    /// `Lzrw1Only` reproduces the paper's single-codec behavior and
-    /// `BdiOnly` is the ablation arm. The chosen codec's id is recorded
-    /// in the entry and sealed into any spill extent, so a policy change
-    /// between runs never misdecodes existing data.
+    /// `Lzrw1Only` reproduces the paper's single-codec behavior. The
+    /// chosen codec's id is recorded in the entry and sealed into any
+    /// spill extent, so a policy change between runs never misdecodes
+    /// existing data.
     pub codec_policy: CodecPolicy,
     /// Number of lock-striped shards, rounded up to a power of two.
     /// `0` (the default) sizes the striping to the hardware parallelism.
@@ -478,8 +478,8 @@ impl StoreConfig {
     }
 
     /// Override the codec-selection policy (see
-    /// [`StoreConfig::codec_policy`]). The bench harness sweeps
-    /// `lzrw1-only` / `adaptive` / `bdi-only` through this.
+    /// [`StoreConfig::codec_policy`]). `storebench --smoke` sweeps
+    /// `lzrw1-only` / `adaptive` through this.
     pub fn with_codec_policy(mut self, policy: CodecPolicy) -> Self {
         self.codec_policy = policy;
         self
@@ -4298,17 +4298,17 @@ pub(crate) mod tests {
             assert!(store.get(k, &mut out).unwrap());
             assert_eq!(out, bdi_page(k as u8), "key {k}");
         }
-        // bdi-only runs BDI everywhere; non-BDI-able pages degrade to
-        // stored-raw inside the BDI stream but still roundtrip.
+        // Adaptive routes the same pages to BDI, and the byte-ramp page
+        // (not BDI-able) to LZRW1.
         let store = CompressedStore::new(
-            StoreConfig::in_memory(1 << 20).with_codec_policy(CodecPolicy::BdiOnly),
+            StoreConfig::in_memory(1 << 20).with_codec_policy(CodecPolicy::Adaptive),
         );
         for k in 0..8u64 {
             store.put(k, &bdi_page(k as u8)).unwrap();
         }
         store.put(99, &page(7)).unwrap();
         let s = store.stats();
-        assert_eq!(s.puts_lzrw1, 0, "{s:?}");
+        assert_eq!(s.puts_lzrw1, 1, "{s:?}");
         assert_eq!(s.puts_bdi, 8, "{s:?}");
         for k in 0..8u64 {
             assert!(store.get(k, &mut out).unwrap());

@@ -157,12 +157,12 @@ proptest! {
     }
 
     /// Every codec policy matches the model: whatever lzrw1-only /
-    /// bdi-only / adaptive selects per page, gets return exact bytes
-    /// across memory and spill tiers.
+    /// adaptive selects per page, gets return exact bytes across memory
+    /// and spill tiers.
     #[test]
     fn every_codec_policy_matches_model(
         ops in proptest::collection::vec(op(), 1..100),
-        policy_idx in 0usize..3,
+        policy_idx in 0..CodecPolicy::all().len(),
     ) {
         let policy = CodecPolicy::all()[policy_idx];
         let dir = std::env::temp_dir();
