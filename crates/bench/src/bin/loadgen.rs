@@ -19,7 +19,8 @@
 //! After the run one extra connection FLUSHes and fetches STATS. The
 //! summary goes to stderr: client-side throughput, the server's
 //! per-opcode wire latency (p50 straight from the wire telemetry), the
-//! wire counters, and the store's memory/spill tier split parsed back
+//! wire counters, the reactor's socket reads, socket writes and polls
+//! per request, and the store's memory/spill tier split parsed back
 //! out of the STATS payload. No report file is written; ccbench
 //! (`benchmark/`) is where the server's speed is measured.
 //!
@@ -33,14 +34,16 @@
 //! `--smoke` runs a reduced-ops pass and exits nonzero on any integrity
 //! error, any response-tag mismatch, any malformed or BUSY-rejected
 //! frame, a latency histogram that is empty or disordered, ring events
-//! that disagree with the counters they shadow, or a STATS payload that
-//! fails Prometheus parsing; `--trace` adds the flight-recorder gates.
+//! that disagree with the counters they shadow, a syscall counter left
+//! at 0, or a STATS payload that fails Prometheus parsing; `--trace`
+//! adds the flight-recorder gates.
 //! CI runs it on every push next to `storebench --smoke`.
 
 use cc_bench::{smoke, PairedRates, Zipf};
 use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium};
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_server::proto::Request;
+use cc_server::service::wstat;
 use cc_server::{Client, ClientError, Pipeline, Server, ServerConfig};
 use cc_telemetry::trace::{orphan_spans, Tracer};
 use cc_util::SplitMix64;
@@ -641,8 +644,14 @@ fn main() {
         "  {:.0} ops/s over {:.2}s; {} get hits / {} misses; integrity mismatches {}, tag mismatches {}, hard errors {}",
         ops_per_sec, elapsed, total.gets_hit, total.gets_miss, total.integrity_mismatches, total.tag_mismatches, total.hard_errors,
     );
+    let requests: u64 = wstat::NAMES
+        .iter()
+        .filter(|name| name.starts_with("req_"))
+        .map(|name| wire(name))
+        .sum();
+    let per_request = |name: &str| wire(name) as f64 / requests.max(1) as f64;
     eprintln!(
-        "  wire: put p50 {} ns / get p50 {} ns / del p50 {} ns; conns {} opened / {} closed; busy {} malformed {}",
+        "  wire: put p50 {} ns / get p50 {} ns / del p50 {} ns; conns {} opened / {} closed; busy {} malformed {}; per request {:.3} reads / {:.3} writes / {:.3} polls",
         snap.op("put").map_or(0, |s| s.p50),
         snap.op("get").map_or(0, |s| s.p50),
         snap.op("del").map_or(0, |s| s.p50),
@@ -650,6 +659,9 @@ fn main() {
         wire("conns_closed"),
         wire("busy_rejected"),
         wire("malformed_frames"),
+        per_request("sock_reads"),
+        per_request("sock_writes"),
+        per_request("polls"),
     );
     eprintln!("  store tiers (from STATS): {hits_memory} memory hits, {hits_spill} spill hits, {misses} misses");
 
@@ -728,6 +740,15 @@ fn main() {
             let v = wire(name);
             if v > 0 {
                 failures.push(format!("{name} is {v}, expected 0"));
+            }
+        }
+        // The reactor counts its syscalls where it makes them; a run
+        // that served traffic made all three kinds.
+        for name in ["sock_reads", "sock_writes", "polls"] {
+            if wire(name) == 0 {
+                failures.push(format!(
+                    "{name} is 0: the reactor's syscall count is not wired"
+                ));
             }
         }
         // Every opcode the run issues must have a sane wire histogram.

@@ -1,11 +1,20 @@
 //! A blocking, connection-reusing client for `cc-server`.
 //!
-//! One [`Client`] owns one TCP connection and a pair of reusable
-//! encode/decode buffers; every call is a single request/response
-//! round-trip on that connection, so a loop of operations allocates
-//! nothing in steady state. The client is deliberately synchronous — it
-//! is the building block of the load generator and the integration
-//! tests, and N concurrent clients are N `Client` values on N threads.
+//! One [`Client`] owns one TCP connection, a reusable encode buffer and
+//! one receive buffer ([`RecvBuf`], sized for a window of 16 page
+//! replies); every call is a single request/response round-trip on that
+//! connection, so a loop of operations allocates nothing in steady
+//! state. The client is deliberately synchronous — it is the building
+//! block of the load generator and the integration tests, and N
+//! concurrent clients are N `Client` values on N threads.
+//!
+//! Replies are read through the receive buffer: the client calls `read`
+//! only when no whole reply is buffered, and that one `read` takes
+//! every reply the socket holds, so the rest of a pipelined window is
+//! reaped without a syscall. Bytes already read survive a failed read:
+//! a read timeout in the middle of a reply leaves the partial frame
+//! buffered, and the next receive completes it. Requests go out as they
+//! are made, one `writev` each.
 //!
 //! Every request frame carries a `seq` tag the server echoes on the
 //! response; the simple call API verifies the echo, and the **pipelined
@@ -25,11 +34,17 @@
 //! total wait. The default policy is a single attempt — errors surface
 //! immediately, exactly as before.
 
-use crate::frame::{self, FrameError};
+use crate::frame::{self, FrameError, RecvBuf};
 use crate::proto::{ProtoError, Request, Response, Status};
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Receive buffer size: a window of 16 GET replies of a 4 KiB page
+/// (header, status byte, page each), so a full window queued in the
+/// socket comes back in one `read`. Larger replies (STATS, DUMP) grow
+/// the buffer for as long as they take.
+pub(crate) const RECV_BUF: usize = 16 * (frame::HEADER_LEN + 1 + 4096);
 
 /// Bounded retry policy for transient failures (`BUSY` answers,
 /// connect/read timeouts, connection resets).
@@ -143,7 +158,9 @@ pub struct Client {
     addr: SocketAddr,
     /// Request body staging (reused).
     send: Vec<u8>,
-    /// Response body landing zone (reused).
+    /// Replies read from the socket and not yet reaped.
+    rbuf: RecvBuf,
+    /// The last [`Client::call`]'s response body (reused).
     recv: Vec<u8>,
     max_frame: usize,
     timeout: Option<Duration>,
@@ -165,6 +182,7 @@ impl Client {
             stream,
             addr,
             send: Vec::new(),
+            rbuf: RecvBuf::with_len(RECV_BUF),
             recv: Vec::new(),
             max_frame: frame::DEFAULT_MAX_FRAME,
             timeout: None,
@@ -217,7 +235,8 @@ impl Client {
     }
 
     /// Replace the connection ahead of a retry (the server closes
-    /// `BUSY` connections, and a torn stream can't be reused).
+    /// `BUSY` connections, and a torn stream can't be reused). Bytes
+    /// buffered from the old connection are dropped.
     fn reconnect(&mut self) -> io::Result<()> {
         let stream = match self.timeout {
             Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
@@ -227,7 +246,21 @@ impl Client {
         stream.set_read_timeout(self.timeout)?;
         stream.set_write_timeout(self.timeout)?;
         self.stream = stream;
+        self.rbuf.clear();
         Ok(())
+    }
+
+    /// Block until a whole reply is buffered. Its body sits at
+    /// `self.rbuf.unparsed()[frame.body]` until [`Client::reaped`].
+    fn next_reply(&mut self) -> Result<frame::ParsedFrame, FrameError> {
+        self.rbuf.next_frame(&mut self.stream, self.max_frame)
+    }
+
+    /// Drop a reply [`Client::next_reply`] returned, and any growth a
+    /// large one left behind once nothing else is buffered.
+    fn reaped(&mut self, reply: frame::ParsedFrame) {
+        self.rbuf.consume(reply.consumed);
+        self.rbuf.shrink_when_drained(RECV_BUF);
     }
 
     /// One wire round-trip; the response body lands in `self.recv`.
@@ -239,7 +272,12 @@ impl Client {
         self.send.clear();
         req.encode(&mut self.send);
         frame::write_frame(&mut self.stream, seq, &self.send)?;
-        let resp_seq = frame::read_frame(&mut self.stream, &mut self.recv, self.max_frame)?;
+        let reply = self.next_reply()?;
+        let resp_seq = reply.seq;
+        self.recv.clear();
+        self.recv
+            .extend_from_slice(&self.rbuf.unparsed()[reply.body.clone()]);
+        self.reaped(reply);
         let status = Response::decode(&self.recv)?.status;
         if resp_seq != seq
             && !(resp_seq == frame::SEQ_UNSOLICITED && matches!(status, Status::Busy | Status::Err))
@@ -268,22 +306,10 @@ impl Client {
     /// [`Pipeline`]). An unsolicited `BUSY` (tag 0) surfaces as
     /// [`ClientError::Busy`].
     pub fn pipeline_recv(&mut self, out: &mut Vec<u8>) -> Result<(u32, Status), ClientError> {
-        let seq = frame::read_frame(&mut self.stream, &mut self.recv, self.max_frame)?;
-        let resp = Response::decode(&self.recv)?;
-        if seq == frame::SEQ_UNSOLICITED {
-            return match resp.status {
-                Status::Busy => Err(ClientError::Busy),
-                Status::Err => Err(ClientError::Server(
-                    String::from_utf8_lossy(resp.payload).into_owned(),
-                )),
-                other => Err(ClientError::Protocol(format!(
-                    "unsolicited response with status {other:?}"
-                ))),
-            };
-        }
-        out.clear();
-        out.extend_from_slice(resp.payload);
-        Ok((seq, resp.status))
+        let reply = self.next_reply()?;
+        let reaped = reap(reply.seq, &self.rbuf.unparsed()[reply.body.clone()], out);
+        self.reaped(reply);
+        reaped
     }
 
     /// Round-trip with the retry policy applied: `BUSY` answers and
@@ -425,6 +451,26 @@ impl Client {
     }
 }
 
+/// Decode one pipelined reply tagged `seq`, copying its payload into
+/// `out`. An unsolicited frame (tag 0) is the server's `BUSY` or `ERR`.
+fn reap(seq: u32, body: &[u8], out: &mut Vec<u8>) -> Result<(u32, Status), ClientError> {
+    let resp = Response::decode(body)?;
+    if seq == frame::SEQ_UNSOLICITED {
+        return match resp.status {
+            Status::Busy => Err(ClientError::Busy),
+            Status::Err => Err(ClientError::Server(
+                String::from_utf8_lossy(resp.payload).into_owned(),
+            )),
+            other => Err(ClientError::Protocol(format!(
+                "unsolicited response with status {other:?}"
+            ))),
+        };
+    }
+    out.clear();
+    out.extend_from_slice(resp.payload);
+    Ok((seq, resp.status))
+}
+
 /// Window bookkeeping for pipelined calls on one [`Client`]: tracks the
 /// outstanding tags and enforces that every response reaps exactly one
 /// of them — a duplicate, unknown, or already-reaped tag is a protocol
@@ -471,5 +517,64 @@ impl Pipeline {
             )));
         }
         Ok((seq, status))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write as _;
+    use std::net::TcpListener;
+
+    /// A reply frame as the server writes it.
+    fn reply(seq: u32, status: Status, payload: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        Response { status, payload }.encode(&mut body);
+        let mut wire = Vec::new();
+        frame::write_frame(&mut wire, seq, &body).unwrap();
+        wire
+    }
+
+    /// A client on a raw listener, its read timeout short, and the
+    /// accepted server end of the connection.
+    fn pair() -> (Client, TcpListener, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_timeout(Some(Duration::from_millis(50))).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (client, listener, peer)
+    }
+
+    #[test]
+    fn a_read_timeout_mid_frame_keeps_the_partial_reply() {
+        let (mut client, _listener, mut peer) = pair();
+        let wire = reply(7, Status::Ok, b"a payload that straddles the cut");
+        let half = wire.len() / 2;
+        peer.write_all(&wire[..half]).unwrap();
+        let mut out = Vec::new();
+        assert!(matches!(
+            client.pipeline_recv(&mut out),
+            Err(ClientError::Io(_))
+        ));
+        peer.write_all(&wire[half..]).unwrap();
+        assert_eq!(client.pipeline_recv(&mut out).unwrap(), (7, Status::Ok));
+        assert_eq!(out, b"a payload that straddles the cut");
+    }
+
+    #[test]
+    fn reconnect_discards_stale_bytes() {
+        let (mut client, listener, mut first) = pair();
+        let stale = reply(3, Status::Ok, b"stale");
+        first.write_all(&stale[..stale.len() - 2]).unwrap();
+        let mut out = Vec::new();
+        assert!(matches!(
+            client.pipeline_recv(&mut out),
+            Err(ClientError::Io(_))
+        ));
+        client.reconnect().unwrap();
+        let (mut second, _) = listener.accept().unwrap();
+        second.write_all(&reply(4, Status::Ok, b"fresh")).unwrap();
+        assert_eq!(client.pipeline_recv(&mut out).unwrap(), (4, Status::Ok));
+        assert_eq!(out, b"fresh");
     }
 }

@@ -16,14 +16,14 @@
 //! server reserve gigabytes — it is reported as [`FrameError::Oversized`]
 //! and the connection is torn down.
 //!
-//! Two consumption styles share the format:
-//!
-//! - [`read_frame`] blocks on a [`Read`] until one whole frame arrives
-//!   (the client's reaper);
-//! - [`parse_frame`] inspects an in-memory byte accumulation and
-//!   extracts a complete frame if one is present — the nonblocking
-//!   reactor appends whatever the socket had and parses as many
-//!   complete frames as arrived, however the bytes were split.
+//! Both ends consume frames the same way: [`parse_frame`] inspects an
+//! in-memory byte accumulation and extracts a complete frame if one is
+//! present, however the bytes were split. The accumulation is a
+//! [`RecvBuf`] — one per connection, on the client and in the reactor —
+//! which reads from the socket only when no whole frame is buffered,
+//! and reads as much as the socket holds. [`read_frame`] is the
+//! one-frame-at-a-time reader for a raw stream: it never reads past
+//! the frame it returns.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::ops::Range;
@@ -135,9 +135,9 @@ pub fn append_frame(out: &mut Vec<u8>, seq: u32, body_len: usize, body: impl FnO
 }
 
 /// Read one frame body into `buf` (cleared and resized), blocking until
-/// complete, returning the frame's sequence tag. Used by the client;
-/// the server's backends do nonblocking parses or stepped reads so idle
-/// timeouts and shutdown stay responsive.
+/// complete, returning the frame's sequence tag. It makes two reads per
+/// frame at least and never reads past it, which suits a test reading a
+/// raw stream; the client and the reactor read through a [`RecvBuf`].
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max: usize) -> Result<u32, FrameError> {
     let mut hdr = [0u8; HEADER_LEN];
     read_exact_or(r, &mut hdr, 0, HEADER_LEN)?;
@@ -201,6 +201,141 @@ pub fn shrink_to_high_water(buf: &mut Vec<u8>, high_water: usize) {
     }
 }
 
+/// The size a [`RecvBuf`] created empty grows to on its first read.
+const FIRST_LEN: usize = 16 << 10;
+
+/// A per-connection receive buffer: bytes read and not yet consumed sit
+/// at `start..end`, and every read lands in the free tail after `end`.
+///
+/// Each byte is initialized once, when the buffer grows, and reused
+/// after that, so a read costs no zero-fill. A reader calls
+/// [`RecvBuf::fill_from`] only when [`RecvBuf::parse`] finds no whole
+/// frame, and one `read` takes as much as the stream holds, so a burst
+/// of frames queued in a socket arrives in one syscall and is parsed
+/// out without another. The buffer doubles only when a read finds its
+/// tail full, so its size follows the bytes that arrived, never what a
+/// length prefix claims; a reader that parses before it reads, as
+/// [`RecvBuf::next_frame`] does, rejects an oversized prefix before the
+/// buffer grows. [`RecvBuf::shrink_when_drained`] hands growth back.
+#[derive(Debug, Default)]
+pub struct RecvBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl RecvBuf {
+    /// An empty buffer; the first read allocates.
+    pub fn new() -> RecvBuf {
+        RecvBuf::default()
+    }
+
+    /// A buffer of `len` bytes, allocated now.
+    pub fn with_len(len: usize) -> RecvBuf {
+        RecvBuf {
+            buf: vec![0; len],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The bytes read and not yet consumed.
+    pub fn unparsed(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Bytes allocated.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// [`parse_frame`] over [`RecvBuf::unparsed`]: the returned `body`
+    /// range indexes that slice.
+    pub fn parse(&self, max: usize) -> Result<Option<ParsedFrame>, FrameError> {
+        parse_frame(self.unparsed(), max)
+    }
+
+    /// Drop `n` bytes from the front (a parsed frame's `consumed`).
+    pub fn consume(&mut self, n: usize) {
+        debug_assert!(
+            n <= self.end - self.start,
+            "consumed past the buffered bytes"
+        );
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// Drop every buffered byte.
+    pub fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+    }
+
+    /// One `read` from `r` into the free tail, returning what it
+    /// returned (`Ok(0)` is end of stream). Unconsumed bytes slide to the
+    /// front first, so the read gets the whole tail; a buffer still full
+    /// doubles.
+    pub fn fill_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            self.buf.resize((2 * self.end).max(FIRST_LEN), 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Block on `r` until a whole frame sits at the front, reading only
+    /// while there is none. End of stream is [`FrameError::Closed`] on a
+    /// frame boundary and [`FrameError::Truncated`] inside a frame; a
+    /// failed read leaves every byte already read in place, so the next
+    /// call resumes the frame.
+    pub fn next_frame(&mut self, r: &mut impl Read, max: usize) -> Result<ParsedFrame, FrameError> {
+        loop {
+            if let Some(p) = self.parse(max)? {
+                return Ok(p);
+            }
+            match self.fill_from(r) {
+                Ok(0) => {
+                    let live = self.unparsed();
+                    return Err(match live.len() {
+                        0 => FrameError::Closed,
+                        got if got < HEADER_LEN => FrameError::Truncated {
+                            got,
+                            need: HEADER_LEN,
+                        },
+                        got => FrameError::Truncated {
+                            got,
+                            need: HEADER_LEN
+                                + u32::from_le_bytes(live[..4].try_into().expect("header length"))
+                                    as usize,
+                        },
+                    });
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+    }
+
+    /// Once every byte read has been consumed, give capacity above
+    /// `high_water` back to the allocator (`0` keeps it).
+    pub fn shrink_when_drained(&mut self, high_water: usize) {
+        if self.start == self.end && high_water > 0 {
+            self.buf.truncate(high_water);
+            shrink_to_high_water(&mut self.buf, high_water);
+        }
+    }
+}
+
 /// `read_exact` that distinguishes a clean close (EOF before the first
 /// byte of the frame) from a truncation (EOF with the frame underway).
 fn read_exact_or(
@@ -233,6 +368,7 @@ fn read_exact_or(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::RECV_BUF;
 
     #[test]
     fn roundtrip_over_a_pipe() {
@@ -251,12 +387,34 @@ mod tests {
         ));
     }
 
-    /// A transport that takes at most `take` bytes per call and counts
-    /// the calls.
+    /// A transport that moves at most `take` bytes per call and counts
+    /// the calls: writes append to `wire`, reads take from its front.
     struct Dribble {
         wire: Vec<u8>,
+        read_at: usize,
         take: usize,
         calls: usize,
+    }
+
+    impl Dribble {
+        fn new(wire: Vec<u8>, take: usize) -> Dribble {
+            Dribble {
+                wire,
+                read_at: 0,
+                take,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = self.take.min(buf.len()).min(self.wire.len() - self.read_at);
+            buf[..n].copy_from_slice(&self.wire[self.read_at..self.read_at + n]);
+            self.read_at += n;
+            Ok(n)
+        }
     }
 
     impl Write for Dribble {
@@ -283,20 +441,12 @@ mod tests {
         let mut whole = Vec::new();
         write_frame(&mut whole, 9, b"payload").unwrap();
         for take in [1, 3, HEADER_LEN, HEADER_LEN + 2, usize::MAX] {
-            let mut w = Dribble {
-                wire: Vec::new(),
-                take,
-                calls: 0,
-            };
+            let mut w = Dribble::new(Vec::new(), take);
             write_frame(&mut w, 9, b"payload").unwrap();
             assert_eq!(w.wire, whole, "{take} bytes per write");
             assert_eq!(w.calls, whole.len().div_ceil(take).max(1));
         }
-        let mut stuck = Dribble {
-            wire: Vec::new(),
-            take: 0,
-            calls: 0,
-        };
+        let mut stuck = Dribble::new(Vec::new(), 0);
         let err = write_frame(&mut stuck, 9, b"payload").unwrap_err();
         assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
@@ -406,5 +556,141 @@ mod tests {
         let cap = full.capacity();
         shrink_to_high_water(&mut full, 4096);
         assert_eq!(full.capacity(), cap);
+    }
+
+    /// Reap every frame from `r` through `buf` the way the client does,
+    /// until the stream ends; returns the frames and how it ended.
+    fn reap_all(
+        buf: &mut RecvBuf,
+        r: &mut impl Read,
+        max: usize,
+    ) -> (Vec<(u32, Vec<u8>)>, FrameError) {
+        let mut frames = Vec::new();
+        loop {
+            match buf.next_frame(r, max) {
+                Ok(p) => {
+                    frames.push((p.seq, buf.unparsed()[p.body].to_vec()));
+                    buf.consume(p.consumed);
+                }
+                Err(end) => return (frames, end),
+            }
+        }
+    }
+
+    #[test]
+    fn recv_buf_yields_the_same_frames_at_any_split() {
+        let page: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+        let frames = vec![
+            (1, b"first".to_vec()),
+            (2, Vec::new()),
+            (3, page.clone()),
+            (4, b"x".to_vec()),
+            (5, page),
+        ];
+        let mut wire = Vec::new();
+        for (seq, body) in &frames {
+            write_frame(&mut wire, *seq, body).unwrap();
+        }
+        for take in [1, 2, 3, 7, 8, 9, 100, 4104, 4105, usize::MAX] {
+            for mut buf in [
+                RecvBuf::new(),
+                RecvBuf::with_len(64),
+                RecvBuf::with_len(RECV_BUF),
+            ] {
+                let (got, end) = reap_all(&mut buf, &mut Dribble::new(wire.clone(), take), 1 << 20);
+                assert_eq!(got, frames, "{take} bytes per read");
+                assert!(matches!(end, FrameError::Closed), "{take}: {end}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_of_page_replies_in_one_segment_is_one_read() {
+        // 16 GET replies: status byte + a 4 KiB page each.
+        let mut wire = Vec::new();
+        for seq in 1..=16u32 {
+            write_frame(&mut wire, seq, &[seq as u8; 1 + 4096]).unwrap();
+        }
+        assert_eq!(wire.len(), RECV_BUF, "the client's buffer holds one window");
+        let mut socket = Dribble::new(wire, usize::MAX);
+        let mut buf = RecvBuf::with_len(RECV_BUF);
+        for seq in 1..=16u32 {
+            let p = buf.next_frame(&mut socket, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(p.seq, seq);
+            assert_eq!(buf.unparsed()[p.body.start], seq as u8);
+            buf.consume(p.consumed);
+        }
+        assert_eq!(socket.calls, 1, "every queued reply comes from one read");
+    }
+
+    #[test]
+    fn recv_buf_reports_oversized_before_growing() {
+        for len in [1000, u32::MAX as usize] {
+            // More bytes wait in the stream than the buffer holds.
+            let mut wire = header(len, 5).to_vec();
+            wire.extend_from_slice(&[0; 256]);
+            let mut buf = RecvBuf::with_len(64);
+            let cap = buf.capacity();
+            assert!(matches!(
+                buf.next_frame(&mut Dribble::new(wire, usize::MAX), 512),
+                Err(FrameError::Oversized { max: 512, .. })
+            ));
+            assert_eq!(buf.capacity(), cap, "grew for a {len}-byte body");
+        }
+        // Within the limit, the same frame grows the buffer.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 5, &[9; 500]).unwrap();
+        let mut buf = RecvBuf::with_len(64);
+        let p = buf
+            .next_frame(&mut Dribble::new(wire, usize::MAX), 512)
+            .unwrap();
+        assert_eq!(buf.unparsed()[p.body].len(), 500);
+        assert!(buf.capacity() >= HEADER_LEN + 500);
+    }
+
+    #[test]
+    fn a_large_frame_grows_the_buffer_and_drained_it_shrinks_back() {
+        // STATS and DUMP replies run to megabytes.
+        let big = vec![0xA5; 1 << 20];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, &big).unwrap();
+        write_frame(&mut wire, 2, b"after").unwrap();
+        let mut socket = Dribble::new(wire, 64 << 10);
+        let mut buf = RecvBuf::with_len(RECV_BUF);
+        let p = buf.next_frame(&mut socket, DEFAULT_MAX_FRAME).unwrap();
+        assert!(buf.unparsed()[p.body.clone()] == big[..]);
+        let grown = buf.capacity();
+        assert!(grown >= HEADER_LEN + big.len());
+        assert!(grown < 2 * (HEADER_LEN + big.len()), "grew to {grown}");
+        buf.consume(p.consumed);
+        let p = buf.next_frame(&mut socket, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(&buf.unparsed()[p.body], b"after");
+        buf.shrink_when_drained(RECV_BUF);
+        assert_eq!(buf.capacity(), grown, "shrunk with bytes still buffered");
+        buf.consume(p.consumed);
+        buf.shrink_when_drained(RECV_BUF);
+        assert_eq!(buf.capacity(), RECV_BUF);
+    }
+
+    #[test]
+    fn recv_buf_end_of_stream_is_closed_or_truncated() {
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 1, b"whole").unwrap();
+        let (got, end) = reap_all(&mut RecvBuf::new(), &mut &whole[..], 1024);
+        assert_eq!(got, vec![(1, b"whole".to_vec())]);
+        assert!(matches!(end, FrameError::Closed));
+        // Header cut short after a whole frame.
+        let mut wire = whole.clone();
+        wire.extend_from_slice(&[1, 0]);
+        let (got, end) = reap_all(&mut RecvBuf::new(), &mut &wire[..], 1024);
+        assert_eq!(got.len(), 1);
+        assert!(matches!(end, FrameError::Truncated { got: 2, need: 8 }));
+        // Body cut short.
+        let mut wire = whole;
+        wire.extend_from_slice(&header(8, 3));
+        wire.extend_from_slice(b"abc");
+        let (got, end) = reap_all(&mut RecvBuf::new(), &mut &wire[..], 1024);
+        assert_eq!(got.len(), 1);
+        assert!(matches!(end, FrameError::Truncated { got: 11, need: 16 }));
     }
 }

@@ -46,13 +46,13 @@
 //!   deadline.
 
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, Waker};
-use crate::frame::{self, FrameError, HEADER_LEN, SEQ_UNSOLICITED};
+use crate::frame::{self, FrameError, RecvBuf, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
-use crate::service::{malformed_class, Service};
+use crate::service::{malformed_class, wstat, Service};
 use crate::ServerConfig;
 use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, Span};
 use cc_util::Slab;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,9 +63,6 @@ use std::time::{Duration, Instant};
 const TOKEN_LISTENER: usize = usize::MAX;
 /// Registration token of the shutdown waker.
 const TOKEN_WAKER: usize = usize::MAX - 1;
-/// Socket read granularity: bytes appended to the accumulation buffer
-/// per `read` call.
-const READ_CHUNK: usize = 16 << 10;
 /// Accepts drained per listener wake-up, so one accept storm cannot
 /// starve connection I/O.
 const ACCEPT_BATCH: usize = 64;
@@ -108,9 +105,8 @@ pub(crate) enum CloseReason {
 /// cursor, and the state machine. Split out so the frame-walking logic
 /// is unit-testable without a live socket.
 pub(crate) struct Wire {
-    /// Accumulated unparsed input; `rpos..len` is live.
-    rbuf: Vec<u8>,
-    rpos: usize,
+    /// Input read from the socket and not yet parsed.
+    rbuf: RecvBuf,
     /// Staged responses; `wpos..len` is unsent.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -122,8 +118,7 @@ pub(crate) struct Wire {
 impl Wire {
     pub(crate) fn new() -> Wire {
         Wire {
-            rbuf: Vec::new(),
-            rpos: 0,
+            rbuf: RecvBuf::new(),
             wbuf: Vec::new(),
             wpos: 0,
             requests: 0,
@@ -149,7 +144,7 @@ impl Wire {
     /// anything left is a partial frame — or frames parked behind
     /// backpressure).
     pub(crate) fn has_unparsed(&self) -> bool {
-        self.rpos < self.rbuf.len()
+        !self.rbuf.unparsed().is_empty()
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
@@ -162,25 +157,15 @@ impl Wire {
         self.wbuf.capacity()
     }
 
-    /// Append raw bytes as if read from the socket (tests and the
-    /// socket read path both land here).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn ingest(&mut self, bytes: &[u8]) {
-        self.rbuf.extend_from_slice(bytes);
-    }
-
-    /// Reserve `READ_CHUNK` spare bytes and return the writable tail
-    /// for a socket read; pair with [`Wire::commit`].
-    fn read_tail(&mut self) -> &mut [u8] {
-        let old = self.rbuf.len();
-        self.rbuf.resize(old + READ_CHUNK, 0);
-        &mut self.rbuf[old..]
-    }
-
-    /// Keep `n` bytes of the tail handed out by [`Wire::read_tail`].
-    fn commit(&mut self, n: usize) {
-        let len = self.rbuf.len();
-        self.rbuf.truncate(len - READ_CHUNK + n);
+    /// Read `bytes` as if from the socket, through the same buffer
+    /// reads the socket path makes.
+    #[cfg(test)]
+    pub(crate) fn ingest(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            self.rbuf
+                .fill_from(&mut bytes)
+                .expect("a slice read cannot fail");
+        }
     }
 
     /// Parse and execute every complete frame currently buffered,
@@ -198,13 +183,13 @@ impl Wire {
             if self.pending_out() > WRITE_BACKPRESSURE {
                 break None;
             }
-            let parsed = match frame::parse_frame(&self.rbuf[self.rpos..], cfg.max_frame_bytes) {
+            let parsed = match self.rbuf.parse(cfg.max_frame_bytes) {
                 Ok(Some(p)) => p,
                 Ok(None) => break None,
                 Err(FrameError::Oversized { .. }) => {
                     // The header (and so the tag) is visible whenever
                     // at least 8 bytes arrived; echo it if we can.
-                    let avail = &self.rbuf[self.rpos..];
+                    let avail = self.rbuf.unparsed();
                     let seq = if avail.len() >= HEADER_LEN {
                         u32::from_le_bytes(avail[4..8].try_into().expect("checked length"))
                     } else {
@@ -216,7 +201,7 @@ impl Wire {
                 }
                 Err(_) => unreachable!("parse_frame only fails Oversized"),
             };
-            let body = &self.rbuf[self.rpos + parsed.body.start..self.rpos + parsed.body.end];
+            let body = &self.rbuf.unparsed()[parsed.body];
             match Request::decode(body) {
                 Ok(req) => {
                     let op = req.opcode();
@@ -250,12 +235,12 @@ impl Wire {
                     }
                     service.record_latency(op, t0.elapsed().as_nanos() as u64, tctx.trace_id);
                     self.requests += 1;
-                    self.rpos += parsed.consumed;
+                    self.rbuf.consume(parsed.consumed);
                 }
                 Err(e) => {
                     service.malformed(STRIPE, conn_id, malformed_class::UNDECODABLE);
                     self.stage_err(parsed.seq, &e.to_string());
-                    self.rpos += parsed.consumed;
+                    self.rbuf.consume(parsed.consumed);
                     break Some(CloseReason::Malformed);
                 }
             }
@@ -286,7 +271,7 @@ impl Wire {
     }
 
     fn update_state(&mut self) {
-        let unparsed = self.rbuf.len() - self.rpos;
+        let unparsed = self.rbuf.unparsed().len();
         self.state = if unparsed >= HEADER_LEN {
             // A complete header is buffered: we are mid-body (either
             // waiting for bytes or parked behind backpressure).
@@ -300,17 +285,10 @@ impl Wire {
         };
     }
 
-    /// Compact the consumed read prefix and shrink over-grown buffers
-    /// back to the configured high-water mark once they empty.
+    /// Shrink over-grown buffers back to the configured high-water mark
+    /// once they empty.
     pub(crate) fn housekeeping(&mut self, high_water: usize) {
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-            self.rpos = 0;
-        } else if self.rpos > 0 {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-        }
-        frame::shrink_to_high_water(&mut self.rbuf, high_water);
+        self.rbuf.shrink_when_drained(high_water);
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
@@ -318,10 +296,12 @@ impl Wire {
         }
     }
 
-    /// Flush staged responses to `w` until done or `WouldBlock`.
-    /// `Ok(true)` means everything staged has been written.
-    fn flush_to(&mut self, w: &mut impl Write) -> std::io::Result<bool> {
+    /// Flush staged responses to `w` until done or `WouldBlock`,
+    /// adding each `write` call to `writes`. `Ok(true)` means
+    /// everything staged has been written.
+    fn flush_to(&mut self, w: &mut impl Write, writes: &mut u64) -> std::io::Result<bool> {
         while self.wpos < self.wbuf.len() {
+            *writes += 1;
             match w.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => self.wpos += n,
@@ -415,6 +395,7 @@ impl Reactor {
         loop {
             let timeout = self.wheel.granularity.min(Duration::from_millis(100));
             let mut events = std::mem::take(&mut self.events);
+            self.service.count(STRIPE, wstat::POLLS, 1);
             if let Err(e) = self.backend.poll(&mut events, Some(timeout)) {
                 // A failing poll leaves no readiness source at all;
                 // treat it as fatal and drain out.
@@ -487,6 +468,7 @@ impl Reactor {
         let conn_id = self.service.next_conn_id();
         self.service.busy_rejected(STRIPE, conn_id);
         let _ = stream.set_nonblocking(true);
+        self.service.count(STRIPE, wstat::SOCK_WRITES, 1);
         let _ = frame::write_frame(&mut stream, SEQ_UNSOLICITED, &[Status::Busy as u8]);
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
@@ -536,33 +518,34 @@ impl Reactor {
             // Don't grow the buffer for a peer we've stopped serving.
             if conn.close_after_flush.is_none() {
                 conn.last_active = Instant::now();
+                // Read until the socket is empty: the final `read` is the
+                // one that answers `WouldBlock`.
+                let mut reads = 0;
+                let mut failed = false;
                 loop {
-                    let tail = conn.wire.read_tail();
-                    match conn.stream.read(tail) {
+                    reads += 1;
+                    match conn.wire.rbuf.fill_from(&mut conn.stream) {
                         Ok(0) => {
-                            conn.wire.commit(0);
                             eof = true;
                             break;
                         }
-                        Ok(n) => {
-                            conn.wire.commit(n);
+                        Ok(_) => {
                             if conn.wire.pending_out() > WRITE_BACKPRESSURE {
                                 break;
                             }
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            conn.wire.commit(0);
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(_) => {
+                            failed = true;
                             break;
                         }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {
-                            conn.wire.commit(0);
-                        }
-                        Err(_) => {
-                            conn.wire.commit(0);
-                            self.close(token, CloseReason::Error);
-                            return;
-                        }
                     }
+                }
+                self.service.count(STRIPE, wstat::SOCK_READS, reads);
+                if failed {
+                    self.close(token, CloseReason::Error);
+                    return;
                 }
             }
         }
@@ -606,7 +589,10 @@ impl Reactor {
         // makes no progress (partial frame) or the cap is hit again.
         let mut flushed;
         loop {
-            flushed = match conn.wire.flush_to(&mut conn.stream) {
+            let mut writes = 0;
+            let flush = conn.wire.flush_to(&mut conn.stream, &mut writes);
+            service.count(STRIPE, wstat::SOCK_WRITES, writes);
+            flushed = match flush {
                 Ok(done) => done,
                 Err(_) => {
                     self.close(token, CloseReason::Error);
@@ -953,7 +939,7 @@ mod tests {
         );
         // Responses drain (as if the socket accepted everything)...
         let mut sink = Vec::new();
-        assert!(w.flush_to(&mut sink).unwrap());
+        assert!(w.flush_to(&mut sink, &mut 0).unwrap());
         let resps = staged_responses(&sink);
         assert_eq!(resps[1].2, page, "GET must round-trip before shrink");
         // ...and housekeeping returns both buffers to the mark.
@@ -1002,7 +988,7 @@ mod tests {
         assert!(w.has_unparsed());
         // Drain the socket side; parsing resumes and catches up.
         let mut sink = Vec::new();
-        assert!(w.flush_to(&mut sink).unwrap());
+        assert!(w.flush_to(&mut sink, &mut 0).unwrap());
         w.housekeeping(cfg.buffer_high_water);
         assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
         assert_eq!(w.requests(), executed + 2);

@@ -44,6 +44,13 @@ pub mod wstat {
     pub const IDLE_TIMEOUTS: usize = 10;
     /// DUMP requests executed.
     pub const REQ_DUMP: usize = 11;
+    /// Socket `read` calls the reactor made, including each one that
+    /// found the socket empty.
+    pub const SOCK_READS: usize = 12;
+    /// Socket `write` calls the reactor made.
+    pub const SOCK_WRITES: usize = 13;
+    /// Readiness polls (`epoll_wait` / `poll`) the reactor made.
+    pub const POLLS: usize = 14;
     /// Counter name table, index-aligned with the constants above.
     pub const NAMES: &[&str] = &[
         "req_put",
@@ -58,6 +65,9 @@ pub mod wstat {
         "conns_closed",
         "idle_timeouts",
         "req_dump",
+        "sock_reads",
+        "sock_writes",
+        "polls",
     ];
 }
 
@@ -185,6 +195,11 @@ impl Service {
     pub(crate) fn busy_rejected(&self, stripe: usize, conn_id: u64) {
         self.tel.count(stripe, wstat::BUSY_REJECTED, 1);
         self.tel.event(wevent::BUSY, conn_id, 0);
+    }
+
+    /// Add `n` to the wire counter `counter` (a [`wstat`] index).
+    pub(crate) fn count(&self, stripe: usize, counter: usize, n: u64) {
+        self.tel.count(stripe, counter, n);
     }
 
     pub(crate) fn malformed(&self, stripe: usize, conn_id: u64, class: u64) {

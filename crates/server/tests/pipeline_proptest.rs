@@ -6,24 +6,25 @@
 //! prefix at any time — and no fragmentation can be mistaken for a
 //! malformed frame. Three layers pin it:
 //!
-//! 1. **Request side, pure** — a burst serialized and re-fed through
-//!    [`frame::parse_frame`] at arbitrary chunk boundaries (down to
-//!    single bytes) surfaces every frame exactly once, in order, with
-//!    the right tag and body, and never errors.
-//! 2. **Response side, pure** — responses arriving in *any completion
-//!    order* (arbitrary permutation) reap an outstanding-tag window
-//!    exactly once each, whatever the fragmentation.
+//! 1. **Request side, pure** — a burst read into a [`frame::RecvBuf`]
+//!    (the reactor's receive buffer) in arbitrary chunks (down to single
+//!    bytes) surfaces every frame exactly once, in order, with the right
+//!    tag and body, and never errors.
+//! 2. **Response side, the client's reader** — responses a peer writes
+//!    in *any completion order* (arbitrary permutation) and in arbitrary
+//!    fragments reap a [`Pipeline`] window on a real [`Client`] exactly
+//!    once each.
 //! 3. **Live** — the same property against a real evented server on
 //!    loopback: dribbled writes of a pipelined burst come back as one
 //!    tagged response per request, byte-for-byte correct.
 
 use cc_server::frame;
 use cc_server::proto::{Request, Response, Status};
-use cc_server::{Server, ServerBackend, ServerConfig};
+use cc_server::{Client, Pipeline, Server, ServerBackend, ServerConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -77,31 +78,46 @@ fn burst_wire(burst: &[BurstOp], first_seq: u32) -> Vec<u8> {
     wire
 }
 
-/// Feed `wire` through an accumulation buffer in `splits`-sized chunks,
-/// returning every parsed `(seq, body)` in surfacing order.
-fn parse_fragmented(wire: &[u8], splits: &[usize]) -> Result<Vec<(u32, Vec<u8>)>, String> {
-    let mut acc: Vec<u8> = Vec::new();
+/// `wire` cut into `splits`-sized chunks (cycled).
+fn fragments<'a>(wire: &'a [u8], splits: &[usize]) -> Vec<&'a [u8]> {
     let mut out = Vec::new();
     let mut pos = 0;
-    let mut split_i = 0;
-    while pos < wire.len() {
-        let take = splits[split_i % splits.len()].min(wire.len() - pos);
-        split_i += 1;
-        acc.extend_from_slice(&wire[pos..pos + take]);
+    for &take in splits.iter().cycle() {
+        if pos == wire.len() {
+            break;
+        }
+        let take = take.min(wire.len() - pos);
+        out.push(&wire[pos..pos + take]);
         pos += take;
+    }
+    out
+}
+
+/// Read `wire` into a receive buffer one `splits`-sized chunk at a
+/// time, parsing after each, as the reactor does; returns every parsed
+/// `(seq, body)` in surfacing order.
+fn parse_fragmented(wire: &[u8], splits: &[usize]) -> Result<Vec<(u32, Vec<u8>)>, String> {
+    let mut rbuf = frame::RecvBuf::new();
+    let mut out = Vec::new();
+    let mut pos = 0;
+    for mut chunk in fragments(wire, splits) {
+        pos += chunk.len();
+        while !chunk.is_empty() {
+            rbuf.fill_from(&mut chunk).map_err(|e| e.to_string())?;
+        }
         loop {
-            match frame::parse_frame(&acc, frame::DEFAULT_MAX_FRAME) {
+            match rbuf.parse(frame::DEFAULT_MAX_FRAME) {
                 Ok(Some(p)) => {
-                    out.push((p.seq, acc[p.body.clone()].to_vec()));
-                    acc.drain(..p.consumed);
+                    out.push((p.seq, rbuf.unparsed()[p.body].to_vec()));
+                    rbuf.consume(p.consumed);
                 }
                 Ok(None) => break,
                 Err(e) => return Err(format!("false malformed at byte {pos}: {e}")),
             }
         }
     }
-    if !acc.is_empty() {
-        return Err(format!("{} bytes left unparsed", acc.len()));
+    if !rbuf.unparsed().is_empty() {
+        return Err(format!("{} bytes left unparsed", rbuf.unparsed().len()));
     }
     Ok(out)
 }
@@ -137,9 +153,9 @@ proptest! {
         }
     }
 
-    /// Response side: tagged responses arriving in *any completion
-    /// order* and any fragmentation reap the outstanding window exactly
-    /// once per tag.
+    /// Response side, through the client's reader: tagged responses a
+    /// peer writes in *any completion order* and any fragmentation reap
+    /// a `Pipeline` window exactly once per tag.
     #[test]
     fn any_completion_order_reaps_exactly_once(
         n in 1usize..12,
@@ -160,18 +176,37 @@ proptest! {
             Response { status: Status::Ok, payload: &payload }.encode(&mut body);
             frame::write_frame(&mut wire, seq, &body).unwrap();
         }
-        // Reap through fragmentation: every tag exactly once.
-        let parsed = parse_fragmented(&wire, &splits)
-            .map_err(proptest::test_runner::TestCaseError::fail)?;
-        let mut outstanding: HashSet<u32> = (1..=n as u32).collect();
-        prop_assert_eq!(parsed.len(), n);
-        for (seq, rbody) in &parsed {
-            prop_assert!(outstanding.remove(seq), "tag {} reaped twice or unknown", seq);
-            let resp = Response::decode(rbody).expect("response decodes");
-            prop_assert_eq!(resp.status, Status::Ok);
-            prop_assert_eq!(resp.payload, &seq.to_le_bytes()[..]);
+        // A client sends a window of n PINGs (tags 1..=n) to a peer that
+        // answers with `wire`, one fragment per write, while the client
+        // reaps.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = Client::connect(listener.local_addr().unwrap()).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(20))).unwrap();
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_nodelay(true).unwrap();
+        let mut pipe = Pipeline::new();
+        for _ in 0..n {
+            pipe.send(&mut client, &Request::Ping).expect("send");
         }
-        prop_assert!(outstanding.is_empty());
+        let chunks: Vec<Vec<u8>> = fragments(&wire, &splits).into_iter().map(<[u8]>::to_vec).collect();
+        let writer = std::thread::spawn(move || {
+            for chunk in chunks {
+                peer.write_all(&chunk).expect("peer write");
+            }
+            peer
+        });
+        let mut out = Vec::new();
+        let mut reaped = HashSet::new();
+        for _ in 0..n {
+            let (seq, status) = pipe
+                .recv(&mut client, &mut out)
+                .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
+            prop_assert!(reaped.insert(seq), "tag {} reaped twice", seq);
+            prop_assert_eq!(status, Status::Ok);
+            prop_assert_eq!(&out[..], &seq.to_le_bytes()[..]);
+        }
+        prop_assert_eq!(pipe.in_flight(), 0);
+        writer.join().expect("peer thread");
     }
 
     /// Live: a dribbled pipelined burst against a real evented server
@@ -203,14 +238,9 @@ proptest! {
             .unwrap();
         // Dribble the burst in fragments, reaping opportunistically is
         // not needed: bursts here are far below the backpressure cap.
-        let mut pos = 0;
-        let mut split_i = 0;
-        while pos < wire.len() {
-            let take = splits[split_i % splits.len()].min(wire.len() - pos);
-            split_i += 1;
-            stream.write_all(&wire[pos..pos + take]).unwrap();
+        for chunk in fragments(&wire, &splits) {
+            stream.write_all(chunk).unwrap();
             stream.flush().unwrap();
-            pos += take;
         }
         // Reap: every tag exactly once, payloads exact.
         let mut outstanding: HashSet<u32> = (1..=burst.len() as u32).collect();
