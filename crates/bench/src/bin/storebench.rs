@@ -173,7 +173,7 @@ fn p50(mut ns: Vec<u64>) -> u64 {
 
 /// Whole-store compression ratio: original bytes over stored bytes.
 fn ratio(store: &CompressedStore) -> f64 {
-    let stored = store.stats().memory_bytes;
+    let stored = store.stats().resident_bytes;
     if stored > 0 {
         (store.len() as u64 * PAGE as u64) as f64 / stored as f64
     } else {

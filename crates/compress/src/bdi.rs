@@ -10,7 +10,7 @@
 //! two's-complement delta — which makes it several times faster than an
 //! LZ coder on the pages it fits.
 //!
-//! Wire format (after the 1-byte method tag [`METHOD_BDI`]):
+//! Wire format (after the 1-byte method tag `METHOD_BDI`, 5):
 //!
 //! | scheme | layout |
 //! |--------|--------|

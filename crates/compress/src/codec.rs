@@ -155,7 +155,7 @@ impl CodecPolicy {
 const PROBE_WORDS: usize = 64;
 
 /// Cheap classifier: would BDI's delta scheme fit `page` under
-/// `admit_bound` bytes? Samples [`PROBE_WORDS`] evenly spaced words
+/// `admit_bound` bytes? Samples `PROBE_WORDS` (64) evenly spaced words
 /// (~1.5% of a 4 KB page) instead of scanning all of them, so a "no" costs
 /// almost nothing on pages LZRW1 will handle anyway. The prediction is
 /// optimistic — unsampled words can widen the delta — which is why

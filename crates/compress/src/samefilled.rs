@@ -8,7 +8,7 @@
 //! codec registry can name the class with a stable id and decode a
 //! serialized pattern wherever one lands (e.g. in a spill extent).
 //!
-//! Wire format: method tag [`METHOD_SAME_FILLED`] + the 8 pattern bytes
+//! Wire format: method tag `METHOD_SAME_FILLED` (4) + the 8 pattern bytes
 //! in page order. Non-pattern input falls back to the shared stored block.
 
 use crate::{load_raw, store_raw, Compressor, CostProfile, DecompressError, METHOD_STORED};

@@ -21,7 +21,7 @@
 //!   individually CRC'd and epoch-stamped, so replay stops exactly at a
 //!   torn tail or a stale epoch left behind by journal compaction.
 //!
-//! Recovery ([`recover`]) replays the journal into a per-key latest-wins
+//! Recovery (`recover`) replays the journal into a per-key latest-wins
 //! fold ordered by LSN (the store's spill generation counter, so the
 //! on-disk order and the in-memory causal order agree), then — unless the
 //! clean bit was set — re-reads and re-verifies every referenced extent's
@@ -35,7 +35,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::medium::SpillMedium;
-use crate::store::{verify_extent, EXTENT_HEADER};
+use crate::store::extent::{verify_extent, EXTENT_HEADER};
 use cc_util::{crc32, Crc32};
 
 /// Bytes reserved at the head of the spill data file for the superblock
@@ -822,7 +822,7 @@ mod tests {
     /// passes on unclean recovery.
     fn back_extent(data: &MemMedium, rec: &JournalRecord) {
         let mut buf = Vec::new();
-        crate::store::encode_extent(&mut buf, rec.lsn, rec.codec, &[0xABu8; 8]);
+        crate::store::extent::encode_extent(&mut buf, rec.lsn, rec.codec, &[0xABu8; 8]);
         assert_eq!(buf.len(), rec.len as usize);
         data.write_at(&buf, rec.offset).unwrap();
     }

@@ -267,17 +267,6 @@ pub fn default_policy() -> Arc<dyn TierPolicy> {
     Arc::new(RecencyCompressibility::default())
 }
 
-/// Look up a policy by its [`TierPolicy::name`]; `None` for unknown
-/// names.
-pub fn by_name(name: &str) -> Option<Arc<dyn TierPolicy>> {
-    match name {
-        "compress-all" => Some(Arc::new(CompressAll)),
-        "paper-threshold" => Some(Arc::new(PaperThreshold)),
-        "recency" => Some(Arc::new(RecencyCompressibility::default())),
-        _ => None,
-    }
-}
-
 /// All sweepable policies at their default parameters, for benches.
 pub fn all() -> Vec<Arc<dyn TierPolicy>> {
     vec![
@@ -361,11 +350,11 @@ mod tests {
 
     #[test]
     fn registry_names_round_trip() {
-        for p in all() {
-            let looked_up = by_name(p.name()).expect("every swept policy is registered");
-            assert_eq!(looked_up.name(), p.name());
-        }
-        assert!(by_name("no-such-policy").is_none());
+        let names: Vec<&str> = all().iter().map(|p| p.name()).collect();
+        let mut distinct = names.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), names.len(), "{names:?}");
         assert_eq!(default_policy().name(), "recency");
     }
 }

@@ -120,7 +120,7 @@ pub fn new_backend(kind: BackendKind) -> io::Result<Box<dyn EventBackend>> {
 }
 
 /// Cross-thread wake-up for a blocked [`EventBackend::poll`]: a
-/// connected UDP socket pair on loopback. [`Waker::wake`] sends one
+/// connected UDP socket pair on loopback. [`WakeHandle::wake`] sends one
 /// byte; the reactor registers [`Waker::reader_fd`] for readability and
 /// [`Waker::drain`]s on wake. Pure std, works under every backend.
 pub struct Waker {

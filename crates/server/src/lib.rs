@@ -5,7 +5,7 @@
 //! today deployed as a *networked* cache service (ZipCache's DRAM/SSD
 //! tiers, TMTS's software-defined far memory), and this crate is that
 //! serving surface for the workspace. A [`Server`] is one thread running
-//! a readiness loop ([`reactor`]) over nonblocking sockets ([`event`]:
+//! a readiness loop (the private `reactor` module) over nonblocking sockets ([`event`]:
 //! epoll on Linux, poll(2) elsewhere or when [`ServerBackend::EventedPoll`]
 //! asks for it). Connections cost buffers, not threads, so thousands of
 //! mostly-idle connections are cheap, and the seq-tagged framing lets one

@@ -85,8 +85,8 @@ pub mod wevent {
     pub const CONN_CLOSE: usize = 1;
     /// `a` = connection id rejected at admission.
     pub const BUSY: usize = 2;
-    /// `a` = connection id, `b` = malformed-frame class (see
-    /// [`super::malformed_class`]).
+    /// `a` = connection id, `b` = malformed-frame class (see the
+    /// crate-private `malformed_class` table).
     pub const MALFORMED: usize = 3;
     /// Event name table.
     pub const NAMES: &[&str] = &["conn_open", "conn_close", "busy", "malformed"];

@@ -63,7 +63,7 @@ fn main() {
     println!("pages stored:        {}", store.len());
     println!("logical bytes:       {}", fmt::bytes(logical as u64));
     println!("memory budget:       {}", fmt::bytes(budget as u64));
-    println!("compressed resident: {}", fmt::bytes(s.memory_bytes));
+    println!("compressed resident: {}", fmt::bytes(s.resident_bytes));
     println!("spilled to disk:     {} pages", s.spilled);
     println!(
         "spill batching:      {} pages in {} batched writes ({:.1}/batch)",
