@@ -1,8 +1,11 @@
 //! ns per 4 KiB page of each codec kernel, per page class.
 //!
-//! The inner loop for work on `cc-compress`'s hot paths: `probe_bdi`, BDI
-//! encode/decode, LZRW1 encode (unbounded, and bounded at the 4:3 admit
-//! bound the store passes), LZRW1 decode, and each decoder through its
+//! The inner loop for work on `cc-compress`'s hot paths: `probe_bdi` and
+//! the whole `classify` it starts (on noise, the trigram reject test
+//! runs to the end; it has to stay a small fraction of the bounded LZRW1
+//! pass it saves), BDI encode/decode, LZRW1 encode (unbounded, and
+//! bounded at the 4:3 admit bound the store passes), LZRW1 decode, and
+//! each decoder through its
 //! `Vec` API against its slice form, and `crc32` — the checksum that
 //! guards every spilled extent — in ns per extent at three extent sizes
 //! (a BDI block, the mean spilled extent, a raw page). The simulator's
@@ -17,7 +20,7 @@
 //!
 //! It gates nothing; end-to-end claims are made with ccbench.
 
-use cc_compress::{probe_bdi, Bdi, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy};
+use cc_compress::{classify, probe_bdi, Bdi, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy};
 use cc_util::{crc32, SplitMix64};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -110,6 +113,9 @@ fn bench_kernels(c: &mut Criterion) {
 
         rotate(&mut group, "probe_bdi", class, &pages, |p| {
             black_box(probe_bdi(p, admit));
+        });
+        rotate(&mut group, "classify", class, &pages, |p| {
+            black_box(classify(p, admit));
         });
         rotate(&mut group, "bdi_encode", class, &pages, |p| {
             black_box(bdi.compress(p, &mut sealed));

@@ -44,8 +44,9 @@
 //! ring event counts disagree with the counters they shadow, telemetry
 //! costs more than 5% of throughput, adaptive codec selection is slower
 //! at put p50 than the lzrw1-only baseline on the pattern mix (or loses
-//! compression on the pattern or zipfian mix, or routes nothing to one
-//! of its codecs), any per-codec histogram goes unexercised, the recency
+//! compression on the pattern or zipfian mix, routes nothing to one of
+//! its codecs, predicts no reject on the pattern mix, or mispredicts
+//! one there), any per-codec histogram goes unexercised, the recency
 //! tier policy loses to compress-all at get p50 on the hot-skewed mix,
 //! any tier or the demoter goes unexercised in the recency arm, or
 //! `check_invariants()` fails after the final flush of either spill
@@ -542,7 +543,7 @@ fn run_codec_sweep(ops: u64, zipf: &Zipf, zipf_ops: u64) -> Vec<CodecTrial> {
         .map(|policy| {
             let t = run_codec_trial(policy, ops, zipf, zipf_ops);
             eprintln!(
-                "  [codec {:<10}] put p50={:>6} ns  ratio={:.2} (zipf {:.2})  lzrw1/bdi/fallback={}/{}/{}",
+                "  [codec {:<10}] put p50={:>6} ns  ratio={:.2} (zipf {:.2})  lzrw1/bdi/fallback={}/{}/{}  raw predicted/mispredicted={}/{}",
                 t.policy.name(),
                 t.put_p50_ns,
                 t.ratio,
@@ -550,6 +551,8 @@ fn run_codec_sweep(ops: u64, zipf: &Zipf, zipf_ops: u64) -> Vec<CodecTrial> {
                 t.stats.puts_lzrw1,
                 t.stats.puts_bdi,
                 t.stats.codec_fallbacks,
+                t.stats.reject_predicted,
+                t.stats.reject_mispredicted,
             );
             t
         })
@@ -1216,6 +1219,14 @@ fn run_smoke() -> i32 {
         failures.push(format!(
             "adaptive routed nothing to some codec: {} lzrw1, {} bdi puts",
             ad.stats.puts_lzrw1, ad.stats.puts_bdi
+        ));
+    }
+    // The mix's noise pages skip the codecs on a predicted reject, and
+    // none of its compressible pages is mistaken for noise.
+    if ad.stats.reject_predicted == 0 || ad.stats.reject_mispredicted > 0 {
+        failures.push(format!(
+            "adaptive reject prediction on the pattern mix: {} predicted (want > 0), {} mispredicted (want 0)",
+            ad.stats.reject_predicted, ad.stats.reject_mispredicted
         ));
     }
     for op in [

@@ -5,10 +5,12 @@
 //! entry and in the spill extent header — so decode always dispatches on
 //! the recorded [`CodecId`], never on guesswork. Selection between codecs
 //! is a policy ([`CodecPolicy`]): LZRW1-only (the paper's configuration)
-//! or adaptive, which classifies the page with a cheap sampled probe
-//! ([`probe_bdi`]), runs the BDI word-pattern codec when it predicts a
-//! win, and falls back to LZRW1 when BDI would miss the keep-compressed
-//! threshold.
+//! or adaptive, which classifies the page into a [`Route`] with two cheap
+//! sampled tests ([`classify`]): BDI when the word-pattern probe
+//! ([`probe_bdi`]) predicts a win, with a fallback to LZRW1 when BDI
+//! would miss the keep-compressed threshold; the stored block, with no
+//! codec pass, when sampled trigrams show no local redundancy; LZRW1
+//! otherwise.
 
 use crate::bdi::{self, Bdi};
 use crate::lzrw1::Lzrw1;
@@ -165,14 +167,26 @@ pub fn probe_bdi(page: &[u8], admit_bound: usize) -> bool {
     if nwords == 0 {
         return false;
     }
-    let word_at = |i: usize| bdi::word(&page[i * 8..i * 8 + 8]);
-    let base = word_at(0);
-    let samples = PROBE_WORDS.min(nwords);
+    let base = bdi::word(&page[..8]);
     let (mut vs_base, mut vs_zero) = (0u64, 0u64);
-    for s in 0..samples {
-        let w = word_at(s * nwords / samples);
+    let mut fold = |w: u64| {
         vs_base |= bdi::sign_fold(w.wrapping_sub(base));
         vs_zero |= bdi::sign_fold(w);
+    };
+    // Sample `s` is word `s * nwords / samples`. When the samples split
+    // the page evenly, as on every page size a power of two from 512 B,
+    // that is the first word of each of 64 equal chunks: no divide and no
+    // bounds test per sample, which were two thirds of the probe.
+    if nwords.is_multiple_of(PROBE_WORDS) {
+        for chunk in page.chunks_exact(nwords / PROBE_WORDS * 8) {
+            fold(bdi::word(&chunk[..8]));
+        }
+    } else {
+        let samples = PROBE_WORDS.min(nwords);
+        for s in 0..samples {
+            let at = s * nwords / samples * 8;
+            fold(bdi::word(&page[at..at + 8]));
+        }
     }
     let width = bdi::width_of(vs_base).min(bdi::width_of(vs_zero));
     if width == 8 {
@@ -181,6 +195,149 @@ pub fn probe_bdi(page: &[u8], admit_bound: usize) -> bool {
     // Predicted delta-scheme size (zero/repeated pages predict smaller
     // still; the delta bound covers them).
     bdi::delta_cost(width, nwords, page.len() % 8) <= admit_bound
+}
+
+/// Where adaptive selection sends a page ([`classify`]), and the hint a
+/// caller that remembers a page's route hands back to
+/// [`CodecSet::compress_with_hint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Route {
+    /// BDI, falling back to LZRW1 when its real output misses the admit
+    /// bound.
+    Bdi,
+    /// LZRW1.
+    Lz,
+    /// The stored block a threshold reject leaves, with no codec pass —
+    /// except on the 1 page in [`AUDIT_PERIOD`] the audit picks, which
+    /// runs the bounded LZRW1 pass all the same and keeps its output if
+    /// the threshold admits it.
+    Raw,
+}
+
+/// Windows the reject test samples, one centred in each eighth of the
+/// page: away from its first bytes, where headers live.
+const WINDOWS: usize = 8;
+/// Bytes a window covers: eight 8-byte loads six bytes apart, each giving
+/// the six trigrams that start in its first six bytes.
+const WINDOW_BYTES: usize = LOADS_PER_WINDOW * TRIGRAMS_PER_LOAD + 2;
+const LOADS_PER_WINDOW: usize = 8;
+const TRIGRAMS_PER_LOAD: usize = 6;
+/// Trigrams the reject test samples per page.
+const SAMPLED_TRIGRAMS: usize = WINDOWS * LOADS_PER_WINDOW * TRIGRAMS_PER_LOAD;
+/// Shortest page [`classify`] predicts a reject for: eight 64-byte
+/// eighths, each holding its whole window.
+pub const MIN_PREDICTED_LEN: usize = WINDOWS * 64;
+/// Slots of the reject test's trigram table: 2 KiB on the stack, indexed
+/// by a key's top bits.
+const TRIGRAM_SLOTS: usize = 512;
+const SLOT_SHIFT: u32 = 32 - TRIGRAM_SLOTS.trailing_zeros();
+/// A slot no trigram has written: every key's low byte is zero.
+const EMPTY_SLOT: u32 = u32::MAX;
+/// One predicted reject in this many is audited: it runs the LZRW1 pass
+/// it was predicted not to need ([`Route::Raw`]).
+pub const AUDIT_PERIOD: u64 = 1 << AUDIT_BITS;
+const AUDIT_BITS: u32 = 6;
+
+/// Start of reject-test window `w` in a page of `n >= MIN_PREDICTED_LEN`
+/// bytes.
+#[inline]
+fn window_start(n: usize, w: usize) -> usize {
+    let eighth = n / WINDOWS;
+    w * eighth + (eighth - WINDOW_BYTES) / 2
+}
+
+/// Sampled repeats below which a page of `n` bytes is predicted to miss
+/// `admit_bound`. A page the threshold admits saves `1 - admit/n` of its
+/// bytes, and LZRW1 saves bytes only where a trigram repeats. Sampling
+/// sees only the repeats whose earlier copy is also sampled, so the
+/// cut-off asks for an eighth of the repeats a page saving that share
+/// through local matches would show, plus two: one exact repeat in 384
+/// noise trigrams is chance, not redundancy. 4:3 on 4 KiB asks for 14;
+/// `any_shrink` for 2.
+#[inline]
+fn reject_cutoff(n: usize, admit_bound: usize) -> u32 {
+    2 + (SAMPLED_TRIGRAMS * n.saturating_sub(admit_bound) / (8 * n)) as u32
+}
+
+/// The trigram key's multiplier, an odd constant shifted past the byte a
+/// 32-bit read holds beyond the trigram: `x * TRIGRAM_MUL` is
+/// `(t * odd mod 2^24) << 8` for the trigram `t` in the low three bytes
+/// of `x`, one-to-one in `t` and blind to the fourth byte. It is the
+/// exact key and, in its top bits, the table index, with no mask.
+const TRIGRAM_MUL: u32 = 0x9E37_79B1 << 8;
+
+/// The reject test: does `page` show too little local redundancy for
+/// LZRW1 to fit it under `admit_bound`? Counts exact trigram repeats
+/// across eight sampled 50-byte windows (384 trigrams, ~10 % of a 4 KiB
+/// page) — LZRW1's own match signal, seen locally. Trigrams are read six
+/// at a time out of one 8-byte load, and remembered in a 512-slot table
+/// that keeps the last key per index, so a repeat is exact, never a hash
+/// collision: noise reads 0–1 repeats. Stops sampling as soon as the page
+/// reaches the cut-off.
+fn predicts_reject(page: &[u8], admit_bound: usize) -> bool {
+    let n = page.len();
+    if n < MIN_PREDICTED_LEN {
+        return false;
+    }
+    let cutoff = reject_cutoff(n, admit_bound);
+    let mut table = [EMPTY_SLOT; TRIGRAM_SLOTS];
+    let mut repeats = 0u32;
+    for w in 0..WINDOWS {
+        let window = &page[window_start(n, w)..][..WINDOW_BYTES];
+        for load in 0..LOADS_PER_WINDOW {
+            let at = load * TRIGRAMS_PER_LOAD;
+            let word = u64::from_le_bytes(window[at..at + 8].try_into().expect("8 bytes"));
+            for k in 0..TRIGRAMS_PER_LOAD {
+                let key = ((word >> (8 * k)) as u32).wrapping_mul(TRIGRAM_MUL);
+                let slot = &mut table[(key >> SLOT_SHIFT) as usize];
+                repeats += (*slot == key) as u32;
+                *slot = key;
+            }
+        }
+        if repeats >= cutoff {
+            return false;
+        }
+    }
+    true
+}
+
+/// Whether a [`Route::Raw`] page is audited: 1 page in [`AUDIT_PERIOD`],
+/// by a hash of the first word of each sampled window, so the choice is
+/// a pure function of the bytes. Pages too short to sample are never
+/// audited (they are never predicted either).
+fn audited(page: &[u8]) -> bool {
+    let n = page.len();
+    if n < MIN_PREDICTED_LEN {
+        return false;
+    }
+    let mut h = 0x243F_6A88_85A3_08D3u64;
+    for w in 0..WINDOWS {
+        let at = window_start(n, w);
+        let word = u64::from_le_bytes(page[at..at + 8].try_into().expect("8 bytes"));
+        h = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    h >> (64 - AUDIT_BITS) == 0
+}
+
+/// The adaptive policy's route for `page` under `admit_bound`
+/// (`threshold.max_compressed_len(page.len())`), a pure function of the
+/// two. [`probe_bdi`] runs first, exactly as on its own, so a BDI page
+/// pays nothing more; only the pages it turns away take the reject test,
+/// and those it finds without local redundancy route [`Route::Raw`]. A
+/// page under [`MIN_PREDICTED_LEN`] bytes is never routed `Raw`.
+///
+/// The test cannot see redundancy that exists only as long-range
+/// repetition (a random block repeated at a distance no two windows
+/// span); the audit ([`Route::Raw`]) counts how often that costs a page
+/// its compression.
+pub fn classify(page: &[u8], admit_bound: usize) -> Route {
+    if probe_bdi(page, admit_bound) {
+        Route::Bdi
+    } else if predicts_reject(page, admit_bound) {
+        Route::Raw
+    } else {
+        Route::Lz
+    }
 }
 
 /// What [`CodecSet::compress_with_policy`] chose and produced.
@@ -197,6 +354,20 @@ pub struct Selection {
     /// Adaptive only: the probe predicted BDI but its real output missed
     /// the admit bound, so LZRW1 ran as well.
     pub fell_back: bool,
+}
+
+impl Selection {
+    /// The route these bytes took: [`Route::Raw`] when the threshold
+    /// rejected them, else the route of the codec that sealed them.
+    /// Handed back to [`CodecSet::compress_with_hint`] for the same bytes,
+    /// it seals them the same way without classifying them again.
+    pub fn route(&self) -> Route {
+        match (self.admitted, self.codec) {
+            (false, _) => Route::Raw,
+            (true, CodecId::Bdi) => Route::Bdi,
+            (true, _) => Route::Lz,
+        }
+    }
 }
 
 /// The codecs a put path selects among, owned per thread (LZRW1 carries
@@ -251,24 +422,25 @@ impl CodecSet {
         self.compress_with_hint(policy, threshold, page, dst, None)
     }
 
-    /// Like [`CodecSet::compress_with_policy`], but accepting a cached
-    /// [`probe_bdi`] verdict for this exact page content.
+    /// Like [`CodecSet::compress_with_policy`], but accepting a known
+    /// [`Route`] for this exact page content.
     ///
-    /// A caller that already probed the page — e.g. a tiering layer that
-    /// used the probe as its placement hint and recorded it per entry —
-    /// passes `Some(verdict)` so adaptive selection skips the second
-    /// probe; `None` probes here as usual. The hint must come from
-    /// `probe_bdi(page, threshold.max_compressed_len(page.len()))` on
-    /// unchanged bytes: a stale hint only costs the fallback pass the
-    /// probe exists to avoid, never correctness, because the real
-    /// compressed size is re-checked either way.
+    /// A caller that already classified the page, or remembers the route
+    /// a put of it took ([`Selection::route`]), passes `Some(route)` so
+    /// adaptive selection does not classify it again; `None` runs
+    /// [`classify`] here. Under [`CodecPolicy::Lzrw1Only`] only a
+    /// [`Route::Raw`] hint counts: every other page goes to LZRW1. The
+    /// hint must come from unchanged bytes under the same threshold. A
+    /// stale `Bdi` or `Lz` hint costs at most a codec pass, never
+    /// correctness, because the real compressed size is re-checked; a
+    /// stale `Raw` hint stores bytes that would have compressed.
     pub fn compress_with_hint(
         &mut self,
         policy: CodecPolicy,
         threshold: ThresholdPolicy,
         page: &[u8],
         dst: &mut Vec<u8>,
-        probe_hint: Option<bool>,
+        hint: Option<Route>,
     ) -> Selection {
         let n = page.len();
         // Per-codec scratch sizing: reserve the worst case for *this*
@@ -284,11 +456,18 @@ impl CodecSet {
         // pass is the paper's "wasted effort" (§5.2) and the decision is
         // the same without it.
         let admit = threshold.max_compressed_len(n);
-        let try_bdi = match policy {
-            CodecPolicy::Lzrw1Only => false,
-            CodecPolicy::Adaptive => probe_hint.unwrap_or_else(|| probe_bdi(page, admit)),
+        let route = match (policy, hint) {
+            (_, Some(Route::Raw)) => Route::Raw,
+            (CodecPolicy::Lzrw1Only, _) => Route::Lz,
+            (CodecPolicy::Adaptive, hint) => hint.unwrap_or_else(|| classify(page, admit)),
         };
-        let (codec, fell_back, sealed) = match try_bdi.then(|| self.bdi.compress(page, dst)) {
+        // A predicted reject skips the codecs, and with them the wasted
+        // effort of §5.2 — unless the audit picks it.
+        if route == Route::Raw && !audited(page) {
+            return Self::seal_rejected(page, dst);
+        }
+        let bdi = (route == Route::Bdi).then(|| self.bdi.compress(page, dst));
+        let (codec, fell_back, sealed) = match bdi {
             Some(len) if len <= admit => (CodecId::Bdi, false, Some(len)),
             // No BDI attempt, or the sampled probe was too optimistic and
             // the LZ pass it was meant to avoid is paid after all.
@@ -318,14 +497,11 @@ impl CodecSet {
     }
 
     /// Seal `page` as the stored block a threshold reject leaves in `dst`
-    /// — the reject arm of [`CodecSet::compress_with_hint`] and nothing
-    /// else: no probe, no codec pass.
-    ///
-    /// For a caller that remembers, per entry, that the threshold already
-    /// rejected these exact bytes under the same policy and threshold:
-    /// the verdict is a pure function of the three, so the selection
-    /// equals what `compress_with_hint` would return (with `fell_back`
-    /// unset — which codecs ran to reach the verdict is not remembered).
+    /// — the reject arm of [`CodecSet::compress_with_hint`], and all of
+    /// its unaudited [`Route::Raw`] arm: no probe, no codec pass. The
+    /// selection equals what `compress_with_hint` returns for a page the
+    /// threshold rejects, with `fell_back` unset (which codecs ran to
+    /// reach the verdict is not part of it).
     pub fn seal_rejected(page: &[u8], dst: &mut Vec<u8>) -> Selection {
         Selection {
             codec: CodecId::Raw,
@@ -454,6 +630,175 @@ mod tests {
         assert!(!probe_bdi(&text_page(4096), admit));
     }
 
+    /// The probe as it read its samples before it stopped dividing: word
+    /// `s * nwords / samples` for each sample `s`.
+    fn probe_by_division(page: &[u8], admit_bound: usize) -> bool {
+        let nwords = page.len() / 8;
+        if nwords == 0 {
+            return false;
+        }
+        let word_at = |i: usize| bdi::word(&page[i * 8..i * 8 + 8]);
+        let (base, samples) = (word_at(0), PROBE_WORDS.min(nwords));
+        let (mut vs_base, mut vs_zero) = (0u64, 0u64);
+        for s in 0..samples {
+            let w = word_at(s * nwords / samples);
+            vs_base |= bdi::sign_fold(w.wrapping_sub(base));
+            vs_zero |= bdi::sign_fold(w);
+        }
+        let width = bdi::width_of(vs_base).min(bdi::width_of(vs_zero));
+        width != 8 && bdi::delta_cost(width, nwords, page.len() % 8) <= admit_bound
+    }
+
+    /// Narrow pages with one wide word planted: the verdict turns on
+    /// exactly which words are sampled, at every length up to 4 200 and
+    /// at a few large ones.
+    #[test]
+    fn probe_samples_the_same_words_at_every_length() {
+        let mut rng = cc_util::SplitMix64::new(41);
+        let lens = (0..=4200).chain([8192, 8200, 65536, 65544]);
+        for n in lens {
+            let mut page = narrow_page(n);
+            if n >= 8 {
+                let at = rng.gen_index(n / 8) * 8;
+                page[at..at + 8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+            for admit in [n, n * 3 / 4, n / 3] {
+                assert_eq!(
+                    probe_bdi(&page, admit),
+                    probe_by_division(&page, admit),
+                    "{n} bytes"
+                );
+            }
+        }
+    }
+
+    const WORDS: [&str; 16] = [
+        "page",
+        "cache",
+        "memory",
+        "compress",
+        "disk",
+        "fault",
+        "the",
+        "of",
+        "and",
+        "system",
+        "kernel",
+        "buffer",
+        "write",
+        "threshold",
+        "swap",
+        "segment",
+    ];
+
+    /// Space-separated words: byte-regular, word-irregular, repeats at
+    /// any distance.
+    fn words_page(n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = cc_util::SplitMix64::new(seed);
+        let mut page = Vec::with_capacity(n + 16);
+        while page.len() < n {
+            page.extend_from_slice(WORDS[rng.gen_index(WORDS.len())].as_bytes());
+            page.push(b' ');
+        }
+        page.truncate(n);
+        page
+    }
+
+    /// A 4 KiB page of 64-byte lines: noise in the first `noise_pct` %
+    /// of every line, `filler`'s bytes in the rest.
+    fn noisy_lines(mut filler: Vec<u8>, noise_pct: usize, seed: u64) -> Vec<u8> {
+        let mut rng = cc_util::SplitMix64::new(seed);
+        for line in filler.chunks_exact_mut(64) {
+            line[..64 * noise_pct / 100].fill_with(|| rng.next_u64() as u8);
+        }
+        filler
+    }
+
+    /// The families the reject test is held to, at `noise_pct` % noise:
+    /// zero-filled lines, text-filled lines, and records whose fields
+    /// after the noise are the same in every line (interleave).
+    fn families(noise_pct: usize, seed: u64) -> [(&'static str, Vec<u8>); 3] {
+        let record = noise_page(64, seed ^ 0xFEED);
+        let interleave = record.iter().copied().cycle().take(4096).collect();
+        [
+            ("zero", noisy_lines(vec![0; 4096], noise_pct, seed)),
+            ("text", noisy_lines(words_page(4096, seed), noise_pct, seed)),
+            ("interleave", noisy_lines(interleave, noise_pct, seed)),
+        ]
+    }
+
+    fn thresholds() -> [ThresholdPolicy; 5] {
+        [
+            ThresholdPolicy::default(),
+            ThresholdPolicy::new(3, 2),
+            ThresholdPolicy::new(2, 1),
+            ThresholdPolicy::new(10, 9),
+            ThresholdPolicy::any_shrink(),
+        ]
+    }
+
+    /// The reject test's contract: under every threshold, no page LZRW1
+    /// fits under the admit bound is routed `Raw`, whatever share of
+    /// each line is noise; every pure-noise page is.
+    #[test]
+    fn reject_prediction_never_costs_an_admitted_page() {
+        let mut lz = Lzrw1::new();
+        let mut out = Vec::new();
+        let mut admitted = 0;
+        for t in thresholds() {
+            let admit = t.max_compressed_len(4096);
+            for noise_pct in (40..=100).step_by(4) {
+                for seed in 0..6 {
+                    for (family, page) in families(noise_pct, seed * 131 + noise_pct as u64) {
+                        if lz.compress_bounded(&page, &mut out, admit).is_some() {
+                            admitted += 1;
+                            assert_ne!(
+                                classify(&page, admit),
+                                Route::Raw,
+                                "{t:?}: {family}-filled, {noise_pct} % noise, seed {seed}"
+                            );
+                        }
+                    }
+                }
+            }
+            for seed in 0..256 {
+                let page = noise_page(4096, seed);
+                assert_eq!(classify(&page, admit), Route::Raw, "{t:?}: noise {seed}");
+            }
+        }
+        assert!(admitted > 300, "only {admitted} admitted pages tested");
+    }
+
+    /// The blind spot: a random block repeated further apart than any
+    /// two sampled windows sit shows no local redundancy, yet LZRW1
+    /// matches it across the page. Such a page is routed `Raw` and stored
+    /// raw, except when the audit picks it — then LZRW1 seals it, the
+    /// misprediction a store counts.
+    #[test]
+    fn long_range_repetition_is_the_blind_spot_the_audit_samples() {
+        let t = ThresholdPolicy::default();
+        let admit = t.max_compressed_len(4096);
+        let (mut set, mut lz) = (CodecSet::new(), Lzrw1::new());
+        let (mut dst, mut raw) = (Vec::new(), Vec::new());
+        let mut audited = 0;
+        for seed in 0..1024 {
+            let block = noise_page(1600, seed);
+            let page: Vec<u8> = block.iter().copied().cycle().take(4096).collect();
+            assert!(lz.compress_bounded(&page, &mut dst, admit).is_some());
+            assert_eq!(classify(&page, admit), Route::Raw, "seed {seed}");
+            let sel = set.compress_with_policy(CodecPolicy::Adaptive, t, &page, &mut dst);
+            if sel.admitted {
+                assert_eq!((sel.codec, sel.route()), (CodecId::Lzrw1, Route::Lz));
+                audited += 1;
+            } else {
+                assert_eq!(sel, CodecSet::seal_rejected(&page, &mut raw));
+                assert_eq!(dst, raw);
+            }
+        }
+        // 1 in 64 by a hash of the content: 16 expected.
+        assert!((6..=32).contains(&audited), "{audited} of 1024 audited");
+    }
+
     #[test]
     fn adaptive_picks_bdi_on_patterns_and_lzrw1_on_text() {
         let mut set = CodecSet::new();
@@ -485,7 +830,7 @@ mod tests {
             text_page(4096),
             noise_page(4096, 23),
         ] {
-            let hint = probe_bdi(&page, t.max_compressed_len(page.len()));
+            let hint = classify(&page, t.max_compressed_len(page.len()));
             let mut inline = Vec::new();
             let baseline = set.compress_with_policy(CodecPolicy::Adaptive, t, &page, &mut inline);
             let mut hinted = Vec::new();
@@ -494,11 +839,12 @@ mod tests {
             assert_eq!(sel, baseline);
             assert_eq!(hinted, inline);
         }
-        // A stale "not BDI" hint must still seal correctly — it only
-        // forfeits the BDI attempt, never integrity.
+        // A stale "LZ" hint must still seal correctly — it only forfeits
+        // the BDI attempt, never integrity.
         let page = narrow_page(4096);
         let mut dst = Vec::new();
-        let sel = set.compress_with_hint(CodecPolicy::Adaptive, t, &page, &mut dst, Some(false));
+        let sel =
+            set.compress_with_hint(CodecPolicy::Adaptive, t, &page, &mut dst, Some(Route::Lz));
         assert_ne!(sel.codec, CodecId::Bdi);
         let mut out = Vec::new();
         set.decompress(sel.codec, &dst, &mut out, page.len())

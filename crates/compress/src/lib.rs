@@ -22,9 +22,10 @@
 //! The [`codec`] module layers identity and selection on top: a stable
 //! [`CodecId`] per codec (persisted in store entries and spill extent
 //! headers so decode always uses the codec that sealed the bytes), a
-//! [`CodecPolicy`] (`lzrw1-only` / `adaptive`), the sampled
-//! [`probe_bdi`] classifier, and [`CodecSet`] — the per-thread bundle the
-//! store's put path selects from.
+//! [`CodecPolicy`] (`lzrw1-only` / `adaptive`), the sampled [`classify`]
+//! that routes a page to BDI, LZRW1 or straight to the stored block
+//! ([`Route`]; its BDI half is [`probe_bdi`]), and [`CodecSet`] — the
+//! per-thread bundle the store's put path selects from.
 //!
 //! Every codec implements [`Compressor`] and obeys the same contract:
 //! `compress` never produces more than [`Compressor::max_compressed_len`]
@@ -51,7 +52,8 @@ pub mod threshold;
 
 pub use bdi::Bdi;
 pub use codec::{
-    codec_for, decode_into, probe_bdi, Codec, CodecId, CodecPolicy, CodecSet, Selection,
+    classify, codec_for, decode_into, probe_bdi, Codec, CodecId, CodecPolicy, CodecSet, Route,
+    Selection,
 };
 pub use lzrw1::Lzrw1;
 pub use lzss::Lzss;

@@ -5,8 +5,10 @@
 //! So we hammer the roundtrip and the decoder's robustness with generated
 //! inputs, including structured ones that look like real page contents.
 
+use cc_compress::codec::MIN_PREDICTED_LEN;
 use cc_compress::{
-    Bdi, CodecPolicy, CodecSet, Compressor, Lzrw1, Lzss, Null, Rle, SameFilled, ThresholdPolicy,
+    classify, Bdi, CodecId, CodecPolicy, CodecSet, Compressor, Lzrw1, Lzss, Null, Rle, Route,
+    SameFilled, Selection, ThresholdPolicy,
 };
 use proptest::prelude::*;
 
@@ -328,6 +330,57 @@ proptest! {
             let mut out = Vec::new();
             set.decompress(sel.codec, &packed, &mut out, input.len()).unwrap();
             prop_assert_eq!(&out, &input, "policy {:?} codec {}", policy, sel.codec.name());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The route contract over arbitrary bytes, page-like inputs and
+    /// BDI's edge cases, at every length up to 8 KiB: the classifier's
+    /// route handed back as the hint seals exactly what classifying
+    /// inside does; the route a selection took reproduces it, fallback
+    /// aside; a `Raw` route is the stored block unless the audit admits
+    /// the page through LZRW1; and a page under 512 bytes is never
+    /// predicted a reject.
+    #[test]
+    fn given_and_derived_routes_seal_alike(
+        input in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..8193),
+            page_like(),
+            adversarial_bdi(),
+        ],
+        num in 2u32..12,
+        any_shrink in any::<bool>(),
+    ) {
+        let threshold = if any_shrink {
+            ThresholdPolicy::any_shrink()
+        } else {
+            ThresholdPolicy::new(num, num - 1)
+        };
+        let admit = threshold.max_compressed_len(input.len());
+        let route = classify(&input, admit);
+        if input.len() < MIN_PREDICTED_LEN {
+            prop_assert_ne!(route, Route::Raw);
+        }
+        let mut set = CodecSet::new();
+        let mut seal = |hint| {
+            let mut dst = vec![0xEE; 64];
+            let sel = set.compress_with_hint(CodecPolicy::Adaptive, threshold, &input, &mut dst, hint);
+            (sel, dst)
+        };
+        let (derived, derived_bytes) = seal(None);
+        prop_assert_eq!(seal(Some(route)), (derived, derived_bytes.clone()));
+        let remembered = Selection { fell_back: false, ..derived };
+        prop_assert_eq!(seal(Some(derived.route())), (remembered, derived_bytes));
+        let (raw, raw_bytes) = seal(Some(Route::Raw));
+        if raw.admitted {
+            prop_assert_eq!(raw.codec, CodecId::Lzrw1);
+        } else {
+            let mut stored = Vec::new();
+            prop_assert_eq!(raw, CodecSet::seal_rejected(&input, &mut stored));
+            prop_assert_eq!(raw_bytes, stored);
         }
     }
 }

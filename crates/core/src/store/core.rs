@@ -9,9 +9,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::extent::verify_extent;
-use super::shard::{
-    probe_code, stage_slot, Entry, Padded, Residence, Shard, PROBE_REJECTED, SCRATCH,
-};
+use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Shard, SCRATCH};
 use super::stats::{tevent, top, tstat};
 use super::tiering::DemoteOutcome;
 #[cfg(doc)]
@@ -21,7 +19,7 @@ use crate::medium::SpillMedium;
 use crate::persist::Persist;
 use crate::tier::{PlacementQuery, TierDecision};
 use cc_compress::{
-    decode_into, expand_same_filled, probe_bdi, same_filled_pattern, CodecId, CodecPolicy,
+    classify, decode_into, expand_same_filled, same_filled_pattern, CodecId, CodecPolicy, Route,
 };
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
 use cc_telemetry::Telemetry;
@@ -363,10 +361,10 @@ impl StoreCore {
 
         // Keep-hot fast path: a re-put of a still-fresh hot page can
         // stay hot, replacing the raw bytes in place and skipping the
-        // probe and the compressor entirely — the entry records "not
-        // probed", and the demoter probes once when it seals the page,
-        // if it ever goes cold. Gated on the policy's capability flag so
-        // flat policies pay no extra lock acquisition.
+        // classifier and the compressor entirely — the entry records
+        // "not classified", and the demoter classifies once when it
+        // seals the page, if it ever goes cold. Gated on the policy's
+        // capability flag so flat policies pay no extra lock acquisition.
         if self.cfg.tier_policy.may_keep_hot() {
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
@@ -402,19 +400,19 @@ impl StoreCore {
             }
         }
 
-        // Probe compressibility once, here, for both the tier decision
-        // and codec selection — the entry records the verdict so a later
-        // demotion of this page never probes again. The probe is a pure
-        // function of the bytes and the threshold, so running it after
+        // Classify once, here, so the put can count a predicted reject;
+        // the entry records the route the put took, so a later demotion
+        // of this page never classifies it again. The route is a pure
+        // function of the bytes and the threshold, so classifying after
         // the keep-hot check changes no routing decision.
-        let hint = (self.cfg.codec_policy == CodecPolicy::Adaptive)
-            .then(|| probe_bdi(page, self.cfg.threshold.max_compressed_len(page.len())));
+        let route = (self.cfg.codec_policy == CodecPolicy::Adaptive)
+            .then(|| classify(page, self.cfg.threshold.max_compressed_len(page.len())));
 
         // Compress outside any lock, into this thread's reusable buffer.
-        // The policy picks the codec (probe → BDI or LZRW1), the
-        // threshold then admits or rewrites the buffer as a stored block;
-        // either way the selection names exactly the codec that sealed
-        // what sits in `comp`.
+        // The route picks the codec (BDI, LZRW1, or none for a predicted
+        // reject), the threshold then admits or rewrites the buffer as a
+        // stored block; either way the selection names exactly the codec
+        // that sealed what sits in `comp`.
         let (sel, comp_ns) = SCRATCH.with(|c| {
             let s = &mut *c.borrow_mut();
             let ct0 = Self::step_start(timed, ctx);
@@ -423,7 +421,7 @@ impl StoreCore {
                 self.cfg.threshold,
                 page,
                 &mut s.comp,
-                hint,
+                route,
             );
             (sel, ct0.map(|t| t.elapsed().as_nanos() as u64))
         });
@@ -466,6 +464,13 @@ impl StoreCore {
         self.remove_locked(&mut shard, key);
         if sel.fell_back {
             self.tel.count(shard_idx, tstat::CODEC_FALLBACKS, 1);
+        }
+        if route == Some(Route::Raw) {
+            self.tel.count(shard_idx, tstat::REJECT_PREDICTED, 1);
+            // Only an audited prediction can be admitted.
+            if sel.admitted {
+                self.tel.count(shard_idx, tstat::REJECT_MISPREDICTED, 1);
+            }
         }
         match sel.codec {
             CodecId::Lzrw1 => {
@@ -595,11 +600,7 @@ impl StoreCore {
             } else {
                 sel.codec.as_u8()
             },
-            probe: if sel.admitted {
-                probe_code(hint)
-            } else {
-                PROBE_REJECTED
-            },
+            probe: probe_code(Some(sel.route())),
             gets: 0,
             last_touch: now,
             journaled: false,
@@ -608,8 +609,8 @@ impl StoreCore {
             let compressed = &c.borrow().comp[..len];
             if hot {
                 // Hot tier: keep the raw page; the sealed bytes are
-                // discarded (the demoter re-seals from the recorded
-                // probe hint if this page ever ages out).
+                // discarded (the demoter re-seals along the recorded
+                // route if this page ever ages out).
                 let data = shard.acquire_buf(page);
                 let handle = shard.lru_hot.push_mru(key);
                 self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);

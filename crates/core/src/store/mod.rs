@@ -78,9 +78,12 @@
 //! # Codec selection
 //!
 //! Each put selects a codec under [`StoreConfig::codec_policy`]
-//! (default adaptive): a cheap sampled probe classifies the page and
-//! routes word-regular pages to the single-pass BDI codec, everything
-//! else to LZRW1, with automatic fallback when the probe mispredicts.
+//! (default adaptive): a cheap sampled classifier routes word-regular
+//! pages to the single-pass BDI codec (with automatic fallback to LZRW1
+//! when its probe mispredicts), pages without local redundancy straight
+//! to the stored block the 4:3 threshold would leave (1 in 64 audited
+//! through LZRW1, counted in `reject_predicted` and
+//! `reject_mispredicted`), everything else to LZRW1.
 //! The chosen [`cc_compress::CodecId`] is recorded in the entry and
 //! sealed into any spill extent; per-codec put counts, achieved bytes,
 //! and compress/decompress latency histograms flow through telemetry. Transient read/write failures get bounded retry with

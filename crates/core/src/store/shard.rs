@@ -9,7 +9,7 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use super::writer::SpillJob;
-use cc_compress::CodecSet;
+use cc_compress::{CodecSet, Route};
 use cc_util::LruList;
 #[cfg(doc)]
 use {super::extent::EXTENT_HEADER, cc_compress::CodecId};
@@ -56,16 +56,17 @@ pub(super) struct Entry {
     /// cross-checked after a read. Hot entries record [`CodecId::Raw`]
     /// (nothing is sealed while hot).
     pub(super) codec: u8,
-    /// What the put path learned about these exact page bytes: 0 = not
-    /// probed (non-adaptive policy, a kept-hot re-put, a recovered
-    /// entry), 1 = the sampled probe predicted BDI, 2 = it predicted
-    /// not-BDI, [`PROBE_REJECTED`] = the codecs ran and the threshold
-    /// rejected their output. Demotion hands 1 and 2 back to the codec
-    /// layer so aging a hot page never re-probes it, and seals a
-    /// rejected page as the stored block it already was — no second
-    /// compression of a page that is hot *because* the first one failed.
-    /// The code cannot go stale: a hot entry's bytes change only through
-    /// the kept-hot re-put, which resets it to 0.
+    /// The [`Route`] the put that stored these exact bytes took
+    /// ([`probe_code`]): 1 = BDI sealed them, 2 = LZRW1 did,
+    /// [`PROBE_REJECTED`] = they were stored raw, predicted or rejected
+    /// by the threshold; 0 = not classified (a kept-hot re-put, a
+    /// same-filled page, a recovered entry). Demotion hands the route
+    /// back to the codec layer, so aging a hot page never classifies it
+    /// again and a rejected page is sealed as the stored block it
+    /// already was — no second compression of a page that is hot
+    /// *because* the first one failed. The code cannot go stale: a hot
+    /// entry's bytes change only through the kept-hot re-put, which
+    /// resets it to 0.
     pub(super) probe: u8,
     /// Gets served since the last put of this key (saturating). The
     /// promotion signal: re-access frequency within the recency window.
@@ -83,24 +84,25 @@ pub(super) struct Entry {
     pub(super) journaled: bool,
 }
 
-/// Entry probe-byte encoding of the put path's `Option<bool>` verdict.
-pub(super) fn probe_code(hint: Option<bool>) -> u8 {
-    match hint {
+/// [`Entry::probe`] byte of a route (`None`: not classified).
+pub(super) fn probe_code(route: Option<Route>) -> u8 {
+    match route {
         None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
+        Some(Route::Bdi) => 1,
+        Some(Route::Lz) => 2,
+        Some(Route::Raw) => PROBE_REJECTED,
     }
 }
 
-/// [`Entry::probe`] code of a page whose compressed form the threshold
-/// rejected (`!Selection::admitted`) on the put that stored these bytes.
+/// [`Entry::probe`] byte of a page stored raw: [`Route::Raw`].
 pub(super) const PROBE_REJECTED: u8 = 3;
 
-/// Decode [`probe_code`] back into the codec layer's hint form.
-pub(super) fn probe_hint(code: u8) -> Option<bool> {
+/// Decode [`probe_code`] back into the codec layer's hint.
+pub(super) fn probe_hint(code: u8) -> Option<Route> {
     match code {
-        1 => Some(true),
-        2 => Some(false),
+        1 => Some(Route::Bdi),
+        2 => Some(Route::Lz),
+        PROBE_REJECTED => Some(Route::Raw),
         _ => None,
     }
 }

@@ -56,6 +56,8 @@ pub(super) mod tstat {
     pub const CLEAN_RECOVERIES: usize = 38;
     pub const PUT_BACKPRESSURE_WAITS: usize = 39;
     pub const INVARIANT_VIOLATIONS: usize = 40;
+    pub const REJECT_PREDICTED: usize = 41;
+    pub const REJECT_MISPREDICTED: usize = 42;
     pub const NAMES: &[&str] = &[
         "compressed",
         "stored_raw",
@@ -98,6 +100,8 @@ pub(super) mod tstat {
         "clean_recoveries",
         "put_backpressure_waits",
         "invariant_violations",
+        "reject_predicted",
+        "reject_mispredicted",
     ];
 }
 
@@ -216,7 +220,7 @@ pub(super) const STORE_TELEMETRY: TelemetrySpec = TelemetrySpec {
 pub struct StoreStats {
     /// Pages stored compressed.
     pub compressed: u64,
-    /// Pages stored raw (failed the threshold).
+    /// Pages stored raw (failed the threshold, or predicted to).
     pub stored_raw: u64,
     /// Admitted pages whose stored form was sealed by LZRW1.
     pub puts_lzrw1: u64,
@@ -225,6 +229,14 @@ pub struct StoreStats {
     /// Adaptive-policy probe mispredictions: the probe chose BDI but its
     /// real output missed the admit bound, so LZRW1 ran as well.
     pub codec_fallbacks: u64,
+    /// Adaptive-policy puts the classifier routed straight to the stored
+    /// block ([`cc_compress::Route::Raw`]), audited or not: no codec ran
+    /// on all but the audited 1 in [`cc_compress::codec::AUDIT_PERIOD`].
+    pub reject_predicted: u64,
+    /// Audited predicted rejects that LZRW1 compressed under the admit
+    /// bound after all: each is a page that unaudited would have been
+    /// stored raw although it compresses.
+    pub reject_mispredicted: u64,
     /// Original bytes of pages admitted under LZRW1 (with
     /// [`StoreStats::lzrw1_out_bytes`], the codec's achieved ratio).
     pub lzrw1_in_bytes: u64,
@@ -355,6 +367,8 @@ impl StoreCore {
             puts_lzrw1: self.tel.counter_sum(tstat::PUTS_LZRW1),
             puts_bdi: self.tel.counter_sum(tstat::PUTS_BDI),
             codec_fallbacks: self.tel.counter_sum(tstat::CODEC_FALLBACKS),
+            reject_predicted: self.tel.counter_sum(tstat::REJECT_PREDICTED),
+            reject_mispredicted: self.tel.counter_sum(tstat::REJECT_MISPREDICTED),
             lzrw1_in_bytes: self.tel.counter_sum(tstat::LZRW1_IN_BYTES),
             lzrw1_out_bytes: self.tel.counter_sum(tstat::LZRW1_OUT_BYTES),
             bdi_in_bytes: self.tel.counter_sum(tstat::BDI_IN_BYTES),

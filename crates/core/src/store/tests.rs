@@ -747,7 +747,7 @@ fn telemetry_schema_names_are_pinned() {
          demoted_warm demoter_passes extents_recovered journal_records_replayed \
          torn_tail_discarded stale_generation_dropped recovery_extents_verified \
          journal_records_written journal_compactions clean_recoveries \
-         put_backpressure_waits invariant_violations"
+         put_backpressure_waits invariant_violations reject_predicted reject_mispredicted"
     );
     let ops: Vec<&str> = snap.ops.iter().map(|(n, _)| *n).collect();
     assert_eq!(
@@ -940,10 +940,10 @@ fn incompressible_puts_land_hot_and_hit_without_decode() {
         store.put(k, &noise_page(k)).unwrap();
     }
     let s = store.stats();
-    // The put still ran the compressor (threshold counters are tier-
-    // independent); the raw bytes are what got kept.
+    // The put still counts the reject it predicted (threshold counters
+    // are tier-independent); the raw bytes are what got kept.
     assert_eq!(s.puts_hot, 8, "{s:?}");
-    assert_eq!(s.stored_raw, 8, "{s:?}");
+    assert_eq!((s.stored_raw, s.reject_predicted), (8, 8), "{s:?}");
     assert_eq!(s.hot_bytes, 8 * 4096, "{s:?}");
     assert_eq!(s.warm_bytes, 0, "{s:?}");
     assert_eq!(s.hot_bytes + s.warm_bytes, s.resident_bytes, "{s:?}");
@@ -1246,6 +1246,103 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
     }
     cleanup(dir, path);
     cleanup(dir_flat, path_flat);
+}
+
+/// A noise page never reaches a codec: the put counts the reject the
+/// classifier predicted and keeps the page hot and raw, and its
+/// demotion seals it raw from the remembered route — no codec counter
+/// or histogram moves on either path. A repeated random block is the
+/// one page the sampled test cannot see; when the audit picks it,
+/// LZRW1 seals it and the put counts a misprediction.
+#[test]
+fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
+    let (dir, path) = temp_path("tier-predicted");
+    {
+        let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
+        let policy = crate::tier::RecencyCompressibility {
+            hot_idle: 4,
+            warm_idle: u64::MAX,
+            hot_demote_pressure_pct: 0,
+            ..Default::default()
+        };
+        let store = CompressedStore::new(
+            StoreConfig::with_spill(1 << 20, &path)
+                .with_tier_policy(Arc::new(policy))
+                .with_tracer(Arc::clone(&tracer))
+                // Only the explicit demote_now() below runs.
+                .with_demote_interval(Duration::from_secs(3600)),
+        );
+        let codec_work = |s: &StoreStats| {
+            let lz = store
+                .telemetry_snapshot()
+                .op("compress_lzrw1")
+                .unwrap()
+                .count;
+            (
+                s.compressed,
+                s.puts_lzrw1,
+                s.puts_bdi,
+                s.codec_fallbacks,
+                lz,
+            )
+        };
+        let before = store.stats();
+        // Traced, so timed: a codec pass would leave a histogram sample.
+        store
+            .put_traced(3, &noise_page(3), tracer.sample())
+            .unwrap();
+        let after = store.stats();
+        assert_eq!(after.reject_predicted, before.reject_predicted + 1);
+        assert_eq!(after.stored_raw, before.stored_raw + 1);
+        assert_eq!(after.reject_mispredicted, 0);
+        assert_eq!(codec_work(&after), codec_work(&before));
+        assert_eq!(store.peek_tier(3), Some(HitTier::Hot));
+        assert_eq!(store.core.shard(3).entries[&3].probe, PROBE_REJECTED);
+
+        for k in 100..104u64 {
+            store.put(k, &vec![k as u8; 4096]).unwrap();
+        }
+        let before = store.stats();
+        assert_eq!(store.demote_now().0, 1);
+        assert_eq!(sealed_form(&store, 3), (CodecId::Raw.as_u8(), 4096 + 1));
+        let after = store.stats();
+        assert_eq!(codec_work(&after), codec_work(&before));
+        assert_eq!(after.reject_predicted, before.reject_predicted);
+
+        // A 1 600-byte random block repeated: LZRW1 matches it across the
+        // page, the sampled windows never see it twice.
+        let t = store.core.cfg.threshold;
+        let admit = t.max_compressed_len(4096);
+        let mut set = cc_compress::CodecSet::new();
+        let mut dst = Vec::new();
+        let audited = (0..4096u64)
+            .map(|seed| noise_page(seed)[..1600].repeat(3)[..4096].to_vec())
+            .find(|p| {
+                cc_compress::classify(p, admit) == cc_compress::Route::Raw
+                    && set
+                        .compress_with_policy(CodecPolicy::Adaptive, t, p, &mut dst)
+                        .admitted
+            })
+            .expect("the audit picks one page in 64");
+        let before = store.stats();
+        store.put(4, &audited).unwrap();
+        let after = store.stats();
+        assert_eq!(after.reject_predicted, before.reject_predicted + 1);
+        assert_eq!(after.reject_mispredicted, before.reject_mispredicted + 1);
+        assert_eq!(after.puts_lzrw1, before.puts_lzrw1 + 1);
+        assert_eq!(
+            store.core.shard(4).entries[&4].probe,
+            probe_code(Some(cc_compress::Route::Lz))
+        );
+        let mut out = vec![0u8; 4096];
+        assert!(store.get(3, &mut out).unwrap());
+        assert_eq!(out, noise_page(3));
+        assert!(store.get(4, &mut out).unwrap());
+        assert_eq!(out, audited);
+        store.check_invariants().unwrap();
+        store.shutdown();
+    }
+    cleanup(dir, path);
 }
 
 /// Nobody wakes the demoter but its own interval, and one wake drains

@@ -8,11 +8,11 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use super::core::{Progress, StoreCore};
-use super::shard::{probe_hint, Residence, Scratch, Shard, PROBE_REJECTED, SCRATCH};
+use super::shard::{probe_hint, Residence, Scratch, Shard, SCRATCH};
 use super::stats::{tevent, top, tstat};
 #[cfg(doc)]
 use super::CompressedStore;
-use cc_compress::{CodecId, CodecSet, Selection};
+use cc_compress::CodecId;
 use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
 use cc_util::LruList;
 
@@ -116,8 +116,8 @@ impl StoreCore {
         );
     }
 
-    /// Compress `shard`'s hot entry `key` (reusing its recorded probe
-    /// verdict — no re-probe) and demote it: to warm residence when the
+    /// Compress `shard`'s hot entry `key` (along the route its put took —
+    /// no re-classification) and demote it: to warm residence when the
     /// sealed form is smaller, else to the spill channel when one is
     /// available. `Kept` means neither helped; the entry is cycled to
     /// the hot MRU end so a bounded sweep doesn't re-grind it.
@@ -127,7 +127,7 @@ impl StoreCore {
         let Some(e) = shard.entries.get(&key) else {
             return DemoteOutcome::Kept;
         };
-        let probe = e.probe;
+        let route = probe_hint(e.probe);
         let Residence::Hot { data, .. } = &e.residence else {
             return DemoteOutcome::Kept;
         };
@@ -138,34 +138,26 @@ impl StoreCore {
         // background path.
         let sel = SCRATCH.with(|c| {
             let Scratch { codecs, demote, .. } = &mut *c.borrow_mut();
-            let mut compress = |hint| {
-                codecs.compress_with_hint(
-                    self.cfg.codec_policy,
-                    self.cfg.threshold,
-                    data,
-                    demote,
-                    hint,
-                )
-            };
-            if probe != PROBE_REJECTED {
-                return compress(probe_hint(probe));
-            }
-            // The put that stored these bytes already ran the codecs and
-            // the threshold rejected them; the verdict is a pure
-            // function of bytes, policy and threshold, none of which
-            // changed. Debug builds re-derive it, so every suite that
-            // demotes a rejected page proves the remembered verdict.
-            let derived = cfg!(debug_assertions).then(|| compress(None));
-            let sealed = CodecSet::seal_rejected(data, demote);
+            let (policy, threshold) = (self.cfg.codec_policy, self.cfg.threshold);
+            let mut compress =
+                |hint| codecs.compress_with_hint(policy, threshold, data, demote, hint);
+            // The route the put took is a pure function of bytes, policy
+            // and threshold, none of which changed. Debug builds re-derive
+            // it, so every suite that demotes a page proves the remembered
+            // route; a rejected page is sealed raw without a codec pass.
+            let derived = route
+                .filter(|_| cfg!(debug_assertions))
+                .map(|_| compress(None));
+            let sel = compress(route);
             if let Some(derived) = derived {
-                // Which codecs ran to reach the verdict is not remembered.
-                let derived = Selection {
-                    fell_back: false,
-                    ..derived
-                };
-                assert_eq!(derived, sealed, "stale reject verdict on key {key}");
+                let remembered = (sel.route(), sel.len);
+                assert_eq!(
+                    (derived.route(), derived.len),
+                    remembered,
+                    "stale route on key {key}"
+                );
             }
-            sealed
+            sel
         });
         if sel.len < orig_len {
             // Hot → warm: swap the raw page for its sealed form at the

@@ -783,11 +783,15 @@ fn stats_scrape_on(backend: ServerBackend) {
     }
     // So is the memory the budget counter does not count: what is in
     // flight to the spill writer (a gauge: no `_total`), the puts that
-    // waited on its bound, and the invariant checker's verdicts.
+    // waited on its bound, and the invariant checker's verdicts. And the
+    // classifier's predicted rejects (the odd-version pages above are
+    // noise) with the audit's mispredictions.
     for series in [
         "cc_store_spill_inflight_bytes ",
         "cc_store_put_backpressure_waits_total ",
         "cc_store_invariant_violations_total 0",
+        "cc_store_reject_predicted_total ",
+        "cc_store_reject_mispredicted_total 0",
     ] {
         assert!(
             text.lines().any(|l| l.starts_with(series)),
