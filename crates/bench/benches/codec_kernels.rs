@@ -3,8 +3,10 @@
 //! The inner loop for work on `cc-compress`'s hot paths: `probe_bdi` and
 //! the whole `classify` it starts (on noise, the trigram reject test
 //! runs to the end; it has to stay a small fraction of the bounded LZRW1
-//! pass it saves), BDI encode/decode, LZRW1 encode (unbounded, and
-//! bounded at the 4:3 admit bound the store passes), LZRW1 decode, and
+//! pass it saves), BDI encode/decode, LZRW1 encode (unbounded, bounded
+//! at the 4:3 admit bound the store passes, and unbounded on the
+//! 16 384-entry table `ablation` uses — the width whose hash pass needs
+//! the high half of each product as well), LZRW1 decode, and
 //! each decoder through its
 //! `Vec` API against its slice form, and `crc32` — the checksum that
 //! guards every spilled extent — in ns per extent at three extent sizes
@@ -107,6 +109,7 @@ fn bench_kernels(c: &mut Criterion) {
     for class in CLASSES {
         let pages = pages(class);
         let (mut bdi, mut lz) = (Bdi::new(), Lzrw1::new());
+        let mut lz_wide = Lzrw1::with_entries(16_384);
         let (mut lzss, mut rle) = (Lzss::new(), Rle::new());
         let mut sealed = Vec::new();
         let mut plain = vec![0u8; PAGE];
@@ -125,6 +128,9 @@ fn bench_kernels(c: &mut Criterion) {
         });
         rotate(&mut group, "lzrw1_encode_bounded", class, &pages, |p| {
             black_box(lz.compress_bounded(p, &mut sealed, admit));
+        });
+        rotate(&mut group, "lzrw1_encode_wide", class, &pages, |p| {
+            black_box(lz_wide.compress(p, &mut sealed));
         });
         rotate(&mut group, "lzss_encode", class, &pages, |p| {
             black_box(lzss.compress(p, &mut sealed));

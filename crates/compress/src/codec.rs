@@ -13,7 +13,7 @@
 //! otherwise.
 
 use crate::bdi::{self, Bdi};
-use crate::lzrw1::Lzrw1;
+use crate::lzrw1::{self, Lzrw1};
 use crate::lzss::Lzss;
 use crate::null::Null;
 use crate::rle::Rle;
@@ -443,13 +443,14 @@ impl CodecSet {
         hint: Option<Route>,
     ) -> Selection {
         let n = page.len();
-        // Per-codec scratch sizing: reserve the worst case for *this*
-        // policy's codec set up front so no codec ever reallocates
-        // mid-compress or overruns a smaller codec's assumption. The
-        // length is left alone — the codecs size `dst` themselves and a
-        // reused buffer is not zeroed again.
+        // Reserve up front what any codec writes, so none reallocates
+        // mid-compress: the output bound for *this* policy's codec set,
+        // or LZRW1's all-literal working size, which it fills before it
+        // truncates to at most that bound (both policies can reach LZRW1).
+        // The length is left alone — the codecs size `dst` themselves and
+        // a reused buffer is not zeroed again.
         let bound = self.max_compressed_len(policy, n);
-        dst.reserve(bound.saturating_sub(dst.len()));
+        dst.reserve(bound.max(lzrw1::working_len(n)).saturating_sub(dst.len()));
 
         // LZRW1 stops at the admit bound: past it the threshold below
         // rejects the page whatever the final size, so the rest of the
@@ -850,6 +851,30 @@ mod tests {
         set.decompress(sel.codec, &dst, &mut out, page.len())
             .unwrap();
         assert_eq!(out, page);
+    }
+
+    /// The up-front reservation covers what LZRW1 writes before it
+    /// truncates, not only what it may return: a fresh buffer is allocated
+    /// once, at that size, and not grown mid-compress — whether the page
+    /// is admitted or rejected afterwards.
+    #[test]
+    fn lzrw1_routed_compress_allocates_once() {
+        let mut set = CodecSet::new();
+        let t = ThresholdPolicy::default();
+        for policy in CodecPolicy::all() {
+            for page in [text_page(4096), noise_page(4096, 31), text_page(100)] {
+                let mut dst = Vec::new();
+                set.compress_with_hint(policy, t, &page, &mut dst, Some(Route::Lz));
+                let once = Vec::<u8>::with_capacity(lzrw1::working_len(page.len()));
+                assert_eq!(
+                    dst.capacity(),
+                    once.capacity(),
+                    "{} bytes under {}",
+                    page.len(),
+                    policy.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,15 @@ const GROUP_FULL: u32 = 1 << (31 - GROUP);
 /// generation bit above the position.
 const MAX_BLOCK: usize = 1 << 31;
 
+/// Williams's hash multiplier. It and every trigram key fit in 16 bits,
+/// which is what lets the hash pass run in 16-bit lanes.
+const HASH_MUL: u16 = 40543;
+/// Largest table whose slot index lies wholly in the low 16 bits of the
+/// hash product (bits 4..16): one 16-bit multiply per position.
+const LOW_PRODUCT_ENTRIES: usize = 1 << 12;
+/// Largest table a 16-bit slot index can address.
+const MAX_ENTRIES: usize = 1 << 16;
+
 /// The LZRW1 codec. Holds its hash table across calls, mirroring the
 /// kernel's one static buffer.
 ///
@@ -69,8 +78,13 @@ pub struct Lzrw1 {
     /// blocks — that memset used to cost more than compressing a page.
     /// Four bytes a slot keep the default table at 16 KiB, half of a
     /// 32 KiB L1D, where 8-byte slots filled it.
-    /// Its length is always a power of two.
+    /// Its length is always a power of two, at most [`MAX_ENTRIES`].
     table: Vec<u32>,
+    /// The block's slot indices, one per position that starts a trigram,
+    /// written by [`hash_block`] before the parse reads them. Grows to the
+    /// longest block seen and is never cleared: every call overwrites the
+    /// prefix it reads.
+    hashes: Vec<u16>,
     /// Current compression generation (bumped per block).
     generation: u32,
     /// Width of the position field the table's slots were written with:
@@ -93,6 +107,11 @@ impl Lzrw1 {
 
     /// Construct with a table of `bytes / 4` entries (rounded down to a
     /// power of two, minimum 256 entries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if that leaves more than 65 536 entries (256 KiB and up):
+    /// slot indices are 16-bit (see [`Lzrw1::with_entries`]).
     pub fn with_table_bytes(bytes: usize) -> Self {
         let entries = (bytes / 4).max(256);
         let entries = 1usize << (usize::BITS - 1 - entries.leading_zeros());
@@ -103,16 +122,23 @@ impl Lzrw1 {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a power of two or is less than 256.
+    /// Panics if `entries` is not a power of two, is less than 256, or is
+    /// more than 65 536: the encoder hashes a block into 16-bit slot
+    /// indices before it parses it.
     pub fn with_entries(entries: usize) -> Self {
         assert!(
             entries.is_power_of_two() && entries >= 256,
             "hash table entries must be a power of two >= 256"
         );
+        assert!(
+            entries <= MAX_ENTRIES,
+            "hash table entries must be at most {MAX_ENTRIES}: slot indices are 16-bit"
+        );
         Lzrw1 {
             // Generation 0 marks never-written slots; the first block
             // runs as generation 1.
             table: vec![0; entries],
+            hashes: Vec::new(),
             generation: 0,
             pos_bits: 0,
         }
@@ -162,10 +188,9 @@ impl Lzrw1 {
         limit: usize,
     ) -> Option<usize> {
         let n = src.len();
-        // Worst case is all-literal output: 1 method byte + n literals +
-        // 2 control bytes per 16 items. Sizing `dst` to it once lets the
-        // emit loop write by index; only growth is zeroed.
-        dst.resize(1 + n + 2 * n.div_ceil(GROUP), 0);
+        // Sizing `dst` to the all-literal worst case once lets the emit
+        // loop write by index; only growth is zeroed.
+        dst.resize(working_len(n), 0);
         // Output longer than the input is replaced by a stored block, so
         // the LZ pass is bounded by `n` whatever the caller allows.
         match self.encode(src, dst, limit.min(n)) {
@@ -185,8 +210,16 @@ impl Lzrw1 {
         let n = src.len();
         let tag = self.open_block(n);
         let pos_mask = (1u32 << self.pos_bits) - 1;
+        // Every slot index first, so the parse below loads each one
+        // instead of hashing on the chain an item waits on.
+        let starts = n.saturating_sub(MIN_MATCH - 1);
+        if self.hashes.len() < starts {
+            self.hashes.resize(starts, 0);
+        }
+        let mask = (self.table.len() - 1) as u16;
+        hash_block(src, &mut self.hashes[..starts], mask);
+        let hashes = &self.hashes[..starts];
         let table = &mut self.table[..];
-        let mask = table.len() - 1;
 
         out[0] = METHOD_LZRW1;
         let (mut i, mut o) = (0usize, 1usize);
@@ -203,8 +236,8 @@ impl Lzrw1 {
             while ctrl & GROUP_FULL == 0 && i < n {
                 ctrl >>= 1;
                 if n - i >= MIN_MATCH {
+                    let h = hashes[i] as usize;
                     let here = trigram(src, i);
-                    let h = hash(here) & mask;
                     // The slot against this block's tag: position in the
                     // low bits, and above them zero unless the slot is
                     // stale (another generation, or never written).
@@ -352,16 +385,45 @@ fn trigram(src: &[u8], at: usize) -> u32 {
     }
 }
 
-/// Williams's multiplicative trigram hash (before masking to the table).
-#[inline]
-fn hash(trigram: u32) -> usize {
-    let (b0, b1, b2) = (
-        trigram & 0xFF,
-        (trigram >> 8) & 0xFF,
-        (trigram >> 16) & 0xFF,
-    );
-    let k = (((b0 << 4) ^ b1) << 4) ^ b2;
-    (40543u32.wrapping_mul(k) >> 4) as usize
+/// Bytes the encoder writes into `dst` for an `n`-byte block before it
+/// truncates: the all-literal worst case, 1 method byte + `n` literals +
+/// 2 control bytes per 16 items. More than the `n + 1` it may return, so
+/// a caller that reserves for the output alone reallocates here.
+pub(crate) fn working_len(n: usize) -> usize {
+    1 + n + 2 * n.div_ceil(GROUP)
+}
+
+/// Williams's trigram hash of every position of `src` that starts a
+/// trigram, masked to a table of `mask + 1` entries, into `hashes`
+/// (`src.len() - 2` of them). For bytes `b0 b1 b2` the key is
+/// `b0 << 8 ^ b1 << 4 ^ b2` and the slot `(40543 · key) >> 4 & mask`.
+///
+/// Key and multiplier both fit in 16 bits, and so does the whole pass:
+/// written over three shifted byte slices in 16-bit lanes it vectorises
+/// on baseline x86-64, eight positions per multiply. A table of up to
+/// 4 096 entries takes its index from bits 4..16 of the product, the low
+/// half alone (`pmullw`); a wider one also needs bits 16..20, the high
+/// half (`pmulhuw`). Widening any lane to 32 bits costs more than the
+/// parse saves.
+fn hash_block(src: &[u8], hashes: &mut [u16], mask: u16) {
+    let Some(starts) = src.len().checked_sub(MIN_MATCH - 1) else {
+        return;
+    };
+    let keys = src[..starts]
+        .iter()
+        .zip(&src[1..])
+        .zip(&src[2..])
+        .map(|((&b0, &b1), &b2)| ((b0 as u16) << 8) ^ ((b1 as u16) << 4) ^ b2 as u16);
+    if usize::from(mask) < LOW_PRODUCT_ENTRIES {
+        for (h, key) in hashes.iter_mut().zip(keys) {
+            *h = (key.wrapping_mul(HASH_MUL) >> 4) & mask;
+        }
+    } else {
+        for (h, key) in hashes.iter_mut().zip(keys) {
+            let high = ((key as u32 * HASH_MUL as u32) >> 16) as u16;
+            *h = ((key.wrapping_mul(HASH_MUL) >> 4) | (high << 12)) & mask;
+        }
+    }
 }
 
 /// Extend a verified `MIN_MATCH`-byte match at `src[cand]` / `src[i]` up
@@ -535,6 +597,39 @@ mod tests {
             nl as f64 <= ns as f64 * 1.05,
             "large table ratio {nl} much worse than small {ns}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn tables_wider_than_a_16_bit_index_are_refused() {
+        Lzrw1::with_entries(131_072);
+    }
+
+    /// Williams's hash as published: a 32-bit product, shifted and masked.
+    fn williams(b0: u8, b1: u8, b2: u8, mask: usize) -> u16 {
+        let k = ((((b0 as u32) << 4) ^ (b1 as u32)) << 4) ^ (b2 as u32);
+        ((40543u32.wrapping_mul(k) >> 4) as usize & mask) as u16
+    }
+
+    #[test]
+    fn hash_pass_is_williams_hash_under_both_bodies() {
+        // Every position 3j starts a trigram `b0 0 b2`, whose key is
+        // `b0 << 8 | b2`: all 65 536 keys occur.
+        let src: Vec<u8> = (0..=255u8)
+            .flat_map(|b0| (0..=255u8).flat_map(move |b2| [b0, 0, b2]))
+            .collect();
+        for entries in [256, 4096, 8192, 65_536] {
+            let mask = entries - 1;
+            let mut hashes = vec![0; src.len() - 2];
+            hash_block(&src, &mut hashes, mask as u16);
+            for (i, (&h, t)) in hashes.iter().zip(src.windows(3)).enumerate() {
+                assert_eq!(
+                    h,
+                    williams(t[0], t[1], t[2], mask),
+                    "{entries} entries, at {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -560,7 +560,7 @@ mod tests {
         /// carried from the first is covered too.
         #[test]
         fn encoders_reproduce_the_reference_bytes(first in page(), second in page()) {
-            for entries in [256usize, 4096] {
+            for entries in [256usize, 4096, 16_384, 65_536] {
                 let (mut new, mut old) = (Lzrw1::with_entries(entries), RefLzrw1::with_entries(entries));
                 for input in [&first, &second] {
                     let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -643,6 +643,41 @@ mod tests {
             check_damage(Lzrw1::decode_into, ref_decode_lz, &sealed, page.len());
             RefBdi.compress(&page, &mut sealed);
             check_damage(Bdi::decode_into, ref_decode_bdi, &sealed, page.len());
+        }
+    }
+
+    /// Every page class under both hash-pass bodies (tables up to 4 096
+    /// entries and wider), at the lengths where the pass has no trigram,
+    /// one, a page's worth, and more than the buffer held before: the
+    /// unbounded encode is the reference's bytes, and the one bounded at
+    /// the 4:3 admit bound is the same bytes or gives up exactly when
+    /// they miss it.
+    #[test]
+    fn every_class_table_width_and_length_reproduces_the_reference_bytes() {
+        let threshold = crate::ThresholdPolicy::default();
+        for entries in [256usize, 4096, 16_384, 65_536] {
+            let (mut new, mut old) = (
+                Lzrw1::with_entries(entries),
+                RefLzrw1::with_entries(entries),
+            );
+            for class in 0..CLASSES {
+                for len in [0usize, 1, 2, 3, 4095, 4096, 4097, 8192] {
+                    let page = class_page(class, 0x5EED ^ len as u64, len);
+                    let case = format!("class {class}, {entries} entries, {len} bytes");
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    old.compress(&page, &mut want);
+                    assert_eq!(new.compress(&page, &mut got), want.len(), "{case}");
+                    assert_eq!(got, want, "{case}");
+                    let admit = threshold.max_compressed_len(len);
+                    let bounded = new.compress_bounded(&page, &mut got, admit);
+                    if want.len() <= admit {
+                        assert_eq!(bounded, Some(want.len()), "{case}, bounded");
+                        assert_eq!(got, want, "{case}, bounded");
+                    } else {
+                        assert_eq!(bounded, None, "{case}, bounded");
+                    }
+                }
+            }
         }
     }
 

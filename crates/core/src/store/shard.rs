@@ -174,9 +174,11 @@ pub(super) struct Padded<T>(pub(super) T);
 
 /// Scratch space reused across calls on each thread: the codec set
 /// (LZRW1's hash table lives here) plus compression and staging buffers
-/// (decompression writes the caller's page directly). `comp` is sized by
-/// [`CodecSet::max_compressed_len`] for the active policy on every
-/// compress — each codec's own worst case, not LZRW1's.
+/// (decompression writes the caller's page directly). `comp` and
+/// `demote` are sized by [`CodecSet::compress_with_hint`] on every
+/// compress: the larger of [`CodecSet::max_compressed_len`] for the
+/// active policy and what LZRW1 writes before it truncates, so no codec
+/// reallocates them mid-compress.
 pub(super) struct Scratch {
     pub(super) codecs: CodecSet,
     pub(super) comp: Vec<u8>,

@@ -6,6 +6,12 @@
 //! warmup + timed-samples loop and plain-text reporting (median ns/iter,
 //! plus MiB/s when a [`Throughput`] is set). There are no HTML reports,
 //! statistics beyond min/median/mean, or baseline comparisons.
+//!
+//! As with the real crate, the first non-flag argument on the command
+//! line filters the run: `cargo bench --bench codec_kernels --
+//! lzrw1_encode` runs only the benchmarks whose full name (`group/id`)
+//! contains `lzrw1_encode`. Flags, among them the `--bench` that cargo
+//! passes, are ignored.
 
 #![warn(missing_docs)]
 
@@ -20,6 +26,8 @@ pub struct Criterion {
     sample_size: usize,
     warm_up_time: Duration,
     measurement_time: Duration,
+    /// Only benchmarks whose full name contains this run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -28,6 +36,7 @@ impl Default for Criterion {
             sample_size: 20,
             warm_up_time: Duration::from_millis(300),
             measurement_time: Duration::from_millis(1200),
+            filter: None,
         }
     }
 }
@@ -48,6 +57,14 @@ impl Criterion {
     /// Total time budget for the timed samples.
     pub fn measurement_time(mut self, d: Duration) -> Self {
         self.measurement_time = d;
+        self
+    }
+
+    /// Take the name filter from the command line: the first argument
+    /// that is not a flag (see the crate docs). [`criterion_group!`] calls
+    /// this on its configuration, as the real macro does.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from_args(std::env::args().skip(1));
         self
     }
 
@@ -227,10 +244,22 @@ impl Bencher {
     }
 }
 
+/// The first argument that is not a flag.
+fn filter_from_args(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
+}
+
 fn run_one<F>(cfg: &Criterion, name: &str, throughput: Option<Throughput>, mut f: F)
 where
     F: FnMut(&mut Bencher),
 {
+    if cfg
+        .filter
+        .as_ref()
+        .is_some_and(|filter| !name.contains(filter))
+    {
+        return;
+    }
     // Warmup: discover a per-sample iteration count while warming caches.
     let mut b = Bencher {
         iters: 1,
@@ -283,7 +312,7 @@ where
 macro_rules! criterion_group {
     (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $cfg;
+            let mut criterion: $crate::Criterion = $cfg.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -304,4 +333,47 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn the_first_non_flag_argument_is_the_filter() {
+        assert_eq!(filter_from_args(args(&[])), None);
+        assert_eq!(filter_from_args(args(&["--bench"])), None);
+        assert_eq!(
+            filter_from_args(args(&["lzrw1_encode", "--bench"])),
+            Some("lzrw1_encode".to_string())
+        );
+        assert_eq!(
+            filter_from_args(args(&["--bench", "crc32", "text"])),
+            Some("crc32".to_string())
+        );
+    }
+
+    #[test]
+    fn only_names_containing_the_filter_run() {
+        let mut c = Criterion::default()
+            .warm_up_time(Duration::ZERO)
+            .measurement_time(Duration::from_millis(1))
+            .sample_size(2);
+        c.filter = Some("encode".to_string());
+        let mut ran = Vec::new();
+        let mut group = c.benchmark_group("codec_kernels");
+        for id in ["lzrw1_encode/text", "lzrw1_decode/text", "bdi_encode/noise"] {
+            group.bench_function(id, |b| {
+                ran.push(id);
+                b.iter(|| ());
+            });
+        }
+        group.finish();
+        ran.dedup();
+        assert_eq!(ran, ["lzrw1_encode/text", "bdi_encode/noise"]);
+    }
 }
