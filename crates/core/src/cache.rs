@@ -25,7 +25,7 @@ use std::collections::{HashMap, VecDeque};
 
 use cc_compress::{CompressDecision, Compressor};
 use cc_mem::{FrameId, FrameOwner, FramePool};
-use cc_util::{Histogram, Ns};
+use cc_util::Ns;
 
 use crate::backing::BackingStore;
 use crate::circ::{AppendProbe, CircBuf};
@@ -154,9 +154,6 @@ pub struct CoreStats {
     pub kept_bytes_in: u64,
     /// Compressed bytes of kept pages.
     pub kept_bytes_out: u64,
-    /// Per-page compressed size in permille of original (kept and
-    /// rejected both recorded).
-    pub ratio_permille: Histogram,
     /// Clean evictions resolved without any work.
     pub clean_evictions_kept: u64,
     /// Clean evictions resolved to an existing swap copy.
@@ -430,9 +427,6 @@ impl CompressionCache {
         *clock += self.costs.compress_time(data.len(), profile.compress_scale);
         let mut comp = std::mem::take(&mut self.comp_buf);
         let clen = self.codec.compress(data, &mut comp);
-        self.stats
-            .ratio_permille
-            .record((clen as u64 * 1000) / data.len() as u64);
         if self.cfg.threshold.evaluate(data.len(), clen) == CompressDecision::Reject {
             self.stats.compress_rejected += 1;
             self.comp_buf = comp;
@@ -531,9 +525,6 @@ impl CompressionCache {
         *clock += self.costs.compress_time(page.len(), profile.compress_scale);
         let mut comp = std::mem::take(&mut self.comp_buf);
         let clen = self.codec.compress(page, &mut comp);
-        self.stats
-            .ratio_permille
-            .record((clen as u64 * 1000) / page.len() as u64);
         let decision = self.cfg.threshold.evaluate(page.len(), clen);
         if decision == CompressDecision::Reject {
             self.stats.compress_rejected += 1;

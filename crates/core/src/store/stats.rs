@@ -13,96 +13,54 @@ use {
 
 /// Counter indices into the store's [`TelemetrySpec`] (one striped,
 /// cache-padded atomic per shard per counter — the statistics of record,
-/// live even when latency sampling is disabled).
+/// live even when latency sampling is disabled). Each is named as the
+/// [`StoreStats`] field it fills.
 pub(super) mod tstat {
-    pub const COMPRESSED: usize = 0;
-    pub const STORED_RAW: usize = 1;
-    pub const SAME_FILLED: usize = 2;
-    pub const HITS_MEMORY: usize = 3;
-    pub const HITS_SPILL: usize = 4;
-    pub const MISSES: usize = 5;
-    pub const SPILLED: usize = 6;
-    pub const SPILL_BATCHES: usize = 7;
-    pub const GC_RUNS: usize = 8;
-    pub const GC_BYTES_RELOCATED: usize = 9;
-    pub const SPILL_FALLBACK_RESIDENT: usize = 10;
-    pub const SHED_PAGES: usize = 11;
-    pub const CORRUPT_DETECTED: usize = 12;
-    pub const IO_RETRIES: usize = 13;
-    pub const DEGRADED_ENTERED: usize = 14;
-    pub const DEGRADED_RECOVERED: usize = 15;
-    pub const MEDIUM_PROBES: usize = 16;
-    pub const PUTS_LZRW1: usize = 17;
-    pub const PUTS_BDI: usize = 18;
-    pub const CODEC_FALLBACKS: usize = 19;
-    pub const LZRW1_IN_BYTES: usize = 20;
-    pub const LZRW1_OUT_BYTES: usize = 21;
-    pub const BDI_IN_BYTES: usize = 22;
-    pub const BDI_OUT_BYTES: usize = 23;
-    pub const HITS_HOT: usize = 24;
-    pub const PUTS_HOT: usize = 25;
-    pub const PROMOTIONS: usize = 26;
-    pub const PROMOTIONS_REJECTED: usize = 27;
-    pub const DEMOTED_HOT: usize = 28;
-    pub const DEMOTED_WARM: usize = 29;
-    pub const DEMOTER_PASSES: usize = 30;
-    pub const EXTENTS_RECOVERED: usize = 31;
-    pub const JOURNAL_RECORDS_REPLAYED: usize = 32;
-    pub const TORN_TAIL_DISCARDED: usize = 33;
-    pub const STALE_GENERATION_DROPPED: usize = 34;
-    pub const RECOVERY_EXTENTS_VERIFIED: usize = 35;
-    pub const JOURNAL_RECORDS_WRITTEN: usize = 36;
-    pub const JOURNAL_COMPACTIONS: usize = 37;
-    pub const CLEAN_RECOVERIES: usize = 38;
-    pub const PUT_BACKPRESSURE_WAITS: usize = 39;
-    pub const INVARIANT_VIOLATIONS: usize = 40;
-    pub const REJECT_PREDICTED: usize = 41;
-    pub const REJECT_MISPREDICTED: usize = 42;
-    pub const NAMES: &[&str] = &[
-        "compressed",
-        "stored_raw",
-        "same_filled",
-        "hits_memory",
-        "hits_spill",
-        "misses",
-        "spilled",
-        "spill_batches",
-        "gc_runs",
-        "gc_bytes_relocated",
-        "spill_fallback_resident",
-        "shed_pages",
-        "corrupt_detected",
-        "io_retries",
-        "degraded_entered",
-        "degraded_recovered",
-        "medium_probes",
-        "puts_lzrw1",
-        "puts_bdi",
-        "codec_fallbacks",
-        "lzrw1_in_bytes",
-        "lzrw1_out_bytes",
-        "bdi_in_bytes",
-        "bdi_out_bytes",
-        "hits_hot",
-        "puts_hot",
-        "promotions",
-        "promotions_rejected",
-        "demoted_hot",
-        "demoted_warm",
-        "demoter_passes",
-        "extents_recovered",
-        "journal_records_replayed",
-        "torn_tail_discarded",
-        "stale_generation_dropped",
-        "recovery_extents_verified",
-        "journal_records_written",
-        "journal_compactions",
-        "clean_recoveries",
-        "put_backpressure_waits",
-        "invariant_violations",
-        "reject_predicted",
-        "reject_mispredicted",
-    ];
+    cc_telemetry::names! {
+        compressed => COMPRESSED,
+        stored_raw => STORED_RAW,
+        same_filled => SAME_FILLED,
+        hits_memory => HITS_MEMORY,
+        hits_spill => HITS_SPILL,
+        misses => MISSES,
+        spilled => SPILLED,
+        spill_batches => SPILL_BATCHES,
+        gc_runs => GC_RUNS,
+        gc_bytes_relocated => GC_BYTES_RELOCATED,
+        spill_fallback_resident => SPILL_FALLBACK_RESIDENT,
+        shed_pages => SHED_PAGES,
+        corrupt_detected => CORRUPT_DETECTED,
+        io_retries => IO_RETRIES,
+        degraded_entered => DEGRADED_ENTERED,
+        degraded_recovered => DEGRADED_RECOVERED,
+        medium_probes => MEDIUM_PROBES,
+        puts_lzrw1 => PUTS_LZRW1,
+        puts_bdi => PUTS_BDI,
+        codec_fallbacks => CODEC_FALLBACKS,
+        lzrw1_in_bytes => LZRW1_IN_BYTES,
+        lzrw1_out_bytes => LZRW1_OUT_BYTES,
+        bdi_in_bytes => BDI_IN_BYTES,
+        bdi_out_bytes => BDI_OUT_BYTES,
+        hits_hot => HITS_HOT,
+        puts_hot => PUTS_HOT,
+        promotions => PROMOTIONS,
+        promotions_rejected => PROMOTIONS_REJECTED,
+        demoted_hot => DEMOTED_HOT,
+        demoted_warm => DEMOTED_WARM,
+        demoter_passes => DEMOTER_PASSES,
+        extents_recovered => EXTENTS_RECOVERED,
+        journal_records_replayed => JOURNAL_RECORDS_REPLAYED,
+        torn_tail_discarded => TORN_TAIL_DISCARDED,
+        stale_generation_dropped => STALE_GENERATION_DROPPED,
+        recovery_extents_verified => RECOVERY_EXTENTS_VERIFIED,
+        journal_records_written => JOURNAL_RECORDS_WRITTEN,
+        journal_compactions => JOURNAL_COMPACTIONS,
+        clean_recoveries => CLEAN_RECOVERIES,
+        put_backpressure_waits => PUT_BACKPRESSURE_WAITS,
+        invariant_violations => INVARIANT_VIOLATIONS,
+        reject_predicted => REJECT_PREDICTED,
+        reject_mispredicted => REJECT_MISPREDICTED,
+    }
 }
 
 /// Timed-operation indices (one lock-free latency histogram each).
@@ -115,91 +73,63 @@ pub(super) mod tstat {
 /// traced latency. The [`top::BACKGROUND`] ops are recorded on every
 /// call by the thread that owns them.
 pub(super) mod top {
-    pub const PUT: usize = 0;
-    pub const GET_MEMORY: usize = 1;
-    pub const GET_SAME_FILLED: usize = 2;
-    pub const GET_SPILL: usize = 3;
-    pub const SPILL_WRITE: usize = 4;
-    pub const SPILL_READ: usize = 5;
-    pub const GC_PAUSE: usize = 6;
-    pub const COMPRESS_LZRW1: usize = 7;
-    pub const COMPRESS_BDI: usize = 8;
-    pub const DECOMPRESS_LZRW1: usize = 9;
-    pub const DECOMPRESS_BDI: usize = 10;
-    pub const GET_HOT: usize = 11;
-    pub const PROMOTE: usize = 12;
-    pub const DEMOTE_PAUSE: usize = 13;
-    pub const RECOVERY: usize = 14;
-    /// The header check and CRC pass over an extent [`SPILL_READ`]
-    /// brought back, a sub-step of the same sampled get.
-    pub const SPILL_VERIFY: usize = 15;
+    cc_telemetry::names! {
+        put => PUT,
+        get_memory => GET_MEMORY,
+        get_same_filled => GET_SAME_FILLED,
+        get_spill => GET_SPILL,
+        spill_write => SPILL_WRITE,
+        spill_read => SPILL_READ,
+        gc_pause => GC_PAUSE,
+        compress_lzrw1 => COMPRESS_LZRW1,
+        compress_bdi => COMPRESS_BDI,
+        decompress_lzrw1 => DECOMPRESS_LZRW1,
+        decompress_bdi => DECOMPRESS_BDI,
+        get_hot => GET_HOT,
+        promote => PROMOTE,
+        demote_pause => DEMOTE_PAUSE,
+        recovery_duration => RECOVERY,
+        /// The header check and CRC pass over an extent [`SPILL_READ`]
+        /// brought back, a sub-step of the same sampled get.
+        spill_verify => SPILL_VERIFY,
+    }
     /// Off the data path (spill writer, GC, demoter, open): every call
     /// is timed.
     pub const BACKGROUND: &[usize] = &[SPILL_WRITE, GC_PAUSE, DEMOTE_PAUSE, RECOVERY];
-    pub const NAMES: &[&str] = &[
-        "put",
-        "get_memory",
-        "get_same_filled",
-        "get_spill",
-        "spill_write",
-        "spill_read",
-        "gc_pause",
-        "compress_lzrw1",
-        "compress_bdi",
-        "decompress_lzrw1",
-        "decompress_bdi",
-        "get_hot",
-        "promote",
-        "demote_pause",
-        "recovery_duration",
-        "spill_verify",
-    ];
 }
 
 /// Structured event kinds pushed into the telemetry ring.
 pub(super) mod tevent {
-    /// `a` = entries in the batch, `b` = batch bytes.
-    pub const BATCH_COMMIT: usize = 0;
-    /// `a` = bytes relocated, `b` = pause nanoseconds.
-    pub const GC_RUN: usize = 1;
-    /// `a` = victim key, `b` = compressed bytes spilled.
-    pub const EVICT: usize = 2;
-    /// `a` = key, `b` = bytes stored raw after the threshold rejected
-    /// the compressed form.
-    pub const THRESHOLD_REJECT: usize = 3;
-    /// `a` = key, `b` = the repeated 8-byte pattern.
-    pub const SAME_FILLED: usize = 4;
-    /// `a` = consecutive hard batch failures at the transition, `b` = 0.
-    pub const DEGRADE: usize = 5;
-    /// `a` = probes issued while degraded, `b` = 0.
-    pub const RECOVER: usize = 6;
-    /// `a` = key shed, `b` = compressed bytes dropped.
-    pub const SHED: usize = 7;
-    /// `a` = key, `b` = file offset of the extent that failed
-    /// verification.
-    pub const CORRUPT: usize = 8;
-    /// `a` = key promoted to hot, `b` = source tier
-    /// ([`cc_telemetry::trace::tier`] code).
-    pub const PROMOTE: usize = 9;
-    /// `a` = pages demoted by one demoter pass, `b` = pass nanoseconds.
-    pub const DEMOTE: usize = 10;
-    /// Warm restart: `a` = extents recovered from the spill file,
-    /// `b` = recovery duration in nanoseconds.
-    pub const RECOVERY: usize = 11;
-    pub const NAMES: &[&str] = &[
-        "batch_commit",
-        "gc_run",
-        "evict",
-        "threshold_reject",
-        "same_filled",
-        "degrade",
-        "recover",
-        "shed",
-        "corrupt",
-        "promote",
-        "demote",
-        "recovery",
-    ];
+    cc_telemetry::names! {
+        /// `a` = entries in the batch, `b` = batch bytes.
+        batch_commit => BATCH_COMMIT,
+        /// `a` = bytes relocated, `b` = pause nanoseconds.
+        gc_run => GC_RUN,
+        /// `a` = victim key, `b` = compressed bytes spilled.
+        evict => EVICT,
+        /// `a` = key, `b` = bytes stored raw after the threshold rejected
+        /// the compressed form.
+        threshold_reject => THRESHOLD_REJECT,
+        /// `a` = key, `b` = the repeated 8-byte pattern.
+        same_filled => SAME_FILLED,
+        /// `a` = consecutive hard batch failures at the transition, `b` = 0.
+        degrade => DEGRADE,
+        /// `a` = probes issued while degraded, `b` = 0.
+        recover => RECOVER,
+        /// `a` = key shed, `b` = compressed bytes dropped.
+        shed => SHED,
+        /// `a` = key, `b` = file offset of the extent that failed
+        /// verification.
+        corrupt => CORRUPT,
+        /// `a` = key promoted to hot, `b` = source tier
+        /// ([`cc_telemetry::trace::tier`] code).
+        promote => PROMOTE,
+        /// `a` = pages demoted by one demoter pass, `b` = pass nanoseconds.
+        demote => DEMOTE,
+        /// Warm restart: `a` = extents recovered from the spill file,
+        /// `b` = recovery duration in nanoseconds.
+        recovery => RECOVERY,
+    }
 }
 
 /// The store's telemetry layout: shard-striped counters, per-operation

@@ -440,12 +440,20 @@ fn spills_to_file_and_reads_back() {
 fn spill_batches_coalesce_entries() {
     let (dir, path) = temp_path("batch");
     {
-        // Budget of ~2 compressed pages: nearly every put evicts, and
+        // Budget of a few compressed pages: nearly every put evicts, and
         // the single-threaded put loop outruns the 200 µs linger, so
-        // the writer must pack multiple entries per batch.
+        // the writer must pack multiple entries per batch. The pages are
+        // a base plus one-byte deltas, which BDI seals in ~80 µs a put
+        // even in an unoptimised build; `page`'s LZRW1 pages take ~230 µs
+        // there, longer than the linger.
+        let page = |k: u64| -> Vec<u8> {
+            (0..512u64)
+                .flat_map(|i| ((k << 40) + i % 100).to_le_bytes())
+                .collect()
+        };
         let store = CompressedStore::new(StoreConfig::with_spill(4 * 1024, &path));
         for k in 0..256u64 {
-            store.put(k, &page(k as u8)).unwrap();
+            store.put(k, &page(k)).unwrap();
         }
         store.flush().unwrap();
         let s = store.stats();
@@ -460,7 +468,7 @@ fn spill_batches_coalesce_entries() {
         let mut out = vec![0u8; 4096];
         for k in 0..256u64 {
             assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
-            assert_eq!(out, page(k as u8), "key {k} corrupted");
+            assert_eq!(out, page(k), "key {k} corrupted");
         }
     }
     cleanup(dir, path);

@@ -26,7 +26,7 @@
 
 #![warn(missing_docs)]
 
-use cc_util::{Histogram, Ns};
+use cc_util::Ns;
 
 /// Geometry and timing parameters of a backing-store device.
 ///
@@ -169,8 +169,6 @@ pub struct DiskStats {
     pub transfer_time: Ns,
     /// Total time the device was busy (includes per-request overhead).
     pub busy_time: Ns,
-    /// Distribution of per-request service times (ns).
-    pub service_hist: Histogram,
 }
 
 impl DiskStats {
@@ -290,7 +288,6 @@ impl Disk {
         }
         self.stats.transfer_time += transfer;
         self.stats.busy_time += service;
-        self.stats.service_hist.record(service.as_ns());
 
         self.head = block + nblocks as u64;
         self.busy_until = done;
@@ -403,7 +400,6 @@ mod tests {
         assert_eq!(s.bytes_written, 8 * 4096);
         assert_eq!(s.requests(), 2);
         assert_eq!(s.bytes(), 12 * 4096);
-        assert_eq!(s.service_hist.count(), 2);
         assert!(s.busy_time > Ns::ZERO);
     }
 

@@ -48,7 +48,7 @@
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, Waker};
 use crate::frame::{self, FrameError, RecvBuf, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
-use crate::service::{malformed_class, wstat, Service};
+use crate::service::{malformed_class, wstat, Service, STRIPE};
 use crate::ServerConfig;
 use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, Span};
 use cc_util::Slab;
@@ -71,8 +71,6 @@ const ACCEPT_BATCH: usize = 64;
 pub(crate) const WRITE_BACKPRESSURE: usize = 1 << 20;
 /// Hard cap on how long a drain-shutdown waits for started frames.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
-/// The reactor's telemetry stripe.
-const STRIPE: usize = 0;
 
 /// Where a connection is in its request cycle (observable in tests;
 /// the transitions are the documented state machine).
@@ -195,7 +193,7 @@ impl Wire {
                     } else {
                         SEQ_UNSOLICITED
                     };
-                    service.malformed(STRIPE, conn_id, malformed_class::OVERSIZED);
+                    service.malformed(conn_id, malformed_class::OVERSIZED);
                     self.stage_err(seq, "frame exceeds size limit");
                     break Some(CloseReason::Malformed);
                 }
@@ -206,7 +204,7 @@ impl Wire {
                 Ok(req) => {
                     let op = req.opcode();
                     let t0 = Instant::now();
-                    let (status, tctx) = service.handle(STRIPE, conn_id, &req, scratch);
+                    let (status, tctx) = service.handle(conn_id, &req, scratch);
                     let f0 = tctx.sampled().then(Instant::now);
                     frame::append_frame(&mut self.wbuf, parsed.seq, 1 + scratch.len(), |b| {
                         b.push(status as u8);
@@ -238,7 +236,7 @@ impl Wire {
                     self.rbuf.consume(parsed.consumed);
                 }
                 Err(e) => {
-                    service.malformed(STRIPE, conn_id, malformed_class::UNDECODABLE);
+                    service.malformed(conn_id, malformed_class::UNDECODABLE);
                     self.stage_err(parsed.seq, &e.to_string());
                     self.rbuf.consume(parsed.consumed);
                     break Some(CloseReason::Malformed);
@@ -254,7 +252,7 @@ impl Wire {
     /// frames is a clean close.
     pub(crate) fn note_eof(&mut self, service: &Service, conn_id: u64) -> CloseReason {
         if self.has_unparsed() {
-            service.malformed(STRIPE, conn_id, malformed_class::TRUNCATED);
+            service.malformed(conn_id, malformed_class::TRUNCATED);
             self.stage_err(SEQ_UNSOLICITED, "truncated frame");
             CloseReason::Malformed
         } else {
@@ -395,7 +393,7 @@ impl Reactor {
         loop {
             let timeout = self.wheel.granularity.min(Duration::from_millis(100));
             let mut events = std::mem::take(&mut self.events);
-            self.service.count(STRIPE, wstat::POLLS, 1);
+            self.service.count(wstat::POLLS, 1);
             if let Err(e) = self.backend.poll(&mut events, Some(timeout)) {
                 // A failing poll leaves no readiness source at all;
                 // treat it as fatal and drain out.
@@ -466,9 +464,9 @@ impl Reactor {
     /// buffer does not block the loop.
     fn reject_busy(&mut self, mut stream: TcpStream) {
         let conn_id = self.service.next_conn_id();
-        self.service.busy_rejected(STRIPE, conn_id);
+        self.service.busy_rejected(conn_id);
         let _ = stream.set_nonblocking(true);
-        self.service.count(STRIPE, wstat::SOCK_WRITES, 1);
+        self.service.count(wstat::SOCK_WRITES, 1);
         let _ = frame::write_frame(&mut stream, SEQ_UNSOLICITED, &[Status::Busy as u8]);
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
@@ -497,7 +495,7 @@ impl Reactor {
             self.conns.remove(token);
             return;
         }
-        self.service.conn_opened(STRIPE, conn_id);
+        self.service.conn_opened(conn_id);
         self.wheel
             .schedule(now + self.cfg.idle_timeout, token, conn_id);
     }
@@ -542,7 +540,7 @@ impl Reactor {
                         }
                     }
                 }
-                self.service.count(STRIPE, wstat::SOCK_READS, reads);
+                self.service.count(wstat::SOCK_READS, reads);
                 if failed {
                     self.close(token, CloseReason::Error);
                     return;
@@ -591,7 +589,7 @@ impl Reactor {
         loop {
             let mut writes = 0;
             let flush = conn.wire.flush_to(&mut conn.stream, &mut writes);
-            service.count(STRIPE, wstat::SOCK_WRITES, writes);
+            service.count(wstat::SOCK_WRITES, writes);
             flushed = match flush {
                 Ok(done) => done,
                 Err(_) => {
@@ -682,7 +680,6 @@ impl Reactor {
         let _ = self.backend.deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         self.service.conn_closed(
-            STRIPE,
             conn.conn_id,
             conn.wire.requests(),
             reason == CloseReason::Idle,

@@ -20,55 +20,39 @@ use std::time::Instant;
 
 /// Wire-level counter indices.
 pub mod wstat {
-    /// PUT requests executed.
-    pub const REQ_PUT: usize = 0;
-    /// GET requests executed.
-    pub const REQ_GET: usize = 1;
-    /// DEL requests executed.
-    pub const REQ_DEL: usize = 2;
-    /// FLUSH requests executed.
-    pub const REQ_FLUSH: usize = 3;
-    /// STATS requests executed.
-    pub const REQ_STATS: usize = 4;
-    /// PING requests executed.
-    pub const REQ_PING: usize = 5;
-    /// Connections rejected with BUSY at the admission cap.
-    pub const BUSY_REJECTED: usize = 6;
-    /// Frames that failed framing or protocol decoding.
-    pub const MALFORMED_FRAMES: usize = 7;
-    /// Connections admitted and served.
-    pub const CONNS_OPENED: usize = 8;
-    /// Connections closed (any reason).
-    pub const CONNS_CLOSED: usize = 9;
-    /// Connections closed by the idle timeout.
-    pub const IDLE_TIMEOUTS: usize = 10;
-    /// DUMP requests executed.
-    pub const REQ_DUMP: usize = 11;
-    /// Socket `read` calls the reactor made, including each one that
-    /// found the socket empty.
-    pub const SOCK_READS: usize = 12;
-    /// Socket `write` calls the reactor made.
-    pub const SOCK_WRITES: usize = 13;
-    /// Readiness polls (`epoll_wait` / `poll`) the reactor made.
-    pub const POLLS: usize = 14;
-    /// Counter name table, index-aligned with the constants above.
-    pub const NAMES: &[&str] = &[
-        "req_put",
-        "req_get",
-        "req_del",
-        "req_flush",
-        "req_stats",
-        "req_ping",
-        "busy_rejected",
-        "malformed_frames",
-        "conns_opened",
-        "conns_closed",
-        "idle_timeouts",
-        "req_dump",
-        "sock_reads",
-        "sock_writes",
-        "polls",
-    ];
+    cc_telemetry::names! {
+        /// PUT requests executed.
+        req_put => REQ_PUT,
+        /// GET requests executed.
+        req_get => REQ_GET,
+        /// DEL requests executed.
+        req_del => REQ_DEL,
+        /// FLUSH requests executed.
+        req_flush => REQ_FLUSH,
+        /// STATS requests executed.
+        req_stats => REQ_STATS,
+        /// PING requests executed.
+        req_ping => REQ_PING,
+        /// Connections rejected with BUSY at the admission cap.
+        busy_rejected => BUSY_REJECTED,
+        /// Frames that failed framing or protocol decoding.
+        malformed_frames => MALFORMED_FRAMES,
+        /// Connections admitted and served.
+        conns_opened => CONNS_OPENED,
+        /// Connections closed (any reason).
+        conns_closed => CONNS_CLOSED,
+        /// Connections closed by the idle timeout.
+        idle_timeouts => IDLE_TIMEOUTS,
+        /// DUMP requests executed.
+        req_dump => REQ_DUMP,
+        /// Socket `read` calls the reactor made, including each one that
+        /// found the socket empty.
+        sock_reads => SOCK_READS,
+        /// Socket `write` calls the reactor made.
+        sock_writes => SOCK_WRITES,
+        /// Readiness polls (`epoll_wait` / `poll`) the reactor made.
+        polls => POLLS,
+    }
 }
 
 /// Per-opcode latency histogram indices: `Opcode as usize - 1`.
@@ -79,17 +63,17 @@ pub mod wop {
 
 /// Wire event kinds pushed into the server's event ring.
 pub mod wevent {
-    /// `a` = connection id.
-    pub const CONN_OPEN: usize = 0;
-    /// `a` = connection id, `b` = requests served on it.
-    pub const CONN_CLOSE: usize = 1;
-    /// `a` = connection id rejected at admission.
-    pub const BUSY: usize = 2;
-    /// `a` = connection id, `b` = malformed-frame class (see the
-    /// crate-private `malformed_class` table).
-    pub const MALFORMED: usize = 3;
-    /// Event name table.
-    pub const NAMES: &[&str] = &["conn_open", "conn_close", "busy", "malformed"];
+    cc_telemetry::names! {
+        /// `a` = connection id.
+        conn_open => CONN_OPEN,
+        /// `a` = connection id, `b` = requests served on it.
+        conn_close => CONN_CLOSE,
+        /// `a` = connection id rejected at admission.
+        busy => BUSY,
+        /// `a` = connection id, `b` = malformed-frame class (see the
+        /// crate-private `malformed_class` table).
+        malformed => MALFORMED,
+    }
 }
 
 /// Malformed-frame classes (the `b` value of a `malformed` wire event).
@@ -101,6 +85,10 @@ pub(crate) mod malformed_class {
     /// Frame arrived whole but the body failed protocol decoding.
     pub const UNDECODABLE: u64 = 3;
 }
+
+/// The counter stripe and tracer stripe every server counter add and span
+/// goes to: the reactor thread is the only writer.
+pub(crate) const STRIPE: usize = 0;
 
 const SERVER_TELEMETRY: TelemetrySpec = TelemetrySpec {
     counters: wstat::NAMES,
@@ -177,33 +165,33 @@ impl Service {
         self.next_conn_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    pub(crate) fn conn_opened(&self, stripe: usize, conn_id: u64) {
+    pub(crate) fn conn_opened(&self, conn_id: u64) {
         self.open_conns.fetch_add(1, Ordering::Relaxed);
-        self.tel.count(stripe, wstat::CONNS_OPENED, 1);
+        self.tel.count(STRIPE, wstat::CONNS_OPENED, 1);
         self.tel.event(wevent::CONN_OPEN, conn_id, 0);
     }
 
-    pub(crate) fn conn_closed(&self, stripe: usize, conn_id: u64, requests: u64, idle: bool) {
+    pub(crate) fn conn_closed(&self, conn_id: u64, requests: u64, idle: bool) {
         self.open_conns.fetch_sub(1, Ordering::Relaxed);
-        self.tel.count(stripe, wstat::CONNS_CLOSED, 1);
+        self.tel.count(STRIPE, wstat::CONNS_CLOSED, 1);
         if idle {
-            self.tel.count(stripe, wstat::IDLE_TIMEOUTS, 1);
+            self.tel.count(STRIPE, wstat::IDLE_TIMEOUTS, 1);
         }
         self.tel.event(wevent::CONN_CLOSE, conn_id, requests);
     }
 
-    pub(crate) fn busy_rejected(&self, stripe: usize, conn_id: u64) {
-        self.tel.count(stripe, wstat::BUSY_REJECTED, 1);
+    pub(crate) fn busy_rejected(&self, conn_id: u64) {
+        self.tel.count(STRIPE, wstat::BUSY_REJECTED, 1);
         self.tel.event(wevent::BUSY, conn_id, 0);
     }
 
     /// Add `n` to the wire counter `counter` (a [`wstat`] index).
-    pub(crate) fn count(&self, stripe: usize, counter: usize, n: u64) {
-        self.tel.count(stripe, counter, n);
+    pub(crate) fn count(&self, counter: usize, n: u64) {
+        self.tel.count(STRIPE, counter, n);
     }
 
-    pub(crate) fn malformed(&self, stripe: usize, conn_id: u64, class: u64) {
-        self.tel.count(stripe, wstat::MALFORMED_FRAMES, 1);
+    pub(crate) fn malformed(&self, conn_id: u64, class: u64) {
+        self.tel.count(STRIPE, wstat::MALFORMED_FRAMES, 1);
         self.tel.event(wevent::MALFORMED, conn_id, class);
     }
 
@@ -223,7 +211,6 @@ impl Service {
     /// callers tag reply-flush spans and latency exemplars with it.
     pub(crate) fn handle(
         &self,
-        stripe: usize,
         conn_id: u64,
         req: &Request<'_>,
         out: &mut Vec<u8>,
@@ -290,10 +277,10 @@ impl Service {
                 (wstat::REQ_DUMP, Status::Ok)
             }
         };
-        self.tel.count(stripe, counter, 1);
+        self.tel.count(STRIPE, counter, 1);
         if let (Some(t), Some(t0)) = (tr, t0) {
             t.record(
-                stripe,
+                STRIPE,
                 &Span {
                     trace_id: rctx.trace_id,
                     span_id: root,

@@ -23,10 +23,11 @@ use crate::stats::{SystemReport, SystemStats};
 /// across `service_fault`, so they are exactly the latencies a paper
 /// Table 2/3-style breakdown wants, deterministic across runs).
 mod top {
-    pub const FAULT_ZERO_FILL: usize = 0;
-    pub const FAULT_CC: usize = 1;
-    pub const FAULT_STD: usize = 2;
-    pub const NAMES: &[&str] = &["fault_zero_fill", "fault_cc", "fault_std"];
+    cc_telemetry::names! {
+        fault_zero_fill => FAULT_ZERO_FILL,
+        fault_cc => FAULT_CC,
+        fault_std => FAULT_STD,
+    }
 }
 
 /// The simulator's telemetry layout: latency histograms only (the

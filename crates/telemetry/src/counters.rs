@@ -1,12 +1,13 @@
 //! Striped, cache-padded monotonic counters.
 //!
-//! The store's old `StoreStats` kept one plain `u64` per counter inside
-//! each shard's mutex; reading them meant taking every shard lock in turn
-//! and copying a struct whose fields came from different instants. A
-//! [`CounterBank`] instead gives every *(stripe, counter)* pair its own
-//! cache line: writers do one uncontended relaxed `fetch_add` (no lock
-//! required at all), and readers aggregate with per-field atomic loads —
-//! each field is individually exact, even while writers run.
+//! A [`CounterBank`] holds the monotonic counters of one
+//! [`Telemetry`](crate::Telemetry) instance — the store's statistics of
+//! record, the server's wire counters — striped so that writers on
+//! different threads (the store stripes by shard) never share a word.
+//! Every *(stripe, counter)* pair has its own cache line: writers do one
+//! uncontended relaxed `fetch_add` and take no lock, and readers sum the
+//! stripes with per-field atomic loads, so each field is individually
+//! exact even while writers run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

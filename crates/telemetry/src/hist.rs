@@ -1,25 +1,76 @@
-//! Lock-free latency histograms.
+//! Lock-free latency histograms, and the workspace's one bucket scheme.
 //!
-//! An [`AtomicHistogram`] is the wait-free mirror of
-//! [`cc_util::Histogram`]: the same log2 + 8-linear-sub-buckets layout
-//! (±12.5% resolution), but every bucket is an `AtomicU64` in a
+//! Buckets are HdrHistogram-style: a power of two split into 8 linear
+//! sub-buckets (±12.5% resolution), with values below 16 kept exact.
+//! An [`AtomicHistogram`] holds one `AtomicU64` per bucket in a
 //! fixed-size array, so recording from any thread is five relaxed RMWs
 //! (bucket, count, sum, min, max) with no allocation and no lock. On
 //! words every thread shares that is tens of nanoseconds — more than a
 //! hot-tier hit can carry on every call, which is why the store's data
 //! path records 1 operation in [`crate::LATENCY_SAMPLE_PERIOD`]
-//! ([`crate::Telemetry::op_timer`]). Reading converts back into a plain
-//! [`cc_util::Histogram`] (via `Histogram::from_raw`) for quantiles.
+//! ([`crate::Telemetry::op_timer`]). Reading copies the buckets once and
+//! computes the percentiles from the copy ([`AtomicHistogram::summary`]).
 
-use cc_util::hist::{bucket_index, BUCKETS};
-use cc_util::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Buckets in the scheme: 8 per power of two, plus one.
+const BUCKETS: usize = 64 * SUB + 1;
+
+/// Bucket of a sample: `8 * floor(log2(v))` plus the 3 bits below the
+/// leading one; values below 16 are their own bucket.
+#[inline]
+pub(crate) fn bucket_index(v: u64) -> usize {
+    if v == 0 {
+        return 0;
+    }
+    let log = 63 - v.leading_zeros();
+    if log <= SUB_BITS {
+        return v as usize;
+    }
+    let sub = ((v >> (log - SUB_BITS)) & ((SUB as u64) - 1)) as usize;
+    (log as usize) * SUB + sub
+}
+
+/// Smallest value of a bucket: the inverse of [`bucket_index`] up to
+/// bucket resolution.
+fn bucket_floor(idx: usize) -> u64 {
+    // Values below 2^(SUB_BITS + 1) get exact buckets (index == value).
+    if idx < (1 << (SUB_BITS + 1)) {
+        return idx as u64;
+    }
+    let log = (idx / SUB) as u32;
+    if log <= SUB_BITS {
+        // Indexes 16..32 are never produced; clamp to the boundary so
+        // the mapping stays monotone over every index.
+        return 1 << (SUB_BITS + 1);
+    }
+    let sub = (idx % SUB) as u64;
+    (1u64 << log) | (sub << (log - SUB_BITS))
+}
 
 /// A fixed-size, allocation-free, thread-safe histogram of `u64` samples
 /// (latencies in nanoseconds, byte counts, ...).
 ///
 /// Concurrent `record`s never block; a concurrent snapshot may miss
 /// in-flight samples but never tears an individual bucket.
+///
+/// # Examples
+///
+/// ```
+/// use cc_telemetry::AtomicHistogram;
+///
+/// let h = AtomicHistogram::new();
+/// for v in [1, 2, 2, 3, 100] {
+///     h.record(v);
+/// }
+/// let s = h.summary();
+/// assert_eq!((s.count, s.sum, s.max), (5, 108, 100));
+/// // A percentile is the floor of its sample's bucket: 100 is in [96, 104).
+/// assert_eq!((s.p50, s.p90, s.p99), (2, 96, 96));
+/// assert!((s.mean - 21.6).abs() < 1e-9);
+/// ```
 pub struct AtomicHistogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -99,51 +150,61 @@ impl AtomicHistogram {
         }
     }
 
-    /// Number of samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Largest sample recorded so far (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Convert to a plain [`Histogram`] for quantile math. Taken with
-    /// relaxed loads: concurrent writers may leave the copy a few
-    /// samples behind, but no bucket is ever torn.
-    pub fn to_histogram(&self) -> Histogram {
-        let raw: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        // Derive the count from the copied buckets so count and buckets
-        // agree exactly (quantile ranks index into these buckets).
-        let count: u64 = raw.iter().sum();
-        Histogram::from_raw(
-            &raw,
-            count,
-            self.sum.load(Ordering::Relaxed) as u128,
-            self.min.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The percentile summary exported in snapshots. Also refreshes the
+    /// The percentile summary exported in snapshots, computed from one
+    /// relaxed copy of the buckets: concurrent writers may leave it a few
+    /// samples behind, but no bucket is ever torn. Also refreshes the
     /// tail-exemplar floor to the current p99 so future reservoir
     /// entries stay in the tail.
     pub fn summary(&self) -> HistSummary {
-        let mut s = HistSummary::from_histogram(&self.to_histogram());
-        if s.count > 0 {
-            self.tail_floor.store(s.p99, Ordering::Relaxed);
+        let mut buckets = [0u64; BUCKETS];
+        for (dst, b) in buckets.iter_mut().zip(self.buckets.iter()) {
+            *dst = b.load(Ordering::Relaxed);
         }
-        s.max_trace = self.max_trace.load(Ordering::Relaxed);
-        for (dst, slot) in s.tail.iter_mut().zip(self.tail.iter()) {
-            *dst = (
-                slot.value.load(Ordering::Relaxed),
-                slot.trace.load(Ordering::Relaxed),
-            );
+        // The count comes from the copied buckets, so every rank below
+        // lands in them.
+        let count: u64 = buckets.iter().sum();
+        let sum = self.sum.load(Ordering::Relaxed);
+        let min = self.min.load(Ordering::Relaxed);
+        let max = self.max.load(Ordering::Relaxed);
+        // The floor of the bucket holding the `ceil(q * count)`-th
+        // smallest sample, clamped to the recorded range.
+        let quantile = |q: f64| {
+            if count == 0 {
+                return 0;
+            }
+            let rank = ((q * count as f64).ceil() as u64).max(1);
+            let mut seen = 0u64;
+            for (i, &c) in buckets.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_floor(i).min(max).max(min);
+                }
+            }
+            max
+        };
+        let s = HistSummary {
+            count,
+            p50: quantile(0.50),
+            p90: quantile(0.90),
+            p99: quantile(0.99),
+            max: if count == 0 { 0 } else { max },
+            mean: if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
+            },
+            sum,
+            max_trace: self.max_trace.load(Ordering::Relaxed),
+            tail: std::array::from_fn(|i| {
+                let slot = &self.tail[i];
+                (
+                    slot.value.load(Ordering::Relaxed),
+                    slot.trace.load(Ordering::Relaxed),
+                )
+            }),
+        };
+        if count > 0 {
+            self.tail_floor.store(s.p99, Ordering::Relaxed);
         }
         s
     }
@@ -165,7 +226,7 @@ pub struct HistSummary {
     pub max: u64,
     /// Arithmetic mean.
     pub mean: f64,
-    /// Sum of all samples (saturating at `u64::MAX`).
+    /// Sum of all samples (wrapping past `u64::MAX`).
     pub sum: u64,
     /// Trace id of the sample that set the max (0 = untraced).
     pub max_trace: u64,
@@ -174,55 +235,127 @@ pub struct HistSummary {
     pub tail: [(u64, u64); TAIL_SLOTS],
 }
 
-impl HistSummary {
-    /// Summarize a plain histogram (no exemplars — those live on the
-    /// atomic side; see [`AtomicHistogram::summary`]).
-    pub fn from_histogram(h: &Histogram) -> Self {
-        HistSummary {
-            count: h.count(),
-            p50: h.quantile(0.50),
-            p90: h.quantile(0.90),
-            p99: h.quantile(0.99),
-            max: if h.count() == 0 { 0 } else { h.max() },
-            mean: h.mean(),
-            sum: u64::try_from(h.sum()).unwrap_or(u64::MAX),
-            max_trace: 0,
-            tail: [(0, 0); TAIL_SLOTS],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     #[test]
-    fn matches_plain_histogram() {
-        let a = AtomicHistogram::new();
-        let mut p = Histogram::new();
-        let mut rng = cc_util::SplitMix64::new(42);
-        for _ in 0..20_000 {
-            let v = rng.gen_range(5_000_000);
-            a.record(v);
-            p.record(v);
+    fn bucket_scheme_is_inverse_consistent() {
+        for v in (0..64u32).map(|s| 1u64 << s).chain(0..256) {
+            let idx = bucket_index(v);
+            assert!(idx < BUCKETS);
+            let floor = bucket_floor(idx);
+            assert!(floor <= v, "floor({idx}) = {floor} > {v}");
+            // The next bucket's floor must be above the value.
+            if idx + 1 < BUCKETS {
+                assert!(bucket_floor(idx + 1) > v, "v={v} idx={idx}");
+            }
         }
-        let snap = a.to_histogram();
-        assert_eq!(snap.count(), p.count());
-        assert_eq!(snap.sum(), p.sum());
-        for &q in &[0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(snap.quantile(q), p.quantile(q), "q={q}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against a sorted copy: `p_q` is the floor of the bucket of the
+        /// `ceil(q * n)`-th smallest value, clamped to `[min, max]`.
+        #[test]
+        fn summary_matches_sorted_reference(
+            values in proptest::collection::vec(any::<u64>().prop_map(|v| v >> (v % 64)), 1..400),
+        ) {
+            let h = AtomicHistogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+            let reference = |q: f64| {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+                bucket_floor(bucket_index(sorted[rank - 1])).min(max).max(min)
+            };
+            let s = h.summary();
+            prop_assert_eq!(s.count, sorted.len() as u64);
+            prop_assert_eq!((s.p50, s.p90, s.p99), (reference(0.50), reference(0.90), reference(0.99)));
+            prop_assert_eq!(s.max, max);
         }
-        let s = a.summary();
-        assert_eq!(s.count, 20_000);
-        assert_eq!(s.p50, p.quantile(0.5));
-        assert_eq!(s.max, p.max());
+    }
+
+    /// Every exported field for a fixed stream spanning 48 powers of two,
+    /// pinned: a change to the bucket scheme or to the percentile
+    /// arithmetic would move the percentiles every exporter prints.
+    #[test]
+    fn summary_golden_for_a_fixed_stream() {
+        let h = AtomicHistogram::new();
+        let mut rng = cc_util::SplitMix64::new(7);
+        for _ in 0..10_000 {
+            h.record(rng.next_u64() >> (16 + rng.gen_range(48)));
+        }
+        let s = h.summary();
+        assert_eq!(
+            (s.count, s.p50, s.p90),
+            (10_000, 9_437_184, 4_123_168_604_160)
+        );
+        assert_eq!((s.p99, s.max), (140_737_488_355_328, 279_903_178_804_117));
+        assert_eq!(s.sum, 55_139_262_043_749_113);
+        assert_eq!(s.mean, 5_513_926_204_374.911);
     }
 
     #[test]
     fn empty_summary_is_zero() {
         let s = AtomicHistogram::new().summary();
         assert_eq!(s, HistSummary::default());
+    }
+
+    /// Summarising an empty histogram leaves the tail floor at 0, so the
+    /// first traced sample, however small, lands in the reservoir.
+    #[test]
+    fn empty_histogram() {
+        let h = AtomicHistogram::new();
+        h.summary();
+        h.record_traced(1, 5);
+        let s = h.summary();
+        assert_eq!((s.count, s.p50, s.max, s.max_trace), (1, 1, 1, 5));
+        assert!(s.tail.contains(&(1, 5)));
+    }
+
+    #[test]
+    fn small_values_are_exact() {
+        let h = AtomicHistogram::new();
+        for v in 0..=8u64 {
+            h.record(v);
+        }
+        let s = h.summary();
+        assert_eq!((s.count, s.sum, s.max), (9, 36, 8));
+        assert_eq!((s.p50, s.p90, s.p99), (4, 8, 8));
+        assert_eq!(s.mean, 4.0);
+    }
+
+    #[test]
+    fn quantiles_are_monotone() {
+        let h = AtomicHistogram::new();
+        let mut rng = cc_util::SplitMix64::new(11);
+        for _ in 0..10_000 {
+            h.record(rng.gen_range(1_000_000));
+        }
+        let s = h.summary();
+        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max, "{s:?}");
+        // Median of uniform [0, 1e6) should be in the right ballpark
+        // (log buckets give ±12.5% resolution).
+        assert!((350_000..650_000).contains(&s.p50), "median {}", s.p50);
+    }
+
+    #[test]
+    fn large_values_do_not_panic() {
+        let h = AtomicHistogram::new();
+        h.record(u64::MAX);
+        h.record(u64::MAX / 2);
+        let s = h.summary();
+        assert_eq!((s.count, s.max), (2, u64::MAX));
+        assert!(s.p50 <= s.p99);
+        // The sum wraps rather than saturating or panicking.
+        assert_eq!(s.sum, (u64::MAX / 2).wrapping_add(u64::MAX));
     }
 
     #[test]
@@ -263,9 +396,12 @@ mod tests {
         for th in handles {
             th.join().unwrap();
         }
-        assert_eq!(h.count(), 40_000);
-        let snap = h.to_histogram();
-        assert_eq!(snap.count(), 40_000);
-        assert_eq!(snap.max(), 7 * 1000 + 4999);
+        let s = h.summary();
+        assert_eq!(s.count, 40_000);
+        assert_eq!(s.max, 7 * 1000 + 4999);
+        let sum: u64 = (0..8u64)
+            .flat_map(|t| (0..5_000u64).map(move |i| t * 1000 + i))
+            .sum();
+        assert_eq!(s.sum, sum);
     }
 }

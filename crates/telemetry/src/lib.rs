@@ -9,9 +9,12 @@
 //! - [`CounterBank`] — striped, cache-padded monotonic counters. One
 //!   relaxed `fetch_add` per increment, per-field-exact aggregation on
 //!   read (no more lock-and-copy stats structs).
-//! - [`AtomicHistogram`] — fixed-size log-bucketed latency histograms
-//!   sharing `cc_util::Histogram`'s bucket scheme; recording is
-//!   wait-free and allocation-free, reading yields p50/p90/p99/max.
+//! - [`AtomicHistogram`] — the workspace's one histogram type:
+//!   fixed-size, log-bucketed, recording wait-free and allocation-free;
+//!   reading yields p50/p90/p99/max. Its module owns the bucket scheme.
+//! - [`names!`] — declares a name table (counters, timed ops or event
+//!   kinds): one `name => CONST` line per entry gives both the index
+//!   constant and its slot in `NAMES`.
 //! - [`EventRing`] — a lock-free bounded MPMC ring of structured
 //!   events with sequence numbers and accurate drop counting; full
 //!   rings drop (and count) rather than block or overwrite.
@@ -69,6 +72,40 @@ pub struct TelemetrySpec {
     pub ops: &'static [&'static str],
     /// Structured event-kind names.
     pub events: &'static [&'static str],
+}
+
+/// Declares one name table of a [`TelemetrySpec`] — its counters, timed
+/// operations or event kinds — one line per entry.
+///
+/// Each `name => CONST` entry, with the doc comments above it, becomes
+/// `pub const CONST: usize`, numbered from 0 in declaration order, and
+/// `pub const NAMES` lists every `name` at its constant's index. Invoke
+/// it inside the module that holds the table:
+///
+/// ```
+/// mod wire {
+///     cc_telemetry::names! {
+///         /// Requests served.
+///         requests => REQUESTS,
+///         polls => POLLS,
+///     }
+/// }
+/// assert_eq!((wire::REQUESTS, wire::POLLS), (0, 1));
+/// assert_eq!(wire::NAMES, ["requests", "polls"]);
+/// ```
+#[macro_export]
+macro_rules! names {
+    ($($(#[$attr:meta])* $name:ident => $index:ident),+ $(,)?) => {
+        $crate::names!(@index 0; $($(#[$attr])* $index)+);
+        /// The entries' names, index-aligned with the constants above.
+        pub const NAMES: &[&str] = &[$(stringify!($name)),+];
+    };
+    (@index $i:expr; $(#[$attr:meta])* $index:ident $($rest:tt)*) => {
+        $(#[$attr])*
+        pub const $index: usize = $i;
+        $crate::names!(@index $i + 1; $($rest)*);
+    };
+    (@index $i:expr;) => {};
 }
 
 /// Default event-ring capacity (events kept between snapshots).
@@ -273,8 +310,10 @@ impl Telemetry {
     }
 }
 
+/// Unit tests; public in test builds so that `missing_docs` checks what
+/// `names!` generates in `tests::table`.
 #[cfg(test)]
-mod tests {
+pub mod tests {
     use super::*;
 
     const SPEC: TelemetrySpec = TelemetrySpec {
@@ -282,6 +321,26 @@ mod tests {
         ops: &["put", "get"],
         events: &["evict", "gc"],
     };
+
+    /// A table declared the way the store and server declare theirs. An
+    /// undocumented constant here fails the build.
+    #[deny(missing_docs)]
+    pub mod table {
+        crate::names! {
+            /// First entry.
+            alpha => ALPHA,
+            /// Second entry.
+            beta => BETA,
+            /// Named apart from its constant, as `recovery_duration` is.
+            gamma_delta => LAST,
+        }
+    }
+
+    #[test]
+    fn names_macro_numbers_entries_in_declaration_order() {
+        assert_eq!([table::ALPHA, table::BETA, table::LAST], [0, 1, 2]);
+        assert_eq!(table::NAMES, ["alpha", "beta", "gamma_delta"]);
+    }
 
     #[test]
     fn end_to_end_snapshot() {
@@ -406,10 +465,7 @@ mod tests {
             ("p90", a.p90, p.p90),
             ("p99", a.p99, p.p99),
         ] {
-            let (bf, bs) = (
-                cc_util::hist::bucket_index(full),
-                cc_util::hist::bucket_index(sampled),
-            );
+            let (bf, bs) = (hist::bucket_index(full), hist::bucket_index(sampled));
             assert!(bf.abs_diff(bs) <= 1, "{name}: {full} vs {sampled}");
         }
         assert!(p.max <= a.max);

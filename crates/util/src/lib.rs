@@ -9,19 +9,20 @@
 //! - [`slab`] — a minimal slab allocator with stable integer keys.
 //! - [`lru`] — an intrusive doubly-linked LRU list built on the slab, used by
 //!   the VM resident list, the file buffer cache, and the compression cache.
-//! - [`rng`] — a tiny deterministic SplitMix64 generator for seeded workload
-//!   generation inside core crates (the heavyweight `rand` crate is only used
-//!   by workload *generators*, never by the simulator itself).
-//! - [`hist`] — log-bucketed histograms for latency and ratio statistics.
+//! - [`rng`] — a tiny deterministic SplitMix64 generator: every seeded
+//!   workload, simulator run and test draws from it (the workspace has no
+//!   `rand` dependency).
 //! - [`crc`] — table-driven CRC-32 for self-verifying on-disk extents.
 //! - [`plot`] — ASCII line charts and heatmaps used by the figure harnesses.
 //! - [`fmt`] — human-friendly byte/time formatting.
+//!
+//! Histograms live in `cc_telemetry`: `AtomicHistogram` is the workspace's
+//! one histogram type, and its module owns the bucket scheme.
 
 #![warn(missing_docs)]
 
 pub mod crc;
 pub mod fmt;
-pub mod hist;
 pub mod lru;
 pub mod plot;
 pub mod rng;
@@ -29,7 +30,6 @@ pub mod slab;
 pub mod time;
 
 pub use crc::{crc32, Crc32};
-pub use hist::Histogram;
 pub use lru::{LruHandle, LruList};
 pub use rng::SplitMix64;
 pub use slab::Slab;
