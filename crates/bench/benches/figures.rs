@@ -7,8 +7,7 @@
 //! path are caught.
 
 use cc_analytic::{bandwidth_speedup, grid, ratio_axis, reference_speedup, speed_axis};
-use cc_sim::{Mode, SimConfig, System};
-use cc_workloads::{
+use cc_sim::workloads::{
     compare::CompareApp,
     gold::{GoldApp, GoldPhase, GoldWorkload},
     isca::IscaApp,
@@ -16,6 +15,7 @@ use cc_workloads::{
     thrasher::{measure_cycle_access_time, Thrasher},
     Workload,
 };
+use cc_sim::{Mode, SimConfig, System};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const MB: u64 = 1024 * 1024;

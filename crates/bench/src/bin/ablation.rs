@@ -16,9 +16,9 @@
 
 use cc_bench::scaled;
 use cc_disk::DiskParams;
+use cc_sim::workloads::thrasher::{measure_cycle_access_time, Thrasher};
 use cc_sim::{CodecKind, Mode, SimConfig, System};
 use cc_util::SplitMix64;
-use cc_workloads::thrasher::{measure_cycle_access_time, Thrasher};
 
 const MB: u64 = 1024 * 1024;
 
@@ -49,7 +49,7 @@ fn skewed_reader_secs(cc_age_scale: f64) -> f64 {
     let npages = space / 4096;
     let mut page = vec![0u8; 4096];
     for p in 0..npages {
-        cc_workloads::datagen::fill_2to1(&mut page, p);
+        cc_sim::workloads::datagen::fill_2to1(&mut page, p);
         sys.write_slice(seg, p * 4096, &page);
     }
     let mut rng = SplitMix64::new(77);
@@ -148,8 +148,8 @@ fn main() {
                         };
                     }
                 }
-                2 => cc_workloads::datagen::fill_2to1(&mut page, p),
-                _ => cc_workloads::datagen::fill_4to1(&mut page, p),
+                2 => cc_sim::workloads::datagen::fill_2to1(&mut page, p),
+                _ => cc_sim::workloads::datagen::fill_4to1(&mut page, p),
             }
             sys.write_slice(seg, p * 4096, &page);
         }

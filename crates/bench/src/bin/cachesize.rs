@@ -24,7 +24,7 @@ fn main() {
     let sweep = sys.create_segment(8 * MB);
     let mut page = vec![0u8; 4096];
     for p in 0..(8 * MB / 4096) {
-        cc_workloads::datagen::fill_4to1(&mut page, p);
+        cc_sim::workloads::datagen::fill_4to1(&mut page, p);
         sys.write_slice(sweep, p * 4096, &page);
     }
     for pass in 0..3u64 {

@@ -28,9 +28,7 @@
 
 use cc_compress::ThresholdPolicy;
 use cc_disk::DiskParams;
-use cc_sim::{CodecKind, Mode, SimConfig, System};
-use cc_util::Ns;
-use cc_workloads::{
+use cc_sim::workloads::{
     compare::CompareApp,
     gold::{GoldApp, GoldPhase, GoldWorkload},
     isca::IscaApp,
@@ -38,6 +36,8 @@ use cc_workloads::{
     thrasher::Thrasher,
     Workload,
 };
+use cc_sim::{CodecKind, Mode, SimConfig, System};
+use cc_util::Ns;
 
 #[derive(Debug)]
 struct Args {

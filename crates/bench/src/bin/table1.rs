@@ -20,14 +20,14 @@
 //! columns in the same regimes. Run with `--quick` for 1/8 scale.
 
 use cc_bench::{quick_mode, render_table1, run_pair, PairResult};
-use cc_sim::{Mode, SimConfig, System};
-use cc_util::Ns;
-use cc_workloads::{
+use cc_sim::workloads::{
     compare::CompareApp,
     gold::{GoldApp, GoldPhase},
     isca::IscaApp,
     sortapp::{SortApp, SortInput},
 };
+use cc_sim::{Mode, SimConfig, System};
+use cc_util::Ns;
 
 const MB: usize = 1024 * 1024;
 

@@ -14,9 +14,9 @@
 //! Binaries accept a `--quick` flag that shrinks problem sizes by ~8x for
 //! smoke runs; full-scale settings match EXPERIMENTS.md.
 
+use cc_sim::workloads::{Workload, WorkloadSummary};
 use cc_sim::{Mode, SimConfig, System};
 use cc_util::{Ns, SplitMix64};
-use cc_workloads::{Workload, WorkloadSummary};
 
 pub mod smoke;
 
@@ -202,7 +202,7 @@ pub fn scaled(full: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_workloads::thrasher::Thrasher;
+    use cc_sim::workloads::thrasher::Thrasher;
 
     #[test]
     fn run_pair_checks_checksums_and_reports() {

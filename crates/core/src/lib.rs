@@ -1,95 +1,37 @@
-//! The compression cache — the paper's primary contribution.
+//! A sharded, tiered compressed page store — the compression cache of
+//! Douglis 1993 as a standalone, thread-safe library.
 //!
-//! This crate implements the mechanism described in §4 of Douglis 1993:
-//! a variable-sized region of physical memory holding VM pages in
-//! compressed form, sitting between uncompressed memory and the backing
-//! store. The design follows the paper closely:
+//! [`store`] keeps fixed-size pages in memory under a byte budget, the
+//! way the paper's descendants (zram, zswap, the macOS/Windows compressed
+//! memory managers) do: hot pages stay uncompressed, warm pages are
+//! compressed in memory by an adaptive codec choice, and cold pages spill
+//! to a backing file through a background writer that batches them the
+//! way §4.3's backing-store interface does. [`tier`] holds the placement
+//! policies that decide where each page lives, [`medium`] abstracts the
+//! spill file behind a positioned-I/O trait with a deterministic fault
+//! injector for chaos testing, and [`persist`] makes the spill tier
+//! crash-safe and warm-restartable. Checksummed extents, bounded retry
+//! and degraded-mode operation are part of the store's contract, not an
+//! afterthought.
 //!
-//! - **Circular buffer layout** (§4.2, Figure 2): physical frames are
-//!   mapped one after another into a (virtual) address range; compressed
-//!   pages are appended at the cursor, each preceded by a 36-byte header,
-//!   and may span frame boundaries. Frames are reclaimed from the oldest
-//!   end — or from the middle when no clean data is available at the
-//!   oldest end. See [`circ`].
-//! - **Page states** `clean / dirty / free / new` emerge from per-entry
-//!   dirtiness plus per-slot live-byte accounting.
-//! - **Cleaner** (§4.2): the oldest dirty compressed pages are written to
-//!   backing store in batched, fragment-padded runs (1 KB fragments,
-//!   32 KB batches, §4.3) so that frames stay reclaimable. Writes are
-//!   asynchronous; reclaiming a frame whose data is still in flight stalls
-//!   until the write completes, which is exactly the cost the paper's
-//!   clean-page pool exists to hide.
-//! - **Backing-store interface** (§4.3): because compressed pages lose the
-//!   fixed page-to-block mapping, [`swap`] keeps an explicit location map,
-//!   garbage-collects superseded fragments, and (optionally) forbids pages
-//!   from spanning file-block boundaries. Space is organized in 32 KB
-//!   *clusters*; when no free cluster remains, a log-cleaner moves the
-//!   live pages out of the emptiest cluster.
-//! - **4:3 threshold** (§5.2): pages that compress poorly are not kept
-//!   compressed; the wasted compression effort is reported so the
-//!   simulator can charge it.
-//! - **Overhead accounting** (§4.4): [`overhead`] reproduces the paper's
-//!   memory-overhead arithmetic (8 B/page page-table extension, 8 B/slot
-//!   descriptor, 24 B frame headers, 36 B entry headers, the LZRW1 hash
-//!   table, and the 22 KB of extra kernel code).
-//!
-//! Policy — *when* to grow or shrink the cache relative to VM pages and
-//! the file cache — deliberately lives one level up (`cc-sim`); this crate
-//! provides the mechanism and reports every byte and every stall so the
-//! policy layer can charge costs honestly.
-//!
-//! Besides the simulator-facing mechanism, [`store`] packages the same
-//! idea as a standalone, thread-safe library (a zram/zswap-shaped API with
-//! a real background spill thread) usable outside the reproduction, and
-//! [`medium`] abstracts its spill backing behind a positioned-I/O trait
-//! with a deterministic fault injector for chaos testing — checksummed
-//! extents, bounded retry, and degraded-mode operation are part of the
-//! store's contract, not an afterthought.
+//! The 1993 system itself is reproduced elsewhere: the §4 circular-buffer
+//! cache in `cc-sim` (as `cc_sim::paper`), and the memory, disk, VM and
+//! file-system models it runs on in `cc-mem`, `cc-disk`, `cc-vm` and
+//! `cc-blockfs`.
 
 #![warn(missing_docs)]
 
-pub mod backing;
-pub mod cache;
-pub mod circ;
-pub mod config;
 pub mod medium;
-pub mod overhead;
 pub mod persist;
 pub mod store;
-pub mod swap;
 pub mod tier;
 
-pub use backing::{BackingStore, MemBacking};
-pub use cache::{CleanEvictOutcome, CompressionCache, CoreStats, FaultOutcome, InsertOutcome};
-pub use config::CacheConfig;
 pub use medium::{
     CrashSwitch, Fault, FaultInjector, FaultPlan, FileMedium, InjectedFaults, MemMedium,
     SpillMedium,
 };
-pub use overhead::OverheadReport;
 pub use persist::{RecoverError, RecoveryCounts};
 pub use store::{CompressedStore, StoreConfig, StoreError, StoreStats};
-pub use swap::{SwapInfo, SwapLoc, SwapSpace};
 pub use tier::{
     CompressAll, PaperThreshold, PlacementQuery, RecencyCompressibility, TierDecision, TierPolicy,
 };
-
-/// Identity of a virtual page, as the cache sees it.
-///
-/// This mirrors `cc_vm::VPage` without depending on the VM crate: the
-/// cache is usable as a standalone compressed-page store keyed by any
-/// `(u32, u32)` identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PageKey {
-    /// Segment / object identifier.
-    pub seg: u32,
-    /// Page index within the segment.
-    pub page: u32,
-}
-
-impl PageKey {
-    /// Pack into a u64 (stable ordering, used for deterministic maps).
-    pub fn as_u64(self) -> u64 {
-        ((self.seg as u64) << 32) | self.page as u64
-    }
-}

@@ -1,9 +1,10 @@
 //! Simulator configuration: machine, mode, and policy knobs.
 
 use cc_compress::ThresholdPolicy;
-use cc_core::cache::CpuCosts;
 use cc_disk::DiskParams;
 use cc_util::Ns;
+
+use crate::paper::cache::CpuCosts;
 
 /// Which compressor the cache uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

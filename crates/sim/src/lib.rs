@@ -1,9 +1,15 @@
-//! Whole-system virtual-time simulator.
+//! The 1993 reproduction: the paper's machine under one virtual clock.
 //!
-//! This crate wires every substrate together the way the modified Sprite
+//! | module | contents |
+//! |---|---|
+//! | [`paper`] | **the compression cache** (§4): circular buffer, cleaner, fragments, swap GC, §4.4 overheads |
+//! | [`workloads`] | thrasher, compare, isca, sort, gold |
+//! | [`system`] | the whole machine and the three-way memory arbiter |
+//!
+//! [`System`] wires the substrates together the way the modified Sprite
 //! kernel does: a [`cc_vm::Vm`] over a shared [`cc_mem::FramePool`], a
 //! [`cc_blockfs::FileSystem`] on a [`cc_disk::Disk`], an optional
-//! [`cc_core::CompressionCache`], and — the §4.2 contribution — a
+//! [`paper::CompressionCache`], and — the §4.2 contribution — a
 //! **three-way memory arbiter** that trades physical frames among
 //! uncompressed VM pages, file-cache blocks, and compressed pages by
 //! comparing biased LRU ages.
@@ -26,8 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod paper;
 pub mod stats;
 pub mod system;
+pub mod workloads;
 
 pub use config::{CcParams, CodecKind, Mode, SimConfig};
 pub use stats::{SystemReport, SystemStats};

@@ -1,10 +1,11 @@
 //! Aggregated measurements and the end-of-run report.
 
-use cc_core::CoreStats;
 use cc_disk::DiskStats;
 use cc_telemetry::HistSummary;
 use cc_util::{fmt, Ns};
 use cc_vm::VmStats;
+
+use crate::paper::CoreStats;
 
 /// Counters owned by the `System` itself (the substrates keep their own).
 #[derive(Debug, Clone, Default)]

@@ -5,10 +5,6 @@ use std::collections::HashMap;
 
 use cc_blockfs::{read_block_through, BufferCache, CacheBlockKey, FileId, FileSystem};
 use cc_compress::{Compressor, Lzrw1, Lzss, Null, Rle};
-use cc_core::{
-    BackingStore, CacheConfig, CleanEvictOutcome, CompressionCache, CoreStats, FaultOutcome,
-    InsertOutcome, OverheadReport, PageKey,
-};
 use cc_disk::{Completion, Disk, DiskStats};
 use cc_mem::{FrameId, FrameOwner, FramePool};
 use cc_telemetry::{Telemetry, TelemetrySpec};
@@ -16,6 +12,10 @@ use cc_util::Ns;
 use cc_vm::{AccessResult, FaultKind, SegId, Vm, VmStats};
 
 use crate::config::{CodecKind, Mode, SimConfig};
+use crate::paper::{
+    BackingStore, CacheConfig, CleanEvictOutcome, CompressionCache, CoreStats, FaultOutcome,
+    InsertOutcome, OverheadReport, PageKey,
+};
 use crate::stats::{SystemReport, SystemStats};
 
 /// Timed-operation indices for the simulator's telemetry: fault service

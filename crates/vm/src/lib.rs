@@ -5,7 +5,7 @@
 //! compression-cache ("cc") configurations of the simulator. What happens
 //! to a page once it leaves the resident set (straight to a swap file, or
 //! into the compression cache) is the policy difference under study, so it
-//! lives above this crate, in `cc-core` and `cc-sim`.
+//! lives above this crate, in `cc-sim`.
 //!
 //! A virtual page is always in exactly one of four places, mirroring the
 //! paper's hierarchy (§4.1): uncompressed and resident; compressed in the

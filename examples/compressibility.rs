@@ -13,8 +13,8 @@
 use compression_cache::compress::{
     compression_fraction, CompressDecision, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy,
 };
+use compression_cache::sim::workloads::datagen;
 use compression_cache::util::SplitMix64;
-use compression_cache::workloads::datagen;
 
 const PAGE: usize = 4096;
 

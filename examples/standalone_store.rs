@@ -15,8 +15,8 @@
 use std::sync::Arc;
 
 use compression_cache::core::store::{CompressedStore, StoreConfig};
+use compression_cache::sim::workloads::datagen;
 use compression_cache::util::fmt;
-use compression_cache::workloads::datagen;
 
 const PAGE: usize = 4096;
 

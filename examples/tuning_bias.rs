@@ -48,7 +48,7 @@ fn skewed_secs(scale: f64) -> f64 {
     let pages = 8 * MB / 4096;
     let mut page = vec![0u8; 4096];
     for p in 0..pages {
-        compression_cache::workloads::datagen::fill_2to1(&mut page, p);
+        compression_cache::sim::workloads::datagen::fill_2to1(&mut page, p);
         sys.write_slice(seg, p * 4096, &page);
     }
     let hot = mem_pages * 95 / 100;

@@ -16,15 +16,16 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
+//! | [`util`] | `cc-util` | virtual time, seeded RNG, LRU list, slab, CRC-32, formatting |
+//! | [`telemetry`] | `cc-telemetry` | counters, histograms, event ring, tracing, snapshot export |
 //! | [`compress`] | `cc-compress` | LZRW1 (from scratch), LZSS, RLE, null; the 4:3 threshold policy |
 //! | [`disk`] | `cc-disk` | RZ57 and friends: seeks, rotation, transfer, request queueing |
 //! | [`blockfs`] | `cc-blockfs` | Sprite-like 4 KB-block files, read-modify-write semantics, buffer cache |
 //! | [`mem`] | `cc-mem` | physical frame pool with real page contents |
 //! | [`vm`] | `cc-vm` | segments, page tables, exact-LRU residency |
-//! | [`core`] | `cc-core` | **the compression cache**: circular buffer, cleaner, fragments, swap GC |
-//! | [`sim`] | `cc-sim` | the whole machine under one virtual clock; the three-way memory arbiter |
+//! | [`core`] | `cc-core` | the compressed page store: hot/warm/cold tiers, adaptive codecs, crash-safe spill |
+//! | [`sim`] | `cc-sim` | **the compression cache** ([`sim::paper`]: circular buffer, cleaner, fragments, swap GC), the workloads ([`sim::workloads`]: thrasher, compare, isca, sort, gold), and the whole machine under one virtual clock with the three-way memory arbiter |
 //! | [`analytic`] | `cc-analytic` | Figure 1's closed-form models |
-//! | [`workloads`] | `cc-workloads` | thrasher, compare, isca, sort, gold |
 //!
 //! ## Quickstart
 //!
@@ -58,4 +59,3 @@ pub use cc_sim as sim;
 pub use cc_telemetry as telemetry;
 pub use cc_util as util;
 pub use cc_vm as vm;
-pub use cc_workloads as workloads;

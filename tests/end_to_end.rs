@@ -1,14 +1,14 @@
 //! Cross-crate integration tests: the paper's claims as executable
 //! assertions against the full system.
 
-use compression_cache::sim::{Mode, SimConfig, System};
-use compression_cache::util::{Ns, SplitMix64};
-use compression_cache::workloads::{
+use compression_cache::sim::workloads::{
     compare::CompareApp,
     sortapp::{SortApp, SortInput},
     thrasher::{measure_cycle_access_time, Thrasher},
     Workload,
 };
+use compression_cache::sim::{Mode, SimConfig, System};
+use compression_cache::util::{Ns, SplitMix64};
 
 const MB: u64 = 1024 * 1024;
 
