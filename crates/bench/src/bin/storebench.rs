@@ -34,7 +34,8 @@
 //! Trials 1–4 pin `compress-all` (trial 1's second run aside) so they
 //! exercise the codec and spill paths, not placement. `--smoke` fails if
 //! the resident-bytes budget is ever exceeded (spill trial and every
-//! tier arm), the spill pipeline goes unexercised, the put-only phase
+//! tier arm), the spill pipeline or its cleaner goes unexercised, a
+//! cleaning step relocates more than one segment, the put-only phase
 //! sees more than the budget in flight to the writer, sees it fail to
 //! drain within a second without a flush, or grows `VmRSS` by more than
 //! 3 × budget, the spill trial under the default tier policy counts more
@@ -246,8 +247,13 @@ struct SpillTrial {
     puts: u64,
     /// Store counters after the final flush.
     stats: StoreStats,
+    /// Bytes per spill-file segment: the most one cleaning step moves.
+    segment_bytes: u64,
     file_bytes_on_disk: u64,
     max_resident_seen: u64,
+    /// Largest `spill_inflight_bytes` the watcher read while the workers
+    /// churned: the queue behind the writer's longest stall.
+    churn_max_inflight: u64,
     put_only: PutOnlyPhase,
     /// Telemetry snapshot after the final flush: per-tier latency
     /// histograms plus ring event counts.
@@ -325,19 +331,22 @@ fn run_put_only_phase(store: &CompressedStore) -> PutOnlyPhase {
     }
 }
 
-/// Budget watcher: samples the resident gauge as fast as it can until
-/// `stop` is set, and returns the largest value it read.
+/// Budget watcher: samples the resident and in-flight gauges as fast as
+/// it can until `stop` is set, and returns the largest value it read of
+/// each.
 fn watch_resident(
     store: &Arc<CompressedStore>,
     stop: &Arc<AtomicBool>,
-) -> std::thread::JoinHandle<u64> {
+) -> std::thread::JoinHandle<(u64, u64)> {
     let (store, stop) = (Arc::clone(store), Arc::clone(stop));
     std::thread::spawn(move || {
-        let mut max_seen = 0u64;
+        let (mut resident, mut inflight) = (0u64, 0u64);
         while !stop.load(Ordering::Relaxed) {
-            max_seen = max_seen.max(store.stats().resident_bytes);
+            let s = store.stats();
+            resident = resident.max(s.resident_bytes);
+            inflight = inflight.max(s.spill_inflight_bytes);
         }
-        max_seen
+        (resident, inflight)
     })
 }
 
@@ -377,7 +386,7 @@ fn run_spill_trial(
         .sum();
     store.flush().expect("flush");
     stop.store(true, Ordering::Relaxed);
-    let max_resident_seen = watcher.join().expect("watcher panicked");
+    let (max_resident_seen, churn_max_inflight) = watcher.join().expect("watcher panicked");
     // With the watcher gone no other thread calls into the store: the
     // phase would catch a store whose reads lend the writer a hand.
     let put_only = run_put_only_phase(&store);
@@ -387,8 +396,10 @@ fn run_spill_trial(
     let trial = SpillTrial {
         puts,
         stats: store.stats(),
+        segment_bytes: store.spill_segment_bytes().expect("spill store"),
         file_bytes_on_disk: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
         max_resident_seen,
+        churn_max_inflight,
         put_only,
         telemetry: store.telemetry_snapshot(),
         invariants: store.check_invariants(),
@@ -653,7 +664,7 @@ fn run_tier_trial(
         .collect();
     store.flush().expect("flush");
     stop.store(true, Ordering::Relaxed);
-    let max_resident_seen = watcher.join().expect("watcher panicked");
+    let (max_resident_seen, _) = watcher.join().expect("watcher panicked");
 
     let arm = TierArm {
         policy: name,
@@ -1078,6 +1089,14 @@ fn run_smoke() -> i32 {
         spill.max_resident_seen,
     );
     eprintln!(
+        "  cleaner: {} steps of at most one {} B segment, {} B relocated, longest step {:.2} ms; churn max in flight {} B",
+        ss.gc_runs,
+        spill.segment_bytes,
+        ss.gc_bytes_relocated,
+        ss.gc_pause_max_ns as f64 / 1e6,
+        spill.churn_max_inflight,
+    );
+    eprintln!(
         "  spill, default tier policy: {} demoter passes over {} puts",
         tiered.stats.demoter_passes, tiered.puts,
     );
@@ -1160,6 +1179,16 @@ fn run_smoke() -> i32 {
     }
     if ss.spill_batches == 0 {
         failures.push("spill writer committed no batches".into());
+    }
+    // The cleaner runs, and a step moves at most the one segment it frees.
+    if ss.gc_runs == 0 {
+        failures.push("cleaner unexercised: no cleaning step ran".into());
+    }
+    if ss.gc_bytes_relocated > ss.gc_runs * spill.segment_bytes {
+        failures.push(format!(
+            "cleaner relocated {} B in {} steps: more than one {} B segment a step",
+            ss.gc_bytes_relocated, ss.gc_runs, spill.segment_bytes
+        ));
     }
     if same_filled == 0 {
         failures.push("same-filled fast path unexercised".into());

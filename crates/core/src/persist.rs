@@ -11,24 +11,24 @@
 //!   sequence number. Writers alternate slots by sequence parity, so a
 //!   torn superblock write can only destroy the slot being written — the
 //!   other slot still decodes and recovery proceeds from it. The
-//!   superblock records the format version, page size, a fingerprint of
-//!   the codec set, the clean-shutdown bit, and the journal's epoch /
-//!   start / tail.
+//!   superblock records the format version, page size, spill segment
+//!   size, a fingerprint of the codec set, the clean-shutdown bit, and
+//!   the journal's epoch / start / tail.
 //! - A **location-map journal** in a sibling file: an append-only stream
 //!   of fixed-size records (`key → offset, len, generation, codec`),
 //!   group-committed after each durable spill batch, plus tombstones for
-//!   removed keys and relocation records for GC moves. Every record is
-//!   individually CRC'd and epoch-stamped, so replay stops exactly at a
-//!   torn tail or a stale epoch left behind by journal compaction.
+//!   removed keys and relocation records for the cleaner's moves, each
+//!   group-committed after its relocation batch is durable. Every record
+//!   is individually CRC'd and epoch-stamped, so replay stops exactly at
+//!   a torn tail or a stale epoch left behind by journal compaction.
 //!
 //! Recovery (`recover`) replays the journal into a per-key latest-wins
 //! fold ordered by LSN (the store's spill generation counter, so the
 //! on-disk order and the in-memory causal order agree), then — unless the
 //! clean bit was set — re-reads and re-verifies every referenced extent's
-//! header CRC, falling back to an extent's pre-GC location when the
-//! relocated copy is torn. The result is exactly the set of
-//! durably-committed entries: torn tails and stale generations are
-//! discarded and counted, never served.
+//! header CRC. The result is exactly the set of durably-committed
+//! entries: torn tails and stale generations are discarded and counted,
+//! never served.
 
 use std::collections::HashMap;
 use std::io;
@@ -51,8 +51,12 @@ const SB_SLOT: usize = 128;
 const SB_MAGIC: u32 = 0xCC5B_0001;
 
 /// On-disk format version sealed into the superblock (covers the extent
-/// header layout and the journal record layout together).
-const SB_VERSION: u32 = 1;
+/// header layout and the journal record layout together). Version 2 is
+/// the segmented spill file: the superblock records the segment size,
+/// and a RELOC record only ever follows its durable copy, so recovery
+/// has no pre-relocation fallback. An older file is refused
+/// ([`RecoverError::UnsupportedVersion`]), not migrated.
+pub(crate) const SB_VERSION: u32 = 2;
 
 /// CRC'd prefix of a slot; the CRC itself sits at `SB_SLOT - 4`.
 const SB_CRC_OFFSET: usize = SB_SLOT - 4;
@@ -71,7 +75,8 @@ pub(crate) mod jkind {
     /// `key` was removed (or its journaled version superseded in
     /// memory); `lsn` orders it against PUTs of the same key.
     pub const TOMB: u8 = 2;
-    /// GC moved `key`'s extent (same generation) to a new `offset`.
+    /// The cleaner moved `key`'s extent (same generation) to a new
+    /// `offset`; journaled after the copy is durable.
     pub const RELOC: u8 = 3;
 }
 
@@ -95,6 +100,9 @@ pub fn codec_fingerprint() -> u32 {
 /// and trust (or scan) the data file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Superblock {
+    /// On-disk format version the slot was written under; this build
+    /// writes and opens only its own.
+    pub version: u32,
     /// Monotonic write sequence; the slot written is `seq % 2`, and the
     /// reader believes the valid slot with the highest sequence.
     pub seq: u64,
@@ -112,18 +120,20 @@ pub struct Superblock {
     /// Byte offset in the journal file where the current epoch's records
     /// begin.
     pub journal_start: u64,
-    /// Extent allocation cursor at seal time (authoritative only when
-    /// `clean`).
+    /// Where the spill file's segments end at seal time (authoritative
+    /// only when `clean`).
     pub data_cursor: u64,
     /// Journal append position at seal time (authoritative only when
     /// `clean`).
     pub journal_tail: u64,
+    /// Bytes per spill-file segment, fixed when the file is created.
+    pub seg_bytes: u64,
 }
 
 fn encode_superblock(sb: &Superblock) -> [u8; SB_SLOT] {
     let mut buf = [0u8; SB_SLOT];
     buf[0..4].copy_from_slice(&SB_MAGIC.to_le_bytes());
-    buf[4..8].copy_from_slice(&SB_VERSION.to_le_bytes());
+    buf[4..8].copy_from_slice(&sb.version.to_le_bytes());
     buf[8..16].copy_from_slice(&sb.seq.to_le_bytes());
     buf[16..20].copy_from_slice(&sb.page_size.to_le_bytes());
     buf[20..24].copy_from_slice(&sb.codec_fpr.to_le_bytes());
@@ -132,6 +142,7 @@ fn encode_superblock(sb: &Superblock) -> [u8; SB_SLOT] {
     buf[32..40].copy_from_slice(&sb.journal_start.to_le_bytes());
     buf[40..48].copy_from_slice(&sb.data_cursor.to_le_bytes());
     buf[48..56].copy_from_slice(&sb.journal_tail.to_le_bytes());
+    buf[56..64].copy_from_slice(&sb.seg_bytes.to_le_bytes());
     let crc = crc32(&buf[..SB_CRC_OFFSET]);
     buf[SB_CRC_OFFSET..].copy_from_slice(&crc.to_le_bytes());
     buf
@@ -143,13 +154,13 @@ fn decode_superblock(buf: &[u8]) -> Option<Superblock> {
     }
     let word = |r: std::ops::Range<usize>| u32::from_le_bytes(buf[r].try_into().expect("4 bytes"));
     let wide = |r: std::ops::Range<usize>| u64::from_le_bytes(buf[r].try_into().expect("8 bytes"));
-    if word(0..4) != SB_MAGIC || word(4..8) != SB_VERSION {
+    if word(0..4) != SB_MAGIC || word(SB_CRC_OFFSET..SB_SLOT) != crc32(&buf[..SB_CRC_OFFSET]) {
         return None;
     }
-    if word(SB_CRC_OFFSET..SB_SLOT) != crc32(&buf[..SB_CRC_OFFSET]) {
-        return None;
-    }
+    // Any version decodes, so an older file is refused by name
+    // (`recover`) rather than mistaken for a missing superblock.
     Some(Superblock {
+        version: word(4..8),
         seq: wide(8..16),
         page_size: word(16..20),
         codec_fpr: word(20..24),
@@ -158,6 +169,7 @@ fn decode_superblock(buf: &[u8]) -> Option<Superblock> {
         journal_start: wide(32..40),
         data_cursor: wide(40..48),
         journal_tail: wide(48..56),
+        seg_bytes: wide(56..64),
     })
 }
 
@@ -277,6 +289,15 @@ pub(crate) struct PersistState {
     /// Tombstones waiting for the next group commit (or an explicit
     /// flush barrier).
     pub pending: Vec<JournalRecord>,
+    /// The spill file's segment size, sealed into every superblock.
+    pub seg_bytes: u64,
+}
+
+/// Whether the current epoch holds enough history to be worth compacting
+/// down to `live` records plus the pending tombstones.
+fn compaction_due(st: &PersistState, live: usize) -> bool {
+    let span = st.tail.saturating_sub(st.start);
+    span >= 64 * 1024 && span >= ((live + st.pending.len()) * JOURNAL_RECORD) as u64 * 4
 }
 
 /// The store's handle on its persistence state: the journal medium plus
@@ -336,10 +357,10 @@ impl Persist {
         self.append_commit(&[])
     }
 
-    /// Seal a clean shutdown: superblock gains the clean bit, the final
-    /// cursor, and the journal tail, so the next open can trust the
-    /// journal without re-verifying extents. The caller must have
-    /// committed every pending record first.
+    /// Seal a clean shutdown: superblock gains the clean bit, where the
+    /// data file's segments end, and the journal tail, so the next open
+    /// can trust the journal without re-verifying extents. The caller
+    /// must have committed every pending record first.
     pub fn seal_clean(
         &self,
         data: &dyn SpillMedium,
@@ -350,6 +371,7 @@ impl Persist {
         debug_assert!(st.pending.is_empty(), "seal with uncommitted tombstones");
         st.sb_seq += 1;
         let sb = Superblock {
+            version: SB_VERSION,
             seq: st.sb_seq,
             page_size,
             codec_fpr: codec_fingerprint(),
@@ -358,8 +380,18 @@ impl Persist {
             journal_start: st.start,
             data_cursor,
             journal_tail: st.tail,
+            seg_bytes: st.seg_bytes,
         };
         write_superblock(data, &sb)
+    }
+
+    /// The size test of [`Persist::maybe_compact`] against an upper bound
+    /// on the live records, so a caller can skip taking the snapshot.
+    pub fn compaction_due(&self, live_bound: usize) -> bool {
+        compaction_due(
+            &self.state.lock().expect("persist state poisoned"),
+            live_bound,
+        )
     }
 
     /// Compact the journal when the current epoch's record span has
@@ -381,9 +413,7 @@ impl Persist {
         live: &[JournalRecord],
     ) -> io::Result<bool> {
         let mut st = self.state.lock().expect("persist state poisoned");
-        let span = st.tail.saturating_sub(st.start);
-        let live_bytes = ((live.len() + st.pending.len()) * JOURNAL_RECORD) as u64;
-        if span < 64 * 1024 || span < live_bytes.saturating_mul(4) {
+        if !compaction_due(&st, live.len()) {
             return Ok(false);
         }
         let epoch = st.epoch.wrapping_add(1);
@@ -404,6 +434,7 @@ impl Persist {
         // The flip: one superblock write moves replay to the new epoch.
         st.sb_seq += 1;
         let sb = Superblock {
+            version: SB_VERSION,
             seq: st.sb_seq,
             page_size,
             codec_fpr: codec_fingerprint(),
@@ -412,6 +443,7 @@ impl Persist {
             journal_start: snap_at,
             data_cursor,
             journal_tail: snap_at + snap_bytes,
+            seg_bytes: st.seg_bytes,
         };
         write_superblock(data, &sb)?;
         st.epoch = epoch;
@@ -474,6 +506,8 @@ pub(crate) struct Recovery {
     /// Where appends resume (a torn tail is logically truncated here).
     pub journal_tail: u64,
     pub sb_seq: u64,
+    /// The file's segment size.
+    pub seg_bytes: u64,
     pub counts: RecoveryCounts,
 }
 
@@ -483,6 +517,15 @@ pub enum RecoverError {
     /// Neither superblock slot decoded — not a spill file this format
     /// understands (or its head was destroyed).
     NoSuperblock,
+    /// The file was written under another on-disk format version. This
+    /// build refuses it instead of migrating it: its cleaner journaled
+    /// relocations under a different crash discipline.
+    UnsupportedVersion {
+        /// Version recorded in the superblock.
+        on_disk: u32,
+        /// The version this build writes and opens.
+        ours: u32,
+    },
     /// The file was written under a different codec set or on-disk
     /// format; decoding it would be guesswork.
     FingerprintMismatch {
@@ -499,6 +542,10 @@ impl std::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoverError::NoSuperblock => write!(f, "no valid superblock slot"),
+            RecoverError::UnsupportedVersion { on_disk, ours } => write!(
+                f,
+                "spill file format version {on_disk}, this build opens only version {ours}; the file is refused, not migrated"
+            ),
             RecoverError::FingerprintMismatch { on_disk, ours } => write!(
                 f,
                 "codec/format fingerprint mismatch: file {on_disk:#010x}, build {ours:#010x}"
@@ -514,27 +561,27 @@ impl std::error::Error for RecoverError {}
 /// so a PUT that appears *later in the journal* with an *older* LSN —
 /// possible when a remove overtakes a queued batch — still loses.
 enum KeyState {
-    Live {
-        entry: RecoveredEntry,
-        lsn: u64,
-        /// The extent's pre-relocation offset, kept as a fallback: if a
-        /// mid-GC crash tore the relocated copy, the original is still
-        /// intact (GC never truncates before journaling its moves).
-        prev_offset: Option<u64>,
-    },
+    Live { entry: RecoveredEntry, lsn: u64 },
     Dead(u64),
 }
 
 /// Replay the journal against the data file and rebuild the live entry
 /// set. Never serves unverified bytes: on an unclean open every
-/// referenced extent is re-read and its header CRC re-checked (with the
-/// pre-GC fallback), and anything torn or stale is discarded and
-/// counted.
+/// referenced extent is re-read and its header CRC re-checked, and
+/// anything torn or stale is discarded and counted. A relocated extent
+/// needs no fallback to its old home: its RELOC record was journaled
+/// only after the copy was durable.
 pub(crate) fn recover(
     data: &dyn SpillMedium,
     journal: &dyn SpillMedium,
 ) -> Result<Recovery, RecoverError> {
     let sb = read_superblock(data).ok_or(RecoverError::NoSuperblock)?;
+    if sb.version != SB_VERSION {
+        return Err(RecoverError::UnsupportedVersion {
+            on_disk: sb.version,
+            ours: SB_VERSION,
+        });
+    }
     let ours = codec_fingerprint();
     if sb.codec_fpr != ours {
         return Err(RecoverError::FingerprintMismatch {
@@ -607,7 +654,6 @@ pub(crate) fn recover(
                                 orig_len: rec.orig_len,
                             },
                             lsn: rec.lsn,
-                            prev_offset: None,
                         },
                     );
                 } else {
@@ -629,10 +675,7 @@ pub(crate) fn recover(
                 }
             }
             jkind::RELOC => match map.get_mut(&rec.key) {
-                Some(KeyState::Live {
-                    entry, prev_offset, ..
-                }) if entry.gen == rec.lsn => {
-                    *prev_offset = Some(entry.offset);
+                Some(KeyState::Live { entry, .. }) if entry.gen == rec.lsn => {
                     entry.offset = rec.offset;
                 }
                 _ => counts.stale_generation_dropped += 1,
@@ -645,12 +688,7 @@ pub(crate) fn recover(
     let mut entries = Vec::new();
     let mut ext_buf = Vec::new();
     for state in map.into_values() {
-        let KeyState::Live {
-            mut entry,
-            prev_offset,
-            ..
-        } = state
-        else {
+        let KeyState::Live { entry, .. } = state else {
             continue;
         };
         if !clean {
@@ -660,21 +698,8 @@ pub(crate) fn recover(
             let ok = data.read_at(&mut ext_buf, entry.offset).is_ok()
                 && verify_extent(&ext_buf, entry.gen, entry.codec).is_some();
             if !ok {
-                // Fall back to the pre-relocation copy: same generation,
-                // same bytes, still in place if the move was torn.
-                let fallback = prev_offset.is_some_and(|off| {
-                    ext_buf.clear();
-                    ext_buf.resize(entry.len as usize, 0);
-                    data.read_at(&mut ext_buf, off).is_ok()
-                        && verify_extent(&ext_buf, entry.gen, entry.codec).is_some()
-                });
-                match (fallback, prev_offset) {
-                    (true, Some(off)) => entry.offset = off,
-                    _ => {
-                        counts.torn_tail_discarded += 1;
-                        continue;
-                    }
-                }
+                counts.torn_tail_discarded += 1;
+                continue;
             }
         }
         counts.extents_recovered += 1;
@@ -700,6 +725,7 @@ pub(crate) fn recover(
         journal_start: sb.journal_start,
         journal_tail,
         sb_seq: sb.seq,
+        seg_bytes: sb.seg_bytes,
         counts,
     })
 }
@@ -712,6 +738,7 @@ mod tests {
 
     fn sb(seq: u64, clean: bool) -> Superblock {
         Superblock {
+            version: SB_VERSION,
             seq,
             page_size: 4096,
             codec_fpr: codec_fingerprint(),
@@ -720,7 +747,27 @@ mod tests {
             journal_start: 96,
             data_cursor: 1024,
             journal_tail: 480,
+            seg_bytes: 1 << 20,
         }
+    }
+
+    /// `sb(7, true)` as the version-1 build wrote it, before the
+    /// 16-byte-stride CRC kernel: that build's codec fingerprint, and no
+    /// segment size.
+    fn golden_v1_slot() -> (Vec<u8>, Superblock) {
+        let mut slot = unhex(
+            "01005bcc010000000700000000000000001000003258815001000000030000006000000000000000\
+             0004000000000000e001000000000000",
+        );
+        slot.resize(SB_CRC_OFFSET, 0);
+        slot.extend_from_slice(&unhex("abd80a09"));
+        let v1 = Superblock {
+            version: 1,
+            codec_fpr: 0x5081_5832,
+            seg_bytes: 0,
+            ..sb(7, true)
+        };
+        (slot, v1)
     }
 
     #[test]
@@ -773,19 +820,17 @@ mod tests {
     }
 
     /// A superblock slot and a journal PUT record as the build before the
-    /// 16-byte-stride CRC kernel wrote them (`sb(7, true)`; the record of
-    /// `records_roundtrip_and_any_bit_flip_rejects` at epoch 42): both
-    /// must still decode, and encoding must reproduce them byte for byte.
+    /// 16-byte-stride CRC kernel wrote them ([`golden_v1_slot`]; the
+    /// record of `records_roundtrip_and_any_bit_flip_rejects` at epoch
+    /// 42): both must still pass their CRC and decode, and encoding must
+    /// reproduce them byte for byte. (The slot is format version 1, which
+    /// decodes but no longer opens:
+    /// `old_format_version_is_refused_and_never_served`.)
     #[test]
     fn golden_superblock_and_record_from_the_bytewise_crc_build() {
-        let mut slot = unhex(
-            "01005bcc010000000700000000000000001000003258815001000000030000006000000000000000\
-             0004000000000000e001000000000000",
-        );
-        slot.resize(SB_CRC_OFFSET, 0);
-        slot.extend_from_slice(&unhex("abd80a09"));
-        assert_eq!(decode_superblock(&slot), Some(sb(7, true)));
-        assert_eq!(encode_superblock(&sb(7, true))[..], slot[..]);
+        let (slot, v1) = golden_v1_slot();
+        assert_eq!(decode_superblock(&slot), Some(v1));
+        assert_eq!(encode_superblock(&v1)[..], slot[..]);
 
         let golden = unhex(
             "010000002a0000002823000000000000efbeadde0000000000100000000000002c03000000100000\
@@ -833,6 +878,7 @@ mod tests {
         write_superblock(
             &data,
             &Superblock {
+                version: SB_VERSION,
                 seq: 1,
                 page_size: 0,
                 codec_fpr: codec_fingerprint(),
@@ -841,6 +887,7 @@ mod tests {
                 journal_start: 0,
                 data_cursor: SUPERBLOCK_RESERVED,
                 journal_tail: 0,
+                seg_bytes: 1 << 20,
             },
         )
         .unwrap();
@@ -852,6 +899,7 @@ mod tests {
                 start: 0,
                 sb_seq: 1,
                 pending: Vec::new(),
+                seg_bytes: 1 << 20,
             },
         );
         (data, journal, persist)
@@ -939,14 +987,11 @@ mod tests {
     }
 
     #[test]
-    fn reloc_updates_offset_and_falls_back_to_previous_copy_when_torn() {
+    fn reloc_moves_the_extent_and_a_torn_copy_is_discarded() {
         let (data, journal, persist) = fresh_media();
         let a = put_rec(1, 5, SUPERBLOCK_RESERVED + 500);
         back_extent(&data, &a);
         persist.append_commit(&[a]).unwrap();
-        // GC claims to have moved it to the head, but the new copy is
-        // garbage (the move write was cut): recovery must fall back to
-        // the intact original.
         let reloc = JournalRecord {
             kind: jkind::RELOC,
             lsn: 5,
@@ -957,15 +1002,43 @@ mod tests {
             codec: 0,
         };
         persist.append_commit(&[reloc]).unwrap();
+        // The cleaner journals a RELOC only after its copy is durable, so
+        // a RELOC over garbage is damage, not a torn move: the extent is
+        // discarded, never served from its old home.
         let rec = recover(&data, &journal).unwrap();
-        assert_eq!(rec.entries.len(), 1);
-        assert_eq!(rec.entries[0].offset, SUPERBLOCK_RESERVED + 500);
-        // Now land the copy for real: recovery should prefer the new home.
+        assert!(rec.entries.is_empty());
+        assert_eq!(rec.counts.torn_tail_discarded, 1);
+        // With the copy in place the extent recovers at its new home.
         let mut moved = a;
         moved.offset = SUPERBLOCK_RESERVED;
         back_extent(&data, &moved);
         let rec = recover(&data, &journal).unwrap();
+        assert_eq!(rec.entries.len(), 1);
         assert_eq!(rec.entries[0].offset, SUPERBLOCK_RESERVED);
+    }
+
+    /// A spill file sealed by the version-1 build decodes but is refused
+    /// by name: recovery reads nothing past the superblock, and the store
+    /// does not open, so none of it is served.
+    #[test]
+    fn old_format_version_is_refused_and_never_served() {
+        let (slot, _) = golden_v1_slot();
+        let data = MemMedium::new();
+        // Sequence 7 lives in slot 1.
+        data.write_at(&slot, SB_SLOT as u64).unwrap();
+        let journal = MemMedium::new();
+        match recover(&data, &journal) {
+            Err(RecoverError::UnsupportedVersion { on_disk: 1, ours }) => {
+                assert_eq!(ours, SB_VERSION);
+            }
+            other => panic!("a version-1 file was not refused: {:?}", other.err()),
+        }
+        let open = crate::store::CompressedStore::open_existing_with_media(
+            crate::store::StoreConfig::with_spill(1 << 20, "/unused-v1-media"),
+            Arc::new(data.share()),
+            Arc::new(journal.share()),
+        );
+        assert!(matches!(open, Err(crate::store::StoreError::Corrupt)));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The invariant checker behind [`CompressedStore::check_invariants`]:
-//! the in-memory bookkeeping recomputed from the entries themselves.
+//! the in-memory bookkeeping and the segment table recomputed from the
+//! entries themselves.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::MutexGuard;
@@ -82,11 +83,18 @@ impl StoreCore {
                 w[0], w[1]
             ));
         }
-        let file = self.spill_file_bytes.load(Ordering::Relaxed);
-        if let Some(last) = extents.last().filter(|e| e.1 > file) {
+        // The segment table is a leaf lock: taken after every shard's.
+        let segments = self.segments();
+        let high_water = segments.high_water();
+        if let Some(last) = extents.last().filter(|e| e.1 > high_water) {
             return Err(format!(
-                "spilled extent {last:?} past the file's {file} bytes"
+                "spilled extent {last:?} past the segments' end at {high_water}"
             ));
+        }
+        // The on-file identities hold whenever no publish is pending: the
+        // cleaner keeps them across every step it takes.
+        if spilling == 0 && orphaned == 0 {
+            segments.check(&extents)?;
         }
         if resident > self.cfg.memory_budget && self.shedding.load(Ordering::SeqCst) == 0 {
             return Err(format!(

@@ -36,12 +36,16 @@ pub struct StoreConfig {
     pub shards: usize,
     /// Target bytes per coalesced spill batch. The writer thread packs
     /// queued entries until a batch reaches this size (or the queue goes
-    /// briefly idle) and writes it with a single seek + write. Default is
-    /// the paper's §4.3 batch size, 32 KB.
+    /// briefly idle) and writes it with a single positioned write.
+    /// Default is the paper's §4.3 batch size, 32 KB. The spill file's
+    /// segments are 32 batches (at least 16 KiB).
     pub spill_batch_bytes: usize,
-    /// Dead-space fraction of the spill file (`spill_dead_bytes /
-    /// bytes_on_spill`) beyond which the writer compacts live extents
-    /// toward the file head and truncates. Default `0.5`.
+    /// Dead fraction of the spill file (`spill_dead_bytes /
+    /// bytes_on_spill`) at which the writer cleans: while it holds, the
+    /// writer frees one segment between batches — the sealed one with
+    /// the most dead bytes, if at least this fraction of it is dead — by
+    /// re-appending its live extents. Default `0.5`; 1.0 or more
+    /// disables cleaning.
     pub gc_dead_ratio: f64,
     /// Whether latency sampling and hot-path event capture are enabled
     /// (default `true`). Counters stay live either way — [`StoreStats`]
@@ -172,8 +176,9 @@ impl StoreConfig {
         self
     }
 
-    /// Override the dead-space ratio that triggers spill-file compaction.
-    /// Values ≥ 1.0 effectively disable GC.
+    /// Override the dead fraction at which the writer cleans the spill
+    /// file ([`StoreConfig::gc_dead_ratio`]). Values ≥ 1.0 disable
+    /// cleaning.
     pub fn with_gc_dead_ratio(mut self, ratio: f64) -> Self {
         self.gc_dead_ratio = ratio.max(0.0);
         self

@@ -9,6 +9,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::extent::verify_extent;
+use super::gc::Segments;
 use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Shard, SCRATCH};
 use super::stats::{tevent, top, tstat};
 use super::tiering::DemoteOutcome;
@@ -95,13 +96,17 @@ pub(super) struct StoreCore {
     /// striped by shard index and are the statistics of record behind
     /// [`StoreStats`]; sampling obeys [`StoreConfig::telemetry`].
     pub(super) tel: Telemetry,
-    /// Current spill-file length (the writer's allocation cursor).
+    /// Bytes in the spill file's non-free segments (`bytes_on_spill`),
+    /// mirrored from `segments` under its lock.
     pub(super) spill_file_bytes: AtomicU64,
-    /// Bytes on the spill file belonging to removed/replaced entries.
-    /// Approximate under concurrent churn (it can momentarily lag removes
-    /// racing a compaction) but self-correcting: GC subtracts exactly
-    /// what it physically reclaimed.
+    /// The part of `spill_file_bytes` no entry names: removed, replaced
+    /// or promoted extents, stale publishes and sealed segments' unused
+    /// tails. Mirrored from `segments`, so at quiescence
+    /// `spill_file_bytes − spill_dead_bytes` is exactly Σ live extents.
     pub(super) spill_dead_bytes: AtomicU64,
+    /// The spill file's segments: fill, dead bytes and key list each.
+    /// A leaf lock below the shard locks (see `gc`).
+    pub(super) segments: Mutex<Segments>,
     /// Persistence state (`Some` iff [`StoreConfig::persistent`]): the
     /// location-map journal and its append position. The superblock
     /// lives at the head of the spill medium itself.
@@ -856,9 +861,9 @@ impl StoreCore {
                 .read_at(ext, offset);
             self.step_end(top::SPILL_READ, timed, rt0);
             // Validate after the read: if the entry still names this
-            // exact extent, GC cannot have clobbered it (it republishes
-            // an extent, under this shard's lock, before any byte of its
-            // old home is overwritten).
+            // exact extent, the cleaner cannot have clobbered it (it
+            // republishes an extent, under this shard's lock, before any
+            // byte of its old segment is reused).
             if !names_extent(
                 &self.shards[shard_idx].0.lock().expect("shard poisoned"),
                 key,
@@ -945,11 +950,10 @@ impl StoreCore {
                         shard.lru.remove(handle);
                         shard.release_buf(data);
                     }
-                    Residence::Spilled { len, .. } => {
+                    Residence::Spilled { offset, len, .. } => {
                         // The extent's bytes stay behind on the file as
-                        // dead space; the gauge feeds the GC trigger.
-                        self.spill_dead_bytes
-                            .fetch_add(len as u64, Ordering::Relaxed);
+                        // dead space, charged to its segment.
+                        self.extent_died(offset, len);
                     }
                     // The job is still in flight and still holds the
                     // payload: it stays counted until the writer reaches

@@ -1,184 +1,550 @@
-//! The cleaner: spill-file compaction, run by the writer thread between
-//! batches once enough of the file is dead — the paper's fragment
-//! garbage collection.
+//! The segment table and the cleaner that works on it — the paper's
+//! fragment garbage collection, one segment at a time.
+//!
+//! The spill file is cut into fixed-size segments ([`segment_bytes`]).
+//! The writer appends batches into one open segment at a time; a batch
+//! that does not fit seals it (the unused tail is dead bytes) and starts
+//! the next free one. Every death of a spilled extent is charged to the
+//! segment it lives in ([`StoreCore::extent_died`]). Between batches the
+//! writer cleans at most one sealed segment — the one with the most dead
+//! bytes — by re-appending its survivors through the normal batch commit
+//! and then freeing it for reuse ([`SpillWriter::clean_step`]): the
+//! segment cleaner of LFS (Rosenblum & Ousterhout, SOSP '91).
 
 use std::sync::atomic::Ordering;
+use std::sync::MutexGuard;
 use std::time::Instant;
 
+use super::core::StoreCore;
 use super::shard::Residence;
 use super::stats::{tevent, top, tstat};
-use super::writer::SpillWriter;
-use crate::persist::{jkind, JournalRecord, SUPERBLOCK_RESERVED};
-use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span};
+use super::writer::{SpillWriter, StagedJob};
+#[cfg(doc)]
+use super::StoreConfig;
+use crate::persist::{jkind, JournalRecord};
+use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
+
+/// A segment holds this many [`StoreConfig::spill_batch_bytes`] batches:
+/// 1 MiB at the 32 KB default.
+const SEGMENT_BATCHES: u64 = 32;
+
+/// The smallest segment, so a store with tiny batches (down to one byte)
+/// still seals segments the cleaner can take.
+const SEGMENT_FLOOR: u64 = 16 * 1024;
+
+/// Bytes per segment for a store that writes `batch_bytes` batches.
+pub(super) fn segment_bytes(batch_bytes: usize) -> u64 {
+    (SEGMENT_BATCHES * batch_bytes.max(1) as u64).max(SEGMENT_FLOOR)
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum SegState {
+    /// Holds nothing anyone names; reused before the file grows.
+    Free,
+    /// The one segment batches are appended to.
+    Open,
+    /// Full, or cut short by a batch that did not fit: only deaths and
+    /// the cleaner change it.
+    Sealed,
+}
+
+struct Segment {
+    state: SegState,
+    /// Bytes written from the segment's start; a sealed segment counts
+    /// whole, its unused tail as dead.
+    used: u64,
+    /// Bytes of `used` no entry names.
+    dead: u64,
+    /// Part of a run of segments holding a batch larger than one: an
+    /// extent may cross its boundaries, so it is freed only once empty.
+    run: bool,
+    /// Keys of the extents written into it, dead ones included: the
+    /// cleaner looks each up to find the survivors.
+    keys: Vec<u64>,
+}
+
+impl Segment {
+    fn free() -> Segment {
+        Segment {
+            state: SegState::Free,
+            used: 0,
+            dead: 0,
+            run: false,
+            keys: Vec::new(),
+        }
+    }
+}
+
+/// Where the next batch goes ([`Segments::place`]). The writer is the
+/// only thread that changes placement, so a placement stays valid until
+/// it commits it.
+#[derive(Clone, Copy)]
+pub(super) struct Placement {
+    pub(super) offset: u64,
+    seg: usize,
+    /// Segments the batch takes: 1, or a run for a batch larger than one.
+    count: usize,
+    /// Whether the batch starts a segment instead of appending to the
+    /// open one.
+    fresh: bool,
+}
+
+/// The spill file's segments, behind [`StoreCore::segments`]: a leaf
+/// lock, taken after a shard lock, never before one.
+pub(super) struct Segments {
+    seg_bytes: u64,
+    /// File offset of segment 0 (past the superblock on persistent media).
+    base: u64,
+    segs: Vec<Segment>,
+    open: Option<usize>,
+    /// Σ `used` over non-free segments: `bytes_on_spill`.
+    on_spill: u64,
+    /// Σ `dead`: `spill_dead_bytes`.
+    dead: u64,
+}
+
+impl Segments {
+    pub(super) fn new(seg_bytes: u64, base: u64) -> Segments {
+        Segments {
+            seg_bytes,
+            base,
+            segs: Vec::new(),
+            open: None,
+            on_spill: 0,
+            dead: 0,
+        }
+    }
+
+    /// The table of a recovered file: `extents` (offset, len, key) are
+    /// the live ones, `high_water` where the file's segments end. Every
+    /// segment with a live extent is sealed, the rest are free.
+    pub(super) fn recovered(
+        seg_bytes: u64,
+        base: u64,
+        high_water: u64,
+        extents: impl Iterator<Item = (u64, u32, u64)>,
+    ) -> Segments {
+        let mut t = Segments::new(seg_bytes, base);
+        let nsegs = high_water.saturating_sub(base).div_ceil(seg_bytes) as usize;
+        t.segs.resize_with(nsegs, Segment::free);
+        let mut live = vec![0u64; nsegs];
+        for (offset, len, key) in extents {
+            let (first, last) = t.span(offset, len as u64);
+            if last >= t.segs.len() {
+                t.segs.resize_with(last + 1, Segment::free);
+                live.resize(last + 1, 0);
+            }
+            for (i, l) in (first..=last).zip(&mut live[first..=last]) {
+                *l += t.overlap(i, offset, len as u64);
+                t.segs[i].run |= first != last;
+            }
+            t.segs[first].keys.push(key);
+        }
+        for (s, live) in t.segs.iter_mut().zip(live) {
+            if live > 0 {
+                s.state = SegState::Sealed;
+                s.used = seg_bytes;
+                s.dead = seg_bytes - live;
+                t.on_spill += s.used;
+                t.dead += s.dead;
+            }
+        }
+        t
+    }
+
+    pub(super) fn seg_bytes(&self) -> u64 {
+        self.seg_bytes
+    }
+
+    /// Where the segments end: no extent lies past it.
+    pub(super) fn high_water(&self) -> u64 {
+        self.base + self.segs.len() as u64 * self.seg_bytes
+    }
+
+    fn start(&self, seg: usize) -> u64 {
+        self.base + seg as u64 * self.seg_bytes
+    }
+
+    /// First and last segment `[offset, offset + len)` touches (an
+    /// offset below the base, which only a damaged journal can name,
+    /// counts as segment 0; `check` reports it).
+    fn span(&self, offset: u64, len: u64) -> (usize, usize) {
+        let at = |o: u64| (o.saturating_sub(self.base) / self.seg_bytes) as usize;
+        (at(offset), at(offset + len.max(1) - 1))
+    }
+
+    /// Bytes of `[offset, offset + len)` inside segment `seg`.
+    fn overlap(&self, seg: usize, offset: u64, len: u64) -> u64 {
+        let start = self.start(seg);
+        (offset + len)
+            .min(start + self.seg_bytes)
+            .saturating_sub(offset.max(start))
+    }
+
+    /// Count `[offset, offset + len)` dead (`true`) or live again.
+    fn charge(&mut self, offset: u64, len: u64, dead: bool) {
+        if len == 0 {
+            return;
+        }
+        let (first, last) = self.span(offset, len);
+        for i in first..=last {
+            let bytes = self.overlap(i, offset, len);
+            let s = &mut self.segs[i];
+            if dead {
+                s.dead += bytes;
+                self.dead += bytes;
+            } else {
+                s.dead -= bytes;
+                self.dead -= bytes;
+            }
+        }
+    }
+
+    /// Where a batch of `len` bytes goes: the open segment if it fits,
+    /// else the lowest free segment — for a batch larger than a segment,
+    /// the lowest run of enough contiguous free ones — or new ones past
+    /// the high-water mark.
+    pub(super) fn place(&self, len: u64) -> Placement {
+        if let Some(o) = self.open {
+            if self.segs[o].used + len <= self.seg_bytes {
+                return Placement {
+                    offset: self.start(o) + self.segs[o].used,
+                    seg: o,
+                    count: 1,
+                    fresh: false,
+                };
+            }
+        }
+        let count = len.div_ceil(self.seg_bytes).max(1) as usize;
+        let free = |run: &[Segment]| run.iter().all(|s| s.state == SegState::Free);
+        let seg = (0..self.segs.len())
+            .find(|&i| self.segs.get(i..i + count).is_some_and(free))
+            .unwrap_or(self.segs.len());
+        Placement {
+            offset: self.start(seg),
+            seg,
+            count,
+            fresh: true,
+        }
+    }
+
+    /// Account a batch of `len` bytes written at `p`, holding the extents
+    /// of `keys`. `dead`: no entry names any of it yet (a relocation
+    /// batch, whose survivors are republished one by one).
+    pub(super) fn commit(
+        &mut self,
+        p: Placement,
+        len: u64,
+        keys: impl Iterator<Item = u64>,
+        dead: bool,
+    ) {
+        let seg = self.seg_bytes;
+        if p.count > 1 {
+            // A run is sealed at once; its last segment's tail is a gap.
+            for i in p.seg..p.seg + p.count {
+                if i == self.segs.len() {
+                    self.segs.push(Segment::free());
+                }
+                let s = &mut self.segs[i];
+                s.state = SegState::Sealed;
+                s.used = seg;
+                s.run = true;
+            }
+            self.on_spill += p.count as u64 * seg;
+            self.charge(p.offset + len, p.count as u64 * seg - len, true);
+        } else {
+            if p.fresh {
+                if let Some(o) = self.open.take() {
+                    // Sealed short: nobody will ever name its tail.
+                    let s = &mut self.segs[o];
+                    let gap = seg - s.used;
+                    s.used = seg;
+                    s.dead += gap;
+                    s.state = SegState::Sealed;
+                    self.on_spill += gap;
+                    self.dead += gap;
+                }
+                if p.seg == self.segs.len() {
+                    self.segs.push(Segment::free());
+                }
+                self.segs[p.seg].state = SegState::Open;
+                self.open = Some(p.seg);
+            }
+            self.segs[p.seg].used += len;
+            self.on_spill += len;
+        }
+        self.segs[p.seg].keys.extend(keys);
+        if dead {
+            self.charge(p.offset, len, true);
+        }
+    }
+
+    /// The segment to clean next, if the file is dead enough: while
+    /// `dead ≥ ratio × bytes_on_spill` (never for a ratio of 1.0 or
+    /// more), the sealed segment with the most dead bytes, provided it
+    /// is itself at least `ratio` dead and has at least `min_dead`. The
+    /// second rule keeps a small live set from being copied round and
+    /// round: a segment is not moved to reclaim a sliver of it. A run
+    /// segment qualifies only once empty.
+    fn victim(&self, ratio: f64, min_dead: u64) -> Option<usize> {
+        if ratio >= 1.0 || self.dead < min_dead || (self.dead as f64) < ratio * self.on_spill as f64
+        {
+            return None;
+        }
+        let floor = min_dead.max((ratio * self.seg_bytes as f64) as u64);
+        self.segs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| {
+                s.state == SegState::Sealed && s.dead >= floor && (!s.run || s.dead == s.used)
+            })
+            .max_by_key(|(_, s)| s.dead)
+            .map(|(i, _)| i)
+    }
+
+    /// Return a cleaned segment to the free set. Every extent in it was
+    /// republished elsewhere or died first, so all of it is dead.
+    fn free(&mut self, seg: usize) {
+        let s = &mut self.segs[seg];
+        debug_assert_eq!(s.dead, s.used, "freeing segment {seg} with live bytes");
+        self.on_spill -= s.used;
+        self.dead -= s.dead;
+        s.state = SegState::Free;
+        s.used = 0;
+        s.dead = 0;
+        s.run = false;
+        s.keys.clear();
+    }
+
+    /// Free every sealed segment no entry names a byte of — the rest of
+    /// a dead run, say — at once: there is nothing to read or copy.
+    fn free_empty(&mut self) {
+        for i in 0..self.segs.len() {
+            let s = &self.segs[i];
+            if s.state == SegState::Sealed && s.dead == s.used {
+                self.free(i);
+            }
+        }
+    }
+
+    /// An upper bound on live extents: every key any segment lists.
+    fn listed(&self) -> usize {
+        self.segs.iter().map(|s| s.keys.len()).sum()
+    }
+
+    /// The on-file identities, for [`StoreCore::check_invariants`] at a
+    /// moment when no entry is `Spilling` and no job is orphaned, given
+    /// every live extent as `[start, end)`: each segment's live bytes are
+    /// exactly the live extents inside it, `bytes_on_spill −
+    /// spill_dead_bytes` is their sum, no extent sits in a free segment,
+    /// and only an extent inside a run crosses a segment boundary.
+    pub(super) fn check(&self, extents: &[(u64, u64)]) -> Result<(), String> {
+        let mut live = vec![0u64; self.segs.len()];
+        for &(a, b) in extents {
+            let (first, last) = self.span(a, b - a);
+            if a < self.base || last >= self.segs.len() {
+                return Err(format!("spilled extent {:?} outside the segments", (a, b)));
+            }
+            if first != last && !(first..=last).all(|i| self.segs[i].run) {
+                return Err(format!(
+                    "spilled extent {:?} crosses a segment boundary outside a run",
+                    (a, b)
+                ));
+            }
+            for (i, l) in (first..=last).zip(&mut live[first..=last]) {
+                if self.segs[i].state == SegState::Free {
+                    return Err(format!("spilled extent {:?} in free segment {i}", (a, b)));
+                }
+                *l += self.overlap(i, a, b - a);
+            }
+        }
+        let (mut used, mut dead) = (0, 0);
+        for (i, (s, &live)) in self.segs.iter().zip(&live).enumerate() {
+            if s.used.checked_sub(s.dead) != Some(live) {
+                return Err(format!(
+                    "segment {i} ({:?}): {} used − {} dead but live extents hold {live}",
+                    s.state, s.used, s.dead
+                ));
+            }
+            used += s.used;
+            dead += s.dead;
+        }
+        let total: u64 = live.iter().sum();
+        if (used, dead) != (self.on_spill, self.dead) || self.on_spill - self.dead != total {
+            return Err(format!(
+                "bytes_on_spill {} − spill_dead_bytes {} but live extents hold {total} (segments: {used} used, {dead} dead)",
+                self.on_spill, self.dead
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl StoreCore {
+    pub(super) fn segments(&self) -> MutexGuard<'_, Segments> {
+        self.segments.lock().expect("segment table poisoned")
+    }
+
+    /// Publish the table's totals to the `bytes_on_spill` and
+    /// `spill_dead_bytes` gauges; called under the table lock after
+    /// every change, so the gauges only ever show a whole change.
+    pub(super) fn mirror(&self, t: &Segments) {
+        self.spill_file_bytes.store(t.on_spill, Ordering::Relaxed);
+        self.spill_dead_bytes.store(t.dead, Ordering::Relaxed);
+    }
+
+    /// The one way a spilled extent dies: its entry was removed, replaced
+    /// or promoted, or its job's publish found the entry gone. Charges
+    /// its bytes to its segment and to the gauge together. Called under
+    /// the key's shard lock, in the hold that stopped naming the extent.
+    pub(super) fn extent_died(&self, offset: u64, len: u32) {
+        let mut t = self.segments();
+        t.charge(offset, len as u64, true);
+        self.mirror(&t);
+    }
+
+    /// A survivor's entry now names its copy at `to` instead of `from`
+    /// (under its shard lock, like [`StoreCore::extent_died`]).
+    fn extent_moved(&self, from: u64, to: u64, len: u32) {
+        let mut t = self.segments();
+        t.charge(from, len as u64, true);
+        t.charge(to, len as u64, false);
+        self.mirror(&t);
+    }
+}
 
 impl SpillWriter {
-    /// Compact the spill file if enough of it is dead. Runs between
-    /// batches on this thread — the only one that turns an entry into
-    /// `Spilled` and the sole writer of the file — which is what makes
-    /// the live-extent snapshot complete and the cursor reset safe.
+    /// One cleaning step, run between batches on this thread: if the
+    /// file is dead enough, take the sealed segment with the most dead
+    /// bytes, read it with one `read_at`, re-append its survivors
+    /// verbatim through the normal batch commit, republish them and free
+    /// the segment. One step is one `gc_runs`, and moves at most one
+    /// segment.
     ///
-    /// Persistent stores add a crash discipline on top: each move
-    /// journals a relocation record *before* the copy that might clobber
-    /// an earlier extent's old home, a destination is never allowed to
-    /// overlap its own source (the old copy stays the fallback until the
-    /// new one is provably complete), and the file is truncated only
-    /// after every relocation is journaled. A crash at any byte of the
-    /// sweep therefore resolves every extent to exactly one valid copy.
-    pub(super) fn maybe_gc(&mut self) {
-        let dead = self.core.spill_dead_bytes.load(Ordering::Relaxed);
-        let min_dead = self.core.cfg.spill_batch_bytes.max(1) as u64;
-        // Persistent files reserve the superblock region below the data;
-        // compaction packs down to that floor, never into it.
-        let floor = if self.core.persist.is_some() {
-            SUPERBLOCK_RESERVED
-        } else {
-            0
-        };
-        if self.cursor <= floor || dead < min_dead {
-            return;
-        }
-        if (dead as f64) < self.core.cfg.gc_dead_ratio * (self.cursor - floor) as f64 {
-            return;
-        }
-        // The snapshot below sees every live extent: an entry only
-        // becomes `Spilled` in `publish`, on this thread, and every batch
-        // committed so far was published before this call — the thread
-        // that sweeps is the thread that published, and it publishes
-        // nothing while it sweeps.
-        // Pause clock + relocation meter: the paper's cleaner cost, the
-        // modern system's GC stall. Always timed (writer thread).
-        let t0 = Instant::now();
-        let mut moved = 0u64;
-        let mut extents: Vec<(u64, u64, u32, u64, u8, u32)> = Vec::new();
-        for s in &self.core.shards {
-            let guard = s.0.lock().expect("shard poisoned");
-            for (&k, e) in &guard.entries {
-                if let Residence::Spilled { offset, len, gen } = e.residence {
-                    extents.push((k, offset, len, gen, e.codec, e.orig_len));
-                }
-            }
-        }
-        extents.sort_unstable_by_key(|&(_, off, ..)| off);
-        let old_len = self.cursor;
-        let mut new_cursor = floor;
-        let mut buf = Vec::new();
-        // Post-sweep location of every surviving extent — the snapshot a
-        // journal compaction rewrites the map file from.
-        let mut live: Vec<JournalRecord> = Vec::new();
-        for (key, old_off, len, gen, codec, orig_len) in extents {
-            let record = |offset: u64| JournalRecord {
-                kind: jkind::PUT,
-                lsn: gen,
-                key,
-                offset,
-                len,
-                orig_len,
-                codec,
-            };
-            if old_off == new_cursor {
-                // Already compact; nothing to move.
-                new_cursor += len as u64;
-                live.push(record(old_off));
-                continue;
-            }
-            if floor != 0 && new_cursor + len as u64 > old_off {
-                // Persistent non-overlap rule: the destination would
-                // reach into the source, destroying the only valid copy
-                // before the new one is complete. Leave it in place and
-                // accept the gap — a later pass, with more dead space
-                // ahead of it, will move it cleanly.
-                new_cursor = old_off + len as u64;
-                live.push(record(old_off));
-                continue;
-            }
-            buf.resize(len as usize, 0);
-            if self.medium.read_at(&mut buf, old_off).is_err() {
-                // Abort mid-GC: extents moved so far are already
-                // republished and valid; the rest stay where they were.
+    /// A survivor is an extent its entry still names, checked under the
+    /// entry's shard lock; republishing follows `publish`'s rule — the
+    /// entry moves only if it still names the old copy, otherwise the
+    /// new copy is dead bytes. The victim is freed only after every
+    /// survivor's copy is written, flushed, journaled (its RELOC record
+    /// group-committed after the data, as PUT records are) and
+    /// republished. A reader that read the old copy therefore finds its
+    /// entry moved before any byte of the victim can be reused, and a
+    /// crash at any byte resolves every extent to one valid copy: the
+    /// old one until its RELOC is durable, the new one after. The copy
+    /// never overlaps its source, which stays sealed until freed.
+    pub(super) fn clean_step(&mut self) {
+        let cfg = &self.core.cfg;
+        let min_dead = cfg.spill_batch_bytes.max(1) as u64;
+        let (victim, start, end, keys) = {
+            let mut t = self.core.segments();
+            let Some(v) = t.victim(cfg.gc_dead_ratio, min_dead) else {
                 return;
-            }
-            // Copy + republish under the owning shard's lock. A reader
-            // validates its (offset, len, gen) snapshot under this same
-            // lock *after* its file read, so it can never accept bytes a
-            // compaction write clobbered: any clobber of a region implies
-            // the extent that lived there was republished first.
-            let mut shard = self.core.shard(key);
-            let Some(e) = shard.entries.get_mut(&key) else {
-                continue; // removed since the snapshot: now dead, skip
             };
-            match &mut e.residence {
-                Residence::Spilled {
-                    offset,
-                    len: l,
-                    gen: g,
-                } if *offset == old_off && *l == len && *g == gen => {
-                    // Relocate verbatim, corrupt or not: a live extent
-                    // must keep a unique home (skipping it would let a
-                    // later relocation clobber it), and the reader's
-                    // verification is the integrity authority.
-                    //
-                    // Persistent: journal the relocation *before* the
-                    // copy. Writes hit the platter in issue order under
-                    // the power-loss model, so by the time this copy can
-                    // clobber an earlier extent's old home, that earlier
-                    // extent's own copy and RELOC record are both ahead
-                    // of it in the stream — recovery always finds one
-                    // valid copy (new if the copy landed, old otherwise,
-                    // via the record's previous-offset fallback).
-                    if let Some(p) = &self.core.persist {
-                        let reloc = JournalRecord {
-                            kind: jkind::RELOC,
-                            lsn: gen,
-                            key,
-                            offset: new_cursor,
-                            len,
-                            orig_len,
-                            codec,
-                        };
-                        match p.append_commit(&[reloc]) {
-                            Ok(n) => {
-                                self.core.tel.count(0, tstat::JOURNAL_RECORDS_WRITTEN, n);
-                            }
-                            // Journal down: stop relocating. Everything
-                            // moved so far is journaled and republished;
-                            // the rest stays put. No truncation.
-                            Err(_) => return,
-                        }
-                    }
-                    if self.medium.write_at(&buf, new_cursor).is_err() {
-                        return;
-                    }
-                    *offset = new_cursor;
-                    live.push(record(new_cursor));
-                    new_cursor += len as u64;
-                    moved += len as u64;
+            let start = t.start(v);
+            (
+                v,
+                start,
+                start + t.seg_bytes,
+                std::mem::take(&mut t.segs[v].keys),
+            )
+        };
+        let t0 = Instant::now();
+        // The survivors, in file order; `rel` is each one's offset in
+        // the victim until they are packed.
+        let mut staged: Vec<StagedJob> = Vec::new();
+        for &key in &keys {
+            let shard = self.core.shard(key);
+            let Some(e) = shard.entries.get(&key) else {
+                continue;
+            };
+            if let Residence::Spilled { offset, len, gen } = e.residence {
+                if (start..end).contains(&offset) {
+                    staged.push(StagedJob {
+                        key,
+                        gen,
+                        rel: (offset - start) as usize,
+                        len: len as usize,
+                        codec: e.codec,
+                        orig_len: e.orig_len,
+                        ctx: TraceCtx::NONE,
+                        queued: None,
+                    });
                 }
-                // Replaced since the snapshot: its bytes are dead, skip.
-                _ => {}
             }
         }
-        let _ = self.medium.flush();
-        let _ = self.medium.set_len(new_cursor);
-        self.cursor = new_cursor;
-        let reclaimed = old_len - new_cursor;
-        // Saturating: removes racing the sweep may have counted bytes this
-        // pass already reclaimed.
-        let _ =
-            self.core
-                .spill_dead_bytes
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                    Some(d.saturating_sub(reclaimed))
-                });
-        self.core
-            .spill_file_bytes
-            .store(new_cursor, Ordering::Relaxed);
+        staged.sort_unstable_by_key(|j| j.rel);
+        staged.dedup_by_key(|j| j.rel);
+        let mut moved = 0u64;
+        if let Some(last) = staged.last() {
+            let mut buf = std::mem::take(&mut self.seg_buf);
+            buf.resize(last.rel + last.len, 0);
+            let mut from = Vec::with_capacity(staged.len());
+            let base = match self.medium.read_at(&mut buf, start) {
+                Ok(()) => {
+                    // Pack the survivors to the front of the buffer, in
+                    // place: none moves past its own bytes.
+                    let mut w = 0;
+                    for j in &mut staged {
+                        buf.copy_within(j.rel..j.rel + j.len, w);
+                        from.push(start + j.rel as u64);
+                        j.rel = w;
+                        w += j.len;
+                    }
+                    buf.truncate(w);
+                    self.write_batch(&buf, &staged, jkind::RELOC, true)
+                }
+                Err(_) => None,
+            };
+            moved = buf.len() as u64;
+            self.seg_buf = buf;
+            let Some(base) = base else {
+                // Aborted: the survivors stay where they are, and so does
+                // the victim's key list. A relocation batch that failed
+                // left nothing any entry names.
+                self.core.segments().segs[victim].keys = keys;
+                return;
+            };
+            for (j, &old) in staged.iter().zip(&from) {
+                let mut shard = self.core.shard(j.key);
+                let Some(e) = shard.entries.get_mut(&j.key) else {
+                    continue;
+                };
+                match &mut e.residence {
+                    Residence::Spilled { offset, len, gen }
+                        if (*offset, *len as usize, *gen) == (old, j.len, j.gen) =>
+                    {
+                        *offset = base + j.rel as u64;
+                        self.core.extent_moved(old, *offset, *len);
+                    }
+                    // Removed or replaced since it was found: its new copy
+                    // stays dead, its old one was charged when it died.
+                    _ => {}
+                }
+            }
+        }
+        {
+            let mut t = self.core.segments();
+            t.free(victim);
+            if moved == 0 {
+                // An empty victim had the most dead bytes a segment can:
+                // any other empty one goes in the same step.
+                t.free_empty();
+            }
+            self.core.mirror(&t);
+        }
+        self.record_step(t0, moved);
+    }
+
+    /// Telemetry for one cleaning step: one `gc_runs`, one pause sample,
+    /// one ring event and one background span.
+    fn record_step(&self, t0: Instant, moved: u64) {
         let pause = t0.elapsed().as_nanos() as u64;
         self.core.tel.record(top::GC_PAUSE, pause);
         self.core.tel.count(0, tstat::GC_RUNS, 1);
         self.core.tel.count(0, tstat::GC_BYTES_RELOCATED, moved);
         self.core.tel.event(tevent::GC_RUN, moved, pause);
         if let Some(tr) = self.core.cfg.tracer.as_deref() {
-            // Background span: no request trace owns a GC run.
+            // Background span: no request trace owns a cleaning step.
             tr.record(
                 0,
                 &Span {
@@ -199,15 +565,39 @@ impl SpillWriter {
                 tr.anomaly(AnomalyKind::GcPause, 0, moved, pause);
             }
         }
-        // The sweep shrank the data file and `live` is a complete
-        // post-sweep location snapshot — the one moment a journal
-        // compaction (rewriting the map file from the snapshot instead
-        // of its full history) is both cheap and obviously correct.
-        if let Some(p) = &self.core.persist {
-            let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
-            if let Ok(true) = p.maybe_compact(&*self.medium, new_cursor, page_size, &live) {
-                self.core.tel.count(0, tstat::JOURNAL_COMPACTIONS, 1);
+    }
+
+    /// Compact the location journal when its size test says so. The
+    /// live snapshot it needs (every `Spilled` entry, one shard at a
+    /// time) is taken here, between turns of this thread — the only one
+    /// that makes an entry `Spilled` or moves one — and only once the
+    /// journal has grown past four times an upper bound on the live set.
+    pub(super) fn maybe_compact_journal(&mut self) {
+        let Some(p) = &self.core.persist else { return };
+        if !p.compaction_due(self.core.segments().listed()) {
+            return;
+        }
+        let mut live: Vec<JournalRecord> = Vec::new();
+        for s in &self.core.shards {
+            let guard = s.0.lock().expect("shard poisoned");
+            for (&key, e) in &guard.entries {
+                if let Residence::Spilled { offset, len, gen } = e.residence {
+                    live.push(JournalRecord {
+                        kind: jkind::PUT,
+                        lsn: gen,
+                        key,
+                        offset,
+                        len,
+                        orig_len: e.orig_len,
+                        codec: e.codec,
+                    });
+                }
             }
+        }
+        let high_water = self.core.segments().high_water();
+        let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
+        if let Ok(true) = p.maybe_compact(&*self.medium, high_water, page_size, &live) {
+            self.core.tel.count(0, tstat::JOURNAL_COMPACTIONS, 1);
         }
     }
 }

@@ -25,7 +25,7 @@
 //! Evicted entries travel through a batched write pipeline that mirrors
 //! the paper's §4.3 backing-store interface: the writer thread coalesces
 //! queued entries into [`StoreConfig::spill_batch_bytes`]-sized batches
-//! (32 KB by default, the paper's batch size) and issues one seek + one
+//! (32 KB by default, the paper's batch size) and issues one positioned
 //! write per batch. Once the batch (and, on a persistent store, its
 //! journal records) is durable the writer itself takes each member's
 //! shard lock, publishes its `{offset, len}` and drops the in-memory
@@ -35,11 +35,13 @@
 //! ([`StoreStats::spill_inflight_bytes`]) and bounded by
 //! [`StoreConfig::memory_budget`]: payload in RAM is at most twice the
 //! budget, and a put that would push the in-flight half past it
-//! releases its shard lock and waits for the writer. Removed or
-//! replaced spilled entries leave dead bytes behind; when the dead
-//! fraction of the file crosses [`StoreConfig::gc_dead_ratio`] the
-//! writer compacts live extents toward the file head and truncates —
-//! the paper's fragment garbage collection.
+//! releases its shard lock and waits for the writer. The file is cut
+//! into fixed-size segments. Removed or replaced spilled entries leave
+//! dead bytes in theirs; while the dead fraction of the file is at
+//! least [`StoreConfig::gc_dead_ratio`], the writer cleans one segment
+//! between batches — the one with the most dead bytes — re-appending
+//! its live extents and reusing it: the paper's fragment garbage
+//! collection, a segment at a time.
 //! Pages that are a single repeated machine word (zswap's "same-filled"
 //! pages) bypass the compressor entirely and are stored as an 8-byte
 //! pattern with zero residency cost.
@@ -162,6 +164,16 @@ impl CompressedStore {
     /// Number of lock stripes in use.
     pub fn shard_count(&self) -> usize {
         self.core.shards.len()
+    }
+
+    /// Bytes per spill-file segment — the most one cleaning step copies —
+    /// or `None` for a store without a spill file. Derived from
+    /// [`StoreConfig::spill_batch_bytes`] when the file is created; a
+    /// reopened file keeps its own.
+    pub fn spill_segment_bytes(&self) -> Option<u64> {
+        self.core
+            .has_spill()
+            .then(|| self.core.segments().seg_bytes())
     }
 
     /// The page size this store serves, fixed by the first successful
@@ -339,19 +351,24 @@ impl CompressedStore {
     /// - `spill_inflight_bytes == Σ len(Spilling payloads)` plus the
     ///   payloads of jobs whose entry was removed or replaced while they
     ///   were queued (still held by the job, still counted);
-    /// - no two `Spilled` extents overlap and none reaches past
-    ///   `bytes_on_spill`;
+    /// - no two `Spilled` extents overlap and none reaches past the
+    ///   spill file's last segment;
+    /// - when no entry is `Spilling` and no job is orphaned: every
+    ///   segment's live bytes are exactly the live extents inside it,
+    ///   `bytes_on_spill − spill_dead_bytes == Σ live extents`, no live
+    ///   extent sits in a free segment, and none crosses a segment
+    ///   boundary unless it is one of a run holding an extent larger
+    ///   than a segment;
     /// - `resident <= memory_budget`, unless a failed write's memory
     ///   fallback is being shed at this moment;
     /// - no entry is journaled on a non-persistent store.
     ///
     /// Safe to call at any time, from any thread, with the background
-    /// threads running. A failure bumps the `invariant_violations`
-    /// counter and returns the first broken identity. The on-file
-    /// identities — every journaled key resolves to a CRC-valid extent,
-    /// and `spill_dead_bytes == file extent − Σ live extents`, which is
-    /// only approximate under churn today — are not checked here; they
-    /// stay with ROADMAP item 2(a).
+    /// threads running: the cleaner keeps the on-file identities at
+    /// every step. A failure bumps the `invariant_violations` counter and
+    /// returns the first broken identity. Whether every journaled key
+    /// resolves to a CRC-valid extent is not checked here; it stays with
+    /// ROADMAP item 2(a).
     pub fn check_invariants(&self) -> Result<(), String> {
         let res = self.core.check_invariants();
         if res.is_err() {

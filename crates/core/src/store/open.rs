@@ -9,6 +9,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use super::core::StoreCore;
+use super::gc::{segment_bytes, Segments};
 use super::shard::{Entry, EntryMap, Padded, Residence, Shard};
 use super::stats::{tevent, top, tstat, STORE_TELEMETRY};
 use super::writer::{SpillJob, SpillWriter};
@@ -100,7 +101,7 @@ impl CompressedStore {
         journal: Arc<dyn SpillMedium>,
     ) -> Result<Self, StoreError> {
         cfg.persistent = true;
-        let state = Self::init_persistent(&*data)?;
+        let state = Self::init_persistent(&*data, segment_bytes(cfg.spill_batch_bytes))?;
         Ok(Self::build(
             cfg,
             Some(data),
@@ -124,9 +125,11 @@ impl CompressedStore {
         Self::open_with(cfg, data, journal)
     }
 
-    /// Write the initial superblock of a fresh persistent store.
-    fn init_persistent(data: &dyn SpillMedium) -> Result<PersistState, StoreError> {
+    /// Write the initial superblock of a fresh persistent store, whose
+    /// spill file is cut into `seg_bytes` segments for good.
+    fn init_persistent(data: &dyn SpillMedium, seg_bytes: u64) -> Result<PersistState, StoreError> {
         let sb = Superblock {
+            version: persist::SB_VERSION,
             seq: 1,
             page_size: 0,
             codec_fpr: persist::codec_fingerprint(),
@@ -135,6 +138,7 @@ impl CompressedStore {
             journal_start: 0,
             data_cursor: SUPERBLOCK_RESERVED,
             journal_tail: 0,
+            seg_bytes,
         };
         persist::write_superblock(data, &sb)?;
         Ok(PersistState {
@@ -143,6 +147,7 @@ impl CompressedStore {
             start: 0,
             sb_seq: 1,
             pending: Vec::new(),
+            seg_bytes,
         })
     }
 
@@ -168,6 +173,7 @@ impl CompressedStore {
         persist::write_superblock(
             &*data,
             &Superblock {
+                version: persist::SB_VERSION,
                 seq: sb_seq,
                 page_size: rec.page_size,
                 codec_fpr: persist::codec_fingerprint(),
@@ -176,6 +182,7 @@ impl CompressedStore {
                 journal_start: rec.journal_start,
                 data_cursor: rec.data_cursor,
                 journal_tail: rec.journal_tail,
+                seg_bytes: rec.seg_bytes,
             },
         )?;
         let state = PersistState {
@@ -184,6 +191,7 @@ impl CompressedStore {
             start: rec.journal_start,
             sb_seq,
             pending: Vec::new(),
+            seg_bytes: rec.seg_bytes,
         };
         Ok(Self::build(
             cfg,
@@ -231,12 +239,21 @@ impl CompressedStore {
             Some(p) => (Some(Persist::new(p.journal, p.state)), p.recovery),
             None => (None, None),
         };
-        // Extent space starts past the superblock region on persistent
-        // media; the legacy scratch layout keeps its base of 0.
-        let init_cursor = match (&recovery, &persist_handle) {
-            (Some((rec, _)), _) => rec.data_cursor,
-            (None, Some(_)) => SUPERBLOCK_RESERVED,
-            (None, None) => 0,
+        // Segments start past the superblock region on persistent media;
+        // the scratch layout keeps its base of 0. A recovered file keeps
+        // the segment size it was created with.
+        let base = match &persist_handle {
+            Some(_) => SUPERBLOCK_RESERVED,
+            None => 0,
+        };
+        let segments = match &recovery {
+            Some((rec, _)) => Segments::recovered(
+                rec.seg_bytes,
+                base,
+                rec.data_cursor,
+                rec.entries.iter().map(|e| (e.offset, e.len, e.key)),
+            ),
+            None => Segments::new(segment_bytes(cfg.spill_batch_bytes), base),
         };
         let core = Arc::new(StoreCore {
             cfg,
@@ -259,12 +276,13 @@ impl CompressedStore {
             spill_cv: Condvar::new(),
             shedding: AtomicUsize::new(0),
             tel,
-            spill_file_bytes: AtomicU64::new(init_cursor),
+            spill_file_bytes: AtomicU64::new(0),
             spill_dead_bytes: AtomicU64::new(0),
+            segments: Mutex::new(segments),
             persist: persist_handle,
         });
+        core.mirror(&core.segments());
         if let Some((rec, took)) = recovery {
-            let mut live_bytes = 0u64;
             for e in &rec.entries {
                 let idx = core.shard_index(e.key);
                 let mut shard = core.shards[idx].0.lock().expect("shard poisoned");
@@ -284,21 +302,14 @@ impl CompressedStore {
                         journaled: true,
                     },
                 );
-                live_bytes += e.len as u64;
             }
             // Resume generations above everything the journal has seen
-            // (ABA safety across the restart) and restore the gauges.
+            // (ABA safety across the restart).
             core.next_gen.store(rec.max_lsn + 1, Ordering::Relaxed);
             if rec.page_size != 0 {
                 core.page_size
                     .store(rec.page_size as usize, Ordering::Relaxed);
             }
-            core.spill_dead_bytes.store(
-                rec.data_cursor
-                    .saturating_sub(SUPERBLOCK_RESERVED)
-                    .saturating_sub(live_bytes),
-                Ordering::Relaxed,
-            );
             let c = &rec.counts;
             core.tel
                 .count(0, tstat::EXTENTS_RECOVERED, c.extents_recovered);
@@ -343,7 +354,7 @@ impl CompressedStore {
                                 SpillWriter {
                                     core: writer_core,
                                     medium,
-                                    cursor: init_cursor,
+                                    seg_buf: Vec::new(),
                                     consecutive_failures: 0,
                                     probes: 0,
                                 }

@@ -211,12 +211,12 @@ pub struct StoreStats {
     /// Coalesced batches the spill writer has committed
     /// (`spilled / spill_batches` is the achieved batching factor).
     pub spill_batches: u64,
-    /// Spill-file compaction passes completed.
+    /// Cleaning steps completed; each frees one spill-file segment.
     pub gc_runs: u64,
-    /// Bytes of live extents physically copied by compaction passes
-    /// (extents already at their compacted position are not counted).
+    /// Bytes of live extents the cleaning steps copied out of the
+    /// segments they freed.
     pub gc_bytes_relocated: u64,
-    /// Longest single compaction pass observed, in nanoseconds.
+    /// Longest single cleaning step observed, in nanoseconds.
     pub gc_pause_max_ns: u64,
     /// Entries reverted to memory residence because their batch write
     /// hard-failed (or the writer died with their job in flight).
@@ -238,10 +238,13 @@ pub struct StoreStats {
     /// Whether the store is currently degraded (spill disabled,
     /// memory-only with shedding).
     pub degraded: bool,
-    /// Current spill-file size in bytes (gauge).
+    /// Bytes in the spill file's non-free segments (gauge).
     pub bytes_on_spill: u64,
-    /// Bytes in the spill file belonging to removed or replaced entries,
-    /// reclaimable by the next compaction (gauge).
+    /// The part of [`StoreStats::bytes_on_spill`] no entry names —
+    /// removed, replaced or promoted extents and sealed segments' unused
+    /// tails — reclaimable by cleaning (gauge). Once nothing is in
+    /// flight, `bytes_on_spill − spill_dead_bytes` is exactly the bytes
+    /// of the live spilled extents.
     pub spill_dead_bytes: u64,
     /// Payload bytes handed to the spill writer and not yet published
     /// or failed by it (gauge): memory the budget counter has stopped
@@ -291,6 +294,13 @@ pub struct StoreStats {
 
 impl StoreCore {
     pub(super) fn stats(&self) -> StoreStats {
+        // Two loads of gauges that change together: a change between
+        // them must not show more dead bytes than bytes.
+        let bytes_on_spill = self.spill_file_bytes.load(Ordering::Relaxed);
+        let spill_dead_bytes = self
+            .spill_dead_bytes
+            .load(Ordering::Relaxed)
+            .min(bytes_on_spill);
         StoreStats {
             compressed: self.tel.counter_sum(tstat::COMPRESSED),
             stored_raw: self.tel.counter_sum(tstat::STORED_RAW),
@@ -327,8 +337,8 @@ impl StoreCore {
             degraded_recovered: self.tel.counter_sum(tstat::DEGRADED_RECOVERED),
             medium_probes: self.tel.counter_sum(tstat::MEDIUM_PROBES),
             degraded: self.degraded.load(Ordering::Relaxed),
-            bytes_on_spill: self.spill_file_bytes.load(Ordering::Relaxed),
-            spill_dead_bytes: self.spill_dead_bytes.load(Ordering::Relaxed),
+            bytes_on_spill,
+            spill_dead_bytes,
             spill_inflight_bytes: self.spill_inflight.load(Ordering::Relaxed) as u64,
             put_backpressure_waits: self.tel.counter_sum(tstat::PUT_BACKPRESSURE_WAITS),
             invariant_violations: self.tel.counter_sum(tstat::INVARIANT_VIOLATIONS),

@@ -589,14 +589,126 @@ fn gc_compacts_dead_space_and_preserves_data() {
             assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
             assert_eq!(out, page((k + last_round) as u8), "key {k} corrupted");
         }
-        // The on-disk file really is the size the gauge reports.
+        // The file never grows past the segments the table knows, and
+        // cleaned segments are reused rather than appended after.
         let fs_len = std::fs::metadata(&path).unwrap().len();
-        let s = store.stats();
+        let high_water = store.core.segments().high_water();
         assert!(
-            fs_len <= s.bytes_on_spill + store.core.cfg.spill_batch_bytes as u64 * 2,
-            "fs={fs_len} gauge={}",
-            s.bytes_on_spill
+            fs_len <= high_water && high_water < total_spilled_bytes / 4,
+            "fs={fs_len} segments end at {high_water}, ~{total_spilled_bytes} written"
         );
+    }
+    cleanup(dir, path);
+}
+
+/// Exact dead bytes under churn: two threads remove and re-put spilled
+/// keys while the cleaner runs, and once nothing is in flight
+/// `bytes_on_spill − spill_dead_bytes` is the live extents to the byte —
+/// per segment too (`check_invariants` checks both). A remove racing a
+/// cleaning step is counted once, in the segment its entry named.
+#[test]
+fn dead_bytes_stay_exact_while_removes_race_the_cleaner() {
+    let (dir, path) = temp_path("exactdead");
+    {
+        let store = Arc::new(CompressedStore::new(
+            StoreConfig::with_spill(4 * 1024, &path)
+                .with_spill_batch_bytes(1)
+                .with_gc_dead_ratio(0.2),
+        ));
+        const KEYS: u64 = 64;
+        for k in 0..KEYS {
+            store.put(k, &page(k as u8)).unwrap();
+        }
+        store.flush().unwrap();
+        let handles: Vec<_> = (0..2u64)
+            .map(|t| {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for round in 0..30u64 {
+                        for k in (t..KEYS).step_by(2) {
+                            if (k + round) % 3 == 0 {
+                                store.remove(k);
+                            }
+                            store.put(k, &page((k + round) as u8)).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        store.flush().unwrap();
+        store.check_invariants().unwrap();
+        let s = store.stats();
+        assert!(s.gc_runs > 0, "the cleaner never ran: {s:?}");
+        let live: u64 = store
+            .core
+            .shards
+            .iter()
+            .flat_map(|sh| {
+                let sh = sh.0.lock().unwrap();
+                sh.entries
+                    .values()
+                    .filter_map(|e| match e.residence {
+                        Residence::Spilled { len, .. } => Some(len as u64),
+                        _ => None,
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .sum();
+        assert!(live > 0, "nothing stayed on the file: {s:?}");
+        // Quiescent: `flush` returned, and only the cleaner may still run
+        // — it keeps the identity at every step.
+        let s = store.stats();
+        assert_eq!(s.bytes_on_spill - s.spill_dead_bytes, live, "{s:?}");
+        let mut out = vec![0u8; 4096];
+        for k in 0..KEYS {
+            assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+            assert_eq!(out, page((k + 29) as u8), "key {k} corrupted");
+        }
+    }
+    cleanup(dir, path);
+}
+
+/// A page larger than a segment still spills: one-byte batches make the
+/// segments the 16 KiB floor, so each 40 KiB noise page takes a run of
+/// three. Replacing the pages kills whole runs, which the cleaner frees
+/// without copying and later runs reuse, so the file stays near the
+/// eight live runs.
+#[test]
+fn pages_larger_than_a_segment_spill_in_runs() {
+    let (dir, path) = temp_path("runs");
+    {
+        let store = CompressedStore::new(
+            StoreConfig::with_spill(48 * 1024, &path)
+                .with_spill_batch_bytes(1)
+                .with_gc_dead_ratio(0.3),
+        );
+        assert_eq!(store.spill_segment_bytes(), Some(16 * 1024));
+        let big = |k: u64, v: u64| -> Vec<u8> {
+            let mut rng = cc_util::SplitMix64::new(k * 1000 + v);
+            (0..40 * 1024).map(|_| rng.next_u64() as u8).collect()
+        };
+        for v in 0..6u64 {
+            for k in 0..8u64 {
+                store.put(k, &big(k, v)).unwrap();
+            }
+            store.flush().unwrap();
+            store.check_invariants().unwrap();
+        }
+        let s = store.stats();
+        assert!(s.gc_runs > 0, "dead runs were never freed: {s:?}");
+        let high_water = store.core.segments().high_water();
+        assert!(
+            high_water <= 2 * 8 * 48 * 1024,
+            "runs were not reused: segments end at {high_water} ({s:?})"
+        );
+        let mut out = vec![0u8; 40 * 1024];
+        for k in 0..8u64 {
+            assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+            assert_eq!(out, big(k, 5), "key {k} corrupted");
+        }
     }
     cleanup(dir, path);
 }

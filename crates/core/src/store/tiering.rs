@@ -85,10 +85,9 @@ impl StoreCore {
                 shard.lru.remove(handle);
                 shard.release_buf(data);
             }
-            Residence::Spilled { len, .. } => {
-                // The extent stays behind as dead bytes for GC.
-                self.spill_dead_bytes
-                    .fetch_add(len as u64, Ordering::Relaxed);
+            Residence::Spilled { offset, len, .. } => {
+                // The extent stays behind as dead bytes for the cleaner.
+                self.extent_died(offset, len);
             }
             _ => unreachable!("checked above"),
         }

@@ -1,8 +1,8 @@
 //! The spill path after eviction: the hand-off of a page to the writer
 //! ([`StoreCore::hand_off`]), the bound on payload in flight and the
 //! waits on it, and the writer thread ([`SpillWriter`]) that batches,
-//! writes, journals and publishes. The cleaner it runs between batches
-//! is in `gc`.
+//! writes, journals and publishes. The segment table it places batches
+//! in, and the cleaner it runs between batches, are in `gc`.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -21,8 +21,8 @@ use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
 
 /// An entry handed to the writer thread. The file offset is chosen by the
 /// writer at batch-commit time, not by the producer — that is what lets
-/// the writer pack many entries into one contiguous write and lets GC
-/// reset the allocation cursor.
+/// the writer pack many entries into one contiguous write, in whichever
+/// segment has room.
 pub(super) struct SpillJob {
     key: u64,
     gen: u64,
@@ -232,10 +232,10 @@ const BATCH_LINGER: Duration = Duration::from_micros(200);
 
 /// The background spill thread: drains the job channel, packs entries
 /// into [`StoreConfig::spill_batch_bytes`] batches written with a single
-/// positioned write each, and runs spill-file compaction between
-/// batches. It is the sole allocator of file space (`cursor`), which is
-/// what makes both contiguous batch packing and post-GC cursor reset
-/// race-free, and the only publisher of its own results: after a batch
+/// positioned write each, and runs one cleaning step between batches.
+/// It is the sole allocator of file space (the segment table's open
+/// segment), which is what makes contiguous batch packing and segment
+/// reuse race-free, and the only publisher of its own results: after a batch
 /// is durable it flips each member `Spilling` → `Spilled` under the
 /// member's shard lock ([`SpillWriter::publish`]), so no foreground call
 /// has anything to fold in and a page's memory is returned when its
@@ -247,7 +247,9 @@ const BATCH_LINGER: Duration = Duration::from_micros(200);
 pub(super) struct SpillWriter {
     pub(super) core: Arc<StoreCore>,
     pub(super) medium: Arc<dyn SpillMedium>,
-    pub(super) cursor: u64,
+    /// The cleaner's segment buffer: the victim as read, then its
+    /// survivors packed into the relocation batch.
+    pub(super) seg_buf: Vec<u8>,
     /// Hard batch failures (each already retried) since the last
     /// success; crossing `degrade_after` degrades the store.
     pub(super) consecutive_failures: u32,
@@ -255,21 +257,22 @@ pub(super) struct SpillWriter {
     pub(super) probes: u64,
 }
 
-/// A job staged into the current batch: its place in the batch buffer
-/// plus the identity it is published under. `len` is the full
-/// extent length (header + payload) as it will live on the file.
-struct StagedJob {
-    key: u64,
-    gen: u64,
-    rel: usize,
-    len: usize,
-    codec: u8,
-    /// Uncompressed page length, carried into the journal PUT record.
-    orig_len: u32,
+/// A job staged into the current batch (or a survivor staged into a
+/// relocation batch): its place in the batch buffer plus the identity it
+/// is published under. `len` is the full extent length (header +
+/// payload) as it lives on the file.
+pub(super) struct StagedJob {
+    pub(super) key: u64,
+    pub(super) gen: u64,
+    pub(super) rel: usize,
+    pub(super) len: usize,
+    pub(super) codec: u8,
+    /// Uncompressed page length, carried into the journal record.
+    pub(super) orig_len: u32,
     /// Trace context carried over from the [`SpillJob`] (sampled
     /// straight-to-spill puts only).
-    ctx: TraceCtx,
-    queued: Option<Instant>,
+    pub(super) ctx: TraceCtx,
+    pub(super) queued: Option<Instant>,
 }
 
 impl SpillWriter {
@@ -283,8 +286,9 @@ impl SpillWriter {
     }
 
     /// Orderly-exit seal: commit any pending tombstones, then write the
-    /// superblock with the clean bit, final cursor, and journal tail so
-    /// the next open can trust the journal without re-scanning extents.
+    /// superblock with the clean bit, the segments' high-water mark, and
+    /// the journal tail so the next open can trust the journal without
+    /// re-scanning extents.
     /// Best-effort — any failure leaves the file unclean, which is
     /// always safe (recovery just takes the verifying path).
     fn seal(&mut self) {
@@ -298,7 +302,8 @@ impl SpillWriter {
             Err(_) => return,
         }
         let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
-        let _ = p.seal_clean(&*self.medium, self.cursor, page_size);
+        let high_water = self.core.segments().high_water();
+        let _ = p.seal_clean(&*self.medium, high_water, page_size);
     }
 
     fn run_loop(&mut self, rx: Receiver<SpillJob>) {
@@ -352,7 +357,10 @@ impl SpillWriter {
                 }
             }
             self.commit_batch(&buf, &staged, stage_ns);
-            self.maybe_gc();
+            if !self.core.degraded.load(Ordering::Relaxed) {
+                self.clean_step();
+                self.maybe_compact_journal();
+            }
             if disconnected {
                 return;
             }
@@ -420,9 +428,8 @@ impl SpillWriter {
         };
         if !waiting {
             core.spill_orphaned.fetch_sub(payload, Ordering::Relaxed);
-            if let Some((_, len)) = landed {
-                core.spill_dead_bytes
-                    .fetch_add(len as u64, Ordering::Relaxed);
+            if let Some((offset, len)) = landed {
+                core.extent_died(offset, len);
             }
         } else if landed.is_none() {
             over_budget = core.revert_to_memory(&mut shard, key);
@@ -450,16 +457,18 @@ impl SpillWriter {
         self.core.shedding.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// One canary write/read round-trip at the cursor (unallocated
-    /// space: the next batch overwrites it). Success ends probation.
+    /// One canary write/read round-trip where the next batch would go
+    /// (unallocated space: that batch overwrites it). Success ends
+    /// probation.
     fn probe(&mut self) {
         self.probes += 1;
         self.core.tel.count(0, tstat::MEDIUM_PROBES, 1);
         let canary = *b"cc-medium-probe!";
         let mut back = [0u8; 16];
-        let ok = self.medium.write_at(&canary, self.cursor).is_ok()
+        let at = self.core.segments().place(canary.len() as u64).offset;
+        let ok = self.medium.write_at(&canary, at).is_ok()
             && self.medium.flush().is_ok()
-            && self.medium.read_at(&mut back, self.cursor).is_ok()
+            && self.medium.read_at(&mut back, at).is_ok()
             && back == canary;
         if ok {
             self.consecutive_failures = 0;
@@ -484,35 +493,50 @@ impl SpillWriter {
         false
     }
 
-    /// Write one coalesced batch at the cursor and publish every member
-    /// ([`SpillWriter::publish`]). Entries become visible as `Spilled`
-    /// only after the whole batch is on the file and journaled. A hard
-    /// failure (retries exhausted) reverts every member to memory
-    /// residence — rather than losing data or leaving `flush` waiting on
-    /// bytes that never leave flight — and advances the degraded-mode
-    /// countdown.
+    /// Write `buf` where the segment table places it, with retry, then
+    /// group-commit one `kind` record per staged extent — PUT for a spill
+    /// batch, RELOC for a relocation batch — *after* the data is durable:
+    /// a journal record must never point at bytes that were not written.
+    /// Only then is the space accounted (`dead`: all of it, until the
+    /// members are republished). Returns the batch's file offset, or
+    /// `None` if the write or the journal append failed; the table is
+    /// untouched then, and the next batch overwrites whatever landed.
+    pub(super) fn write_batch(
+        &self,
+        buf: &[u8],
+        staged: &[StagedJob],
+        kind: u8,
+        dead: bool,
+    ) -> Option<u64> {
+        let place = self.core.segments().place(buf.len() as u64);
+        let base = place.offset;
+        if !self.write_with_retry(buf, base) || !self.journal_batch(base, staged, kind) {
+            return None;
+        }
+        let mut t = self.core.segments();
+        t.commit(place, buf.len() as u64, staged.iter().map(|j| j.key), dead);
+        self.core.mirror(&t);
+        Some(base)
+    }
+
+    /// Write one coalesced batch ([`SpillWriter::write_batch`]) and
+    /// publish every member ([`SpillWriter::publish`]). Entries become
+    /// visible as `Spilled` only after the whole batch is on the file and
+    /// journaled. A hard failure (retries exhausted) reverts every member
+    /// to memory residence — rather than losing data or leaving `flush`
+    /// waiting on bytes that never leave flight — and advances the
+    /// degraded-mode countdown.
     fn commit_batch(&mut self, buf: &[u8], staged: &[StagedJob], stage_ns: u64) {
-        let base = self.cursor;
         // Always timed: this thread is off the data path, and the write
         // histogram is what the bench gates sanity-check. A sample is the
         // batch's staging (`stage_ns`: framing and checksums, spread over
         // the linger) plus its write and journal commit.
         let t0 = Instant::now();
-        let mut ok = self.write_with_retry(buf, base);
-        if ok {
-            // Group-commit the location records *after* the data is
-            // durable: a journal record must never point at bytes that
-            // were not written. If the journal append fails the whole
-            // batch fails — the data bytes are orphaned at an
-            // unadvanced cursor and the next batch overwrites them.
-            ok = self.journal_batch(base, staged);
-        }
+        let landed = self.write_batch(buf, staged, jkind::PUT, false);
+        let ok = landed.is_some();
+        let base = landed.unwrap_or(0);
         if ok {
             self.consecutive_failures = 0;
-            self.cursor += buf.len() as u64;
-            self.core
-                .spill_file_bytes
-                .store(self.cursor, Ordering::Relaxed);
             self.core
                 .tel
                 .record(top::SPILL_WRITE, stage_ns + t0.elapsed().as_nanos() as u64);
@@ -568,17 +592,18 @@ impl SpillWriter {
         self.core.notify_writer_progress();
     }
 
-    /// Append one journal PUT record per staged job, plus any tombstones
-    /// queued by foreground removes, in a single group-committed write.
-    /// Returns `true` on success (or when the store is not persistent).
-    fn journal_batch(&self, base: u64, staged: &[StagedJob]) -> bool {
+    /// Append one `kind` journal record per staged extent, plus any
+    /// tombstones queued by foreground removes, in a single
+    /// group-committed write. Returns `true` on success (or when the
+    /// store is not persistent).
+    fn journal_batch(&self, base: u64, staged: &[StagedJob], kind: u8) -> bool {
         let Some(p) = &self.core.persist else {
             return true;
         };
-        let puts: Vec<JournalRecord> = staged
+        let records: Vec<JournalRecord> = staged
             .iter()
             .map(|j| JournalRecord {
-                kind: jkind::PUT,
+                kind,
                 lsn: j.gen,
                 key: j.key,
                 offset: base + j.rel as u64,
@@ -587,7 +612,7 @@ impl SpillWriter {
                 codec: j.codec,
             })
             .collect();
-        match p.append_commit(&puts) {
+        match p.append_commit(&records) {
             Ok(n) => {
                 self.core.tel.count(0, tstat::JOURNAL_RECORDS_WRITTEN, n);
                 true

@@ -21,12 +21,14 @@
 //! fault — optionally with the torn sector scribbled.
 
 use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, MemMedium, SpillMedium};
+use cc_core::persist::JOURNAL_RECORD;
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::CompressAll;
 use cc_util::SplitMix64;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const PAGE: usize = 1024;
@@ -79,6 +81,118 @@ enum Crash {
     },
     /// Arm the cut at an absolute byte position before the run starts.
     ArmedAt { at: u64, tear: bool },
+    /// Cut at an ordering edge of the first cleaning step.
+    AtEdge(Edge),
+}
+
+/// The ordering edges of one cleaning step on a persistent store, in
+/// write-stream order (DESIGN.md §14, *GC crash discipline*).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Edge {
+    /// The relocation batch's data is durable, its RELOC records are not.
+    BeforeRelocs,
+    /// The RELOC records are durable; nothing has been written over the
+    /// cleaned segment yet.
+    AfterRelocs,
+    /// The first write over the cleaned segment has landed.
+    AfterReuse,
+}
+
+/// Cuts the power at an [`Edge`] of the first cleaning step. It reads
+/// the journal writes as they go by: PUT records tell it where each
+/// `(key, generation)` lives, the first write carrying RELOC records is
+/// the cleaning step's, and the homes those records leave are the
+/// cleaned segment's extents, whose first overwrite is the reuse.
+struct EdgeTap {
+    edge: Edge,
+    switch: Arc<CrashSwitch>,
+    state: Mutex<TapState>,
+}
+
+#[derive(Default)]
+struct TapState {
+    /// `(key, generation)` → `(offset, len)` of every journaled home.
+    homes: HashMap<(u64, u64), (u64, u64)>,
+    /// The homes the first cleaning step vacated, once journaled.
+    vacated: Vec<(u64, u64)>,
+    /// Stream position of the cut, once made.
+    cut_at: Option<u64>,
+}
+
+impl EdgeTap {
+    /// Called before (`landed == false`) and after each write; returns
+    /// whether to cut the power at this point.
+    fn observe(&self, journal: bool, data: &[u8], offset: u64, landed: bool) -> bool {
+        let mut st = self.state.lock().unwrap();
+        if st.cut_at.is_some() {
+            return false;
+        }
+        if !journal {
+            let (a, b) = (offset, offset + data.len() as u64);
+            return landed
+                && self.edge == Edge::AfterReuse
+                && st.vacated.iter().any(|&(o, l)| a < o + l && o < b);
+        }
+        if landed {
+            return self.edge == Edge::AfterRelocs && !st.vacated.is_empty();
+        }
+        let field = |r: &[u8], at: usize| u64::from_le_bytes(r[at..at + 8].try_into().unwrap());
+        let mut relocs = Vec::new();
+        for r in data.chunks_exact(JOURNAL_RECORD) {
+            let (kind, lsn, key, off) = (r[0], field(r, 8), field(r, 16), field(r, 24));
+            let len = u32::from_le_bytes(r[32..36].try_into().unwrap()) as u64;
+            if kind == RELOC {
+                relocs.extend(st.homes.get(&(key, lsn)).copied());
+            }
+            if kind == PUT || kind == RELOC {
+                st.homes.insert((key, lsn), (off, len));
+            }
+        }
+        if relocs.is_empty() || !st.vacated.is_empty() {
+            return false;
+        }
+        st.vacated = relocs;
+        self.edge == Edge::BeforeRelocs
+    }
+
+    fn cut(&self) {
+        self.switch.cut_now();
+        self.state.lock().unwrap().cut_at = Some(self.switch.bytes_written());
+    }
+}
+
+/// Journal record kinds: the first byte of each [`JOURNAL_RECORD`].
+const PUT: u8 = 1;
+const RELOC: u8 = 3;
+
+/// A medium that shows every write to an [`EdgeTap`] before and after
+/// passing it on.
+struct Tapped {
+    inner: Arc<dyn SpillMedium>,
+    tap: Arc<EdgeTap>,
+    journal: bool,
+}
+
+impl SpillMedium for Tapped {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+    fn write_at(&self, data: &[u8], offset: u64) -> io::Result<()> {
+        if self.tap.observe(self.journal, data, offset, false) {
+            self.tap.cut();
+        }
+        let res = self.inner.write_at(data, offset);
+        if self.tap.observe(self.journal, data, offset, true) {
+            self.tap.cut();
+        }
+        res
+    }
+    fn flush(&self) -> io::Result<()> {
+        self.inner.flush()
+    }
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
 }
 
 /// What the store had provably made durable at one barrier.
@@ -120,16 +234,30 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
         Crash::ArmedAt { at, tear } => CrashSwitch::armed(at, tear),
         _ => CrashSwitch::new(),
     };
-    let data = Arc::new(FaultInjector::with_switch(
-        data_mem.share(),
-        FaultPlan::quiet(),
-        Arc::clone(&switch),
-    )) as Arc<dyn SpillMedium>;
-    let journal = Arc::new(FaultInjector::with_switch(
-        journal_mem.share(),
-        FaultPlan::quiet(),
-        Arc::clone(&switch),
-    )) as Arc<dyn SpillMedium>;
+    let tap = match crash {
+        Crash::AtEdge(edge) => Some(Arc::new(EdgeTap {
+            edge,
+            switch: Arc::clone(&switch),
+            state: Mutex::default(),
+        })),
+        _ => None,
+    };
+    let wire = |mem: &MemMedium, journal: bool| -> Arc<dyn SpillMedium> {
+        let m = Arc::new(FaultInjector::with_switch(
+            mem.share(),
+            FaultPlan::quiet(),
+            Arc::clone(&switch),
+        ));
+        match &tap {
+            Some(tap) => Arc::new(Tapped {
+                inner: m,
+                tap: Arc::clone(tap),
+                journal,
+            }),
+            None => m,
+        }
+    };
+    let (data, journal) = (wire(&data_mem, false), wire(&journal_mem, true));
     let store = CompressedStore::with_persistent_media(config.clone(), data, journal)
         .expect("fresh persistent store");
 
@@ -209,6 +337,9 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
         }
     }
     if let Crash::ArmedAt { at, .. } = crash {
+        cut_at = at;
+    }
+    if let Some(at) = tap.as_ref().and_then(|t| t.state.lock().unwrap().cut_at) {
         cut_at = at;
     }
     if matches!(crash, Crash::None) {
@@ -484,44 +615,50 @@ fn recovered_store_survives_a_second_crash() {
     }
 }
 
-/// GC compaction under power loss: cuts sprayed across the whole GC
-/// region (relocation journaling, copies, truncate) always resolve each
-/// extent to exactly one valid copy — durable entries survive, and
-/// nothing is ever served wrong.
+/// Cleaning under power loss: one scripted cut at each ordering edge of
+/// a cleaning step, then cuts sprayed across the steps, always resolve
+/// every durable key to exactly one CRC-valid copy — durable entries
+/// survive, and nothing is ever served wrong.
 #[test]
 fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
+    // 2 KiB batches make 64 KiB segments, ~60 pages each: the first
+    // wave seals two, the removes leave half of each dead, and the
+    // second wave's batches clean them and then reuse the first.
     let mut schedule = Vec::new();
-    for k in 0..16 {
+    for k in 0..160 {
         schedule.push(Op::Put(k));
     }
     schedule.push(Op::Barrier); // 0
-    for k in (0..16).step_by(2) {
-        schedule.push(Op::Remove(k)); // dead space for the collector
+    for k in (0..160).step_by(2) {
+        schedule.push(Op::Remove(k)); // dead space for the cleaner
     }
-    schedule.push(Op::Barrier); // 1: tombstones durable, GC not yet run
-    for k in 16..22 {
-        schedule.push(Op::Put(k)); // batches after this trigger GC
+    schedule.push(Op::Barrier); // 1: tombstones durable, nothing cleaned
+    for k in 160..260 {
+        schedule.push(Op::Put(k)); // batches after this trigger cleaning
     }
     schedule.push(Op::Barrier); // 2
-
-    // Small batches so the dead-byte GC trigger is reachable with this
-    // schedule's volume.
     let gc_cfg = cfg(MATRIX_BUDGET_PAGES, 0.2).with_spill_batch_bytes(2048);
 
-    // Probe run: learn the write-stream geometry and prove GC ran.
+    // Probe run: learn the write-stream geometry and prove cleaning ran.
     let probe = run_trial(&schedule, &gc_cfg, Crash::Drop);
     verify(&probe, &gc_cfg);
     assert!(
-        probe.run_stats.gc_runs >= 1,
-        "schedule failed to trigger GC"
+        probe.run_stats.gc_runs >= 2,
+        "schedule failed to trigger cleaning: {:?}",
+        probe.run_stats
     );
+    for edge in [Edge::BeforeRelocs, Edge::AfterRelocs, Edge::AfterReuse] {
+        let o = run_trial(&schedule, &gc_cfg, Crash::AtEdge(edge));
+        assert_ne!(o.cut_at, u64::MAX, "the run never reached {edge:?}");
+        verify(&o, &gc_cfg);
+    }
     let gc_start = probe.models[1].bytes;
     let total = probe.final_bytes;
     assert!(total > gc_start);
 
-    // Spray cuts across the GC + post-GC region. Each armed run records
-    // its own barriers, so the checks stay sound even if this run's
-    // geometry drifts from the probe's.
+    // Spray cuts across the cleaning region. Each armed run records its
+    // own barriers, so the checks stay sound even if this run's geometry
+    // drifts from the probe's.
     let span = total - gc_start;
     for step in 0..16u64 {
         let at = gc_start + 1 + step * span / 16;
