@@ -35,8 +35,9 @@
 //! exercise the codec and spill paths, not placement. `--smoke` fails if
 //! the resident-bytes budget is ever exceeded (spill trial and every
 //! tier arm), the spill pipeline or its cleaner goes unexercised, a
-//! cleaning step relocates more than one segment, the put-only phase
-//! sees more than the budget in flight to the writer, sees it fail to
+//! cleaning step relocates more than one spill batch, the put-only phase
+//! sees more than the store's in-flight limit (a quarter of the budget)
+//! in flight to the writer, sees it fail to
 //! drain within a second without a flush, or grows `VmRSS` by more than
 //! 3 × budget, the spill trial under the default tier policy counts more
 //! than one demoter pass per 16 puts (a put must not wake the demoter),
@@ -247,8 +248,11 @@ struct SpillTrial {
     puts: u64,
     /// Store counters after the final flush.
     stats: StoreStats,
-    /// Bytes per spill-file segment: the most one cleaning step moves.
-    segment_bytes: u64,
+    /// Bytes per spill batch: the most one cleaning step moves, as the
+    /// trial's pages are smaller than a batch.
+    batch_bytes: u64,
+    /// [`StoreConfig::spill_inflight_limit`] of the trial's store.
+    inflight_limit: u64,
     file_bytes_on_disk: u64,
     max_resident_seen: u64,
     /// Largest `spill_inflight_bytes` the watcher read while the workers
@@ -357,9 +361,12 @@ fn run_spill_trial(
     policy: Arc<dyn TierPolicy>,
 ) -> SpillTrial {
     let path = std::env::temp_dir().join(format!("storebench-spill-{}.bin", std::process::id()));
-    let store = Arc::new(CompressedStore::new(
-        StoreConfig::with_spill(SPILL_BUDGET, &path).with_tier_policy(policy),
-    ));
+    let cfg = StoreConfig::with_spill(SPILL_BUDGET, &path).with_tier_policy(policy);
+    let (batch_bytes, inflight_limit) = (
+        cfg.spill_batch_bytes as u64,
+        cfg.spill_inflight_limit() as u64,
+    );
+    let store = Arc::new(CompressedStore::new(cfg));
     prefill(&store);
     store.flush().expect("flush");
 
@@ -396,7 +403,8 @@ fn run_spill_trial(
     let trial = SpillTrial {
         puts,
         stats: store.stats(),
-        segment_bytes: store.spill_segment_bytes().expect("spill store"),
+        batch_bytes,
+        inflight_limit,
         file_bytes_on_disk: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
         max_resident_seen,
         churn_max_inflight,
@@ -1089,12 +1097,13 @@ fn run_smoke() -> i32 {
         spill.max_resident_seen,
     );
     eprintln!(
-        "  cleaner: {} steps of at most one {} B segment, {} B relocated, longest step {:.2} ms; churn max in flight {} B",
+        "  cleaner: {} steps of at most one {} B batch, {} B relocated, longest step {:.2} ms; churn max in flight {} B (limit {} B)",
         ss.gc_runs,
-        spill.segment_bytes,
+        spill.batch_bytes,
         ss.gc_bytes_relocated,
         ss.gc_pause_max_ns as f64 / 1e6,
         spill.churn_max_inflight,
+        spill.inflight_limit,
     );
     eprintln!(
         "  spill, default tier policy: {} demoter passes over {} puts",
@@ -1129,10 +1138,10 @@ fn run_smoke() -> i32 {
     // The budget means memory: what the writer holds is bounded, and it
     // gives it back on its own.
     let po = &spill.put_only;
-    if po.max_inflight > SPILL_BUDGET as u64 {
+    if po.max_inflight > spill.inflight_limit {
         failures.push(format!(
-            "put-only phase: spill_inflight_bytes read {} with budget {SPILL_BUDGET}",
-            po.max_inflight
+            "put-only phase: spill_inflight_bytes read {} with a limit of {}",
+            po.max_inflight, spill.inflight_limit
         ));
     }
     if po.drained_after.is_none() {
@@ -1180,14 +1189,14 @@ fn run_smoke() -> i32 {
     if ss.spill_batches == 0 {
         failures.push("spill writer committed no batches".into());
     }
-    // The cleaner runs, and a step moves at most the one segment it frees.
+    // The cleaner runs, and a step copies at most one batch.
     if ss.gc_runs == 0 {
         failures.push("cleaner unexercised: no cleaning step ran".into());
     }
-    if ss.gc_bytes_relocated > ss.gc_runs * spill.segment_bytes {
+    if ss.gc_bytes_relocated > ss.gc_runs * spill.batch_bytes {
         failures.push(format!(
-            "cleaner relocated {} B in {} steps: more than one {} B segment a step",
-            ss.gc_bytes_relocated, ss.gc_runs, spill.segment_bytes
+            "cleaner relocated {} B in {} steps: more than one {} B batch a step",
+            ss.gc_bytes_relocated, ss.gc_runs, spill.batch_bytes
         ));
     }
     if same_filled == 0 {

@@ -42,10 +42,10 @@ pub struct StoreConfig {
     pub spill_batch_bytes: usize,
     /// Dead fraction of the spill file (`spill_dead_bytes /
     /// bytes_on_spill`) at which the writer cleans: while it holds, the
-    /// writer frees one segment between batches — the sealed one with
-    /// the most dead bytes, if at least this fraction of it is dead — by
-    /// re-appending its live extents. Default `0.5`; 1.0 or more
-    /// disables cleaning.
+    /// writer takes the sealed segment with the most dead bytes, if at
+    /// least this fraction of it is dead, and frees it by re-appending
+    /// its live extents, one batch of them between each two spill
+    /// batches. Default `0.5`; 1.0 or more disables cleaning.
     pub gc_dead_ratio: f64,
     /// Whether latency sampling and hot-path event capture are enabled
     /// (default `true`). Counters stay live either way — [`StoreStats`]
@@ -113,6 +113,12 @@ const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Default background demoter wake interval.
 const DEFAULT_DEMOTE_INTERVAL: Duration = Duration::from_millis(5);
+
+/// The spill writer's in-flight payload is bounded by the budget over
+/// this ([`StoreConfig::spill_inflight_limit`]). A writer that keeps up
+/// holds one or two batches; the rest of the bound absorbs the writer
+/// losing the CPU for a few milliseconds without a put waiting.
+const INFLIGHT_SHARE: usize = 4;
 
 impl StoreConfig {
     /// Memory-only store with the paper's 4:3 threshold.
@@ -234,6 +240,19 @@ impl StoreConfig {
     pub fn with_demote_interval(mut self, t: Duration) -> Self {
         self.demote_interval = t;
         self
+    }
+
+    /// The most payload bytes the spill writer holds in flight — handed
+    /// off, not yet on the file — before a put that must evict waits for
+    /// it: a quarter of [`StoreConfig::memory_budget`], but at least one
+    /// spill batch (so the writer can still fill one) unless that is
+    /// more than the whole budget. The budget stops counting a page's
+    /// bytes at the hand-off, so this is how far the payload the process
+    /// holds can exceed the budget. A lone payload larger than the limit
+    /// still goes.
+    pub fn spill_inflight_limit(&self) -> usize {
+        let budget = self.memory_budget;
+        (budget / INFLIGHT_SHARE).max(self.spill_batch_bytes.min(budget))
     }
 
     /// The shard count this config will actually build: the requested

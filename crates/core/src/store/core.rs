@@ -69,7 +69,7 @@ pub(super) struct StoreCore {
     /// has not published yet never will be.
     pub(super) writer_dead: AtomicBool,
     /// Payload bytes handed to the writer and not yet published or
-    /// failed by it: up (by CAS, bounded by the budget — see
+    /// failed by it: up (by CAS, bounded by the in-flight limit — see
     /// [`StoreCore::reserve_inflight`]) at every hand-off, down exactly
     /// once per job, both under the job key's shard lock. Relaxed: the
     /// entries it describes are published by the shard locks, and
@@ -335,8 +335,8 @@ impl StoreCore {
         }
 
         // Same-filled fast path: a repeated-word page never touches the
-        // compressor, the budget, or the buffer pool — the pattern *is*
-        // the stored form.
+        // compressor, the budget, or the allocator — the pattern *is* the
+        // stored form.
         if let Some(pattern) = same_filled_pattern(page) {
             tout.tier = strier::SAME_FILLED;
             tout.codec = CodecId::SameFilled.as_u8();
@@ -610,27 +610,32 @@ impl StoreCore {
             last_touch: now,
             journaled: false,
         };
+        // One allocation of exactly the stored length, whichever tier.
         let placed = SCRATCH.with(|c| {
             let compressed = &c.borrow().comp[..len];
             if hot {
                 // Hot tier: keep the raw page; the sealed bytes are
                 // discarded (the demoter re-seals along the recorded
                 // route if this page ever ages out).
-                let data = shard.acquire_buf(page);
                 let handle = shard.lru_hot.push_mru(key);
                 self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
                 self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
-                entry.residence = Residence::Hot { data, handle };
+                entry.residence = Residence::Hot {
+                    data: page.into(),
+                    handle,
+                };
             } else if reserved {
                 self.warm_resident.fetch_add(len, Ordering::Relaxed);
-                let data = shard.acquire_buf(compressed);
                 let handle = shard.lru.push_mru(key);
-                entry.residence = Residence::Memory { data, handle };
+                entry.residence = Residence::Memory {
+                    data: compressed.into(),
+                    handle,
+                };
             } else {
                 // Straight-to-spill path (see above): never resident,
                 // its `len` bytes already counted in flight.
                 let tx = shard.tx.as_ref().expect("checked above");
-                return self.hand_off(tx, key, &mut entry, compressed.to_vec(), ctx);
+                return self.hand_off(tx, key, &mut entry, compressed.into(), ctx);
             }
             true
         });
@@ -731,18 +736,13 @@ impl StoreCore {
                 }
                 Residence::Memory { data, handle } => {
                     tout.tier = strier::MEMORY;
-                    // Copy the (small) compressed bytes out under the lock
+                    // Take a reference to the sealed bytes under the lock
                     // so decompression runs without it.
-                    let handle = *handle;
+                    let (data, handle) = (Arc::clone(data), *handle);
                     let sealed_len = data.len();
-                    SCRATCH.with(|c| {
-                        stage_slot(&mut c.borrow_mut().stage, sealed_len).copy_from_slice(data)
-                    });
                     shard.lru.touch(handle);
                     drop(shard);
-                    SCRATCH.with(|c| {
-                        self.decompress_into(codec, &c.borrow().stage[..sealed_len], out, timed)
-                    });
+                    self.decompress_into(codec, &data, out, timed);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
                     self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
                     let q = PlacementQuery {
@@ -942,13 +942,11 @@ impl StoreCore {
                         self.resident.fetch_sub(data.len(), Ordering::Relaxed);
                         self.hot_resident.fetch_sub(data.len(), Ordering::Relaxed);
                         shard.lru_hot.remove(handle);
-                        shard.release_buf(data);
                     }
                     Residence::Memory { data, handle } => {
                         self.resident.fetch_sub(data.len(), Ordering::Relaxed);
                         self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
                         shard.lru.remove(handle);
-                        shard.release_buf(data);
                     }
                     Residence::Spilled { offset, len, .. } => {
                         // The extent's bytes stay behind on the file as
@@ -1056,14 +1054,15 @@ impl StoreCore {
             return Progress::NoVictim;
         };
         let entry = shard.entries.get_mut(&victim).expect("lru/map sync");
-        let Residence::Memory { data, handle } = &mut entry.residence else {
+        let Residence::Memory { data, handle } = &entry.residence else {
             unreachable!("LRU entry not in memory")
         };
         let len = data.len();
         if !self.reserve_inflight(len) {
             return Progress::WriterFull(len);
         }
-        let (data, handle) = (std::mem::take(data), *handle);
+        // The hand-off replaces the residence; the allocation moves on.
+        let (data, handle) = (Arc::clone(data), *handle);
         shard.lru.remove(handle);
         self.resident.fetch_sub(len, Ordering::Relaxed);
         self.warm_resident.fetch_sub(len, Ordering::Relaxed);
@@ -1088,26 +1087,25 @@ impl StoreCore {
         };
         let entry = shard.entries.remove(&victim).expect("lru/map sync");
         self.tombstone_if_journaled(entry.journaled, victim);
-        let data = match entry.residence {
+        let bytes = match entry.residence {
             Residence::Memory { data, handle } => {
                 self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
                 shard.lru.remove(handle);
-                data
+                data.len()
             }
             Residence::Hot { data, handle } => {
                 self.hot_resident.fetch_sub(data.len(), Ordering::Relaxed);
                 shard.lru_hot.remove(handle);
-                data
+                data.len()
             }
             _ => unreachable!("LRU entry not in memory"),
         };
-        self.resident.fetch_sub(data.len(), Ordering::Relaxed);
+        self.resident.fetch_sub(bytes, Ordering::Relaxed);
         let idx = self.shard_index(victim);
         self.tel.count(idx, tstat::SHED_PAGES, 1);
         if self.tel.timing_enabled() {
-            self.tel.event(tevent::SHED, victim, data.len() as u64);
+            self.tel.event(tevent::SHED, victim, bytes as u64);
         }
-        shard.release_buf(data);
         true
     }
 
@@ -1153,12 +1151,10 @@ impl StoreCore {
     pub(super) fn revert_to_memory(&self, shard: &mut Shard, key: u64) -> bool {
         let e = shard.entries.get_mut(&key).expect("caller looked it up");
         let old = std::mem::replace(&mut e.residence, Residence::SameFilled { pattern: 0 });
-        let Residence::Spilling { data, .. } = old else {
+        let Residence::Spilling { data } = old else {
             unreachable!("caller checked the residence")
         };
         let bytes = data.len();
-        // A reader may still be decoding from its clone of the payload.
-        let data = Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone());
         let handle = shard.lru.push_mru(key);
         e.residence = Residence::Memory { data, handle };
         self.tel
@@ -1202,6 +1198,7 @@ pub(super) enum Progress {
     /// Shards held by other putters could not be inspected.
     Blocked,
     /// A victim of this many payload bytes exists, but the spill writer
-    /// already holds [`StoreConfig::memory_budget`] bytes in flight.
+    /// already holds [`StoreConfig::spill_inflight_limit`] bytes in
+    /// flight.
     WriterFull(usize),
 }

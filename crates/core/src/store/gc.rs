@@ -1,15 +1,17 @@
 //! The segment table and the cleaner that works on it — the paper's
-//! fragment garbage collection, one segment at a time.
+//! fragment garbage collection, one segment at a time, a batch of it per
+//! step.
 //!
 //! The spill file is cut into fixed-size segments ([`segment_bytes`]).
 //! The writer appends batches into one open segment at a time; a batch
 //! that does not fit seals it (the unused tail is dead bytes) and starts
 //! the next free one. Every death of a spilled extent is charged to the
-//! segment it lives in ([`StoreCore::extent_died`]). Between batches the
-//! writer cleans at most one sealed segment — the one with the most dead
-//! bytes — by re-appending its survivors through the normal batch commit
-//! and then freeing it for reuse ([`SpillWriter::clean_step`]): the
-//! segment cleaner of LFS (Rosenblum & Ousterhout, SOSP '91).
+//! segment it lives in ([`StoreCore::extent_died`]). The writer cleans one
+//! sealed segment at a time — the one with the most dead bytes — by
+//! re-appending its survivors through the normal batch commit, one batch
+//! of them between each two spill batches, and then freeing it for reuse
+//! ([`SpillWriter::clean_step`]): the segment cleaner of LFS (Rosenblum &
+//! Ousterhout, SOSP '91), working at the paper's §4.3 batch size.
 
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
@@ -255,12 +257,14 @@ impl Segments {
         } else {
             if p.fresh {
                 if let Some(o) = self.open.take() {
-                    // Sealed short: nobody will ever name its tail.
+                    // Sealed short: nobody will ever name its tail. Its
+                    // key list is final, so it keeps no spare capacity.
                     let s = &mut self.segs[o];
                     let gap = seg - s.used;
                     s.used = seg;
                     s.dead += gap;
                     s.state = SegState::Sealed;
+                    s.keys.shrink_to_fit();
                     self.on_spill += gap;
                     self.dead += gap;
                 }
@@ -413,119 +417,61 @@ impl StoreCore {
     }
 }
 
+/// A segment being cleaned: the survivors found when it was chosen, in
+/// file order, and how far the steps so far have copied them. Held by
+/// the writer between its turns; the segment stays sealed throughout.
+pub(super) struct Cleaning {
+    seg: usize,
+    /// File offset of the segment's first byte.
+    start: u64,
+    /// `rel` is each survivor's offset in the segment.
+    survivors: Vec<StagedJob>,
+    /// Survivors before this one are copied.
+    next: usize,
+}
+
 impl SpillWriter {
-    /// One cleaning step, run between batches on this thread: if the
-    /// file is dead enough, take the sealed segment with the most dead
-    /// bytes, read it with one `read_at`, re-append its survivors
-    /// verbatim through the normal batch commit, republish them and free
-    /// the segment. One step is one `gc_runs`, and moves at most one
-    /// segment.
+    /// One cleaning step, run between batches on this thread: copy the
+    /// next batch of survivors out of the segment being cleaned —
+    /// choosing one first, if the file is dead enough, the sealed segment
+    /// with the most dead bytes — and free the segment once the last of
+    /// them is copied. A batch is as many survivors, in file order, as
+    /// fit one [`StoreConfig::spill_batch_bytes`] batch (at least one,
+    /// whatever its length), re-appended verbatim through the normal
+    /// batch commit and republished ([`SpillWriter::copy_batch`]). One
+    /// step is one `gc_runs` and copies at most one batch, so the
+    /// writer's pause behind the cleaner is one relocation batch, and the
+    /// cleaner's buffer two batches, not a segment.
     ///
-    /// A survivor is an extent its entry still names, checked under the
-    /// entry's shard lock; republishing follows `publish`'s rule — the
-    /// entry moves only if it still names the old copy, otherwise the
-    /// new copy is dead bytes. The victim is freed only after every
-    /// survivor's copy is written, flushed, journaled (its RELOC record
-    /// group-committed after the data, as PUT records are) and
-    /// republished. A reader that read the old copy therefore finds its
-    /// entry moved before any byte of the victim can be reused, and a
-    /// crash at any byte resolves every extent to one valid copy: the
-    /// old one until its RELOC is durable, the new one after. The copy
-    /// never overlaps its source, which stays sealed until freed.
+    /// A survivor is an extent its entry named when the segment was
+    /// chosen, checked under the entry's shard lock; republishing follows
+    /// `publish`'s rule — the entry moves only if it still names the old
+    /// copy, otherwise the new copy is dead bytes. The victim is freed
+    /// only after every survivor's copy is written, flushed, journaled
+    /// (its RELOC record group-committed after the data, as PUT records
+    /// are) and republished. A reader that read the old copy therefore
+    /// finds its entry moved before any byte of the victim can be reused,
+    /// and a crash at any byte resolves every extent to one valid copy:
+    /// the old one until its RELOC is durable, the new one after. The
+    /// copy never overlaps its source, which stays sealed until freed.
     pub(super) fn clean_step(&mut self) {
-        let cfg = &self.core.cfg;
-        let min_dead = cfg.spill_batch_bytes.max(1) as u64;
-        let (victim, start, end, keys) = {
-            let mut t = self.core.segments();
-            let Some(v) = t.victim(cfg.gc_dead_ratio, min_dead) else {
-                return;
-            };
-            let start = t.start(v);
-            (
-                v,
-                start,
-                start + t.seg_bytes,
-                std::mem::take(&mut t.segs[v].keys),
-            )
-        };
         let t0 = Instant::now();
-        // The survivors, in file order; `rel` is each one's offset in
-        // the victim until they are packed.
-        let mut staged: Vec<StagedJob> = Vec::new();
-        for &key in &keys {
-            let shard = self.core.shard(key);
-            let Some(e) = shard.entries.get(&key) else {
-                continue;
-            };
-            if let Residence::Spilled { offset, len, gen } = e.residence {
-                if (start..end).contains(&offset) {
-                    staged.push(StagedJob {
-                        key,
-                        gen,
-                        rel: (offset - start) as usize,
-                        len: len as usize,
-                        codec: e.codec,
-                        orig_len: e.orig_len,
-                        ctx: TraceCtx::NONE,
-                        queued: None,
-                    });
-                }
-            }
-        }
-        staged.sort_unstable_by_key(|j| j.rel);
-        staged.dedup_by_key(|j| j.rel);
-        let mut moved = 0u64;
-        if let Some(last) = staged.last() {
-            let mut buf = std::mem::take(&mut self.seg_buf);
-            buf.resize(last.rel + last.len, 0);
-            let mut from = Vec::with_capacity(staged.len());
-            let base = match self.medium.read_at(&mut buf, start) {
-                Ok(()) => {
-                    // Pack the survivors to the front of the buffer, in
-                    // place: none moves past its own bytes.
-                    let mut w = 0;
-                    for j in &mut staged {
-                        buf.copy_within(j.rel..j.rel + j.len, w);
-                        from.push(start + j.rel as u64);
-                        j.rel = w;
-                        w += j.len;
-                    }
-                    buf.truncate(w);
-                    self.write_batch(&buf, &staged, jkind::RELOC, true)
-                }
-                Err(_) => None,
-            };
-            moved = buf.len() as u64;
-            self.seg_buf = buf;
-            let Some(base) = base else {
-                // Aborted: the survivors stay where they are, and so does
-                // the victim's key list. A relocation batch that failed
-                // left nothing any entry names.
-                self.core.segments().segs[victim].keys = keys;
-                return;
-            };
-            for (j, &old) in staged.iter().zip(&from) {
-                let mut shard = self.core.shard(j.key);
-                let Some(e) = shard.entries.get_mut(&j.key) else {
-                    continue;
-                };
-                match &mut e.residence {
-                    Residence::Spilled { offset, len, gen }
-                        if (*offset, *len as usize, *gen) == (old, j.len, j.gen) =>
-                    {
-                        *offset = base + j.rel as u64;
-                        self.core.extent_moved(old, *offset, *len);
-                    }
-                    // Removed or replaced since it was found: its new copy
-                    // stays dead, its old one was charged when it died.
-                    _ => {}
-                }
-            }
-        }
-        {
+        let Some(mut c) = self.cleaning.take().or_else(|| self.choose_victim()) else {
+            return;
+        };
+        let Some(moved) = self.copy_batch(&mut c) else {
+            // Aborted: the survivors not yet copied stay where they are,
+            // and a later step starts over on whichever segment is then
+            // the emptiest. A relocation batch that failed left nothing
+            // any entry names.
+            return;
+        };
+        if c.next < c.survivors.len() {
+            self.cleaning = Some(c);
+        } else {
             let mut t = self.core.segments();
-            t.free(victim);
-            if moved == 0 {
+            t.free(c.seg);
+            if c.survivors.is_empty() {
                 // An empty victim had the most dead bytes a segment can:
                 // any other empty one goes in the same step.
                 t.free_empty();
@@ -533,6 +479,134 @@ impl SpillWriter {
             self.core.mirror(&t);
         }
         self.record_step(t0, moved);
+    }
+
+    /// The segment to clean next, if the file is dead enough, with its
+    /// survivors looked up.
+    fn choose_victim(&self) -> Option<Cleaning> {
+        let cfg = &self.core.cfg;
+        let (seg, start, end, keys) = {
+            let t = self.core.segments();
+            let v = t.victim(cfg.gc_dead_ratio, cfg.spill_batch_bytes.max(1) as u64)?;
+            let start = t.start(v);
+            (v, start, start + t.seg_bytes, t.segs[v].keys.clone())
+        };
+        let mut survivors: Vec<StagedJob> = Vec::new();
+        for key in keys {
+            let shard = self.core.shard(key);
+            let Some(e) = shard.entries.get(&key) else {
+                continue;
+            };
+            if let Residence::Spilled { offset, len, gen } = e.residence {
+                if (start..end).contains(&offset) {
+                    survivors.push(StagedJob {
+                        key,
+                        gen,
+                        rel: (offset - start) as usize,
+                        len: len as usize,
+                        codec: e.codec,
+                        orig_len: e.orig_len,
+                        data: None,
+                        ctx: TraceCtx::NONE,
+                        queued: None,
+                    });
+                }
+            }
+        }
+        survivors.sort_unstable_by_key(|j| j.rel);
+        survivors.dedup_by_key(|j| j.rel);
+        Some(Cleaning {
+            seg,
+            start,
+            survivors,
+            next: 0,
+        })
+    }
+
+    /// Copy `c`'s next batch of survivors and republish them. The batch
+    /// is packed from windows of the segment, each one `read_at` of at
+    /// most a batch of file starting at the next survivor, until the
+    /// next survivor would overflow it (the first always goes, whatever
+    /// its length). Returns the bytes copied (0 once none are left), or
+    /// `None` if a read, the write or the journal append failed.
+    fn copy_batch(&mut self, c: &mut Cleaning) -> Option<u64> {
+        if c.next == c.survivors.len() {
+            return Some(0);
+        }
+        let batch = self.core.cfg.spill_batch_bytes.max(1);
+        let mut buf = std::mem::take(&mut self.clean_buf);
+        buf.clear();
+        let mut old = Vec::new();
+        let mut i = c.next;
+        while i < c.survivors.len() {
+            // The window: survivors within a batch of file of the first,
+            // as many as the batch being packed still holds.
+            let (w, from) = (buf.len(), c.survivors[i].rel);
+            let mut j = i;
+            let mut packed = w;
+            for s in &c.survivors[i..] {
+                let spans = s.rel + s.len - from <= batch;
+                let fits = packed == 0 || packed + s.len <= batch;
+                if !fits || (j > i && !spans) {
+                    break;
+                }
+                packed += s.len;
+                j += 1;
+            }
+            if j == i {
+                break;
+            }
+            let end = c.survivors[j - 1].rel + c.survivors[j - 1].len;
+            buf.resize(w + end - from, 0);
+            if self
+                .medium
+                .read_at(&mut buf[w..], c.start + from as u64)
+                .is_err()
+            {
+                self.clean_buf = buf;
+                return None;
+            }
+            // Pack the window's survivors behind the batch so far, in
+            // place: none moves past its own bytes.
+            let mut p = w;
+            for s in &mut c.survivors[i..j] {
+                let at = w + s.rel - from;
+                buf.copy_within(at..at + s.len, p);
+                old.push(c.start + s.rel as u64);
+                s.rel = p;
+                p += s.len;
+            }
+            buf.truncate(p);
+            i = j;
+        }
+        let staged = &c.survivors[c.next..i];
+        let base = self.write_batch(&buf, staged, jkind::RELOC, true);
+        let moved = buf.len() as u64;
+        // A survivor longer than a batch grew the buffer: keep two
+        // batches' worth, the most a batch and a window take.
+        buf.clear();
+        buf.shrink_to(2 * batch);
+        self.clean_buf = buf;
+        let base = base?;
+        for (j, &old) in staged.iter().zip(&old) {
+            let mut shard = self.core.shard(j.key);
+            let Some(e) = shard.entries.get_mut(&j.key) else {
+                continue;
+            };
+            match &mut e.residence {
+                Residence::Spilled { offset, len, gen }
+                    if (*offset, *len as usize, *gen) == (old, j.len, j.gen) =>
+                {
+                    *offset = base + j.rel as u64;
+                    self.core.extent_moved(old, *offset, *len);
+                }
+                // Removed or replaced since it was found: its new copy
+                // stays dead, its old one was charged when it died.
+                _ => {}
+            }
+        }
+        c.next = i;
+        Some(moved)
     }
 
     /// Telemetry for one cleaning step: one `gc_runs`, one pause sample,

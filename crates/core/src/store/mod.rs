@@ -33,15 +33,17 @@
 //! lands, whatever the foreground is doing. Payload bytes handed to the
 //! writer and not yet published are counted
 //! ([`StoreStats::spill_inflight_bytes`]) and bounded by
-//! [`StoreConfig::memory_budget`]: payload in RAM is at most twice the
-//! budget, and a put that would push the in-flight half past it
-//! releases its shard lock and waits for the writer. The file is cut
-//! into fixed-size segments. Removed or replaced spilled entries leave
-//! dead bytes in theirs; while the dead fraction of the file is at
-//! least [`StoreConfig::gc_dead_ratio`], the writer cleans one segment
-//! between batches — the one with the most dead bytes — re-appending
-//! its live extents and reusing it: the paper's fragment garbage
-//! collection, a segment at a time.
+//! [`StoreConfig::spill_inflight_limit`], a quarter of a budget of many
+//! batches: payload in RAM is then at most 1¼ × the budget, each page in one
+//! allocation of exactly its stored length, and a put that would push
+//! the in-flight part past its limit releases its shard lock and waits
+//! for the writer. The file is cut into fixed-size segments. Removed or
+//! replaced spilled entries leave dead bytes in theirs; while the dead
+//! fraction of the file is at least [`StoreConfig::gc_dead_ratio`], the
+//! writer cleans the segment with the most dead bytes, one batch of its
+//! live extents between each two spill batches, re-appending them and
+//! then reusing the segment: the paper's fragment garbage collection, a
+//! batch at a time.
 //! Pages that are a single repeated machine word (zswap's "same-filled"
 //! pages) bypass the compressor entirely and are stored as an 8-byte
 //! pattern with zero residency cost.

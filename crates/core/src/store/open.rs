@@ -223,7 +223,6 @@ impl CompressedStore {
                     entries: EntryMap::default(),
                     lru: LruList::new(),
                     lru_hot: LruList::new(),
-                    pool: Vec::new(),
                     tx: tx.clone(),
                 }))
             })
@@ -354,7 +353,8 @@ impl CompressedStore {
                                 SpillWriter {
                                     core: writer_core,
                                     medium,
-                                    seg_buf: Vec::new(),
+                                    cleaning: None,
+                                    clean_buf: Vec::new(),
                                     consecutive_failures: 0,
                                     probes: 0,
                                 }

@@ -1,6 +1,6 @@
 //! One lock stripe: the entries it owns, where each one lives
-//! ([`Residence`]), its two LRU lists and buffer pool — plus the
-//! per-thread scratch the codecs run in, outside any shard lock.
+//! ([`Residence`]) and its two LRU lists — plus the per-thread scratch
+//! the codecs run in, outside any shard lock.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -14,18 +14,24 @@ use cc_util::LruList;
 #[cfg(doc)]
 use {super::extent::EXTENT_HEADER, cc_compress::CodecId};
 
+/// Where an entry's bytes live. Every payload is one allocation of
+/// exactly its length — the bytes the budget counts are the bytes the
+/// store holds, give or take the allocator's header — and every variant
+/// fits in 24 bytes, so an [`Entry`] is 40 and its map slot 48.
 pub(super) enum Residence {
     /// The hot tier: the page's raw uncompressed bytes (not a sealed
     /// block — no method byte), tracked on the shard's hot LRU and
     /// counted against the budget at full page size. A get is a memcpy.
     Hot {
-        data: Vec<u8>,
+        data: Box<[u8]>,
         handle: cc_util::LruHandle,
     },
     /// Compressed (or raw) bytes in memory, LRU-tracked, counted against
-    /// the budget.
+    /// the budget. Shared, never copied: a get decodes from its own
+    /// clone outside the shard lock, and eviction hands this same
+    /// allocation to the writer.
     Memory {
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         handle: cc_util::LruHandle,
     },
     /// The whole page is one repeated 8-byte word; nothing is stored but
@@ -33,11 +39,14 @@ pub(super) enum Residence {
     /// cheaper than any I/O, and it occupies no budget.
     SameFilled { pattern: u64 },
     /// Handed to the writer; data still readable until the write lands
-    /// and the writer flips this to `Spilled`. The generation ties that
-    /// publish to *this* hand-off: a key can be replaced and re-spilled
-    /// while an older job is still queued, and the writer must not
-    /// publish the stale job's location over the newer entry.
-    Spilling { data: Arc<Vec<u8>>, gen: u64 },
+    /// and the writer flips this to `Spilled`. The allocation itself ties
+    /// that publish to *this* hand-off: a key can be replaced and
+    /// re-spilled while an older job is still queued, and the writer
+    /// publishes a job only over an entry whose payload is the job's own
+    /// (`Arc::ptr_eq`), never over a newer one. The job keeps its clone
+    /// until it is published, so the address cannot be freed and handed
+    /// to a later hand-off in the meantime.
+    Spilling { data: Arc<[u8]> },
     /// On the spill file. `len` is the full extent length — the
     /// [`EXTENT_HEADER`]-byte self-verifying header plus the compressed
     /// payload. The generation survives from the spill job so a reader
@@ -133,9 +142,6 @@ impl Hasher for KeyHasher {
 
 pub(super) type EntryMap = HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>;
 
-/// Max pooled buffers per shard; beyond this, freed buffers are dropped.
-const POOL_CAP: usize = 64;
-
 pub(super) struct Shard {
     pub(super) entries: EntryMap,
     /// Coldest-first spill ordering over the keys with `Memory` residence.
@@ -145,26 +151,9 @@ pub(super) struct Shard {
     /// prefer warm victims (already compressed — spilling them is
     /// cheap) and only then start compressing hot ones.
     pub(super) lru_hot: LruList<u64>,
-    /// Recycled entry buffers: steady-state puts allocate nothing.
-    pub(super) pool: Vec<Vec<u8>>,
     /// Clone of the cleaner channel (kept per shard so no shared `Sender`
     /// needs to be `Sync`); `None` once shut down or without a spill file.
     pub(super) tx: Option<Sender<SpillJob>>,
-}
-
-impl Shard {
-    pub(super) fn acquire_buf(&mut self, contents: &[u8]) -> Vec<u8> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(contents);
-        buf
-    }
-
-    pub(super) fn release_buf(&mut self, buf: Vec<u8>) {
-        if self.pool.len() < POOL_CAP {
-            self.pool.push(buf);
-        }
-    }
 }
 
 /// Pad shards to their own cache lines so hot per-shard state on

@@ -249,8 +249,8 @@ pub struct StoreStats {
     /// Payload bytes handed to the spill writer and not yet published
     /// or failed by it (gauge): memory the budget counter has stopped
     /// counting and the process still holds. Never above
-    /// [`StoreConfig::memory_budget`] (a single payload larger than the
-    /// whole budget travels alone).
+    /// [`StoreConfig::spill_inflight_limit`] (a single payload larger
+    /// than the limit travels alone).
     pub spill_inflight_bytes: u64,
     /// Times a put found the in-flight bound reached, released its
     /// shard lock and blocked until the writer published.

@@ -1203,6 +1203,60 @@ fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
     cleanup(dir, path);
 }
 
+/// The map holds one entry per key, so on a spill-heavy store every
+/// byte of it is a byte per key: every residence fits in 24 bytes (a
+/// fat pointer and a 4-byte LRU handle, or an extent's offset, length
+/// and generation), an entry in 40, and its map slot in 48.
+#[test]
+fn an_entry_takes_40_bytes_and_its_map_slot_48() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<Residence>(), 24);
+    assert_eq!(size_of::<super::shard::Entry>(), 40);
+    assert_eq!(size_of::<(u64, super::shard::Entry)>(), 48);
+}
+
+/// The cleaner works a batch at a time: one step copies the survivors
+/// that fit one spill batch (pages here are smaller than a batch), so
+/// the writer never stops for more than a batch of copying and its
+/// buffer stays two batches long — and every page survives the moves.
+#[test]
+fn a_cleaning_step_copies_at_most_one_batch() {
+    let (dir, path) = temp_path("cleanbatch");
+    const BATCH: usize = 8 * 1024;
+    {
+        let store = CompressedStore::new(
+            StoreConfig::with_spill(16 * 1024, &path)
+                .with_spill_batch_bytes(BATCH)
+                .with_gc_dead_ratio(0.3)
+                .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+        );
+        const KEYS: u64 = 256;
+        for round in 0..6u64 {
+            for k in 0..KEYS {
+                if (k + round) % 3 != 0 {
+                    store.put(k, &page((k + round) as u8)).unwrap();
+                }
+            }
+            store.flush().unwrap();
+            store.check_invariants().unwrap();
+        }
+        let s = store.stats();
+        assert!(s.gc_runs > 0, "the cleaner never ran: {s:?}");
+        assert!(s.gc_bytes_relocated > 0, "nothing was relocated: {s:?}");
+        assert!(
+            s.gc_bytes_relocated <= s.gc_runs * BATCH as u64,
+            "a step copied more than a batch: {s:?}"
+        );
+        let mut out = vec![0u8; 4096];
+        for k in 0..KEYS {
+            let last = (0..6u64).rev().find(|r| (k + r) % 3 != 0).unwrap();
+            assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+            assert_eq!(out, page((k + last) as u8), "key {k} corrupted");
+        }
+    }
+    cleanup(dir, path);
+}
+
 /// `(codec id, sealed payload length)` of `key`'s stored form.
 fn sealed_form(store: &CompressedStore, key: u64) -> (u8, usize) {
     store.flush().unwrap();

@@ -83,7 +83,6 @@ impl StoreCore {
             Residence::Memory { data, handle } => {
                 self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
                 shard.lru.remove(handle);
-                shard.release_buf(data);
             }
             Residence::Spilled { offset, len, .. } => {
                 // The extent stays behind as dead bytes for the cleaner.
@@ -91,9 +90,11 @@ impl StoreCore {
             }
             _ => unreachable!("checked above"),
         }
-        let data = shard.acquire_buf(page);
         let handle = shard.lru_hot.push_mru(key);
-        e.residence = Residence::Hot { data, handle };
+        e.residence = Residence::Hot {
+            data: page.into(),
+            handle,
+        };
         e.codec = CodecId::Raw.as_u8();
         shard.entries.insert(key, e);
         drop(shard);
@@ -162,20 +163,21 @@ impl StoreCore {
             // Hot → warm: swap the raw page for its sealed form at the
             // *cold* end of the warm LRU (an aged page stays first in
             // line for the next spill).
-            let sealed = SCRATCH.with(|c| shard.acquire_buf(&c.borrow().demote[..sel.len]));
-            let mut e = shard.entries.remove(&key).expect("checked above");
-            let Residence::Hot { data, handle } = e.residence else {
+            let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].into());
+            let handle = shard.lru.push_lru(key);
+            let e = shard.entries.get_mut(&key).expect("checked above");
+            e.codec = sel.codec.as_u8();
+            let hot = std::mem::replace(
+                &mut e.residence,
+                Residence::Memory {
+                    data: sealed,
+                    handle,
+                },
+            );
+            let Residence::Hot { handle, .. } = hot else {
                 unreachable!("checked above")
             };
             shard.lru_hot.remove(handle);
-            let handle = shard.lru.push_lru(key);
-            e.residence = Residence::Memory {
-                data: sealed,
-                handle,
-            };
-            e.codec = sel.codec.as_u8();
-            shard.entries.insert(key, e);
-            shard.release_buf(data);
             self.resident
                 .fetch_sub(orig_len - sel.len, Ordering::Relaxed);
             self.hot_resident.fetch_sub(orig_len, Ordering::Relaxed);
@@ -189,15 +191,15 @@ impl StoreCore {
             if !self.reserve_inflight(sel.len) {
                 return DemoteOutcome::WriterFull(sel.len);
             }
-            let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].to_vec());
+            let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].into());
             let e = shard.entries.get_mut(&key).expect("checked above");
-            let Residence::Hot { data, handle } = &mut e.residence else {
+            let Residence::Hot { handle, .. } = e.residence else {
                 unreachable!("checked above")
             };
-            let (data, handle) = (std::mem::take(data), *handle);
             e.codec = sel.codec.as_u8();
             shard.lru_hot.remove(handle);
-            shard.release_buf(data);
+            // The raw page is freed when the hand-off replaces the
+            // residence.
             self.resident.fetch_sub(orig_len, Ordering::Relaxed);
             self.hot_resident.fetch_sub(orig_len, Ordering::Relaxed);
             if self.spill_victim(shard, key, sealed) {

@@ -10,7 +10,8 @@ use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use super::core::{backoff, StoreCore};
-use super::extent::{encode_extent, EXTENT_HEADER};
+use super::extent::encode_extent;
+use super::gc::Cleaning;
 use super::shard::{Entry, Residence, Shard};
 use super::stats::{tevent, top, tstat};
 #[cfg(doc)]
@@ -31,7 +32,8 @@ pub(super) struct SpillJob {
     /// Uncompressed page length, journaled so recovery can restore the
     /// entry (and re-learn the store's page size) without decoding.
     orig_len: u32,
-    data: Arc<Vec<u8>>,
+    /// The entry's own payload allocation (see [`Residence::Spilling`]).
+    data: Arc<[u8]>,
     /// Trace context of the sampled put that queued this job
     /// ([`TraceCtx::NONE`] for background eviction / unsampled puts):
     /// the writer records a `spill_write` span under it.
@@ -43,19 +45,20 @@ pub(super) struct SpillJob {
 
 impl StoreCore {
     /// Count `bytes` of payload as handed to the spill writer, unless
-    /// that would take the in-flight total past the memory budget —
-    /// payload in RAM, resident plus in flight, stays within twice the
-    /// budget. A lone job is always admitted, so a payload larger than
-    /// the whole budget can still leave. Called with the job key's
-    /// shard lock held, in the same hold that hands the job off
-    /// ([`StoreCore::hand_off`]); whoever ends the hand-off — the
+    /// that would take the in-flight total past
+    /// [`StoreConfig::spill_inflight_limit`] — payload in RAM, resident
+    /// plus in flight, stays within 1¼ × a budget of many batches, and
+    /// within twice any budget. A lone job is always admitted, so a
+    /// payload larger than the limit can still leave. Called with the
+    /// job key's shard lock held, in the same hold that hands the job
+    /// off ([`StoreCore::hand_off`]); whoever ends the hand-off — the
     /// writer's publish, or a failed `send` — takes the bytes out again,
     /// exactly once.
     pub(super) fn reserve_inflight(&self, bytes: usize) -> bool {
-        let budget = self.cfg.memory_budget;
+        let limit = self.cfg.spill_inflight_limit();
         self.spill_inflight
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                (cur == 0 || cur.saturating_add(bytes) <= budget).then_some(cur + bytes)
+                (cur == 0 || cur.saturating_add(bytes) <= limit).then_some(cur + bytes)
             })
             .is_ok()
     }
@@ -93,11 +96,11 @@ impl StoreCore {
     /// the store degraded and evicts by shedding. See
     /// [`StoreCore::wait_on_writer`] for the locking rule.
     pub(super) fn wait_for_writer(&self, bytes: usize, shard_idx: usize) {
-        let budget = self.cfg.memory_budget;
+        let limit = self.cfg.spill_inflight_limit();
         self.wait_on_writer(
             |inflight| {
                 inflight == 0
-                    || inflight.saturating_add(bytes) <= budget
+                    || inflight.saturating_add(bytes) <= limit
                     || self.degraded.load(Ordering::Relaxed)
             },
             || self.tel.count(shard_idx, tstat::PUT_BACKPRESSURE_WAITS, 1),
@@ -125,22 +128,22 @@ impl StoreCore {
     /// reserved `data.len()` in flight ([`StoreCore::reserve_inflight`])
     /// and has already taken the payload off the residence gauges, and
     /// `e` carries the codec and page length the job is sealed with. On
-    /// success `e` is `Spilling` under a fresh generation, journaled iff
-    /// the store is persistent (its location is about to reach the
-    /// journal, so removing it must leave a tombstone), and counted as
-    /// spilled. `false` means the writer died without a shutdown() (a
-    /// panic): the reservation is refunded, the store degraded, and `e`,
-    /// `journaled` untouched, is the caller's to drop.
+    /// success `e` is `Spilling` (the job, under a fresh generation,
+    /// shares its payload), journaled iff the store is persistent (its
+    /// location is about to reach the journal, so removing it must leave
+    /// a tombstone), and counted as spilled. `false` means the writer
+    /// died without a shutdown() (a panic): the reservation is refunded,
+    /// the store degraded, and `e`, `journaled` untouched, is the
+    /// caller's to drop.
     pub(super) fn hand_off(
         &self,
         tx: &Sender<SpillJob>,
         key: u64,
         e: &mut Entry,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         ctx: TraceCtx,
     ) -> bool {
         let len = data.len();
-        let data = Arc::new(data);
         let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
         if tx
             .send(SpillJob {
@@ -159,7 +162,7 @@ impl StoreCore {
             self.enter_degraded(0);
             return false;
         }
-        e.residence = Residence::Spilling { data, gen };
+        e.residence = Residence::Spilling { data };
         e.journaled = self.persist.is_some();
         self.tel.count(self.shard_index(key), tstat::SPILLED, 1);
         true
@@ -170,7 +173,7 @@ impl StoreCore {
     /// payload. If the writer is dead the victim is shed instead — its
     /// job will never be received, let alone published. Returns whether
     /// it was handed off.
-    pub(super) fn spill_victim(&self, shard: &mut Shard, key: u64, data: Vec<u8>) -> bool {
+    pub(super) fn spill_victim(&self, shard: &mut Shard, key: u64, data: Arc<[u8]>) -> bool {
         let len = data.len();
         let tx = shard.tx.as_ref().expect("caller checked for a writer");
         let e = shard.entries.get_mut(&key).expect("victim is in the map");
@@ -232,7 +235,8 @@ const BATCH_LINGER: Duration = Duration::from_micros(200);
 
 /// The background spill thread: drains the job channel, packs entries
 /// into [`StoreConfig::spill_batch_bytes`] batches written with a single
-/// positioned write each, and runs one cleaning step between batches.
+/// positioned write each, and runs one cleaning step — at most one batch
+/// of copying — between batches.
 /// It is the sole allocator of file space (the segment table's open
 /// segment), which is what makes contiguous batch packing and segment
 /// reuse race-free, and the only publisher of its own results: after a batch
@@ -247,9 +251,12 @@ const BATCH_LINGER: Duration = Duration::from_micros(200);
 pub(super) struct SpillWriter {
     pub(super) core: Arc<StoreCore>,
     pub(super) medium: Arc<dyn SpillMedium>,
-    /// The cleaner's segment buffer: the victim as read, then its
-    /// survivors packed into the relocation batch.
-    pub(super) seg_buf: Vec<u8>,
+    /// The segment being cleaned, if a step has started one and not yet
+    /// freed it.
+    pub(super) cleaning: Option<Cleaning>,
+    /// The cleaner's buffer: the relocation batch being packed, with
+    /// the window of the victim just read behind it — two batches.
+    pub(super) clean_buf: Vec<u8>,
     /// Hard batch failures (each already retried) since the last
     /// success; crossing `degrade_after` degrades the store.
     pub(super) consecutive_failures: u32,
@@ -269,6 +276,9 @@ pub(super) struct StagedJob {
     pub(super) codec: u8,
     /// Uncompressed page length, carried into the journal record.
     pub(super) orig_len: u32,
+    /// A spill job's payload, held until it is published: the entry is
+    /// matched against it. `None` for a survivor being relocated.
+    pub(super) data: Option<Arc<[u8]>>,
     /// Trace context carried over from the [`SpillJob`] (sampled
     /// straight-to-spill puts only).
     pub(super) ctx: TraceCtx,
@@ -357,6 +367,9 @@ impl SpillWriter {
                 }
             }
             self.commit_batch(&buf, &staged, stage_ns);
+            // The batch's payloads are freed here, not when the next
+            // batch starts.
+            staged.clear();
             if !self.core.degraded.load(Ordering::Relaxed) {
                 self.clean_step();
                 self.maybe_compact_journal();
@@ -382,6 +395,7 @@ impl SpillWriter {
             len: buf.len() - rel,
             codec: job.codec,
             orig_len: job.orig_len,
+            data: Some(job.data),
             ctx: job.ctx,
             queued: job.queued,
         });
@@ -391,36 +405,30 @@ impl SpillWriter {
     /// Fail a job received while degraded, the way a failed batch fails
     /// its members: the page goes back to memory residence.
     fn fail_job(&self, job: SpillJob) {
-        let SpillJob { key, gen, data, .. } = job;
-        let payload = data.len();
-        // The entry's copy of the payload is the one that goes back.
-        drop(data);
-        self.publish_failed(std::iter::once((key, gen, payload)));
+        self.publish_failed(std::iter::once((job.key, &job.data)));
         self.core.notify_writer_progress();
     }
 
     /// Publish one job's outcome under its key's shard lock — the only
     /// way an entry leaves `Spilling` while the writer lives — and take
-    /// its `payload` bytes out of flight in the same hold. `landed` is
-    /// the extent's `(offset, len)` on the file, `None` if its write
-    /// failed. An entry still waiting on this generation becomes
-    /// `Spilled` (its payload freed here and now) or reverts to memory;
-    /// a missing key or a stale generation means the entry was removed
-    /// or replaced while the job was queued, and whatever was written
-    /// for it is dead bytes. Returns whether a revert took `resident`
-    /// past the budget.
-    fn publish(&self, key: u64, gen: u64, payload: usize, landed: Option<(u64, u32)>) -> bool {
+    /// its payload bytes out of flight in the same hold. `data` is the
+    /// job's payload; `landed` is the `Spilled` residence it was written
+    /// to — `(offset, len, generation)` — or `None` if its write failed.
+    /// An entry still holding this very payload becomes `Spilled` or
+    /// reverts to memory; a missing key or another payload means the
+    /// entry was removed or replaced while the job was queued, and
+    /// whatever was written for it is dead bytes. Returns whether a
+    /// revert took `resident` past the budget.
+    fn publish(&self, key: u64, data: &Arc<[u8]>, landed: Option<(u64, u32, u64)>) -> bool {
         let core = &self.core;
+        let payload = data.len();
         let mut shard = core.shard(key);
-        // The payload is freed after the lock is released.
-        let (mut freed, mut over_budget) = (None, false);
+        let mut over_budget = false;
         let waiting = match shard.entries.get_mut(&key) {
-            Some(e) if matches!(e.residence, Residence::Spilling { gen: g, .. } if g == gen) => {
-                if let Some((offset, len)) = landed {
-                    freed = Some(std::mem::replace(
-                        &mut e.residence,
-                        Residence::Spilled { offset, len, gen },
-                    ));
+            Some(e) if matches!(&e.residence, Residence::Spilling { data: d } if Arc::ptr_eq(d, data)) =>
+            {
+                if let Some((offset, len, gen)) = landed {
+                    e.residence = Residence::Spilled { offset, len, gen };
                 }
                 true
             }
@@ -428,26 +436,24 @@ impl SpillWriter {
         };
         if !waiting {
             core.spill_orphaned.fetch_sub(payload, Ordering::Relaxed);
-            if let Some((offset, len)) = landed {
+            if let Some((offset, len, _)) = landed {
                 core.extent_died(offset, len);
             }
         } else if landed.is_none() {
             over_budget = core.revert_to_memory(&mut shard, key);
         }
         core.spill_inflight.fetch_sub(payload, Ordering::Relaxed);
-        drop(shard);
-        drop(freed);
         over_budget
     }
 
-    /// Publish `(key, generation, payload bytes)` jobs whose write did
-    /// not happen, then repair the budget: reverts may overshoot it, and
-    /// `shedding` is raised across the overshoot.
-    fn publish_failed(&self, jobs: impl Iterator<Item = (u64, u64, usize)>) {
+    /// Publish `(key, payload)` jobs whose write did not happen, then
+    /// repair the budget: reverts may overshoot it, and `shedding` is
+    /// raised across the overshoot.
+    fn publish_failed<'a>(&self, jobs: impl Iterator<Item = (u64, &'a Arc<[u8]>)>) {
         self.core.shedding.fetch_add(1, Ordering::SeqCst);
         let mut over_budget = false;
-        for (key, gen, payload) in jobs {
-            over_budget |= self.publish(key, gen, payload, None);
+        for (key, data) in jobs {
+            over_budget |= self.publish(key, data, None);
         }
         if over_budget {
             // Shedding only needs shard locks, one at a time; the
@@ -576,18 +582,19 @@ impl SpillWriter {
                 );
             }
         }
-        let payload = |j: &StagedJob| j.len - EXTENT_HEADER;
+        let jobs = staged
+            .iter()
+            .map(|j| (j, j.data.as_ref().expect("a spill job holds its payload")));
         if ok {
-            for j in staged {
+            for (j, data) in jobs {
                 self.publish(
                     j.key,
-                    j.gen,
-                    payload(j),
-                    Some((base + j.rel as u64, j.len as u32)),
+                    data,
+                    Some((base + j.rel as u64, j.len as u32, j.gen)),
                 );
             }
         } else {
-            self.publish_failed(staged.iter().map(|j| (j.key, j.gen, payload(j))));
+            self.publish_failed(jobs.map(|(j, data)| (j.key, data)));
         }
         self.core.notify_writer_progress();
     }

@@ -13,9 +13,20 @@ use crate::slab::Slab;
 ///
 /// Handles are invalidated by `remove`/`pop_lru`; using a stale handle is a
 /// logic error that the list detects when it can (panicking) rather than
-/// corrupting order silently.
+/// corrupting order silently. Four bytes, so a handle fits beside a
+/// fat pointer in a 24-byte enum variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LruHandle(usize);
+pub struct LruHandle(u32);
+
+impl LruHandle {
+    fn new(idx: usize) -> LruHandle {
+        LruHandle(u32::try_from(idx).expect("LRU list past u32::MAX entries"))
+    }
+
+    fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Node<T> {
@@ -88,7 +99,7 @@ impl<T> LruList<T> {
         if self.tail.is_none() {
             self.tail = Some(idx);
         }
-        LruHandle(idx)
+        LruHandle::new(idx)
     }
 
     /// Insert `value` as the *least* recently used entry.
@@ -108,24 +119,24 @@ impl<T> LruList<T> {
         if self.head.is_none() {
             self.head = Some(idx);
         }
-        LruHandle(idx)
+        LruHandle::new(idx)
     }
 
     /// Move an entry to the most-recently-used position.
     pub fn touch(&mut self, handle: LruHandle) {
-        if self.head == Some(handle.0) {
+        if self.head == Some(handle.idx()) {
             return;
         }
-        self.unlink(handle.0);
-        let node = &mut self.nodes[handle.0];
+        self.unlink(handle.idx());
+        let node = &mut self.nodes[handle.idx()];
         node.prev = None;
         node.next = self.head;
         if let Some(old_head) = self.head {
-            self.nodes[old_head].prev = Some(handle.0);
+            self.nodes[old_head].prev = Some(handle.idx());
         }
-        self.head = Some(handle.0);
+        self.head = Some(handle.idx());
         if self.tail.is_none() {
-            self.tail = Some(handle.0);
+            self.tail = Some(handle.idx());
         }
     }
 
@@ -138,33 +149,33 @@ impl<T> LruList<T> {
 
     /// The least recently used entry, without removing it.
     pub fn peek_lru(&self) -> Option<(LruHandle, &T)> {
-        self.tail.map(|t| (LruHandle(t), &self.nodes[t].value))
+        self.tail.map(|t| (LruHandle::new(t), &self.nodes[t].value))
     }
 
     /// The most recently used entry, without removing it.
     pub fn peek_mru(&self) -> Option<(LruHandle, &T)> {
-        self.head.map(|h| (LruHandle(h), &self.nodes[h].value))
+        self.head.map(|h| (LruHandle::new(h), &self.nodes[h].value))
     }
 
     /// Remove the entry behind `handle` and return its value.
     pub fn remove(&mut self, handle: LruHandle) -> T {
-        self.unlink(handle.0);
-        self.nodes.remove(handle.0).value
+        self.unlink(handle.idx());
+        self.nodes.remove(handle.idx()).value
     }
 
     /// Shared access to the entry behind `handle`.
     pub fn get(&self, handle: LruHandle) -> Option<&T> {
-        self.nodes.get(handle.0).map(|n| &n.value)
+        self.nodes.get(handle.idx()).map(|n| &n.value)
     }
 
     /// Exclusive access to the entry behind `handle`.
     pub fn get_mut(&mut self, handle: LruHandle) -> Option<&mut T> {
-        self.nodes.get_mut(handle.0).map(|n| &mut n.value)
+        self.nodes.get_mut(handle.idx()).map(|n| &mut n.value)
     }
 
     /// Whether `handle` refers to a live entry.
     pub fn contains(&self, handle: LruHandle) -> bool {
-        self.nodes.contains(handle.0)
+        self.nodes.contains(handle.idx())
     }
 
     /// Iterate from most to least recently used.
@@ -245,7 +256,7 @@ impl<'a, T> Iterator for IterMru<'a, T> {
         let idx = self.next?;
         let node = &self.list.nodes[idx];
         self.next = node.next;
-        Some((LruHandle(idx), &node.value))
+        Some((LruHandle::new(idx), &node.value))
     }
 }
 
@@ -261,7 +272,7 @@ impl<'a, T> Iterator for IterLru<'a, T> {
         let idx = self.next?;
         let node = &self.list.nodes[idx];
         self.next = node.prev;
-        Some((LruHandle(idx), &node.value))
+        Some((LruHandle::new(idx), &node.value))
     }
 }
 
