@@ -60,13 +60,14 @@
 //! write outage — then crash-recovers a persistent store, and fails if
 //! any get returns wrong bytes, injected corruption goes undetected, the
 //! store fails to enter *and* leave degraded mode on schedule, the
-//! memory budget stays violated after settling, a durable entry is lost
-//! or resurfaces stale after the reopen, or `check_invariants()` fails
-//! on the settled store or on a reopened one.
+//! memory budget stays violated after settling, the recovery trial's
+//! remove wave leaves nothing to clean, a durable entry is lost or
+//! resurfaces stale after the reopen, a removed key comes back, or
+//! `check_invariants()` fails on the settled store or on a reopened one.
 
 use cc_bench::{smoke, Zipf};
 use cc_compress::CodecPolicy;
-use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, SpillMedium};
+use cc_core::medium::{FaultInjector, FaultPlan, FileMedium, SpillMedium};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::tier::{CompressAll, PaperThreshold, RecencyCompressibility, TierPolicy};
 use cc_core::StoreStats;
@@ -889,51 +890,61 @@ fn run_chaos(threads: usize, ops_per_thread: u64, seed: u64) -> i32 {
 }
 
 /// Crash-recovery trial: spill a known working set through a persistent
-/// store, kill the power mid-stream with a [`CrashSwitch`] write cut,
-/// reopen the real files, and verify the recovery contract — every
-/// durably-committed entry served byte-for-byte from the spill tier
-/// (no re-PUT), never a wrong byte, and the reopened store passes
-/// `check_invariants()`. A second, cleanly shut down round must
-/// warm-start on the fast path (no extent re-scan). The geometry is
-/// content-driven, so no seed enters.
+/// store, remove every odd key, put a second wave that makes the writer
+/// clean the half-dead segments, kill the power with a
+/// [`CrashSwitch`](cc_core::medium::CrashSwitch) write cut, reopen the
+/// real file, and verify the recovery contract — every durably-written
+/// entry served byte-for-byte from the spill tier
+/// (no re-PUT), never a wrong byte, no removed key back, and the
+/// reopened store passes `check_invariants()`. A second, cleanly shut
+/// down round must warm-start on the fast path (no extent re-scan). The
+/// geometry is content-driven, so no seed enters.
 fn run_chaos_recovery() -> Vec<String> {
     const RECOVERY_KEYS: u64 = 256;
-    let dir = std::env::temp_dir();
-    let data_path = dir.join(format!("storebench-recovery-{}.bin", std::process::id()));
-    let map_path = dir.join(format!(
-        "storebench-recovery-{}.bin.map",
-        std::process::id()
-    ));
+    const SECOND_WAVE: u64 = 128;
+    let data_path =
+        std::env::temp_dir().join(format!("storebench-recovery-{}.bin", std::process::id()));
     let mut failures = Vec::new();
 
     // One round per shutdown style: a hard cut after the barrier, then
     // an orderly seal. `clean` selects the expectations.
     for clean in [false, true] {
-        let _ = std::fs::remove_file(&data_path);
-        let _ = std::fs::remove_file(&map_path);
-        let switch = CrashSwitch::new();
-        let data = Arc::new(FaultInjector::with_switch(
-            FileMedium::create(&data_path).expect("create recovery data file"),
+        let injector = FaultInjector::new(
+            FileMedium::create(&data_path).expect("create recovery spill file"),
             FaultPlan::quiet(),
-            Arc::clone(&switch),
-        )) as Arc<dyn SpillMedium>;
-        let journal = Arc::new(FaultInjector::with_switch(
-            FileMedium::create(&map_path).expect("create recovery journal file"),
-            FaultPlan::quiet(),
-            Arc::clone(&switch),
-        )) as Arc<dyn SpillMedium>;
-        let cfg =
-            StoreConfig::with_spill(SPILL_BUDGET / 8, &data_path).with_tier_policy(flat_tiering());
-        let store = CompressedStore::with_persistent_media(cfg.clone(), data, journal)
+        );
+        let switch = Arc::clone(injector.switch());
+        // One-page batches make 128 KiB segments of ~31 pages, so the
+        // remove wave leaves each about half dead.
+        let cfg = StoreConfig::with_spill(SPILL_BUDGET / 8, &data_path)
+            .with_tier_policy(flat_tiering())
+            .with_spill_batch_bytes(PAGE)
+            .with_gc_dead_ratio(0.3);
+        let store = CompressedStore::with_persistent_media(cfg.clone(), Arc::new(injector))
             .expect("open persistent store");
         let mut page = vec![0u8; PAGE];
         for key in 0..RECOVERY_KEYS {
             chaos_page(key, 1, &mut page);
             store.put(key, &page).expect("recovery put");
         }
+        let removed: Vec<u64> = (1..RECOVERY_KEYS).step_by(2).collect();
+        for &key in &removed {
+            store.remove(key);
+        }
+        for key in RECOVERY_KEYS..RECOVERY_KEYS + SECOND_WAVE {
+            chaos_page(key, 1, &mut page);
+            store.put(key, &page).expect("recovery put");
+        }
         store.flush().expect("recovery flush");
+        let gc_runs = store.stats().gc_runs;
+        if gc_runs == 0 {
+            failures.push(format!(
+                "recovery ({}): the remove wave left nothing to clean",
+                if clean { "clean" } else { "crashed" }
+            ));
+        }
         // The durable set: everything the barrier left in the spill tier.
-        let durable: Vec<u64> = (0..RECOVERY_KEYS)
+        let durable: Vec<u64> = (0..RECOVERY_KEYS + SECOND_WAVE)
             .filter(|&k| store.peek_tier(k) == Some(HitTier::Spill))
             .collect();
         if clean {
@@ -952,8 +963,8 @@ fn run_chaos_recovery() -> Vec<String> {
 
         let reopened = match CompressedStore::open_existing_with_media(
             cfg,
-            Arc::new(FileMedium::open(&data_path).expect("reopen data")) as Arc<dyn SpillMedium>,
-            Arc::new(FileMedium::open(&map_path).expect("reopen journal")) as Arc<dyn SpillMedium>,
+            Arc::new(FileMedium::open(&data_path).expect("reopen spill file"))
+                as Arc<dyn SpillMedium>,
         ) {
             Ok(s) => s,
             Err(e) => {
@@ -963,9 +974,9 @@ fn run_chaos_recovery() -> Vec<String> {
         };
         let s = reopened.stats();
         eprintln!(
-            "  recovery ({kind}): {} extents recovered, {} records replayed, {} verified, {} torn discarded, {} stale dropped, clean={}",
+            "  recovery ({kind}): {gc_runs} cleaning steps before the barrier; {} extents recovered, {} summary records replayed, {} verified, {} torn discarded, {} stale dropped, clean={}",
             s.extents_recovered,
-            s.journal_records_replayed,
+            s.summary_records_replayed,
             s.recovery_extents_verified,
             s.torn_tail_discarded,
             s.stale_generation_dropped,
@@ -990,6 +1001,13 @@ fn run_chaos_recovery() -> Vec<String> {
             failures.push(format!(
                 "recovery ({kind}): {wrong} keys served wrong bytes"
             ));
+        }
+        let back = removed
+            .iter()
+            .filter(|&&key| reopened.get(key, &mut out).ok() == Some(true))
+            .count();
+        if back > 0 {
+            failures.push(format!("recovery ({kind}): {back} removed keys came back"));
         }
         if lost > 0 {
             failures.push(format!(
@@ -1034,7 +1052,6 @@ fn run_chaos_recovery() -> Vec<String> {
         reopened.shutdown();
     }
     let _ = std::fs::remove_file(&data_path);
-    let _ = std::fs::remove_file(&map_path);
     failures
 }
 

@@ -19,10 +19,10 @@
 //! Power loss is the one fault that isn't per-operation: a crash cuts the
 //! *byte stream* — everything written before byte N is on the platter,
 //! nothing after is, and the victim process never sees an error.
-//! [`CrashSwitch`] models exactly that: a cumulative byte counter shared
-//! by every injector attached to it (so the data file and its journal die
-//! at the same wall-clock instant), silently swallowing all bytes past
-//! the cut, optionally scribbling over the torn sector. Arm it at a byte
+//! [`CrashSwitch`] models exactly that: every injector counts the bytes
+//! written through it on its own switch, silently swallowing all bytes
+//! past the cut, optionally scribbling over the torn sector. A persistent
+//! store writes one file, so one switch cuts all of it. Arm it at a byte
 //! offset recorded from a previous run and the crash replays exactly.
 
 use std::collections::HashMap;
@@ -151,8 +151,8 @@ impl SpillMedium for MemMedium {
     }
 }
 
-/// The power-loss model: a cumulative byte-stream cut shared by every
-/// medium attached to it.
+/// The power-loss model: a cut in the cumulative byte stream written
+/// through one [`FaultInjector`].
 ///
 /// Each write claims its range of the shared stream; bytes at or past
 /// the cut position are silently dropped (the caller sees success — a
@@ -161,10 +161,7 @@ impl SpillMedium for MemMedium {
 /// `tear`, the sector the cut lands in gets scribbled past the cut
 /// point, modelling a drive that corrupts the in-flight sector instead
 /// of cutting cleanly — the case checksums exist for.
-///
-/// Share one switch between the data-file injector and the journal
-/// injector so both "lose power" at the same instant, in wall-clock
-/// write order.
+#[derive(Debug)]
 pub struct CrashSwitch {
     written: AtomicU64,
     /// Cut position in the cumulative stream; `u64::MAX` = not armed.
@@ -176,22 +173,15 @@ pub struct CrashSwitch {
 const TEAR_SECTOR: u64 = 512;
 
 impl CrashSwitch {
-    /// A switch that is not armed: writes pass through but are counted,
-    /// so a later run can replay a cut at any observed position.
-    pub fn new() -> Arc<CrashSwitch> {
+    /// A switch armed to cut the stream at byte `at` (`u64::MAX`: never;
+    /// writes pass through but are counted, so a later run can replay a
+    /// cut at any observed position).
+    fn armed(at: u64, tear: bool) -> Arc<CrashSwitch> {
         Arc::new(CrashSwitch {
             written: AtomicU64::new(0),
-            cut: AtomicU64::new(u64::MAX),
-            tear: AtomicBool::new(false),
+            cut: AtomicU64::new(at),
+            tear: AtomicBool::new(tear),
         })
-    }
-
-    /// A switch armed to cut the stream at byte `at`.
-    pub fn armed(at: u64, tear: bool) -> Arc<CrashSwitch> {
-        let s = CrashSwitch::new();
-        s.cut.store(at, Ordering::SeqCst);
-        s.tear.store(tear, Ordering::SeqCst);
-        s
     }
 
     /// Arm (or re-arm) the cut at byte `at` of the cumulative stream.
@@ -227,15 +217,6 @@ impl CrashSwitch {
         } else {
             len.min(cut - start)
         }
-    }
-}
-
-impl std::fmt::Debug for CrashSwitch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrashSwitch")
-            .field("written", &self.bytes_written())
-            .field("cut", &self.cut.load(Ordering::SeqCst))
-            .finish()
     }
 }
 
@@ -330,9 +311,8 @@ pub struct FaultPlan {
     /// Explicit `(global operation index, fault)` overrides.
     pub script: Vec<(u64, Fault)>,
     /// Power loss: silently persist nothing past byte N of the
-    /// cumulative write stream (the caller still sees success). To cut
-    /// several media at one shared instant, build the injectors with
-    /// [`FaultInjector::with_switch`] instead.
+    /// cumulative write stream (the caller still sees success). The
+    /// injector's [`FaultInjector::switch`] can also arm or cut later.
     pub crash_after_bytes: Option<u64>,
     /// When the crash cut lands mid-write, scribble over the rest of
     /// the torn sector instead of cutting cleanly.
@@ -375,7 +355,7 @@ pub struct FaultInjector<M> {
     inner: M,
     plan: FaultPlan,
     script: HashMap<u64, Fault>,
-    switch: Option<Arc<CrashSwitch>>,
+    switch: Arc<CrashSwitch>,
     ops: AtomicU64,
     writes: AtomicU64,
     read_errors: AtomicU64,
@@ -399,23 +379,11 @@ fn one_in(h: u64, n: u64) -> bool {
 }
 
 impl<M: SpillMedium> FaultInjector<M> {
-    /// Wrap `inner` with `plan`. If the plan arms a crash cut, the
-    /// injector gets its own private [`CrashSwitch`].
+    /// Wrap `inner` with `plan`. The injector's [`CrashSwitch`] is armed
+    /// at the plan's crash cut, if it has one.
     pub fn new(inner: M, plan: FaultPlan) -> FaultInjector<M> {
-        let switch = plan
-            .crash_after_bytes
-            .map(|at| CrashSwitch::armed(at, plan.crash_tear));
-        Self::build(inner, plan, switch)
-    }
-
-    /// Wrap `inner` with `plan` and a shared [`CrashSwitch`], so several
-    /// media (a data file and its journal) lose power at the same
-    /// instant of the combined write stream.
-    pub fn with_switch(inner: M, plan: FaultPlan, switch: Arc<CrashSwitch>) -> FaultInjector<M> {
-        Self::build(inner, plan, Some(switch))
-    }
-
-    fn build(inner: M, plan: FaultPlan, switch: Option<Arc<CrashSwitch>>) -> FaultInjector<M> {
+        let switch =
+            CrashSwitch::armed(plan.crash_after_bytes.unwrap_or(u64::MAX), plan.crash_tear);
         let script = plan.script.iter().copied().collect();
         FaultInjector {
             inner,
@@ -433,9 +401,9 @@ impl<M: SpillMedium> FaultInjector<M> {
         }
     }
 
-    /// The crash switch governing this injector, if any.
-    pub fn switch(&self) -> Option<&Arc<CrashSwitch>> {
-        self.switch.as_ref()
+    /// The crash switch counting this injector's writes.
+    pub fn switch(&self) -> &Arc<CrashSwitch> {
+        &self.switch
     }
 
     /// Faults injected so far.
@@ -455,12 +423,12 @@ impl<M: SpillMedium> FaultInjector<M> {
         self.ops.load(Ordering::Relaxed)
     }
 
-    /// Route a write through the crash switch. `Some(n)` means the
-    /// switch claimed the write and only the first `n` bytes (possibly
-    /// zero, possibly with a torn sector) may land; `None` means no
-    /// switch governs this injector.
+    /// Route a write through the crash switch. `Some(_)` means the cut
+    /// claimed the write and only a prefix of it (possibly empty,
+    /// possibly with a torn sector) landed; `None` means it lies wholly
+    /// before the cut.
     fn crash_cut(&self, data: &[u8], offset: u64) -> Option<io::Result<()>> {
-        let switch = self.switch.as_ref()?;
+        let switch = &self.switch;
         let keep = switch.claim(data.len() as u64);
         if keep >= data.len() as u64 {
             return None; // Entirely before the cut: write normally.
@@ -587,14 +555,14 @@ impl<M: SpillMedium> SpillMedium for FaultInjector<M> {
     }
 
     fn flush(&self) -> io::Result<()> {
-        if self.switch.as_ref().is_some_and(|s| s.is_cut()) {
+        if self.switch.is_cut() {
             return Ok(()); // Power is out; nothing reaches the platter.
         }
         self.inner.flush()
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        if self.switch.as_ref().is_some_and(|s| s.is_cut()) {
+        if self.switch.is_cut() {
             return Ok(());
         }
         self.inner.set_len(len)
@@ -733,31 +701,13 @@ mod tests {
         m.flush().unwrap(); // swallowed
         m.set_len(4).unwrap(); // swallowed: must NOT shrink the platter
         assert_eq!(m.injected().crash_cut_writes, 2);
-        assert!(m.switch().unwrap().is_cut());
+        assert!(m.switch().is_cut());
         // Reopen the "disk": only the first 10 bytes exist.
         assert_eq!(disk.len(), 10);
         let mut buf = [0u8; 10];
         disk.read_at(&mut buf, 0).unwrap();
         assert_eq!(&buf[..8], &[0xAAu8; 8]);
         assert_eq!(&buf[8..], &[0xBBu8; 2]);
-    }
-
-    #[test]
-    fn shared_switch_cuts_both_media_at_one_instant() {
-        let switch = CrashSwitch::new();
-        let data_disk = MemMedium::new();
-        let map_disk = MemMedium::new();
-        let data =
-            FaultInjector::with_switch(data_disk.share(), FaultPlan::quiet(), switch.clone());
-        let map = FaultInjector::with_switch(map_disk.share(), FaultPlan::quiet(), switch.clone());
-        data.write_at(&[1u8; 4], 0).unwrap(); // stream 0..4
-        map.write_at(&[2u8; 4], 0).unwrap(); // stream 4..8
-        assert_eq!(switch.bytes_written(), 8);
-        switch.arm(8, false); // power dies now
-        data.write_at(&[3u8; 4], 4).unwrap(); // dropped
-        map.write_at(&[4u8; 4], 4).unwrap(); // dropped
-        assert_eq!(data_disk.len(), 4);
-        assert_eq!(map_disk.len(), 4);
     }
 
     #[test]
@@ -781,14 +731,13 @@ mod tests {
     fn cut_now_replays_from_recorded_byte_position() {
         // First run: no cut, record the stream position at a barrier.
         let run = |cut_at: Option<u64>| {
-            let switch = CrashSwitch::new();
-            if let Some(at) = cut_at {
-                switch.arm(at, false);
-            }
             let disk = MemMedium::new();
-            let m = FaultInjector::with_switch(disk.share(), FaultPlan::quiet(), switch.clone());
+            let m = FaultInjector::new(disk.share(), FaultPlan::quiet());
+            if let Some(at) = cut_at {
+                m.switch().arm(at, false);
+            }
             m.write_at(&[7u8; 33], 0).unwrap();
-            let barrier = switch.bytes_written();
+            let barrier = m.switch().bytes_written();
             m.write_at(&[9u8; 19], 33).unwrap();
             (disk.len(), barrier)
         };

@@ -87,10 +87,10 @@ pub struct StoreConfig {
     /// 5 ms.
     pub demote_interval: Duration,
     /// Make the spill tier crash-safe and warm-restartable: a
-    /// checksummed superblock heads the spill file and every durable
-    /// spill batch group-commits its locations to a sibling
-    /// `<spill_path>.map` journal, so [`CompressedStore::open_existing`]
-    /// can rebuild the cold tier after a crash or restart. Default
+    /// checksummed superblock heads the spill file and every batch is
+    /// written behind a summary of what it holds, so
+    /// [`CompressedStore::open_existing`] can rebuild the cold tier from
+    /// the spill file alone after a crash or restart. Default
     /// `false` (the spill file is scratch space that dies with the
     /// process).
     pub persistent: bool,

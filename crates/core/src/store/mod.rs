@@ -26,8 +26,8 @@
 //! the paper's §4.3 backing-store interface: the writer thread coalesces
 //! queued entries into [`StoreConfig::spill_batch_bytes`]-sized batches
 //! (32 KB by default, the paper's batch size) and issues one positioned
-//! write per batch. Once the batch (and, on a persistent store, its
-//! journal records) is durable the writer itself takes each member's
+//! write per batch (on a persistent store, behind the batch's summary).
+//! Once the batch is durable the writer itself takes each member's
 //! shard lock, publishes its `{offset, len}` and drops the in-memory
 //! payload there and then — a page's memory is returned when its write
 //! lands, whatever the foreground is doing. Payload bytes handed to the
@@ -302,9 +302,8 @@ impl CompressedStore {
     }
 
     /// Block until the spill writer has published everything handed to
-    /// it — [`StoreStats::spill_inflight_bytes`] reads zero — then make
-    /// any queued journal tombstones durable (tests and orderly
-    /// shutdown). Entries sitting in a partially-filled batch are
+    /// it — [`StoreStats::spill_inflight_bytes`] reads zero — then have
+    /// it write any queued tombstones (tests and orderly shutdown). Entries sitting in a partially-filled batch are
     /// committed by the writer's bounded linger, so this terminates even
     /// mid-batch. If the writer thread has died (panicked medium), the
     /// orphaned in-flight entries are reverted to memory residence, the
@@ -314,7 +313,7 @@ impl CompressedStore {
         self.core.flush()
     }
 
-    /// Drain pending spills, stop the cleaner thread, and join it. The
+    /// Drain pending spills, stop the writer thread, and join it. The
     /// store remains readable; further puts that need to spill fail
     /// with [`StoreError::ShuttingDown`].
     pub fn shutdown(&self) {
@@ -361,6 +360,9 @@ impl CompressedStore {
     ///   extent sits in a free segment, and none crosses a segment
     ///   boundary unless it is one of a run holding an extent larger
     ///   than a segment;
+    /// - on a persistent store, at the same moments: every `Spilled`
+    ///   extent reads back and verifies against its generation and codec,
+    ///   and a summary in its segment names it there;
     /// - `resident <= memory_budget`, unless a failed write's memory
     ///   fallback is being shed at this moment;
     /// - no entry is journaled on a non-persistent store.
@@ -368,9 +370,7 @@ impl CompressedStore {
     /// Safe to call at any time, from any thread, with the background
     /// threads running: the cleaner keeps the on-file identities at
     /// every step. A failure bumps the `invariant_violations` counter and
-    /// returns the first broken identity. Whether every journaled key
-    /// resolves to a CRC-valid extent is not checked here; it stays with
-    /// ROADMAP item 2(a).
+    /// returns the first broken identity.
     pub fn check_invariants(&self) -> Result<(), String> {
         let res = self.core.check_invariants();
         if res.is_err() {

@@ -8,7 +8,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use super::writer::SpillJob;
+use super::writer::ToWriter;
 use cc_compress::{CodecSet, Route};
 use cc_util::LruList;
 #[cfg(doc)]
@@ -85,8 +85,8 @@ pub(super) struct Entry {
     /// op per clock tick a 32-bit window is ~4 billion operations deep,
     /// far past any policy's idle threshold.
     pub(super) last_touch: u32,
-    /// Whether this key has a location record in the persistence
-    /// journal (set when a spill job is queued, kept across promotion).
+    /// Whether this key may have a record in a batch summary on the
+    /// spill file (set when a spill job is queued, kept across promotion).
     /// Removing or replacing a journaled key must enqueue a tombstone,
     /// or recovery would resurrect it. Always `false` on
     /// non-persistent stores.
@@ -151,9 +151,9 @@ pub(super) struct Shard {
     /// prefer warm victims (already compressed — spilling them is
     /// cheap) and only then start compressing hot ones.
     pub(super) lru_hot: LruList<u64>,
-    /// Clone of the cleaner channel (kept per shard so no shared `Sender`
+    /// Clone of the writer channel (kept per shard so no shared `Sender`
     /// needs to be `Sync`); `None` once shut down or without a spill file.
-    pub(super) tx: Option<Sender<SpillJob>>,
+    pub(super) tx: Option<Sender<ToWriter>>,
 }
 
 /// Pad shards to their own cache lines so hot per-shard state on

@@ -49,12 +49,10 @@ pub(super) mod tstat {
         demoted_warm => DEMOTED_WARM,
         demoter_passes => DEMOTER_PASSES,
         extents_recovered => EXTENTS_RECOVERED,
-        journal_records_replayed => JOURNAL_RECORDS_REPLAYED,
+        summary_records_replayed => SUMMARY_RECORDS_REPLAYED,
         torn_tail_discarded => TORN_TAIL_DISCARDED,
         stale_generation_dropped => STALE_GENERATION_DROPPED,
         recovery_extents_verified => RECOVERY_EXTENTS_VERIFIED,
-        journal_records_written => JOURNAL_RECORDS_WRITTEN,
-        journal_compactions => JOURNAL_COMPACTIONS,
         clean_recoveries => CLEAN_RECOVERIES,
         put_backpressure_waits => PUT_BACKPRESSURE_WAITS,
         invariant_violations => INVARIANT_VIOLATIONS,
@@ -269,21 +267,18 @@ pub struct StoreStats {
     /// Cold extents recovered from the spill file at open
     /// ([`CompressedStore::open_existing`]) and served without re-PUT.
     pub extents_recovered: u64,
-    /// Location-map journal records replayed during recovery.
-    pub journal_records_replayed: u64,
-    /// Torn journal tails and unverifiable extents discarded by
-    /// recovery (each one would have been garbage if served).
+    /// Batch summary records (extents and tombstones) replayed during
+    /// recovery.
+    pub summary_records_replayed: u64,
+    /// Torn summaries and unverifiable extents discarded by recovery
+    /// (each one would have been garbage if served).
     pub torn_tail_discarded: u64,
-    /// Journal records dropped by generation arbitration during replay
-    /// (superseded puts, out-of-date relocations).
+    /// Summary records that lost the fold to a newer record of the same
+    /// key (superseded puts and tombstones).
     pub stale_generation_dropped: u64,
     /// Extents re-read and CRC-verified during recovery. Zero after a
     /// clean shutdown — the fast warm start skipped the scan.
     pub recovery_extents_verified: u64,
-    /// Location records group-committed to the journal since open.
-    pub journal_records_written: u64,
-    /// Journal compaction passes (epoch flips) since open.
-    pub journal_compactions: u64,
     /// Opens that took the clean-shutdown fast path (0 or 1 for this
     /// store; summable across restarts by an aggregator).
     pub clean_recoveries: u64,
@@ -346,12 +341,10 @@ impl StoreCore {
             hot_bytes: self.hot_resident.load(Ordering::Relaxed) as u64,
             warm_bytes: self.warm_resident.load(Ordering::Relaxed) as u64,
             extents_recovered: self.tel.counter_sum(tstat::EXTENTS_RECOVERED),
-            journal_records_replayed: self.tel.counter_sum(tstat::JOURNAL_RECORDS_REPLAYED),
+            summary_records_replayed: self.tel.counter_sum(tstat::SUMMARY_RECORDS_REPLAYED),
             torn_tail_discarded: self.tel.counter_sum(tstat::TORN_TAIL_DISCARDED),
             stale_generation_dropped: self.tel.counter_sum(tstat::STALE_GENERATION_DROPPED),
             recovery_extents_verified: self.tel.counter_sum(tstat::RECOVERY_EXTENTS_VERIFIED),
-            journal_records_written: self.tel.counter_sum(tstat::JOURNAL_RECORDS_WRITTEN),
-            journal_compactions: self.tel.counter_sum(tstat::JOURNAL_COMPACTIONS),
             clean_recoveries: self.tel.counter_sum(tstat::CLEAN_RECOVERIES),
             recovery_ns: self.tel.op_summary(top::RECOVERY).max,
         }

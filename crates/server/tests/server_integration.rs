@@ -769,10 +769,9 @@ fn stats_scrape_on(backend: ServerBackend) {
     // non-persistent store (all zero here, live after a warm restart).
     for series in [
         "cc_store_extents_recovered_total",
-        "cc_store_journal_records_replayed_total",
+        "cc_store_summary_records_replayed_total",
         "cc_store_torn_tail_discarded_total",
         "cc_store_stale_generation_dropped_total",
-        "cc_store_journal_records_written_total",
         "cc_store_clean_recoveries_total",
         "cc_store_recovery_duration_latency_ns",
     ] {
@@ -848,9 +847,7 @@ fn warm_restart_on(backend: ServerBackend) {
         "cc-server-test-warm-{backend:?}-{}.bin",
         std::process::id()
     ));
-    let map = path.with_extension("bin.map");
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&map);
 
     // Cold run: fill through the wire, flush, snapshot the spill set.
     let store = Arc::new(CompressedStore::new(
@@ -881,7 +878,7 @@ fn warm_restart_on(backend: ServerBackend) {
     shutdown_and_check_gauge(server, "warm-restart cold phase");
     drop(store); // last reference: the spill writer drains and seals clean
 
-    // Warm run: recover from the files alone and serve immediately.
+    // Warm run: recover from the spill file alone and serve immediately.
     let reopened = Arc::new(
         CompressedStore::open_existing(StoreConfig::with_spill(BUDGET, &path)).expect("warm open"),
     );
@@ -936,7 +933,6 @@ fn warm_restart_on(backend: ServerBackend) {
     shutdown_and_check_gauge(server, "warm-restart warm phase");
     drop(reopened);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&map);
 }
 
 /// Graceful shutdown drains the spill writer on both pollers: every

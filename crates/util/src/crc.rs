@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3, the zlib/gzip polynomial) over byte slices.
 //!
-//! The spill file's self-verifying extent headers, the journal records
+//! The spill file's self-verifying extent headers, the batch summaries
 //! and the superblock slots need a checksum that is cheap,
 //! well-understood, and dependency-free. This is the reflected
 //! table-driven CRC-32 in its slice-by-16 form: sixteen 256-entry tables
