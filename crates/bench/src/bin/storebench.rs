@@ -43,11 +43,10 @@
 //! than one demoter pass per 16 puts (a put must not wake the demoter),
 //! `crc32` takes more than 2 µs per 1 500-byte extent in a release
 //! build, a latency histogram is empty or has p50/p99/max out of order,
-//! ring event counts disagree with the counters they shadow, telemetry
-//! costs more than 5% of throughput, adaptive codec selection is slower
-//! at put p50 than the lzrw1-only baseline on the pattern mix (or loses
-//! compression on the pattern or zipfian mix, routes nothing to one of
-//! its codecs, predicts no reject on the pattern mix, or mispredicts
+//! telemetry costs more than 5% of throughput, adaptive codec selection
+//! is slower at put p50 than the lzrw1-only baseline on the pattern mix
+//! (or loses compression on the pattern or zipfian mix, routes nothing
+//! to one of its codecs, predicts no reject on the pattern mix, or mispredicts
 //! one there), any per-codec histogram goes unexercised, the recency
 //! tier policy loses to compress-all at get p50 on the hot-skewed mix,
 //! any tier or the demoter goes unexercised in the recency arm, or
@@ -260,8 +259,8 @@ struct SpillTrial {
     /// churned: the queue behind the writer's longest stall.
     churn_max_inflight: u64,
     put_only: PutOnlyPhase,
-    /// Telemetry snapshot after the final flush: per-tier latency
-    /// histograms plus ring event counts.
+    /// Telemetry snapshot after the final flush: counters and per-tier
+    /// latency histograms.
     telemetry: Snapshot,
     /// `check_invariants()` after the final flush.
     invariants: Result<(), String>,
@@ -1137,13 +1136,11 @@ fn run_smoke() -> i32 {
     );
     eprintln!("  same-filled: {same_filled} elided puts");
     eprintln!(
-        "  telemetry: overhead {:.2}% = {:+.0} ns/op ({:.0} ops/s on vs {:.0} ops/s off, medians of {OVERHEAD_PAIRS} interleaved trial pairs), {} events recorded ({} dropped)",
+        "  telemetry: overhead {:.2}% = {:+.0} ns/op ({:.0} ops/s on vs {:.0} ops/s off, medians of {OVERHEAD_PAIRS} interleaved trial pairs)",
         ovh.overhead_pct,
         ovh.ns_per_op,
         ovh.ops_per_sec_on,
         ovh.ops_per_sec_off,
-        spill.telemetry.events_recorded,
-        spill.telemetry.events_dropped,
     );
     let mut failures = Vec::new();
     if spill.max_resident_seen > SPILL_BUDGET as u64 {
@@ -1220,8 +1217,7 @@ fn run_smoke() -> i32 {
         failures.push("same-filled fast path unexercised".into());
     }
     // Telemetry gates: every tier the spill trial exercises must have a
-    // sane histogram, ring event counts must agree with the counters
-    // they shadow, and the measured overhead must stay within budget.
+    // sane histogram, and the measured overhead must stay within budget.
     for op in [
         "put",
         "get_memory",
@@ -1233,17 +1229,6 @@ fn run_smoke() -> i32 {
         if let Some(f) = smoke::check_hist(&spill.telemetry, op) {
             failures.push(f);
         }
-    }
-    if let Some(f) = smoke::check_event_agrees(
-        &spill.telemetry,
-        "batch_commit",
-        "spill_batches",
-        ss.spill_batches,
-    ) {
-        failures.push(f);
-    }
-    if spill.telemetry.events_recorded == 0 {
-        failures.push("event ring recorded nothing".into());
     }
     if ovh.overhead_pct > 5.0 {
         failures.push(format!(

@@ -2,10 +2,9 @@
 //!
 //! `storebench --smoke` and `loadgen --smoke` both gate CI on the same
 //! invariants — histograms that were actually exercised and are
-//! internally consistent, ring events that agree with the counters they
-//! shadow, Prometheus text that a scraper can parse. Each check returns
-//! a failure message, or `None` when the invariant holds, so a gate is
-//! a `Vec<String>` of whatever failed.
+//! internally consistent, Prometheus text that a scraper can parse.
+//! Each check returns a failure message, or `None` when the invariant
+//! holds, so a gate is a `Vec<String>` of whatever failed.
 
 use cc_telemetry::Snapshot;
 
@@ -22,24 +21,6 @@ pub fn check_hist(snap: &Snapshot, op: &str) -> Option<String> {
         return Some(format!(
             "telemetry op {op:?} percentiles out of order: p50 {} p90 {} p99 {} max {}",
             s.p50, s.p90, s.p99, s.max
-        ));
-    }
-    None
-}
-
-/// Ring/counter agreement: the event's ring count must equal the value
-/// of the counter it shadows. `counter_desc` names the counter in the
-/// failure message.
-pub fn check_event_agrees(
-    snap: &Snapshot,
-    event: &str,
-    counter_desc: &str,
-    counter_value: u64,
-) -> Option<String> {
-    let ring = snap.event_count(event).unwrap_or(0);
-    if ring != counter_value {
-        return Some(format!(
-            "{event} events ({ring}) disagree with {counter_desc} counter ({counter_value})"
         ));
     }
     None
@@ -92,16 +73,13 @@ mod tests {
     const SPEC: TelemetrySpec = TelemetrySpec {
         counters: &["reqs"],
         ops: &["op_a"],
-        events: &["ev_a"],
     };
 
     fn snap_with_activity() -> Snapshot {
-        let tel = Telemetry::new(SPEC, 1);
+        let tel = Telemetry::new(SPEC, 1, true);
         tel.count(0, 0, 3);
         tel.record(0, 100);
         tel.record(0, 200);
-        tel.event(0, 1, 2);
-        tel.event(0, 3, 4);
         tel.snapshot()
     }
 
@@ -110,16 +88,8 @@ mod tests {
         let snap = snap_with_activity();
         assert!(check_hist(&snap, "op_a").is_none());
         assert!(check_hist(&snap, "nope").unwrap().contains("missing"));
-        let empty = Telemetry::new(SPEC, 1).snapshot();
+        let empty = Telemetry::new(SPEC, 1, true).snapshot();
         assert!(check_hist(&empty, "op_a").unwrap().contains("no samples"));
-    }
-
-    #[test]
-    fn event_agreement_gate() {
-        let snap = snap_with_activity();
-        assert!(check_event_agrees(&snap, "ev_a", "twos", 2).is_none());
-        let f = check_event_agrees(&snap, "ev_a", "threes", 3).unwrap();
-        assert!(f.contains("disagree"), "{f}");
     }
 
     #[test]

@@ -47,10 +47,10 @@ pub struct StoreConfig {
     /// its live extents, one batch of them between each two spill
     /// batches. Default `0.5`; 1.0 or more disables cleaning.
     pub gc_dead_ratio: f64,
-    /// Whether latency sampling and hot-path event capture are enabled
-    /// (default `true`). Counters stay live either way — [`StoreStats`]
-    /// is always exact — and the writer thread's batch/GC timings are
-    /// always recorded since they are off the data path.
+    /// Whether latency sampling is enabled (default `true`). Counters
+    /// stay live either way — [`StoreStats`] is always exact — and the
+    /// writer thread's batch/GC timings are always recorded since they
+    /// are off the data path.
     pub telemetry: bool,
     /// Total attempts (first try + retries) for a spill read or batch
     /// write before the failure is treated as hard. Default 3; clamped
@@ -190,9 +190,9 @@ impl StoreConfig {
         self
     }
 
-    /// Enable or disable latency sampling and hot-path event capture
-    /// (counters are unaffected). `false` is the baseline the bench
-    /// harness compares against to measure telemetry overhead.
+    /// Enable or disable latency sampling (counters are unaffected).
+    /// `false` is the baseline the bench harness compares against to
+    /// measure telemetry overhead.
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self

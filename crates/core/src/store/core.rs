@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use super::extent::verify_extent;
 use super::gc::Segments;
 use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Shard, SCRATCH};
-use super::stats::{tevent, top, tstat};
+use super::stats::{top, tstat};
 use super::tiering::DemoteOutcome;
 use super::writer::ToWriter;
 #[cfg(doc)]
@@ -94,9 +94,9 @@ pub(super) struct StoreCore {
     /// budget (a failed write's memory fallback) and shedding it back —
     /// the one window in which `resident > memory_budget` is legal.
     pub(super) shedding: AtomicUsize,
-    /// Counters, latency histograms, and the event ring. Counters are
-    /// striped by shard index and are the statistics of record behind
-    /// [`StoreStats`]; sampling obeys [`StoreConfig::telemetry`].
+    /// Counters and latency histograms. Counters are striped by shard
+    /// index and are the statistics of record behind [`StoreStats`];
+    /// sampling obeys [`StoreConfig::telemetry`].
     pub(super) tel: Telemetry,
     /// Bytes in the spill file's non-free segments (`bytes_on_spill`),
     /// mirrored from `segments` under its lock.
@@ -180,23 +180,20 @@ impl StoreCore {
     }
 
     /// Flip into degraded mode (idempotent); `failures` is the
-    /// consecutive hard-failure count at the transition, for the event.
+    /// consecutive hard-failure count at the transition, for the anomaly.
     pub(super) fn enter_degraded(&self, failures: u64) {
         if !self.degraded.swap(true, Ordering::Relaxed) {
             self.tel.count(0, tstat::DEGRADED_ENTERED, 1);
-            self.tel.event(tevent::DEGRADE, failures, 0);
             if let Some(tr) = self.cfg.tracer.as_deref() {
                 tr.anomaly(AnomalyKind::Degraded, 0, failures, 0);
             }
         }
     }
 
-    /// Leave degraded mode (idempotent); `probes` is how many canary
-    /// probes it took, for the event.
-    pub(super) fn exit_degraded(&self, probes: u64) {
+    /// Leave degraded mode (idempotent).
+    pub(super) fn exit_degraded(&self) {
         if self.degraded.swap(false, Ordering::Relaxed) {
             self.tel.count(0, tstat::DEGRADED_RECOVERED, 1);
-            self.tel.event(tevent::RECOVER, probes, 0);
         }
     }
 
@@ -359,9 +356,6 @@ impl StoreCore {
             );
             drop(shard);
             self.tel.count(shard_idx, tstat::SAME_FILLED, 1);
-            if self.tel.timing_enabled() {
-                self.tel.event(tevent::SAME_FILLED, key, pattern);
-            }
             self.tel.record_since(top::PUT, t0, ctx.trace_id);
             return Ok(());
         }
@@ -504,9 +498,6 @@ impl StoreCore {
             _ => {
                 debug_assert_eq!(sel.codec, CodecId::Raw, "unexpected put codec");
                 self.tel.count(shard_idx, tstat::STORED_RAW, 1);
-                if self.tel.timing_enabled() {
-                    self.tel.event(tevent::THRESHOLD_REJECT, key, len as u64);
-                }
             }
         }
 
@@ -886,9 +877,6 @@ impl StoreCore {
             self.step_end(top::SPILL_VERIFY, timed, vt0);
             let Some(payload) = payload else {
                 self.tel.count(shard_idx, tstat::CORRUPT_DETECTED, 1);
-                if self.tel.timing_enabled() {
-                    self.tel.event(tevent::CORRUPT, key, offset);
-                }
                 spill_read_span(rt0, 2);
                 if let Some(tr) = self.cfg.tracer.as_deref() {
                     tr.anomaly(AnomalyKind::Corrupt, ctx.trace_id, key, offset);
@@ -1068,9 +1056,7 @@ impl StoreCore {
         shard.lru.remove(handle);
         self.resident.fetch_sub(len, Ordering::Relaxed);
         self.warm_resident.fetch_sub(len, Ordering::Relaxed);
-        if self.spill_victim(shard, victim, data) && self.tel.timing_enabled() {
-            self.tel.event(tevent::EVICT, victim, len as u64);
-        }
+        self.spill_victim(shard, victim, data);
         Progress::Evicted
     }
 
@@ -1105,9 +1091,6 @@ impl StoreCore {
         self.resident.fetch_sub(bytes, Ordering::Relaxed);
         let idx = self.shard_index(victim);
         self.tel.count(idx, tstat::SHED_PAGES, 1);
-        if self.tel.timing_enabled() {
-            self.tel.event(tevent::SHED, victim, bytes as u64);
-        }
         true
     }
 

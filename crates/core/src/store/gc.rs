@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use super::core::StoreCore;
 use super::shard::Residence;
-use super::stats::{tevent, top, tstat};
+use super::stats::{top, tstat};
 use super::writer::{SpillWriter, StagedJob};
 #[cfg(doc)]
 use super::StoreConfig;
@@ -682,14 +682,13 @@ impl SpillWriter {
         Some(moved)
     }
 
-    /// Telemetry for one cleaning step: one `gc_runs`, one pause sample,
-    /// one ring event and one background span.
+    /// Telemetry for one cleaning step: one `gc_runs`, one pause sample
+    /// and one background span.
     fn record_step(&self, t0: Instant, moved: u64) {
         let pause = t0.elapsed().as_nanos() as u64;
         self.core.tel.record(top::GC_PAUSE, pause);
         self.core.tel.count(0, tstat::GC_RUNS, 1);
         self.core.tel.count(0, tstat::GC_BYTES_RELOCATED, moved);
-        self.core.tel.event(tevent::GC_RUN, moved, pause);
         if let Some(tr) = self.core.cfg.tracer.as_deref() {
             // Background span: no request trace owns a cleaning step.
             tr.record(

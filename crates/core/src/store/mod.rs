@@ -97,25 +97,25 @@
 //! clean-page *shedding* (dropping the coldest entries — cache-miss
 //! semantics — to stay under budget), and a probation loop re-probes the
 //! medium every [`StoreConfig::probe_interval`], re-enabling spill once
-//! a canary write/read round-trips. The transitions are counted and
-//! ring-logged, and [`CompressedStore::is_degraded`] exposes the gauge.
+//! a canary write/read round-trips. The transitions are counted, entry
+//! also raises a flight-recorder anomaly when a tracer is attached, and
+//! [`CompressedStore::is_degraded`] exposes the gauge.
 //!
 //! # Telemetry
 //!
 //! Every store carries a [`cc_telemetry::Telemetry`] instance:
 //! [`StoreStats`] is assembled from its shard-striped counter bank (so a
 //! stats read takes no shard lock and no field can tear), put/get/spill
-//! I/O and GC pauses feed lock-free latency histograms, and structural
-//! events (batch commits, GC passes, evictions, threshold rejects,
-//! same-filled elisions) flow through a bounded lossy event ring.
-//! Counters and events are exact. Latency is *sampled* on the data
-//! path: each put or get makes one timing decision from its operation
-//! stamp — 1 in [`cc_telemetry::LATENCY_SAMPLE_PERIOD`], traced
-//! requests always — and an unsampled operation reads no clock and
-//! writes no histogram; the writer, GC and demoter threads time every
-//! call. Get a [`cc_telemetry::Snapshot`] via
-//! [`CompressedStore::telemetry_snapshot`]; disable the timing and the
-//! events (never the counters) with [`StoreConfig::with_telemetry`].
+//! I/O and GC pauses feed lock-free latency histograms, and every
+//! structural fact (batch commits, GC passes, evictions, threshold
+//! rejects, same-filled elisions) is a counter. Counters are exact.
+//! Latency is *sampled* on the data path: each put or get makes one
+//! timing decision from its operation stamp — 1 in
+//! [`cc_telemetry::LATENCY_SAMPLE_PERIOD`], traced requests always —
+//! and an unsampled operation reads no clock and writes no histogram;
+//! the writer, GC and demoter threads time every call. Get a [`cc_telemetry::Snapshot`] via
+//! [`CompressedStore::telemetry_snapshot`]; disable the timing (never
+//! the counters) with [`StoreConfig::with_telemetry`].
 //!
 //! ```
 //! use cc_core::store::{CompressedStore, StoreConfig};
@@ -284,19 +284,16 @@ impl CompressedStore {
     /// `get_same_filled`, `get_spill`, `spill_read`, `spill_verify`,
     /// `compress_lzrw1`, `compress_bdi`, `decompress_lzrw1`,
     /// `decompress_bdi`, `promote`, and the background `spill_write`,
-    /// `gc_pause`, `demote_pause`, `recovery_duration`), and the
-    /// structured event ring.
+    /// `gc_pause`, `demote_pause`, `recovery_duration`).
     pub fn telemetry(&self) -> &Telemetry {
         &self.core.tel
     }
 
-    /// A full telemetry snapshot — counter sums, latency summaries,
-    /// event counts, the ring window since the last snapshot — with the
-    /// store's byte gauges and the `latency_sample_period` its
+    /// A full telemetry snapshot — counter sums and latency summaries —
+    /// with the store's byte gauges and the `latency_sample_period` its
     /// foreground histograms were sampled at attached. Feed it to
     /// [`cc_telemetry::Snapshot::to_json`], `to_prometheus`, or
-    /// `render_text`, or hand a closure over it to
-    /// [`cc_telemetry::Exporter::spawn`].
+    /// `render_text`.
     pub fn telemetry_snapshot(&self) -> cc_telemetry::Snapshot {
         self.core.telemetry_snapshot()
     }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use super::core::StoreCore;
 use super::gc::{segment_bytes, Segments};
 use super::shard::{Entry, EntryMap, Padded, Residence, Shard};
-use super::stats::{tevent, top, tstat, STORE_TELEMETRY};
+use super::stats::{top, tstat, STORE_TELEMETRY};
 use super::writer::{SpillWriter, ToWriter};
 use super::{CompressedStore, StoreConfig, StoreError};
 use crate::medium::{FileMedium, SpillMedium};
@@ -145,12 +145,7 @@ impl CompressedStore {
             })
             .collect();
         drop(tx);
-        let tel = Telemetry::with_options(
-            STORE_TELEMETRY,
-            nshards,
-            cc_telemetry::DEFAULT_RING_CAPACITY,
-            cfg.telemetry,
-        );
+        let tel = Telemetry::new(STORE_TELEMETRY, nshards, cfg.telemetry);
         let core = Arc::new(StoreCore {
             cfg,
             shards,
@@ -227,9 +222,7 @@ impl CompressedStore {
             if rec.clean {
                 core.tel.count(0, tstat::CLEAN_RECOVERIES, 1);
             }
-            let ns = took.as_nanos() as u64;
-            core.tel.record(top::RECOVERY, ns);
-            let _ = core.tel.event(tevent::RECOVERY, c.extents_recovered, ns);
+            core.tel.record(top::RECOVERY, took.as_nanos() as u64);
         }
         let writer = match (&core.medium, rx) {
             (Some(medium), Some(rx)) => {
@@ -254,7 +247,6 @@ impl CompressedStore {
                                     cleaning: None,
                                     clean_buf: Vec::new(),
                                     consecutive_failures: 0,
-                                    probes: 0,
                                 }
                                 .run(rx)
                             });

@@ -1,4 +1,4 @@
-//! The store's telemetry schema — counter, timed-op and event names —
+//! The store's telemetry schema — counter and timed-op names —
 //! and the two views over it: [`StoreStats`] and the snapshot's gauges.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,46 +96,11 @@ pub(super) mod top {
     pub const BACKGROUND: &[usize] = &[SPILL_WRITE, GC_PAUSE, DEMOTE_PAUSE, RECOVERY];
 }
 
-/// Structured event kinds pushed into the telemetry ring.
-pub(super) mod tevent {
-    cc_telemetry::names! {
-        /// `a` = entries in the batch, `b` = batch bytes.
-        batch_commit => BATCH_COMMIT,
-        /// `a` = bytes relocated, `b` = pause nanoseconds.
-        gc_run => GC_RUN,
-        /// `a` = victim key, `b` = compressed bytes spilled.
-        evict => EVICT,
-        /// `a` = key, `b` = bytes stored raw after the threshold rejected
-        /// the compressed form.
-        threshold_reject => THRESHOLD_REJECT,
-        /// `a` = key, `b` = the repeated 8-byte pattern.
-        same_filled => SAME_FILLED,
-        /// `a` = consecutive hard batch failures at the transition, `b` = 0.
-        degrade => DEGRADE,
-        /// `a` = probes issued while degraded, `b` = 0.
-        recover => RECOVER,
-        /// `a` = key shed, `b` = compressed bytes dropped.
-        shed => SHED,
-        /// `a` = key, `b` = file offset of the extent that failed
-        /// verification.
-        corrupt => CORRUPT,
-        /// `a` = key promoted to hot, `b` = source tier
-        /// ([`cc_telemetry::trace::tier`] code).
-        promote => PROMOTE,
-        /// `a` = pages demoted by one demoter pass, `b` = pass nanoseconds.
-        demote => DEMOTE,
-        /// Warm restart: `a` = extents recovered from the spill file,
-        /// `b` = recovery duration in nanoseconds.
-        recovery => RECOVERY,
-    }
-}
-
-/// The store's telemetry layout: shard-striped counters, per-operation
-/// latency histograms, and the structured event kinds above.
+/// The store's telemetry layout: shard-striped counters and
+/// per-operation latency histograms.
 pub(super) const STORE_TELEMETRY: TelemetrySpec = TelemetrySpec {
     counters: tstat::NAMES,
     ops: top::NAMES,
-    events: tevent::NAMES,
 };
 
 /// Counters (all monotonic except the byte gauges).

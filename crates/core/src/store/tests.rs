@@ -763,7 +763,7 @@ fn telemetry_snapshot_covers_tiers_and_events() {
         );
         assert!(!store.get(999, &mut out).unwrap());
 
-        // Counters, events and gauges are never sampled.
+        // Counters and gauges are never sampled.
         let snap = store.telemetry_snapshot();
         let (puts, gets) = (64 * ROUNDS, 64 * ROUNDS + 1);
         assert_eq!(snap.counter("compressed"), Some(64 + puts));
@@ -771,10 +771,8 @@ fn telemetry_snapshot_covers_tiers_and_events() {
         assert_eq!(snap.counter("misses"), Some(1));
         let hits = ["hits_hot", "hits_memory", "hits_spill"].map(|c| snap.counter(c).unwrap());
         assert_eq!(hits.iter().sum::<u64>(), gets + 1, "{hits:?}");
-        assert!(snap.event_count("batch_commit").unwrap() > 0);
-        assert!(snap.event_count("evict").unwrap() > 0);
-        assert_eq!(snap.event_count("same_filled"), Some(1));
-        assert!(!snap.recent.is_empty());
+        assert!(snap.counter("spill_batches").unwrap() > 0);
+        assert!(snap.counter("spilled").unwrap() > 0);
         assert!(snap.gauges.iter().any(|(n, _)| *n == "bytes_on_spill"));
         assert!(snap
             .gauges
@@ -848,7 +846,6 @@ fn telemetry_disabled_keeps_stats_exact() {
     let snap = store.telemetry_snapshot();
     assert_eq!(snap.op("put").unwrap().count, 0, "sampling must be off");
     assert_eq!(snap.counter("compressed"), Some(16), "counters stay live");
-    assert_eq!(snap.event_count("evict"), Some(0));
 }
 
 /// The exported schema, in order: STATS, Prometheus and JSON render
@@ -879,11 +876,6 @@ fn telemetry_schema_names_are_pinned() {
         snap.sampled_ops.join(" "),
         "put get_memory get_same_filled get_spill spill_read compress_lzrw1 compress_bdi \
          decompress_lzrw1 decompress_bdi get_hot promote spill_verify"
-    );
-    assert_eq!(
-        names(&snap.events),
-        "batch_commit gc_run evict threshold_reject same_filled degrade recover shed \
-         corrupt promote demote recovery"
     );
     assert_eq!(
         names(&snap.gauges),

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use super::core::{Progress, StoreCore};
 use super::shard::{probe_hint, Residence, Scratch, Shard, SCRATCH};
-use super::stats::{tevent, top, tstat};
+use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::CompressedStore;
 use cc_compress::CodecId;
@@ -100,9 +100,6 @@ impl StoreCore {
         drop(shard);
         self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
         self.tel.count(shard_idx, tstat::PROMOTIONS, 1);
-        if self.tel.timing_enabled() {
-            self.tel.event(tevent::PROMOTE, key, src_tier as u64);
-        }
         self.step_end(top::PROMOTE, timed, t0);
         self.child_span(
             ctx,
@@ -288,9 +285,6 @@ impl StoreCore {
         self.tel.count(0, tstat::DEMOTER_PASSES, 1);
         let pause = t0.elapsed().as_nanos() as u64;
         self.tel.record(top::DEMOTE_PAUSE, pause);
-        if self.tel.timing_enabled() {
-            self.tel.event(tevent::DEMOTE, hot_n + warm_n, pause);
-        }
         if let Some(tr) = self.cfg.tracer.as_deref() {
             // Background span, same idiom as the GC pause: trace 0, no
             // parent, `arg` = pages demoted this pass.

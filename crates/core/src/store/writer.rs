@@ -14,7 +14,7 @@ use super::core::{backoff, StoreCore};
 use super::extent::encode_extent;
 use super::gc::Cleaning;
 use super::shard::{Entry, Residence, Shard};
-use super::stats::{tevent, top, tstat};
+use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::StoreConfig;
 use crate::medium::SpillMedium;
@@ -180,7 +180,6 @@ impl StoreCore {
     /// job will never be received, let alone published. Returns whether
     /// it was handed off.
     pub(super) fn spill_victim(&self, shard: &mut Shard, key: u64, data: Arc<[u8]>) -> bool {
-        let len = data.len();
         let tx = shard.tx.as_ref().expect("caller checked for a writer");
         let e = shard.entries.get_mut(&key).expect("victim is in the map");
         if self.hand_off(tx, key, e, data, TraceCtx::NONE) {
@@ -191,9 +190,6 @@ impl StoreCore {
         // for this key may still be live there.
         self.tombstone_if_journaled(e.journaled, key);
         self.tel.count(self.shard_index(key), tstat::SHED_PAGES, 1);
-        if self.tel.timing_enabled() {
-            self.tel.event(tevent::SHED, key, len as u64);
-        }
         false
     }
 
@@ -267,8 +263,6 @@ pub(super) struct SpillWriter {
     /// Hard batch failures (each already retried) since the last
     /// success; crossing `degrade_after` degrades the store.
     pub(super) consecutive_failures: u32,
-    /// Canary probes issued during the current degraded episode.
-    pub(super) probes: u64,
 }
 
 /// A job staged into the current batch (or a survivor staged into a
@@ -496,7 +490,6 @@ impl SpillWriter {
     /// (unallocated space: that batch overwrites it). Success ends
     /// probation.
     fn probe(&mut self) {
-        self.probes += 1;
         self.core.tel.count(0, tstat::MEDIUM_PROBES, 1);
         let canary = *b"cc-medium-probe!";
         let mut back = [0u8; 16];
@@ -507,8 +500,7 @@ impl SpillWriter {
             && back == canary;
         if ok {
             self.consecutive_failures = 0;
-            self.core.exit_degraded(self.probes);
-            self.probes = 0;
+            self.core.exit_degraded();
         }
     }
 
@@ -616,9 +608,6 @@ impl SpillWriter {
                 .tel
                 .record(top::SPILL_WRITE, stage_ns + t0.elapsed().as_nanos() as u64);
             self.core.tel.count(0, tstat::SPILL_BATCHES, 1);
-            self.core
-                .tel
-                .event(tevent::BATCH_COMMIT, staged.len() as u64, buf.len() as u64);
         } else {
             self.consecutive_failures += 1;
             if self.consecutive_failures >= self.core.cfg.degrade_after.max(1) {

@@ -48,7 +48,7 @@
 use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, Waker};
 use crate::frame::{self, FrameError, RecvBuf, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
-use crate::service::{malformed_class, wstat, Service, STRIPE};
+use crate::service::{wstat, Service, STRIPE};
 use crate::ServerConfig;
 use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, Span};
 use cc_util::Slab;
@@ -193,7 +193,7 @@ impl Wire {
                     } else {
                         SEQ_UNSOLICITED
                     };
-                    service.malformed(conn_id, malformed_class::OVERSIZED);
+                    service.malformed();
                     self.stage_err(seq, "frame exceeds size limit");
                     break Some(CloseReason::Malformed);
                 }
@@ -236,7 +236,7 @@ impl Wire {
                     self.rbuf.consume(parsed.consumed);
                 }
                 Err(e) => {
-                    service.malformed(conn_id, malformed_class::UNDECODABLE);
+                    service.malformed();
                     self.stage_err(parsed.seq, &e.to_string());
                     self.rbuf.consume(parsed.consumed);
                     break Some(CloseReason::Malformed);
@@ -250,9 +250,9 @@ impl Wire {
     /// The peer half-closed its stream. A partial frame left behind is
     /// a truncation (counted, answered `ERR`); complete silence between
     /// frames is a clean close.
-    pub(crate) fn note_eof(&mut self, service: &Service, conn_id: u64) -> CloseReason {
+    pub(crate) fn note_eof(&mut self, service: &Service) -> CloseReason {
         if self.has_unparsed() {
-            service.malformed(conn_id, malformed_class::TRUNCATED);
+            service.malformed();
             self.stage_err(SEQ_UNSOLICITED, "truncated frame");
             CloseReason::Malformed
         } else {
@@ -463,8 +463,7 @@ impl Reactor {
     /// was just accepted, so the best-effort write into an empty send
     /// buffer does not block the loop.
     fn reject_busy(&mut self, mut stream: TcpStream) {
-        let conn_id = self.service.next_conn_id();
-        self.service.busy_rejected(conn_id);
+        self.service.count(wstat::BUSY_REJECTED, 1);
         let _ = stream.set_nonblocking(true);
         self.service.count(wstat::SOCK_WRITES, 1);
         let _ = frame::write_frame(&mut stream, SEQ_UNSOLICITED, &[Status::Busy as u8]);
@@ -495,7 +494,7 @@ impl Reactor {
             self.conns.remove(token);
             return;
         }
-        self.service.conn_opened(conn_id);
+        self.service.conn_opened();
         self.wheel
             .schedule(now + self.cfg.idle_timeout, token, conn_id);
     }
@@ -572,7 +571,7 @@ impl Reactor {
             {
                 conn.close_after_flush = Some(reason);
             } else if eof {
-                conn.close_after_flush = Some(conn.wire.note_eof(service, conn.conn_id));
+                conn.close_after_flush = Some(conn.wire.note_eof(service));
             } else if self.draining && !conn.wire.has_unparsed() {
                 // Between frames during a drain: nothing started, done.
                 conn.close_after_flush = Some(CloseReason::Shutdown);
@@ -679,11 +678,7 @@ impl Reactor {
         let conn = self.conns.remove(token);
         let _ = self.backend.deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        self.service.conn_closed(
-            conn.conn_id,
-            conn.wire.requests(),
-            reason == CloseReason::Idle,
-        );
+        self.service.conn_closed(reason == CloseReason::Idle);
     }
 
     /// Fire a backpressure-stall anomaly for any parked connection whose
@@ -1028,13 +1023,13 @@ mod tests {
         let mut w = Wire::new();
         w.ingest(&[1, 2, 3]);
         assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
-        assert_eq!(w.note_eof(&service, 0), CloseReason::Malformed);
+        assert_eq!(w.note_eof(&service), CloseReason::Malformed);
 
         // EOF between frames: clean close.
         let mut w = Wire::new();
         w.ingest(&get_frame(1, 5));
         assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
-        assert_eq!(w.note_eof(&service, 0), CloseReason::Peer);
+        assert_eq!(w.note_eof(&service), CloseReason::Peer);
 
         let snap = service.snapshot();
         assert_eq!(snap.counter("malformed_frames"), Some(3));

@@ -2,13 +2,10 @@
 //!
 //! One [`Service`] belongs to a server and is driven by its reactor
 //! thread. It owns a [`cc_telemetry::Telemetry`] instance built from the
-//! same striped-counter / latency-histogram / event-ring types the store
-//! uses. STATS
+//! same striped-counter / latency-histogram types the store uses. STATS
 //! responses concatenate the store's Prometheus snapshot (prefix
 //! `cc_store`) with the server's own (prefix `cc_server`), both rendered
-//! by [`cc_telemetry::Snapshot::to_prometheus`] — the exact schema the
-//! [`cc_telemetry::Exporter`] emits, so a scraper cannot tell the
-//! difference.
+//! by [`cc_telemetry::Snapshot::to_prometheus`].
 
 use crate::proto::{Opcode, Request, Status};
 use cc_core::store::{CompressedStore, StoreError};
@@ -61,31 +58,6 @@ pub mod wop {
     pub const NAMES: &[&str] = &["put", "get", "del", "flush", "stats", "ping", "dump"];
 }
 
-/// Wire event kinds pushed into the server's event ring.
-pub mod wevent {
-    cc_telemetry::names! {
-        /// `a` = connection id.
-        conn_open => CONN_OPEN,
-        /// `a` = connection id, `b` = requests served on it.
-        conn_close => CONN_CLOSE,
-        /// `a` = connection id rejected at admission.
-        busy => BUSY,
-        /// `a` = connection id, `b` = malformed-frame class (see the
-        /// crate-private `malformed_class` table).
-        malformed => MALFORMED,
-    }
-}
-
-/// Malformed-frame classes (the `b` value of a `malformed` wire event).
-pub(crate) mod malformed_class {
-    /// EOF inside a frame (truncated header or body).
-    pub const TRUNCATED: u64 = 1;
-    /// Length prefix above the configured frame ceiling.
-    pub const OVERSIZED: u64 = 2;
-    /// Frame arrived whole but the body failed protocol decoding.
-    pub const UNDECODABLE: u64 = 3;
-}
-
 /// The counter stripe and tracer stripe every server counter add and span
 /// goes to: the reactor thread is the only writer.
 pub(crate) const STRIPE: usize = 0;
@@ -93,7 +65,6 @@ pub(crate) const STRIPE: usize = 0;
 const SERVER_TELEMETRY: TelemetrySpec = TelemetrySpec {
     counters: wstat::NAMES,
     ops: wop::NAMES,
-    events: wevent::NAMES,
 };
 
 /// Shared per-server state: the store handle, wire telemetry, and the
@@ -116,7 +87,7 @@ impl Service {
         Service {
             store,
             // One counter stripe: the reactor thread is the only writer.
-            tel: Telemetry::new(SERVER_TELEMETRY, 1),
+            tel: Telemetry::new(SERVER_TELEMETRY, 1, true),
             tracer,
             open_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
@@ -133,8 +104,8 @@ impl Service {
         self.tracer.as_ref()
     }
 
-    /// The server's wire telemetry (request counters, per-opcode latency
-    /// histograms, connection events).
+    /// The server's wire telemetry (request and connection counters,
+    /// per-opcode latency histograms).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -153,8 +124,7 @@ impl Service {
     }
 
     /// The STATS payload: the store's Prometheus snapshot followed by
-    /// the server's, schema-identical to what an
-    /// [`cc_telemetry::Exporter`] in Prometheus mode writes.
+    /// the server's.
     pub fn stats_text(&self) -> String {
         let mut text = self.store.telemetry_snapshot().to_prometheus("cc_store");
         text.push_str(&self.snapshot().to_prometheus("cc_server"));
@@ -165,24 +135,17 @@ impl Service {
         self.next_conn_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    pub(crate) fn conn_opened(&self, conn_id: u64) {
+    pub(crate) fn conn_opened(&self) {
         self.open_conns.fetch_add(1, Ordering::Relaxed);
         self.tel.count(STRIPE, wstat::CONNS_OPENED, 1);
-        self.tel.event(wevent::CONN_OPEN, conn_id, 0);
     }
 
-    pub(crate) fn conn_closed(&self, conn_id: u64, requests: u64, idle: bool) {
+    pub(crate) fn conn_closed(&self, idle: bool) {
         self.open_conns.fetch_sub(1, Ordering::Relaxed);
         self.tel.count(STRIPE, wstat::CONNS_CLOSED, 1);
         if idle {
             self.tel.count(STRIPE, wstat::IDLE_TIMEOUTS, 1);
         }
-        self.tel.event(wevent::CONN_CLOSE, conn_id, requests);
-    }
-
-    pub(crate) fn busy_rejected(&self, conn_id: u64) {
-        self.tel.count(STRIPE, wstat::BUSY_REJECTED, 1);
-        self.tel.event(wevent::BUSY, conn_id, 0);
     }
 
     /// Add `n` to the wire counter `counter` (a [`wstat`] index).
@@ -190,9 +153,8 @@ impl Service {
         self.tel.count(STRIPE, counter, n);
     }
 
-    pub(crate) fn malformed(&self, conn_id: u64, class: u64) {
+    pub(crate) fn malformed(&self) {
         self.tel.count(STRIPE, wstat::MALFORMED_FRAMES, 1);
-        self.tel.event(wevent::MALFORMED, conn_id, class);
     }
 
     pub(crate) fn record_latency(&self, op: Opcode, ns: u64, trace: u64) {

@@ -154,7 +154,7 @@ proptest! {
 }
 
 /// Deterministic spot checks for each malformation class, pinning the
-/// exact error variants the server's telemetry classes key off.
+/// exact error variants a malformed frame decodes to.
 #[test]
 fn malformed_classes_pinned() {
     assert_eq!(Request::decode(&[]), Err(ProtoError::Empty));

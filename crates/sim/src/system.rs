@@ -35,7 +35,6 @@ mod top {
 const SIM_TELEMETRY: TelemetrySpec = TelemetrySpec {
     counters: &[],
     ops: top::NAMES,
-    events: &[],
 };
 
 /// Page-key namespace for compressed file-cache blocks (§6 extension):
@@ -165,7 +164,7 @@ impl System {
             cc_swap,
             std_swap: HashMap::new(),
             stats: SystemStats::default(),
-            tel: Telemetry::new(SIM_TELEMETRY, 1),
+            tel: Telemetry::new(SIM_TELEMETRY, 1, true),
             adaptive: AdaptiveState::default(),
             page_scratch: vec![0u8; page_bytes],
             vm_total_pages: 0,

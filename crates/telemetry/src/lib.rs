@@ -12,19 +12,17 @@
 //! - [`AtomicHistogram`] — the workspace's one histogram type:
 //!   fixed-size, log-bucketed, recording wait-free and allocation-free;
 //!   reading yields p50/p90/p99/max. Its module owns the bucket scheme.
-//! - [`names!`] — declares a name table (counters, timed ops or event
-//!   kinds): one `name => CONST` line per entry gives both the index
-//!   constant and its slot in `NAMES`.
-//! - [`EventRing`] — a lock-free bounded MPMC ring of structured
-//!   events with sequence numbers and accurate drop counting; full
-//!   rings drop (and count) rather than block or overwrite.
-//! - [`Snapshot`] / [`Exporter`] — aggregate everything on demand and
-//!   render it as JSON, Prometheus text, or an aligned table, either
-//!   synchronously or from a background timer thread.
+//! - [`names!`] — declares a name table (counters or timed ops): one
+//!   `name => CONST` line per entry gives both the index constant and
+//!   its slot in `NAMES`.
+//! - [`Snapshot`] — aggregate everything on demand and render it as
+//!   JSON, Prometheus text, or an aligned table.
+//! - [`Tracer`] — sampled request spans and the flight recorder: the
+//!   history behind the counts, dumped on an anomaly or on demand.
 //!
-//! The [`Telemetry`] facade bundles one of each behind a single handle.
-//! Its hot-path costs: a counter bump is one uncontended atomic add on
-//! a private cache line; an event is one CAS plus three stores; a
+//! The [`Telemetry`] facade bundles a counter bank and one histogram
+//! per operation behind a single handle. Its hot-path costs: a counter
+//! bump is one uncontended atomic add on a private cache line; a
 //! histogram record is five RMWs (bucket, count, sum, min, max) on
 //! words every thread shares, and a timed operation reads the clock
 //! twice — together ~130 ns a call when paid on every call (ccbench's
@@ -33,11 +31,10 @@
 //! So a data-path operation asks [`Telemetry::op_timer`] once whether
 //! it is timed at all: 1 in [`LATENCY_SAMPLE_PERIOD`] by a hash of its
 //! operation stamp, traced requests always, and the other fifteen read
-//! no clock and write no histogram. Counters and events are never
-//! sampled. What sampling gives up: a sampled histogram's `count` is
-//! the number of samples, not of operations (those are counters), and
-//! its `max` is the largest sampled or traced latency, not the largest
-//! of all. [`Telemetry::record`] itself records every call it is given
+//! no clock and write no histogram. Counters are never sampled. What
+//! sampling gives up: a sampled histogram's `count` is the number of
+//! samples, not of operations (those are counters), and its `max` is
+//! the largest sampled or traced latency, not the largest of all. [`Telemetry::record`] itself records every call it is given
 //! — background threads, the simulator's virtual-time histograms and
 //! the server's per-request histograms are not sampled. The
 //! `storebench --smoke` CI gate measures the end-to-end overhead on the
@@ -48,34 +45,29 @@
 
 pub mod counters;
 pub mod hist;
-pub mod ring;
 pub mod snapshot;
 pub mod trace;
 
 pub use counters::CounterBank;
 pub use hist::{AtomicHistogram, HistSummary};
-pub use ring::{Event, EventRing};
-pub use snapshot::{ExportFormat, ExportTarget, Exporter, Snapshot};
+pub use snapshot::Snapshot;
 pub use trace::{AnomalyKind, DumpSink, Span, SpanRing, TraceCtx, Tracer, TracerBuilder};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Instant, SystemTime};
 
 /// Static description of what a [`Telemetry`] instance tracks: the
-/// counter, operation (latency histogram), and event-kind name tables.
-/// Indices into these slices are the handles the instrumented code uses.
+/// counter and operation (latency histogram) name tables. Indices into
+/// these slices are the handles the instrumented code uses.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetrySpec {
     /// Monotonic counter names.
     pub counters: &'static [&'static str],
     /// Timed-operation names (one latency histogram each).
     pub ops: &'static [&'static str],
-    /// Structured event-kind names.
-    pub events: &'static [&'static str],
 }
 
-/// Declares one name table of a [`TelemetrySpec`] — its counters, timed
-/// operations or event kinds — one line per entry.
+/// Declares one name table of a [`TelemetrySpec`] — its counters or
+/// timed operations — one line per entry.
 ///
 /// Each `name => CONST` entry, with the doc comments above it, becomes
 /// `pub const CONST: usize`, numbered from 0 in declaration order, and
@@ -108,9 +100,6 @@ macro_rules! names {
     (@index $i:expr;) => {};
 }
 
-/// Default event-ring capacity (events kept between snapshots).
-pub const DEFAULT_RING_CAPACITY: usize = 1024;
-
 /// A foreground operation is timed 1 time in this many (see
 /// [`Telemetry::op_timer`]). A power of two: the decision is a multiply
 /// and a shift. Exported beside the histograms it thins as the
@@ -136,40 +125,26 @@ fn stamp_sampled(stamp: u64) -> bool {
     stamp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SHIFT == 0
 }
 
-/// One telemetry instance: a counter bank, a latency histogram per
-/// operation, cumulative event counts, and the event ring.
+/// One telemetry instance: a counter bank and a latency histogram per
+/// operation.
 ///
 /// Counters are always live (they are the system's statistics of
-/// record). Latency timing and event capture can be disabled at
-/// construction ([`Telemetry::timing_enabled`]); instrumented code
-/// takes its clock reads from [`Telemetry::op_timer`] and checks the
-/// flag before pushing an event, so a disabled instance costs nothing
-/// but the counter adds.
+/// record). Latency timing can be disabled at construction
+/// ([`Telemetry::timing_enabled`]); instrumented code takes its clock
+/// reads from [`Telemetry::op_timer`], so a disabled instance costs
+/// nothing but the counter adds.
 pub struct Telemetry {
     spec: TelemetrySpec,
     timing: bool,
     counters: CounterBank,
     ops: Box<[AtomicHistogram]>,
-    event_counts: Box<[AtomicU64]>,
-    ring: EventRing,
     started: Instant,
 }
 
 impl Telemetry {
     /// Create an instance with `stripes` counter stripes (typically the
-    /// shard count) and the default ring capacity.
-    pub fn new(spec: TelemetrySpec, stripes: usize) -> Self {
-        Self::with_options(spec, stripes, DEFAULT_RING_CAPACITY, true)
-    }
-
-    /// Create an instance choosing the ring capacity and whether latency
-    /// sampling / event capture start enabled.
-    pub fn with_options(
-        spec: TelemetrySpec,
-        stripes: usize,
-        ring_capacity: usize,
-        timing: bool,
-    ) -> Self {
+    /// shard count), choosing whether latency timing starts enabled.
+    pub fn new(spec: TelemetrySpec, stripes: usize, timing: bool) -> Self {
         Telemetry {
             spec,
             timing,
@@ -177,21 +152,13 @@ impl Telemetry {
             ops: (0..spec.ops.len())
                 .map(|_| AtomicHistogram::new())
                 .collect(),
-            event_counts: (0..spec.events.len()).map(|_| AtomicU64::new(0)).collect(),
-            ring: EventRing::new(ring_capacity),
             started: Instant::now(),
         }
     }
 
-    /// The name tables this instance was built with.
-    pub fn spec(&self) -> &TelemetrySpec {
-        &self.spec
-    }
-
-    /// Whether latency sampling and event capture are enabled. Hot paths
-    /// check this before pushing an event and take their clock reads
-    /// from [`Telemetry::op_timer`]; cold paths (the spill writer, GC)
-    /// record unconditionally.
+    /// Whether latency timing is enabled. Hot paths take their clock
+    /// reads from [`Telemetry::op_timer`]; cold paths (the spill writer,
+    /// GC) record unconditionally.
     #[inline]
     pub fn timing_enabled(&self) -> bool {
         self.timing
@@ -260,28 +227,10 @@ impl Telemetry {
         self.ops[op].summary()
     }
 
-    /// Record a structured event: bumps the cumulative per-kind count
-    /// and pushes into the ring (dropping, counted, if full). Returns
-    /// the event's sequence number if the ring accepted it.
-    #[inline]
-    pub fn event(&self, kind: usize, a: u64, b: u64) -> Option<u64> {
-        self.event_counts[kind].fetch_add(1, Ordering::Relaxed);
-        self.ring.push(kind as u32, a, b)
-    }
-
-    /// Direct access to the event ring (tests, custom drains).
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
-
-    /// Take a snapshot: counter sums, op summaries, cumulative event
-    /// counts, and the drained ring window since the last snapshot.
-    /// Starts with an `uptime_seconds` gauge and the wall-clock
+    /// Take a snapshot: counter sums and op summaries. Starts with an `uptime_seconds` gauge and the wall-clock
     /// timestamp; further gauges are appended by the caller via
     /// [`Snapshot::gauge`].
     pub fn snapshot(&self) -> Snapshot {
-        let mut recent = Vec::new();
-        self.ring.drain(&mut recent);
         Snapshot {
             counters: self.counters.sums(),
             gauges: vec![("uptime_seconds", self.uptime_seconds())],
@@ -293,16 +242,6 @@ impl Telemetry {
                 .map(|(i, &n)| (n, self.ops[i].summary()))
                 .collect(),
             sampled_ops: Vec::new(),
-            events: self
-                .spec
-                .events
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (n, self.event_counts[i].load(Ordering::Relaxed)))
-                .collect(),
-            recent,
-            events_dropped: self.ring.dropped(),
-            events_recorded: self.ring.recorded(),
             taken_unix_s: SystemTime::now()
                 .duration_since(SystemTime::UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),
@@ -319,7 +258,6 @@ pub mod tests {
     const SPEC: TelemetrySpec = TelemetrySpec {
         counters: &["puts", "gets"],
         ops: &["put", "get"],
-        events: &["evict", "gc"],
     };
 
     /// A table declared the way the store and server declare theirs. An
@@ -344,37 +282,26 @@ pub mod tests {
 
     #[test]
     fn end_to_end_snapshot() {
-        let tel = Telemetry::new(SPEC, 4);
+        let tel = Telemetry::new(SPEC, 4, true);
         assert!(tel.timing_enabled());
         tel.count(0, 0, 3);
         tel.count(3, 1, 2);
         tel.record(0, 150);
         tel.record(0, 250);
         tel.record(1, 50);
-        assert_eq!(tel.event(1, 7, 8), Some(0));
-        assert_eq!(tel.event(0, 1, 2), Some(1));
         let snap = tel.snapshot().gauge("resident_bytes", 999);
         assert_eq!(snap.counter("puts"), Some(3));
         assert_eq!(snap.counter("gets"), Some(2));
         assert_eq!(snap.op("put").unwrap().count, 2);
         assert_eq!(snap.op("get").unwrap().max, 50);
-        assert_eq!(snap.event_count("gc"), Some(1));
-        assert_eq!(snap.event_count("evict"), Some(1));
-        assert_eq!(snap.recent.len(), 2);
-        assert_eq!(snap.recent[0].kind, 1);
         assert_eq!(snap.gauges[0].0, "uptime_seconds");
         assert_eq!(snap.gauges.last(), Some(&("resident_bytes", 999)));
         assert!(snap.taken_unix_s > 0);
-        // The window drains: a second snapshot sees no new events but
-        // keeps the cumulative counts.
-        let snap2 = tel.snapshot();
-        assert!(snap2.recent.is_empty());
-        assert_eq!(snap2.event_count("gc"), Some(1));
     }
 
     #[test]
     fn disabled_timing_flag() {
-        let tel = Telemetry::with_options(SPEC, 1, 16, false);
+        let tel = Telemetry::new(SPEC, 1, false);
         assert!(!tel.timing_enabled());
         // Counters still work; that is the contract.
         tel.count(0, 0, 1);
@@ -416,8 +343,8 @@ pub mod tests {
 
     #[test]
     fn forced_ops_are_always_timed_and_nothing_is_when_disabled() {
-        let on = Telemetry::new(SPEC, 1);
-        let off = Telemetry::with_options(SPEC, 1, 16, false);
+        let on = Telemetry::new(SPEC, 1, true);
+        let off = Telemetry::new(SPEC, 1, false);
         let mut unforced = 0;
         for stamp in 0..1024u64 {
             assert!(on.op_timer(stamp, true).is_some(), "stamp {stamp}");
@@ -440,7 +367,7 @@ pub mod tests {
     /// exported percentile to within one (12.5 %) bucket.
     #[test]
     fn sampled_histogram_keeps_the_percentiles() {
-        let tel = Telemetry::new(SPEC, 1);
+        let tel = Telemetry::new(SPEC, 1, true);
         let (all, picked) = (0, 1);
         let mut rng = cc_util::SplitMix64::new(19);
         for stamp in 0..100_000u64 {
@@ -469,18 +396,5 @@ pub mod tests {
             assert!(bf.abs_diff(bs) <= 1, "{name}: {full} vs {sampled}");
         }
         assert!(p.max <= a.max);
-    }
-
-    #[test]
-    fn event_counts_survive_ring_drops() {
-        let tel = Telemetry::with_options(SPEC, 1, 2, true);
-        for i in 0..10 {
-            tel.event(0, i, 0);
-        }
-        let snap = tel.snapshot();
-        // Cumulative count includes dropped pushes; the ring window and
-        // drop counter reconcile exactly.
-        assert_eq!(snap.event_count("evict"), Some(10));
-        assert_eq!(snap.recent.len() as u64 + snap.events_dropped, 10);
     }
 }

@@ -1,21 +1,13 @@
-//! Point-in-time snapshots and their renderers/exporters.
+//! Point-in-time snapshots and their renderers.
 //!
-//! A [`Snapshot`] is plain data: counter sums, caller-supplied gauges,
-//! per-operation latency summaries, cumulative event counts, and the
-//! window of events drained from the ring since the previous snapshot.
-//! It renders to hand-rolled JSON (the workspace is dependency-free; no
-//! serde), to the Prometheus text exposition format, and to an aligned
-//! human-readable table. An [`Exporter`] runs a background timer thread
-//! that writes a fresh snapshot to a file or stdout at a fixed interval.
+//! A [`Snapshot`] is plain data: counter sums, caller-supplied gauges
+//! and per-operation latency summaries. It renders to hand-rolled JSON
+//! (the workspace is dependency-free; no serde), to the Prometheus text
+//! exposition format, and to an aligned human-readable table.
 
 use crate::hist::HistSummary;
-use crate::ring::Event;
 use crate::LATENCY_SAMPLE_PERIOD;
 use cc_util::fmt;
-use std::io::Write as _;
-use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// A point-in-time copy of everything a [`crate::Telemetry`] knows.
 #[derive(Debug, Clone, Default)]
@@ -31,16 +23,6 @@ pub struct Snapshot {
     /// of them (see [`Snapshot::sampled`]); empty for an instance that
     /// records every call.
     pub sampled_ops: Vec<&'static str>,
-    /// Cumulative per-kind event counts (counted at record time, so they
-    /// include events the ring later dropped).
-    pub events: Vec<(&'static str, u64)>,
-    /// Events drained from the ring by *this* snapshot — the structured
-    /// window since the previous snapshot, oldest first.
-    pub recent: Vec<Event>,
-    /// Ring pushes rejected because the ring was full, cumulative.
-    pub events_dropped: u64,
-    /// Ring pushes accepted, cumulative.
-    pub events_recorded: u64,
     /// Wall-clock time the snapshot was taken, seconds since the Unix
     /// epoch — lets consecutive scrapes be rate-converted.
     pub taken_unix_s: u64,
@@ -75,14 +57,6 @@ impl Snapshot {
     /// Look up an operation summary by name.
     pub fn op(&self, name: &str) -> Option<HistSummary> {
         self.ops.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
-    }
-
-    /// Look up a cumulative event count by name.
-    pub fn event_count(&self, name: &str) -> Option<u64> {
-        self.events
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
     }
 
     /// Render as a JSON object. `indent` is the number of spaces the
@@ -127,25 +101,13 @@ impl Snapshot {
             "{pad}  \"ops\": {{\n{}\n{pad}  }},\n",
             ops.join(",\n")
         ));
-        out.push_str(&format!(
-            "{pad}  \"events\": {{\n{}\n{pad}  }},\n",
-            kv(&self.events)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"events_recorded\": {},\n",
-            self.events_recorded
-        ));
-        out.push_str(&format!(
-            "{pad}  \"events_dropped\": {},\n",
-            self.events_dropped
-        ));
         out.push_str(&format!("{pad}  \"taken_unix_s\": {}\n", self.taken_unix_s));
         out.push_str(&format!("{pad}}}"));
         out
     }
 
-    /// Render in the Prometheus text exposition format. Counter and
-    /// event names become `<prefix>_<name>_total`, gauges
+    /// Render in the Prometheus text exposition format. Counter names
+    /// become `<prefix>_<name>_total`, gauges
     /// `<prefix>_<name>`, and each op a `summary` with p50/p90/p99
     /// quantiles plus the `_sum`/`_count` pair (so `rate()` and
     /// average queries work) and `_max`. Every family carries a
@@ -185,21 +147,6 @@ impl Snapshot {
             out.push_str(&format!("{prefix}_{n}_latency_ns_count {}\n", s.count));
             out.push_str(&format!("{prefix}_{n}_latency_ns_max {}\n", s.max));
         }
-        for (n, v) in &self.events {
-            out.push_str(&format!(
-                "# HELP {prefix}_event_{n}_total Monotonic count of {n} events.\n"
-            ));
-            out.push_str(&format!("# TYPE {prefix}_event_{n}_total counter\n"));
-            out.push_str(&format!("{prefix}_event_{n}_total {v}\n"));
-        }
-        out.push_str(&format!(
-            "# HELP {prefix}_events_dropped_total Ring pushes dropped because the ring was full.\n"
-        ));
-        out.push_str(&format!("# TYPE {prefix}_events_dropped_total counter\n"));
-        out.push_str(&format!(
-            "{prefix}_events_dropped_total {}\n",
-            self.events_dropped
-        ));
         out.push_str(&format!(
             "# HELP {prefix}_snapshot_timestamp_seconds Unix time this snapshot was taken.\n"
         ));
@@ -247,155 +194,7 @@ impl Snapshot {
             ));
             out.push('\n');
         }
-        let ev_rows: Vec<Vec<String>> = self
-            .events
-            .iter()
-            .filter(|(_, v)| *v > 0)
-            .map(|(n, v)| vec![n.to_string(), v.to_string()])
-            .collect();
-        if !ev_rows.is_empty() {
-            out.push_str(&fmt::table(&["event", "count"], &ev_rows));
-            out.push_str(&format!(
-                "ring: {} recorded, {} dropped, {} in this window\n",
-                self.events_recorded,
-                self.events_dropped,
-                self.recent.len()
-            ));
-        }
         out
-    }
-}
-
-/// Where an [`Exporter`] writes each snapshot.
-#[derive(Debug, Clone)]
-pub enum ExportTarget {
-    /// Print to standard output.
-    Stdout,
-    /// Overwrite this file on every tick.
-    File(PathBuf),
-}
-
-/// Which rendering an [`Exporter`] writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExportFormat {
-    /// [`Snapshot::to_json`].
-    Json,
-    /// [`Snapshot::to_prometheus`] with the given static prefix.
-    Prometheus(&'static str),
-}
-
-/// A background timer thread exporting snapshots at a fixed interval.
-///
-/// The thread takes a fresh snapshot via the supplied closure (which may
-/// add gauges) and writes it to the target every `interval`; it exports
-/// one final snapshot when stopped or dropped, so short-lived processes
-/// still leave a complete file behind.
-///
-/// Stopping — explicitly via [`Exporter::stop`] or implicitly on drop —
-/// is deterministic: the timer waits on a condvar, the stop call
-/// notifies it, and the thread is joined before `stop`/`drop` returns.
-/// No detached thread survives the handle, and no export fires after
-/// the join (the final flush happens *inside* it).
-pub struct Exporter {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Exporter {
-    /// Spawn the exporter thread.
-    pub fn spawn<F>(
-        interval: Duration,
-        target: ExportTarget,
-        format: ExportFormat,
-        snap: F,
-    ) -> Exporter
-    where
-        F: Fn() -> Snapshot + Send + 'static,
-    {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("cc-telemetry-exporter".into())
-            .spawn(move || {
-                let write = |s: &Snapshot| {
-                    let text = match format {
-                        ExportFormat::Json => {
-                            let mut t = s.to_json(0);
-                            t.push('\n');
-                            t
-                        }
-                        ExportFormat::Prometheus(prefix) => s.to_prometheus(prefix),
-                    };
-                    match &target {
-                        ExportTarget::Stdout => {
-                            let mut out = std::io::stdout().lock();
-                            let _ = out.write_all(text.as_bytes());
-                            let _ = out.flush();
-                        }
-                        ExportTarget::File(path) => {
-                            let _ = std::fs::write(path, text.as_bytes());
-                        }
-                    }
-                };
-                // Wait out each interval on the condvar: a stop wakes
-                // the thread immediately instead of being noticed at
-                // the next polling step. Spurious wakeups re-wait for
-                // the remainder of the same deadline.
-                let (lock, cv) = &*stop2;
-                let mut stopped = lock.lock().expect("exporter stop flag poisoned");
-                'run: while !*stopped {
-                    let deadline = Instant::now() + interval;
-                    loop {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, _) = cv
-                            .wait_timeout(stopped, deadline - now)
-                            .expect("exporter stop flag poisoned");
-                        stopped = guard;
-                        if *stopped {
-                            break 'run;
-                        }
-                    }
-                    // Interval elapsed without a stop: export. Release
-                    // the flag lock around the (possibly slow) snapshot
-                    // + write so stop() is never blocked behind I/O.
-                    drop(stopped);
-                    write(&snap());
-                    stopped = lock.lock().expect("exporter stop flag poisoned");
-                }
-                drop(stopped);
-                // Final export so the last state is never lost. Runs
-                // before the join in stop()/drop() completes — nothing
-                // fires after the handle is gone.
-                write(&snap());
-            })
-            .expect("spawn telemetry exporter");
-        Exporter {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop the thread, export once more, and join.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().expect("exporter stop flag poisoned") = true;
-        cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Exporter {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -424,15 +223,6 @@ mod tests {
                 },
             )],
             sampled_ops: Vec::new(),
-            events: vec![("gc_run", 2)],
-            recent: vec![Event {
-                seq: 0,
-                kind: 0,
-                a: 1,
-                b: 2,
-            }],
-            events_dropped: 1,
-            events_recorded: 3,
             taken_unix_s: 1_700_000_000,
         }
     }
@@ -443,7 +233,6 @@ mod tests {
         assert!(j.contains("\"puts\": 10"), "{j}");
         assert!(j.contains("\"p99_ns\": 300"), "{j}");
         assert!(j.contains("\"resident_bytes\": 4096"), "{j}");
-        assert!(j.contains("\"events_dropped\": 1,"), "{j}");
         assert!(j.contains("\"sum_ns\": 1500"), "{j}");
         assert!(j.contains("\"max_trace\": 77"), "{j}");
         assert!(j.contains("\"tail\": [[400, 77]]"), "{j}");
@@ -462,8 +251,6 @@ mod tests {
             p.contains("cc_store_put_latency_ns{quantile=\"0.99\"} 300"),
             "{p}"
         );
-        assert!(p.contains("cc_store_event_gc_run_total 2"), "{p}");
-        assert!(p.contains("cc_store_events_dropped_total 1"), "{p}");
         assert!(p.contains("cc_store_put_latency_ns_sum 1500"), "{p}");
         assert!(
             p.contains("cc_store_snapshot_timestamp_seconds 1700000000"),
@@ -566,7 +353,6 @@ mod tests {
         let t = sample().render_text();
         assert!(t.contains("puts"), "{t}");
         assert!(t.contains("resident_bytes"), "{t}");
-        assert!(t.contains("gc_run"), "{t}");
         assert!(t.contains("100ns"), "{t}");
     }
 
@@ -576,79 +362,5 @@ mod tests {
         assert_eq!(s.counter("puts"), Some(10));
         assert_eq!(s.counter("nope"), None);
         assert_eq!(s.op("put").unwrap().p50, 100);
-        assert_eq!(s.event_count("gc_run"), Some(2));
-    }
-
-    #[test]
-    fn exporter_writes_file_and_final_snapshot() {
-        let dir = std::env::temp_dir().join(format!("cc-tel-exp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let exporter = Exporter::spawn(
-            Duration::from_millis(20),
-            ExportTarget::File(path.clone()),
-            ExportFormat::Json,
-            sample,
-        );
-        std::thread::sleep(Duration::from_millis(60));
-        exporter.stop();
-        let text = std::fs::read_to_string(&path).expect("exporter wrote file");
-        assert!(text.contains("\"puts\": 10"), "{text}");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn drop_joins_timer_thread_and_stops_exports() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let dir = std::env::temp_dir().join(format!("cc-tel-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-
-        let exports = Arc::new(AtomicU64::new(0));
-        let interval = Duration::from_millis(5);
-        let exporter = {
-            let exports = Arc::clone(&exports);
-            Exporter::spawn(
-                interval,
-                ExportTarget::File(path.clone()),
-                ExportFormat::Json,
-                move || {
-                    exports.fetch_add(1, Ordering::SeqCst);
-                    sample()
-                },
-            )
-        };
-        // Let at least one periodic export happen, then drop the handle.
-        while exports.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let before_drop = std::time::Instant::now();
-        drop(exporter);
-        let drop_took = before_drop.elapsed();
-
-        // Drop must complete promptly: one condvar wake + the final
-        // export, not an interval's worth of sleeping. Generous bound
-        // for slow CI, but far below a polling worst case over many
-        // intervals.
-        assert!(
-            drop_took < Duration::from_secs(2),
-            "drop blocked for {drop_took:?}"
-        );
-
-        // After drop returns the thread is joined; no further exports
-        // may fire. Sleep well past several intervals and check the
-        // count is frozen.
-        let frozen = exports.load(Ordering::SeqCst);
-        std::thread::sleep(interval * 10);
-        assert_eq!(
-            exports.load(Ordering::SeqCst),
-            frozen,
-            "exporter kept exporting after drop"
-        );
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

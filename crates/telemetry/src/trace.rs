@@ -1,8 +1,8 @@
 //! Request tracing and the flight recorder.
 //!
-//! Aggregate telemetry (counters, histograms, the event ring) answers
-//! "how is the system doing on average" — it cannot explain a *single*
-//! slow or wrong request. This module adds the per-request layer:
+//! Aggregate telemetry (counters, histograms) answers "how is the
+//! system doing on average" — it cannot explain a *single* slow or
+//! wrong request. This module adds the per-request layer:
 //!
 //! - **Sampled traces.** A [`Tracer`] samples one request in N
 //!   ([`TracerBuilder::sample_every`]) and hands the request a
@@ -14,12 +14,11 @@
 //!   tree across threads — the spill writer inherits the ctx through
 //!   the job queue and reports queue-wait and service time separately.
 //! - **Flight recorder.** Spans land in per-stripe [`SpanRing`]s —
-//!   bounded lock-free *overwrite* rings (newest always win, unlike the
-//!   drop-on-full [`crate::EventRing`], because a post-incident dump
-//!   wants the most recent history). When an anomaly fires
-//!   ([`Tracer::anomaly`]: corrupt extent, degraded-mode entry, a
-//!   backpressure stall, a GC pause over threshold) the recorder
-//!   renders the recent spans plus the last anomalies as JSON and
+//!   bounded lock-free *overwrite* rings (newest always win, because a
+//!   post-incident dump wants the most recent history). When an
+//!   anomaly fires ([`Tracer::anomaly`]: corrupt extent, degraded-mode
+//!   entry, a backpressure stall, a GC pause over threshold) the
+//!   recorder renders the recent spans plus the last anomalies as JSON and
 //!   writes them to the configured [`DumpSink`] — bounded by an
 //!   auto-dump budget so an anomaly storm cannot fill a disk. The same
 //!   JSON is available on demand via [`Tracer::dump_json`] (the
@@ -216,10 +215,9 @@ struct SpanSlot {
 /// A bounded lock-free *overwrite* ring of spans.
 ///
 /// Producers claim positions with one `fetch_add` and overwrite the
-/// oldest slot — a flight recorder must keep the newest history, the
-/// opposite bias of the drop-on-full [`crate::EventRing`]. Each slot
-/// carries a seqlock stamp so the (rare, dump-time) reader detects and
-/// skips slots torn by a concurrent writer instead of blocking it.
+/// oldest slot — a flight recorder must keep the newest history. Each
+/// slot carries a seqlock stamp so the (rare, dump-time) reader detects
+/// and skips slots torn by a concurrent writer instead of blocking it.
 pub struct SpanRing {
     slots: Box<[SpanSlot]>,
     head: AtomicU64,

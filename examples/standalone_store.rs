@@ -5,8 +5,8 @@
 //! compressed page store with a real background spill thread. This
 //! example swaps a working set into it from several threads, prints
 //! the effective memory amplification, and ends with the store's own
-//! telemetry snapshot — per-tier latency histograms and the structured
-//! event window — rendered through `util::fmt`.
+//! telemetry snapshot — counters, gauges and per-tier latency
+//! histograms — rendered through `util::fmt`.
 //!
 //! ```sh
 //! cargo run --release --example standalone_store
@@ -85,8 +85,8 @@ fn main() {
     );
 
     // The same store, through its telemetry plane: counter sums and
-    // gauges, nanosecond latency histograms per serving tier, and the
-    // ring's structured event counts, all in `util::fmt` tables.
+    // gauges and nanosecond latency histograms per serving tier, all in
+    // `util::fmt` tables.
     let snap = store
         .telemetry_snapshot()
         .gauge("logical_bytes", logical as u64);

@@ -17,7 +17,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`util`] | `cc-util` | virtual time, seeded RNG, LRU list, slab, CRC-32, formatting |
-//! | [`telemetry`] | `cc-telemetry` | counters, histograms, event ring, tracing, snapshot export |
+//! | [`telemetry`] | `cc-telemetry` | counters, histograms, tracing, snapshot renderers |
 //! | [`compress`] | `cc-compress` | LZRW1 (from scratch), LZSS, RLE, null; the 4:3 threshold policy |
 //! | [`disk`] | `cc-disk` | RZ57 and friends: seeks, rotation, transfer, request queueing |
 //! | [`blockfs`] | `cc-blockfs` | Sprite-like 4 KB-block files, read-modify-write semantics, buffer cache |
