@@ -56,7 +56,7 @@
 //! `--chaos` (`--chaos --smoke` is the reduced CI variant) runs the
 //! mixed workload against a seeded fault-injecting spill medium —
 //! transient EIO, bit-flip read corruption, torn writes, and a scheduled
-//! write outage — then crash-recovers a persistent store, and fails if
+//! write outage — then crash-recovers a spilling store, and fails if
 //! any get returns wrong bytes, injected corruption goes undetected, the
 //! store fails to enter *and* leave degraded mode on schedule, the
 //! memory budget stays violated after settling, the recovery trial's
@@ -888,8 +888,7 @@ fn run_chaos(threads: usize, ops_per_thread: u64, seed: u64) -> i32 {
     smoke::report("storebench --chaos", &failures)
 }
 
-/// Crash-recovery trial: spill a known working set through a persistent
-/// store, remove every odd key, put a second wave that makes the writer
+/// Crash-recovery trial: spill a known working set through a store, remove every odd key, put a second wave that makes the writer
 /// clean the half-dead segments, kill the power with a
 /// [`CrashSwitch`](cc_core::medium::CrashSwitch) write cut, reopen the
 /// real file, and verify the recovery contract — every durably-written
@@ -919,8 +918,7 @@ fn run_chaos_recovery() -> Vec<String> {
             .with_tier_policy(flat_tiering())
             .with_spill_batch_bytes(PAGE)
             .with_gc_dead_ratio(0.3);
-        let store = CompressedStore::with_persistent_media(cfg.clone(), Arc::new(injector))
-            .expect("open persistent store");
+        let store = CompressedStore::with_medium(cfg.clone(), Arc::new(injector));
         let mut page = vec![0u8; PAGE];
         for key in 0..RECOVERY_KEYS {
             chaos_page(key, 1, &mut page);

@@ -21,8 +21,8 @@
 //! nothing after is, and the victim process never sees an error.
 //! [`CrashSwitch`] models exactly that: every injector counts the bytes
 //! written through it on its own switch, silently swallowing all bytes
-//! past the cut, optionally scribbling over the torn sector. A persistent
-//! store writes one file, so one switch cuts all of it. Arm it at a byte
+//! past the cut, optionally scribbling over the torn sector. A store
+//! writes one spill file, so one switch cuts all of it. Arm it at a byte
 //! offset recorded from a previous run and the crash replays exactly.
 
 use std::collections::HashMap;

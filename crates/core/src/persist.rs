@@ -4,8 +4,8 @@
 //!
 //! The spill file holds self-verifying extents (see [`crate::store`]);
 //! without a persisted location map it is write-only memory across a
-//! restart. A persistent store therefore writes two more structures into
-//! the same file, and no other file:
+//! restart. Every store with a spill medium therefore writes two more
+//! structures into the same file, and no other file:
 //!
 //! - A **superblock** at the head of the file: two 128-byte slots, each
 //!   CRC-checksummed and carrying a monotonically increasing sequence
@@ -35,8 +35,7 @@ use crate::store::extent::{verify_extent, EXTENT_HEADER};
 use cc_util::{crc32, Crc32};
 
 /// Bytes reserved at the head of the spill file for the superblock
-/// region (two slots plus headroom). Extent space starts here; a
-/// non-persistent store keeps its historical base of 0.
+/// region (two slots). Segment 0 starts here.
 pub const SUPERBLOCK_RESERVED: u64 = 256;
 
 /// One superblock slot. Two of them fit the reserved region with room to
@@ -128,7 +127,7 @@ pub struct Superblock {
 
 impl Superblock {
     /// What a fresh file with `seg_bytes` segments stands on before its
-    /// first superblock ([`Persist::open`]): no sequence, no lease, a
+    /// first superblock ([`Persist::stamp`]): no sequence, no lease, a
     /// new salt (`RandomState` keys come from the OS's randomness).
     pub(crate) fn fresh(seg_bytes: u64) -> Superblock {
         use std::hash::{BuildHasher, RandomState};
@@ -365,28 +364,33 @@ pub fn decode_summary(buf: &[u8], room: u64, sb: &Superblock) -> Option<Summary>
 /// field). The first batch may run on past the segment, up to `room`
 /// bytes (a batch larger than a segment takes a run of them); every
 /// later one ends inside it. The walk stops at the first block that is
-/// not a valid summary, or whose sequence is not above the one before
-/// it.
+/// not a valid summary after `tries` reads of it, or whose sequence is
+/// not above the one before it.
 pub(crate) fn walk_segment(
     data: &dyn SpillMedium,
     start: u64,
     room: u64,
     sb: &Superblock,
+    tries: u32,
 ) -> (Vec<(u64, Summary)>, bool) {
     let end = start + sb.seg_bytes;
     let mut batches: Vec<(u64, Summary)> = Vec::new();
     let mut pos = start;
     let mut head = [0u8; SUMMARY_HEAD];
     let mut buf = Vec::new();
-    while pos + SUMMARY_HEAD as u64 <= end && data.read_at(&mut head, pos).is_ok() {
+    while pos + SUMMARY_HEAD as u64 <= end {
         let room = if pos == start { room } else { end - pos };
-        let summary = summary_block_len(&head, room).and_then(|len| {
+        let mut magic = false;
+        let summary = (0..tries.max(1)).find_map(|_| {
+            data.read_at(&mut head, pos).ok()?;
+            magic = u32_at(&head, 0) == SUMMARY_MAGIC;
+            let len = summary_block_len(&head, room)?;
             buf.resize(len, 0);
             data.read_at(&mut buf, pos).ok()?;
             decode_summary(&buf, room, sb)
         });
         let Some(summary) = summary else {
-            return (batches, u32_at(&head, 0) == SUMMARY_MAGIC);
+            return (batches, magic);
         };
         if batches.last().is_some_and(|(_, s)| summary.seq <= s.seq) {
             break;
@@ -419,20 +423,18 @@ struct PersistState {
 }
 
 impl Persist {
-    /// Take over the file whose last superblock is `last` by stamping
-    /// the next, dirty one — for a fresh file, or before a recovered one
-    /// serves anything, so that a crash from here on recovers through
-    /// the verifying path — leasing batch sequences from the old lease
-    /// on.
-    pub fn open(data: &dyn SpillMedium, last: Superblock, page_size: u32) -> io::Result<Persist> {
-        let p = Persist {
+    /// The state of a file whose last superblock is `last`; nothing is
+    /// written. The opener takes the file over by stamping the next,
+    /// dirty superblock ([`Persist::stamp`]) from `last`'s lease on —
+    /// before a recovered file serves anything, so that a crash from
+    /// there on recovers through the verifying path.
+    pub fn new(last: Superblock) -> Persist {
+        Persist {
             state: Mutex::new(PersistState {
                 pending: Vec::new(),
                 sb: last,
             }),
-        };
-        p.stamp(data, page_size, false, last.seq_limit)?;
-        Ok(p)
+        }
     }
 
     fn state(&self) -> std::sync::MutexGuard<'_, PersistState> {
@@ -446,10 +448,11 @@ impl Persist {
     }
 
     /// Write the next superblock, leasing sequences up to `seq +
-    /// SEQ_LEASE` if that is further: the writer's, before a batch whose
-    /// sequence `seq` reaches the lease, or `clean` to seal an orderly
-    /// shutdown once no tombstone is pending. Only the writer stamps, so
-    /// nothing changes `sb` between the copy and the write.
+    /// SEQ_LEASE` if that is further: the opener's, the writer's before
+    /// a batch whose sequence `seq` reaches the lease, or `clean` to seal
+    /// an orderly shutdown once no tombstone is pending. Only the opener,
+    /// before the writer starts, and then the writer stamp, so nothing
+    /// changes `sb` between the copy and the write.
     pub fn stamp(
         &self,
         data: &dyn SpillMedium,
@@ -506,12 +509,12 @@ pub(crate) struct RecoveredEntry {
 }
 
 /// What one segment's summaries list, dead records included: the
-/// segment table's key and tombstone lists for a recovered file. Every
-/// summary lists something, so a segment with neither held none.
+/// segment table's extent and tombstone lists for a recovered file.
+/// Every summary lists something, so a segment with neither held none.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct RecoveredSegment {
-    /// Keys of every extent the summaries name.
-    pub keys: Vec<u64>,
+    /// `(key, generation)` of every extent the summaries name.
+    pub keys: Vec<(u64, u64)>,
     /// Every tombstone the summaries hold.
     pub tombs: Vec<Tombstone>,
 }
@@ -629,7 +632,7 @@ pub(crate) fn recover(data: &dyn SpillMedium) -> Result<Recovery, RecoverError> 
     let mut found: Vec<(u64, u64, SummaryRecord)> = Vec::new();
     let mut i = 0;
     while i < nsegs {
-        let (batches, torn) = walk_segment(data, start(i), (nsegs - i) * seg, &sb);
+        let (batches, torn) = walk_segment(data, start(i), (nsegs - i) * seg, &sb, 1);
         if torn {
             counts.torn_tail_discarded += 1;
             clean = false;
@@ -649,7 +652,7 @@ pub(crate) fn recover(data: &dyn SpillMedium) -> Result<Recovery, RecoverError> 
                 counts.summary_records_replayed += 1;
                 match r.is_tombstone() {
                     true => rs.tombs.push((r.key, r.gen)),
-                    false => rs.keys.push(r.key),
+                    false => rs.keys.push((r.key, r.gen)),
                 }
                 found.push((s.seq, *at, *r));
             }
@@ -892,7 +895,7 @@ mod tests {
         assert_eq!(rec.counts.stale_generation_dropped, 3);
         assert_eq!(rec.page_size, 64);
         assert_eq!(rec.segments[1].tombs, vec![(2, 40)]);
-        assert_eq!(rec.segments[0].keys, vec![1, 2]);
+        assert_eq!(rec.segments[0].keys, vec![(1, 10), (2, 20)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The invariant checker behind [`CompressedStore::check_invariants`]:
 //! the in-memory bookkeeping and the segment table recomputed from the
-//! entries themselves, and on a persistent store every spilled extent
-//! read back against the file.
+//! entries themselves, and every spilled extent read back against the
+//! file.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,7 +12,13 @@ use super::extent::verify_extent;
 use super::shard::{Residence, Shard};
 #[cfg(doc)]
 use super::CompressedStore;
-use crate::persist::walk_segment;
+use crate::medium::SpillMedium;
+use crate::persist::{walk_segment, SUPERBLOCK_RESERVED};
+
+/// Reads the file read-back makes of an extent or a summary before it
+/// reports it: a read that failed or came back damaged — a faulty
+/// medium's, say — is not the file's last word.
+const CHECK_READS: u32 = 8;
 
 impl StoreCore {
     pub(super) fn check_invariants(&self) -> Result<(), String> {
@@ -28,11 +34,6 @@ impl StoreCore {
         for (i, shard) in shards.iter().enumerate() {
             let (mut n_hot, mut n_warm) = (0usize, 0usize);
             for (&key, e) in &shard.entries {
-                if e.journaled && self.persist.is_none() {
-                    return Err(format!(
-                        "shard {i}: key {key} journaled on a non-persistent store"
-                    ));
-                }
                 match &e.residence {
                     Residence::Hot { data, handle } => {
                         hot += data.len();
@@ -50,6 +51,9 @@ impl StoreCore {
                     }
                     Residence::Spilling { data, .. } => spilling += data.len(),
                     Residence::Spilled { offset, len, gen } => {
+                        if !e.journaled {
+                            return Err(format!("shard {i}: spilled key {key} not journaled"));
+                        }
                         extents.push((*offset, *offset + *len as u64));
                         spilled.push((key, *offset, *len, *gen, e.codec));
                     }
@@ -110,40 +114,37 @@ impl StoreCore {
             return Ok(());
         }
         segments.check(&extents)?;
-        if self.persist.is_none() {
-            return Ok(());
-        }
-        let geometry = (segments.base(), segments.seg_bytes(), segments.high_water());
+        let geometry = (segments.seg_bytes(), segments.high_water());
         // The extents stay where they are while every shard lock is
         // held: the writer moves or frees none without one.
         drop(segments);
-        self.check_file(&spilled, geometry)
+        match self.medium.as_deref() {
+            Some(medium) => self.check_file(medium, &spilled, geometry),
+            None => Ok(()),
+        }
     }
 
     /// Read back every spilled extent `(key, offset, len, gen, codec)`
-    /// from the segments `(base, seg_bytes, high_water)`: it must verify,
-    /// and a summary in its segment must name it there. Checked last, so
-    /// an error that starts with "on the file" means every in-memory
+    /// from the segments `(seg_bytes, high_water)`: it must verify, and
+    /// a summary in its segment must name it there. Checked last, so an
+    /// error that starts with "on the file" means every in-memory
     /// identity held — the one kind a medium that silently lost writes
     /// (a simulated power cut) can cause.
     fn check_file(
         &self,
+        medium: &dyn SpillMedium,
         spilled: &[(u64, u64, u32, u64, u8)],
-        (base, seg_bytes, high_water): (u64, u64, u64),
+        (seg_bytes, high_water): (u64, u64),
     ) -> Result<(), String> {
-        let medium = self
-            .medium
-            .as_deref()
-            .expect("persistent store has a medium");
-        let sb = (self.persist.as_ref())
-            .expect("checked on a persistent store")
-            .superblock();
+        let sb = self.persist.superblock();
+        let base = SUPERBLOCK_RESERVED;
         let mut named: HashMap<u64, HashSet<(u64, u64, u64, u32)>> = HashMap::new();
         let mut buf = Vec::new();
         for &(key, offset, len, gen, codec) in spilled {
             let start = base + (offset - base) / seg_bytes * seg_bytes;
             let names = named.entry(start).or_insert_with(|| {
-                let (batches, _) = walk_segment(medium, start, high_water - start, &sb);
+                let room = high_water - start;
+                let (batches, _) = walk_segment(medium, start, room, &sb, CHECK_READS);
                 (batches.iter())
                     .flat_map(|(at, s)| {
                         (s.records.iter()).map(move |r| (r.key, r.gen, at + r.rel as u64, r.len))
@@ -156,8 +157,10 @@ impl StoreCore {
                 ));
             }
             buf.resize(len as usize, 0);
-            let ok = medium.read_at(&mut buf, offset).is_ok()
-                && verify_extent(&buf, gen, codec).is_some();
+            let ok = (0..CHECK_READS).any(|_| {
+                medium.read_at(&mut buf, offset).is_ok()
+                    && verify_extent(&buf, gen, codec).is_some()
+            });
             if !ok {
                 return Err(format!(
                     "on the file: key {key}'s extent at {offset} (gen {gen}) does not verify"

@@ -18,7 +18,12 @@ pub struct StoreConfig {
     /// coldest entries are spilled (if a spill file is configured) or
     /// puts fail with [`StoreError::OutOfMemory`].
     pub memory_budget: usize,
-    /// Optional spill file path; created/truncated on open.
+    /// Optional spill file path; created/truncated by
+    /// [`CompressedStore::new`], reopened by
+    /// [`CompressedStore::open_existing`]. The file is crash-safe: a
+    /// checksummed superblock heads it and every batch is written behind
+    /// a summary of what it holds, so the cold tier can be rebuilt from
+    /// the file alone after a crash or restart.
     pub spill_path: Option<PathBuf>,
     /// Keep-compressed threshold; pages failing it are stored raw (they
     /// still count against the budget — exactly the paper's accounting).
@@ -86,14 +91,6 @@ pub struct StoreConfig {
     /// Nothing else wakes it; each wake drains the aged backlog. Default
     /// 5 ms.
     pub demote_interval: Duration,
-    /// Make the spill tier crash-safe and warm-restartable: a
-    /// checksummed superblock heads the spill file and every batch is
-    /// written behind a summary of what it holds, so
-    /// [`CompressedStore::open_existing`] can rebuild the cold tier from
-    /// the spill file alone after a crash or restart. Default
-    /// `false` (the spill file is scratch space that dies with the
-    /// process).
-    pub persistent: bool,
 }
 
 /// The paper's §4.3 write-back batch size.
@@ -139,7 +136,6 @@ impl StoreConfig {
             tracer: None,
             tier_policy: crate::tier::default_policy(),
             demote_interval: DEFAULT_DEMOTE_INTERVAL,
-            persistent: false,
         }
     }
 
@@ -149,14 +145,6 @@ impl StoreConfig {
             spill_path: Some(path.into()),
             ..StoreConfig::in_memory(memory_budget)
         }
-    }
-
-    /// Make the spill tier crash-safe (see [`StoreConfig::persistent`]).
-    /// Open a fresh store with [`CompressedStore::new`] and a restart
-    /// survivor with [`CompressedStore::open_existing`].
-    pub fn with_persistent(mut self, on: bool) -> Self {
-        self.persistent = on;
-        self
     }
 
     /// Override the codec-selection policy (see

@@ -109,10 +109,11 @@ pub(super) struct StoreCore {
     /// The spill file's segments: fill, dead bytes and key list each.
     /// A leaf lock below the shard locks (see `gc`).
     pub(super) segments: Mutex<Segments>,
-    /// Persistence state (`Some` iff [`StoreConfig::persistent`]): the
-    /// tombstones waiting for a batch and the superblock's sequence and
-    /// lease. Superblock and summaries live in the spill medium itself.
-    pub(super) persist: Option<Persist>,
+    /// The spill file's persistence state: the tombstones waiting for a
+    /// batch and the superblock's sequence and lease. Superblock and
+    /// summaries live in the spill medium itself; a store without one
+    /// journals no key, so it never queues a tombstone.
+    pub(super) persist: Persist,
 }
 
 /// Span bookkeeping for one traced store operation: its span id and
@@ -914,12 +915,9 @@ impl StoreCore {
     /// lock, which is what makes the per-key LSN order exact even when
     /// the tombstone reaches the file before the extent it supersedes.
     pub(super) fn tombstone_if_journaled(&self, journaled: bool, key: u64) {
-        if !journaled {
-            return;
-        }
-        if let Some(p) = &self.persist {
+        if journaled {
             let lsn = self.next_gen.fetch_add(1, Ordering::Relaxed);
-            p.enqueue_tombstone(key, lsn);
+            self.persist.enqueue_tombstone(key, lsn);
         }
     }
 
@@ -1168,14 +1166,18 @@ impl StoreCore {
         // removed before the barrier. A tombstone in a batch still being
         // written — a spill, relocation or another caller's barrier
         // batch — counts as waiting, and the writer answers only after
-        // that batch.
-        if self.persist.as_ref().is_some_and(|p| p.has_pending()) {
+        // that batch. A writer that is gone answers nothing.
+        if self.persist.has_pending() {
             let tx = self.shards[0].0.lock().expect("shard poisoned").tx.clone();
             let (reply, done) = channel();
             let sent = tx.is_some_and(|tx| tx.send(ToWriter::Barrier(reply)).is_ok());
-            if !sent || done.recv() != Ok(true) {
-                let e = std::io::Error::other("the queued tombstones were not written");
-                return Err(StoreError::Io(e));
+            match (sent, done.recv()) {
+                (true, Ok(true)) => {}
+                (true, Ok(false)) => {
+                    let e = std::io::Error::other("the queued tombstones were not written");
+                    return Err(StoreError::Io(e));
+                }
+                _ => return Err(StoreError::ShuttingDown),
             }
         }
         Ok(())

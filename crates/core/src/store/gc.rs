@@ -13,25 +13,29 @@
 //! ([`SpillWriter::clean_step`]): the segment cleaner of LFS (Rosenblum &
 //! Ousterhout, SOSP '91), working at the paper's §4.3 batch size.
 //!
-//! On a persistent store every batch carries a summary ([`crate::persist`])
-//! and the table keeps, per segment, the tombstones its summaries hold.
-//! Cleaning carries a tombstone forward while any other allocated segment
-//! still lists its key, and freeing a segment first invalidates its first
-//! summary on the file: otherwise recovery would walk a freed but not yet
-//! rewritten segment and resurrect keys whose tombstones were dropped.
+//! Every batch carries a summary ([`crate::persist`]), and the table keeps,
+//! per segment, the `(key, generation)` of each extent and the tombstones
+//! its summaries hold. Cleaning carries a tombstone forward only while an
+//! older copy of its key may still be on the file
+//! ([`SpillWriter::carried`]), and freeing a segment first invalidates its
+//! first summary on the file: otherwise recovery would walk a freed but
+//! not yet rewritten segment and resurrect keys whose tombstones were
+//! dropped.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
 use std::time::Instant;
 
 use super::core::StoreCore;
-use super::shard::Residence;
+use super::extent::verify_extent;
+use super::shard::{KeyHasher, Residence};
 use super::stats::{top, tstat};
 use super::writer::{SpillWriter, StagedJob};
 #[cfg(doc)]
 use super::StoreConfig;
-use crate::persist::{RecoveredSegment, Tombstone, SUMMARY_HEAD};
+use crate::persist::{RecoveredSegment, Tombstone, SUMMARY_HEAD, SUPERBLOCK_RESERVED};
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
 
 /// A segment holds this many [`StoreConfig::spill_batch_bytes`] batches:
@@ -68,10 +72,12 @@ pub(super) struct Segment {
     /// Part of a run of segments holding a batch larger than one: an
     /// extent may cross its boundaries, so it is freed only once empty.
     run: bool,
-    /// Keys of the extents written into it, dead ones included: the
-    /// cleaner looks each up to find the survivors.
-    keys: Vec<u64>,
-    /// Tombstones its summaries hold (persistent stores only).
+    /// `(key, generation)` of the extents written into it, dead ones
+    /// included: the cleaner looks each key up to find the survivors,
+    /// and a generation below a tombstone's LSN keeps that tombstone on
+    /// the file.
+    pub(super) keys: Vec<(u64, u64)>,
+    /// Tombstones its summaries hold.
     pub(super) tombs: Vec<Tombstone>,
 }
 
@@ -106,8 +112,6 @@ pub(super) struct Placement {
 /// lock, taken after a shard lock, never before one.
 pub(super) struct Segments {
     seg_bytes: u64,
-    /// File offset of segment 0 (past the superblock on persistent media).
-    base: u64,
     pub(super) segs: Vec<Segment>,
     open: Option<usize>,
     /// Σ `used` over non-free segments: `bytes_on_spill`.
@@ -117,10 +121,9 @@ pub(super) struct Segments {
 }
 
 impl Segments {
-    pub(super) fn new(seg_bytes: u64, base: u64) -> Segments {
+    pub(super) fn new(seg_bytes: u64) -> Segments {
         Segments {
             seg_bytes,
-            base,
             segs: Vec::new(),
             open: None,
             on_spill: 0,
@@ -134,11 +137,10 @@ impl Segments {
     /// sealed, the rest are free.
     pub(super) fn recovered(
         seg_bytes: u64,
-        base: u64,
         written: Vec<RecoveredSegment>,
         extents: impl Iterator<Item = (u64, u32)>,
     ) -> Segments {
-        let mut t = Segments::new(seg_bytes, base);
+        let mut t = Segments::new(seg_bytes);
         t.segs = (written.into_iter())
             .map(|w| Segment {
                 keys: w.keys,
@@ -174,25 +176,21 @@ impl Segments {
         self.seg_bytes
     }
 
-    /// File offset of segment 0.
-    pub(super) fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Where the segments end: no extent lies past it.
     pub(super) fn high_water(&self) -> u64 {
-        self.base + self.segs.len() as u64 * self.seg_bytes
+        self.start(self.segs.len())
     }
 
+    /// File offset of segment `seg`'s first byte.
     fn start(&self, seg: usize) -> u64 {
-        self.base + seg as u64 * self.seg_bytes
+        SUPERBLOCK_RESERVED + seg as u64 * self.seg_bytes
     }
 
     /// First and last segment `[offset, offset + len)` touches (an
-    /// offset below the base, which only a damaged summary can name,
-    /// counts as segment 0; `check` reports it).
+    /// offset inside the superblock region, which only a damaged summary
+    /// can name, counts as segment 0; `check` reports it).
     fn span(&self, offset: u64, len: u64) -> (usize, usize) {
-        let at = |o: u64| (o.saturating_sub(self.base) / self.seg_bytes) as usize;
+        let at = |o: u64| (o.saturating_sub(SUPERBLOCK_RESERVED) / self.seg_bytes) as usize;
         (at(offset), at(offset + len.max(1) - 1))
     }
 
@@ -252,14 +250,15 @@ impl Segments {
     }
 
     /// Account a batch of `len` bytes written at `p`, holding the extents
-    /// of `keys` and the tombstones `tombs`. Its first `dead` bytes no
-    /// entry names: its summary, or — for a relocation batch, whose
-    /// survivors are republished one by one — all of it.
+    /// `keys` — `(key, generation)` each — and the tombstones `tombs`.
+    /// Its first `dead` bytes no entry names: its summary, or — for a
+    /// relocation batch, whose survivors are republished one by one —
+    /// all of it.
     pub(super) fn commit(
         &mut self,
         p: Placement,
         len: u64,
-        keys: impl Iterator<Item = u64>,
+        keys: impl Iterator<Item = (u64, u64)>,
         tombs: &[Tombstone],
         dead: u64,
     ) {
@@ -281,13 +280,14 @@ impl Segments {
             if p.fresh {
                 if let Some(o) = self.open.take() {
                     // Sealed short: nobody will ever name its tail. Its
-                    // key list is final, so it keeps no spare capacity.
+                    // lists are final, so they keep no spare capacity.
                     let s = &mut self.segs[o];
                     let gap = seg - s.used;
                     s.used = seg;
                     s.dead += gap;
                     s.state = SegState::Sealed;
                     s.keys.shrink_to_fit();
+                    s.tombs.shrink_to_fit();
                     self.on_spill += gap;
                     self.dead += gap;
                 }
@@ -343,38 +343,11 @@ impl Segments {
         s.tombs.clear();
     }
 
-    /// The sealed segments other than `but` that no entry names a byte
-    /// of and that hold no tombstone — the rest of a dead run, say:
-    /// freeing them needs nothing read, copied or carried.
-    fn empty(&self, but: usize) -> Vec<usize> {
-        (0..self.segs.len())
-            .filter(|&i| {
-                let s = &self.segs[i];
-                i != but && s.state == SegState::Sealed && s.dead == s.used && s.tombs.is_empty()
-            })
-            .collect()
-    }
-
-    /// The tombstones of segment `v` that must outlive it: those whose
-    /// key another allocated segment still lists, where an older copy of
-    /// it may still sit on the file — of a key's, only the newest, which
-    /// kills all that the older ones do. So a cleaning leaves at most one
-    /// tombstone per key, however often the key was removed.
-    fn carried(&self, v: usize) -> Vec<Tombstone> {
-        if self.segs[v].tombs.is_empty() {
-            return Vec::new();
-        }
-        let listed: HashSet<u64> = (self.segs.iter().enumerate())
-            .filter(|&(i, s)| i != v && s.state != SegState::Free)
-            .flat_map(|(_, s)| s.keys.iter().copied())
-            .collect();
-        let mut carried: Vec<Tombstone> = (self.segs[v].tombs.iter())
-            .filter(|(key, _)| listed.contains(key))
-            .copied()
-            .collect();
-        carried.sort_unstable_by(|a, b| (a.0, b.1).cmp(&(b.0, a.1)));
-        carried.dedup_by_key(|t| t.0);
-        carried
+    /// Whether no entry names a byte of sealed segment `i`: freeing it
+    /// needs nothing read or copied.
+    fn is_empty(&self, i: usize) -> bool {
+        let s = &self.segs[i];
+        s.state == SegState::Sealed && s.dead == s.used
     }
 
     /// The on-file identities, for [`StoreCore::check_invariants`] at a
@@ -387,7 +360,7 @@ impl Segments {
         let mut live = vec![0u64; self.segs.len()];
         for &(a, b) in extents {
             let (first, last) = self.span(a, b - a);
-            if a < self.base || last >= self.segs.len() {
+            if a < SUPERBLOCK_RESERVED || last >= self.segs.len() {
                 return Err(format!("spilled extent {:?} outside the segments", (a, b)));
             }
             if first != last && !(first..=last).all(|i| self.segs[i].run) {
@@ -462,14 +435,17 @@ impl StoreCore {
 /// file order, and how far the steps so far have copied them. Held by
 /// the writer between its turns; the segment stays sealed throughout.
 pub(super) struct Cleaning {
-    seg: usize,
-    /// File offset of the segment's first byte.
+    /// The victim, first, and — when no entry names a byte of it —
+    /// every other sealed segment no entry names a byte of (the rest of
+    /// a dead run, say): all of them are freed together.
+    segs: Vec<usize>,
+    /// File offset of the victim's first byte.
     start: u64,
     /// `rel` is each survivor's offset in the segment.
     survivors: Vec<StagedJob>,
     /// Survivors before this one are copied.
     next: usize,
-    /// Tombstones to carry forward ([`Segments::carried`]); they ride
+    /// Tombstones to carry forward ([`SpillWriter::carried`]); they ride
     /// with the first batch the cleaning writes.
     tombs: Vec<Tombstone>,
 }
@@ -492,9 +468,9 @@ impl SpillWriter {
     /// `publish`'s rule — the entry moves only if it still names the old
     /// copy, otherwise the new copy is dead bytes. The victim is freed
     /// only after every survivor's copy, and every tombstone it carries,
-    /// is written and flushed — on a persistent store the copy's summary
-    /// names the same `(key, generation)` again — and every survivor is
-    /// republished; then its first summary is invalidated
+    /// is written and flushed — the copy's summary names the same `(key,
+    /// generation)` again — and every survivor is republished; then its
+    /// first summary is invalidated
     /// ([`SpillWriter::release`]). A reader that read the old copy
     /// therefore finds its entry moved before any byte of the victim can
     /// be reused, and a crash at any byte resolves every extent to one
@@ -516,13 +492,7 @@ impl SpillWriter {
         if c.next < c.survivors.len() {
             self.cleaning = Some(c);
         } else {
-            let mut free = vec![c.seg];
-            if c.survivors.is_empty() {
-                // An empty victim had the most dead bytes a segment can:
-                // any other empty one goes in the same step.
-                free.extend(self.core.segments().empty(c.seg));
-            }
-            if !self.release(&free) {
+            if !self.release(&c.segs) {
                 // Everything is copied; a later step retries the free.
                 self.cleaning = Some(c);
             }
@@ -530,18 +500,16 @@ impl SpillWriter {
         self.record_step(t0, moved);
     }
 
-    /// Return cleaned segments to the free set. On a persistent store
-    /// their starts are overwritten first, so no walk of the file finds
-    /// their summaries again; if that write fails, nothing is freed.
+    /// Return cleaned segments to the free set. Their starts are
+    /// overwritten first, so no walk of the file finds their summaries
+    /// again; if that write fails, nothing is freed.
     fn release(&self, segs: &[usize]) -> bool {
-        if self.core.persist.is_some() {
-            let t = self.core.segments();
-            let starts: Vec<u64> = segs.iter().map(|&s| t.start(s)).collect();
-            drop(t);
-            let blank = [0u8; SUMMARY_HEAD];
-            if !starts.iter().all(|&at| self.write_with_retry(&blank, at)) {
-                return false;
-            }
+        let t = self.core.segments();
+        let starts: Vec<u64> = segs.iter().map(|&s| t.start(s)).collect();
+        drop(t);
+        let blank = [0u8; SUMMARY_HEAD];
+        if !starts.iter().all(|&at| self.write_with_retry(&blank, at)) {
+            return false;
         }
         let mut t = self.core.segments();
         for &s in segs {
@@ -552,18 +520,25 @@ impl SpillWriter {
     }
 
     /// The segment to clean next, if the file is dead enough, with its
-    /// survivors looked up and the tombstones it must carry.
+    /// survivors looked up and the tombstones it must carry. An empty
+    /// victim had the most dead bytes a segment can: every other empty
+    /// one goes with it. Only this thread makes a byte live, so an empty
+    /// segment stays empty until it is freed.
     fn choose_victim(&self) -> Option<Cleaning> {
         let cfg = &self.core.cfg;
-        let (seg, start, end, keys, tombs) = {
+        let (segs, start, end, keys) = {
             let t = self.core.segments();
             let v = t.victim(cfg.gc_dead_ratio, cfg.spill_batch_bytes.max(1) as u64)?;
+            let mut segs = vec![v];
+            if t.is_empty(v) {
+                segs.extend((0..t.segs.len()).filter(|&i| i != v && t.is_empty(i)));
+            }
             let start = t.start(v);
-            let keys = t.segs[v].keys.clone();
-            (v, start, start + t.seg_bytes, keys, t.carried(v))
+            (segs, start, start + t.seg_bytes, t.segs[v].keys.clone())
         };
+        let tombs = self.carried(&segs);
         let mut survivors: Vec<StagedJob> = Vec::new();
-        for key in keys {
+        for (key, _) in keys {
             let shard = self.core.shard(key);
             let Some(e) = shard.entries.get(&key) else {
                 continue;
@@ -586,7 +561,7 @@ impl SpillWriter {
         survivors.sort_unstable_by_key(|j| j.rel);
         survivors.dedup_by_key(|j| j.rel);
         Some(Cleaning {
-            seg,
+            segs,
             start,
             survivors,
             next: 0,
@@ -594,13 +569,75 @@ impl SpillWriter {
         })
     }
 
+    /// The tombstones of the segments `gone` that must outlive them. Of
+    /// a key's, only the newest `(k, L)` counts: it kills all that the
+    /// older ones do. It is carried only if a segment that stays
+    /// allocated lists an extent `(k, g)` with `g < L` — a copy it still
+    /// kills — and none holds a newer tombstone of `k`, which kills that
+    /// copy too and is carried by the same rule when its own segment is
+    /// cleaned. The rule reads the file's lists, not the entries: a
+    /// promotion kills a spilled extent without a tombstone, so an
+    /// entry's residence says nothing about which of its older copies
+    /// are still on the file.
+    ///
+    /// One pass over the other segments' lists, against a map of the
+    /// tombstones in `gone`. Each segment's lists are copied out in one
+    /// hold of the table's lock and read after it: only this thread
+    /// changes the lists and the free set, so they hold still between
+    /// the holds, and a foreground death, which takes the lock to charge
+    /// its bytes, waits for one copy at most.
+    fn carried(&self, gone: &[usize]) -> Vec<Tombstone> {
+        // Key → (newest LSN, an older copy is listed).
+        let mut newest: HashMap<u64, (u64, bool), BuildHasherDefault<KeyHasher>> =
+            HashMap::default();
+        let (mut keys, mut tombs) = (Vec::new(), Vec::new());
+        let segs = {
+            let t = self.core.segments();
+            for &(key, lsn) in gone.iter().flat_map(|&v| &t.segs[v].tombs) {
+                let n = newest.entry(key).or_insert((lsn, false));
+                n.0 = n.0.max(lsn);
+            }
+            t.segs.len()
+        };
+        for i in (0..segs).filter(|i| !gone.contains(i)) {
+            if newest.is_empty() {
+                break;
+            }
+            {
+                let t = self.core.segments();
+                let s = &t.segs[i];
+                if s.state == SegState::Free {
+                    continue;
+                }
+                keys.clone_from(&s.keys);
+                tombs.clone_from(&s.tombs);
+            }
+            for (key, gen) in &keys {
+                if let Some(n) = newest.get_mut(key) {
+                    n.1 |= *gen < n.0;
+                }
+            }
+            for (key, lsn) in &tombs {
+                if newest.get(key).is_some_and(|n| *lsn > n.0) {
+                    newest.remove(key);
+                }
+            }
+        }
+        (newest.into_iter())
+            .filter(|(_, (_, older))| *older)
+            .map(|(key, (lsn, _))| (key, lsn))
+            .collect()
+    }
+
     /// Copy `c`'s next batch of survivors, with the tombstones it still
     /// carries, and republish them. The batch is packed from windows of
     /// the segment, each one `read_at` of at most a batch of file
     /// starting at the next survivor, until the next survivor would
-    /// overflow it (the first always goes, whatever its length). Returns
-    /// the bytes copied (0 once nothing is left), or `None` if a read or
-    /// the write failed.
+    /// overflow it (the first always goes, whatever its length). Each
+    /// survivor is verified as read, so a damaged read is never copied
+    /// onto the file. Returns the bytes copied (0 once nothing is left),
+    /// or `None` if a read failed or came back damaged, or the write
+    /// failed.
     fn copy_batch(&mut self, c: &mut Cleaning) -> Option<u64> {
         if c.next == c.survivors.len() && c.tombs.is_empty() {
             return Some(0);
@@ -630,11 +667,15 @@ impl SpillWriter {
             }
             let end = c.survivors[j - 1].rel + c.survivors[j - 1].len;
             buf.resize(w + end - from, 0);
-            if self
-                .medium
-                .read_at(&mut buf[w..], c.start + from as u64)
-                .is_err()
-            {
+            // A read can fail, or come back damaged: either way nothing
+            // is copied, and a later step reads the window again.
+            let read = self.medium.read_at(&mut buf[w..], c.start + from as u64);
+            let sound = read.is_ok()
+                && c.survivors[i..j].iter().all(|s| {
+                    let at = w + s.rel - from;
+                    verify_extent(&buf[at..at + s.len], s.gen, s.codec).is_some()
+                });
+            if !sound {
                 self.clean_buf = buf;
                 return None;
             }

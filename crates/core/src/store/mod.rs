@@ -26,7 +26,7 @@
 //! the paper's §4.3 backing-store interface: the writer thread coalesces
 //! queued entries into [`StoreConfig::spill_batch_bytes`]-sized batches
 //! (32 KB by default, the paper's batch size) and issues one positioned
-//! write per batch (on a persistent store, behind the batch's summary).
+//! write per batch, behind the batch's summary.
 //! Once the batch is durable the writer itself takes each member's
 //! shard lock, publishes its `{offset, len}` and drops the in-memory
 //! payload there and then — a page's memory is returned when its write
@@ -357,12 +357,14 @@ impl CompressedStore {
     ///   extent sits in a free segment, and none crosses a segment
     ///   boundary unless it is one of a run holding an extent larger
     ///   than a segment;
-    /// - on a persistent store, at the same moments: every `Spilled`
-    ///   extent reads back and verifies against its generation and codec,
-    ///   and a summary in its segment names it there;
+    /// - at the same moments: every `Spilled` extent reads back and
+    ///   verifies against its generation and codec, and a summary in its
+    ///   segment names it there (each read is retried a few times before
+    ///   an error starting "on the file" is returned, so a medium that
+    ///   fails or damages the odd read does not fail the check; one that
+    ///   lost writes, a simulated power cut say, does);
     /// - `resident <= memory_budget`, unless a failed write's memory
-    ///   fallback is being shed at this moment;
-    /// - no entry is journaled on a non-persistent store.
+    ///   fallback is being shed at this moment.
     ///
     /// Safe to call at any time, from any thread, with the background
     /// threads running: the cleaner keeps the on-file identities at

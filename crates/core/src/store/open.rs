@@ -1,7 +1,7 @@
 //! Opening a store: the constructors over files or explicit media, the
-//! fresh persistent superblock, the recovery fold that rebuilds the cold
-//! tier from the spill file's batch summaries, and the spawn of the
-//! writer and demoter threads.
+//! superblock a fresh spill file gets, the recovery fold that rebuilds
+//! the cold tier from the spill file's batch summaries, and the spawn of
+//! the writer and demoter threads.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -15,82 +15,60 @@ use super::stats::{top, tstat, STORE_TELEMETRY};
 use super::writer::{SpillWriter, ToWriter};
 use super::{CompressedStore, StoreConfig, StoreError};
 use crate::medium::{FileMedium, SpillMedium};
-use crate::persist::{self, Persist, Superblock, SUPERBLOCK_RESERVED};
+use crate::persist::{self, Persist, Superblock};
 use cc_telemetry::Telemetry;
 use cc_util::LruList;
 
 impl CompressedStore {
-    /// Open a store.
-    ///
-    /// With [`StoreConfig::persistent`], the spill file gains a
-    /// superblock and every batch a summary; the file is created fresh
-    /// (truncating any previous state — use
-    /// [`CompressedStore::open_existing`] to warm-restart instead).
+    /// Open a store. With [`StoreConfig::spill_path`] the spill file is
+    /// created fresh (truncating any previous state — use
+    /// [`CompressedStore::open_existing`] to warm-restart instead) and
+    /// written in the crash-safe format: a superblock, then every batch
+    /// behind its summary.
     ///
     /// # Panics
     ///
-    /// Panics if the spill file (or, when persistent, its initial
-    /// superblock) cannot be created.
+    /// Panics if the spill file cannot be created.
     pub fn new(cfg: StoreConfig) -> Self {
         let medium = cfg.spill_path.as_ref().map(|path| {
             Arc::new(FileMedium::create(path).expect("create spill file")) as Arc<dyn SpillMedium>
         });
-        if cfg.persistent {
-            let medium = medium.expect("persistent store needs a spill path");
-            return Self::with_persistent_media(cfg, medium).expect("write initial superblock");
-        }
-        let segments = Segments::new(segment_bytes(cfg.spill_batch_bytes), 0);
-        Self::build(cfg, medium, segments, None, None)
+        Self::fresh(cfg, medium)
     }
 
-    /// Open a store over an explicit [`SpillMedium`] — a fault injector,
-    /// an in-memory medium, anything. `cfg.spill_path` is ignored (the
-    /// medium *is* the spill backing); everything else applies as usual.
-    /// Non-persistent; see [`CompressedStore::with_persistent_media`].
+    /// Open a fresh store over an explicit [`SpillMedium`] — a fault
+    /// injector, an in-memory medium, anything. `cfg.spill_path` is
+    /// ignored (the medium *is* the spill backing); everything else
+    /// applies as usual, and the medium is written as
+    /// [`CompressedStore::new`] writes its file.
     pub fn with_medium(cfg: StoreConfig, medium: Arc<dyn SpillMedium>) -> Self {
-        let segments = Segments::new(segment_bytes(cfg.spill_batch_bytes), 0);
-        Self::build(cfg, Some(medium), segments, None, None)
+        Self::fresh(cfg, Some(medium))
     }
 
-    /// Reopen a persistent store from its existing spill file,
-    /// recovering every durably-written cold extent: walk the batch
-    /// summaries, arbitrate generations, re-verify extents (skipped
-    /// entirely after a clean shutdown), and serve GETs for the
-    /// survivors immediately — no re-PUT. `cfg.persistent` is implied.
-    /// Fails with [`StoreError::Corrupt`] if no superblock slot decodes,
-    /// or the file was written under another format version or
-    /// codec/format fingerprint.
+    /// Reopen a store from its existing spill file, recovering every
+    /// durably-written cold extent: walk the batch summaries, arbitrate
+    /// generations, re-verify extents (skipped entirely after a clean
+    /// shutdown), and serve GETs for the survivors immediately — no
+    /// re-PUT. Fails with [`StoreError::Corrupt`] if no superblock slot
+    /// decodes, or the file was written under another format version or
+    /// codec/format fingerprint, and with [`StoreError::Io`] if the
+    /// dirty superblock cannot be stamped.
     pub fn open_existing(cfg: StoreConfig) -> Result<Self, StoreError> {
         let path = cfg
             .spill_path
             .clone()
-            .expect("persistent store needs a spill path");
+            .expect("reopening a store needs a spill path");
         let medium = Arc::new(FileMedium::open(&path)?) as Arc<dyn SpillMedium>;
         Self::open_existing_with_media(cfg, medium)
-    }
-
-    /// Open a *fresh* persistent store over an explicit medium — a fault
-    /// injector, an in-memory medium, anything. `cfg.spill_path` is
-    /// ignored.
-    pub fn with_persistent_media(
-        mut cfg: StoreConfig,
-        data: Arc<dyn SpillMedium>,
-    ) -> Result<Self, StoreError> {
-        cfg.persistent = true;
-        let seg_bytes = segment_bytes(cfg.spill_batch_bytes);
-        let persist = Persist::open(&*data, Superblock::fresh(seg_bytes), 0)?;
-        let segments = Segments::new(seg_bytes, SUPERBLOCK_RESERVED);
-        Ok(Self::build(cfg, Some(data), segments, Some(persist), None))
     }
 
     /// [`CompressedStore::open_existing`] over an explicit medium:
     /// recover whatever it already holds. This is the crash-recovery
     /// test entry point — cut the medium mid-run, then reopen it here.
     pub fn open_existing_with_media(
-        mut cfg: StoreConfig,
+        cfg: StoreConfig,
         data: Arc<dyn SpillMedium>,
     ) -> Result<Self, StoreError> {
-        cfg.persistent = true;
         let t0 = Instant::now();
         // Not an I/O problem: the file itself is unusable (a destroyed
         // superblock, or another format). Surface it as corruption
@@ -98,32 +76,33 @@ impl CompressedStore {
         let mut rec = persist::recover(&*data).map_err(|_| StoreError::Corrupt)?;
         // Stamp the file dirty *before* serving: if we crash from here
         // on, the next open must not trust the old clean seal.
-        let persist = Persist::open(&*data, rec.sb, rec.page_size)?;
+        let persist = Persist::new(rec.sb);
+        persist.stamp(&*data, rec.page_size, false, rec.sb.seq_limit)?;
         let segments = Segments::recovered(
             rec.sb.seg_bytes,
-            SUPERBLOCK_RESERVED,
             std::mem::take(&mut rec.segments),
             rec.entries.iter().map(|e| (e.offset, e.len)),
         );
         let recovery = Some((rec, t0.elapsed()));
-        Ok(Self::build(
-            cfg,
-            Some(data),
-            segments,
-            Some(persist),
-            recovery,
-        ))
+        Ok(Self::build(cfg, Some(data), segments, persist, recovery))
     }
 
-    /// Assemble the store and start its threads. A scratch store's
-    /// segments start at 0; a persistent file's past the superblock
-    /// region, and a recovered one keeps its own segment size and brings
-    /// what recovery found and how long it took.
+    /// A store over a fresh `medium`, if any, whose writer stamps the
+    /// first superblock as it starts ([`SpillWriter::run`]).
+    fn fresh(cfg: StoreConfig, medium: Option<Arc<dyn SpillMedium>>) -> Self {
+        let seg_bytes = segment_bytes(cfg.spill_batch_bytes);
+        let persist = Persist::new(Superblock::fresh(seg_bytes));
+        Self::build(cfg, medium, Segments::new(seg_bytes), persist, None)
+    }
+
+    /// Assemble the store and start its threads. A recovered store keeps
+    /// its file's segment size and brings what recovery found and how
+    /// long it took; a fresh one has no superblock on its file yet.
     fn build(
         cfg: StoreConfig,
         medium: Option<Arc<dyn SpillMedium>>,
         segments: Segments,
-        persist: Option<Persist>,
+        persist: Persist,
         recovery: Option<(persist::Recovery, Duration)>,
     ) -> Self {
         let (tx, rx) = match &medium {
@@ -173,6 +152,7 @@ impl CompressedStore {
             persist,
         });
         core.mirror(&core.segments());
+        let fresh = recovery.is_none();
         if let Some((rec, took)) = recovery {
             for e in &rec.entries {
                 let idx = core.shard_index(e.key);
@@ -248,7 +228,7 @@ impl CompressedStore {
                                     clean_buf: Vec::new(),
                                     consecutive_failures: 0,
                                 }
-                                .run(rx)
+                                .run(rx, fresh)
                             });
                             let result = std::panic::catch_unwind(body);
                             if result.is_err() {

@@ -86,10 +86,11 @@ pub(super) struct Entry {
     /// far past any policy's idle threshold.
     pub(super) last_touch: u32,
     /// Whether this key may have a record in a batch summary on the
-    /// spill file (set when a spill job is queued, kept across promotion).
-    /// Removing or replacing a journaled key must enqueue a tombstone,
-    /// or recovery would resurrect it. Always `false` on
-    /// non-persistent stores.
+    /// spill file (set when its spill job's batch is published, kept
+    /// across promotion, and on every recovered entry). Removing or
+    /// replacing a journaled key must enqueue a tombstone, or recovery
+    /// would resurrect it. A key whose batch never reached the file has
+    /// no record to kill.
     pub(super) journaled: bool,
 }
 

@@ -66,6 +66,36 @@ fn extent_header_roundtrip_and_tamper_detection() {
     assert_eq!(tampered, ext);
 }
 
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+    /// `verify_extent` is total: any bytes under any generation and
+    /// codec give `None` or the input's own tail, so it never panics and
+    /// never allocates. With `sealed` the bytes past the header are
+    /// sealed as a valid extent of that generation and codec, so the
+    /// field and CRC checks are reached and the payload comes back.
+    #[test]
+    fn verify_extent_accepts_any_bytes(
+        bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+        gen in proptest::prelude::any::<u64>(),
+        codec in proptest::prelude::any::<u8>(),
+        sealed in proptest::prelude::any::<bool>(),
+    ) {
+        let mut ext = bytes;
+        if sealed && ext.len() >= EXTENT_HEADER {
+            let payload = ext.split_off(EXTENT_HEADER);
+            ext.clear();
+            encode_extent(&mut ext, gen, codec, &payload);
+            proptest::prop_assert_eq!(verify_extent(&ext, gen, codec), Some(&payload[..]));
+            proptest::prop_assert_eq!(verify_extent(&ext, gen ^ 1, codec), None);
+        }
+        if let Some(p) = verify_extent(&ext, gen, codec) {
+            proptest::prop_assert_eq!(p.as_ptr(), ext[EXTENT_HEADER..].as_ptr());
+            proptest::prop_assert_eq!(p.len(), ext.len() - EXTENT_HEADER);
+        }
+    }
+}
+
 /// An extent written by the build before the CRC kernel took 16
 /// bytes a step (payload `(i * 37 + 11) % 251`, 45 bytes): it must
 /// still verify, and encoding must reproduce it byte for byte —
@@ -518,13 +548,19 @@ fn remove_and_replace_account_dead_bytes() {
             store.put(k, &page(k as u8)).unwrap();
         }
         store.flush().unwrap();
-        assert_eq!(store.stats().spill_dead_bytes, 0);
+        // So far only the batch summaries are dead (the checker counts
+        // the live bytes exactly).
+        store.check_invariants().unwrap();
+        let summaries = store.stats().spill_dead_bytes;
         // Removing spilled entries strands their extents.
         for k in 0..8u64 {
             assert!(store.remove(k));
         }
         let after_remove = store.stats().spill_dead_bytes;
-        assert!(after_remove > 0, "removes must strand dead bytes");
+        assert!(
+            after_remove > summaries,
+            "removes must strand dead bytes: {summaries} -> {after_remove}"
+        );
         // Replacing spilled entries strands their old extents too.
         for k in 8..16u64 {
             store.put(k, &page(100 + k as u8)).unwrap();
@@ -701,7 +737,7 @@ fn pages_larger_than_a_segment_spill_in_runs() {
         assert!(s.gc_runs > 0, "dead runs were never freed: {s:?}");
         let high_water = store.core.segments().high_water();
         assert!(
-            high_water <= 2 * 8 * 48 * 1024,
+            high_water <= crate::persist::SUPERBLOCK_RESERVED + 2 * 8 * 48 * 1024,
             "runs were not reused: segments end at {high_water} ({s:?})"
         );
         let mut out = vec![0u8; 40 * 1024];
@@ -1019,13 +1055,16 @@ fn noise_page(seed: u64) -> Vec<u8> {
 }
 
 /// A budget smaller than one sealed page: no put can be resident, so
-/// every one takes the put path's straight-to-spill hand-off. The store
-/// is not persistent, so none of them may be marked journaled.
+/// every one takes the put path's straight-to-spill hand-off. Each
+/// entry is journaled once its batch is published (the checker holds
+/// every spilled key to that), so a remove leaves a tombstone, and a
+/// reopen serves exactly the keys that were not removed.
 #[test]
-fn straight_to_spill_puts_on_a_scratch_store_are_not_journaled() {
+fn straight_to_spill_puts_are_journaled() {
     let (dir, path) = temp_path("direct-spill");
     {
-        let store = CompressedStore::new(StoreConfig::with_spill(2048, &path));
+        let cfg = StoreConfig::with_spill(2048, &path);
+        let store = CompressedStore::new(cfg.clone());
         for k in 0..16u64 {
             store.put(k, &noise_page(k)).unwrap();
         }
@@ -1039,6 +1078,19 @@ fn straight_to_spill_puts_on_a_scratch_store_are_not_journaled() {
             assert_eq!(store.get_tier(k, &mut out).unwrap(), Some(HitTier::Spill));
             assert_eq!(out, noise_page(k), "key {k}");
         }
+        for k in (0..16u64).step_by(2) {
+            assert!(store.remove(k));
+        }
+        store.flush().unwrap();
+        drop(store);
+        let store = CompressedStore::open_existing(cfg).unwrap();
+        for k in 0..16u64 {
+            assert_eq!(store.get(k, &mut out).unwrap(), k % 2 == 1, "key {k}");
+            if k % 2 == 1 {
+                assert_eq!(out, noise_page(k), "key {k}");
+            }
+        }
+        store.check_invariants().unwrap();
     }
     cleanup(dir, path);
 }
@@ -1732,9 +1784,10 @@ fn flush_waits_for_a_tombstone_in_a_relocation_batch() {
     let cfg = StoreConfig::with_spill(2048, "/unused")
         .with_spill_batch_bytes(1)
         .with_gc_dead_ratio(0.2);
-    let store = Arc::new(
-        CompressedStore::with_persistent_media(cfg.clone(), Arc::clone(&gate) as _).unwrap(),
-    );
+    let store = Arc::new(CompressedStore::with_medium(
+        cfg.clone(),
+        Arc::clone(&gate) as _,
+    ));
     // Three pages a segment, written in key order; one of each three
     // removed, and the removes made durable.
     const KEYS: u64 = 30;
@@ -1798,8 +1851,7 @@ fn carried_tombstones_stay_bounded_under_remove_churn() {
     let cfg = StoreConfig::with_spill(2048, "/unused")
         .with_spill_batch_bytes(1)
         .with_gc_dead_ratio(0.2);
-    let store =
-        CompressedStore::with_persistent_media(cfg.clone(), Arc::new(disk.share())).unwrap();
+    let store = CompressedStore::with_medium(cfg.clone(), Arc::new(disk.share()));
     let mut most = 0;
     for round in 0..300u64 {
         store.put(7, &noise_page(round)).unwrap();
@@ -1877,9 +1929,14 @@ fn crossing_the_sequence_lease_restamps_the_superblock() {
         fail: std::sync::atomic::AtomicU32::new(0),
     });
     let cfg = StoreConfig::with_spill(2048, "/unused").with_spill_batch_bytes(1);
-    let store =
-        CompressedStore::with_persistent_media(cfg.clone(), Arc::clone(&medium) as _).unwrap();
-    let first = read_superblock(&disk).unwrap();
+    let store = CompressedStore::with_medium(cfg.clone(), Arc::clone(&medium) as _);
+    // The writer stamps the file's first superblock as it starts.
+    let first = loop {
+        match read_superblock(&disk) {
+            Some(sb) => break sb,
+            None => std::thread::yield_now(),
+        }
+    };
     medium.fail.store(1, SeqCst);
     const KEYS: u64 = 600;
     for k in 0..KEYS {
@@ -1923,4 +1980,244 @@ fn crossing_the_sequence_lease_restamps_the_superblock() {
         }
         store.check_invariants().unwrap();
     }
+}
+
+/// `(extent records, tombstones)` the segment table lists over every
+/// segment: what the file's summaries hold, dead records included.
+fn listed(store: &CompressedStore) -> (usize, usize) {
+    let t = store.core.segments();
+    let extents = t.segs.iter().map(|s| s.keys.len()).sum();
+    (extents, t.segs.iter().map(|s| s.tombs.len()).sum())
+}
+
+/// Overwrite churn on a spill store with the cleaner on: every
+/// overwrite of a spilled key leaves a tombstone, and a cleaning carries
+/// one only while an older copy of its key is still listed, the newest
+/// of a key's only. Segments hold three pages, so 2 000 puts make
+/// hundreds of cleanings; the tombstones held stay flat through the
+/// second half and never outnumber the extent records on the file.
+#[test]
+fn held_tombstones_stay_flat_under_overwrite_churn() {
+    let cfg = StoreConfig::with_spill(4 * 4096, "/unused")
+        .with_tier_policy(Arc::new(crate::tier::CompressAll))
+        .with_spill_batch_bytes(1)
+        .with_gc_dead_ratio(0.3);
+    let store = CompressedStore::with_medium(cfg, Arc::new(MemMedium::new()));
+    const KEYS: u64 = 256;
+    const ROUNDS: u64 = 40;
+    let mut rng = cc_util::SplitMix64::new(7);
+    let mut held = Vec::new();
+    for round in 0..ROUNDS {
+        for _ in 0..50 {
+            let k = rng.next_u64() % KEYS;
+            store.put(k, &noise_page(round * KEYS + k)).unwrap();
+        }
+        store.flush().unwrap();
+        let (extents, tombs) = listed(&store);
+        assert!(
+            tombs <= extents,
+            "round {round}: {tombs} tombstones held for {extents} extent records"
+        );
+        held.push(tombs);
+    }
+    store.check_invariants().unwrap();
+    let s = store.stats();
+    assert!(s.gc_runs >= 300, "too few cleanings: {s:?}");
+    // Flat: the last quarter holds no more, on average, than the one
+    // before it. Averages, since each count moves with where the round's
+    // last cleaning fell.
+    let quarter = held.len() / 4;
+    let mean = |q: &[usize]| q.iter().sum::<usize>() as f64 / q.len() as f64;
+    let (third, last) = (
+        mean(&held[2 * quarter..3 * quarter]),
+        mean(&held[3 * quarter..]),
+    );
+    assert!(
+        last <= 1.25 * third,
+        "held tombstones drift over the second half: {:?}",
+        &held[2 * quarter..]
+    );
+}
+
+/// A spill store over an in-memory medium that can be cut: 128 KiB
+/// segments of ~31 pages, cleaned once 30 % dead, one shard.
+fn cuttable_store(
+    policy: Arc<dyn crate::tier::TierPolicy>,
+) -> (
+    CompressedStore,
+    StoreConfig,
+    MemMedium,
+    Arc<FaultInjector<MemMedium>>,
+) {
+    let disk = MemMedium::new();
+    let injector = Arc::new(FaultInjector::new(disk.share(), FaultPlan::quiet()));
+    let cfg = StoreConfig::with_spill(4 * 4096, "/unused")
+        .with_tier_policy(policy)
+        .with_shards(1)
+        .with_spill_batch_bytes(4096)
+        .with_gc_dead_ratio(0.3);
+    let store = CompressedStore::with_medium(cfg.clone(), Arc::clone(&injector) as _);
+    // Key 0, then 60 keys never touched again: the first segment holds
+    // key 0's copy among live pages, so the cleaner leaves it alone.
+    for k in 0..=60 {
+        store.put(k, &noise_page(k)).unwrap();
+    }
+    (store, cfg, disk, injector)
+}
+
+/// One version more of each of 64 churn keys, made durable: their old
+/// copies die, so the segments that hold them are cleaned.
+fn churn(store: &CompressedStore, round: u64) {
+    for k in 1000..1064 {
+        store.put(k, &noise_page(round << 16 | k)).unwrap();
+    }
+    store.flush().unwrap();
+}
+
+/// The segments holding a tombstone of `key`.
+fn holders(store: &CompressedStore, key: u64) -> Vec<usize> {
+    let t = store.core.segments();
+    (0..t.segs.len())
+        .filter(|&i| t.segs[i].tombs.iter().any(|&(k, _)| k == key))
+        .collect()
+}
+
+/// Whether a segment lists `key`'s extent of generation `gen`.
+fn lists(store: &CompressedStore, key: u64, gen: u64) -> bool {
+    let t = store.core.segments();
+    t.segs.iter().any(|s| s.keys.contains(&(key, gen)))
+}
+
+/// The generation `key` is spilled under, if it is spilled.
+fn spilled_gen(store: &CompressedStore, key: u64) -> Option<u64> {
+    match store.core.shard(key).entries.get(&key)?.residence {
+        Residence::Spilled { gen, .. } => Some(gen),
+        _ => None,
+    }
+}
+
+/// Cut the power, then reopen the medium; every key in `on_file` comes
+/// back exact.
+fn cut_and_reopen(
+    store: CompressedStore,
+    cfg: StoreConfig,
+    disk: &MemMedium,
+    injector: &FaultInjector<MemMedium>,
+    on_file: &[u64],
+) -> CompressedStore {
+    injector.switch().cut_now();
+    drop(store);
+    let store = CompressedStore::open_existing_with_media(cfg, Arc::new(disk.share())).unwrap();
+    let mut out = vec![0u8; 4096];
+    for &k in on_file {
+        assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+        assert_eq!(out, noise_page(k), "key {k}");
+    }
+    store.check_invariants().unwrap();
+    store
+}
+
+/// A tombstone whose key has an older, dead copy in a third sealed
+/// segment, one the cleaner never takes, is carried by each cleaning of
+/// the segment holding it. After two such cleanings, a cut and a
+/// reopen, the copy stays dead.
+#[test]
+fn a_tombstone_outlives_two_cleanings_while_an_older_copy_is_listed() {
+    let (store, cfg, disk, injector) = cuttable_store(Arc::new(crate::tier::CompressAll));
+    churn(&store, 0);
+    let g1 = spilled_gen(&store, 0).expect("key 0 spilled");
+    assert!(store.remove(0));
+    store.flush().unwrap();
+    let mut homes = holders(&store, 0);
+    assert_eq!(homes.len(), 1, "the tombstone is in one segment");
+    for round in 1..400 {
+        if homes.len() == 3 {
+            break;
+        }
+        churn(&store, round);
+        let now = holders(&store, 0);
+        assert!(
+            !now.is_empty(),
+            "round {round}: the tombstone was dropped while key 0's copy is listed"
+        );
+        if !now.contains(homes.last().unwrap()) {
+            homes.push(now[0]);
+        }
+    }
+    assert_eq!(homes.len(), 3, "the tombstone was not carried twice");
+    assert!(lists(&store, 0, g1), "key 0's older copy left the file");
+    let on_file: Vec<u64> = (1..=60)
+        .filter(|&k| store.peek_tier(k) == Some(HitTier::Spill))
+        .collect();
+    let store = cut_and_reopen(store, cfg, &disk, &injector, &on_file);
+    assert!(
+        !store.get(0, &mut vec![0u8; 4096]).unwrap(),
+        "the removed key came back"
+    );
+}
+
+/// Admits every page warm and promotes every hit the budget has room
+/// for.
+#[derive(Debug)]
+struct PromoteEveryHit;
+
+impl crate::tier::TierPolicy for PromoteEveryHit {
+    fn name(&self) -> &'static str {
+        "promote-every-hit"
+    }
+    fn admit(&self, _: &crate::tier::PlacementQuery) -> crate::tier::TierDecision {
+        crate::tier::TierDecision::Warm
+    }
+    fn promote(&self, _: &crate::tier::PlacementQuery) -> bool {
+        true
+    }
+}
+
+/// Promotion kills a spilled extent without a tombstone, so an entry
+/// spilled at a newer generation does not make an older tombstone
+/// redundant. Key 0 is spilled at g1, removed (tombstone L), re-put and
+/// spilled at g2 > L; the tombstone's segment is cleaned while key 0 is
+/// spilled at g2; then key 0 is promoted, g2's copies are cleaned off
+/// the file, and the power is cut. g1 is never served.
+#[test]
+fn a_promoted_extent_never_lets_a_removed_generation_back() {
+    let (store, cfg, disk, injector) = cuttable_store(Arc::new(PromoteEveryHit));
+    churn(&store, 0);
+    let v1 = noise_page(0);
+    assert!(spilled_gen(&store, 0).is_some(), "key 0 spilled");
+    assert!(store.remove(0));
+    let v2 = noise_page(1 << 40);
+    store.put(0, &v2).unwrap();
+    churn(&store, 1);
+    let g2 = spilled_gen(&store, 0).expect("key 0 spilled again");
+    let first = holders(&store, 0);
+    let mut round = 2;
+    while holders(&store, 0).iter().any(|h| first.contains(h)) {
+        churn(&store, round);
+        round += 1;
+        assert!(round < 400, "the tombstone's segment was never cleaned");
+    }
+    assert_eq!(spilled_gen(&store, 0), Some(g2), "key 0 left g2 early");
+    // Room for the promotion: the churn keys' resident pages go.
+    for k in 1000..1064 {
+        if matches!(store.peek_tier(k), Some(HitTier::Hot | HitTier::Memory)) {
+            assert!(store.remove(k));
+        }
+    }
+    let mut out = vec![0u8; 4096];
+    assert_eq!(store.get_tier(0, &mut out).unwrap(), Some(HitTier::Spill));
+    assert_eq!(out, v2);
+    assert_eq!(store.peek_tier(0), Some(HitTier::Hot), "not promoted");
+    while lists(&store, 0, g2) {
+        churn(&store, round);
+        round += 1;
+        assert!(round < 800, "g2's copies were never cleaned off the file");
+    }
+    assert_eq!(store.peek_tier(0), Some(HitTier::Hot));
+    let on_file: Vec<u64> = (1..=60)
+        .filter(|&k| store.peek_tier(k) == Some(HitTier::Spill))
+        .collect();
+    let store = cut_and_reopen(store, cfg, &disk, &injector, &on_file);
+    let hit = store.get(0, &mut out).unwrap();
+    assert!(!(hit && out == v1), "the removed generation came back");
 }

@@ -1,8 +1,8 @@
 //! The spill path after eviction: the hand-off of a page to the writer
 //! ([`StoreCore::hand_off`]), the bound on payload in flight and the
 //! waits on it, and the writer thread ([`SpillWriter`]) that batches,
-//! writes and publishes — on a persistent store, each batch behind its
-//! summary. The segment table it places batches in, and the cleaner it
+//! writes and publishes, each batch behind its summary. The segment
+//! table it places batches in, and the cleaner it
 //! runs between batches, are in `gc`.
 
 use std::sync::atomic::Ordering;
@@ -18,7 +18,7 @@ use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::StoreConfig;
 use crate::medium::SpillMedium;
-use crate::persist::{encode_summary, SummaryRecord, Tombstone};
+use crate::persist::{encode_summary, summary_len, SummaryRecord, Tombstone};
 use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
 
 /// An entry handed to the writer thread. The file offset is chosen by the
@@ -136,12 +136,9 @@ impl StoreCore {
     /// and has already taken the payload off the residence gauges, and
     /// `e` carries the codec the job is sealed with. On success `e` is
     /// `Spilling` (the job, under a fresh generation, shares its
-    /// payload), journaled iff the store is persistent (its location is
-    /// about to reach a batch summary, so removing it must leave a
-    /// tombstone), and counted as spilled. `false` means the writer
-    /// died without a shutdown() (a panic): the reservation is refunded,
-    /// the store degraded, and `e`, `journaled` untouched, is the
-    /// caller's to drop.
+    /// payload) and counted as spilled. `false` means the writer died
+    /// without a shutdown() (a panic): the reservation is refunded, the
+    /// store degraded, and `e`, untouched, is the caller's to drop.
     pub(super) fn hand_off(
         &self,
         tx: &Sender<ToWriter>,
@@ -169,7 +166,6 @@ impl StoreCore {
             return false;
         }
         e.residence = Residence::Spilling { data };
-        e.journaled = self.persist.is_some();
         self.tel.count(self.shard_index(key), tstat::SPILLED, 1);
         true
     }
@@ -285,7 +281,13 @@ pub(super) struct StagedJob {
 }
 
 impl SpillWriter {
-    pub(super) fn run(mut self, rx: Receiver<ToWriter>) {
+    /// The writer thread's body. On a `fresh` file it first stamps the
+    /// file's first superblock: if that write fails the lease stays at
+    /// 0, so the first batch stamps again before it is written.
+    pub(super) fn run(mut self, rx: Receiver<ToWriter>, fresh: bool) {
+        if fresh {
+            let _ = self.core.persist.stamp(&*self.medium, 0, false, 0);
+        }
         self.run_loop(rx);
         // Channel closed: every queued job has been committed (mpsc
         // drains before disconnecting). Seal the clean-shutdown bit —
@@ -299,21 +301,16 @@ impl SpillWriter {
     /// leaves the file unclean, which is always safe (recovery just
     /// takes the verifying path).
     fn seal(&self) {
-        let Some(p) = &self.core.persist else { return };
-        if !self.write_tombstones() {
-            return;
+        if self.write_tombstones() {
+            let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
+            let _ = self.core.persist.stamp(&*self.medium, page_size, true, 0);
         }
-        let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
-        let _ = p.stamp(&*self.medium, page_size, true, 0);
     }
 
     /// Write every queued tombstone in a batch of its own, if there are
     /// any. Returns whether none is left waiting.
     fn write_tombstones(&self) -> bool {
-        match &self.core.persist {
-            Some(p) if p.has_pending() => self.write_batch(&[], &[], &[], false).is_some(),
-            _ => true,
-        }
+        !self.core.persist.has_pending() || self.write_batch(&[], &[], &[], false).is_some()
     }
 
     fn run_loop(&mut self, rx: Receiver<ToWriter>) {
@@ -431,10 +428,11 @@ impl SpillWriter {
     /// its payload bytes out of flight in the same hold. `data` is the
     /// job's payload; `landed` is the `Spilled` residence it was written
     /// to — `(offset, len, generation)` — or `None` if its write failed.
-    /// An entry still holding this very payload becomes `Spilled` or
-    /// reverts to memory; a missing key or another payload means the
-    /// entry was removed or replaced while the job was queued, and
-    /// whatever was written for it is dead bytes — on a persistent store
+    /// An entry still holding this very payload becomes `Spilled` and
+    /// journaled (its location is in a batch summary now, so removing it
+    /// must leave a tombstone), or reverts to memory; a missing key or
+    /// another payload means the entry was removed or replaced while the
+    /// job was queued, and whatever was written for it is dead bytes,
     /// followed by a tombstone one above its generation, since the
     /// removal's own tombstone may have reached the file, and been
     /// dropped by the cleaner, before this batch named the key. Returns
@@ -449,6 +447,7 @@ impl SpillWriter {
             {
                 if let Some((offset, len, gen)) = landed {
                     e.residence = Residence::Spilled { offset, len, gen };
+                    e.journaled = true;
                 }
                 true
             }
@@ -458,9 +457,7 @@ impl SpillWriter {
             core.spill_orphaned.fetch_sub(payload, Ordering::Relaxed);
             if let Some((offset, len, gen)) = landed {
                 core.extent_died(offset, len);
-                if let Some(p) = &core.persist {
-                    p.enqueue_tombstone(key, gen + 1);
-                }
+                core.persist.enqueue_tombstone(key, gen + 1);
             }
         } else if landed.is_none() {
             over_budget = core.revert_to_memory(&mut shard, key);
@@ -521,13 +518,13 @@ impl SpillWriter {
     }
 
     /// Write the batch of `staged` extents framed in `buf` where the
-    /// segment table places it, with retry. On a persistent store the
-    /// batch goes out behind its summary, in the same write: a record per
-    /// staged extent, every queued tombstone, and the tombstones
-    /// `carried` by the cleaner. Only once the write is durable is the
-    /// space accounted (a `relocation` batch all dead, until its members
-    /// are republished), and the queued tombstones it wrote leave the
-    /// queue — until then `flush` sees them waiting. Returns the file
+    /// segment table places it, with retry. The batch goes out behind its
+    /// summary, in the same write: a record per staged extent, every
+    /// queued tombstone, and the tombstones `carried` by the cleaner.
+    /// Only once the write is durable is the space accounted (a
+    /// `relocation` batch all dead, until its members are republished),
+    /// and the queued tombstones it wrote leave the queue — until then
+    /// `flush` sees them waiting. Returns the file
     /// offset of the first extent, or `None` if the write failed; the
     /// table and the queue are untouched then, and the next batch
     /// overwrites whatever landed.
@@ -538,42 +535,36 @@ impl SpillWriter {
         carried: &[Tombstone],
         relocation: bool,
     ) -> Option<u64> {
-        let persist = self.core.persist.as_ref();
-        let mut tombs = persist.map(|p| p.pending()).unwrap_or_default();
+        let p = &self.core.persist;
+        let mut tombs = p.pending();
         let queued = tombs.len();
         tombs.extend_from_slice(carried);
-        let mut framed = Vec::new();
-        let mut leased = true;
-        if let Some(p) = persist {
-            let extents = staged.iter().map(|j| SummaryRecord {
-                key: j.key,
-                gen: j.gen,
-                rel: j.rel as u32,
-                len: j.len as u32,
-                codec: j.codec,
-            });
-            let tombstones = tombs
-                .iter()
-                .map(|&(key, lsn)| SummaryRecord::tombstone(key, lsn));
-            let records: Vec<SummaryRecord> = extents.chain(tombstones).collect();
-            let seq = self.core.next_gen.fetch_add(1, Ordering::Relaxed);
-            let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
-            let sb = p.superblock();
-            leased = seq < sb.seq_limit || p.stamp(&*self.medium, page_size, false, seq).is_ok();
-            encode_summary(sb.salt, seq, page_size, &records, buf.len(), &mut framed);
-            framed.extend_from_slice(buf);
-        }
-        let out = if persist.is_some() { &framed[..] } else { buf };
-        let head = (out.len() - buf.len()) as u64;
+        let extents = staged.iter().map(|j| SummaryRecord {
+            key: j.key,
+            gen: j.gen,
+            rel: j.rel as u32,
+            len: j.len as u32,
+            codec: j.codec,
+        });
+        let tombstones = tombs
+            .iter()
+            .map(|&(key, lsn)| SummaryRecord::tombstone(key, lsn));
+        let records: Vec<SummaryRecord> = extents.chain(tombstones).collect();
+        let seq = self.core.next_gen.fetch_add(1, Ordering::Relaxed);
+        let page_size = self.core.page_size.load(Ordering::Relaxed) as u32;
+        let sb = p.superblock();
+        let leased = seq < sb.seq_limit || p.stamp(&*self.medium, page_size, false, seq).is_ok();
+        let head = summary_len(records.len());
+        let mut out = Vec::with_capacity(head + buf.len());
+        encode_summary(sb.salt, seq, page_size, &records, buf.len(), &mut out);
+        out.extend_from_slice(buf);
         let place = self.core.segments().place(out.len() as u64);
-        if !leased || !self.write_with_retry(out, place.offset) {
+        if !leased || !self.write_with_retry(&out, place.offset) {
             return None;
         }
-        if let Some(p) = persist {
-            p.written(queued);
-        }
-        let len = out.len() as u64;
-        let keys = staged.iter().map(|j| j.key);
+        p.written(queued);
+        let (len, head) = (out.len() as u64, head as u64);
+        let keys = staged.iter().map(|j| (j.key, j.gen));
         let mut t = self.core.segments();
         t.commit(
             place,

@@ -16,6 +16,7 @@
 //!    for completions that will never come.
 
 use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium, SpillMedium};
+use cc_core::persist::{decode_summary, read_superblock, SUPERBLOCK_RESERVED};
 use cc_core::store::{CompressedStore, StoreConfig, StoreError};
 use cc_util::SplitMix64;
 use proptest::prelude::*;
@@ -55,11 +56,13 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite: any single bit flip in the spill file — header or
-    /// payload, any extent — is detected. The damaged key surfaces as
-    /// `Corrupt` exactly once (then misses: the entry was dropped);
-    /// every other key reads back byte-exact; no get ever returns
-    /// wrong bytes.
+    /// Satellite: any single bit flip in the spill file is detected, by
+    /// what lies at the flipped byte. In an extent — header or payload —
+    /// the damaged key surfaces as `Corrupt` exactly once (then misses:
+    /// the entry was dropped). In a batch summary every get stays exact,
+    /// and the checker's read-back reports the summary's live extents
+    /// "on the file". In the superblock region or a gap it has no
+    /// effect. No get ever returns wrong bytes.
     #[test]
     fn any_single_bit_flip_is_detected(sel in any::<u64>()) {
         const KEYS: u64 = 24;
@@ -77,9 +80,37 @@ proptest! {
             }
             store.flush().unwrap();
 
+            // What lies where: after the superblock region, each segment
+            // is a chain of batches, a summary and then its extents.
+            let file = std::fs::read(&path).unwrap();
+            let sb = read_superblock(&FileMedium::open(&path).unwrap()).expect("a superblock");
+            // `[start, end)` of each summary, and whether it names a live
+            // extent (the newest generation of its key: each key is put
+            // once here, so every extent on the file is live).
+            let mut summaries: Vec<(u64, u64, bool)> = Vec::new();
+            let mut extents: Vec<(u64, u64)> = Vec::new();
+            let mut seg = SUPERBLOCK_RESERVED;
+            while seg < file.len() as u64 {
+                let mut at = seg;
+                while let Some(s) = file
+                    .get(at as usize..)
+                    .and_then(|b| decode_summary(b, file.len() as u64 - at, &sb))
+                {
+                    let named: Vec<(u64, u64)> = (s.records.iter())
+                        .filter(|r| !r.is_tombstone())
+                        .map(|r| (at + r.rel as u64, at + r.rel as u64 + r.len as u64))
+                        .collect();
+                    let body: u64 = named.iter().map(|(a, b)| b - a).sum();
+                    summaries.push((at, at + s.batch_len as u64 - body, !named.is_empty()));
+                    extents.extend(named);
+                    at += s.batch_len as u64;
+                }
+                seg += sb.seg_bytes;
+            }
+
             // Flip one bit, chosen by the proptest case, anywhere in the
             // file — through a second handle to the same inode.
-            let flipped_in_data = {
+            let flipped = {
                 use std::os::unix::fs::FileExt as _;
                 let f = std::fs::OpenOptions::new()
                     .read(true)
@@ -87,15 +118,16 @@ proptest! {
                     .open(&path)
                     .unwrap();
                 let len = f.metadata().unwrap().len();
-                prop_assert!(len > 0, "nothing spilled under a 2-page budget");
-                let data_end = store.stats().bytes_on_spill.min(len);
+                prop_assert!(!extents.is_empty(), "nothing spilled under a 2-page budget");
                 let bit = sel % (len * 8);
                 let mut byte = [0u8; 1];
                 f.read_exact_at(&mut byte, bit / 8).unwrap();
                 byte[0] ^= 1 << (bit % 8);
                 f.write_all_at(&byte, bit / 8).unwrap();
-                bit / 8 < data_end
+                bit / 8
             };
+            let in_extent = extents.iter().any(|&(a, b)| (a..b).contains(&flipped));
+            let summary = summaries.iter().find(|&&(a, b, _)| (a..b).contains(&flipped));
 
             let mut out = vec![0u8; PAGE];
             let mut corrupt_keys = Vec::new();
@@ -114,11 +146,16 @@ proptest! {
                     Err(e) => prop_assert!(false, "key {key}: unexpected error {e}"),
                 }
             }
-            // One flipped bit damages at most one extent; within the
-            // written region it damages exactly one.
+            // One flipped bit damages at most one extent; inside an
+            // extent it damages exactly one, and anywhere else none.
             prop_assert!(corrupt_keys.len() <= 1, "one bit, {corrupt_keys:?} corrupt");
-            if flipped_in_data {
+            if in_extent {
                 prop_assert_eq!(corrupt_keys.len(), 1, "in-extent flip not detected");
+            } else {
+                prop_assert!(
+                    corrupt_keys.is_empty(),
+                    "flip at {flipped} outside every extent: {corrupt_keys:?}"
+                );
             }
             let s = store.stats();
             prop_assert_eq!(s.corrupt_detected, corrupt_keys.len() as u64);
@@ -128,7 +165,15 @@ proptest! {
                 prop_assert_eq!(store.get(key, &mut out).unwrap(), false);
                 prop_assert!(!store.contains(key));
             }
-            prop_assert_eq!(store.check_invariants(), Ok(()));
+            let checked = store.check_invariants();
+            let on_file = checked.as_ref().is_err_and(|e| e.starts_with("on the file"));
+            match summary {
+                Some(&(_, _, live)) => prop_assert!(
+                    on_file || (!live && checked.is_ok()),
+                    "summary flip at {flipped}: {checked:?}"
+                ),
+                None => prop_assert_eq!(checked, Ok(())),
+            }
             store.shutdown();
         }
         let _ = std::fs::remove_file(&path);
@@ -383,10 +428,11 @@ fn chaos_stress_survives_faulty_medium() {
 #[test]
 fn write_outage_degrades_then_probes_recover() {
     const BUDGET: usize = 4 * PAGE;
-    // Writes 0..24 hard-fail: enough to burn both batch retries of
+    // Writes 1..25 hard-fail (write 0 is the superblock the store
+    // stamps as it opens): enough to burn both batch retries of
     // several batches plus the first probes; probe writes keep
     // consuming write indices, so the outage expires on schedule.
-    const OUTAGE: std::ops::Range<u64> = 0..24;
+    const OUTAGE: std::ops::Range<u64> = 1..25;
 
     let path = temp_path("outage", 0);
     let injector = Arc::new(FaultInjector::new(
@@ -555,17 +601,18 @@ fn writer_panic_degrades_and_flush_never_hangs() {
 fn spill_failed_fallback_restores_budget_without_degrading() {
     const BUDGET: usize = 4 * PAGE;
     let path = temp_path("fallback", 0);
-    // The first medium operations are exactly the first batch's write
+    // After the superblock the store stamps as it opens (op 0), the
+    // next medium operations are exactly the first batch's write
     // attempts (nothing has spilled, so no reads can precede them):
-    // scripting WriteError at ops 0..3 hard-fails batch #1 through all
+    // scripting WriteError at ops 1..4 hard-fails batch #1 through all
     // three of its retries and leaves every later batch clean.
     let injector = Arc::new(FaultInjector::new(
         FileMedium::create(&path).unwrap(),
         FaultPlan {
             script: vec![
-                (0, Fault::WriteError),
                 (1, Fault::WriteError),
                 (2, Fault::WriteError),
+                (3, Fault::WriteError),
             ],
             ..FaultPlan::default()
         },

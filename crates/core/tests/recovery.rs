@@ -250,8 +250,7 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
         }),
         None => injector,
     };
-    let store = CompressedStore::with_persistent_media(config.clone(), data)
-        .expect("fresh persistent store");
+    let store = CompressedStore::with_medium(config.clone(), data);
 
     let mut vnext: HashMap<u64, u64> = HashMap::new();
     let mut shadow: HashMap<u64, u64> = HashMap::new();

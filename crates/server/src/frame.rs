@@ -369,6 +369,7 @@ fn read_exact_or(
 mod tests {
     use super::*;
     use crate::client::RECV_BUF;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_over_a_pipe() {
@@ -574,6 +575,56 @@ mod tests {
                 }
                 Err(end) => return (frames, end),
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `RecvBuf` framing is total: frames and then arbitrary bytes,
+        /// read any number of bytes at a time under any size limit,
+        /// give exactly the frames, and the end, that one pass of
+        /// `parse_frame` over the whole stream finds. It never panics,
+        /// and the buffer grows only with the bytes that arrived, never
+        /// with what a length prefix claims.
+        #[test]
+        fn recv_buf_framing_accepts_any_bytes(
+            frames in proptest::collection::vec(
+                (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
+                0..6,
+            ),
+            tail in proptest::collection::vec(any::<u8>(), 0..64),
+            take in 1usize..80,
+            max in 0usize..96,
+        ) {
+            let mut wire = Vec::new();
+            for (seq, body) in &frames {
+                write_frame(&mut wire, *seq, body).unwrap();
+            }
+            wire.extend_from_slice(&tail);
+            let (mut want, mut at) = (Vec::new(), 0);
+            let want_end = loop {
+                match parse_frame(&wire[at..], max) {
+                    Ok(Some(p)) => {
+                        want.push((p.seq, wire[at..][p.body].to_vec()));
+                        at += p.consumed;
+                    }
+                    Ok(None) if at == wire.len() => break "closed",
+                    Ok(None) => break "truncated",
+                    Err(_) => break "oversized",
+                }
+            };
+            let mut buf = RecvBuf::new();
+            let (got, end) = reap_all(&mut buf, &mut Dribble::new(wire.clone(), take), max);
+            prop_assert_eq!(got, want);
+            let end = match end {
+                FrameError::Closed => "closed",
+                FrameError::Truncated { .. } => "truncated",
+                FrameError::Oversized { .. } => "oversized",
+                other => panic!("unexpected end {other}"),
+            };
+            prop_assert_eq!(end, want_end);
+            prop_assert!(buf.capacity() <= FIRST_LEN.max(2 * wire.len()), "{}", buf.capacity());
         }
     }
 

@@ -759,7 +759,7 @@ fn stats_scrape_on(backend: ServerBackend) {
         .expect("cc_store_puts_lzrw1_total missing");
     assert!(puts_lzrw1 > 0, "no puts routed to lzrw1: {text}");
     // The recovery telemetry surface is part of the schema even on a
-    // non-persistent store (all zero here, live after a warm restart).
+    // freshly opened store (all zero here, live after a warm restart).
     for series in [
         "cc_store_extents_recovered_total",
         "cc_store_summary_records_replayed_total",
@@ -819,7 +819,7 @@ fn stats_scrape_on(backend: ServerBackend) {
     shutdown_and_check_gauge(server, "stats");
 }
 
-/// Warm restart over the wire: a persistent store is filled through
+/// Warm restart over the wire: a spilling store is filled through
 /// one server, sealed by an orderly shutdown, reopened with
 /// [`CompressedStore::open_existing`], and a *fresh* server over the
 /// recovered store answers GETs for every spilled key byte-for-byte —
@@ -842,9 +842,7 @@ fn warm_restart_on(backend: ServerBackend) {
     let _ = std::fs::remove_file(&path);
 
     // Cold run: fill through the wire, flush, snapshot the spill set.
-    let store = Arc::new(CompressedStore::new(
-        StoreConfig::with_spill(BUDGET, &path).with_persistent(true),
-    ));
+    let store = Arc::new(CompressedStore::new(StoreConfig::with_spill(BUDGET, &path)));
     let server = Server::spawn(
         Arc::clone(&store),
         "127.0.0.1:0",
