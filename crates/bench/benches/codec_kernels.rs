@@ -10,7 +10,8 @@
 //! each decoder through its
 //! `Vec` API against its slice form, and `crc32` — the checksum that
 //! guards every spilled extent — in ns per extent at three extent sizes
-//! (a BDI block, the mean spilled extent, a raw page). The simulator's
+//! (a BDI block, the mean spilled extent, a raw page), on the kernel the
+//! CPU runs and (`crc32_portable`) on the portable one. The simulator's
 //! comparator codecs, LZSS and RLE, get encode and decode rows too: their
 //! speed relative to LZRW1 is the basis of the `CostProfile` scale
 //! factors in `cc-compress`. The classes are ccbench's
@@ -23,6 +24,7 @@
 //! It gates nothing; end-to-end claims are made with ccbench.
 
 use cc_compress::{classify, probe_bdi, Bdi, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy};
+use cc_util::crc::crc32_portable;
 use cc_util::{crc32, SplitMix64};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -170,9 +172,11 @@ fn bench_kernels(c: &mut Criterion) {
             rle.decompress(b, &mut sealed, PAGE).expect("own block");
         });
     }
-    // A table-driven CRC costs the same on any bytes; noise keeps the
-    // sixteen tables' lines all in play. Starts rotate over the 16
-    // alignments a payload can have inside a batch buffer.
+    // A CRC costs the same on any bytes; noise keeps the portable
+    // kernel's sixteen tables' lines all in play. Starts rotate over the
+    // 16 alignments a payload can have inside a batch buffer. `crc32` is
+    // the kernel the store runs on this CPU, `crc32_portable` the
+    // slice-by-16 fallback beside it.
     let noise: Vec<u8> = pages("noise").concat();
     let starts: Vec<usize> = (0..VARIANTS).map(|i| i * PAGE / 2 + i % 16).collect();
     for extent in [600usize, 1500, 4097] {
@@ -180,6 +184,15 @@ fn bench_kernels(c: &mut Criterion) {
         rotate(&mut group, "crc32", &extent.to_string(), &starts, |&at| {
             black_box(crc32(&noise[at..at + extent]));
         });
+        rotate(
+            &mut group,
+            "crc32_portable",
+            &extent.to_string(),
+            &starts,
+            |&at| {
+                black_box(crc32_portable(&noise[at..at + extent]));
+            },
+        );
     }
     group.finish();
 }

@@ -1187,9 +1187,13 @@ fn run_smoke() -> i32 {
         }
     }
     // The checksum guards every spilled extent in both directions; the
-    // byte-at-a-time kernel read ~4 400 ns here, the 16-byte stride ~800.
+    // byte-at-a-time kernel read ~4 400 ns here, the 16-byte stride ~800,
+    // carry-less multiply ~100.
     let crc_ns = crc32_ns_per_extent();
-    eprintln!("  crc32: {crc_ns:.0} ns per {CRC_EXTENT}-byte extent");
+    eprintln!(
+        "  crc32: {crc_ns:.0} ns per {CRC_EXTENT}-byte extent (kernel: {})",
+        cc_util::crc::kernel()
+    );
     if !cfg!(debug_assertions) && crc_ns > 2_000.0 {
         failures.push(format!(
             "crc32 takes {crc_ns:.0} ns per {CRC_EXTENT}-byte extent (limit 2000 ns in release)"

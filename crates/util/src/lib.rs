@@ -12,7 +12,8 @@
 //! - [`rng`] — a tiny deterministic SplitMix64 generator: every seeded
 //!   workload, simulator run and test draws from it (the workspace has no
 //!   `rand` dependency).
-//! - [`crc`] — table-driven CRC-32 for self-verifying on-disk extents.
+//! - [`crc`] — CRC-32 for self-verifying on-disk extents: carry-less
+//!   multiply where the CPU has it, slice-by-16 tables everywhere.
 //! - [`plot`] — ASCII line charts and heatmaps used by the figure harnesses.
 //! - [`fmt`] — human-friendly byte/time formatting.
 //!
@@ -20,6 +21,7 @@
 //! one histogram type, and its module owns the bucket scheme.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod crc;
 pub mod fmt;
