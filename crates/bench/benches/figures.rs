@@ -6,7 +6,7 @@
 //! table and figure has a bench target and regressions in any experiment
 //! path are caught.
 
-use cc_analytic::{bandwidth_speedup, grid, ratio_axis, reference_speedup, speed_axis};
+use cc_sim::analytic::{bandwidth_speedup, grid, ratio_axis, reference_speedup, speed_axis};
 use cc_sim::workloads::{
     compare::CompareApp,
     gold::{GoldApp, GoldPhase, GoldWorkload},

@@ -8,7 +8,7 @@
 //!   *linear in the speed of compression* ((4/3)s);
 //! - crossing r = 1/2 produces the "sharp leap" down as disk I/O turns on.
 
-use cc_analytic::{grid, ratio_axis, reference_speedup, speed_axis};
+use cc_sim::analytic::{grid, ratio_axis, reference_speedup, speed_axis};
 use cc_util::plot;
 
 fn main() {

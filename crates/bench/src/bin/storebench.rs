@@ -1,13 +1,11 @@
 //! `storebench` — the correctness gates of the sharded `CompressedStore`.
 //!
 //! It measures nothing for its own sake: ccbench (`benchmark/`) is the
-//! repo's one benchmark. Both modes print what they saw, list every
-//! broken gate, and exit nonzero if there is one; CI runs both on every
-//! push:
+//! repo's one benchmark. It prints what it saw, lists every broken gate,
+//! and exits nonzero if there is one; CI runs it on every push:
 //!
 //! ```text
 //! cargo run --release -p cc-bench --bin storebench -- --smoke
-//! cargo run --release -p cc-bench --bin storebench -- --chaos [--smoke] [--seed N]
 //! ```
 //!
 //! Run without a mode it prints the usage line and exits 2.
@@ -52,27 +50,15 @@
 //! any tier or the demoter goes unexercised in the recency arm, or
 //! `check_invariants()` fails after the final flush of either spill
 //! trial or of any tier arm.
-//!
-//! `--chaos` (`--chaos --smoke` is the reduced CI variant) runs the
-//! mixed workload against a seeded fault-injecting spill medium —
-//! transient EIO, bit-flip read corruption, torn writes, and a scheduled
-//! write outage — then crash-recovers a spilling store, and fails if
-//! any get returns wrong bytes, injected corruption goes undetected, the
-//! store fails to enter *and* leave degraded mode on schedule, the
-//! memory budget stays violated after settling, the recovery trial's
-//! remove wave leaves nothing to clean, a durable entry is lost or
-//! resurfaces stale after the reopen, a removed key comes back, or
-//! `check_invariants()` fails on the settled store or on a reopened one.
 
 use cc_bench::{smoke, Zipf};
 use cc_compress::CodecPolicy;
-use cc_core::medium::{FaultInjector, FaultPlan, FileMedium, SpillMedium};
-use cc_core::store::{CompressedStore, HitTier, StoreConfig};
+use cc_core::store::{CompressedStore, StoreConfig};
 use cc_core::tier::{CompressAll, PaperThreshold, RecencyCompressibility, TierPolicy};
 use cc_core::StoreStats;
 use cc_telemetry::Snapshot;
 use cc_util::{crc32, SplitMix64};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,8 +80,6 @@ const TIER_BUDGET: usize = 3 << 20;
 const TIER_THREADS: usize = 4;
 /// Skews for the tier sweep: hot-concentrated and flatter-than-hot.
 const TIER_SKEWS: [f64; 2] = [0.99, 0.6];
-/// Operations per thread of a full (non-`--smoke`) `--chaos` run.
-const CHAOS_OPS: u64 = 50_000;
 
 /// The flat-store tier policy pinned by every non-tier trial, so they
 /// keep exercising the codec and spill paths, not placement.
@@ -718,350 +702,6 @@ fn tier_arm<'a>(arms: &'a [TierArm], policy: &str, zipf_s: f64) -> &'a TierArm {
         .expect("tier sweep ran this arm")
 }
 
-/// Deterministic chaos gate: the spill workload against a seeded
-/// [`FaultInjector`] (EIO reads, bit-flip reads, EIO/torn writes) with a
-/// scheduled write outage that forces the degraded-mode transition
-/// mid-run, then [`run_chaos_recovery`]. Exits nonzero if any get
-/// returns wrong bytes, corruption goes undetected, the store fails to
-/// degrade and recover on schedule, the budget is still violated once
-/// the dust settles, or the settled store fails `check_invariants()`.
-fn run_chaos(threads: usize, ops_per_thread: u64, seed: u64) -> i32 {
-    const CHAOS_KEYS: u64 = 1024;
-    let path = std::env::temp_dir().join(format!("storebench-chaos-{}.bin", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let injector = Arc::new(FaultInjector::new(
-        FileMedium::create(&path).expect("create chaos spill file"),
-        FaultPlan {
-            seed,
-            read_error_1_in: 61,
-            read_corrupt_1_in: 43,
-            write_error_1_in: 257,
-            short_write_1_in: 509,
-            // Writes 60..100 hard-fail: consecutive batch failures cross
-            // `degrade_after` on schedule, and the probation probes burn
-            // the rest of the window before one lands and recovers.
-            write_outage: Some(60..100),
-            ..FaultPlan::default()
-        },
-    ));
-    let store = Arc::new(CompressedStore::with_medium(
-        StoreConfig::in_memory(SPILL_BUDGET)
-            .with_gc_dead_ratio(0.2)
-            .with_spill_retry(2, Duration::from_micros(200))
-            .with_degrade_after(2)
-            .with_probe_interval(Duration::from_millis(2)),
-        Arc::clone(&injector) as Arc<dyn SpillMedium>,
-    ));
-    eprintln!(
-        "storebench --chaos: seed {seed:#x}, {threads} threads x {ops_per_thread} ops, mixed 50/30/20 put/get/remove over {CHAOS_KEYS} keys, budget {SPILL_BUDGET} B"
-    );
-
-    let violations = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..threads as u64)
-        .map(|t| {
-            let store = Arc::clone(&store);
-            let violations = Arc::clone(&violations);
-            let keys_per_thread = (CHAOS_KEYS / threads as u64).max(1);
-            std::thread::spawn(move || {
-                let base = t * keys_per_thread;
-                // version[k] = last acknowledged put; 0 = unknown.
-                let mut version = vec![0u64; keys_per_thread as usize];
-                let mut vnext = 0u64;
-                let mut rng = SplitMix64::new(seed ^ (t + 1));
-                let mut page = vec![0u8; PAGE];
-                let mut out = vec![0u8; PAGE];
-                for _ in 0..ops_per_thread {
-                    let k = (rng.next_u64() % keys_per_thread) as usize;
-                    let key = base + k as u64;
-                    match rng.next_u64() % 10 {
-                        0..=4 => {
-                            vnext += 1;
-                            chaos_page(key, vnext, &mut page);
-                            match store.put(key, &page) {
-                                Ok(()) => version[k] = vnext,
-                                Err(_) => version[k] = 0, // degraded: unknown
-                            }
-                        }
-                        5..=7 => match store.get(key, &mut out) {
-                            Ok(true) => {
-                                // THE invariant: returned bytes are some
-                                // exact put, never garbage.
-                                if version[k] != 0 {
-                                    chaos_page(key, version[k], &mut page);
-                                    if out != page {
-                                        violations.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            // A miss (shed / corrupt-dropped) and an
-                            // honest error are both legal outcomes.
-                            Ok(false) | Err(_) => version[k] = 0,
-                        },
-                        _ => {
-                            store.remove(key);
-                            version[k] = 0;
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("chaos worker panicked");
-    }
-
-    // The outage window is finite: wait out probation, then settle.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while store.is_degraded() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let flush_ok = store.flush().is_ok();
-    let invariants = store.check_invariants();
-    let s = store.stats();
-    let inj = injector.injected();
-    eprintln!(
-        "  injected: {} read EIO, {} bit flips, {} write EIO, {} torn writes over {} medium ops",
-        inj.read_errors,
-        inj.read_corruptions,
-        inj.write_errors,
-        inj.short_writes,
-        injector.operations(),
-    );
-    eprintln!(
-        "  detected: {} corrupt extents, {} io retries; degraded {}x, recovered {}x after {} probes; {} fallback-resident, {} shed",
-        s.corrupt_detected,
-        s.io_retries,
-        s.degraded_entered,
-        s.degraded_recovered,
-        s.medium_probes,
-        s.spill_fallback_resident,
-        s.shed_pages,
-    );
-    eprintln!(
-        "  settled: resident {} B / budget {SPILL_BUDGET} B, {} spilled in {} batches, {} GC runs, flush_ok={flush_ok}",
-        s.resident_bytes, s.spilled, s.spill_batches, s.gc_runs,
-    );
-
-    let mut failures = Vec::new();
-    if violations.load(Ordering::Relaxed) > 0 {
-        failures.push(format!(
-            "{} gets returned wrong bytes under fault injection",
-            violations.load(Ordering::Relaxed)
-        ));
-    }
-    if inj.total() == 0 {
-        failures.push("fault injector idle: the chaos run exercised nothing".into());
-    }
-    if inj.read_corruptions > 0 && s.corrupt_detected == 0 {
-        failures.push(format!(
-            "{} bit flips injected but none detected",
-            inj.read_corruptions
-        ));
-    }
-    if s.io_retries == 0 {
-        failures.push("injected transient EIO never retried".into());
-    }
-    if s.degraded_entered == 0 {
-        failures.push("write outage did not trigger degraded mode".into());
-    }
-    if s.degraded_recovered == 0 || s.degraded {
-        failures.push(format!(
-            "store never recovered from the outage (entered {}x, recovered {}x, degraded={})",
-            s.degraded_entered, s.degraded_recovered, s.degraded
-        ));
-    }
-    if s.resident_bytes > SPILL_BUDGET as u64 {
-        failures.push(format!(
-            "budget violated after settling: {} > {SPILL_BUDGET}",
-            s.resident_bytes
-        ));
-    }
-    if s.spill_batches == 0 {
-        failures.push("nothing ever spilled: the chaos ran against an idle medium".into());
-    }
-    if let Err(e) = invariants {
-        failures.push(format!("chaos run, settled: check_invariants: {e}"));
-    }
-    store.shutdown();
-    let _ = std::fs::remove_file(&path);
-    failures.extend(run_chaos_recovery());
-    smoke::report("storebench --chaos", &failures)
-}
-
-/// Crash-recovery trial: spill a known working set through a store, remove every odd key, put a second wave that makes the writer
-/// clean the half-dead segments, kill the power with a
-/// [`CrashSwitch`](cc_core::medium::CrashSwitch) write cut, reopen the
-/// real file, and verify the recovery contract — every durably-written
-/// entry served byte-for-byte from the spill tier
-/// (no re-PUT), never a wrong byte, no removed key back, and the
-/// reopened store passes `check_invariants()`. A second, cleanly shut
-/// down round must warm-start on the fast path (no extent re-scan). The
-/// geometry is content-driven, so no seed enters.
-fn run_chaos_recovery() -> Vec<String> {
-    const RECOVERY_KEYS: u64 = 256;
-    const SECOND_WAVE: u64 = 128;
-    let data_path =
-        std::env::temp_dir().join(format!("storebench-recovery-{}.bin", std::process::id()));
-    let mut failures = Vec::new();
-
-    // One round per shutdown style: a hard cut after the barrier, then
-    // an orderly seal. `clean` selects the expectations.
-    for clean in [false, true] {
-        let injector = FaultInjector::new(
-            FileMedium::create(&data_path).expect("create recovery spill file"),
-            FaultPlan::quiet(),
-        );
-        let switch = Arc::clone(injector.switch());
-        // One-page batches make 128 KiB segments of ~31 pages, so the
-        // remove wave leaves each about half dead.
-        let cfg = StoreConfig::with_spill(SPILL_BUDGET / 8, &data_path)
-            .with_tier_policy(flat_tiering())
-            .with_spill_batch_bytes(PAGE)
-            .with_gc_dead_ratio(0.3);
-        let store = CompressedStore::with_medium(cfg.clone(), Arc::new(injector));
-        let mut page = vec![0u8; PAGE];
-        for key in 0..RECOVERY_KEYS {
-            chaos_page(key, 1, &mut page);
-            store.put(key, &page).expect("recovery put");
-        }
-        let removed: Vec<u64> = (1..RECOVERY_KEYS).step_by(2).collect();
-        for &key in &removed {
-            store.remove(key);
-        }
-        for key in RECOVERY_KEYS..RECOVERY_KEYS + SECOND_WAVE {
-            chaos_page(key, 1, &mut page);
-            store.put(key, &page).expect("recovery put");
-        }
-        store.flush().expect("recovery flush");
-        let gc_runs = store.stats().gc_runs;
-        if gc_runs == 0 {
-            failures.push(format!(
-                "recovery ({}): the remove wave left nothing to clean",
-                if clean { "clean" } else { "crashed" }
-            ));
-        }
-        // The durable set: everything the barrier left in the spill tier.
-        let durable: Vec<u64> = (0..RECOVERY_KEYS + SECOND_WAVE)
-            .filter(|&k| store.peek_tier(k) == Some(HitTier::Spill))
-            .collect();
-        if clean {
-            store.shutdown();
-        } else {
-            switch.cut_now();
-            // Post-crash writes must vanish, not resurface on reopen.
-            for key in 0..8 {
-                chaos_page(key, 2, &mut page);
-                let _ = store.put(key, &page);
-            }
-            let _ = store.flush();
-        }
-        let kind = if clean { "clean" } else { "crashed" };
-        drop(store);
-
-        let reopened = match CompressedStore::open_existing_with_media(
-            cfg,
-            Arc::new(FileMedium::open(&data_path).expect("reopen spill file"))
-                as Arc<dyn SpillMedium>,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(format!("recovery ({kind}): reopen failed: {e}"));
-                continue;
-            }
-        };
-        let s = reopened.stats();
-        eprintln!(
-            "  recovery ({kind}): {gc_runs} cleaning steps before the barrier; {} extents recovered, {} summary records replayed, {} verified, {} torn discarded, {} stale dropped, clean={}",
-            s.extents_recovered,
-            s.summary_records_replayed,
-            s.recovery_extents_verified,
-            s.torn_tail_discarded,
-            s.stale_generation_dropped,
-            s.clean_recoveries,
-        );
-        let mut out = vec![0u8; PAGE];
-        let mut wrong = 0u64;
-        let mut lost = 0u64;
-        for &key in &durable {
-            if reopened.peek_tier(key) != Some(HitTier::Spill) {
-                lost += 1;
-                continue;
-            }
-            chaos_page(key, 1, &mut page);
-            match reopened.get(key, &mut out) {
-                Ok(true) if out == page => {}
-                Ok(true) => wrong += 1,
-                _ => lost += 1,
-            }
-        }
-        if wrong > 0 {
-            failures.push(format!(
-                "recovery ({kind}): {wrong} keys served wrong bytes"
-            ));
-        }
-        let back = removed
-            .iter()
-            .filter(|&&key| reopened.get(key, &mut out).ok() == Some(true))
-            .count();
-        if back > 0 {
-            failures.push(format!("recovery ({kind}): {back} removed keys came back"));
-        }
-        if lost > 0 {
-            failures.push(format!(
-                "recovery ({kind}): {lost} of {} durable entries unrecovered",
-                durable.len()
-            ));
-        }
-        if durable.is_empty() {
-            failures.push(format!(
-                "recovery ({kind}): nothing spilled — the trial exercised nothing"
-            ));
-        }
-        if clean {
-            if s.clean_recoveries != 1 {
-                failures.push("recovery (clean): seal not honoured on reopen".into());
-            }
-            if s.recovery_extents_verified != 0 {
-                failures.push(format!(
-                    "recovery (clean): clean start took the slow scan ({} extents re-verified)",
-                    s.recovery_extents_verified
-                ));
-            }
-        } else {
-            if s.clean_recoveries != 0 {
-                failures.push("recovery (crashed): cut run recovered as clean".into());
-            }
-            // The post-cut overwrites (version 2) must not have survived.
-            for key in 0..8u64 {
-                chaos_page(key, 2, &mut page);
-                if reopened.get(key, &mut out).ok() == Some(true) && out == page {
-                    failures.push(format!(
-                        "recovery (crashed): post-crash write of key {key} resurfaced"
-                    ));
-                }
-            }
-        }
-        if let Err(e) = reopened.check_invariants() {
-            failures.push(format!(
-                "recovery ({kind}), reopened: check_invariants: {e}"
-            ));
-        }
-        reopened.shutdown();
-    }
-    let _ = std::fs::remove_file(&data_path);
-    failures
-}
-
-/// Page payload for the chaos trial: versioned incompressible noise, so
-/// every page takes the spill machinery (never the same-filled elision)
-/// and any single flipped bit is visible.
-fn chaos_page(key: u64, version: u64, buf: &mut [u8]) {
-    let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version);
-    for b in buf.iter_mut() {
-        *b = rng.next_u64() as u8;
-    }
-}
-
 /// Extent size for the checksum probe: the mean spilled extent.
 const CRC_EXTENT: usize = 1500;
 
@@ -1343,32 +983,20 @@ fn run_smoke() -> i32 {
     smoke::report("storebench", &failures)
 }
 
-const USAGE: &str = "usage: storebench --smoke | --chaos [--smoke] [--seed N]";
+const USAGE: &str = "usage: storebench --smoke";
 
 fn main() {
-    let (mut smoke, mut chaos) = (false, false);
-    let mut seed: u64 = 0xC4A0_5CA0;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut smoke = false;
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed expects a number (the fault-injection seed)");
-                    std::process::exit(2);
-                })
-            }
             "--smoke" => smoke = true,
-            "--chaos" => chaos = true,
             other => {
                 eprintln!("unknown arg: {other}\n{USAGE}");
                 std::process::exit(2);
             }
         }
     }
-    let code = if chaos {
-        // `--chaos --smoke` is the reduced-ops CI gate.
-        run_chaos(8, if smoke { 6_000 } else { CHAOS_OPS }, seed)
-    } else if smoke {
+    let code = if smoke {
         run_smoke()
     } else {
         eprintln!("{USAGE}");

@@ -511,35 +511,16 @@ impl CodecSet {
             fell_back: false,
         }
     }
-
-    /// Decode a block sealed by `codec` (as recorded in the entry or the
-    /// extent header). The method byte inside `src` must agree with the
-    /// recorded id — a mismatch is a [`DecompressError`], never a decode
-    /// under the wrong codec.
-    pub fn decompress(
-        &mut self,
-        codec: CodecId,
-        src: &[u8],
-        dst: &mut Vec<u8>,
-        expected_len: usize,
-    ) -> Result<(), DecompressError> {
-        check_method(codec, src)?;
-        match codec {
-            CodecId::Raw => Null::new().decompress(src, dst, expected_len),
-            CodecId::Lzrw1 => self.lzrw1.decompress(src, dst, expected_len),
-            CodecId::Rle => Rle::new().decompress(src, dst, expected_len),
-            CodecId::Lzss => Lzss::new().decompress(src, dst, expected_len),
-            CodecId::SameFilled => SameFilled::new().decompress(src, dst, expected_len),
-            CodecId::Bdi => self.bdi.decompress(src, dst, expected_len),
-        }
-    }
 }
 
-/// Like [`CodecSet::decompress`], but straight into the caller's page:
-/// `out.len()` is the expected length, and the codecs a store seals with
-/// (raw, LZRW1, BDI) write it with no intermediate buffer. Decoding needs
-/// no codec state, hence no [`CodecSet`]. On error the contents of `out`
-/// are unspecified.
+/// Decode a block sealed by `codec` (as recorded in the entry or the
+/// extent header) straight into the caller's page: `out.len()` is the
+/// expected length, and the codecs a store seals with (raw, LZRW1, BDI)
+/// write it with no intermediate buffer. The method byte inside `src`
+/// must agree with the recorded id — a mismatch is a
+/// [`DecompressError`], never a decode under the wrong codec. Decoding
+/// needs no codec state, hence no [`CodecSet`]. On error the contents of
+/// `out` are unspecified.
 pub fn decode_into(codec: CodecId, src: &[u8], out: &mut [u8]) -> Result<(), DecompressError> {
     check_method(codec, src)?;
     match codec {
@@ -847,9 +828,8 @@ mod tests {
         let sel =
             set.compress_with_hint(CodecPolicy::Adaptive, t, &page, &mut dst, Some(Route::Lz));
         assert_ne!(sel.codec, CodecId::Bdi);
-        let mut out = Vec::new();
-        set.decompress(sel.codec, &dst, &mut out, page.len())
-            .unwrap();
+        let mut out = vec![0u8; page.len()];
+        decode_into(sel.codec, &dst, &mut out).unwrap();
         assert_eq!(out, page);
     }
 
@@ -934,11 +914,7 @@ mod tests {
                 let mut dst = Vec::new();
                 let sel = set.compress_with_policy(policy, t, &page, &mut dst);
                 assert_eq!(sel.len, dst.len());
-                let mut out = Vec::new();
-                set.decompress(sel.codec, &dst, &mut out, page.len())
-                    .unwrap_or_else(|e| panic!("{:?}/{}: {e}", policy, sel.codec.name()));
-                assert_eq!(out, page);
-                out.fill(0xEE);
+                let mut out = vec![0xEE; page.len()];
                 decode_into(sel.codec, &dst, &mut out)
                     .unwrap_or_else(|e| panic!("{:?}/{}: {e}", policy, sel.codec.name()));
                 assert_eq!(out, page);
@@ -959,18 +935,12 @@ mod tests {
             &mut dst,
         );
         assert_eq!(sel.codec, CodecId::Bdi);
-        let mut out = Vec::new();
         for wrong in [
             CodecId::Lzrw1,
             CodecId::Rle,
             CodecId::SameFilled,
             CodecId::Raw,
         ] {
-            assert!(
-                set.decompress(wrong, &dst, &mut out, 4096).is_err(),
-                "{} decoded bdi bytes",
-                wrong.name()
-            );
             assert!(
                 decode_into(wrong, &dst, &mut [0u8; 4096]).is_err(),
                 "{} decoded bdi bytes into a slice",

@@ -7,8 +7,8 @@
 
 use cc_compress::codec::MIN_PREDICTED_LEN;
 use cc_compress::{
-    classify, Bdi, CodecId, CodecPolicy, CodecSet, Compressor, Lzrw1, Lzss, Null, Rle, Route,
-    SameFilled, Selection, ThresholdPolicy,
+    classify, decode_into, Bdi, CodecId, CodecPolicy, CodecSet, Compressor, Lzrw1, Lzss, Null, Rle,
+    Route, SameFilled, Selection, ThresholdPolicy,
 };
 use proptest::prelude::*;
 
@@ -327,8 +327,8 @@ proptest! {
                     policy
                 );
             }
-            let mut out = Vec::new();
-            set.decompress(sel.codec, &packed, &mut out, input.len()).unwrap();
+            let mut out = vec![0u8; input.len()];
+            decode_into(sel.codec, &packed, &mut out).unwrap();
             prop_assert_eq!(&out, &input, "policy {:?} codec {}", policy, sel.codec.name());
         }
     }

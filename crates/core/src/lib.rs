@@ -15,9 +15,9 @@
 //! afterthought.
 //!
 //! The 1993 system itself is reproduced elsewhere: the §4 circular-buffer
-//! cache in `cc-sim` (as `cc_sim::paper`), and the memory, disk, VM and
-//! file-system models it runs on in `cc-mem`, `cc-disk`, `cc-vm` and
-//! `cc-blockfs`.
+//! cache and the VM and file-system models it runs on in `cc-sim` (as
+//! `cc_sim::paper`, `cc_sim::vm` and `cc_sim::blockfs`), over the memory
+//! and disk models in `cc-mem` and `cc-disk`.
 
 #![warn(missing_docs)]
 

@@ -79,11 +79,6 @@ impl FileMedium {
             .open(path)?;
         Ok(FileMedium { file })
     }
-
-    /// Wrap an already-open file (must be readable and writable).
-    pub fn from_file(file: File) -> FileMedium {
-        FileMedium { file }
-    }
 }
 
 /// A shared in-memory medium: a growable byte buffer behind a mutex.

@@ -292,8 +292,7 @@ impl CompressedStore {
     /// A full telemetry snapshot — counter sums and latency summaries —
     /// with the store's byte gauges and the `latency_sample_period` its
     /// foreground histograms were sampled at attached. Feed it to
-    /// [`cc_telemetry::Snapshot::to_json`], `to_prometheus`, or
-    /// `render_text`.
+    /// [`cc_telemetry::Snapshot::to_prometheus`] or `render_text`.
     pub fn telemetry_snapshot(&self) -> cc_telemetry::Snapshot {
         self.core.telemetry_snapshot()
     }

@@ -291,12 +291,27 @@ proptest! {
 /// happen; the budget holds once the dust settles.
 #[test]
 fn chaos_stress_survives_faulty_medium() {
+    // Rate-injected write failures are scattered, but 3 consecutive
+    // hard batch failures can happen over a long run; this schedule
+    // pins integrity-under-fire, not the degraded transition.
+    stress_schedule(None, u32::MAX);
+    // The same storm, with writes 60..100 hard-failing and the store
+    // degrading after 2 failed batches: the threads keep going while it
+    // degrades, and probation probes burn the rest of the window
+    // before one lands and recovers it.
+    stress_schedule(Some(60..100), 2);
+}
+
+/// One run of [`chaos_stress_survives_faulty_medium`]: the fault rates
+/// plus `write_outage`, degrading after `degrade_after` failed batches.
+fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u32) {
     const THREADS: u64 = 8;
     const OPS: u64 = 1_500;
     const KEYS_PER_THREAD: u64 = 96;
     const BUDGET: usize = 8 * PAGE;
 
-    let path = temp_path("stress", 0);
+    let outage = write_outage.is_some();
+    let path = temp_path("stress", degrade_after.into());
     let injector = Arc::new(FaultInjector::new(
         FileMedium::create(&path).unwrap(),
         FaultPlan {
@@ -305,6 +320,7 @@ fn chaos_stress_survives_faulty_medium() {
             read_corrupt_1_in: 43,
             write_error_1_in: 127,
             short_write_1_in: 211,
+            write_outage,
             ..FaultPlan::default()
         },
     ));
@@ -313,11 +329,8 @@ fn chaos_stress_survives_faulty_medium() {
             .with_spill_batch_bytes(4 * PAGE)
             .with_gc_dead_ratio(0.2)
             .with_spill_retry(3, Duration::from_micros(200))
-            // Rate-injected write failures are scattered, but 3
-            // consecutive hard batch failures can happen over a long
-            // run; this test pins integrity-under-fire, not the
-            // degraded transition (tested on its own schedule below).
-            .with_degrade_after(u32::MAX),
+            .with_degrade_after(degrade_after)
+            .with_probe_interval(Duration::from_millis(2)),
         Arc::clone(&injector) as Arc<dyn SpillMedium>,
     ));
 
@@ -390,6 +403,8 @@ fn chaos_stress_survives_faulty_medium() {
         "a get returned wrong bytes under fault injection"
     );
 
+    // The outage window is finite: wait out probation, then settle.
+    wait_for("recovery from the outage", || !store.is_degraded());
     let _ = store.flush();
     // Final readback: every surviving key exact-or-absent.
     let mut out = vec![0u8; PAGE];
@@ -416,6 +431,11 @@ fn chaos_stress_survives_faulty_medium() {
         "budget violated after settling: {} > {BUDGET} ({s:?})",
         s.resident_bytes
     );
+    if outage {
+        assert!(s.degraded_entered >= 1, "the outage never degraded ({s:?})");
+        assert!(s.degraded_recovered >= 1, "recovery not counted ({s:?})");
+        assert!(!s.degraded, "still degraded after settling ({s:?})");
+    }
     assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
     let _ = std::fs::remove_file(&path);

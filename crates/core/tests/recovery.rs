@@ -20,7 +20,7 @@
 //! cumulative write stream" is a deterministic, replayable fault —
 //! optionally with the torn sector scribbled.
 
-use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, MemMedium, SpillMedium};
+use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, MemMedium, SpillMedium};
 use cc_core::persist::{decode_summary, read_superblock, Superblock, SUMMARY_HEAD};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::CompressAll;
@@ -40,10 +40,11 @@ fn noise_page(key: u64, version: u64) -> Vec<u8> {
     (0..PAGE).map(|_| rng.next_u64() as u8).collect()
 }
 
-/// A tight-budget persistent config: almost everything spills, no
-/// background demoter (CompressAll), GC off unless a trial turns it on.
+/// A tight-budget config: almost everything spills, no background
+/// demoter (CompressAll), GC off unless a trial turns it on. It has no
+/// spill path, so trials run it over an in-memory medium.
 fn cfg(budget_pages: usize, gc_ratio: f64) -> StoreConfig {
-    StoreConfig::with_spill(budget_pages * PAGE, "/unused-recovery-media")
+    StoreConfig::in_memory(budget_pages * PAGE)
         .with_tier_policy(Arc::new(CompressAll))
         .with_gc_dead_ratio(gc_ratio)
         .with_spill_retry(1, Duration::ZERO)
@@ -206,6 +207,7 @@ struct Model {
 }
 
 struct Outcome {
+    /// The in-memory medium (left empty by a trial on a real file).
     data: MemMedium,
     models: Vec<Model>,
     cut_at: u64,
@@ -218,23 +220,33 @@ struct Outcome {
     run_stats: cc_core::StoreStats,
 }
 
-/// Run `schedule` against a fresh persistent store over an in-memory
-/// medium behind a [`CrashSwitch`], injecting `crash`.
+/// Run `schedule` against a fresh store behind a [`CrashSwitch`],
+/// injecting `crash`: over the real file at the config's spill path if
+/// it names one, else over an in-memory medium.
 fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
     let data_mem = MemMedium::new();
     let (crash_after_bytes, crash_tear) = match crash {
         Crash::ArmedAt { at, tear } => (Some(at), tear),
         _ => (None, false),
     };
-    let injector = Arc::new(FaultInjector::new(
-        data_mem.share(),
-        FaultPlan {
-            crash_after_bytes,
-            crash_tear,
-            ..FaultPlan::quiet()
-        },
-    ));
-    let switch = Arc::clone(injector.switch());
+    let plan = FaultPlan {
+        crash_after_bytes,
+        crash_tear,
+        ..FaultPlan::quiet()
+    };
+    let (switch, injector): (_, Arc<dyn SpillMedium>) = match &config.spill_path {
+        Some(path) => {
+            let file = FaultInjector::new(
+                FileMedium::create(path).expect("create the spill file"),
+                plan,
+            );
+            (Arc::clone(file.switch()), Arc::new(file))
+        }
+        None => {
+            let mem = FaultInjector::new(data_mem.share(), plan);
+            (Arc::clone(mem.switch()), Arc::new(mem))
+        }
+    };
     let tap = match crash {
         Crash::AtEdge(edge) => Some(Arc::new(EdgeTap {
             edge,
@@ -360,10 +372,14 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
 
 /// Reopen the trial's media and check the recovery contract.
 fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
-    let reopened = CompressedStore::open_existing_with_media(
-        config.clone().with_gc_dead_ratio(f64::MAX),
-        Arc::new(o.data.share()) as Arc<dyn SpillMedium>,
-    )
+    let config = config.clone().with_gc_dead_ratio(f64::MAX);
+    let reopened = match config.spill_path {
+        Some(_) => CompressedStore::open_existing(config),
+        None => CompressedStore::open_existing_with_media(
+            config,
+            Arc::new(o.data.share()) as Arc<dyn SpillMedium>,
+        ),
+    }
     .expect("recovery must succeed whenever a superblock slot survives");
     // The recovered location map is a consistent one: no two extents
     // overlap, none lies past the segments' end, and every one verifies
@@ -678,7 +694,8 @@ fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
 /// lands in a segment that the cleaner then takes — mostly dead bytes —
 /// while the key's older copy still sits in another sealed segment. The
 /// cleaner must carry the tombstone forward; a crash after the cleaning
-/// must not bring the key back.
+/// must not bring the key back. It runs on a real file, reopened from
+/// its path.
 #[test]
 fn a_cleaned_tombstone_keeps_an_older_copy_dead() {
     let mut schedule = Vec::new();
@@ -698,7 +715,12 @@ fn a_cleaned_tombstone_keeps_an_older_copy_dead() {
         schedule.push(Op::Put(k)); // seal it, then clean it
     }
     schedule.push(Op::Barrier); // 2
-    let config = gc_cfg();
+    let path =
+        std::env::temp_dir().join(format!("cc-recovery-tombstone-{}.bin", std::process::id()));
+    let config = StoreConfig {
+        spill_path: Some(path.clone()),
+        ..gc_cfg()
+    };
     let o = run_trial(&schedule, &config, Crash::AtBarrier(2));
     assert!(
         o.run_stats.gc_runs >= 1,
@@ -706,6 +728,7 @@ fn a_cleaned_tombstone_keeps_an_older_copy_dead() {
         o.run_stats
     );
     verify(&o, &config);
+    let _ = std::fs::remove_file(&path);
 }
 
 /// `mid_gc_crash`'s cleaner: 2 KiB batches, so 64 KiB segments of ~30

@@ -162,7 +162,6 @@ pub struct Client {
     rbuf: RecvBuf,
     /// The last [`Client::call`]'s response body (reused).
     recv: Vec<u8>,
-    max_frame: usize,
     timeout: Option<Duration>,
     retry: RetryPolicy,
     /// Next request tag; `0` is reserved for unsolicited server frames.
@@ -184,7 +183,6 @@ impl Client {
             send: Vec::new(),
             rbuf: RecvBuf::with_len(RECV_BUF),
             recv: Vec::new(),
-            max_frame: frame::DEFAULT_MAX_FRAME,
             timeout: None,
             retry: RetryPolicy::default(),
             next_seq: 1,
@@ -199,12 +197,6 @@ impl Client {
             n => n,
         };
         seq
-    }
-
-    /// Cap the response frames this client will accept.
-    pub fn with_max_frame(mut self, bytes: usize) -> Client {
-        self.max_frame = bytes.max(frame::LEN_PREFIX);
-        self
     }
 
     /// Arm bounded retry-with-backoff on `BUSY` answers and transient
@@ -253,7 +245,8 @@ impl Client {
     /// Block until a whole reply is buffered. Its body sits at
     /// `self.rbuf.unparsed()[frame.body]` until [`Client::reaped`].
     fn next_reply(&mut self) -> Result<frame::ParsedFrame, FrameError> {
-        self.rbuf.next_frame(&mut self.stream, self.max_frame)
+        self.rbuf
+            .next_frame(&mut self.stream, frame::DEFAULT_MAX_FRAME)
     }
 
     /// Drop a reply [`Client::next_reply`] returned, and any growth a

@@ -5,10 +5,13 @@
 //! | [`paper`] | **the compression cache** (§4): circular buffer, cleaner, fragments, swap GC, §4.4 overheads |
 //! | [`workloads`] | thrasher, compare, isca, sort, gold |
 //! | [`system`] | the whole machine and the three-way memory arbiter |
+//! | [`vm`] | Sprite's VM: segments, page tables, exact-LRU residency, dirty tracking |
+//! | [`blockfs`] | Sprite's 4 KB-block files over the disk model, and the buffer cache |
+//! | [`analytic`] | Figure 1's closed-form models |
 //!
 //! [`System`] wires the substrates together the way the modified Sprite
-//! kernel does: a [`cc_vm::Vm`] over a shared [`cc_mem::FramePool`], a
-//! [`cc_blockfs::FileSystem`] on a [`cc_disk::Disk`], an optional
+//! kernel does: a [`vm::Vm`] over a shared [`cc_mem::FramePool`], a
+//! [`blockfs::FileSystem`] on a [`cc_disk::Disk`], an optional
 //! [`paper::CompressionCache`], and — the §4.2 contribution — a
 //! **three-way memory arbiter** that trades physical frames among
 //! uncompressed VM pages, file-cache blocks, and compressed pages by
@@ -31,10 +34,13 @@
 
 #![warn(missing_docs)]
 
+pub mod analytic;
+pub mod blockfs;
 pub mod config;
 pub mod paper;
 pub mod stats;
 pub mod system;
+pub mod vm;
 pub mod workloads;
 
 pub use config::{CcParams, CodecKind, Mode, SimConfig};

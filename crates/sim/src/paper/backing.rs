@@ -1,7 +1,7 @@
 //! The cache's view of the backing store.
 //!
 //! The cache reads and writes byte ranges of one flat swap area; the
-//! simulator implements this trait over `cc_blockfs::FileSystem` (which
+//! simulator implements this trait over [`FileSystem`](crate::blockfs::FileSystem) (which
 //! enforces whole-block transfers and charges disk time), while unit tests
 //! use [`MemBacking`], an in-memory implementation with a trivial cost
 //! model, so the cache mechanism can be tested in isolation.

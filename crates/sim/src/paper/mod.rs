@@ -54,8 +54,8 @@ pub use swap::{SwapInfo, SwapLoc, SwapSpace};
 
 /// Identity of a virtual page, as the cache sees it.
 ///
-/// This mirrors `cc_vm::VPage` without depending on the VM crate: the
-/// cache is usable as a standalone compressed-page store keyed by any
+/// This mirrors [`VPage`](crate::vm::VPage) without depending on the VM
+/// model: the cache is usable as a standalone compressed-page store keyed by any
 /// `(u32, u32)` identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageKey {

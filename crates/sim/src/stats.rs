@@ -3,9 +3,9 @@
 use cc_disk::DiskStats;
 use cc_telemetry::HistSummary;
 use cc_util::{fmt, Ns};
-use cc_vm::VmStats;
 
 use crate::paper::CoreStats;
+use crate::vm::VmStats;
 
 /// Counters owned by the `System` itself (the substrates keep their own).
 #[derive(Debug, Clone, Default)]

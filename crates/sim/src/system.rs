@@ -3,20 +3,20 @@
 
 use std::collections::HashMap;
 
-use cc_blockfs::{read_block_through, BufferCache, CacheBlockKey, FileId, FileSystem};
 use cc_compress::{Compressor, Lzrw1, Lzss, Null, Rle};
 use cc_disk::{Completion, Disk, DiskStats};
 use cc_mem::{FrameId, FrameOwner, FramePool};
 use cc_telemetry::{Telemetry, TelemetrySpec};
 use cc_util::Ns;
-use cc_vm::{AccessResult, FaultKind, SegId, Vm, VmStats};
 
+use crate::blockfs::{read_block_through, BufferCache, CacheBlockKey, FileId, FileSystem};
 use crate::config::{CodecKind, Mode, SimConfig};
 use crate::paper::{
     BackingStore, CacheConfig, CleanEvictOutcome, CompressionCache, CoreStats, FaultOutcome,
     InsertOutcome, OverheadReport, PageKey,
 };
 use crate::stats::{SystemReport, SystemStats};
+use crate::vm::{AccessResult, FaultKind, PageState, SegId, VPage, Vm, VmStats};
 
 /// Timed-operation indices for the simulator's telemetry: fault service
 /// latency per fault class, in **virtual** nanoseconds (clock deltas
@@ -196,8 +196,8 @@ impl System {
     pub fn release_segment(&mut self, seg: SegId) {
         let npages = self.vm.segment_pages(seg);
         for page in 0..npages {
-            let vp = cc_vm::VPage { seg, page };
-            if let cc_vm::PageState::Resident { .. } = self.vm.state(vp) {
+            let vp = VPage { seg, page };
+            if let PageState::Resident { .. } = self.vm.state(vp) {
                 let (_, frame, _) = self.vm.take_resident(vp);
                 self.vm.set_swapped(vp);
                 self.pool.free(frame);
@@ -512,7 +512,7 @@ impl System {
 
     fn access(&mut self, seg: SegId, offset: u64, write: bool) -> FrameId {
         let pb = self.cfg.page_bytes as u64;
-        let vp = cc_vm::VPage {
+        let vp = VPage {
             seg,
             page: (offset / pb) as u32,
         };
@@ -532,7 +532,7 @@ impl System {
         }
     }
 
-    fn service_fault(&mut self, vp: cc_vm::VPage, kind: FaultKind) -> FrameId {
+    fn service_fault(&mut self, vp: VPage, kind: FaultKind) -> FrameId {
         let fault_start = self.clock;
         self.clock += self.cfg.fault_overhead;
         self.stats.fault_overhead_time += self.cfg.fault_overhead;
@@ -573,7 +573,7 @@ impl System {
         frame
     }
 
-    fn cc_fault(&mut self, vp: cc_vm::VPage) -> FrameId {
+    fn cc_fault(&mut self, vp: VPage) -> FrameId {
         let key = PageKey {
             seg: vp.seg.0,
             page: vp.page,
@@ -606,7 +606,7 @@ impl System {
         frame
     }
 
-    fn std_swapin(&mut self, vp: cc_vm::VPage) -> FrameId {
+    fn std_swapin(&mut self, vp: VPage) -> FrameId {
         let file = *self.std_swap.get(&vp.seg).expect("std swap file");
         let pb = self.cfg.page_bytes as u64;
         let done = self.fs.read_bytes(
@@ -907,11 +907,11 @@ impl System {
                 // guard anyway.)
                 continue;
             }
-            let vp = cc_vm::VPage {
+            let vp = VPage {
                 seg: SegId(key.seg),
                 page: key.page,
             };
-            if matches!(self.vm.state(vp), cc_vm::PageState::Compressed) {
+            if matches!(self.vm.state(vp), PageState::Compressed) {
                 self.vm.set_swapped(vp);
             }
         }

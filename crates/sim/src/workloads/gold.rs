@@ -17,9 +17,9 @@
 //! not scripted.
 
 use cc_util::{Ns, SplitMix64};
-use cc_vm::SegId;
 
 use super::{datagen::WordList, fnv1a, Workload, WorkloadSummary};
+use crate::vm::SegId;
 use crate::System;
 
 /// Which Table 1 row to run (create / cold / warm).

@@ -17,9 +17,9 @@
 //! at the top of the recursion, tight locality at the bottom.
 
 use cc_util::Ns;
-use cc_vm::SegId;
 
 use super::{datagen, fnv1a, Workload, WorkloadSummary};
+use crate::vm::SegId;
 use crate::System;
 
 /// Record width: one word per record, padded/truncated.

@@ -79,22 +79,6 @@ pub struct AtomicHistogram {
     max: AtomicU64,
     /// Trace id of the sample that set (or last matched) `max`.
     max_trace: AtomicU64,
-    /// Reservoir of recent traced observations at or above the tail
-    /// floor: `(value, trace_id)` pairs.
-    tail: [TailSlot; TAIL_SLOTS],
-    /// Values below this skip the reservoir; lazily refreshed to the
-    /// current p99 on each `summary` call so the reservoir converges on
-    /// genuine tail samples.
-    tail_floor: AtomicU64,
-}
-
-/// Slots in the p99+ exemplar reservoir.
-pub const TAIL_SLOTS: usize = 8;
-
-#[derive(Default)]
-struct TailSlot {
-    value: AtomicU64,
-    trace: AtomicU64,
 }
 
 impl Default for AtomicHistogram {
@@ -113,8 +97,6 @@ impl AtomicHistogram {
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
             max_trace: AtomicU64::new(0),
-            tail: Default::default(),
-            tail_floor: AtomicU64::new(0),
         }
     }
 
@@ -126,35 +108,25 @@ impl AtomicHistogram {
 
     /// Record one sample carrying a trace id (0 = untraced; identical
     /// cost to [`AtomicHistogram::record`]). Traced samples additionally
-    /// maintain the max exemplar and, when at or above the tail floor,
-    /// claim a reservoir slot. Exemplar pairs are written with two
-    /// relaxed stores — a concurrent reader can observe a value with a
-    /// neighbouring sample's trace id, which is acceptable for
-    /// diagnostics and keeps the hot path lock-free.
+    /// maintain the max exemplar. The max and its trace id are written
+    /// with two relaxed operations — a concurrent reader can observe the
+    /// max with a neighbouring sample's trace id, which is acceptable
+    /// for diagnostics and keeps the hot path lock-free.
     #[inline]
     pub fn record_traced(&self, v: u64, trace: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        let n = self.count.fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         let prev_max = self.max.fetch_max(v, Ordering::Relaxed);
-        if trace != 0 {
-            if v >= prev_max {
-                self.max_trace.store(trace, Ordering::Relaxed);
-            }
-            if v >= self.tail_floor.load(Ordering::Relaxed) {
-                let slot = &self.tail[n as usize % TAIL_SLOTS];
-                slot.value.store(v, Ordering::Relaxed);
-                slot.trace.store(trace, Ordering::Relaxed);
-            }
+        if trace != 0 && v >= prev_max {
+            self.max_trace.store(trace, Ordering::Relaxed);
         }
     }
 
     /// The percentile summary exported in snapshots, computed from one
     /// relaxed copy of the buckets: concurrent writers may leave it a few
-    /// samples behind, but no bucket is ever torn. Also refreshes the
-    /// tail-exemplar floor to the current p99 so future reservoir
-    /// entries stay in the tail.
+    /// samples behind, but no bucket is ever torn.
     pub fn summary(&self) -> HistSummary {
         let mut buckets = [0u64; BUCKETS];
         for (dst, b) in buckets.iter_mut().zip(self.buckets.iter()) {
@@ -182,7 +154,7 @@ impl AtomicHistogram {
             }
             max
         };
-        let s = HistSummary {
+        HistSummary {
             count,
             p50: quantile(0.50),
             p90: quantile(0.90),
@@ -195,23 +167,12 @@ impl AtomicHistogram {
             },
             sum,
             max_trace: self.max_trace.load(Ordering::Relaxed),
-            tail: std::array::from_fn(|i| {
-                let slot = &self.tail[i];
-                (
-                    slot.value.load(Ordering::Relaxed),
-                    slot.trace.load(Ordering::Relaxed),
-                )
-            }),
-        };
-        if count > 0 {
-            self.tail_floor.store(s.p99, Ordering::Relaxed);
         }
-        s
     }
 }
 
-/// Percentile summary of a histogram: what the JSON/Prometheus exporters
-/// and the bench gates consume.
+/// Percentile summary of a histogram: what the Prometheus and text
+/// exporters and the bench gates consume.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HistSummary {
     /// Samples recorded.
@@ -230,9 +191,6 @@ pub struct HistSummary {
     pub sum: u64,
     /// Trace id of the sample that set the max (0 = untraced).
     pub max_trace: u64,
-    /// Tail-exemplar reservoir: `(value, trace_id)` pairs of recent
-    /// traced p99+ observations; unused slots are `(0, 0)`.
-    pub tail: [(u64, u64); TAIL_SLOTS],
 }
 
 #[cfg(test)]
@@ -308,8 +266,8 @@ mod tests {
         assert_eq!(s, HistSummary::default());
     }
 
-    /// Summarising an empty histogram leaves the tail floor at 0, so the
-    /// first traced sample, however small, lands in the reservoir.
+    /// After summarising an empty histogram, the first traced sample,
+    /// however small, is the max and its exemplar.
     #[test]
     fn empty_histogram() {
         let h = AtomicHistogram::new();
@@ -317,7 +275,6 @@ mod tests {
         h.record_traced(1, 5);
         let s = h.summary();
         assert_eq!((s.count, s.p50, s.max, s.max_trace), (1, 1, 1, 5));
-        assert!(s.tail.contains(&(1, 5)));
     }
 
     #[test]
@@ -368,14 +325,9 @@ mod tests {
         let s = h.summary();
         assert_eq!(s.max, 1_000);
         assert_eq!(s.max_trace, 7);
-        assert!(s.tail.iter().any(|&(v, t)| v >= 1_000 && t == 7));
-        // summary() raised the floor to p99: a small traced sample now
-        // stays out of the reservoir and off the max exemplar.
-        let tail_before = s.tail;
+        // A small traced sample stays off the max exemplar.
         h.record_traced(1, 9);
-        let s2 = h.summary();
-        assert_eq!(s2.tail, tail_before);
-        assert_eq!(s2.max_trace, 7);
+        assert_eq!(h.summary().max_trace, 7);
         // A new traced max replaces the exemplar.
         h.record_traced(2_000, 11);
         assert_eq!(h.summary().max_trace, 11);

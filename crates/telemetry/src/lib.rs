@@ -16,7 +16,7 @@
 //!   `name => CONST` line per entry gives both the index constant and
 //!   its slot in `NAMES`.
 //! - [`Snapshot`] — aggregate everything on demand and render it as
-//!   JSON, Prometheus text, or an aligned table.
+//!   Prometheus text or an aligned table.
 //! - [`Tracer`] — sampled request spans and the flight recorder: the
 //!   history behind the counts, dumped on an anomaly or on demand.
 //!
@@ -130,7 +130,7 @@ fn stamp_sampled(stamp: u64) -> bool {
 ///
 /// Counters are always live (they are the system's statistics of
 /// record). Latency timing can be disabled at construction
-/// ([`Telemetry::timing_enabled`]); instrumented code takes its clock
+/// ([`Telemetry::new`]'s `timing`); instrumented code takes its clock
 /// reads from [`Telemetry::op_timer`], so a disabled instance costs
 /// nothing but the counter adds.
 pub struct Telemetry {
@@ -156,19 +156,11 @@ impl Telemetry {
         }
     }
 
-    /// Whether latency timing is enabled. Hot paths take their clock
-    /// reads from [`Telemetry::op_timer`]; cold paths (the spill writer,
-    /// GC) record unconditionally.
-    #[inline]
-    pub fn timing_enabled(&self) -> bool {
-        self.timing
-    }
-
     /// The one timing decision of a foreground operation: the start
     /// instant if this operation is timed, `None` — and no clock read —
     /// if it is not. An operation is timed iff timing is enabled and it
     /// is either `forced` (a traced request: always timed, so the `max`
-    /// and tail exemplars keep resolving to span trees) or one of the
+    /// exemplar keeps resolving to a span tree) or one of the
     /// 1 in [`LATENCY_SAMPLE_PERIOD`] picked by a multiplicative hash of
     /// its `stamp` — any number unique to the operation, e.g. a
     /// generation clock. Hashed, not `stamp % period`, so that a caller
@@ -210,7 +202,7 @@ impl Telemetry {
     }
 
     /// Record a latency sample for `op` carrying a trace id (0 =
-    /// untraced) so the histogram can retain tail exemplars; see
+    /// untraced) so the histogram can keep its max exemplar; see
     /// [`AtomicHistogram::record_traced`].
     #[inline]
     pub fn record_traced(&self, op: usize, ns: u64, trace: u64) {
@@ -283,7 +275,7 @@ pub mod tests {
     #[test]
     fn end_to_end_snapshot() {
         let tel = Telemetry::new(SPEC, 4, true);
-        assert!(tel.timing_enabled());
+        assert!(tel.op_timer(0, true).is_some());
         tel.count(0, 0, 3);
         tel.count(3, 1, 2);
         tel.record(0, 150);
@@ -302,7 +294,7 @@ pub mod tests {
     #[test]
     fn disabled_timing_flag() {
         let tel = Telemetry::new(SPEC, 1, false);
-        assert!(!tel.timing_enabled());
+        assert!(tel.op_timer(0, true).is_none());
         // Counters still work; that is the contract.
         tel.count(0, 0, 1);
         assert_eq!(tel.counter_sum(0), 1);

@@ -1,9 +1,8 @@
 //! Point-in-time snapshots and their renderers.
 //!
 //! A [`Snapshot`] is plain data: counter sums, caller-supplied gauges
-//! and per-operation latency summaries. It renders to hand-rolled JSON
-//! (the workspace is dependency-free; no serde), to the Prometheus text
-//! exposition format, and to an aligned human-readable table.
+//! and per-operation latency summaries. It renders to the Prometheus
+//! text exposition format and to an aligned human-readable table.
 
 use crate::hist::HistSummary;
 use crate::LATENCY_SAMPLE_PERIOD;
@@ -57,53 +56,6 @@ impl Snapshot {
     /// Look up an operation summary by name.
     pub fn op(&self, name: &str) -> Option<HistSummary> {
         self.ops.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
-    }
-
-    /// Render as a JSON object. `indent` is the number of spaces the
-    /// whole object is shifted right by (for embedding in a larger
-    /// hand-rolled document, as `storebench` does).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut out = String::from("{\n");
-        let kv = |pairs: &[(&'static str, u64)]| -> String {
-            pairs
-                .iter()
-                .map(|(n, v)| format!("{pad}    \"{n}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(",\n")
-        };
-        out.push_str(&format!(
-            "{pad}  \"counters\": {{\n{}\n{pad}  }},\n",
-            kv(&self.counters)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"gauges\": {{\n{}\n{pad}  }},\n",
-            kv(&self.gauges)
-        ));
-        let ops: Vec<String> = self
-            .ops
-            .iter()
-            .map(|(n, s)| {
-                let tail: Vec<String> = s
-                    .tail
-                    .iter()
-                    .filter(|&&(_, t)| t != 0)
-                    .map(|&(v, t)| format!("[{v}, {t}]"))
-                    .collect();
-                format!(
-                    "{pad}    \"{n}\": {{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {:.0}, \"sum_ns\": {}, \"max_trace\": {}, \"tail\": [{}]}}",
-                    s.count, s.p50, s.p90, s.p99, s.max, s.mean, s.sum, s.max_trace,
-                    tail.join(", ")
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "{pad}  \"ops\": {{\n{}\n{pad}  }},\n",
-            ops.join(",\n")
-        ));
-        out.push_str(&format!("{pad}  \"taken_unix_s\": {}\n", self.taken_unix_s));
-        out.push_str(&format!("{pad}}}"));
-        out
     }
 
     /// Render in the Prometheus text exposition format. Counter names
@@ -203,8 +155,6 @@ mod tests {
     use super::*;
 
     fn sample() -> Snapshot {
-        let mut tail = [(0, 0); crate::hist::TAIL_SLOTS];
-        tail[0] = (400, 77);
         Snapshot {
             counters: vec![("puts", 10), ("gets", 20)],
             gauges: vec![("resident_bytes", 4096)],
@@ -219,27 +169,11 @@ mod tests {
                     mean: 150.0,
                     sum: 1500,
                     max_trace: 77,
-                    tail,
                 },
             )],
             sampled_ops: Vec::new(),
             taken_unix_s: 1_700_000_000,
         }
-    }
-
-    #[test]
-    fn json_shape() {
-        let j = sample().to_json(2);
-        assert!(j.contains("\"puts\": 10"), "{j}");
-        assert!(j.contains("\"p99_ns\": 300"), "{j}");
-        assert!(j.contains("\"resident_bytes\": 4096"), "{j}");
-        assert!(j.contains("\"sum_ns\": 1500"), "{j}");
-        assert!(j.contains("\"max_trace\": 77"), "{j}");
-        assert!(j.contains("\"tail\": [[400, 77]]"), "{j}");
-        assert!(j.contains("\"taken_unix_s\": 1700000000"), "{j}");
-        // Starts as an object and every line of the body is indented.
-        assert!(j.starts_with("{\n"));
-        assert!(j.ends_with("  }"));
     }
 
     #[test]
@@ -338,8 +272,6 @@ mod tests {
             snap.gauges.last(),
             Some(&("latency_sample_period", LATENCY_SAMPLE_PERIOD))
         );
-        let needle = format!("\"latency_sample_period\": {LATENCY_SAMPLE_PERIOD}");
-        assert!(snap.to_json(0).contains(&needle));
         let table = snap.render_text();
         let row = table
             .lines()

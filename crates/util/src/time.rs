@@ -69,11 +69,6 @@ impl Ns {
         self.0 / 1_000
     }
 
-    /// Whole milliseconds (truncated).
-    pub const fn as_ms(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds as a float (for reporting only; never used for simulation math).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

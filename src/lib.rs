@@ -20,12 +20,9 @@
 //! | [`telemetry`] | `cc-telemetry` | counters, histograms, tracing, snapshot renderers |
 //! | [`compress`] | `cc-compress` | LZRW1 (from scratch), LZSS, RLE, null; the 4:3 threshold policy |
 //! | [`disk`] | `cc-disk` | RZ57 and friends: seeks, rotation, transfer, request queueing |
-//! | [`blockfs`] | `cc-blockfs` | Sprite-like 4 KB-block files, read-modify-write semantics, buffer cache |
 //! | [`mem`] | `cc-mem` | physical frame pool with real page contents |
-//! | [`vm`] | `cc-vm` | segments, page tables, exact-LRU residency |
 //! | [`core`] | `cc-core` | the compressed page store: hot/warm/cold tiers, adaptive codecs, crash-safe spill |
-//! | [`sim`] | `cc-sim` | **the compression cache** ([`sim::paper`]: circular buffer, cleaner, fragments, swap GC), the workloads ([`sim::workloads`]: thrasher, compare, isca, sort, gold), and the whole machine under one virtual clock with the three-way memory arbiter |
-//! | [`analytic`] | `cc-analytic` | Figure 1's closed-form models |
+//! | [`sim`] | `cc-sim` | **the compression cache** ([`sim::paper`]: circular buffer, cleaner, fragments, swap GC), the workloads ([`sim::workloads`]: thrasher, compare, isca, sort, gold), Sprite's VM ([`sim::vm`]: segments, page tables, exact-LRU residency) and block files ([`sim::blockfs`]: 4 KB-block files, read-modify-write semantics, buffer cache), Figure 1's closed-form models ([`sim::analytic`]), and the whole machine under one virtual clock with the three-way memory arbiter |
 //!
 //! ## Quickstart
 //!
@@ -49,8 +46,6 @@
 
 #![warn(missing_docs)]
 
-pub use cc_analytic as analytic;
-pub use cc_blockfs as blockfs;
 pub use cc_compress as compress;
 pub use cc_core as core;
 pub use cc_disk as disk;
@@ -58,4 +53,3 @@ pub use cc_mem as mem;
 pub use cc_sim as sim;
 pub use cc_telemetry as telemetry;
 pub use cc_util as util;
-pub use cc_vm as vm;
