@@ -26,8 +26,10 @@
 //!    `CodecPolicy` (`lzrw1-only`, `adaptive`), plus each policy's
 //!    compression on the ordinary zipfian mix.
 //! 5. **Tier sweep** — a 30/70 put/get mix under a budget that forces
-//!    placement, for each `TierPolicy` (`compress-all` /
-//!    `paper-threshold` / `recency`) at two zipf skews, demoter live.
+//!    placement, for each `TierPolicy` preset (`COMPRESS_ALL`,
+//!    `PAPER_THRESHOLD`, and `RECENCY` with sweep-sized windows, labelled
+//!    `compress-all` / `paper-threshold` / `recency`) at two zipf skews,
+//!    demoter live.
 //!
 //! Trials 1–4 pin `compress-all` (trial 1's second run aside) so they
 //! exercise the codec and spill paths, not placement. `--smoke` fails if
@@ -54,7 +56,7 @@
 use cc_bench::{smoke, Zipf};
 use cc_compress::CodecPolicy;
 use cc_core::store::{CompressedStore, StoreConfig};
-use cc_core::tier::{CompressAll, PaperThreshold, RecencyCompressibility, TierPolicy};
+use cc_core::tier::TierPolicy;
 use cc_core::StoreStats;
 use cc_telemetry::Snapshot;
 use cc_util::{crc32, SplitMix64};
@@ -80,12 +82,6 @@ const TIER_BUDGET: usize = 3 << 20;
 const TIER_THREADS: usize = 4;
 /// Skews for the tier sweep: hot-concentrated and flatter-than-hot.
 const TIER_SKEWS: [f64; 2] = [0.99, 0.6];
-
-/// The flat-store tier policy pinned by every non-tier trial, so they
-/// keep exercising the codec and spill paths, not placement.
-fn flat_tiering() -> Arc<dyn TierPolicy> {
-    Arc::new(CompressAll)
-}
 
 /// Page payload for `key`: ~2:1 compressible text-like filler with a
 /// sprinkle of noise pages, mirroring the mixed workloads of the paper.
@@ -212,7 +208,7 @@ fn zipf_ratio(zipf: &Zipf, ops: u64, policy: CodecPolicy) -> f64 {
             .with_shards(1)
             .with_telemetry(false)
             .with_codec_policy(policy)
-            .with_tier_policy(flat_tiering()),
+            .with_tier_policy(TierPolicy::COMPRESS_ALL),
     );
     prefill(&store);
     let mut rng = SplitMix64::new(0xBEEF);
@@ -342,7 +338,7 @@ fn run_spill_trial(
     threads: usize,
     ops_per_thread: u64,
     zipf: &Arc<Zipf>,
-    policy: Arc<dyn TierPolicy>,
+    policy: TierPolicy,
 ) -> SpillTrial {
     let path = std::env::temp_dir().join(format!("storebench-spill-{}.bin", std::process::id()));
     let cfg = StoreConfig::with_spill(SPILL_BUDGET, &path).with_tier_policy(policy);
@@ -447,7 +443,7 @@ fn run_overhead_probe(total_ops: u64, zipf: &Zipf) -> Overhead {
             StoreConfig::in_memory(BUDGET)
                 .with_shards(1)
                 .with_telemetry(telemetry)
-                .with_tier_policy(flat_tiering()),
+                .with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         prefill(&store);
         (store, SplitMix64::new(0xBEEF))
@@ -472,8 +468,9 @@ fn run_overhead_probe(total_ops: u64, zipf: &Zipf) -> Overhead {
 /// pages (zeroed or memset-style), the other half normal compressible
 /// content. Returns the store's `same_filled` counter.
 fn run_same_filled_trial(ops: u64) -> u64 {
-    let store =
-        CompressedStore::new(StoreConfig::in_memory(BUDGET).with_tier_policy(flat_tiering()));
+    let store = CompressedStore::new(
+        StoreConfig::in_memory(BUDGET).with_tier_policy(TierPolicy::COMPRESS_ALL),
+    );
     let mut rng = SplitMix64::new(0x5A5A);
     let mut page = vec![0u8; PAGE];
     for _ in 0..ops {
@@ -507,7 +504,7 @@ fn run_codec_trial(policy: CodecPolicy, ops: u64, zipf: &Zipf, zipf_ops: u64) ->
     let store = CompressedStore::new(
         StoreConfig::in_memory(BUDGET)
             .with_codec_policy(policy)
-            .with_tier_policy(flat_tiering()),
+            .with_tier_policy(TierPolicy::COMPRESS_ALL),
     );
     let mut rng = SplitMix64::new(0xC0DE ^ policy as u64);
     let (mut page, mut out) = (vec![0u8; PAGE], vec![0u8; PAGE]);
@@ -567,20 +564,21 @@ fn run_codec_sweep(ops: u64, zipf: &Zipf, zipf_ops: u64) -> Vec<CodecTrial> {
 /// op clock (idle windows sized in generation ticks, pressure floors
 /// low enough that the demoter keeps headroom for promotions even
 /// though the working set pins the budget).
-fn tier_policies() -> Vec<(&'static str, Arc<dyn TierPolicy>)> {
-    vec![
-        ("compress-all", Arc::new(CompressAll)),
-        ("paper-threshold", Arc::new(PaperThreshold)),
+fn tier_policies() -> [(&'static str, TierPolicy); 3] {
+    [
+        ("compress-all", TierPolicy::COMPRESS_ALL),
+        ("paper-threshold", TierPolicy::PAPER_THRESHOLD),
         (
             "recency",
-            Arc::new(RecencyCompressibility {
+            TierPolicy {
                 hot_idle: 2048,
                 warm_idle: 4096,
                 promote_window: 1024,
                 max_promote_pressure_pct: 100,
                 hot_demote_pressure_pct: 40,
                 warm_demote_pressure_pct: 60,
-            }),
+                ..TierPolicy::RECENCY
+            },
         ),
     ]
 }
@@ -601,7 +599,7 @@ struct TierArm {
 
 fn run_tier_trial(
     name: &'static str,
-    policy: Arc<dyn TierPolicy>,
+    policy: TierPolicy,
     zipf_s: f64,
     ops_per_thread: u64,
 ) -> TierArm {
@@ -729,13 +727,8 @@ fn run_smoke() -> i32 {
     eprintln!(
         "storebench --smoke: spill pipeline + demoter wake + crc32 + same-filled + telemetry + codec-sweep + tier-sweep gate"
     );
-    let spill = run_spill_trial(SPILL_THREADS, 10_000, &zipf, flat_tiering());
-    let tiered = run_spill_trial(
-        SPILL_THREADS,
-        10_000,
-        &zipf,
-        cc_core::tier::default_policy(),
-    );
+    let spill = run_spill_trial(SPILL_THREADS, 10_000, &zipf, TierPolicy::COMPRESS_ALL);
+    let tiered = run_spill_trial(SPILL_THREADS, 10_000, &zipf, TierPolicy::default());
     let same_filled = run_same_filled_trial(20_000);
     let ovh = run_overhead_probe(60_000, &zipf);
     let sweep = run_codec_sweep(20_000, &zipf, 10_000);

@@ -32,6 +32,4 @@ pub use medium::{
 };
 pub use persist::{RecoverError, RecoveryCounts};
 pub use store::{CompressedStore, StoreConfig, StoreError, StoreStats};
-pub use tier::{
-    CompressAll, PaperThreshold, PlacementQuery, RecencyCompressibility, TierDecision, TierPolicy,
-};
+pub use tier::TierPolicy;

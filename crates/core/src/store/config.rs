@@ -80,12 +80,11 @@ pub struct StoreConfig {
     /// from the store) so one trace covers wire and store.
     pub tracer: Option<Arc<Tracer>>,
     /// Hot/warm/cold placement policy (see [`crate::tier`]). The
-    /// default, [`crate::tier::RecencyCompressibility`], keeps
-    /// incompressible and rapidly re-accessed pages uncompressed in the
-    /// hot tier and ages them back down under pressure;
-    /// [`crate::tier::CompressAll`] reproduces the flat pre-tiering
-    /// store exactly.
-    pub tier_policy: Arc<dyn TierPolicy>,
+    /// default, [`TierPolicy::RECENCY`], keeps incompressible and
+    /// rapidly re-accessed pages uncompressed in the hot tier and ages
+    /// them back down under pressure; [`TierPolicy::COMPRESS_ALL`]
+    /// reproduces the flat pre-tiering store exactly.
+    pub tier_policy: TierPolicy,
     /// How often the background demoter wakes to sweep for aged hot and
     /// warm pages (only spawned when the policy wants aging at all).
     /// Nothing else wakes it; each wake drains the aged backlog. Default
@@ -134,7 +133,7 @@ impl StoreConfig {
             degrade_after: DEFAULT_DEGRADE_AFTER,
             probe_interval: DEFAULT_PROBE_INTERVAL,
             tracer: None,
-            tier_policy: crate::tier::default_policy(),
+            tier_policy: TierPolicy::RECENCY,
             demote_interval: DEFAULT_DEMOTE_INTERVAL,
         }
     }
@@ -217,8 +216,9 @@ impl StoreConfig {
 
     /// Override the tier placement policy (see
     /// [`StoreConfig::tier_policy`]). The bench harness sweeps
-    /// `compress-all` / `paper-threshold` / `recency` through this.
-    pub fn with_tier_policy(mut self, policy: Arc<dyn TierPolicy>) -> Self {
+    /// [`TierPolicy::COMPRESS_ALL`], [`TierPolicy::PAPER_THRESHOLD`] and
+    /// [`TierPolicy::RECENCY`] through this.
+    pub fn with_tier_policy(mut self, policy: TierPolicy) -> Self {
         self.tier_policy = policy;
         self
     }

@@ -20,7 +20,6 @@ use super::{CompressedStore, StoreStats};
 use super::{HitTier, StoreConfig, StoreError};
 use crate::medium::SpillMedium;
 use crate::persist::Persist;
-use crate::tier::{PlacementQuery, TierDecision};
 use cc_compress::{
     classify, decode_into, expand_same_filled, same_filled_pattern, CodecId, CodecPolicy, Route,
 };
@@ -44,7 +43,7 @@ pub(super) struct StoreCore {
     /// Sealed bytes with `Memory` residence (gauge; the other subset).
     pub(super) warm_resident: AtomicUsize,
     /// Global operation clock: every put and get bumps it, and entries
-    /// stamp `last_touch` with the value — the tier policies'
+    /// stamp `last_touch` with the value — the tier policy's
     /// generation-counter aging. Each op's value is unique, which is
     /// what lets promotion revalidate "the entry I served is still the
     /// entry I'm swapping" by comparing stamps.
@@ -366,37 +365,31 @@ impl StoreCore {
         // classifier and the compressor entirely — the entry records
         // "not classified", and the demoter classifies once when it
         // seals the page, if it ever goes cold. Gated on the policy's
-        // capability flag so flat policies pay no extra lock acquisition.
+        // hot idle window so policies without one pay no extra lock
+        // acquisition.
         if self.cfg.tier_policy.may_keep_hot() {
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
             if let Some(e) = shard.entries.get_mut(&key) {
                 if let Residence::Hot { data, handle } = &mut e.residence {
-                    if data.len() == page.len() {
-                        let q = PlacementQuery {
-                            key,
-                            page_len: page.len(),
-                            sealed_len: page.len(),
-                            admitted: false,
-                            age: now.wrapping_sub(e.last_touch) as u64,
-                            gets: e.gets as u32,
-                            was_hot: true,
-                            pressure_pct: self.pressure_pct(),
-                        };
-                        if self.cfg.tier_policy.keep_hot(&q) {
-                            data.copy_from_slice(page);
-                            let handle = *handle;
-                            e.probe = probe_code(None);
-                            e.gets = 0;
-                            e.last_touch = now;
-                            shard.lru_hot.touch(handle);
-                            drop(shard);
-                            tout.tier = strier::HOT;
-                            tout.codec = CodecId::Raw.as_u8();
-                            self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
-                            self.tel.record_since(top::PUT, t0, ctx.trace_id);
-                            return Ok(());
-                        }
+                    if data.len() == page.len()
+                        && self
+                            .cfg
+                            .tier_policy
+                            .keep_hot(now.wrapping_sub(e.last_touch) as u64)
+                    {
+                        data.copy_from_slice(page);
+                        let handle = *handle;
+                        e.probe = probe_code(None);
+                        e.gets = 0;
+                        e.last_touch = now;
+                        shard.lru_hot.touch(handle);
+                        drop(shard);
+                        tout.tier = strier::HOT;
+                        tout.codec = CodecId::Raw.as_u8();
+                        self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
+                        self.tel.record_since(top::PUT, t0, ctx.trace_id);
+                        return Ok(());
                     }
                 }
             }
@@ -452,17 +445,6 @@ impl StoreCore {
 
         let shard_idx = self.shard_index(key);
         let mut shard = self.shard(key);
-        // Capture the outgoing entry's recency metadata before replacing
-        // it — the placement query describes the key's history, not just
-        // this put.
-        let (prev_age, prev_gets, was_hot) = match shard.entries.get(&key) {
-            Some(e) => (
-                now.wrapping_sub(e.last_touch) as u64,
-                e.gets as u32,
-                matches!(e.residence, Residence::Hot { .. }),
-            ),
-            None => (u64::MAX, 0, false),
-        };
         self.remove_locked(&mut shard, key);
         if sel.fell_back {
             self.tel.count(shard_idx, tstat::CODEC_FALLBACKS, 1);
@@ -506,19 +488,7 @@ impl StoreCore {
         // placement stores the raw page bytes, so it reserves the full
         // page size; the sealed bytes in `comp` are kept around either
         // way (they are what spills if reservation fails outright).
-        let place_hot = matches!(
-            self.cfg.tier_policy.admit(&PlacementQuery {
-                key,
-                page_len: page.len(),
-                sealed_len: len,
-                admitted: sel.admitted,
-                age: prev_age,
-                gets: prev_gets,
-                was_hot,
-                pressure_pct: self.pressure_pct(),
-            }),
-            TierDecision::Hot
-        );
+        let place_hot = self.cfg.tier_policy.admit_hot(sel.admitted);
         let need = if place_hot { page.len() } else { len };
 
         // Reserve budget for the new entry before publishing it. The CAS
@@ -698,7 +668,7 @@ impl StoreCore {
                     got: out.len(),
                 });
             }
-            // Stamp the access for the tier policies: the age the
+            // Stamp the access for the tier policy: the age the
             // promotion decision sees is the gap this get closed, and
             // the unique clock stamp doubles as the promotion
             // revalidation token.
@@ -733,23 +703,16 @@ impl StoreCore {
                     // Take a reference to the sealed bytes under the lock
                     // so decompression runs without it.
                     let (data, handle) = (Arc::clone(data), *handle);
-                    let sealed_len = data.len();
                     shard.lru.touch(handle);
                     drop(shard);
                     self.decompress_into(codec, &data, out, timed);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
                     self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
-                    let q = PlacementQuery {
-                        key,
-                        page_len: orig_len,
-                        sealed_len,
-                        admitted: codec != CodecId::Raw.as_u8(),
-                        age,
-                        gets,
-                        was_hot: false,
-                        pressure_pct: self.pressure_pct(),
-                    };
-                    if self.cfg.tier_policy.promote(&q) {
+                    if self
+                        .cfg
+                        .tier_policy
+                        .promote(gets, age, || self.pressure_pct())
+                    {
                         self.try_promote(key, shard_idx, now, strier::MEMORY, out, ctx, timed);
                     }
                     return Ok(Some(HitTier::Memory));
@@ -798,17 +761,11 @@ impl StoreCore {
                         continue;
                     }
                     self.tel.record_since(top::GET_SPILL, t0, ctx.trace_id);
-                    let q = PlacementQuery {
-                        key,
-                        page_len: orig_len,
-                        sealed_len: len as usize,
-                        admitted: codec != CodecId::Raw.as_u8(),
-                        age,
-                        gets,
-                        was_hot: false,
-                        pressure_pct: self.pressure_pct(),
-                    };
-                    if self.cfg.tier_policy.promote(&q) {
+                    if self
+                        .cfg
+                        .tier_policy
+                        .promote(gets, age, || self.pressure_pct())
+                    {
                         self.try_promote(key, shard_idx, now, strier::SPILL, out, ctx, timed);
                     }
                     return Ok(Some(HitTier::Spill));
@@ -1093,7 +1050,7 @@ impl StoreCore {
     }
 
     /// Resident bytes as a percentage of the budget, saturated to 100 —
-    /// the pressure signal the tier policies and the demoter gates read.
+    /// the pressure signal the tier policy and the demoter gates read.
     pub(super) fn pressure_pct(&self) -> u8 {
         let budget = self.cfg.memory_budget.max(1);
         ((self.resident.load(Ordering::Relaxed).min(budget) * 100) / budget) as u8

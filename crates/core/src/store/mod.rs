@@ -52,22 +52,23 @@
 //!
 //! Placement across the three tiers — **hot** (uncompressed-resident,
 //! a get is a memcpy), **warm** (compressed-in-memory), **cold**
-//! (spilled) — is decided per entry by a pluggable
+//! (spilled) — is decided per entry by one parameter struct,
 //! [`crate::tier::TierPolicy`]. Every put and get bumps a global
 //! operation clock and stamps the entry, giving each page a cheap
 //! generation-counter age; the put path's sampled compressibility probe
 //! is recorded per entry so later demotion reuses it instead of
-//! re-probing. The default policy
-//! ([`crate::tier::RecencyCompressibility`]) admits incompressible
-//! pages hot, promotes warm/cold pages back to hot on rapid re-access
-//! (never evicting to do so — promotion only proceeds when the extra
-//! bytes fit the budget outright), and relies on a background demoter
-//! thread that, under budget pressure, compresses aged hot pages down
-//! to warm and spills aged warm pages cold.
-//! [`crate::tier::CompressAll`] reproduces the flat pre-tiering store
-//! exactly (no hot tier, no demoter thread), and
-//! [`crate::tier::PaperThreshold`] reproduces the paper's 4:3 rule as
-//! a pure admission-time split.
+//! re-probing. The default,
+//! [`TierPolicy::RECENCY`](crate::tier::TierPolicy::RECENCY), admits
+//! incompressible pages hot, promotes warm/cold pages back to hot on
+//! rapid re-access (never evicting to do so — promotion only proceeds
+//! when the extra bytes fit the budget outright), and relies on a
+//! background demoter thread that, under budget pressure, compresses
+//! aged hot pages down to warm and spills aged warm pages cold.
+//! [`TierPolicy::COMPRESS_ALL`](crate::tier::TierPolicy::COMPRESS_ALL)
+//! reproduces the flat pre-tiering store exactly (no hot tier, no
+//! demoter thread), and
+//! [`TierPolicy::PAPER_THRESHOLD`](crate::tier::TierPolicy::PAPER_THRESHOLD)
+//! reproduces the paper's 4:3 rule as a pure admission-time split.
 //!
 //! # Fault model
 //!

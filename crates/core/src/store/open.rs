@@ -242,7 +242,7 @@ impl CompressedStore {
             _ => None,
         };
         // The demoter only exists for policies that age pages at all;
-        // CompressAll / PaperThreshold stores carry zero extra threads.
+        // COMPRESS_ALL / PAPER_THRESHOLD stores carry zero extra threads.
         let demoter = core.cfg.tier_policy.wants_demoter().then(|| {
             let demote_core = Arc::clone(&core);
             std::thread::Builder::new()

@@ -4,6 +4,7 @@ use std::time::{Duration, Instant};
 use super::extent::{encode_extent, verify_extent, EXTENT_HEADER};
 use super::shard::{probe_code, Residence, PROBE_REJECTED};
 use super::*;
+use crate::tier::TierPolicy;
 use cc_compress::{same_filled_pattern, CodecId, CodecPolicy};
 use cc_telemetry::trace::Tracer;
 
@@ -1139,8 +1140,7 @@ fn compress_all_policy_reproduces_flat_store() {
     let (dir, path) = temp_path("tier-flat");
     {
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path)
-                .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+            StoreConfig::with_spill(1 << 20, &path).with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         let mut out = vec![0u8; 4096];
         for k in 0..8u64 {
@@ -1167,7 +1167,7 @@ fn compress_all_policy_reproduces_flat_store() {
 #[test]
 fn paper_threshold_policy_splits_on_admission_only() {
     let store = CompressedStore::new(
-        StoreConfig::in_memory(1 << 20).with_tier_policy(Arc::new(crate::tier::PaperThreshold)),
+        StoreConfig::in_memory(1 << 20).with_tier_policy(TierPolicy::PAPER_THRESHOLD),
     );
     let mut out = vec![0u8; 4096];
     store.put(1, &noise_page(1)).unwrap();
@@ -1179,6 +1179,13 @@ fn paper_threshold_policy_splits_on_admission_only() {
         assert_eq!(store.get_tier(2, &mut out).unwrap(), Some(HitTier::Memory));
     }
     assert_eq!(store.stats().promotions, 0);
+    // Placement is decided at put time only: a compressible re-put of
+    // the hot key goes through admission again instead of staying hot.
+    let puts_hot = store.stats().puts_hot;
+    store.put(1, &page(1)).unwrap();
+    assert_eq!(store.get_tier(1, &mut out).unwrap(), Some(HitTier::Memory));
+    assert_eq!(out, page(1));
+    assert_eq!(store.stats().puts_hot, puts_hot);
 }
 
 /// The full lifecycle under an aggressive recency policy: a promoted
@@ -1189,18 +1196,18 @@ fn paper_threshold_policy_splits_on_admission_only() {
 fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
     let (dir, path) = temp_path("tier-cycle");
     {
-        let policy = crate::tier::RecencyCompressibility {
+        let policy = TierPolicy {
             hot_idle: 1,
             // One step above hot_idle so a single pass demotes hot →
             // warm without cascading straight on to the spill file.
             warm_idle: 2,
             hot_demote_pressure_pct: 0,
             warm_demote_pressure_pct: 0,
-            ..Default::default()
+            ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
             StoreConfig::with_spill(1 << 20, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 // Only the explicit demote_now() passes below run, so
                 // every counter assertion is deterministic.
                 .with_demote_interval(Duration::from_secs(3600)),
@@ -1271,7 +1278,7 @@ fn a_cleaning_step_copies_at_most_one_batch() {
             StoreConfig::with_spill(16 * 1024, &path)
                 .with_spill_batch_bytes(BATCH)
                 .with_gc_dead_ratio(0.3)
-                .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+                .with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         const KEYS: u64 = 256;
         for round in 0..6u64 {
@@ -1322,21 +1329,20 @@ fn kept_hot_reput_seals_like_a_probed_put() {
     let (dir, path) = temp_path("tier-reput");
     let (dir_flat, path_flat) = temp_path("tier-reput-flat");
     {
-        let policy = crate::tier::RecencyCompressibility {
+        let policy = TierPolicy {
             hot_idle: 4,
             warm_idle: u64::MAX,
             hot_demote_pressure_pct: 0,
-            ..Default::default()
+            ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
             StoreConfig::with_spill(1 << 20, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 // Only the explicit demote_now() below runs.
                 .with_demote_interval(Duration::from_secs(3600)),
         );
         let flat = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path_flat)
-                .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+            StoreConfig::with_spill(1 << 20, &path_flat).with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         let routes = [
             (1u64, bdi_page(1), CodecId::Bdi),
@@ -1396,21 +1402,20 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
     let (dir, path) = temp_path("tier-rejected");
     let (dir_flat, path_flat) = temp_path("tier-rejected-flat");
     {
-        let policy = crate::tier::RecencyCompressibility {
+        let policy = TierPolicy {
             hot_idle: 4,
             warm_idle: u64::MAX,
             hot_demote_pressure_pct: 0,
-            ..Default::default()
+            ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
             StoreConfig::with_spill(1 << 20, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 // Only the explicit demote_now() below runs.
                 .with_demote_interval(Duration::from_secs(3600)),
         );
         let flat = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path_flat)
-                .with_tier_policy(Arc::new(crate::tier::CompressAll)),
+            StoreConfig::with_spill(1 << 20, &path_flat).with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         let probe_of = |key: u64| store.core.shard(key).entries[&key].probe;
         let age = |from: u64| {
@@ -1476,15 +1481,15 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
     let (dir, path) = temp_path("tier-predicted");
     {
         let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
-        let policy = crate::tier::RecencyCompressibility {
+        let policy = TierPolicy {
             hot_idle: 4,
             warm_idle: u64::MAX,
             hot_demote_pressure_pct: 0,
-            ..Default::default()
+            ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
             StoreConfig::with_spill(1 << 20, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 .with_tracer(Arc::clone(&tracer))
                 // Only the explicit demote_now() below runs.
                 .with_demote_interval(Duration::from_secs(3600)),
@@ -1570,15 +1575,15 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
 fn demoter_drains_aged_backlog_without_a_kick() {
     let (dir, path) = temp_path("tier-drain");
     {
-        let policy = crate::tier::RecencyCompressibility {
+        let policy = TierPolicy {
             hot_idle: 512,
             warm_idle: u64::MAX,
             hot_demote_pressure_pct: 0,
-            ..Default::default()
+            ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
             StoreConfig::with_spill(1 << 20, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 .with_demote_interval(Duration::from_millis(2)),
         );
         let mut out = vec![0u8; 4096];
@@ -1641,16 +1646,16 @@ fn putters_at_pressure_race_a_fast_demoter() {
     const KEYS_EACH: u64 = 96;
     let (dir, path) = temp_path("tier-race");
     {
-        let policy = crate::tier::RecencyCompressibility {
+        let policy = TierPolicy {
             hot_idle: 64,
             warm_idle: 128,
             hot_demote_pressure_pct: 0,
             warm_demote_pressure_pct: 0,
-            ..Default::default()
+            ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
             StoreConfig::with_spill(256 << 10, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 .with_demote_interval(Duration::from_millis(1)),
         );
         // Version `v` of key `k`: every third key incompressible.
@@ -1999,7 +2004,7 @@ fn listed(store: &CompressedStore) -> (usize, usize) {
 #[test]
 fn held_tombstones_stay_flat_under_overwrite_churn() {
     let cfg = StoreConfig::with_spill(4 * 4096, "/unused")
-        .with_tier_policy(Arc::new(crate::tier::CompressAll))
+        .with_tier_policy(TierPolicy::COMPRESS_ALL)
         .with_spill_batch_bytes(1)
         .with_gc_dead_ratio(0.3);
     let store = CompressedStore::with_medium(cfg, Arc::new(MemMedium::new()));
@@ -2042,7 +2047,7 @@ fn held_tombstones_stay_flat_under_overwrite_churn() {
 /// A spill store over an in-memory medium that can be cut: 128 KiB
 /// segments of ~31 pages, cleaned once 30 % dead, one shard.
 fn cuttable_store(
-    policy: Arc<dyn crate::tier::TierPolicy>,
+    policy: TierPolicy,
 ) -> (
     CompressedStore,
     StoreConfig,
@@ -2123,7 +2128,7 @@ fn cut_and_reopen(
 /// reopen, the copy stays dead.
 #[test]
 fn a_tombstone_outlives_two_cleanings_while_an_older_copy_is_listed() {
-    let (store, cfg, disk, injector) = cuttable_store(Arc::new(crate::tier::CompressAll));
+    let (store, cfg, disk, injector) = cuttable_store(TierPolicy::COMPRESS_ALL);
     churn(&store, 0);
     let g1 = spilled_gen(&store, 0).expect("key 0 spilled");
     assert!(store.remove(0));
@@ -2156,23 +2161,6 @@ fn a_tombstone_outlives_two_cleanings_while_an_older_copy_is_listed() {
     );
 }
 
-/// Admits every page warm and promotes every hit the budget has room
-/// for.
-#[derive(Debug)]
-struct PromoteEveryHit;
-
-impl crate::tier::TierPolicy for PromoteEveryHit {
-    fn name(&self) -> &'static str {
-        "promote-every-hit"
-    }
-    fn admit(&self, _: &crate::tier::PlacementQuery) -> crate::tier::TierDecision {
-        crate::tier::TierDecision::Warm
-    }
-    fn promote(&self, _: &crate::tier::PlacementQuery) -> bool {
-        true
-    }
-}
-
 /// Promotion kills a spilled extent without a tombstone, so an entry
 /// spilled at a newer generation does not make an older tombstone
 /// redundant. Key 0 is spilled at g1, removed (tombstone L), re-put and
@@ -2181,7 +2169,16 @@ impl crate::tier::TierPolicy for PromoteEveryHit {
 /// the file, and the power is cut. g1 is never served.
 #[test]
 fn a_promoted_extent_never_lets_a_removed_generation_back() {
-    let (store, cfg, disk, injector) = cuttable_store(Arc::new(PromoteEveryHit));
+    // Every page starts warm, and every second hit is promoted when the
+    // budget has room for it.
+    let (store, cfg, disk, injector) = cuttable_store(TierPolicy {
+        rejects_hot: false,
+        promote_window: u64::MAX,
+        max_promote_pressure_pct: 100,
+        hot_idle: u64::MAX,
+        warm_idle: u64::MAX,
+        ..TierPolicy::RECENCY
+    });
     churn(&store, 0);
     let v1 = noise_page(0);
     assert!(spilled_gen(&store, 0).is_some(), "key 0 spilled");
@@ -2205,8 +2202,10 @@ fn a_promoted_extent_never_lets_a_removed_generation_back() {
         }
     }
     let mut out = vec![0u8; 4096];
-    assert_eq!(store.get_tier(0, &mut out).unwrap(), Some(HitTier::Spill));
-    assert_eq!(out, v2);
+    for _ in 0..2 {
+        assert_eq!(store.get_tier(0, &mut out).unwrap(), Some(HitTier::Spill));
+        assert_eq!(out, v2);
+    }
     assert_eq!(store.peek_tier(0), Some(HitTier::Hot), "not promoted");
     while lists(&store, 0, g2) {
         churn(&store, round);

@@ -236,11 +236,11 @@ impl StoreCore {
     pub(super) fn demote_pass(&self) -> (u64, u64) {
         let policy = &self.cfg.tier_policy;
         let pressure = self.pressure_pct();
-        let hot_idle = policy.hot_idle();
-        let warm_idle = policy.warm_idle();
-        let do_hot = hot_idle != u64::MAX && pressure >= policy.hot_demote_pressure_pct();
+        let hot_idle = policy.hot_idle;
+        let warm_idle = policy.warm_idle;
+        let do_hot = hot_idle != u64::MAX && pressure >= policy.hot_demote_pressure_pct;
         let do_warm = warm_idle != u64::MAX
-            && pressure >= policy.warm_demote_pressure_pct()
+            && pressure >= policy.warm_demote_pressure_pct
             && self.has_spill()
             && !self.degraded.load(Ordering::Relaxed);
         if !do_hot && !do_warm {

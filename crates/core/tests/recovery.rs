@@ -23,7 +23,7 @@
 use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, MemMedium, SpillMedium};
 use cc_core::persist::{decode_summary, read_superblock, Superblock, SUMMARY_HEAD};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
-use cc_core::CompressAll;
+use cc_core::TierPolicy;
 use cc_util::SplitMix64;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -41,11 +41,11 @@ fn noise_page(key: u64, version: u64) -> Vec<u8> {
 }
 
 /// A tight-budget config: almost everything spills, no background
-/// demoter (CompressAll), GC off unless a trial turns it on. It has no
-/// spill path, so trials run it over an in-memory medium.
+/// demoter (`TierPolicy::COMPRESS_ALL`), GC off unless a trial turns it
+/// on. It has no spill path, so trials run it over an in-memory medium.
 fn cfg(budget_pages: usize, gc_ratio: f64) -> StoreConfig {
     StoreConfig::in_memory(budget_pages * PAGE)
-        .with_tier_policy(Arc::new(CompressAll))
+        .with_tier_policy(TierPolicy::COMPRESS_ALL)
         .with_gc_dead_ratio(gc_ratio)
         .with_spill_retry(1, Duration::ZERO)
 }

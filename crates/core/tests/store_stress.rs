@@ -11,7 +11,7 @@
 //!    memory budget, at any sampled instant, under full contention.
 
 use cc_core::store::{CompressedStore, StoreConfig, StoreError};
-use cc_core::tier::RecencyCompressibility;
+use cc_core::tier::TierPolicy;
 use cc_util::SplitMix64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -335,7 +335,8 @@ fn stress_tiering_with_background_demoter() {
     let path = dir.join("spill.bin");
     const BUDGET: usize = 256 * 1024;
     {
-        let policy = RecencyCompressibility {
+        let policy = TierPolicy {
+            rejects_hot: true,
             hot_idle: 1,
             warm_idle: 2,
             promote_window: u64::MAX,
@@ -345,7 +346,7 @@ fn stress_tiering_with_background_demoter() {
         };
         let store = Arc::new(CompressedStore::new(
             StoreConfig::with_spill(BUDGET, &path)
-                .with_tier_policy(Arc::new(policy))
+                .with_tier_policy(policy)
                 .with_demote_interval(Duration::from_millis(1))
                 .with_spill_batch_bytes(8 * 1024)
                 .with_gc_dead_ratio(0.25),

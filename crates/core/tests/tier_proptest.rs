@@ -3,17 +3,16 @@
 //!
 //! The flat-store proptests (`store_proptest.rs`) already cover the
 //! residence machinery under the default policy; these cases add (1) the
-//! policy dimension — any registered `TierPolicy` must preserve exact
+//! policy dimension — each `TierPolicy` preset must preserve exact
 //! bytes — and (2) explicit `demote_now()` passes under an aggressive
 //! recency policy, so single cases drive pages through the complete
 //! hot → warm → cold → hot cycle deterministically.
 
 use cc_core::store::{CompressedStore, StoreConfig};
-use cc_core::tier::{self, RecencyCompressibility};
+use cc_core::tier::TierPolicy;
 use cc_util::SplitMix64;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 const PAGE: usize = 1024;
@@ -149,7 +148,7 @@ fn spill_path(tag: &str, salt: u64) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Every registered tier policy preserves exact bytes under a tight
+    /// Every tier policy preset preserves exact bytes under a tight
     /// budget with a spill file: wherever each policy places, keeps, or
     /// migrates a page, gets return what was put.
     #[test]
@@ -157,8 +156,12 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..120),
         policy_idx in 0usize..3,
     ) {
-        let policy = tier::all().swap_remove(policy_idx);
-        let path = spill_path(policy.name(), ops.len() as u64);
+        let policy = [
+            TierPolicy::COMPRESS_ALL,
+            TierPolicy::PAPER_THRESHOLD,
+            TierPolicy::RECENCY,
+        ][policy_idx];
+        let path = spill_path(&format!("policy{policy_idx}"), ops.len() as u64);
         {
             let store = CompressedStore::new(
                 StoreConfig::with_spill(8 * PAGE, &path)
@@ -177,7 +180,8 @@ proptest! {
     /// re-accesses promote them back — all byte-exact.
     #[test]
     fn aggressive_demotion_matches_model(ops in proptest::collection::vec(op(), 1..120)) {
-        let policy = RecencyCompressibility {
+        let policy = TierPolicy {
+            rejects_hot: true,
             hot_idle: 1,
             warm_idle: 2,
             promote_window: u64::MAX,
@@ -189,7 +193,7 @@ proptest! {
         {
             let store = CompressedStore::new(
                 StoreConfig::with_spill(8 * PAGE, &path)
-                    .with_tier_policy(Arc::new(policy))
+                    .with_tier_policy(policy)
                     .with_demote_interval(Duration::from_secs(3600)),
             );
             run_ops(&store, &ops)?;

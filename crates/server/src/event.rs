@@ -17,10 +17,11 @@
 //!   everywhere; it is also the reference implementation the epoll path
 //!   is tested against.
 //!
-//! Neither pulls in a crate: the workspace builds offline, so the four
+//! Neither pulls in a crate: the workspace builds offline, so the five
 //! syscall wrappers used (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `poll`) are declared `extern "C"` directly — std already links libc
-//! on every Unix target.
+//! `close`, `poll`) are declared `extern "C"` directly — std already
+//! links libc on every Unix target. Each call site's `// SAFETY:`
+//! comment says why it is sound.
 //!
 //! The [`Waker`] is a connected UDP socket pair: any thread can make
 //! the reactor's poll return by sending one byte, with no
@@ -32,6 +33,8 @@ use std::io;
 use std::net::UdpSocket;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Duration;
+
+use crate::ServerBackend;
 
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,21 +95,11 @@ pub trait EventBackend: Send {
     fn poll(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-/// Which readiness mechanism to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Platform default: epoll on Linux, poll(2) elsewhere.
-    #[default]
-    Platform,
-    /// Force the portable poll(2) backend (fallback/regression testing).
-    Poll,
-}
-
-/// Build the backend for `kind`.
-pub fn new_backend(kind: BackendKind) -> io::Result<Box<dyn EventBackend>> {
+/// Build the backend `kind` names.
+pub fn new_backend(kind: ServerBackend) -> io::Result<Box<dyn EventBackend>> {
     match kind {
-        BackendKind::Poll => Ok(Box::new(PollBackend::new())),
-        BackendKind::Platform => {
+        ServerBackend::EventedPoll => Ok(Box::new(PollBackend::new())),
+        ServerBackend::Evented => {
             #[cfg(target_os = "linux")]
             {
                 Ok(Box::new(EpollBackend::new()?))
@@ -239,12 +232,11 @@ mod epoll {
         buf: Vec<EpollEvent>,
     }
 
-    // The epoll fd is plain data; only the owning reactor thread uses it.
-    unsafe impl Send for EpollBackend {}
-
     impl EpollBackend {
         /// Create the epoll instance.
         pub fn new() -> io::Result<EpollBackend> {
+            // SAFETY: `epoll_create1` takes a flags word and touches no
+            // memory of ours; a failure comes back as -1 and `cvt` maps it.
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(EpollBackend {
                 epfd,
@@ -266,12 +258,18 @@ mod epoll {
                 },
                 data: token as u64,
             };
+            // SAFETY: `ev` is a live, `#[repr(C)]` `struct epoll_event`
+            // that the kernel only reads during the call; `self.epfd` is
+            // the epoll fd this backend owns. A bad `fd` is an error
+            // return, not undefined behaviour.
             cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
         }
     }
 
     impl Drop for EpollBackend {
         fn drop(&mut self) {
+            // SAFETY: `self.epfd` is owned by this backend, nothing else
+            // closes it, and it is never used after this drop.
             unsafe { close(self.epfd) };
         }
     }
@@ -296,6 +294,9 @@ mod epoll {
         fn poll(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             out.clear();
             let n = loop {
+                // SAFETY: the kernel writes at most `self.buf.len()`
+                // `#[repr(C)]` events into `self.buf`, which is
+                // initialised and borrowed mutably for the whole call.
                 let r = unsafe {
                     epoll_wait(
                         self.epfd,
@@ -439,6 +440,9 @@ impl EventBackend for PollBackend {
             return Ok(());
         }
         let n = loop {
+            // SAFETY: `self.fds` is a live slice of `#[repr(C)]`
+            // `struct pollfd` of exactly the length passed; the kernel
+            // writes only their `revents` fields during the call.
             let r = unsafe {
                 poll(
                     self.fds.as_mut_ptr(),

@@ -21,9 +21,8 @@
 //! present, however the bytes were split. The accumulation is a
 //! [`RecvBuf`] — one per connection, on the client and in the reactor —
 //! which reads from the socket only when no whole frame is buffered,
-//! and reads as much as the socket holds. [`read_frame`] is the
-//! one-frame-at-a-time reader for a raw stream: it never reads past
-//! the frame it returns.
+//! and reads as much as the socket holds; [`RecvBuf::next_frame`] is
+//! its blocking reader.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::ops::Range;
@@ -132,24 +131,6 @@ pub fn append_frame(out: &mut Vec<u8>, seq: u32, body_len: usize, body: impl FnO
         // The caller's estimate was wrong; patch the real length in.
         out[hdr_at..hdr_at + 4].copy_from_slice(&(actual as u32).to_le_bytes());
     }
-}
-
-/// Read one frame body into `buf` (cleared and resized), blocking until
-/// complete, returning the frame's sequence tag. It makes two reads per
-/// frame at least and never reads past it, which suits a test reading a
-/// raw stream; the client and the reactor read through a [`RecvBuf`].
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max: usize) -> Result<u32, FrameError> {
-    let mut hdr = [0u8; HEADER_LEN];
-    read_exact_or(r, &mut hdr, 0, HEADER_LEN)?;
-    let len = u32::from_le_bytes(hdr[..4].try_into().expect("header length")) as usize;
-    let seq = u32::from_le_bytes(hdr[4..].try_into().expect("header length"));
-    if len > max {
-        return Err(FrameError::Oversized { len, max });
-    }
-    buf.clear();
-    buf.resize(len, 0);
-    read_exact_or(r, buf, HEADER_LEN, HEADER_LEN + len)?;
-    Ok(seq)
 }
 
 /// A complete frame found at the front of an accumulation buffer.
@@ -336,35 +317,6 @@ impl RecvBuf {
     }
 }
 
-/// `read_exact` that distinguishes a clean close (EOF before the first
-/// byte of the frame) from a truncation (EOF with the frame underway).
-fn read_exact_or(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    already: usize,
-    need: usize,
-) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if already == 0 && filled == 0 {
-                    Err(FrameError::Closed)
-                } else {
-                    Err(FrameError::Truncated {
-                        got: already + filled,
-                        need,
-                    })
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,13 +329,17 @@ mod tests {
         write_frame(&mut wire, 7, b"hello").unwrap();
         write_frame(&mut wire, 8, b"").unwrap();
         let mut cursor = &wire[..];
-        let mut buf = Vec::new();
-        assert_eq!(read_frame(&mut cursor, &mut buf, 1024).unwrap(), 7);
-        assert_eq!(buf, b"hello");
-        assert_eq!(read_frame(&mut cursor, &mut buf, 1024).unwrap(), 8);
-        assert!(buf.is_empty());
+        let mut buf = RecvBuf::new();
+        let p = buf.next_frame(&mut cursor, 1024).unwrap();
+        assert_eq!(p.seq, 7);
+        assert_eq!(&buf.unparsed()[p.body], b"hello");
+        buf.consume(p.consumed);
+        let p = buf.next_frame(&mut cursor, 1024).unwrap();
+        assert_eq!(p.seq, 8);
+        assert!(p.body.is_empty());
+        buf.consume(p.consumed);
         assert!(matches!(
-            read_frame(&mut cursor, &mut buf, 1024),
+            buf.next_frame(&mut cursor, 1024),
             Err(FrameError::Closed)
         ));
     }
@@ -457,22 +413,23 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         wire.extend_from_slice(&1u32.to_le_bytes());
-        let mut cursor = &wire[..];
-        let mut buf = Vec::new();
+        let mut buf = RecvBuf::with_len(HEADER_LEN);
         assert!(matches!(
-            read_frame(&mut cursor, &mut buf, 1024),
+            buf.next_frame(&mut &wire[..], 1024),
             Err(FrameError::Oversized { max: 1024, .. })
         ));
-        assert_eq!(buf.capacity(), 0, "no body allocation for a bad prefix");
+        assert_eq!(
+            buf.capacity(),
+            HEADER_LEN,
+            "no body allocation for a bad prefix"
+        );
     }
 
     #[test]
     fn truncation_is_distinguished_from_close() {
         // Header cut short.
-        let mut cursor = &[1u8, 0][..];
-        let mut buf = Vec::new();
         assert!(matches!(
-            read_frame(&mut cursor, &mut buf, 1024),
+            RecvBuf::new().next_frame(&mut &[1u8, 0][..], 1024),
             Err(FrameError::Truncated { got: 2, need: 8 })
         ));
         // Body cut short.
@@ -480,9 +437,8 @@ mod tests {
         wire.extend_from_slice(&8u32.to_le_bytes());
         wire.extend_from_slice(&3u32.to_le_bytes());
         wire.extend_from_slice(b"abc");
-        let mut cursor = &wire[..];
         assert!(matches!(
-            read_frame(&mut cursor, &mut buf, 1024),
+            RecvBuf::new().next_frame(&mut &wire[..], 1024),
             Err(FrameError::Truncated { got: 11, need: 16 })
         ));
     }

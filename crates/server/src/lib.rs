@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 pub mod event;
@@ -47,7 +48,6 @@ pub(crate) mod reactor;
 pub mod service;
 
 pub use client::{Client, ClientError, Pipeline, RetryPolicy};
-pub use event::BackendKind;
 pub use proto::{Opcode, ProtoError, Request, Response, Status};
 pub use service::Service;
 
@@ -161,17 +161,8 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let service = Arc::new(Service::new(store));
-        let kind = match cfg.backend {
-            ServerBackend::Evented => BackendKind::Platform,
-            ServerBackend::EventedPoll => BackendKind::Poll,
-        };
-        let (reactor, waker) = reactor::Reactor::new(
-            kind,
-            listener,
-            Arc::clone(&service),
-            cfg,
-            Arc::clone(&shutdown),
-        )?;
+        let (reactor, waker) =
+            reactor::Reactor::new(listener, Arc::clone(&service), cfg, Arc::clone(&shutdown))?;
         let reactor = std::thread::Builder::new()
             .name("cc-server-reactor".into())
             .spawn(move || reactor.run())

@@ -45,7 +45,7 @@
 //!   frame, flush every staged response, then close; bounded by a drain
 //!   deadline.
 
-use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, Waker};
+use crate::event::{new_backend, Event, EventBackend, Interest, Waker};
 use crate::frame::{self, FrameError, RecvBuf, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
 use crate::service::{wstat, Service, STRIPE};
@@ -351,17 +351,16 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     /// Build the reactor: nonblocking listener + waker registered with
-    /// the chosen readiness backend. Returns the waker handle the
+    /// the readiness backend `cfg.backend` names. Returns the waker handle the
     /// server uses to interrupt [`Reactor::run`] at shutdown.
     pub(crate) fn new(
-        kind: BackendKind,
         listener: TcpListener,
         service: Arc<Service>,
         cfg: Arc<ServerConfig>,
         shutdown: Arc<AtomicBool>,
     ) -> std::io::Result<(Reactor, crate::event::WakeHandle)> {
         listener.set_nonblocking(true)?;
-        let mut backend = new_backend(kind)?;
+        let mut backend = new_backend(cfg.backend)?;
         backend.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         let waker = Waker::new()?;
         backend.register(waker.reader_fd(), TOKEN_WAKER, Interest::READ)?;

@@ -244,12 +244,14 @@ proptest! {
         }
         // Reap: every tag exactly once, payloads exact.
         let mut outstanding: HashSet<u32> = (1..=burst.len() as u32).collect();
-        let mut body = Vec::new();
+        let mut rb = frame::RecvBuf::new();
         for _ in 0..burst.len() {
-            let seq = frame::read_frame(&mut stream, &mut body, frame::DEFAULT_MAX_FRAME)
+            let p = rb
+                .next_frame(&mut stream, frame::DEFAULT_MAX_FRAME)
                 .expect("tagged response");
+            let seq = p.seq;
             prop_assert!(outstanding.remove(&seq), "tag {} reaped twice or unknown", seq);
-            let resp = Response::decode(&body).expect("response decodes");
+            let resp = Response::decode(&rb.unparsed()[p.body]).expect("response decodes");
             prop_assert_eq!(resp.status, Status::Ok, "tag {} failed", seq);
             let (key, op) = burst[(seq - 1) as usize];
             if op == 1 {
@@ -259,6 +261,7 @@ proptest! {
                     "GET({}) corrupted under pipelining", key
                 );
             }
+            rb.consume(p.consumed);
         }
         prop_assert!(outstanding.is_empty());
     }

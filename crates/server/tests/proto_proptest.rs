@@ -76,11 +76,10 @@ proptest! {
         // Through the framing layer over a byte stream.
         let mut wire = Vec::new();
         frame::write_frame(&mut wire, seq, &body).unwrap();
-        let mut cursor = &wire[..];
-        let mut read = Vec::new();
-        let got = frame::read_frame(&mut cursor, &mut read, frame::DEFAULT_MAX_FRAME).unwrap();
-        prop_assert_eq!(got, seq);
-        prop_assert_eq!(Request::decode(&read).unwrap(), req);
+        let mut rb = frame::RecvBuf::new();
+        let got = rb.next_frame(&mut &wire[..], frame::DEFAULT_MAX_FRAME).unwrap();
+        prop_assert_eq!(got.seq, seq);
+        prop_assert_eq!(Request::decode(&rb.unparsed()[got.body]).unwrap(), req);
     }
 
     /// Every response round-trips body-level and through framing, with
@@ -98,11 +97,10 @@ proptest! {
 
         let mut wire = Vec::new();
         frame::write_frame(&mut wire, seq, &body).unwrap();
-        let mut cursor = &wire[..];
-        let mut read = Vec::new();
-        let got = frame::read_frame(&mut cursor, &mut read, frame::DEFAULT_MAX_FRAME).unwrap();
-        prop_assert_eq!(got, seq);
-        prop_assert_eq!(Response::decode(&read).unwrap(), resp);
+        let mut rb = frame::RecvBuf::new();
+        let got = rb.next_frame(&mut &wire[..], frame::DEFAULT_MAX_FRAME).unwrap();
+        prop_assert_eq!(got.seq, seq);
+        prop_assert_eq!(Response::decode(&rb.unparsed()[got.body]).unwrap(), resp);
     }
 
     /// Arbitrary bytes never panic the decoders — they either decode or
@@ -133,20 +131,20 @@ proptest! {
     }
 
     /// A frame whose length prefix exceeds the ceiling is rejected
-    /// before any allocation, whatever the declared length.
+    /// before the buffer grows past the bytes that arrived, whatever the
+    /// declared length.
     #[test]
     fn oversized_prefix_always_rejected(len in (1u64 << 20)..(u32::MAX as u64)) {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(len as u32).to_le_bytes());
         wire.extend_from_slice(&1u32.to_le_bytes()); // seq
-        let mut cursor = &wire[..];
-        let mut buf = Vec::new();
+        let mut buf = frame::RecvBuf::with_len(frame::HEADER_LEN);
         let max = 1 << 20;
-        match frame::read_frame(&mut cursor, &mut buf, max) {
+        match buf.next_frame(&mut &wire[..], max) {
             Err(frame::FrameError::Oversized { len: got, max: m }) => {
                 prop_assert_eq!(got, len as usize);
                 prop_assert_eq!(m, max);
-                prop_assert_eq!(buf.capacity(), 0);
+                prop_assert!(buf.capacity() <= wire.len(), "{}", buf.capacity());
             }
             other => prop_assert!(false, "expected Oversized, got {:?}", other.map(|_| ())),
         }

@@ -15,7 +15,7 @@
 //! the poll(2) fallback.
 
 use cc_core::store::{CompressedStore, StoreConfig};
-use cc_server::frame::{self, FrameError};
+use cc_server::frame::{self, FrameError, RecvBuf};
 use cc_server::proto::Request;
 use cc_server::{
     Client, ClientError, Pipeline, Response, Server, ServerBackend, ServerConfig, Status,
@@ -194,15 +194,20 @@ fn concurrent_integrity_evented_backend() {
     mixed_load(ServerBackend::EventedPoll, 5_000, "integrity-poll");
 }
 
-/// Reads one response frame (with its tag) off a raw connection.
-fn read_response(stream: &mut TcpStream) -> Result<(u32, Status, Vec<u8>), FrameError> {
+/// Reads one response frame (with its tag) off a raw connection
+/// through `rb`, the connection's one receive buffer.
+fn read_response(
+    stream: &mut TcpStream,
+    rb: &mut RecvBuf,
+) -> Result<(u32, Status, Vec<u8>), FrameError> {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
-    let mut body = Vec::new();
-    let seq = frame::read_frame(stream, &mut body, frame::DEFAULT_MAX_FRAME)?;
-    let resp = Response::decode(&body).expect("response decodes");
-    Ok((seq, resp.status, resp.payload.to_vec()))
+    let p = rb.next_frame(stream, frame::DEFAULT_MAX_FRAME)?;
+    let resp = Response::decode(&rb.unparsed()[p.body]).expect("response decodes");
+    let got = (p.seq, resp.status, resp.payload.to_vec());
+    rb.consume(p.consumed);
+    Ok(got)
 }
 
 /// Counted admission is bounded and observable: with `max_conns = 1`
@@ -227,14 +232,14 @@ fn evented_admission_answers_busy() {
         holder.ping().expect("ping");
 
         let mut extra = TcpStream::connect(addr).expect("connect extra");
-        let (seq, status, payload) = read_response(&mut extra).expect("read BUSY frame");
+        let mut rb = RecvBuf::new();
+        let (seq, status, payload) = read_response(&mut extra, &mut rb).expect("read BUSY frame");
         assert_eq!(seq, frame::SEQ_UNSOLICITED, "BUSY must carry tag 0");
         assert_eq!(status, Status::Busy, "{backend:?}");
         assert!(payload.is_empty());
-        let mut rest = Vec::new();
         assert!(
             matches!(
-                frame::read_frame(&mut extra, &mut rest, frame::DEFAULT_MAX_FRAME),
+                rb.next_frame(&mut extra, frame::DEFAULT_MAX_FRAME),
                 Err(FrameError::Closed)
             ),
             "{backend:?}: rejected connection should be closed after BUSY"
@@ -379,17 +384,17 @@ fn malformed_frames_close_with_err_and_count() {
         let malformed = || service.snapshot().counter("malformed_frames").unwrap_or(0);
 
         let expect_err_then_close = |stream: &mut TcpStream, what: &str| {
-            let (_seq, status, payload) = read_response(stream)
+            let mut rb = RecvBuf::new();
+            let (_seq, status, payload) = read_response(stream, &mut rb)
                 .unwrap_or_else(|e| panic!("{backend:?} {what}: expected ERR frame, got {e}"));
             assert_eq!(status, Status::Err, "{backend:?} {what}: wrong status");
             assert!(
                 !payload.is_empty(),
                 "{backend:?} {what}: ERR should carry a message"
             );
-            let mut rest = Vec::new();
             assert!(
                 matches!(
-                    frame::read_frame(stream, &mut rest, frame::DEFAULT_MAX_FRAME),
+                    rb.next_frame(stream, frame::DEFAULT_MAX_FRAME),
                     Err(FrameError::Closed)
                 ),
                 "{backend:?} {what}: connection should be closed after ERR"
@@ -425,14 +430,14 @@ fn malformed_frames_close_with_err_and_count() {
             let mut wire = Vec::new();
             frame::write_frame(&mut wire, 99, &[42]).expect("encode frame");
             s.write_all(&wire).expect("write frame");
-            let (seq, status, payload) = read_response(&mut s)
+            let mut rb = RecvBuf::new();
+            let (seq, status, payload) = read_response(&mut s, &mut rb)
                 .unwrap_or_else(|e| panic!("{backend:?} unknown opcode: expected ERR, got {e}"));
             assert_eq!(seq, 99, "{backend:?}: ERR must echo the request tag");
             assert_eq!(status, Status::Err);
             assert!(!payload.is_empty());
-            let mut rest = Vec::new();
             assert!(matches!(
-                frame::read_frame(&mut s, &mut rest, frame::DEFAULT_MAX_FRAME),
+                rb.next_frame(&mut s, frame::DEFAULT_MAX_FRAME),
                 Err(FrameError::Closed)
             ));
             assert_eq!(malformed(), before + 1, "unknown opcode not counted");
@@ -487,11 +492,10 @@ fn idle_timeout_is_wall_clock_and_counted_once() {
         let mut body = Vec::new();
         Request::Ping.encode(&mut body);
         frame::write_frame(&mut s, 1, &body).expect("write ping");
-        let mut resp = Vec::new();
-        assert_eq!(
-            frame::read_frame(&mut s, &mut resp, frame::DEFAULT_MAX_FRAME).expect("pong"),
-            1
-        );
+        let pong = RecvBuf::new()
+            .next_frame(&mut s, frame::DEFAULT_MAX_FRAME)
+            .expect("pong");
+        assert_eq!(pong.seq, 1);
         let idle_from = std::time::Instant::now();
 
         // The server closes from its side at timeout + ε: the blocking
@@ -1013,7 +1017,7 @@ fn gauge_survives_connection_churn() {
                     let mut wire = Vec::new();
                     frame::write_frame(&mut wire, 5, &[77]).expect("frame");
                     s.write_all(&wire).expect("write");
-                    let _ = read_response(&mut s);
+                    let _ = read_response(&mut s, &mut RecvBuf::new());
                 }
             }
         }
