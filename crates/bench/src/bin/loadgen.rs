@@ -786,7 +786,7 @@ fn main() {
         }
         // Trace gates: sampling must stay within its overhead budget,
         // every sampled span must resolve its parent, anomalies must
-        // dump, and the tail exemplar must name a dumped trace.
+        // dump, and the max exemplar must name a dumped trace.
         if let Some(ti) = &trace_info {
             if !ti.wrapped && ti.orphans > 0 {
                 failures.push(format!(

@@ -27,7 +27,7 @@ impl StoreCore {
             .iter()
             .map(|s| s.0.lock().expect("shard poisoned"))
             .collect();
-        let (mut hot, mut warm, mut spilling) = (0usize, 0usize, 0usize);
+        let (mut hot, mut warm, mut spilling, mut sealing) = (0usize, 0usize, 0usize, 0usize);
         let mut extents: Vec<(u64, u64)> = Vec::new();
         // `(key, offset, len, gen, codec)` of every `Spilled` entry.
         let mut spilled = Vec::new();
@@ -48,6 +48,11 @@ impl StoreCore {
                         if shard.lru.get(*handle) != Some(&key) {
                             return Err(format!("shard {i}: warm key {key} not on the warm LRU"));
                         }
+                    }
+                    // A raw page, counted hot, on no LRU.
+                    Residence::Sealing { data } => {
+                        hot += data.len();
+                        sealing += 1;
                     }
                     Residence::Spilling { data, .. } => spilling += data.len(),
                     Residence::Spilled { offset, len, gen } => {
@@ -79,6 +84,13 @@ impl StoreCore {
         if (resident, hot_g, warm_g) != (hot + warm, hot, warm) {
             return Err(format!(
                 "resident {resident} (hot {hot_g} + warm {warm_g}) but entries hold hot {hot} + warm {warm}"
+            ));
+        }
+        // The seal queue is a leaf lock: taken after every shard's.
+        let (jobs, seal_orphaned) = (self.seals().outstanding, gauge(&self.seal_orphaned));
+        if jobs != sealing + seal_orphaned {
+            return Err(format!(
+                "{jobs} seal jobs outstanding but {sealing} Sealing entries and {seal_orphaned} orphaned jobs"
             ));
         }
         let (inflight, orphaned) = (gauge(&self.spill_inflight), gauge(&self.spill_orphaned));

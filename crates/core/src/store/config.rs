@@ -87,8 +87,8 @@ pub struct StoreConfig {
     pub tier_policy: TierPolicy,
     /// How often the background demoter wakes to sweep for aged hot and
     /// warm pages (only spawned when the policy wants aging at all).
-    /// Nothing else wakes it; each wake drains the aged backlog. Default
-    /// 5 ms.
+    /// Each sweep drains the aged backlog; a put wakes it between sweeps
+    /// only to hand it a batch of deferred LZRW1 seals. Default 5 ms.
     pub demote_interval: Duration,
 }
 

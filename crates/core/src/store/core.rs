@@ -13,7 +13,7 @@ use super::extent::verify_extent;
 use super::gc::Segments;
 use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Shard, SCRATCH};
 use super::stats::{top, tstat};
-use super::tiering::DemoteOutcome;
+use super::tiering::{DemoteOutcome, SealQueue};
 use super::writer::ToWriter;
 #[cfg(doc)]
 use super::{CompressedStore, StoreStats};
@@ -22,6 +22,7 @@ use crate::medium::SpillMedium;
 use crate::persist::Persist;
 use cc_compress::{
     classify, decode_into, expand_same_filled, same_filled_pattern, CodecId, CodecPolicy, Route,
+    Selection,
 };
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
 use cc_telemetry::Telemetry;
@@ -50,10 +51,22 @@ pub(super) struct StoreCore {
     pub(super) touch_clock: AtomicU64,
     /// Demoter shutdown flag, under the condvar's mutex.
     pub(super) demote_stop: Mutex<bool>,
-    /// Wakes the demoter for shutdown, and for nothing else: it sleeps
-    /// `cfg.demote_interval` between wakes and drains its backlog per
-    /// wake, so no put ever makes a syscall on its behalf.
+    /// Wakes the demoter for shutdown, and to hand it a batch of
+    /// deferred LZRW1 seals; never per put, never under pressure. It
+    /// otherwise sleeps `cfg.demote_interval` between passes and drains
+    /// its backlog per wake.
     pub(super) demote_cv: Condvar,
+    /// The deferred seals ([`StoreCore::defer_seal`]): queued for the
+    /// demoter, sealed and waiting to be published, and their recycled
+    /// buffers. A leaf lock: taken under a shard lock, never the reverse.
+    pub(super) seals: Mutex<SealQueue>,
+    /// Whether a sealed job waits to be published: the one load a put
+    /// pays for the deferred seals when none is ready.
+    pub(super) seals_ready: AtomicBool,
+    /// Outstanding seal jobs whose `Sealing` entry was removed, replaced
+    /// or promoted: they drop at publish. Kept, under the shard locks,
+    /// so the checker can state the jobs as an identity.
+    pub(super) seal_orphaned: AtomicUsize,
     /// Fixed at first put; 0 = not yet fixed.
     pub(super) page_size: AtomicUsize,
     /// Generation stamp for spill jobs.
@@ -292,9 +305,10 @@ impl StoreCore {
     }
 
     /// Store or replace `key`'s page, recording a `store_put` span (and
-    /// children) when `ctx` is sampled.
+    /// children) when `ctx` is sampled, then publish the seals the
+    /// demoter has finished.
     pub(super) fn put(&self, key: u64, page: &[u8], ctx: TraceCtx) -> Result<(), StoreError> {
-        match self.op_trace(ctx) {
+        let res = match self.op_trace(ctx) {
             None => self.put_inner(key, page, TraceCtx::NONE, &mut TraceOut::default()),
             Some(ot) => {
                 let mut tout = TraceOut::default();
@@ -302,7 +316,11 @@ impl StoreCore {
                 self.finish_op(ot, ctx, sop::STORE_PUT, &tout, res.is_err() as u8, key);
                 res
             }
+        };
+        if self.seals_ready.load(Ordering::Relaxed) {
+            self.publish_seals(false);
         }
+        res
     }
 
     fn put_inner(
@@ -403,6 +421,16 @@ impl StoreCore {
         let route = (self.cfg.codec_policy == CodecPolicy::Adaptive)
             .then(|| classify(page, self.cfg.threshold.max_compressed_len(page.len())));
 
+        // LZRW1 is the one codec pass worth handing to the demoter's
+        // core; BDI costs less than the hand-off.
+        let lz = route.is_none_or(|r| r == Route::Lz);
+        if lz && self.defer_seal(key, page, now, timed) {
+            tout.tier = strier::MEMORY;
+            tout.codec = CodecId::Raw.as_u8();
+            self.tel.record_since(top::PUT, t0, ctx.trace_id);
+            return Ok(());
+        }
+
         // Compress outside any lock, into this thread's reusable buffer.
         // The route picks the codec (BDI, LZRW1, or none for a predicted
         // reject), the threshold then admits or rewrites the buffer as a
@@ -456,33 +484,7 @@ impl StoreCore {
                 self.tel.count(shard_idx, tstat::REJECT_MISPREDICTED, 1);
             }
         }
-        match sel.codec {
-            CodecId::Lzrw1 => {
-                self.tel.count(shard_idx, tstat::COMPRESSED, 1);
-                self.tel.count(shard_idx, tstat::PUTS_LZRW1, 1);
-                self.tel
-                    .count(shard_idx, tstat::LZRW1_IN_BYTES, page.len() as u64);
-                self.tel
-                    .count(shard_idx, tstat::LZRW1_OUT_BYTES, len as u64);
-                if let Some(ns) = comp_ns.filter(|_| timed) {
-                    self.tel.record(top::COMPRESS_LZRW1, ns);
-                }
-            }
-            CodecId::Bdi => {
-                self.tel.count(shard_idx, tstat::COMPRESSED, 1);
-                self.tel.count(shard_idx, tstat::PUTS_BDI, 1);
-                self.tel
-                    .count(shard_idx, tstat::BDI_IN_BYTES, page.len() as u64);
-                self.tel.count(shard_idx, tstat::BDI_OUT_BYTES, len as u64);
-                if let Some(ns) = comp_ns.filter(|_| timed) {
-                    self.tel.record(top::COMPRESS_BDI, ns);
-                }
-            }
-            _ => {
-                debug_assert_eq!(sel.codec, CodecId::Raw, "unexpected put codec");
-                self.tel.count(shard_idx, tstat::STORED_RAW, 1);
-            }
-        }
+        self.count_seal(shard_idx, &sel, page.len(), comp_ns.filter(|_| timed));
 
         // Ask the tier policy where the sealed page should live. Hot
         // placement stores the raw page bytes, so it reserves the full
@@ -491,21 +493,11 @@ impl StoreCore {
         let place_hot = self.cfg.tier_policy.admit_hot(sel.admitted);
         let need = if place_hot { page.len() } else { len };
 
-        // Reserve budget for the new entry before publishing it. The CAS
-        // keeps `resident` at or below the budget at every instant.
+        // Reserve budget for the new entry before publishing it.
         let mut reserved = true;
-        'reserve: loop {
-            let mut cur = self.resident.load(Ordering::Relaxed);
-            while cur + need <= self.cfg.memory_budget {
-                match self.resident.compare_exchange_weak(
-                    cur,
-                    cur + need,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break 'reserve,
-                    Err(actual) => cur = actual,
-                }
+        loop {
+            if self.reserve_resident(need) {
+                break;
             }
             // `Some(bytes)`: the writer must publish before `bytes` more
             // payload may be handed to it; `None`: another putter is in
@@ -613,6 +605,53 @@ impl StoreCore {
         Ok(())
     }
 
+    /// Count one put's seal `sel` of a `page_len`-byte page on its
+    /// codec's counters, and `ns` on its histogram when the put is timed
+    /// — inline, or when a deferred seal is published.
+    pub(super) fn count_seal(
+        &self,
+        shard_idx: usize,
+        sel: &Selection,
+        page_len: usize,
+        ns: Option<u64>,
+    ) {
+        let (inb, outb, hist) = match sel.codec {
+            CodecId::Lzrw1 => {
+                self.tel.count(shard_idx, tstat::PUTS_LZRW1, 1);
+                (
+                    tstat::LZRW1_IN_BYTES,
+                    tstat::LZRW1_OUT_BYTES,
+                    top::COMPRESS_LZRW1,
+                )
+            }
+            CodecId::Bdi => {
+                self.tel.count(shard_idx, tstat::PUTS_BDI, 1);
+                (tstat::BDI_IN_BYTES, tstat::BDI_OUT_BYTES, top::COMPRESS_BDI)
+            }
+            _ => {
+                debug_assert_eq!(sel.codec, CodecId::Raw, "unexpected put codec");
+                self.tel.count(shard_idx, tstat::STORED_RAW, 1);
+                return;
+            }
+        };
+        self.tel.count(shard_idx, tstat::COMPRESSED, 1);
+        self.tel.count(shard_idx, inb, page_len as u64);
+        self.tel.count(shard_idx, outb, sel.len as u64);
+        if let Some(ns) = ns {
+            self.tel.record(hist, ns);
+        }
+    }
+
+    /// Reserve `bytes` of budget outright, evicting nothing. The CAS
+    /// keeps `resident` at or below the budget at every instant.
+    pub(super) fn reserve_resident(&self, bytes: usize) -> bool {
+        self.resident
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (cur + bytes <= self.cfg.memory_budget).then_some(cur + bytes)
+            })
+            .is_ok()
+    }
+
     /// Fetch `key`'s page, recording a `store_get` span (and a
     /// `spill_read` child for disk hits) when `ctx` is sampled.
     pub(super) fn get(
@@ -699,23 +738,18 @@ impl StoreCore {
                     return Ok(Some(HitTier::SameFilled));
                 }
                 Residence::Memory { data, handle } => {
-                    tout.tier = strier::MEMORY;
                     // Take a reference to the sealed bytes under the lock
                     // so decompression runs without it.
                     let (data, handle) = (Arc::clone(data), *handle);
                     shard.lru.touch(handle);
                     drop(shard);
                     self.decompress_into(codec, &data, out, timed);
-                    self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
-                    if self
-                        .cfg
-                        .tier_policy
-                        .promote(gets, age, || self.pressure_pct())
-                    {
-                        self.try_promote(key, shard_idx, now, strier::MEMORY, out, ctx, timed);
-                    }
-                    return Ok(Some(HitTier::Memory));
+                }
+                // A page waiting for its seal is served as a warm hit is,
+                // by a memcpy.
+                Residence::Sealing { data } => {
+                    out.copy_from_slice(data);
+                    drop(shard);
                 }
                 Residence::Spilling { data, .. } => {
                     tout.tier = strier::MEMORY;
@@ -771,6 +805,18 @@ impl StoreCore {
                     return Ok(Some(HitTier::Spill));
                 }
             }
+            // A warm hit: `Memory` or `Sealing`.
+            tout.tier = strier::MEMORY;
+            self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
+            self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
+            if self
+                .cfg
+                .tier_policy
+                .promote(gets, age, || self.pressure_pct())
+            {
+                self.try_promote(key, shard_idx, now, strier::MEMORY, out, ctx, timed);
+            }
+            return Ok(Some(HitTier::Memory));
         }
     }
 
@@ -892,6 +938,12 @@ impl StoreCore {
                         self.resident.fetch_sub(data.len(), Ordering::Relaxed);
                         self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
                         shard.lru.remove(handle);
+                    }
+                    // Its job drops when it is published.
+                    Residence::Sealing { data } => {
+                        self.resident.fetch_sub(data.len(), Ordering::Relaxed);
+                        self.hot_resident.fetch_sub(data.len(), Ordering::Relaxed);
+                        self.seal_orphaned.fetch_add(1, Ordering::Relaxed);
                     }
                     Residence::Spilled { offset, len, .. } => {
                         // The extent's bytes stay behind on the file as
@@ -1076,7 +1128,8 @@ impl StoreCore {
             }
             if !progress {
                 // Nothing left to shed: every byte `resident` counts is
-                // on an LRU list, so it is back under the budget.
+                // on an LRU list or waiting for its seal, and sealing
+                // pages are only ever deferred below the demoter's floor.
                 return;
             }
         }
@@ -1104,6 +1157,7 @@ impl StoreCore {
     }
 
     pub(super) fn flush(&self) -> Result<(), StoreError> {
+        self.publish_seals(true);
         if self.has_spill() {
             self.wait_on_writer(|inflight| inflight == 0, || {});
             if self.spill_inflight.load(Ordering::Relaxed) != 0 {

@@ -223,13 +223,16 @@ impl CompressedStore {
     /// Which tier `key` currently resides in, without reading the page
     /// or touching any recency state. `None` if the key is unknown.
     /// Recovery tests use this to prove a warm restart serves from the
-    /// spill tier (no re-PUT happened); `Spilling` reports as
-    /// [`HitTier::Memory`] since that is where a read would be served.
+    /// spill tier (no re-PUT happened); `Spilling`, like a page waiting
+    /// for its deferred seal, reports as [`HitTier::Memory`] since that
+    /// is where a read would be served.
     pub fn peek_tier(&self, key: u64) -> Option<HitTier> {
         let shard = self.core.shard(key);
         shard.entries.get(&key).map(|e| match e.residence {
             Residence::Hot { .. } => HitTier::Hot,
-            Residence::Memory { .. } | Residence::Spilling { .. } => HitTier::Memory,
+            Residence::Memory { .. } | Residence::Sealing { .. } | Residence::Spilling { .. } => {
+                HitTier::Memory
+            }
             Residence::SameFilled { .. } => HitTier::SameFilled,
             Residence::Spilled { .. } => HitTier::Spill,
         })
@@ -298,9 +301,15 @@ impl CompressedStore {
         self.core.telemetry_snapshot()
     }
 
-    /// Block until the spill writer has published everything handed to
-    /// it — [`StoreStats::spill_inflight_bytes`] reads zero — then have
-    /// it write any queued tombstones (tests and orderly shutdown). Entries sitting in a partially-filled batch are
+    /// Publish every deferred seal — a put whose route is LZRW1 may leave
+    /// its page raw for the background demoter to seal; any such job
+    /// still queued is sealed on the calling thread — so every page sits
+    /// where an inline put would have put it and the codec counters
+    /// count every put so far. Then block until the spill writer has
+    /// published everything handed to it —
+    /// [`StoreStats::spill_inflight_bytes`] reads zero — then have it
+    /// write any queued tombstones (tests and orderly shutdown). Entries
+    /// sitting in a partially-filled batch are
     /// committed by the writer's bounded linger, so this terminates even
     /// mid-batch. If the writer thread has died (panicked medium), the
     /// orphaned in-flight entries are reverted to memory residence, the
@@ -318,17 +327,20 @@ impl CompressedStore {
         self.close();
     }
 
-    /// Stop the background threads (idempotent): signal the demoter to
-    /// exit and join it, then close every shard's sender — which stops
-    /// the writer once it has drained the queue — and join the writer.
-    /// The demoter goes first so a mid-sweep demotion never races the
-    /// channel closing.
+    /// Stop the background threads (idempotent): stop deferring seals,
+    /// signal the demoter to exit and join it, publish every deferred
+    /// seal (no entry is left `Sealing`), then close every shard's
+    /// sender — which stops the writer once it has drained the queue —
+    /// and join the writer. The demoter goes first so a mid-sweep
+    /// demotion never races the channel closing.
     fn close(&self) {
+        self.core.seals().closed = true;
         *self.core.demote_stop.lock().expect("demoter flag poisoned") = true;
         self.core.demote_cv.notify_all();
         if let Some(handle) = self.demoter.lock().expect("demoter handle poisoned").take() {
             let _ = handle.join();
         }
+        self.core.publish_seals(true);
         for s in &self.core.shards {
             s.0.lock().expect("shard poisoned").tx = None;
         }
@@ -341,11 +353,17 @@ impl CompressedStore {
     /// with every shard lock held (taken in index order) so the picture
     /// is one instant's:
     ///
-    /// - `resident == Σ len(Hot) + Σ len(Memory)`, and the `hot` and
-    ///   `warm` gauges partition it exactly;
+    /// - `resident == Σ len(Hot) + Σ len(Sealing) + Σ len(Memory)`, and
+    ///   the `hot` gauge (raw pages: `Hot` and `Sealing`) and the `warm`
+    ///   gauge (`Memory`) partition it exactly;
+    /// - the deferred seal jobs outstanding (queued, being sealed, or
+    ///   sealed and not yet published) are exactly the `Sealing` entries
+    ///   plus the jobs whose entry was removed, replaced or promoted
+    ///   since (they drop at publish);
     /// - a key is on the hot LRU ⇔ its residence is `Hot`, on the warm
-    ///   LRU ⇔ `Memory`, on neither otherwise (and both lists pass
-    ///   [`cc_util::LruList::check_invariants`], which panics);
+    ///   LRU ⇔ `Memory`, on neither otherwise, `Sealing` included (and
+    ///   both lists pass [`cc_util::LruList::check_invariants`], which
+    ///   panics);
     /// - `spill_inflight_bytes == Σ len(Spilling payloads)` plus the
     ///   payloads of jobs whose entry was removed or replaced while they
     ///   were queued (still held by the job, still counted);

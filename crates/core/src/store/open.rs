@@ -12,6 +12,7 @@ use super::core::StoreCore;
 use super::gc::{segment_bytes, Segments};
 use super::shard::{Entry, EntryMap, Padded, Residence, Shard};
 use super::stats::{top, tstat, STORE_TELEMETRY};
+use super::tiering::SealQueue;
 use super::writer::{SpillWriter, ToWriter};
 use super::{CompressedStore, StoreConfig, StoreError};
 use crate::medium::{FileMedium, SpillMedium};
@@ -135,6 +136,9 @@ impl CompressedStore {
             touch_clock: AtomicU64::new(0),
             demote_stop: Mutex::new(false),
             demote_cv: Condvar::new(),
+            seals: Mutex::new(SealQueue::new()),
+            seals_ready: AtomicBool::new(false),
+            seal_orphaned: AtomicUsize::new(0),
             page_size: AtomicUsize::new(0),
             next_gen: AtomicU64::new(0),
             medium,
@@ -242,7 +246,8 @@ impl CompressedStore {
             _ => None,
         };
         // The demoter only exists for policies that age pages at all;
-        // COMPRESS_ALL / PAPER_THRESHOLD stores carry zero extra threads.
+        // COMPRESS_ALL / PAPER_THRESHOLD stores carry zero extra threads,
+        // and seal every put inline.
         let demoter = core.cfg.tier_policy.wants_demoter().then(|| {
             let demote_core = Arc::clone(&core);
             std::thread::Builder::new()

@@ -12,7 +12,7 @@ use super::writer::ToWriter;
 use cc_compress::{CodecSet, Route};
 use cc_util::LruList;
 #[cfg(doc)]
-use {super::extent::EXTENT_HEADER, cc_compress::CodecId};
+use {super::extent::EXTENT_HEADER, super::tiering::SealJob, cc_compress::CodecId};
 
 /// Where an entry's bytes live. Every payload is one allocation of
 /// exactly its length — the bytes the budget counts are the bytes the
@@ -34,6 +34,12 @@ pub(super) enum Residence {
         data: Arc<[u8]>,
         handle: cc_util::LruHandle,
     },
+    /// The raw page of a put whose route is LZRW1, waiting for the
+    /// demoter to seal it ([`SealJob`]). Counted at full page size in
+    /// the budget and the hot gauge, on no LRU; a get is a memcpy. The
+    /// job holds the other clone, and its publish revalidates against
+    /// this allocation exactly as the writer's does for `Spilling`.
+    Sealing { data: Arc<[u8]> },
     /// The whole page is one repeated 8-byte word; nothing is stored but
     /// the pattern. Never LRU-tracked or spilled: reconstructing it is
     /// cheaper than any I/O, and it occupies no budget.

@@ -58,6 +58,7 @@ pub(super) mod tstat {
         invariant_violations => INVARIANT_VIOLATIONS,
         reject_predicted => REJECT_PREDICTED,
         reject_mispredicted => REJECT_MISPREDICTED,
+        seals_deferred => SEALS_DEFERRED,
     }
 }
 
@@ -130,6 +131,11 @@ pub struct StoreStats {
     /// bound after all: each is a page that unaudited would have been
     /// stored raw although it compresses.
     pub reject_mispredicted: u64,
+    /// Puts whose LZRW1 seal was handed to the background demoter: the
+    /// raw page waited in memory (a get is a memcpy) and the sealed form
+    /// was placed by a later put or `flush()`. Their codec counters
+    /// count when the seal is published.
+    pub seals_deferred: u64,
     /// Original bytes of pages admitted under LZRW1 (with
     /// [`StoreStats::lzrw1_out_bytes`], the codec's achieved ratio).
     pub lzrw1_in_bytes: u64,
@@ -269,6 +275,7 @@ impl StoreCore {
             codec_fallbacks: self.tel.counter_sum(tstat::CODEC_FALLBACKS),
             reject_predicted: self.tel.counter_sum(tstat::REJECT_PREDICTED),
             reject_mispredicted: self.tel.counter_sum(tstat::REJECT_MISPREDICTED),
+            seals_deferred: self.tel.counter_sum(tstat::SEALS_DEFERRED),
             lzrw1_in_bytes: self.tel.counter_sum(tstat::LZRW1_IN_BYTES),
             lzrw1_out_bytes: self.tel.counter_sum(tstat::LZRW1_OUT_BYTES),
             bdi_in_bytes: self.tel.counter_sum(tstat::BDI_IN_BYTES),

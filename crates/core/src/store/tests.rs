@@ -159,6 +159,7 @@ fn adaptive_policy_routes_bdi_pages_and_falls_back() {
     for k in 16..32u64 {
         store.put(k, &page(k as u8)).unwrap();
     }
+    store.flush().unwrap();
     let s = store.stats();
     assert_eq!(s.puts_bdi, 16, "{s:?}");
     assert_eq!(s.puts_lzrw1, 16, "{s:?}");
@@ -184,6 +185,7 @@ fn codec_policy_pins_the_codec() {
     for k in 0..8u64 {
         store.put(k, &bdi_page(k as u8)).unwrap();
     }
+    store.flush().unwrap();
     let s = store.stats();
     assert_eq!(s.puts_bdi, 0, "{s:?}");
     assert!(s.puts_lzrw1 + s.stored_raw == 8, "{s:?}");
@@ -200,6 +202,7 @@ fn codec_policy_pins_the_codec() {
         store.put(k, &bdi_page(k as u8)).unwrap();
     }
     store.put(99, &page(7)).unwrap();
+    store.flush().unwrap();
     let s = store.stats();
     assert_eq!(s.puts_lzrw1, 1, "{s:?}");
     assert_eq!(s.puts_bdi, 8, "{s:?}");
@@ -278,6 +281,7 @@ fn put_get_roundtrip() {
         assert_eq!(out, page(k as u8), "key {k}");
     }
     assert!(!store.get(999, &mut out).unwrap());
+    store.flush().unwrap();
     let s = store.stats();
     assert_eq!(s.compressed, 32);
     assert_eq!(s.misses, 1);
@@ -876,6 +880,7 @@ fn telemetry_disabled_keeps_stats_exact() {
     for k in 0..16u64 {
         assert!(store.get(k, &mut out).unwrap());
     }
+    store.flush().unwrap();
     let s = store.stats();
     assert_eq!(s.compressed, 16);
     assert_eq!(s.hits_memory, 16);
@@ -900,7 +905,8 @@ fn telemetry_schema_names_are_pinned() {
          bdi_out_bytes hits_hot puts_hot promotions promotions_rejected demoted_hot \
          demoted_warm demoter_passes extents_recovered summary_records_replayed \
          torn_tail_discarded stale_generation_dropped recovery_extents_verified \
-         clean_recoveries put_backpressure_waits invariant_violations reject_predicted reject_mispredicted"
+         clean_recoveries put_backpressure_waits invariant_violations reject_predicted reject_mispredicted \
+         seals_deferred"
     );
     let ops: Vec<&str> = snap.ops.iter().map(|(n, _)| *n).collect();
     assert_eq!(
@@ -2219,4 +2225,175 @@ fn a_promoted_extent_never_lets_a_removed_generation_back() {
     let store = cut_and_reopen(store, cfg, &disk, &injector, &on_file);
     let hit = store.get(0, &mut out).unwrap();
     assert!(!(hit && out == v1), "the removed generation came back");
+}
+
+/// A store whose demoter never touches a deferred seal: its interval is
+/// an hour, and each case queues fewer jobs than wake it. The cases seal
+/// with [`StoreCore::seal_queued`] — the demoter's drain step — on the
+/// test thread, and publish with `flush`.
+fn deferring_store() -> CompressedStore {
+    CompressedStore::new(
+        StoreConfig::in_memory(1 << 20).with_demote_interval(Duration::from_secs(3600)),
+    )
+}
+
+fn is_sealing(store: &CompressedStore, key: u64) -> bool {
+    let shard = store.core.shard(key);
+    matches!(
+        shard.entries.get(&key).map(|e| &e.residence),
+        Some(Residence::Sealing { .. })
+    )
+}
+
+/// Put `key`'s `v1`, seal it first when `sealed`, then let `act` act on
+/// the waiting entry; publish, check, and read back `want`.
+fn race_a_deferred_seal(sealed: bool, act: impl FnOnce(&CompressedStore), want: Option<&[u8]>) {
+    let store = deferring_store();
+    let v1 = page(1);
+    store.put(7, &v1).unwrap();
+    assert!(is_sealing(&store, 7), "an LZRW1 put under the floor defers");
+    if sealed {
+        store.core.seal_queued();
+    }
+    act(&store);
+    store.check_invariants().unwrap();
+    store.flush().unwrap();
+    assert!(!is_sealing(&store, 7));
+    store.check_invariants().unwrap();
+    let mut out = vec![0u8; 4096];
+    assert_eq!(store.get(7, &mut out).unwrap(), want.is_some());
+    if let Some(want) = want {
+        assert_eq!(out, want);
+    }
+    let s = store.stats();
+    assert_eq!(s.puts_lzrw1, s.seals_deferred, "{s:?}");
+}
+
+fn reput(store: &CompressedStore) {
+    store.put(7, &page(2)).unwrap();
+    assert!(is_sealing(store, 7));
+}
+
+fn remove_it(store: &CompressedStore) {
+    assert!(store.remove(7));
+    assert_eq!(store.stats().resident_bytes, 0);
+}
+
+fn read_twice(store: &CompressedStore) {
+    let mut out = vec![0u8; 4096];
+    for _ in 0..2 {
+        assert_eq!(store.get_tier(7, &mut out).unwrap(), Some(HitTier::Memory));
+        assert_eq!(out, page(1));
+    }
+    assert_eq!(store.stats().promotions, 1);
+    assert_eq!(store.peek_tier(7), Some(HitTier::Hot));
+}
+
+#[test]
+fn a_reput_orphans_a_queued_seal() {
+    race_a_deferred_seal(false, reput, Some(&page(2)));
+}
+
+#[test]
+fn a_reput_orphans_a_sealed_unpublished_seal() {
+    race_a_deferred_seal(true, reput, Some(&page(2)));
+}
+
+#[test]
+fn a_remove_orphans_a_queued_seal() {
+    race_a_deferred_seal(false, remove_it, None);
+}
+
+#[test]
+fn a_remove_orphans_a_sealed_unpublished_seal() {
+    race_a_deferred_seal(true, remove_it, None);
+}
+
+#[test]
+fn a_promotion_orphans_a_queued_seal() {
+    race_a_deferred_seal(false, read_twice, Some(&page(1)));
+}
+
+#[test]
+fn a_promotion_orphans_a_sealed_unpublished_seal() {
+    race_a_deferred_seal(true, read_twice, Some(&page(1)));
+}
+
+/// A published seal lands where the inline put would have put the page,
+/// counted as it would have been, and the put after the seal is the one
+/// that publishes it.
+#[test]
+fn a_deferred_seal_publishes_where_the_inline_put_lands() {
+    let store = deferring_store();
+    let inline = CompressedStore::new(
+        StoreConfig::in_memory(1 << 20).with_tier_policy(TierPolicy::PAPER_THRESHOLD),
+    );
+    // Three quarters noise: routed to LZRW1, rejected by 4:3, so hot.
+    let mut rejected = noise_page(2);
+    rejected[3072..].copy_from_slice(&page(2)[3072..]);
+    for s in [&store, &inline] {
+        s.put(1, &page(1)).unwrap();
+        s.put(2, &rejected).unwrap();
+    }
+    assert!(is_sealing(&store, 1) && is_sealing(&store, 2));
+    assert_eq!(store.stats().puts_lzrw1, 0);
+    store.core.seal_queued();
+    store.put(3, &bdi_page(3)).unwrap();
+    inline.put(3, &bdi_page(3)).unwrap();
+    let (s, i) = (store.stats(), inline.stats());
+    assert_eq!(s.seals_deferred, 2, "{s:?}");
+    assert_eq!(i.seals_deferred, 0, "no demoter, no deferral");
+    assert_eq!((s.puts_hot, s.stored_raw), (1, 1), "{s:?}");
+    assert_eq!(
+        (s.puts_lzrw1, s.stored_raw, s.puts_bdi, s.puts_hot),
+        (i.puts_lzrw1, i.stored_raw, i.puts_bdi, i.puts_hot),
+        "{s:?}"
+    );
+    assert_eq!(
+        (
+            s.lzrw1_out_bytes,
+            s.resident_bytes,
+            s.hot_bytes,
+            s.warm_bytes
+        ),
+        (
+            i.lzrw1_out_bytes,
+            i.resident_bytes,
+            i.hot_bytes,
+            i.warm_bytes
+        )
+    );
+    for k in 1..=3 {
+        assert_eq!(store.peek_tier(k), inline.peek_tier(k), "key {k}");
+    }
+    store.check_invariants().unwrap();
+}
+
+/// Deferral happens only below the demoter's hot floor, never on a
+/// store without a demoter, and never after shutdown.
+#[test]
+fn seals_defer_only_below_the_floor_and_before_shutdown() {
+    let store = CompressedStore::new(
+        StoreConfig::in_memory(16 * 1024).with_demote_interval(Duration::from_secs(3600)),
+    );
+    // 0 %, then 25 %: deferred. 50 % is the floor: inline.
+    for k in 0..3 {
+        store.put(k, &page(k as u8)).unwrap();
+    }
+    assert_eq!(store.stats().seals_deferred, 2);
+    assert!(!is_sealing(&store, 2));
+    store.check_invariants().unwrap();
+    store.shutdown();
+    assert!(!is_sealing(&store, 0) && !is_sealing(&store, 1));
+    store.check_invariants().unwrap();
+    assert!(store.remove(2));
+    store.put(2, &page(2)).unwrap();
+    assert_eq!(store.stats().seals_deferred, 2, "deferred after shutdown");
+
+    let flat = CompressedStore::new(
+        StoreConfig::in_memory(1 << 20).with_tier_policy(TierPolicy::COMPRESS_ALL),
+    );
+    flat.put(0, &page(0)).unwrap();
+    assert_eq!(flat.stats().seals_deferred, 0);
+    assert_eq!(flat.stats().puts_lzrw1, 1);
 }

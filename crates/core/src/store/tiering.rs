@@ -1,18 +1,21 @@
 //! Moving pages between the tiers: promotion of a re-accessed warm or
 //! cold page back to hot, and demotion — hot pages sealed down to warm
 //! (or straight to spill), aged warm pages spilled — by the background
-//! demoter or [`CompressedStore::demote_now`]. The placement policy
-//! itself lives in [`crate::tier`].
+//! demoter or [`CompressedStore::demote_now`]; and the deferred seals,
+//! the LZRW1 passes puts hand to the demoter and later publish. The
+//! placement policy itself lives in [`crate::tier`].
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
 
 use super::core::{Progress, StoreCore};
-use super::shard::{probe_hint, Residence, Scratch, Shard, SCRATCH};
+use super::shard::{probe_code, probe_hint, Entry, Residence, Scratch, Shard, SCRATCH};
 use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::CompressedStore;
-use cc_compress::CodecId;
+use cc_compress::{CodecId, Route, Selection};
 use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
 use cc_util::LruList;
 
@@ -48,7 +51,7 @@ impl StoreCore {
         // bytes (if that's where it lives) go out. A spilled source
         // frees nothing in memory.
         let freed = match &e.residence {
-            Residence::Memory { data, .. } => data.len() as i64,
+            Residence::Memory { data, .. } | Residence::Sealing { data } => data.len() as i64,
             Residence::Spilled { .. } => 0,
             // Already hot, in flight to disk, or same-filled (which is
             // strictly cheaper than hot): nothing to do.
@@ -56,23 +59,10 @@ impl StoreCore {
         };
         let delta = page.len() as i64 - freed;
         if delta > 0 {
-            let delta = delta as usize;
-            let mut cur = self.resident.load(Ordering::Relaxed);
-            loop {
-                if cur + delta > self.cfg.memory_budget {
-                    drop(shard);
-                    self.tel.count(shard_idx, tstat::PROMOTIONS_REJECTED, 1);
-                    return;
-                }
-                match self.resident.compare_exchange_weak(
-                    cur,
-                    cur + delta,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
+            if !self.reserve_resident(delta as usize) {
+                drop(shard);
+                self.tel.count(shard_idx, tstat::PROMOTIONS_REJECTED, 1);
+                return;
             }
         } else {
             self.resident
@@ -87,6 +77,11 @@ impl StoreCore {
             Residence::Spilled { offset, len, .. } => {
                 // The extent stays behind as dead bytes for the cleaner.
                 self.extent_died(offset, len);
+            }
+            // Already counted hot at full size; its job drops at publish.
+            Residence::Sealing { data } => {
+                self.hot_resident.fetch_sub(data.len(), Ordering::Relaxed);
+                self.seal_orphaned.fetch_add(1, Ordering::Relaxed);
             }
             _ => unreachable!("checked above"),
         }
@@ -308,31 +303,317 @@ impl StoreCore {
         (hot_n, warm_n)
     }
 
-    /// Body of the `cc-store-demoter` thread: sleep `demote_interval`,
-    /// then repeat [`Self::demote_pass`] until a pass demotes nothing —
-    /// the aged backlog is drained per wake, and nobody kicks the
-    /// condvar but `shutdown()`/`Drop`, which set `demote_stop` and end
-    /// the loop (between two passes at the latest).
+    /// Body of the `cc-store-demoter` thread. It sleeps until its next
+    /// [`Self::demote_pass`] is due, `demote_interval` after the last,
+    /// or until a put hands it a batch of deferred seals; every wake
+    /// seals what is queued ([`Self::seal_queued`]), and a wake at the
+    /// interval then repeats passes until one demotes nothing — the aged
+    /// backlog is drained per wake. `shutdown()`/`Drop` set
+    /// `demote_stop` and end the loop (between two passes at the latest).
     pub(super) fn demoter_loop(&self) {
         let stopped = || *self.demote_stop.lock().expect("demoter stop poisoned");
+        let mut next_pass = Instant::now() + self.cfg.demote_interval;
         loop {
             let guard = self.demote_stop.lock().expect("demoter stop poisoned");
             if *guard {
                 return;
             }
+            self.seals().parked = true;
+            let nap = next_pass.saturating_duration_since(Instant::now());
             let (guard, _) = self
                 .demote_cv
-                .wait_timeout(guard, self.cfg.demote_interval)
+                .wait_timeout(guard, nap)
                 .expect("demoter stop poisoned");
             if *guard {
                 return;
             }
             drop(guard);
+            self.seal_queued();
+            if Instant::now() < next_pass {
+                continue;
+            }
             while self.demote_pass() != (0, 0) {
                 if stopped() {
                     return;
                 }
             }
+            next_pass = Instant::now() + self.cfg.demote_interval;
+        }
+    }
+
+    pub(super) fn seals(&self) -> MutexGuard<'_, SealQueue> {
+        self.seals.lock().expect("seal queue poisoned")
+    }
+
+    /// Defer the seal of a put whose route is LZRW1: store the raw page
+    /// as [`Residence::Sealing`] and queue its job for the demoter.
+    /// Only while the demoter's hot floor is not reached and the raw page
+    /// reserves outright, never after shutdown, and with at most
+    /// [`SEAL_QUEUE_CAP`] jobs outstanding; `false` leaves the put to seal
+    /// inline, with nothing changed.
+    pub(super) fn defer_seal(&self, key: u64, page: &[u8], now: u32, timed: bool) -> bool {
+        let policy = &self.cfg.tier_policy;
+        if !policy.wants_demoter()
+            || self.pressure_pct() >= policy.hot_demote_pressure_pct
+            || !self.reserve_resident(page.len())
+        {
+            return false;
+        }
+        let shard_idx = self.shard_index(key);
+        let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
+        let mut q = self.seals();
+        if q.closed || q.outstanding == SEAL_QUEUE_CAP {
+            drop(q);
+            drop(shard);
+            self.resident.fetch_sub(page.len(), Ordering::Relaxed);
+            return false;
+        }
+        let job = match q.free.pop() {
+            Some(mut job) => {
+                Arc::get_mut(&mut job.raw)
+                    .expect("a free job's page is its own")
+                    .copy_from_slice(page);
+                job.key = key;
+                job.timed = timed;
+                job
+            }
+            None => SealJob::new(self, key, page, timed),
+        };
+        let data = Arc::clone(&job.raw);
+        q.queued.push_back(job);
+        q.outstanding += 1;
+        // A parked demoter is woken for a batch, never for one job.
+        let wake = q.parked && q.queued.len() >= SEAL_WAKE_BATCH;
+        q.parked &= !wake;
+        drop(q);
+        self.remove_locked(&mut shard, key);
+        self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
+        shard.entries.insert(
+            key,
+            Entry {
+                residence: Residence::Sealing { data },
+                orig_len: page.len() as u32,
+                codec: CodecId::Raw.as_u8(),
+                probe: probe_code(Some(Route::Lz)),
+                gets: 0,
+                last_touch: now,
+                journaled: false,
+            },
+        );
+        drop(shard);
+        self.tel.count(shard_idx, tstat::SEALS_DEFERRED, 1);
+        if wake {
+            // Under the demoter's mutex: it parked holding it, so it is
+            // waiting by now and the notify cannot be lost.
+            let _parked = self.demote_stop.lock().expect("demoter stop poisoned");
+            self.demote_cv.notify_one();
+        }
+        true
+    }
+
+    /// The demoter's drain step: seal every queued job, one at a time,
+    /// into its own output buffer. Takes no shard lock and allocates
+    /// and frees nothing: the job's buffers were reserved on the
+    /// foreground, and the lists' capacity covers [`SEAL_QUEUE_CAP`].
+    pub(super) fn seal_queued(&self) {
+        let mut done: Option<SealJob> = None;
+        loop {
+            let mut q = self.seals();
+            if let Some(job) = done.take() {
+                q.sealed.push_back(job);
+                self.seals_ready.store(true, Ordering::Relaxed);
+            }
+            q.parked = false;
+            q.sealing = false;
+            let Some(mut job) = q.queued.pop_front() else {
+                return;
+            };
+            q.sealing = true;
+            drop(q);
+            self.seal(&mut job);
+            done = Some(job);
+        }
+    }
+
+    /// Run `job`'s LZRW1 pass on this thread's codec set.
+    fn seal(&self, job: &mut SealJob) {
+        let t0 = job.timed.then(Instant::now);
+        let sel = SCRATCH.with(|c| {
+            c.borrow_mut().codecs.compress_with_hint(
+                self.cfg.codec_policy,
+                self.cfg.threshold,
+                &job.raw,
+                &mut job.out,
+                Some(Route::Lz),
+            )
+        });
+        job.sel = Some((sel, t0.map(|t| t.elapsed().as_nanos() as u64)));
+    }
+
+    /// Publish every sealed job (the tail of each put, once the demoter
+    /// has sealed something). With `all`, also seal each queued job on
+    /// this thread and wait out the one the demoter holds — one codec
+    /// pass, so yielding to it is enough — leaving no job outstanding
+    /// that was queued before the call.
+    pub(super) fn publish_seals(&self, all: bool) {
+        loop {
+            let mut q = self.seals();
+            let job = if let Some(job) = q.sealed.pop_front() {
+                self.seals_ready
+                    .store(!q.sealed.is_empty(), Ordering::Relaxed);
+                drop(q);
+                job
+            } else if !all {
+                return;
+            } else if let Some(mut job) = q.queued.pop_front() {
+                drop(q);
+                self.seal(&mut job);
+                job
+            } else if q.sealing {
+                drop(q);
+                std::thread::yield_now();
+                continue;
+            } else {
+                return;
+            };
+            self.publish_seal(job);
+        }
+    }
+
+    /// Place a sealed job's page where the inline put would have — warm
+    /// at the MRU end when the policy does not admit it hot, hot
+    /// otherwise — if its entry is still the `Sealing` one it was queued
+    /// for ([`Arc::ptr_eq`]); a re-put, remove or promotion since has
+    /// orphaned it, and it drops. The put's codec counters count either
+    /// way: the seal ran. The job goes back to the free list under the
+    /// shard lock, so the checker sees it outstanding exactly while its
+    /// entry or an orphan count says so.
+    fn publish_seal(&self, job: SealJob) {
+        let (sel, ns) = job.sel.expect("published a job before sealing it");
+        let (key, raw) = (job.key, job.raw.len());
+        let shard_idx = self.shard_index(key);
+        let hot = self.cfg.tier_policy.admit_hot(sel.admitted);
+        self.count_seal(shard_idx, &sel, raw, ns);
+        if hot {
+            self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
+        }
+        let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
+        let waiting = matches!(
+            shard.entries.get(&key).map(|e| &e.residence),
+            Some(Residence::Sealing { data }) if Arc::ptr_eq(data, &job.raw)
+        );
+        if !waiting {
+            self.seal_orphaned.fetch_sub(1, Ordering::Relaxed);
+        } else if hot {
+            let handle = shard.lru_hot.push_mru(key);
+            let e = shard.entries.get_mut(&key).expect("checked above");
+            e.probe = probe_code(Some(sel.route()));
+            e.residence = Residence::Hot {
+                data: job.raw[..].into(),
+                handle,
+            };
+        } else {
+            let handle = shard.lru.push_mru(key);
+            let e = shard.entries.get_mut(&key).expect("checked above");
+            e.probe = probe_code(Some(sel.route()));
+            e.codec = sel.codec.as_u8();
+            e.residence = Residence::Memory {
+                data: job.out[..sel.len].into(),
+                handle,
+            };
+            self.resident.fetch_sub(raw - sel.len, Ordering::Relaxed);
+            self.hot_resident.fetch_sub(raw, Ordering::Relaxed);
+            self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
+        }
+        let mut q = self.seals();
+        q.outstanding -= 1;
+        q.free.push(job);
+    }
+}
+
+/// Seal jobs outstanding at once — queued, being sealed, or sealed and
+/// not yet published. With the pressure gate it bounds the raw bytes
+/// `Sealing` entries hold off every LRU, as the in-flight limit bounds
+/// `Spilling` ones.
+pub(super) const SEAL_QUEUE_CAP: usize = 64;
+
+/// Queued jobs at which a put wakes a parked demoter; fewer wait for its
+/// next interval.
+const SEAL_WAKE_BATCH: usize = 4;
+
+/// One deferred LZRW1 seal. Its buffers are recycled through
+/// [`SealQueue::free`], so a deferred put costs a page copy, not an
+/// allocation.
+pub(super) struct SealJob {
+    key: u64,
+    /// The put's raw page; the `Sealing` entry holds the other clone.
+    raw: Arc<[u8]>,
+    /// The sealed bytes, in a buffer reserved up front to everything a
+    /// codec writes, so the seal never reallocates it.
+    out: Vec<u8>,
+    /// The put's timing decision.
+    timed: bool,
+    /// What the seal produced, and its nanoseconds when timed.
+    sel: Option<(Selection, Option<u64>)>,
+}
+
+impl SealJob {
+    /// A new job for `page`, on the foreground.
+    fn new(core: &StoreCore, key: u64, page: &[u8], timed: bool) -> SealJob {
+        let mut out = Vec::new();
+        // The codec layer reserves what any codec writes before it reads
+        // the hint; a stored block is the cheap way to have it do so
+        // here rather than on the demoter.
+        SCRATCH.with(|c| {
+            c.borrow_mut().codecs.compress_with_hint(
+                core.cfg.codec_policy,
+                core.cfg.threshold,
+                page,
+                &mut out,
+                Some(Route::Raw),
+            )
+        });
+        SealJob {
+            key,
+            raw: page.into(),
+            out,
+            timed,
+            sel: None,
+        }
+    }
+}
+
+/// The deferred seals, under one leaf lock (taken after a shard lock,
+/// never before one).
+pub(super) struct SealQueue {
+    /// Jobs waiting for the demoter (or a flush), oldest first.
+    queued: VecDeque<SealJob>,
+    /// Sealed jobs waiting for the foreground to publish them.
+    sealed: VecDeque<SealJob>,
+    /// Published jobs, buffers kept for the next deferral.
+    free: Vec<SealJob>,
+    /// Jobs out of `free`: queued, being sealed, or sealed.
+    pub(super) outstanding: usize,
+    /// The demoter holds a job outside the lists.
+    sealing: bool,
+    /// The demoter sleeps; a put may wake it for a batch.
+    parked: bool,
+    /// Set by `close()`: no put defers any more.
+    pub(super) closed: bool,
+}
+
+impl SealQueue {
+    /// Lists sized for [`SEAL_QUEUE_CAP`] jobs, so the demoter's pushes
+    /// never grow them.
+    pub(super) fn new() -> SealQueue {
+        SealQueue {
+            queued: VecDeque::with_capacity(SEAL_QUEUE_CAP),
+            sealed: VecDeque::with_capacity(SEAL_QUEUE_CAP),
+            free: Vec::with_capacity(SEAL_QUEUE_CAP),
+            outstanding: 0,
+            sealing: false,
+            parked: false,
+            closed: false,
         }
     }
 }

@@ -248,6 +248,7 @@ proptest! {
         }
         let store = CompressedStore::new(StoreConfig::in_memory(64 << 20));
         store.put(1, &page).unwrap();
+        store.flush().unwrap();
         let s = store.stats();
         if flipped {
             prop_assert_eq!(s.same_filled, 0, "near-pattern wrongly elided");
