@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Positioned I/O over the spill medium. All methods take `&self`: one
-/// medium is shared by the writer thread and every reader, and
+/// medium is shared by the store's background thread and every reader, and
 /// implementations must be safe under that concurrency (the real file
 /// uses `pread`/`pwrite`).
 pub trait SpillMedium: Send + Sync + 'static {
@@ -51,7 +51,7 @@ pub trait SpillMedium: Send + Sync + 'static {
 }
 
 /// The real spill file, using positioned I/O so concurrent readers and
-/// the writer thread never contend on a seek cursor.
+/// the background thread never contend on a seek cursor.
 pub struct FileMedium {
     file: File,
 }

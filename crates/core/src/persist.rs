@@ -407,7 +407,7 @@ pub(crate) type Tombstone = (u64, u64);
 
 /// The store's handle on its persistence state, behind a leaf lock:
 /// callers may hold a shard lock, and nothing is acquired while this is
-/// held. Only the writer thread writes the file; foreground removes only
+/// held. Only the background thread writes the file; foreground removes only
 /// queue tombstones here.
 pub(crate) struct Persist {
     state: Mutex<PersistState>,

@@ -86,8 +86,9 @@ impl StoreCore {
                 "resident {resident} (hot {hot_g} + warm {warm_g}) but entries hold hot {hot} + warm {warm}"
             ));
         }
-        // The seal queue is a leaf lock: taken after every shard's.
-        let (jobs, seal_orphaned) = (self.seals().outstanding, gauge(&self.seal_orphaned));
+        // The inbox, which holds the seal queue, is a leaf lock: taken
+        // after every shard's.
+        let (jobs, seal_orphaned) = (self.inbox().seals.outstanding, gauge(&self.seal_orphaned));
         if jobs != sealing + seal_orphaned {
             return Err(format!(
                 "{jobs} seal jobs outstanding but {sealing} Sealing entries and {seal_orphaned} orphaned jobs"

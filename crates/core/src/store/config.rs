@@ -39,7 +39,7 @@ pub struct StoreConfig {
     /// Number of lock-striped shards, rounded up to a power of two.
     /// `0` (the default) sizes the striping to the hardware parallelism.
     pub shards: usize,
-    /// Target bytes per coalesced spill batch. The writer thread packs
+    /// Target bytes per coalesced spill batch. The spill writer packs
     /// queued entries until a batch reaches this size (or the queue goes
     /// briefly idle) and writes it with a single positioned write.
     /// Default is the paper's §4.3 batch size, 32 KB. The spill file's
@@ -54,8 +54,8 @@ pub struct StoreConfig {
     pub gc_dead_ratio: f64,
     /// Whether latency sampling is enabled (default `true`). Counters
     /// stay live either way — [`StoreStats`] is always exact — and the
-    /// writer thread's batch/GC timings are always recorded since they
-    /// are off the data path.
+    /// background thread's batch/GC timings are always recorded since
+    /// they are off the data path.
     pub telemetry: bool,
     /// Total attempts (first try + retries) for a spill read or batch
     /// write before the failure is treated as hard. Default 3; clamped
@@ -68,9 +68,9 @@ pub struct StoreConfig {
     /// exhausted its retries) after which the store enters degraded
     /// mode. Default 3.
     pub degrade_after: u32,
-    /// While degraded, the writer probes the medium with a canary
-    /// write/read round-trip at this interval, re-enabling spill on
-    /// success. Default 50 ms.
+    /// While degraded, the background thread probes the medium with a
+    /// canary write/read round-trip this often — a deadline no flush or
+    /// other work postpones — re-enabling spill on success. Default 50 ms.
     pub probe_interval: Duration,
     /// Optional request tracer / flight recorder. When set, sampled
     /// requests record causal spans (put/get, compress, spill queue +
@@ -85,10 +85,10 @@ pub struct StoreConfig {
     /// them back down under pressure; [`TierPolicy::COMPRESS_ALL`]
     /// reproduces the flat pre-tiering store exactly.
     pub tier_policy: TierPolicy,
-    /// How often the background demoter wakes to sweep for aged hot and
-    /// warm pages (only spawned when the policy wants aging at all).
-    /// Each sweep drains the aged backlog; a put wakes it between sweeps
-    /// only to hand it a batch of deferred LZRW1 seals. Default 5 ms.
+    /// How often a demote pass — a sweep for aged hot and warm pages —
+    /// falls due on the background thread, if the policy ages pages. A
+    /// due pass repeats while it demotes something, draining the aged
+    /// backlog; no put brings one forward. Default 5 ms.
     pub demote_interval: Duration,
 }
 
@@ -107,7 +107,7 @@ const DEFAULT_DEGRADE_AFTER: u32 = 3;
 /// Default medium re-probe interval while degraded.
 const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Default background demoter wake interval.
+/// Default interval between demote passes.
 const DEFAULT_DEMOTE_INTERVAL: Duration = Duration::from_millis(5);
 
 /// The spill writer's in-flight payload is bounded by the budget over
@@ -223,7 +223,7 @@ impl StoreConfig {
         self
     }
 
-    /// Override the background demoter wake interval (see
+    /// Override the interval between demote passes (see
     /// [`StoreConfig::demote_interval`]).
     pub fn with_demote_interval(mut self, t: Duration) -> Self {
         self.demote_interval = t;
@@ -316,7 +316,7 @@ pub enum HitTier {
     /// decompression at all.
     Hot,
     /// Served from compressed bytes resident in memory (including entries
-    /// still queued for the writer thread).
+    /// still queued for the spill writer).
     Memory,
     /// Reconstructed from an 8-byte same-filled pattern; no decompression.
     SameFilled,

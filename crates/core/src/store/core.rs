@@ -1,4 +1,4 @@
-//! [`StoreCore`], the state the public handle and the background threads
+//! [`StoreCore`], the state the public handle and the background thread
 //! share, and the whole foreground data path on it: put, get, the cold
 //! read, remove, eviction and shedding, and `flush`. A hit or a resident
 //! put calls nothing outside this module; promotion (`tiering`) and the
@@ -13,8 +13,8 @@ use super::extent::verify_extent;
 use super::gc::Segments;
 use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Shard, SCRATCH};
 use super::stats::{top, tstat};
-use super::tiering::{DemoteOutcome, SealQueue};
-use super::writer::ToWriter;
+use super::tiering::DemoteOutcome;
+use super::writer::Inbox;
 #[cfg(doc)]
 use super::{CompressedStore, StoreStats};
 use super::{HitTier, StoreConfig, StoreError};
@@ -27,8 +27,8 @@ use cc_compress::{
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
 use cc_telemetry::Telemetry;
 
-/// Everything shared between the public handle and the writer thread:
-/// the shards, the budget gauge, and the spill-file bookkeeping.
+/// Everything the public handle and the background thread share: the
+/// shards, the budget gauge, the inbox, and the spill-file bookkeeping.
 pub(super) struct StoreCore {
     pub(super) cfg: StoreConfig,
     pub(super) shards: Vec<Padded<Mutex<Shard>>>,
@@ -49,17 +49,12 @@ pub(super) struct StoreCore {
     /// what lets promotion revalidate "the entry I served is still the
     /// entry I'm swapping" by comparing stamps.
     pub(super) touch_clock: AtomicU64,
-    /// Demoter shutdown flag, under the condvar's mutex.
-    pub(super) demote_stop: Mutex<bool>,
-    /// Wakes the demoter for shutdown, and to hand it a batch of
-    /// deferred LZRW1 seals; never per put, never under pressure. It
-    /// otherwise sleeps `cfg.demote_interval` between passes and drains
-    /// its backlog per wake.
-    pub(super) demote_cv: Condvar,
-    /// The deferred seals ([`StoreCore::defer_seal`]): queued for the
-    /// demoter, sealed and waiting to be published, and their recycled
-    /// buffers. A leaf lock: taken under a shard lock, never the reverse.
-    pub(super) seals: Mutex<SealQueue>,
+    /// What the foreground hands the background thread — spill jobs,
+    /// flush barriers, deferred seals, shutdown — and whether it sleeps.
+    pub(super) inbox: Mutex<Inbox>,
+    /// Wakes the parked background thread ([`StoreCore::park`]), never
+    /// per put, and on its progress whoever [`StoreCore::wait_on_writer`].
+    pub(super) wake: Condvar,
     /// Whether a sealed job waits to be published: the one load a put
     /// pays for the deferred seals when none is ready.
     pub(super) seals_ready: AtomicBool,
@@ -71,23 +66,24 @@ pub(super) struct StoreCore {
     pub(super) page_size: AtomicUsize,
     /// Generation stamp for spill jobs.
     pub(super) next_gen: AtomicU64,
-    /// The spill medium, shared by the writer thread and all readers
+    /// The spill medium, shared by the background thread and all readers
     /// (positioned I/O — no seek cursor to contend on).
     pub(super) medium: Option<Arc<dyn SpillMedium>>,
     /// Set when spill is disabled after consecutive hard medium
-    /// failures (or a writer death). Eviction sheds instead of
+    /// failures (or a background thread's death). Eviction sheds instead of
     /// spilling until the probation probe clears it.
     pub(super) degraded: AtomicBool,
-    /// Set when the writer thread has exited — normally (shutdown /
-    /// drop) or by panic. With this set, `Spilling` entries the writer
-    /// has not published yet never will be.
+    /// Set, under the inbox lock, when the background thread has exited
+    /// or is about to — normally (shutdown / drop) or by panic. From then
+    /// on no barrier is taken, and `Spilling` entries the writer has not
+    /// published never will be.
     pub(super) writer_dead: AtomicBool,
     /// Payload bytes handed to the writer and not yet published or
     /// failed by it: up (by CAS, bounded by the in-flight limit — see
     /// [`StoreCore::reserve_inflight`]) at every hand-off, down exactly
     /// once per job, both under the job key's shard lock. Relaxed: the
     /// entries it describes are published by the shard locks, and
-    /// waiters re-read it under `spill_waiters`.
+    /// waiters re-read it under the inbox lock.
     pub(super) spill_inflight: AtomicUsize,
     /// The part of `spill_inflight` whose entry was removed or replaced
     /// while the job was queued: the job still holds its payload until
@@ -95,13 +91,6 @@ pub(super) struct StoreCore {
     /// it. Kept so [`CompressedStore::check_invariants`] can state the
     /// gauge as an identity instead of an inequality.
     pub(super) spill_orphaned: AtomicUsize,
-    /// Threads blocked in [`StoreCore::wait_for_writer`]. The writer
-    /// takes this lock after every batch it publishes (and when it
-    /// exits) and signals `spill_cv` only if somebody waits.
-    pub(super) spill_waiters: Mutex<usize>,
-    /// Signalled on writer progress: in-flight bytes went down, or the
-    /// writer exited.
-    pub(super) spill_cv: Condvar,
     /// Non-zero while a thread is between pushing `resident` over the
     /// budget (a failed write's memory fallback) and shedding it back —
     /// the one window in which `resident > memory_budget` is legal.
@@ -190,6 +179,12 @@ impl StoreCore {
 
     pub(super) fn has_spill(&self) -> bool {
         self.medium.is_some()
+    }
+
+    /// Whether an evicted page can go to the spill writer: the store has
+    /// a spill file and its background thread has not exited.
+    pub(super) fn spill_open(&self) -> bool {
+        self.has_spill() && !self.writer_dead.load(Ordering::Relaxed)
     }
 
     /// Flip into degraded mode (idempotent); `failures` is the
@@ -508,7 +503,7 @@ impl StoreCore {
                     // Nothing left to evict (everything is already
                     // spilling, or the page alone exceeds the budget):
                     // bypass residence and spill this entry directly.
-                    if shard.tx.is_none() {
+                    if !self.spill_open() {
                         // The writer is gone (the store was shut down):
                         // fail the put instead of panicking. The old
                         // entry was already removed above — acceptable
@@ -567,7 +562,7 @@ impl StoreCore {
             journaled: false,
         };
         // One allocation of exactly the stored length, whichever tier.
-        let placed = SCRATCH.with(|c| {
+        SCRATCH.with(|c| {
             let compressed = &c.borrow().comp[..len];
             if hot {
                 // Hot tier: keep the raw page; the sealed bytes are
@@ -590,15 +585,9 @@ impl StoreCore {
             } else {
                 // Straight-to-spill path (see above): never resident,
                 // its `len` bytes already counted in flight.
-                let tx = shard.tx.as_ref().expect("checked above");
-                return self.hand_off(tx, key, &mut entry, compressed.into(), ctx);
+                self.hand_off(key, &mut entry, compressed.into(), ctx);
             }
-            true
         });
-        if !placed {
-            // The writer panicked: fail this put (nothing to shed).
-            return Err(StoreError::ShuttingDown);
-        }
         shard.entries.insert(key, entry);
         drop(shard);
         self.tel.record_since(top::PUT, t0, ctx.trace_id);
@@ -1016,11 +1005,18 @@ impl StoreCore {
             }
         };
         let warm_victim = shard.lru.peek_lru().map(|(_, &k)| k);
-        if shard.tx.is_none() {
+        let degraded = self.degraded.load(Ordering::Relaxed);
+        if self.has_spill() && degraded {
+            // Degraded: the medium can't be trusted with this page, but
+            // the budget still must be honored. Shedding drops the
+            // coldest entry entirely — cache-miss semantics.
+            return freed(self.shed_one(shard));
+        }
+        if !self.spill_open() {
             // No writer (memory-only store, or shut down): warm pages
             // have nowhere to go, but a hot page whose compressed form
             // is smaller can still be squeezed down to warm in place.
-            if self.degraded.load(Ordering::Relaxed) {
+            if degraded {
                 return Progress::NoVictim;
             }
             if let Some((_, &victim)) = shard.lru_hot.peek_lru() {
@@ -1031,16 +1027,10 @@ impl StoreCore {
             }
             return Progress::NoVictim;
         }
-        if self.degraded.load(Ordering::Relaxed) {
-            // Degraded: the medium can't be trusted with this page, but
-            // the budget still must be honored. Shedding drops the
-            // coldest entry entirely — cache-miss semantics.
-            return freed(self.shed_one(shard));
-        }
         let Some(victim) = warm_victim else {
             // Only hot entries left: compress the coldest and demote it
             // (to warm when compression frees memory, straight to the
-            // spill channel otherwise — guaranteed progress either way).
+            // spill writer otherwise — guaranteed progress either way).
             if let Some((_, &victim)) = shard.lru_hot.peek_lru() {
                 return match self.demote_hot_locked(shard, victim) {
                     DemoteOutcome::Warm | DemoteOutcome::Spilled => Progress::Evicted,
@@ -1063,7 +1053,7 @@ impl StoreCore {
         shard.lru.remove(handle);
         self.resident.fetch_sub(len, Ordering::Relaxed);
         self.warm_resident.fetch_sub(len, Ordering::Relaxed);
-        self.spill_victim(shard, victim, data);
+        self.hand_off(victim, entry, data, TraceCtx::NONE);
         Progress::Evicted
     }
 
@@ -1174,15 +1164,13 @@ impl StoreCore {
         // go out in a batch of their own, which only the writer — the
         // one allocator of file space — may write, so a crash after a
         // successful flush can never resurrect a key the caller saw
-        // removed before the barrier. A tombstone in a batch still being
-        // written — a spill, relocation or another caller's barrier
-        // batch — counts as waiting, and the writer answers only after
-        // that batch. A writer that is gone answers nothing.
+        // removed before the barrier. The writer answers between two
+        // batches, so a tombstone in a batch being written — a spill,
+        // relocation or another caller's barrier batch — is on the file
+        // by then. A writer that is gone answers nothing.
         if self.persist.has_pending() {
-            let tx = self.shards[0].0.lock().expect("shard poisoned").tx.clone();
             let (reply, done) = channel();
-            let sent = tx.is_some_and(|tx| tx.send(ToWriter::Barrier(reply)).is_ok());
-            match (sent, done.recv()) {
+            match (self.send_barrier(reply), done.recv()) {
                 (true, Ok(true)) => {}
                 (true, Ok(false)) => {
                     let e = std::io::Error::other("the queued tombstones were not written");

@@ -36,7 +36,7 @@ use super::writer::{SpillWriter, StagedJob};
 #[cfg(doc)]
 use super::StoreConfig;
 use crate::persist::{RecoveredSegment, Tombstone, SUMMARY_HEAD, SUPERBLOCK_RESERVED};
-use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
+use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, TraceCtx};
 
 /// A segment holds this many [`StoreConfig::spill_batch_bytes`] batches:
 /// 1 MiB at the 32 KB default.
@@ -726,28 +726,11 @@ impl SpillWriter {
     /// Telemetry for one cleaning step: one `gc_runs`, one pause sample
     /// and one background span.
     fn record_step(&self, t0: Instant, moved: u64) {
-        let pause = t0.elapsed().as_nanos() as u64;
-        self.core.tel.record(top::GC_PAUSE, pause);
-        self.core.tel.count(0, tstat::GC_RUNS, 1);
-        self.core.tel.count(0, tstat::GC_BYTES_RELOCATED, moved);
-        if let Some(tr) = self.core.cfg.tracer.as_deref() {
-            // Background span: no request trace owns a cleaning step.
-            tr.record(
-                0,
-                &Span {
-                    trace_id: 0,
-                    span_id: tr.alloc_span(),
-                    parent: 0,
-                    op: sop::GC,
-                    tier: strier::SPILL,
-                    codec: 0,
-                    status: 0,
-                    start_ns: tr.now_ns(t0),
-                    queue_ns: 0,
-                    service_ns: pause,
-                    arg: moved,
-                },
-            );
+        let core = &self.core;
+        let pause = core.record_pause(top::GC_PAUSE, sop::GC, strier::SPILL, t0, moved);
+        core.tel.count(0, tstat::GC_RUNS, 1);
+        core.tel.count(0, tstat::GC_BYTES_RELOCATED, moved);
+        if let Some(tr) = core.cfg.tracer.as_deref() {
             if pause > tr.gc_pause_threshold().as_nanos() as u64 {
                 tr.anomaly(AnomalyKind::GcPause, 0, moved, pause);
             }

@@ -5,8 +5,13 @@
 //! module is the same mechanism packaged the way its descendants (zram,
 //! zswap, the macOS/Windows compressed memory managers) expose it: a
 //! bounded in-memory store that keeps pages compressed, with spill of the
-//! coldest entries to a backing file handled by a background writer
-//! thread — the §4.2 cleaner, for real this time.
+//! coldest entries to a backing file handled by one background thread
+//! — the §4.2 cleaner, for real this time.
+//!
+//! The writer, its cleaner, the deferred seals, the demote passes and
+//! the probation probe are steps of one loop on one `cc-store-bg` thread
+//! per store, which a `COMPRESS_ALL` store without a spill file does not
+//! run.
 //!
 //! # Concurrency
 //!
@@ -23,7 +28,7 @@
 //! # Spill pipeline
 //!
 //! Evicted entries travel through a batched write pipeline that mirrors
-//! the paper's §4.3 backing-store interface: the writer thread coalesces
+//! the paper's §4.3 backing-store interface: the writer coalesces
 //! queued entries into [`StoreConfig::spill_batch_bytes`]-sized batches
 //! (32 KB by default, the paper's batch size) and issues one positioned
 //! write per batch, behind the batch's summary.
@@ -61,12 +66,12 @@
 //! [`TierPolicy::RECENCY`](crate::tier::TierPolicy::RECENCY), admits
 //! incompressible pages hot, promotes warm/cold pages back to hot on
 //! rapid re-access (never evicting to do so — promotion only proceeds
-//! when the extra bytes fit the budget outright), and relies on a
-//! background demoter thread that, under budget pressure, compresses
-//! aged hot pages down to warm and spills aged warm pages cold.
+//! when the extra bytes fit the budget outright), and relies on the
+//! background thread's demote passes that, under budget pressure,
+//! compress aged hot pages down to warm and spill aged warm pages cold.
 //! [`TierPolicy::COMPRESS_ALL`](crate::tier::TierPolicy::COMPRESS_ALL)
 //! reproduces the flat pre-tiering store exactly (no hot tier, no
-//! demoter thread), and
+//! demote passes), and
 //! [`TierPolicy::PAPER_THRESHOLD`](crate::tier::TierPolicy::PAPER_THRESHOLD)
 //! reproduces the paper's 4:3 rule as a pure admission-time split.
 //!
@@ -114,7 +119,8 @@
 //! timing decision from its operation stamp — 1 in
 //! [`cc_telemetry::LATENCY_SAMPLE_PERIOD`], traced requests always —
 //! and an unsampled operation reads no clock and writes no histogram;
-//! the writer, GC and demoter threads time every call. Get a [`cc_telemetry::Snapshot`] via
+//! the background thread's batch writes, cleaning steps and demote
+//! passes are timed every call. Get a [`cc_telemetry::Snapshot`] via
 //! [`CompressedStore::telemetry_snapshot`]; disable the timing (never
 //! the counters) with [`StoreConfig::with_telemetry`].
 //!
@@ -159,8 +165,8 @@ use stats::tstat;
 /// provided; share it behind an `Arc`.
 pub struct CompressedStore {
     core: Arc<StoreCore>,
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
-    demoter: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The `cc-store-bg` thread, if the store runs one.
+    bg: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl CompressedStore {
@@ -302,7 +308,7 @@ impl CompressedStore {
     }
 
     /// Publish every deferred seal — a put whose route is LZRW1 may leave
-    /// its page raw for the background demoter to seal; any such job
+    /// its page raw for the background thread to seal; any such job
     /// still queued is sealed on the calling thread — so every page sits
     /// where an inline put would have put it and the codec counters
     /// count every put so far. Then block until the spill writer has
@@ -311,7 +317,7 @@ impl CompressedStore {
     /// write any queued tombstones (tests and orderly shutdown). Entries
     /// sitting in a partially-filled batch are
     /// committed by the writer's bounded linger, so this terminates even
-    /// mid-batch. If the writer thread has died (panicked medium), the
+    /// mid-batch. If the background thread has died (a panic), the
     /// orphaned in-flight entries are reverted to memory residence, the
     /// budget is restored by shedding, and [`StoreError::ShuttingDown`]
     /// is returned — a flush never hangs on a dead writer.
@@ -319,7 +325,7 @@ impl CompressedStore {
         self.core.flush()
     }
 
-    /// Drain pending spills, stop the writer thread, and join it. The
+    /// Drain pending spills, stop the background thread, and join it. The
     /// store remains readable; further puts that need to spill fail
     /// with [`StoreError::ShuttingDown`].
     pub fn shutdown(&self) {
@@ -327,26 +333,17 @@ impl CompressedStore {
         self.close();
     }
 
-    /// Stop the background threads (idempotent): stop deferring seals,
-    /// signal the demoter to exit and join it, publish every deferred
-    /// seal (no entry is left `Sealing`), then close every shard's
-    /// sender — which stops the writer once it has drained the queue —
-    /// and join the writer. The demoter goes first so a mid-sweep
-    /// demotion never races the channel closing.
+    /// Stop the background thread (idempotent): stop deferring seals,
+    /// close its inbox — it writes every spill job queued, seals the
+    /// file and exits — and join it, then publish every deferred seal,
+    /// so no entry is left `Sealing`.
     fn close(&self) {
-        self.core.seals().closed = true;
-        *self.core.demote_stop.lock().expect("demoter flag poisoned") = true;
-        self.core.demote_cv.notify_all();
-        if let Some(handle) = self.demoter.lock().expect("demoter handle poisoned").take() {
+        self.core.inbox().closed = true;
+        self.core.wake.notify_all();
+        if let Some(handle) = self.bg.lock().expect("background handle poisoned").take() {
             let _ = handle.join();
         }
         self.core.publish_seals(true);
-        for s in &self.core.shards {
-            s.0.lock().expect("shard poisoned").tx = None;
-        }
-        if let Some(handle) = self.writer.lock().expect("writer handle poisoned").take() {
-            let _ = handle.join();
-        }
     }
 
     /// Check the in-memory bookkeeping against the entries themselves,
@@ -397,8 +394,8 @@ impl CompressedStore {
     }
 
     /// Run one demotion sweep inline on the calling thread, exactly as
-    /// the background demoter would (same policy age and pressure
-    /// gates). Returns `(hot pages demoted, warm pages spilled)`.
+    /// the background thread's demote step does (same policy age and
+    /// pressure gates). Returns `(hot pages demoted, warm pages spilled)`.
     /// Deterministic tests and benches use this instead of sleeping for
     /// the thread.
     pub fn demote_now(&self) -> (u64, u64) {

@@ -1,10 +1,9 @@
 //! Opening a store: the constructors over files or explicit media, the
 //! superblock a fresh spill file gets, the recovery fold that rebuilds
 //! the cold tier from the spill file's batch summaries, and the spawn of
-//! the writer and demoter threads.
+//! the store's one background thread.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -12,8 +11,7 @@ use super::core::StoreCore;
 use super::gc::{segment_bytes, Segments};
 use super::shard::{Entry, EntryMap, Padded, Residence, Shard};
 use super::stats::{top, tstat, STORE_TELEMETRY};
-use super::tiering::SealQueue;
-use super::writer::{SpillWriter, ToWriter};
+use super::writer::{Background, Inbox, SpillWriter};
 use super::{CompressedStore, StoreConfig, StoreError};
 use crate::medium::{FileMedium, SpillMedium};
 use crate::persist::{self, Persist, Superblock};
@@ -89,14 +87,14 @@ impl CompressedStore {
     }
 
     /// A store over a fresh `medium`, if any, whose writer stamps the
-    /// first superblock as it starts ([`SpillWriter::run`]).
+    /// first superblock as its thread starts ([`Background::run`]).
     fn fresh(cfg: StoreConfig, medium: Option<Arc<dyn SpillMedium>>) -> Self {
         let seg_bytes = segment_bytes(cfg.spill_batch_bytes);
         let persist = Persist::new(Superblock::fresh(seg_bytes));
         Self::build(cfg, medium, Segments::new(seg_bytes), persist, None)
     }
 
-    /// Assemble the store and start its threads. A recovered store keeps
+    /// Assemble the store and start its thread. A recovered store keeps
     /// its file's segment size and brings what recovery found and how
     /// long it took; a fresh one has no superblock on its file yet.
     fn build(
@@ -106,13 +104,6 @@ impl CompressedStore {
         persist: Persist,
         recovery: Option<(persist::Recovery, Duration)>,
     ) -> Self {
-        let (tx, rx) = match &medium {
-            Some(_) => {
-                let (tx, rx): (Sender<ToWriter>, Receiver<ToWriter>) = channel();
-                (Some(tx), Some(rx))
-            }
-            None => (None, None),
-        };
         let nshards = cfg.resolved_shards();
         let shards = (0..nshards)
             .map(|_| {
@@ -120,11 +111,9 @@ impl CompressedStore {
                     entries: EntryMap::default(),
                     lru: LruList::new(),
                     lru_hot: LruList::new(),
-                    tx: tx.clone(),
                 }))
             })
             .collect();
-        drop(tx);
         let tel = Telemetry::new(STORE_TELEMETRY, nshards, cfg.telemetry);
         let core = Arc::new(StoreCore {
             cfg,
@@ -134,9 +123,8 @@ impl CompressedStore {
             hot_resident: AtomicUsize::new(0),
             warm_resident: AtomicUsize::new(0),
             touch_clock: AtomicU64::new(0),
-            demote_stop: Mutex::new(false),
-            demote_cv: Condvar::new(),
-            seals: Mutex::new(SealQueue::new()),
+            inbox: Mutex::new(Inbox::default()),
+            wake: Condvar::new(),
             seals_ready: AtomicBool::new(false),
             seal_orphaned: AtomicUsize::new(0),
             page_size: AtomicUsize::new(0),
@@ -146,8 +134,6 @@ impl CompressedStore {
             writer_dead: AtomicBool::new(false),
             spill_inflight: AtomicUsize::new(0),
             spill_orphaned: AtomicUsize::new(0),
-            spill_waiters: Mutex::new(0),
-            spill_cv: Condvar::new(),
             shedding: AtomicUsize::new(0),
             tel,
             spill_file_bytes: AtomicU64::new(0),
@@ -208,57 +194,36 @@ impl CompressedStore {
             }
             core.tel.record(top::RECOVERY, took.as_nanos() as u64);
         }
-        let writer = match (&core.medium, rx) {
-            (Some(medium), Some(rx)) => {
-                let writer_core = Arc::clone(&core);
-                let medium = Arc::clone(medium);
-                let exit_core = Arc::clone(&core);
-                Some(
-                    std::thread::Builder::new()
-                        .name("cc-store-writer".into())
-                        .spawn(move || {
-                            // A panic anywhere in the writer (including
-                            // inside a hostile medium) must not strand
-                            // `flush()` callers or back-pressured puts:
-                            // degrade the store so eviction sheds
-                            // instead of queueing into the void, then
-                            // mark the thread dead and wake them, so
-                            // flush can reclaim orphaned jobs.
-                            let body = std::panic::AssertUnwindSafe(move || {
-                                SpillWriter {
-                                    core: writer_core,
-                                    medium,
-                                    cleaning: None,
-                                    clean_buf: Vec::new(),
-                                    consecutive_failures: 0,
-                                }
-                                .run(rx, fresh)
-                            });
-                            let result = std::panic::catch_unwind(body);
-                            if result.is_err() {
-                                exit_core.enter_degraded(0);
-                            }
-                            exit_core.writer_exited();
-                        })
-                        .expect("spawn writer thread"),
-                )
-            }
-            _ => None,
-        };
-        // The demoter only exists for policies that age pages at all;
-        // COMPRESS_ALL / PAPER_THRESHOLD stores carry zero extra threads,
-        // and seal every put inline.
-        let demoter = core.cfg.tier_policy.wants_demoter().then(|| {
-            let demote_core = Arc::clone(&core);
+        // One thread for the spill writer, the seals and the demote
+        // passes; a store in memory that ages nothing runs none.
+        let demoter = core.cfg.tier_policy.wants_demoter();
+        let bg = (core.has_spill() || demoter).then(|| {
+            let bg = Background {
+                writer: (core.medium.clone()).map(|m| SpillWriter::new(Arc::clone(&core), m)),
+                next_demote: demoter.then(|| Instant::now() + core.cfg.demote_interval),
+                core: Arc::clone(&core),
+            };
+            let exit_core = Arc::clone(&core);
             std::thread::Builder::new()
-                .name("cc-store-demoter".into())
-                .spawn(move || demote_core.demoter_loop())
-                .expect("spawn demoter thread")
+                .name("cc-store-bg".into())
+                .spawn(move || {
+                    // A panic anywhere in the thread (including inside a
+                    // hostile medium) must not strand `flush()` callers
+                    // or back-pressured puts: degrade the store so
+                    // eviction sheds instead of queueing into the void,
+                    // then mark the thread dead and wake them, so flush
+                    // can reclaim orphaned jobs.
+                    let body = std::panic::AssertUnwindSafe(move || bg.run(fresh));
+                    if std::panic::catch_unwind(body).is_err() {
+                        exit_core.enter_degraded(0);
+                    }
+                    exit_core.writer_exited();
+                })
+                .expect("spawn background thread")
         });
         CompressedStore {
             core,
-            writer: Mutex::new(writer),
-            demoter: Mutex::new(demoter),
+            bg: Mutex::new(bg),
         }
     }
 }

@@ -5,10 +5,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use super::writer::ToWriter;
 use cc_compress::{CodecSet, Route};
 use cc_util::LruList;
 #[cfg(doc)]
@@ -35,7 +33,7 @@ pub(super) enum Residence {
         handle: cc_util::LruHandle,
     },
     /// The raw page of a put whose route is LZRW1, waiting for the
-    /// demoter to seal it ([`SealJob`]). Counted at full page size in
+    /// background thread to seal it ([`SealJob`]). Counted at full page size in
     /// the budget and the hot gauge, on no LRU; a get is a memcpy. The
     /// job holds the other clone, and its publish revalidates against
     /// this allocation exactly as the writer's does for `Spilling`.
@@ -158,9 +156,6 @@ pub(super) struct Shard {
     /// prefer warm victims (already compressed — spilling them is
     /// cheap) and only then start compressing hot ones.
     pub(super) lru_hot: LruList<u64>,
-    /// Clone of the writer channel (kept per shard so no shared `Sender`
-    /// needs to be `Sync`); `None` once shut down or without a spill file.
-    pub(super) tx: Option<Sender<ToWriter>>,
 }
 
 /// Pad shards to their own cache lines so hot per-shard state on

@@ -131,7 +131,7 @@ pub struct StoreStats {
     /// bound after all: each is a page that unaudited would have been
     /// stored raw although it compresses.
     pub reject_mispredicted: u64,
-    /// Puts whose LZRW1 seal was handed to the background demoter: the
+    /// Puts whose LZRW1 seal was handed to the background thread: the
     /// raw page waited in memory (a get is a memcpy) and the sealed form
     /// was placed by a later put or `flush()`. Their codec counters
     /// count when the seal is published.
@@ -160,14 +160,15 @@ pub struct StoreStats {
     /// uncompressed bytes did not fit the budget without eviction, or
     /// the entry changed while the budget was being reserved.
     pub promotions_rejected: u64,
-    /// Hot pages the demoter (or budget-pressure eviction) compressed
+    /// Hot pages the demote passes (or budget-pressure eviction) compressed
     /// down to warm or shipped cold.
     pub demoted_hot: u64,
-    /// Warm pages the background demoter spilled cold by age (pressure
+    /// Warm pages the demote passes spilled cold by age (pressure
     /// evictions on the put path are counted in
     /// [`StoreStats::spilled`], not here).
     pub demoted_warm: u64,
-    /// Background demoter sweeps that ran (pressure gates open).
+    /// Demote passes that ran (pressure gates open), on the background
+    /// thread or by [`CompressedStore::demote_now`].
     pub demoter_passes: u64,
     /// Gets served from memory.
     pub hits_memory: u64,

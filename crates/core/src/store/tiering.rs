@@ -1,13 +1,13 @@
 //! Moving pages between the tiers: promotion of a re-accessed warm or
 //! cold page back to hot, and demotion — hot pages sealed down to warm
-//! (or straight to spill), aged warm pages spilled — by the background
-//! demoter or [`CompressedStore::demote_now`]; and the deferred seals,
-//! the LZRW1 passes puts hand to the demoter and later publish. The
-//! placement policy itself lives in [`crate::tier`].
+//! (or straight to spill), aged warm pages spilled — by demote passes on
+//! the background thread or [`CompressedStore::demote_now`]; and the
+//! deferred seals, the LZRW1 passes puts hand to that thread and later
+//! publish. The placement policy itself lives in [`crate::tier`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use super::core::{Progress, StoreCore};
@@ -16,7 +16,7 @@ use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::CompressedStore;
 use cc_compress::{CodecId, Route, Selection};
-use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
+use cc_telemetry::trace::{sop, tier as strier, TraceCtx};
 use cc_util::LruList;
 
 impl StoreCore {
@@ -110,7 +110,7 @@ impl StoreCore {
 
     /// Compress `shard`'s hot entry `key` (along the route its put took —
     /// no re-classification) and demote it: to warm residence when the
-    /// sealed form is smaller, else to the spill channel when one is
+    /// sealed form is smaller, else to the spill writer when one is
     /// available. `Kept` means neither helped; the entry is cycled to
     /// the hot MRU end so a bounded sweep doesn't re-grind it.
     /// `WriterFull` means the spill writer has no room in flight for it.
@@ -176,7 +176,7 @@ impl StoreCore {
             self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
             self.tel.count(shard_idx, tstat::DEMOTED_HOT, 1);
             DemoteOutcome::Warm
-        } else if shard.tx.is_some() {
+        } else if self.spill_open() {
             // Incompressible (that's usually why it was hot): hand the
             // sealed bytes straight to the spill writer, if they fit in
             // flight (the entry is untouched if they do not).
@@ -194,9 +194,8 @@ impl StoreCore {
             // residence.
             self.resident.fetch_sub(orig_len, Ordering::Relaxed);
             self.hot_resident.fetch_sub(orig_len, Ordering::Relaxed);
-            if self.spill_victim(shard, key, sealed) {
-                self.tel.count(shard_idx, tstat::DEMOTED_HOT, 1);
-            }
+            self.hand_off(key, e, sealed, TraceCtx::NONE);
+            self.tel.count(shard_idx, tstat::DEMOTED_HOT, 1);
             DemoteOutcome::Spilled
         } else {
             // Nothing to gain and nowhere to spill: cycle it so the
@@ -278,75 +277,14 @@ impl StoreCore {
             }
         }
         self.tel.count(0, tstat::DEMOTER_PASSES, 1);
-        let pause = t0.elapsed().as_nanos() as u64;
-        self.tel.record(top::DEMOTE_PAUSE, pause);
-        if let Some(tr) = self.cfg.tracer.as_deref() {
-            // Background span, same idiom as the GC pause: trace 0, no
-            // parent, `arg` = pages demoted this pass.
-            tr.record(
-                0,
-                &Span {
-                    trace_id: 0,
-                    span_id: tr.alloc_span(),
-                    parent: 0,
-                    op: sop::DEMOTE,
-                    tier: strier::NONE,
-                    codec: 0,
-                    status: 0,
-                    start_ns: tr.now_ns(t0),
-                    queue_ns: 0,
-                    service_ns: pause,
-                    arg: hot_n + warm_n,
-                },
-            );
-        }
+        let demoted = hot_n + warm_n;
+        self.record_pause(top::DEMOTE_PAUSE, sop::DEMOTE, strier::NONE, t0, demoted);
         (hot_n, warm_n)
     }
 
-    /// Body of the `cc-store-demoter` thread. It sleeps until its next
-    /// [`Self::demote_pass`] is due, `demote_interval` after the last,
-    /// or until a put hands it a batch of deferred seals; every wake
-    /// seals what is queued ([`Self::seal_queued`]), and a wake at the
-    /// interval then repeats passes until one demotes nothing — the aged
-    /// backlog is drained per wake. `shutdown()`/`Drop` set
-    /// `demote_stop` and end the loop (between two passes at the latest).
-    pub(super) fn demoter_loop(&self) {
-        let stopped = || *self.demote_stop.lock().expect("demoter stop poisoned");
-        let mut next_pass = Instant::now() + self.cfg.demote_interval;
-        loop {
-            let guard = self.demote_stop.lock().expect("demoter stop poisoned");
-            if *guard {
-                return;
-            }
-            self.seals().parked = true;
-            let nap = next_pass.saturating_duration_since(Instant::now());
-            let (guard, _) = self
-                .demote_cv
-                .wait_timeout(guard, nap)
-                .expect("demoter stop poisoned");
-            if *guard {
-                return;
-            }
-            drop(guard);
-            self.seal_queued();
-            if Instant::now() < next_pass {
-                continue;
-            }
-            while self.demote_pass() != (0, 0) {
-                if stopped() {
-                    return;
-                }
-            }
-            next_pass = Instant::now() + self.cfg.demote_interval;
-        }
-    }
-
-    pub(super) fn seals(&self) -> MutexGuard<'_, SealQueue> {
-        self.seals.lock().expect("seal queue poisoned")
-    }
-
     /// Defer the seal of a put whose route is LZRW1: store the raw page
-    /// as [`Residence::Sealing`] and queue its job for the demoter.
+    /// as [`Residence::Sealing`] and queue its job for the background
+    /// thread.
     /// Only while the demoter's hot floor is not reached and the raw page
     /// reserves outright, never after shutdown, and with at most
     /// [`SEAL_QUEUE_CAP`] jobs outstanding; `false` leaves the put to seal
@@ -361,13 +299,14 @@ impl StoreCore {
         }
         let shard_idx = self.shard_index(key);
         let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-        let mut q = self.seals();
-        if q.closed || q.outstanding == SEAL_QUEUE_CAP {
-            drop(q);
+        let mut inbox = self.inbox();
+        if inbox.closed || inbox.seals.outstanding == SEAL_QUEUE_CAP {
+            drop(inbox);
             drop(shard);
             self.resident.fetch_sub(page.len(), Ordering::Relaxed);
             return false;
         }
+        let q = &mut inbox.seals;
         let job = match q.free.pop() {
             Some(mut job) => {
                 Arc::get_mut(&mut job.raw)
@@ -382,10 +321,11 @@ impl StoreCore {
         let data = Arc::clone(&job.raw);
         q.queued.push_back(job);
         q.outstanding += 1;
-        // A parked demoter is woken for a batch, never for one job.
-        let wake = q.parked && q.queued.len() >= SEAL_WAKE_BATCH;
-        q.parked &= !wake;
-        drop(q);
+        // The background thread is woken for a batch, never for one job.
+        if q.queued.len() >= SEAL_WAKE_BATCH {
+            self.unpark(&mut inbox);
+        }
+        drop(inbox);
         self.remove_locked(&mut shard, key);
         self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
         shard.entries.insert(
@@ -402,34 +342,28 @@ impl StoreCore {
         );
         drop(shard);
         self.tel.count(shard_idx, tstat::SEALS_DEFERRED, 1);
-        if wake {
-            // Under the demoter's mutex: it parked holding it, so it is
-            // waiting by now and the notify cannot be lost.
-            let _parked = self.demote_stop.lock().expect("demoter stop poisoned");
-            self.demote_cv.notify_one();
-        }
         true
     }
 
-    /// The demoter's drain step: seal every queued job, one at a time,
-    /// into its own output buffer. Takes no shard lock and allocates
-    /// and frees nothing: the job's buffers were reserved on the
-    /// foreground, and the lists' capacity covers [`SEAL_QUEUE_CAP`].
+    /// The background thread's seal step: seal every queued job, one at
+    /// a time, into its own output buffer. Takes no shard lock and
+    /// allocates and frees nothing: the job's buffers were reserved on
+    /// the foreground, and the lists' capacity covers [`SEAL_QUEUE_CAP`].
     pub(super) fn seal_queued(&self) {
         let mut done: Option<SealJob> = None;
         loop {
-            let mut q = self.seals();
+            let mut inbox = self.inbox();
+            let q = &mut inbox.seals;
             if let Some(job) = done.take() {
                 q.sealed.push_back(job);
                 self.seals_ready.store(true, Ordering::Relaxed);
             }
-            q.parked = false;
             q.sealing = false;
             let Some(mut job) = q.queued.pop_front() else {
                 return;
             };
             q.sealing = true;
-            drop(q);
+            drop(inbox);
             self.seal(&mut job);
             done = Some(job);
         }
@@ -450,27 +384,29 @@ impl StoreCore {
         job.sel = Some((sel, t0.map(|t| t.elapsed().as_nanos() as u64)));
     }
 
-    /// Publish every sealed job (the tail of each put, once the demoter
-    /// has sealed something). With `all`, also seal each queued job on
-    /// this thread and wait out the one the demoter holds — one codec
-    /// pass, so yielding to it is enough — leaving no job outstanding
-    /// that was queued before the call.
+    /// Publish every sealed job (the tail of each put, once the
+    /// background thread has sealed something). With `all`, also seal
+    /// each queued job on this thread and wait out the one the
+    /// background thread holds — one codec pass, so yielding to it is
+    /// enough — leaving no job outstanding that was queued before the
+    /// call.
     pub(super) fn publish_seals(&self, all: bool) {
         loop {
-            let mut q = self.seals();
+            let mut inbox = self.inbox();
+            let q = &mut inbox.seals;
             let job = if let Some(job) = q.sealed.pop_front() {
                 self.seals_ready
                     .store(!q.sealed.is_empty(), Ordering::Relaxed);
-                drop(q);
+                drop(inbox);
                 job
             } else if !all {
                 return;
             } else if let Some(mut job) = q.queued.pop_front() {
-                drop(q);
+                drop(inbox);
                 self.seal(&mut job);
                 job
             } else if q.sealing {
-                drop(q);
+                drop(inbox);
                 std::thread::yield_now();
                 continue;
             } else {
@@ -525,7 +461,7 @@ impl StoreCore {
             self.hot_resident.fetch_sub(raw, Ordering::Relaxed);
             self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
         }
-        let mut q = self.seals();
+        let q = &mut self.inbox().seals;
         q.outstanding -= 1;
         q.free.push(job);
     }
@@ -537,9 +473,9 @@ impl StoreCore {
 /// `Spilling` ones.
 pub(super) const SEAL_QUEUE_CAP: usize = 64;
 
-/// Queued jobs at which a put wakes a parked demoter; fewer wait for its
-/// next interval.
-const SEAL_WAKE_BATCH: usize = 4;
+/// Queued jobs at which a put wakes the parked background thread (and
+/// it does not park); fewer wait for its next wake.
+pub(super) const SEAL_WAKE_BATCH: usize = 4;
 
 /// One deferred LZRW1 seal. Its buffers are recycled through
 /// [`SealQueue::free`], so a deferred put costs a page copy, not an
@@ -563,7 +499,7 @@ impl SealJob {
         let mut out = Vec::new();
         // The codec layer reserves what any codec writes before it reads
         // the hint; a stored block is the cheap way to have it do so
-        // here rather than on the demoter.
+        // here rather than on the background thread.
         SCRATCH.with(|c| {
             c.borrow_mut().codecs.compress_with_hint(
                 core.cfg.codec_policy,
@@ -583,37 +519,31 @@ impl SealJob {
     }
 }
 
-/// The deferred seals, under one leaf lock (taken after a shard lock,
-/// never before one).
+/// The deferred seals, in the background thread's inbox.
 pub(super) struct SealQueue {
-    /// Jobs waiting for the demoter (or a flush), oldest first.
-    queued: VecDeque<SealJob>,
+    /// Jobs waiting for the background thread (or a flush), oldest
+    /// first.
+    pub(super) queued: VecDeque<SealJob>,
     /// Sealed jobs waiting for the foreground to publish them.
     sealed: VecDeque<SealJob>,
     /// Published jobs, buffers kept for the next deferral.
     free: Vec<SealJob>,
     /// Jobs out of `free`: queued, being sealed, or sealed.
     pub(super) outstanding: usize,
-    /// The demoter holds a job outside the lists.
+    /// The background thread holds a job outside the lists.
     sealing: bool,
-    /// The demoter sleeps; a put may wake it for a batch.
-    parked: bool,
-    /// Set by `close()`: no put defers any more.
-    pub(super) closed: bool,
 }
 
-impl SealQueue {
-    /// Lists sized for [`SEAL_QUEUE_CAP`] jobs, so the demoter's pushes
-    /// never grow them.
-    pub(super) fn new() -> SealQueue {
+impl Default for SealQueue {
+    /// Lists sized for [`SEAL_QUEUE_CAP`] jobs, so the background
+    /// thread's pushes never grow them.
+    fn default() -> SealQueue {
         SealQueue {
             queued: VecDeque::with_capacity(SEAL_QUEUE_CAP),
             sealed: VecDeque::with_capacity(SEAL_QUEUE_CAP),
             free: Vec::with_capacity(SEAL_QUEUE_CAP),
             outstanding: 0,
             sealing: false,
-            parked: false,
-            closed: false,
         }
     }
 }

@@ -1,12 +1,13 @@
-//! The spill path after eviction: the hand-off of a page to the writer
-//! ([`StoreCore::hand_off`]), the bound on payload in flight and the
-//! waits on it, and the writer thread ([`SpillWriter`]) that batches,
-//! writes and publishes, each batch behind its summary. The segment
-//! table it places batches in, and the cleaner it
-//! runs between batches, are in `gc`.
+//! The store's one background thread, `cc-store-bg` ([`Background`]),
+//! whose step runs the spill writer ([`SpillWriter`]: batch, write and
+//! publish, each batch behind its summary), the deferred seals, the
+//! demote passes and the probation probe; the [`Inbox`] the foreground
+//! hands it work through; and the bound on payload in flight and the
+//! waits on it. The cleaner is in `gc`, the seals and passes in `tiering`.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -15,13 +16,14 @@ use super::extent::encode_extent;
 use super::gc::Cleaning;
 use super::shard::{Entry, Residence, Shard};
 use super::stats::{top, tstat};
+use super::tiering::{SealQueue, SEAL_WAKE_BATCH};
 #[cfg(doc)]
 use super::StoreConfig;
 use crate::medium::SpillMedium;
 use crate::persist::{encode_summary, summary_len, SummaryRecord, Tombstone};
 use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
 
-/// An entry handed to the writer thread. The file offset is chosen by the
+/// An entry handed to the writer. The file offset is chosen by the
 /// writer at batch-commit time, not by the producer — that is what lets
 /// the writer pack many entries into one contiguous write, in whichever
 /// segment has room.
@@ -41,16 +43,96 @@ pub(super) struct SpillJob {
     queued: Option<Instant>,
 }
 
-/// What the writer thread receives.
-pub(super) enum ToWriter {
-    /// A page to write.
-    Spill(SpillJob),
-    /// `flush()`'s durability barrier for removes: write every queued
-    /// tombstone, and answer whether they are on the file.
-    Barrier(Sender<bool>),
+/// Everything the foreground hands the background thread, behind one
+/// leaf lock (taken under a shard lock, never the reverse) and one
+/// condvar, [`StoreCore::wake`], notified only while the thread parks.
+#[derive(Default)]
+pub(super) struct Inbox {
+    /// Spill jobs, oldest first (the thread swaps the list for its own
+    /// empty one, so both keep their capacity), and their payload bytes.
+    jobs: VecDeque<SpillJob>,
+    bytes: usize,
+    /// `flush()`'s barriers, answered at the thread's next step with
+    /// whether every queued tombstone is on the file.
+    barriers: Vec<Sender<bool>>,
+    /// The deferred seals ([`StoreCore::defer_seal`]).
+    pub(super) seals: SealQueue,
+    /// The thread sleeps; whoever clears this notifies it.
+    parked: bool,
+    /// Threads in [`StoreCore::wait_on_writer`].
+    waiters: usize,
+    /// Bytes in `jobs` that wake the parked thread: what its open batch
+    /// lacks, or any with none open — a wake per batch, not per job.
+    wake_bytes: usize,
+    /// Set by `close()`: no put defers a seal, and the thread exits once
+    /// it has drained what it holds.
+    pub(super) closed: bool,
 }
 
 impl StoreCore {
+    pub(super) fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().expect("inbox poisoned")
+    }
+
+    /// Wake the background thread if it is parked (and any waiter on it,
+    /// which finds nothing changed and waits again).
+    pub(super) fn unpark(&self, inbox: &mut Inbox) {
+        if inbox.parked {
+            inbox.parked = false;
+            self.wake.notify_all();
+        }
+    }
+
+    /// Queue `reply` for the writer's next barrier; `false` (and `reply`
+    /// dropped) if the background thread is gone.
+    pub(super) fn send_barrier(&self, reply: Sender<bool>) -> bool {
+        let mut inbox = self.inbox();
+        if self.writer_dead.load(Ordering::Relaxed) {
+            return false;
+        }
+        inbox.barriers.push(reply);
+        self.unpark(&mut inbox);
+        true
+    }
+
+    /// Sleep until `next` (`None`: no deadline) or work: a barrier, a
+    /// batch's worth of spill payload — what the thread's open batch
+    /// `lacks`, or any with none open — a batch of deferred seals, or
+    /// `close()`. Returns `false` once the store is closed and neither
+    /// the inbox nor the thread holds work, having marked the thread gone
+    /// under the inbox lock, so no barrier lands after it.
+    pub(super) fn park(&self, next: Option<Instant>, lacks: Option<usize>) -> bool {
+        if next.is_some_and(|t| t <= Instant::now()) {
+            return true;
+        }
+        let mut inbox = self.inbox();
+        if inbox.closed && lacks.is_none() && inbox.jobs.is_empty() && inbox.barriers.is_empty() {
+            self.writer_dead.store(true, Ordering::Relaxed);
+            return false;
+        }
+        (inbox.parked, inbox.wake_bytes) = (true, lacks.unwrap_or(1));
+        while inbox.parked
+            && !(inbox.closed && lacks.is_none())
+            && inbox.barriers.is_empty()
+            && inbox.bytes < inbox.wake_bytes
+            && inbox.seals.queued.len() < SEAL_WAKE_BATCH
+        {
+            let left = next.map_or(Duration::MAX, |t| {
+                t.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                break;
+            }
+            inbox = self
+                .wake
+                .wait_timeout(inbox, left)
+                .expect("inbox poisoned")
+                .0;
+        }
+        inbox.parked = false;
+        true
+    }
+
     /// Count `bytes` of payload as handed to the spill writer, unless
     /// that would take the in-flight total past
     /// [`StoreConfig::spill_inflight_limit`] — payload in RAM, resident
@@ -59,7 +141,7 @@ impl StoreCore {
     /// payload larger than the limit can still leave. Called with the
     /// job key's shard lock held, in the same hold that hands the job
     /// off ([`StoreCore::hand_off`]); whoever ends the hand-off — the
-    /// writer's publish, or a failed `send` — takes the bytes out again,
+    /// writer's publish, or a reclaim by `flush()` — takes the bytes out again,
     /// exactly once.
     pub(super) fn reserve_inflight(&self, bytes: usize) -> bool {
         let limit = self.cfg.spill_inflight_limit();
@@ -70,31 +152,31 @@ impl StoreCore {
             .is_ok()
     }
 
-    /// Block until `ready(in-flight bytes)` holds or the writer thread
-    /// has exited; `on_block` runs once, before the first wait, if there
-    /// is one.
+    /// Block until `ready(in-flight bytes)` holds or the background
+    /// thread has exited; `on_block` runs once, before the first wait,
+    /// if there is one.
     ///
     /// This is the one place a thread waits on the spill writer, and it
     /// must be entered with **no shard lock held**: the writer publishes
     /// under the shard locks, so a waiter that kept one could be waiting
     /// on a writer that is waiting on it. Puts release theirs first (the
     /// `Progress::WriterFull` arm of `put_inner`), `flush` holds none,
-    /// and the demoter skips instead of coming here.
+    /// and the background thread never comes here: its demotions skip.
     pub(super) fn wait_on_writer(&self, ready: impl Fn(usize) -> bool, on_block: impl FnOnce()) {
-        let mut waiters = self.spill_waiters.lock().expect("spill waiters poisoned");
+        let mut inbox = self.inbox();
         let mut on_block = Some(on_block);
-        // The writer changes what is read here and *then* takes
-        // `spill_waiters` to signal, so a change made after these loads
-        // finds this thread already counted and wakes it.
+        // The writer changes what is read here and *then* takes the inbox
+        // lock to signal, so a change made after these loads finds this
+        // thread already counted and wakes it.
         while !ready(self.spill_inflight.load(Ordering::Relaxed))
             && !self.writer_dead.load(Ordering::Relaxed)
         {
             if let Some(f) = on_block.take() {
                 f();
             }
-            *waiters += 1;
-            waiters = self.spill_cv.wait(waiters).expect("spill waiters poisoned");
-            *waiters -= 1;
+            inbox.waiters += 1;
+            inbox = self.wake.wait(inbox).expect("inbox poisoned");
+            inbox.waiters -= 1;
         }
     }
 
@@ -116,17 +198,22 @@ impl StoreCore {
 
     /// Wake the threads in [`StoreCore::wait_on_writer`]. Called by the
     /// writer after it published a batch (in-flight bytes went down, or
-    /// the store went degraded) and when it exits.
+    /// the store went degraded) and when its thread exits.
     fn notify_writer_progress(&self) {
-        if *self.spill_waiters.lock().expect("spill waiters poisoned") > 0 {
-            self.spill_cv.notify_all();
+        if self.inbox().waiters > 0 {
+            self.wake.notify_all();
         }
     }
 
-    /// The writer thread is gone: nothing still in flight will ever be
-    /// published. Release whoever waits on it.
+    /// The background thread is gone: nothing queued or in flight will
+    /// ever be published. Refuse barriers from now on, drop those queued
+    /// (a flush waiting on one learns it), and release whoever waits on
+    /// the writer.
     pub(super) fn writer_exited(&self) {
+        let mut inbox = self.inbox();
         self.writer_dead.store(true, Ordering::Relaxed);
+        inbox.barriers.clear();
+        drop(inbox);
         self.notify_writer_progress();
     }
 
@@ -134,59 +221,29 @@ impl StoreCore {
     /// [`SpillJob`] is built. The caller holds the key's shard lock, has
     /// reserved `data.len()` in flight ([`StoreCore::reserve_inflight`])
     /// and has already taken the payload off the residence gauges, and
-    /// `e` carries the codec the job is sealed with. On success `e` is
-    /// `Spilling` (the job, under a fresh generation, shares its
-    /// payload) and counted as spilled. `false` means the writer died
-    /// without a shutdown() (a panic): the reservation is refunded, the
-    /// store degraded, and `e`, untouched, is the caller's to drop.
-    pub(super) fn hand_off(
-        &self,
-        tx: &Sender<ToWriter>,
-        key: u64,
-        e: &mut Entry,
-        data: Arc<[u8]>,
-        ctx: TraceCtx,
-    ) -> bool {
+    /// `e` carries the codec the job is sealed with. `e` becomes
+    /// `Spilling` (the job, under a fresh generation, shares its payload)
+    /// and is counted as spilled. Callers check [`StoreCore::spill_open`]
+    /// first; a job that races the thread's exit is never published, and
+    /// `flush()` takes its page back ([`StoreCore::reclaim_orphaned_spilling`]).
+    pub(super) fn hand_off(&self, key: u64, e: &mut Entry, data: Arc<[u8]>, ctx: TraceCtx) {
         let len = data.len();
-        let gen = self.next_gen.fetch_add(1, Ordering::Relaxed);
-        if tx
-            .send(ToWriter::Spill(SpillJob {
-                key,
-                gen,
-                codec: e.codec,
-                data: Arc::clone(&data),
-                ctx,
-                queued: ctx.sampled().then(Instant::now),
-            }))
-            .is_err()
-        {
-            self.spill_inflight.fetch_sub(len, Ordering::Relaxed);
-            self.writer_dead.store(true, Ordering::Relaxed);
-            self.enter_degraded(0);
-            return false;
+        let mut inbox = self.inbox();
+        inbox.jobs.push_back(SpillJob {
+            key,
+            gen: self.next_gen.fetch_add(1, Ordering::Relaxed),
+            codec: e.codec,
+            data: Arc::clone(&data),
+            ctx,
+            queued: ctx.sampled().then(Instant::now),
+        });
+        inbox.bytes += len;
+        if inbox.bytes >= inbox.wake_bytes {
+            self.unpark(&mut inbox);
         }
+        drop(inbox);
         e.residence = Residence::Spilling { data };
         self.tel.count(self.shard_index(key), tstat::SPILLED, 1);
-        true
-    }
-
-    /// [`StoreCore::hand_off`] for a victim of eviction or demotion:
-    /// `key` is in `shard`'s map and off its LRU lists, and `data` is its
-    /// payload. If the writer is dead the victim is shed instead — its
-    /// job will never be received, let alone published. Returns whether
-    /// it was handed off.
-    pub(super) fn spill_victim(&self, shard: &mut Shard, key: u64, data: Arc<[u8]>) -> bool {
-        let tx = shard.tx.as_ref().expect("caller checked for a writer");
-        let e = shard.entries.get_mut(&key).expect("victim is in the map");
-        if self.hand_off(tx, key, e, data, TraceCtx::NONE) {
-            return true;
-        }
-        let e = shard.entries.remove(&key).expect("victim is in the map");
-        // The job never reached the file, but an older summary record
-        // for this key may still be live there.
-        self.tombstone_if_journaled(e.journaled, key);
-        self.tel.count(self.shard_index(key), tstat::SHED_PAGES, 1);
-        false
     }
 
     /// Convert every `Spilling` entry — the writer is dead, none will be
@@ -199,8 +256,8 @@ impl StoreCore {
         {
             // Every shard at once, in index order (no other thread blocks
             // on a second shard): with all of them held no hand-off is
-            // between its reservation and its failed `send`, so what the
-            // gauge still counts is exactly the jobs that died with the
+            // between its reservation and its push, so what the gauge
+            // still counts is exactly the jobs that died with the
             // writer, and zeroing it cannot race a late release.
             let mut shards: Vec<MutexGuard<'_, Shard>> = self
                 .shards
@@ -224,6 +281,28 @@ impl StoreCore {
         self.shed_to_budget();
         self.shedding.fetch_sub(1, Ordering::SeqCst);
     }
+
+    /// Record one background step that started at `t0` — a cleaning
+    /// step, a demote pass — on histogram `hist`, and as a span `op` of
+    /// no request (trace 0, no parent) carrying `arg` when traced.
+    /// Returns its nanoseconds.
+    pub(super) fn record_pause(&self, hist: usize, op: u8, tier: u8, t0: Instant, arg: u64) -> u64 {
+        let pause = t0.elapsed().as_nanos() as u64;
+        self.tel.record(hist, pause);
+        if let Some(tr) = self.cfg.tracer.as_deref() {
+            let span = Span {
+                span_id: tr.alloc_span(),
+                op,
+                tier,
+                start_ns: tr.now_ns(t0),
+                service_ns: pause,
+                arg,
+                ..Span::default()
+            };
+            tr.record(0, &span);
+        }
+        pause
+    }
 }
 
 /// How long the writer holds a partially-filled batch open waiting for
@@ -231,20 +310,81 @@ impl StoreCore {
 /// `flush()` can observe for an entry caught mid-batch.
 const BATCH_LINGER: Duration = Duration::from_micros(200);
 
-/// The background spill thread: drains the job channel, packs entries
-/// into [`StoreConfig::spill_batch_bytes`] batches written with a single
-/// positioned write each, and runs one cleaning step — at most one batch
-/// of copying — between batches.
-/// It is the only thread that writes the spill file, and the sole
-/// allocator of file space (the segment table's open
-/// segment), which is what makes contiguous batch packing and segment
-/// reuse race-free, and the only publisher of its own results: after a batch
-/// is durable it flips each member `Spilling` → `Spilled` under the
-/// member's shard lock ([`SpillWriter::publish`]), so no foreground call
-/// has anything to fold in and a page's memory is returned when its
-/// write lands. It also owns the degraded-mode state machine: consecutive
-/// hard batch failures flip the store degraded; while degraded it fails
-/// queued jobs immediately (no medium traffic) and probes the medium
+/// The `cc-store-bg` thread: the spill writer if the store has a spill
+/// file, and when the next demote pass is due if its policy ages pages.
+/// A store with neither runs no thread.
+pub(super) struct Background {
+    pub(super) core: Arc<StoreCore>,
+    pub(super) writer: Option<SpillWriter>,
+    pub(super) next_demote: Option<Instant>,
+}
+
+impl Background {
+    /// The thread's body: step, and park until there is work or the
+    /// step's deadline, until the store closes with nothing left. A
+    /// fresh file first gets its first superblock (if that write fails
+    /// the lease stays at 0, so the first batch stamps again); the last
+    /// act is sealing the file.
+    pub(super) fn run(mut self, fresh: bool) {
+        if let (Some(w), true) = (&self.writer, fresh) {
+            let _ = w.core.persist.stamp(&*w.medium, 0, false, 0);
+        }
+        loop {
+            let next = self.step(Instant::now());
+            // What the open batch, if any, lacks: the only writer work
+            // left once a step has found nothing to do.
+            let lacks = self.writer.as_ref().and_then(|w| {
+                let target = w.core.cfg.spill_batch_bytes.max(1);
+                w.linger.map(|_| target.saturating_sub(w.buf.len()).max(1))
+            });
+            if !self.core.park(next, lacks) {
+                break;
+            }
+        }
+        if let Some(w) = &self.writer {
+            w.seal();
+        }
+    }
+
+    /// One step of background work, without blocking, in this order:
+    /// 1. a spill batch that is full or has lingered out, written, then
+    ///    one cleaning step — or jobs failed while degraded — ends it;
+    /// 2. the queued deferred seals are sealed ([`StoreCore::seal_queued`]);
+    /// 3. a due [`StoreCore::demote_pass`] — one bounded sweep, due again
+    ///    at once while sweeps demote something — ends it;
+    /// 4. a due probation probe.
+    ///
+    /// Returns `now` if a step ended early, else the earliest deadline of
+    /// the open batch's linger, the next pass and the next probe, if any.
+    pub(super) fn step(&mut self, now: Instant) -> Option<Instant> {
+        let linger = self.writer.as_mut().and_then(|w| w.spill(now));
+        if linger.is_some_and(|t| t <= now) {
+            return linger;
+        }
+        self.core.seal_queued();
+        if self.next_demote.is_some_and(|t| t <= now) {
+            if self.core.demote_pass() == (0, 0) {
+                self.next_demote = Some(now + self.core.cfg.demote_interval);
+            }
+            return Some(now);
+        }
+        let probe = self.writer.as_mut().and_then(|w| w.probe_step(now));
+        let deadlines = [linger, self.next_demote, probe];
+        deadlines.into_iter().flatten().min()
+    }
+}
+
+/// The spill writer: packs spill jobs into
+/// [`StoreConfig::spill_batch_bytes`] batches, one positioned write
+/// each, with one cleaning step — at most one batch of copying — after
+/// each. It is the only writer of the spill file and the sole allocator
+/// of its space (the segment table's open segment), which makes batch
+/// packing and segment reuse race-free, and the only publisher of its
+/// results: once a batch is durable it flips each member `Spilling` →
+/// `Spilled` under the member's shard lock ([`SpillWriter::publish`]),
+/// so a page's memory is returned when its write lands. It also owns
+/// degraded mode: consecutive hard batch failures degrade the store;
+/// while degraded it fails queued jobs at once and probes the medium
 /// with a canary round-trip every [`StoreConfig::probe_interval`],
 /// re-enabling spill on success.
 pub(super) struct SpillWriter {
@@ -258,7 +398,18 @@ pub(super) struct SpillWriter {
     pub(super) clean_buf: Vec<u8>,
     /// Hard batch failures (each already retried) since the last
     /// success; crossing `degrade_after` degrades the store.
-    pub(super) consecutive_failures: u32,
+    consecutive_failures: u32,
+    /// Jobs taken from the inbox and not yet staged, oldest first.
+    queue: VecDeque<SpillJob>,
+    /// The open batch: its framed extents, their identities, the
+    /// nanoseconds framing them took, and when it is written however
+    /// full it is (`None`: no batch open).
+    buf: Vec<u8>,
+    staged: Vec<StagedJob>,
+    stage_ns: u64,
+    linger: Option<Instant>,
+    /// When the next probe is due, while degraded.
+    next_probe: Option<Instant>,
 }
 
 /// A job staged into the current batch (or a survivor staged into a
@@ -281,18 +432,20 @@ pub(super) struct StagedJob {
 }
 
 impl SpillWriter {
-    /// The writer thread's body. On a `fresh` file it first stamps the
-    /// file's first superblock: if that write fails the lease stays at
-    /// 0, so the first batch stamps again before it is written.
-    pub(super) fn run(mut self, rx: Receiver<ToWriter>, fresh: bool) {
-        if fresh {
-            let _ = self.core.persist.stamp(&*self.medium, 0, false, 0);
+    pub(super) fn new(core: Arc<StoreCore>, medium: Arc<dyn SpillMedium>) -> SpillWriter {
+        SpillWriter {
+            buf: Vec::with_capacity(core.cfg.spill_batch_bytes.max(1) * 2),
+            core,
+            medium,
+            cleaning: None,
+            clean_buf: Vec::new(),
+            consecutive_failures: 0,
+            queue: VecDeque::new(),
+            staged: Vec::new(),
+            stage_ns: 0,
+            linger: None,
+            next_probe: None,
         }
-        self.run_loop(rx);
-        // Channel closed: every queued job has been committed (mpsc
-        // drains before disconnecting). Seal the clean-shutdown bit —
-        // after the final batch is durable, never before.
-        self.seal();
     }
 
     /// Orderly-exit seal: write any pending tombstones, then the
@@ -313,86 +466,77 @@ impl SpillWriter {
         !self.core.persist.has_pending() || self.write_batch(&[], &[], &[], false).is_some()
     }
 
-    fn run_loop(&mut self, rx: Receiver<ToWriter>) {
-        let target = self.core.cfg.spill_batch_bytes.max(1);
-        let mut buf: Vec<u8> = Vec::with_capacity(target * 2);
-        let mut staged: Vec<StagedJob> = Vec::new();
-        let mut barriers: Vec<Sender<bool>> = Vec::new();
-        loop {
-            if self.core.degraded.load(Ordering::Relaxed) {
-                // Probation: producers shed instead of spilling, but
-                // jobs queued before the transition (or raced onto it)
-                // still arrive — fail them immediately so their pages
-                // revert to memory rather than waiting on a medium we
-                // don't trust. Between arrivals, probe.
-                match rx.recv_timeout(self.core.cfg.probe_interval) {
-                    Ok(ToWriter::Spill(job)) => self.fail_job(job),
-                    Ok(ToWriter::Barrier(reply)) => {
-                        let _ = reply.send(self.write_tombstones());
-                    }
-                    Err(RecvTimeoutError::Timeout) => self.probe(),
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-                continue;
+    /// The writer's step. Answer the barriers the inbox holds — write
+    /// every queued tombstone — and take its jobs. With no batch open,
+    /// fail them while degraded (their pages go back to memory), else
+    /// open a batch, to linger [`BATCH_LINGER`]. Stage jobs into the open
+    /// batch, and write it once it is full or has lingered out, then run
+    /// one cleaning step. Returns `now` if it failed or wrote anything,
+    /// else the open batch's deadline.
+    fn spill(&mut self, now: Instant) -> Option<Instant> {
+        let barriers = {
+            let mut inbox = self.core.inbox();
+            if self.queue.is_empty() {
+                std::mem::swap(&mut self.queue, &mut inbox.jobs);
+                inbox.bytes = 0;
             }
-            // Block for the first job of each batch, then coalesce
-            // whatever else is queued (lingering briefly for stragglers)
-            // into one write. A barrier is answered once the batch it
-            // arrived during is written.
-            let first = match rx.recv() {
-                Ok(ToWriter::Spill(job)) => job,
-                Ok(ToWriter::Barrier(reply)) => {
-                    let _ = reply.send(self.write_tombstones());
-                    continue;
-                }
-                Err(_) => return,
-            };
-            buf.clear();
-            staged.clear();
-            let mut stage_ns = Self::stage(&mut buf, &mut staged, first);
-            let deadline = Instant::now() + BATCH_LINGER;
-            let mut disconnected = false;
-            while buf.len() < target {
-                let msg = match rx.try_recv() {
-                    Ok(msg) => msg,
-                    Err(TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
-                    Err(TryRecvError::Empty) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(msg) => msg,
-                            Err(RecvTimeoutError::Timeout) => break,
-                            Err(RecvTimeoutError::Disconnected) => {
-                                disconnected = true;
-                                break;
-                            }
-                        }
-                    }
-                };
-                match msg {
-                    ToWriter::Spill(j) => stage_ns += Self::stage(&mut buf, &mut staged, j),
-                    ToWriter::Barrier(reply) => barriers.push(reply),
-                }
-            }
-            self.commit_batch(&buf, &staged, stage_ns);
-            // The batch's payloads are freed here, not when the next
-            // batch starts.
-            staged.clear();
-            for reply in barriers.drain(..) {
-                let _ = reply.send(self.write_tombstones());
-            }
-            if !self.core.degraded.load(Ordering::Relaxed) {
-                self.clean_step();
-            }
-            if disconnected {
-                return;
-            }
+            std::mem::take(&mut inbox.barriers)
+        };
+        for reply in barriers {
+            let _ = reply.send(self.write_tombstones());
         }
+        if self.linger.is_none() {
+            if self.queue.is_empty() {
+                return None;
+            }
+            if self.core.degraded.load(Ordering::Relaxed) {
+                // Jobs queued before the store degraded fail the way a
+                // failed batch fails its members.
+                self.publish_failed(self.queue.iter().map(|j| (j.key, &j.data)));
+                self.queue.clear();
+                self.core.notify_writer_progress();
+                return Some(now);
+            }
+            self.buf.clear();
+            self.stage_ns = 0;
+            self.linger = Some(now + BATCH_LINGER);
+        }
+        let target = self.core.cfg.spill_batch_bytes.max(1);
+        while self.buf.len() < target {
+            let Some(job) = self.queue.pop_front() else {
+                break;
+            };
+            self.stage_ns += Self::stage(&mut self.buf, &mut self.staged, job);
+        }
+        let due = self.linger.expect("a batch is open");
+        if self.buf.len() < target && now < due {
+            return Some(due);
+        }
+        self.commit_batch();
+        // The batch's payloads are freed here, not when the next batch
+        // starts.
+        self.staged.clear();
+        self.linger = None;
+        if !self.core.degraded.load(Ordering::Relaxed) {
+            self.clean_step();
+        }
+        Some(now)
+    }
+
+    /// While degraded, probe every [`StoreConfig::probe_interval`] from
+    /// the step that found the store degraded, however much other work
+    /// comes between. Returns when the next probe is due, if one is.
+    fn probe_step(&mut self, now: Instant) -> Option<Instant> {
+        if !self.core.degraded.load(Ordering::Relaxed) {
+            self.next_probe = None;
+            return None;
+        }
+        let interval = self.core.cfg.probe_interval;
+        if *self.next_probe.get_or_insert(now + interval) <= now {
+            self.probe();
+            self.next_probe = Some(now + interval);
+        }
+        self.next_probe
     }
 
     /// Frame `job` into the batch as a self-verifying extent: header
@@ -414,13 +558,6 @@ impl SpillWriter {
             queued: job.queued,
         });
         t0.elapsed().as_nanos() as u64
-    }
-
-    /// Fail a job received while degraded, the way a failed batch fails
-    /// its members: the page goes back to memory residence.
-    fn fail_job(&self, job: SpillJob) {
-        self.publish_failed(std::iter::once((job.key, &job.data)));
-        self.core.notify_writer_progress();
     }
 
     /// Publish one job's outcome under its key's shard lock — the only
@@ -584,7 +721,8 @@ impl SpillWriter {
     /// to memory residence — rather than losing data or leaving `flush`
     /// waiting on bytes that never leave flight — and advances the
     /// degraded-mode countdown.
-    fn commit_batch(&mut self, buf: &[u8], staged: &[StagedJob], stage_ns: u64) {
+    fn commit_batch(&mut self) {
+        let (buf, staged) = (&self.buf, &self.staged);
         // Always timed: this thread is off the data path, and the write
         // histogram is what the bench gates sanity-check. A sample is the
         // batch's staging (`stage_ns`: framing and checksums, spread over
@@ -595,9 +733,10 @@ impl SpillWriter {
         let base = landed.unwrap_or(0);
         if ok {
             self.consecutive_failures = 0;
-            self.core
-                .tel
-                .record(top::SPILL_WRITE, stage_ns + t0.elapsed().as_nanos() as u64);
+            self.core.tel.record(
+                top::SPILL_WRITE,
+                self.stage_ns + t0.elapsed().as_nanos() as u64,
+            );
             self.core.tel.count(0, tstat::SPILL_BATCHES, 1);
         } else {
             self.consecutive_failures += 1;

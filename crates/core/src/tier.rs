@@ -54,7 +54,7 @@
 ///   once pressure reaches
 ///   [`warm_demote_pressure_pct`](TierPolicy::warm_demote_pressure_pct).
 ///   A `u64::MAX` idle disables that sweep; with both disabled the store
-///   spawns no demoter thread.
+///   runs no demote pass, and no thread at all without a spill file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierPolicy {
     /// A page the compression threshold rejects is kept hot instead of
@@ -89,7 +89,7 @@ impl TierPolicy {
     };
 
     /// Every admitted page lives compressed in memory, nothing is ever
-    /// hot, nothing is promoted, and no demoter thread runs: the flat
+    /// hot, nothing is promoted, and no demote pass runs: the flat
     /// store. The baseline arm for tier sweeps and the pinned policy for
     /// codec-ratio measurements (where promotions would pollute them).
     pub const COMPRESS_ALL: TierPolicy = TierPolicy {
@@ -136,7 +136,8 @@ impl TierPolicy {
         gets >= 2 && age < self.promote_window && pressure_pct() < self.max_promote_pressure_pct
     }
 
-    /// Whether the store needs the background demoter thread at all.
+    /// Whether the store runs demote passes at all (and so a background
+    /// thread, spill file or not).
     pub fn wants_demoter(&self) -> bool {
         self.hot_idle != u64::MAX || self.warm_idle != u64::MAX
     }

@@ -15,15 +15,17 @@
 //!    the medium) turns `flush()` into `Err(ShuttingDown)`, not a wait
 //!    for completions that will never come.
 
-use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium, SpillMedium};
+use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium, MemMedium, SpillMedium};
 use cc_core::persist::{decode_summary, read_superblock, SUPERBLOCK_RESERVED};
-use cc_core::store::{CompressedStore, StoreConfig, StoreError};
+use cc_core::store::{CompressedStore, HitTier, StoreConfig, StoreError};
+use cc_core::tier::TierPolicy;
 use cc_util::SplitMix64;
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -302,6 +304,38 @@ fn chaos_stress_survives_faulty_medium() {
     stress_schedule(Some(60..100), 2);
 }
 
+thread_local! {
+    /// Set by a thread to have [`FlipOnRequest`] damage its next read.
+    static FLIP_NEXT_READ: Cell<bool> = const { Cell::new(false) };
+}
+
+/// A medium that flips one bit of the next read a thread asks to have
+/// damaged ([`FLIP_NEXT_READ`]): a transfer error the test causes, on a
+/// read it issues itself, where the injector's rate only makes one
+/// likely.
+struct FlipOnRequest<M>(M);
+
+impl<M: SpillMedium> SpillMedium for FlipOnRequest<M> {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.0.read_at(buf, offset)?;
+        if FLIP_NEXT_READ.replace(false) {
+            if let Some(last) = buf.last_mut() {
+                *last ^= 1;
+            }
+        }
+        Ok(())
+    }
+    fn write_at(&self, data: &[u8], offset: u64) -> io::Result<()> {
+        self.0.write_at(data, offset)
+    }
+    fn flush(&self) -> io::Result<()> {
+        self.0.flush()
+    }
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.0.set_len(len)
+    }
+}
+
 /// One run of [`chaos_stress_survives_faulty_medium`]: the fault rates
 /// plus `write_outage`, degrading after `degrade_after` failed batches.
 fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u32) {
@@ -313,7 +347,7 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
     let outage = write_outage.is_some();
     let path = temp_path("stress", degrade_after.into());
     let injector = Arc::new(FaultInjector::new(
-        FileMedium::create(&path).unwrap(),
+        FlipOnRequest(FileMedium::create(&path).unwrap()),
         FaultPlan {
             seed: 0xC4A0_5CA0,
             read_error_1_in: 61,
@@ -413,6 +447,31 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
             assert_eq!(out, noise_page(key, version), "final: key {key} corrupted");
         }
     }
+    // One detection the test causes rather than hopes for: fill the
+    // spill file with fresh pages and flip a bit of this thread's read
+    // of one of them. The read is retried, so the get still returns the
+    // page, or `Corrupt` if every retry failed too — never other bytes.
+    const FRESH: std::ops::Range<u64> = 10_000..10_032;
+    for key in FRESH {
+        store.put(key, &noise_page(key, 1)).unwrap();
+    }
+    let _ = store.flush();
+    let spilled = FRESH
+        .into_iter()
+        .find(|&key| store.peek_tier(key) == Some(HitTier::Spill))
+        .expect("a fresh page on the spill file");
+    let detected = store.stats().corrupt_detected;
+    FLIP_NEXT_READ.set(true);
+    match store.get(spilled, &mut out) {
+        Ok(true) => assert_eq!(out, noise_page(spilled, 1), "key {spilled} corrupted"),
+        Err(StoreError::Corrupt) => {}
+        other => panic!("key {spilled}: {other:?}"),
+    }
+    assert!(!FLIP_NEXT_READ.get(), "the flip was never applied");
+    assert!(
+        store.stats().corrupt_detected > detected,
+        "the flip was never detected"
+    );
 
     let s = store.stats();
     let inj = injector.injected();
@@ -526,6 +585,84 @@ fn write_outage_degrades_then_probes_recover() {
     assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// A medium whose writes fail while `broken` is set.
+struct Switchable {
+    inner: MemMedium,
+    broken: AtomicBool,
+}
+
+impl SpillMedium for Switchable {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+    fn write_at(&self, data: &[u8], offset: u64) -> io::Result<()> {
+        if self.broken.load(Ordering::SeqCst) {
+            return Err(io::Error::other("switched off"));
+        }
+        self.inner.write_at(data, offset)
+    }
+    fn flush(&self) -> io::Result<()> {
+        self.inner.flush()
+    }
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+/// Regression: a degraded store probes its medium every
+/// `probe_interval`, however often flushes arrive. Removing a spilled
+/// key queues a tombstone, so each `flush()` hands the writer a barrier;
+/// one every millisecond must not keep the healed medium from being
+/// probed and the store from recovering.
+#[test]
+fn a_stream_of_flushes_does_not_starve_the_probe() {
+    const KEYS: u64 = 800;
+    let medium = Arc::new(Switchable {
+        inner: MemMedium::new(),
+        broken: AtomicBool::new(false),
+    });
+    let store = CompressedStore::with_medium(
+        StoreConfig::in_memory(4 * PAGE)
+            .with_tier_policy(TierPolicy::COMPRESS_ALL)
+            .with_spill_batch_bytes(4 * PAGE)
+            .with_spill_retry(1, Duration::ZERO)
+            .with_degrade_after(1)
+            .with_probe_interval(Duration::from_millis(20)),
+        Arc::clone(&medium) as Arc<dyn SpillMedium>,
+    );
+    // Healthy: nearly every page spills, so its key is on the file.
+    for key in 0..KEYS {
+        store.put(key, &noise_page(key, 1)).unwrap();
+    }
+    store.flush().unwrap();
+    // Broken: the next batch fails, and the store degrades.
+    medium.broken.store(true, Ordering::SeqCst);
+    let mut key = KEYS;
+    while !store.is_degraded() {
+        assert!(key < 2 * KEYS, "the store never degraded");
+        let _ = store.put(key, &noise_page(key, 1));
+        key += 1;
+    }
+    medium.broken.store(false, Ordering::SeqCst);
+
+    let start = Instant::now();
+    let mut flushes = 0;
+    while store.is_degraded() && start.elapsed() < Duration::from_millis(600) {
+        store.remove(flushes);
+        let _ = store.flush();
+        flushes += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let s = store.stats();
+    assert!(
+        !s.degraded,
+        "still degraded after {flushes} flushes in {:?}: {s:?}",
+        start.elapsed()
+    );
+    assert!(s.medium_probes >= 1, "{s:?}");
+    assert_eq!(store.check_invariants(), Ok(()));
 }
 
 /// A medium so broken it panics the writer thread. The store must not

@@ -1,7 +1,7 @@
-//! The demoter seals deferred LZRW1 pages without touching the
-//! allocator: each job's buffers are reserved on the foreground and
+//! The background thread seals deferred LZRW1 pages without touching
+//! the allocator: each job's buffers are reserved on the foreground and
 //! recycled, so the background side allocates nothing and frees
-//! nothing. A counting global allocator watches the `cc-store-demoter`
+//! nothing. A counting global allocator watches the `cc-store-bg`
 //! thread across 10 000 deferred puts after a warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,7 +18,8 @@ static DEMOTER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEMOTER_FREES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Whether this thread is the demoter: 0 not yet known, 1 yes, 2 no.
+    /// Whether this thread is the background thread: 0 not yet known, 1
+    /// yes, 2 no.
     static ROLE: Cell<u8> = const { Cell::new(0) };
     /// Inside the name lookup, which may allocate itself.
     static LOOKING: Cell<bool> = const { Cell::new(false) };
@@ -31,7 +32,7 @@ fn on_demoter() -> bool {
                 return false;
             }
             LOOKING.set(true);
-            let named = std::thread::current().name() == Some("cc-store-demoter");
+            let named = std::thread::current().name() == Some("cc-store-bg");
             LOOKING.set(false);
             role.set(if named { 1 } else { 2 });
         }
@@ -83,8 +84,8 @@ fn demoter_counts() -> (u64, u64) {
     )
 }
 
-/// `n` LZRW1 puts in bursts of 16 — each burst wakes the parked demoter
-/// — with a pause after each, so the demoter, not the queue cap or a
+/// `n` LZRW1 puts in bursts of 16 — each burst wakes the parked
+/// background thread — with a pause after each, so the demoter, not the queue cap or a
 /// flush, seals nearly all of them.
 fn drive(store: &CompressedStore, first: u64, n: u64) {
     for i in first..first + n {
