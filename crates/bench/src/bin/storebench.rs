@@ -41,7 +41,7 @@
 //! drain within a second without a flush, or grows `VmRSS` by more than
 //! 3 × budget, the spill trial under the default tier policy counts more
 //! than one demoter pass per 16 puts (a put wakes the demoter only to
-//! hand it a batch of LZRW1 seals; never per put, never under pressure),
+//! hand it a batch of LZRW1 seals, never per put),
 //! `crc32` takes more than 2 µs per 1 500-byte extent in a release
 //! build, a latency histogram is empty or has p50/p99/max out of order,
 //! telemetry costs more than 5% of throughput, adaptive codec selection
@@ -224,9 +224,9 @@ fn zipf_ratio(zipf: &Zipf, ops: u64, policy: CodecPolicy) -> f64 {
 struct SpillTrial {
     /// Puts the workers issued. With `stats.demoter_passes` (open to the
     /// end of the put-only phase) this is `--smoke`'s "a put wakes the
-    /// demoter only to hand it a batch of LZRW1 seals; never per put,
-    /// never under pressure" gate, run under the default tier policy
-    /// (under the pinned flat one the demoter has no work).
+    /// demoter only to hand it a batch of LZRW1 seals, never per put"
+    /// gate, run under the default tier policy (under the pinned flat
+    /// one the demoter has no work).
     puts: u64,
     /// Store counters after the final flush.
     stats: StoreStats,
@@ -802,10 +802,10 @@ fn run_smoke() -> i32 {
             po.rss_growth
         ));
     }
-    // A put wakes the demoter only to hand it a batch of LZRW1 seals;
-    // never per put, never under pressure, and a pass runs on the
-    // interval alone. One kick per eviction reads about one pass per five
-    // puts here; the interval alone, about one per two hundred.
+    // A put wakes the demoter only to hand it a batch of LZRW1 seals,
+    // never per put, and a pass runs on the interval alone. One kick per
+    // eviction reads about one pass per five puts here; the interval
+    // alone, about one per two hundred.
     if tiered.stats.demoter_passes > tiered.puts / 16 {
         failures.push(format!(
             "spill trial, default tier policy: {} demoter passes for {} puts (limit 1 per 16): something wakes the demoter per put",

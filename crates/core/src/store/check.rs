@@ -27,7 +27,8 @@ impl StoreCore {
             .iter()
             .map(|s| s.0.lock().expect("shard poisoned"))
             .collect();
-        let (mut hot, mut warm, mut spilling, mut sealing) = (0usize, 0usize, 0usize, 0usize);
+        let (mut hot, mut warm, mut spilling) = (0usize, 0usize, 0usize);
+        let (mut sealing, mut sealing_bytes) = (0usize, 0usize);
         let mut extents: Vec<(u64, u64)> = Vec::new();
         // `(key, offset, len, gen, codec)` of every `Spilled` entry.
         let mut spilled = Vec::new();
@@ -53,6 +54,7 @@ impl StoreCore {
                     Residence::Sealing { data } => {
                         hot += data.len();
                         sealing += 1;
+                        sealing_bytes += data.len();
                     }
                     Residence::Spilling { data, .. } => spilling += data.len(),
                     Residence::Spilled { offset, len, gen } => {
@@ -89,9 +91,10 @@ impl StoreCore {
         // The inbox, which holds the seal queue, is a leaf lock: taken
         // after every shard's.
         let (jobs, seal_orphaned) = (self.inbox().seals.outstanding, gauge(&self.seal_orphaned));
-        if jobs != sealing + seal_orphaned {
+        let bound = self.seal_bound() * gauge(&self.page_size);
+        if jobs != sealing + seal_orphaned || sealing_bytes > bound {
             return Err(format!(
-                "{jobs} seal jobs outstanding but {sealing} Sealing entries and {seal_orphaned} orphaned jobs"
+                "{jobs} seal jobs outstanding but {sealing} Sealing entries of {sealing_bytes} bytes (bound {bound}) and {seal_orphaned} orphaned jobs"
             ));
         }
         let (inflight, orphaned) = (gauge(&self.spill_inflight), gauge(&self.spill_orphaned));

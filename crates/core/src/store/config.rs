@@ -113,8 +113,9 @@ const DEFAULT_DEMOTE_INTERVAL: Duration = Duration::from_millis(5);
 /// The spill writer's in-flight payload is bounded by the budget over
 /// this ([`StoreConfig::spill_inflight_limit`]). A writer that keeps up
 /// holds one or two batches; the rest of the bound absorbs the writer
-/// losing the CPU for a few milliseconds without a put waiting.
-const INFLIGHT_SHARE: usize = 4;
+/// losing the CPU for a few milliseconds without a put waiting. The
+/// raw pages waiting for deferred seals take the same share.
+pub(super) const INFLIGHT_SHARE: usize = 4;
 
 impl StoreConfig {
     /// Memory-only store with the paper's 4:3 threshold.

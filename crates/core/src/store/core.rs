@@ -416,59 +416,170 @@ impl StoreCore {
         let route = (self.cfg.codec_policy == CodecPolicy::Adaptive)
             .then(|| classify(page, self.cfg.threshold.max_compressed_len(page.len())));
 
-        // LZRW1 is the one codec pass worth handing to the demoter's
-        // core; BDI costs less than the hand-off.
-        let lz = route.is_none_or(|r| r == Route::Lz);
-        if lz && self.defer_seal(key, page, now, timed) {
-            tout.tier = strier::MEMORY;
-            tout.codec = CodecId::Raw.as_u8();
-            self.tel.record_since(top::PUT, t0, ctx.trace_id);
-            return Ok(());
-        }
-
-        // Compress outside any lock, into this thread's reusable buffer.
-        // The route picks the codec (BDI, LZRW1, or none for a predicted
-        // reject), the threshold then admits or rewrites the buffer as a
-        // stored block; either way the selection names exactly the codec
-        // that sealed what sits in `comp`.
-        let (sel, comp_ns) = SCRATCH.with(|c| {
-            let s = &mut *c.borrow_mut();
-            let ct0 = Self::step_start(timed, ctx);
-            let sel = s.codecs.compress_with_hint(
-                self.cfg.codec_policy,
-                self.cfg.threshold,
-                page,
-                &mut s.comp,
-                route,
-            );
-            (sel, ct0.map(|t| t.elapsed().as_nanos() as u64))
-        });
-        let len = sel.len;
-        tout.codec = sel.codec.as_u8();
-        if let (Some(ns), true) = (comp_ns, ctx.sampled()) {
-            if let Some(tr) = self.cfg.tracer.as_deref() {
-                tr.record(
-                    self.shard_index(key),
-                    &Span {
-                        trace_id: ctx.trace_id,
-                        span_id: tr.alloc_span(),
-                        parent: ctx.parent_span,
-                        op: sop::COMPRESS,
-                        tier: strier::NONE,
-                        codec: sel.codec.as_u8(),
-                        status: sel.fell_back as u8,
-                        start_ns: tr.elapsed_ns().saturating_sub(ns),
-                        queue_ns: 0,
-                        service_ns: ns,
-                        arg: key,
-                    },
-                );
-            }
-        }
-
+        // LZRW1 is the one codec pass worth handing to the background
+        // thread, if the store runs its demote step; BDI costs less than
+        // the hand-off. `None` until the put seals inline.
+        let defer = route.is_none_or(|r| r == Route::Lz) && self.cfg.tier_policy.wants_demoter();
+        let mut sel = (!defer).then(|| self.seal_inline(key, page, route, ctx, timed, tout));
         let shard_idx = self.shard_index(key);
         let mut shard = self.shard(key);
         self.remove_locked(&mut shard, key);
+        let mut entry = Entry {
+            // Placeholder: the arms below set where the page lives.
+            residence: Residence::SameFilled { pattern: 0 },
+            orig_len: page.len() as u32,
+            codec: CodecId::Raw.as_u8(),
+            probe: probe_code(Some(Route::Lz)),
+            gets: 0,
+            last_touch: now,
+            journaled: false,
+        };
+
+        // Reserve budget for the new entry before publishing it: the raw
+        // page for a deferred seal or a hot placement, the sealed bytes
+        // (which are what spills if reservation fails outright) otherwise.
+        let mut reserved = true;
+        loop {
+            let need = match &sel {
+                Some(s) if !self.cfg.tier_policy.admit_hot(s.admitted) => s.len,
+                _ => page.len(),
+            };
+            // `Some(bytes)`: the writer must publish before `bytes` more
+            // payload may be handed to it; `None`: another putter is in
+            // the way, or the raw page has no room or no job — a deferring
+            // put then seals inline, any other yields.
+            let wait = if self.reserve_resident(need) {
+                if sel.is_some() || self.defer_seal(&mut entry, key, page, timed) {
+                    break;
+                }
+                self.resident.fetch_sub(need, Ordering::Relaxed);
+                None
+            } else {
+                match (self.make_room(shard_idx, &mut shard), &sel) {
+                    (Ok(Progress::Evicted), _) => continue,
+                    // No room for the raw page: the sealed bytes may fit,
+                    // and only they can go straight to spill.
+                    (Err(_) | Ok(Progress::NoVictim), None) => None,
+                    (Err(e), _) => return Err(e),
+                    (Ok(Progress::NoVictim), Some(s)) => {
+                        // Nothing left to evict (everything is already
+                        // spilling, or the page alone exceeds the budget):
+                        // bypass residence and spill this entry directly.
+                        if !self.spill_open() {
+                            // The writer is gone (the store was shut down):
+                            // fail the put instead of panicking. The old
+                            // entry was already removed above — acceptable
+                            // for a store that is being torn down.
+                            return Err(StoreError::ShuttingDown);
+                        }
+                        if self.degraded.load(Ordering::Relaxed) {
+                            // Spill is disabled and nothing was evictable:
+                            // the memory-only store is genuinely full.
+                            return Err(StoreError::OutOfMemory);
+                        }
+                        if self.reserve_inflight(s.len) {
+                            reserved = false;
+                            break;
+                        }
+                        Some(s.len)
+                    }
+                    (Ok(Progress::WriterFull(bytes)), _) => Some(bytes),
+                    // Victims may exist on shards other putters hold.
+                    (Ok(Progress::Blocked), _) => None,
+                }
+            };
+            // Release our shard so the system can make progress — the
+            // writer publishes under it — then retry from scratch.
+            drop(shard);
+            match (wait, &sel) {
+                (Some(bytes), _) => self.wait_for_writer(bytes, shard_idx),
+                (None, None) => sel = Some(self.seal_inline(key, page, route, ctx, timed, tout)),
+                (None, Some(_)) => std::thread::yield_now(),
+            }
+            shard = self.shard(key);
+            // The key was unlocked meanwhile: a concurrent put of it may
+            // have landed, and this one supersedes it.
+            self.remove_locked(&mut shard, key);
+        }
+        match sel {
+            // Deferred: the raw page waits `Sealing` for the seal's publish.
+            None => (tout.tier, tout.codec) = (strier::MEMORY, CodecId::Raw.as_u8()),
+            // One allocation of exactly the stored length, whichever tier.
+            Some(sel) => SCRATCH.with(|c| {
+                let compressed = &c.borrow().comp[..sel.len];
+                entry.probe = probe_code(Some(sel.route()));
+                if reserved && self.cfg.tier_policy.admit_hot(sel.admitted) {
+                    // Hot tier: keep the raw page (a hot entry holds raw
+                    // bytes, not the sealed form); the sealed bytes are
+                    // discarded (the demoter re-seals along the recorded
+                    // route if this page ever ages out).
+                    tout.tier = strier::HOT;
+                    let handle = shard.lru_hot.push_mru(key);
+                    self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
+                    self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
+                    entry.residence = Residence::Hot {
+                        data: page.into(),
+                        handle,
+                    };
+                } else if reserved {
+                    tout.tier = strier::MEMORY;
+                    entry.codec = sel.codec.as_u8();
+                    self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
+                    let handle = shard.lru.push_mru(key);
+                    entry.residence = Residence::Memory {
+                        data: compressed.into(),
+                        handle,
+                    };
+                } else {
+                    // Straight-to-spill path (see above): never resident,
+                    // its `len` bytes already counted in flight.
+                    tout.tier = strier::SPILL;
+                    entry.codec = sel.codec.as_u8();
+                    self.hand_off(key, &mut entry, compressed.into(), ctx);
+                }
+            }),
+        }
+        shard.entries.insert(key, entry);
+        drop(shard);
+        self.tel.record_since(top::PUT, t0, ctx.trace_id);
+        Ok(())
+    }
+
+    /// Seal `page` on this thread, into its reusable buffer, and count
+    /// the seal. The route picks the codec (BDI, LZRW1, or none for a
+    /// predicted reject), the threshold then admits or rewrites the
+    /// buffer as a stored block; either way the selection names exactly
+    /// the codec that sealed what sits in `comp`.
+    fn seal_inline(
+        &self,
+        key: u64,
+        page: &[u8],
+        route: Option<Route>,
+        ctx: TraceCtx,
+        timed: bool,
+        tout: &mut TraceOut,
+    ) -> Selection {
+        let ct0 = Self::step_start(timed, ctx);
+        let sel = SCRATCH.with(|c| {
+            let s = &mut *c.borrow_mut();
+            let (policy, threshold) = (self.cfg.codec_policy, self.cfg.threshold);
+            s.codecs
+                .compress_with_hint(policy, threshold, page, &mut s.comp, route)
+        });
+        let comp_ns = ct0.map(|t| t.elapsed().as_nanos() as u64);
+        let (shard_idx, codec) = (self.shard_index(key), sel.codec.as_u8());
+        tout.codec = codec;
+        let status = sel.fell_back as u8;
+        self.child_span(
+            ctx,
+            ct0,
+            sop::COMPRESS,
+            strier::NONE,
+            codec,
+            status,
+            key,
+            shard_idx,
+        );
         if sel.fell_back {
             self.tel.count(shard_idx, tstat::CODEC_FALLBACKS, 1);
         }
@@ -480,118 +591,7 @@ impl StoreCore {
             }
         }
         self.count_seal(shard_idx, &sel, page.len(), comp_ns.filter(|_| timed));
-
-        // Ask the tier policy where the sealed page should live. Hot
-        // placement stores the raw page bytes, so it reserves the full
-        // page size; the sealed bytes in `comp` are kept around either
-        // way (they are what spills if reservation fails outright).
-        let place_hot = self.cfg.tier_policy.admit_hot(sel.admitted);
-        let need = if place_hot { page.len() } else { len };
-
-        // Reserve budget for the new entry before publishing it.
-        let mut reserved = true;
-        loop {
-            if self.reserve_resident(need) {
-                break;
-            }
-            // `Some(bytes)`: the writer must publish before `bytes` more
-            // payload may be handed to it; `None`: another putter is in
-            // the way.
-            let wait = match self.make_room(shard_idx, &mut shard)? {
-                Progress::Evicted => continue,
-                Progress::NoVictim => {
-                    // Nothing left to evict (everything is already
-                    // spilling, or the page alone exceeds the budget):
-                    // bypass residence and spill this entry directly.
-                    if !self.spill_open() {
-                        // The writer is gone (the store was shut down):
-                        // fail the put instead of panicking. The old
-                        // entry was already removed above — acceptable
-                        // for a store that is being torn down.
-                        drop(shard);
-                        return Err(StoreError::ShuttingDown);
-                    }
-                    if self.degraded.load(Ordering::Relaxed) {
-                        // Spill is disabled and nothing was evictable:
-                        // the memory-only store is genuinely full.
-                        drop(shard);
-                        return Err(StoreError::OutOfMemory);
-                    }
-                    if self.reserve_inflight(len) {
-                        reserved = false;
-                        break;
-                    }
-                    Some(len)
-                }
-                Progress::WriterFull(bytes) => Some(bytes),
-                // Victims may exist on shards other putters hold.
-                Progress::Blocked => None,
-            };
-            // Release our shard so the system can make progress — the
-            // writer publishes under it — then retry from scratch.
-            drop(shard);
-            match wait {
-                Some(bytes) => self.wait_for_writer(bytes, shard_idx),
-                None => std::thread::yield_now(),
-            }
-            shard = self.shard(key);
-            // The key was unlocked meanwhile: a concurrent put of it may
-            // have landed, and this one supersedes it.
-            self.remove_locked(&mut shard, key);
-        }
-        tout.tier = match (reserved, place_hot) {
-            (true, true) => strier::HOT,
-            (true, false) => strier::MEMORY,
-            (false, _) => strier::SPILL,
-        };
-        let hot = reserved && place_hot;
-        let mut entry = Entry {
-            // Placeholder: each arm below sets where the page lives.
-            residence: Residence::SameFilled { pattern: 0 },
-            orig_len: page.len() as u32,
-            // A hot entry holds raw page bytes, not the sealed form
-            // the selection describes.
-            codec: if hot {
-                CodecId::Raw.as_u8()
-            } else {
-                sel.codec.as_u8()
-            },
-            probe: probe_code(Some(sel.route())),
-            gets: 0,
-            last_touch: now,
-            journaled: false,
-        };
-        // One allocation of exactly the stored length, whichever tier.
-        SCRATCH.with(|c| {
-            let compressed = &c.borrow().comp[..len];
-            if hot {
-                // Hot tier: keep the raw page; the sealed bytes are
-                // discarded (the demoter re-seals along the recorded
-                // route if this page ever ages out).
-                let handle = shard.lru_hot.push_mru(key);
-                self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
-                self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
-                entry.residence = Residence::Hot {
-                    data: page.into(),
-                    handle,
-                };
-            } else if reserved {
-                self.warm_resident.fetch_add(len, Ordering::Relaxed);
-                let handle = shard.lru.push_mru(key);
-                entry.residence = Residence::Memory {
-                    data: compressed.into(),
-                    handle,
-                };
-            } else {
-                // Straight-to-spill path (see above): never resident,
-                // its `len` bytes already counted in flight.
-                self.hand_off(key, &mut entry, compressed.into(), ctx);
-            }
-        });
-        shard.entries.insert(key, entry);
-        drop(shard);
-        self.tel.record_since(top::PUT, t0, ctx.trace_id);
-        Ok(())
+        sel
     }
 
     /// Count one put's seal `sel` of a `page_len`-byte page on its
@@ -1118,8 +1118,8 @@ impl StoreCore {
             }
             if !progress {
                 // Nothing left to shed: every byte `resident` counts is
-                // on an LRU list or waiting for its seal, and sealing
-                // pages are only ever deferred below the demoter's floor.
+                // on an LRU list or waiting for its seal, and the sealing
+                // pages stay within a quarter of the budget (`seal_bound`).
                 return;
             }
         }

@@ -356,7 +356,8 @@ impl CompressedStore {
     /// - the deferred seal jobs outstanding (queued, being sealed, or
     ///   sealed and not yet published) are exactly the `Sealing` entries
     ///   plus the jobs whose entry was removed, replaced or promoted
-    ///   since (they drop at publish);
+    ///   since (they drop at publish), and the `Sealing` bytes stay
+    ///   within the smaller of 64 pages and a quarter of the budget;
     /// - a key is on the hot LRU ⇔ its residence is `Hot`, on the warm
     ///   LRU ⇔ `Memory`, on neither otherwise, `Sealing` included (and
     ///   both lists pass [`cc_util::LruList::check_invariants`], which

@@ -2227,14 +2227,56 @@ fn a_promoted_extent_never_lets_a_removed_generation_back() {
     assert!(!(hit && out == v1), "the removed generation came back");
 }
 
-/// A store whose demoter never touches a deferred seal: its interval is
-/// an hour, and each case queues fewer jobs than wake it. The cases seal
-/// with [`StoreCore::seal_queued`] — the demoter's drain step — on the
-/// test thread, and publish with `flush`.
+/// A store in memory whose background thread never touches a deferred
+/// seal on its own: it has parked, its demote interval is an hour, and
+/// each case queues fewer jobs than wake it. The cases seal with
+/// [`StoreCore::seal_queued`] — the thread's seal step — on the test
+/// thread, and publish with `flush`.
 fn deferring_store() -> CompressedStore {
-    CompressedStore::new(
+    let store = CompressedStore::new(
         StoreConfig::in_memory(1 << 20).with_demote_interval(Duration::from_secs(3600)),
-    )
+    );
+    until_parked(&store);
+    store
+}
+
+/// Yield until `store`'s background thread has parked after its first
+/// steps: with an hour's demote interval it then steps again only when
+/// a put, a flush or `close()` wakes it.
+fn until_parked(store: &CompressedStore) {
+    while !store.core.inbox().parked {
+        std::thread::yield_now();
+    }
+}
+
+/// The same on a store spilling to `medium` at budget: 160 warm BDI
+/// pages and room for exactly one raw page, so the first LZRW1 put fills
+/// the budget. Nothing spills until a put evicts, so the thread stays
+/// parked; then each spill job is a batch of its own. Promotion is
+/// allowed at any pressure: a `Sealing` page's costs no budget.
+fn at_budget_store(medium: Arc<dyn SpillMedium>) -> CompressedStore {
+    let fill = |s: &CompressedStore| {
+        for k in 1000..1160u64 {
+            s.put(k, &bdi_page(k as u8)).unwrap();
+        }
+    };
+    let sized = deferring_store();
+    fill(&sized);
+    let budget = sized.stats().resident_bytes as usize + 4096;
+    let policy = TierPolicy {
+        max_promote_pressure_pct: u8::MAX,
+        ..TierPolicy::RECENCY
+    };
+    let cfg = StoreConfig::in_memory(budget)
+        .with_tier_policy(policy)
+        .with_demote_interval(Duration::from_secs(3600))
+        .with_spill_batch_bytes(1);
+    let store = CompressedStore::with_medium(cfg, medium);
+    fill(&store);
+    until_parked(&store);
+    assert!(store.core.pressure_pct() >= 50, "past the demoter's floor");
+    assert!(store.core.seal_bound() >= 4, "too few jobs to stay unwoken");
+    store
 }
 
 fn is_sealing(store: &CompressedStore, key: u64) -> bool {
@@ -2245,28 +2287,33 @@ fn is_sealing(store: &CompressedStore, key: u64) -> bool {
     )
 }
 
-/// Put `key`'s `v1`, seal it first when `sealed`, then let `act` act on
-/// the waiting entry; publish, check, and read back `want`.
-fn race_a_deferred_seal(sealed: bool, act: impl FnOnce(&CompressedStore), want: Option<&[u8]>) {
-    let store = deferring_store();
-    let v1 = page(1);
-    store.put(7, &v1).unwrap();
-    assert!(is_sealing(&store, 7), "an LZRW1 put under the floor defers");
-    if sealed {
-        store.core.seal_queued();
+/// On each deferring store: put `key`'s `v1`, seal it first when
+/// `sealed`, then let `act` act on the waiting entry; publish, check,
+/// and read back `want`.
+fn race_a_deferred_seal(sealed: bool, act: impl Fn(&CompressedStore), want: Option<&[u8]>) {
+    for store in [
+        deferring_store(),
+        at_budget_store(Arc::new(MemMedium::new())),
+    ] {
+        let v1 = page(1);
+        store.put(7, &v1).unwrap();
+        assert!(is_sealing(&store, 7), "an LZRW1 put defers at any pressure");
+        if sealed {
+            store.core.seal_queued();
+        }
+        act(&store);
+        store.check_invariants().unwrap();
+        store.flush().unwrap();
+        assert!(!is_sealing(&store, 7));
+        store.check_invariants().unwrap();
+        let mut out = vec![0u8; 4096];
+        assert_eq!(store.get(7, &mut out).unwrap(), want.is_some());
+        if let Some(want) = want {
+            assert_eq!(out, want);
+        }
+        let s = store.stats();
+        assert_eq!(s.puts_lzrw1, s.seals_deferred, "{s:?}");
     }
-    act(&store);
-    store.check_invariants().unwrap();
-    store.flush().unwrap();
-    assert!(!is_sealing(&store, 7));
-    store.check_invariants().unwrap();
-    let mut out = vec![0u8; 4096];
-    assert_eq!(store.get(7, &mut out).unwrap(), want.is_some());
-    if let Some(want) = want {
-        assert_eq!(out, want);
-    }
-    let s = store.stats();
-    assert_eq!(s.puts_lzrw1, s.seals_deferred, "{s:?}");
 }
 
 fn reput(store: &CompressedStore) {
@@ -2275,8 +2322,9 @@ fn reput(store: &CompressedStore) {
 }
 
 fn remove_it(store: &CompressedStore) {
+    let before = store.stats().resident_bytes;
     assert!(store.remove(7));
-    assert_eq!(store.stats().resident_bytes, 0);
+    assert_eq!(before - store.stats().resident_bytes, 4096);
 }
 
 fn read_twice(store: &CompressedStore) {
@@ -2317,6 +2365,96 @@ fn a_promotion_orphans_a_queued_seal() {
 #[test]
 fn a_promotion_orphans_a_sealed_unpublished_seal() {
     race_a_deferred_seal(true, read_twice, Some(&page(1)));
+}
+
+/// At budget, a deferred put makes room for its raw page, where the
+/// inline put would only need room for its sealed bytes: it hands a warm
+/// page to the writer, and its own page waits `Sealing`. The writer is
+/// held inside the victim's batch, so the background thread cannot seal
+/// the page before the test looks.
+#[test]
+fn a_deferred_put_at_budget_evicts_and_waits_sealing() {
+    let gate = Arc::new(Gate::new(Arc::new(MemMedium::new())));
+    let store = at_budget_store(Arc::clone(&gate) as _);
+    store.put(7, &page(7)).unwrap();
+    // Published: the sealed page leaves room for another sealed page,
+    // not for a raw one.
+    store.flush().unwrap();
+    let room = store.core.cfg.memory_budget - store.stats().resident_bytes as usize;
+    assert!(
+        room < 4096 && room > sealed_form(&store, 7).1,
+        "room {room}"
+    );
+    gate.arm();
+    store.put(8, &page(8)).unwrap();
+    assert!(gate.holding(), "the victim's batch was never written");
+    let s = store.stats();
+    assert!(s.spilled >= 1, "no warm page went to the writer: {s:?}");
+    assert_eq!(s.seals_deferred, 2, "{s:?}");
+    assert!(is_sealing(&store, 8));
+    store.check_invariants().unwrap();
+    gate.release();
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    let mut out = vec![0u8; 4096];
+    let fill = (1000..1160u64).map(|k| (k, bdi_page(k as u8)));
+    for (k, want) in fill.chain([(7, page(7)), (8, page(8))]) {
+        assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+        assert_eq!(out, want, "key {k}");
+    }
+}
+
+/// Put an LZRW1 page under each of `keys`: it defers exactly when fewer
+/// than `bound` seal jobs are outstanding before it, and the checker
+/// holds after it. Returns the keys that found the bound full and sealed
+/// inline. Only this thread's puts publish jobs (those the background
+/// thread has sealed), so the jobs outstanding before a put are the ones
+/// it finds, however that thread is scheduled.
+fn put_within_the_bound(
+    store: &CompressedStore,
+    keys: std::ops::Range<u64>,
+    bound: usize,
+) -> Vec<u64> {
+    let mut inline = Vec::new();
+    for k in keys {
+        let full = store.core.inbox().seals.outstanding == bound;
+        let before = store.stats().seals_deferred;
+        store.put(k, &page(k as u8)).unwrap();
+        assert_eq!(store.stats().seals_deferred == before, full, "put {k}");
+        store.check_invariants().unwrap();
+        if full {
+            inline.push(k);
+        }
+    }
+    inline
+}
+
+/// The raw pages waiting for their seals stay within a quarter of the
+/// budget: an 8-page spill store holds at most two jobs outstanding, so
+/// its third deferral, with the first two unpublished, seals inline —
+/// and so does every put that finds two, past the budget too.
+#[test]
+fn sealing_bytes_stay_within_a_quarter_of_a_tiny_budget() {
+    let store = CompressedStore::with_medium(
+        StoreConfig::in_memory(8 * 4096).with_demote_interval(Duration::from_secs(3600)),
+        Arc::new(MemMedium::new()),
+    );
+    put_within_the_bound(&store, 0..3, 2);
+    assert_eq!(store.core.seal_bound(), 2);
+    let inline = put_within_the_bound(&store, 3..80, 2);
+    let s = store.stats();
+    assert!(s.spilled > 0 && s.seals_deferred > 0, "{s:?}");
+    assert!(
+        !inline.is_empty(),
+        "no put found the bound full past the budget"
+    );
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    let mut out = vec![0u8; 4096];
+    for k in 0..80u64 {
+        assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+        assert_eq!(out, page(k as u8), "key {k}");
+    }
 }
 
 /// A published seal lands where the inline put would have put the page,
@@ -2369,26 +2507,30 @@ fn a_deferred_seal_publishes_where_the_inline_put_lands() {
     store.check_invariants().unwrap();
 }
 
-/// Deferral happens only below the demoter's hot floor, never on a
-/// store without a demoter, and never after shutdown.
+/// Deferral happens within the `Sealing` bound, never on a store
+/// without a demoter, and never after shutdown.
 #[test]
-fn seals_defer_only_below_the_floor_and_before_shutdown() {
+fn seals_defer_within_the_sealing_bound_and_before_shutdown() {
+    // A quarter of 32 KiB: two jobs outstanding at most.
     let store = CompressedStore::new(
-        StoreConfig::in_memory(16 * 1024).with_demote_interval(Duration::from_secs(3600)),
+        StoreConfig::in_memory(32 * 1024).with_demote_interval(Duration::from_secs(3600)),
     );
-    // 0 %, then 25 %: deferred. 50 % is the floor: inline.
-    for k in 0..3 {
-        store.put(k, &page(k as u8)).unwrap();
-    }
-    assert_eq!(store.stats().seals_deferred, 2);
-    assert!(!is_sealing(&store, 2));
+    // Two deferred, then the bound is full: inline.
+    let inline = put_within_the_bound(&store, 0..16, 2);
+    assert!(inline.first().is_some_and(|&k| k >= 2), "{inline:?}");
+    let deferred = store.stats().seals_deferred;
+    assert_eq!(deferred, 16 - inline.len() as u64);
     store.check_invariants().unwrap();
     store.shutdown();
-    assert!(!is_sealing(&store, 0) && !is_sealing(&store, 1));
+    assert!((0..16).all(|k| !is_sealing(&store, k)));
     store.check_invariants().unwrap();
     assert!(store.remove(2));
     store.put(2, &page(2)).unwrap();
-    assert_eq!(store.stats().seals_deferred, 2, "deferred after shutdown");
+    assert_eq!(
+        store.stats().seals_deferred,
+        deferred,
+        "deferred after shutdown"
+    );
 
     let flat = CompressedStore::new(
         StoreConfig::in_memory(1 << 20).with_tier_policy(TierPolicy::COMPRESS_ALL),

@@ -10,6 +10,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+use super::config::INFLIGHT_SHARE;
 use super::core::{Progress, StoreCore};
 use super::shard::{probe_code, probe_hint, Entry, Residence, Scratch, Shard, SCRATCH};
 use super::stats::{top, tstat};
@@ -282,28 +283,14 @@ impl StoreCore {
         (hot_n, warm_n)
     }
 
-    /// Defer the seal of a put whose route is LZRW1: store the raw page
-    /// as [`Residence::Sealing`] and queue its job for the background
-    /// thread.
-    /// Only while the demoter's hot floor is not reached and the raw page
-    /// reserves outright, never after shutdown, and with at most
-    /// [`SEAL_QUEUE_CAP`] jobs outstanding; `false` leaves the put to seal
-    /// inline, with nothing changed.
-    pub(super) fn defer_seal(&self, key: u64, page: &[u8], now: u32, timed: bool) -> bool {
-        let policy = &self.cfg.tier_policy;
-        if !policy.wants_demoter()
-            || self.pressure_pct() >= policy.hot_demote_pressure_pct
-            || !self.reserve_resident(page.len())
-        {
-            return false;
-        }
-        let shard_idx = self.shard_index(key);
-        let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
+    /// Defer the seal of a put of `page`, its raw bytes reserved and
+    /// `key`'s shard lock held, in one hold of the inbox lock: claim a
+    /// job, push it, and wake the thread if that completes a batch; `e`
+    /// then waits `Sealing`, counted hot on no LRU. `false`, with nothing
+    /// changed, after shutdown or at [`StoreCore::seal_bound`] jobs.
+    pub(super) fn defer_seal(&self, e: &mut Entry, key: u64, page: &[u8], timed: bool) -> bool {
         let mut inbox = self.inbox();
-        if inbox.closed || inbox.seals.outstanding == SEAL_QUEUE_CAP {
-            drop(inbox);
-            drop(shard);
-            self.resident.fetch_sub(page.len(), Ordering::Relaxed);
+        if inbox.closed || inbox.seals.outstanding >= self.seal_bound() {
             return false;
         }
         let q = &mut inbox.seals;
@@ -322,27 +309,30 @@ impl StoreCore {
         q.queued.push_back(job);
         q.outstanding += 1;
         // The background thread is woken for a batch, never for one job.
-        if q.queued.len() >= SEAL_WAKE_BATCH {
+        if q.queued.len() >= self.seal_wake_batch() {
             self.unpark(&mut inbox);
         }
         drop(inbox);
-        self.remove_locked(&mut shard, key);
+        e.residence = Residence::Sealing { data };
         self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
-        shard.entries.insert(
-            key,
-            Entry {
-                residence: Residence::Sealing { data },
-                orig_len: page.len() as u32,
-                codec: CodecId::Raw.as_u8(),
-                probe: probe_code(Some(Route::Lz)),
-                gets: 0,
-                last_touch: now,
-                journaled: false,
-            },
-        );
-        drop(shard);
-        self.tel.count(shard_idx, tstat::SEALS_DEFERRED, 1);
+        self.tel
+            .count(self.shard_index(key), tstat::SEALS_DEFERRED, 1);
         true
+    }
+
+    /// Seal jobs outstanding at once: [`SEAL_QUEUE_CAP`], or fewer, so
+    /// the raw pages `Sealing` entries hold off every LRU stay within the
+    /// budget's in-flight share and a failed batch can always shed back
+    /// under the budget.
+    pub(super) fn seal_bound(&self) -> usize {
+        let page = self.page_size.load(Ordering::Relaxed).max(1);
+        SEAL_QUEUE_CAP.min(self.cfg.memory_budget / INFLIGHT_SHARE / page)
+    }
+
+    /// Queued jobs at which a put wakes the parked background thread, and
+    /// it does not park: [`SEAL_WAKE_BATCH`], or the bound if smaller.
+    pub(super) fn seal_wake_batch(&self) -> usize {
+        SEAL_WAKE_BATCH.min(self.seal_bound()).max(1)
     }
 
     /// The background thread's seal step: seal every queued job, one at
@@ -467,15 +457,13 @@ impl StoreCore {
     }
 }
 
-/// Seal jobs outstanding at once — queued, being sealed, or sealed and
-/// not yet published. With the pressure gate it bounds the raw bytes
-/// `Sealing` entries hold off every LRU, as the in-flight limit bounds
-/// `Spilling` ones.
+/// Seal jobs outstanding at most — queued, being sealed, or sealed and
+/// not yet published — whatever the budget ([`StoreCore::seal_bound`]).
 pub(super) const SEAL_QUEUE_CAP: usize = 64;
 
 /// Queued jobs at which a put wakes the parked background thread (and
 /// it does not park); fewer wait for its next wake.
-pub(super) const SEAL_WAKE_BATCH: usize = 4;
+const SEAL_WAKE_BATCH: usize = 4;
 
 /// One deferred LZRW1 seal. Its buffers are recycled through
 /// [`SealQueue::free`], so a deferred put costs a page copy, not an

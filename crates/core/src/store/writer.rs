@@ -16,7 +16,7 @@ use super::extent::encode_extent;
 use super::gc::Cleaning;
 use super::shard::{Entry, Residence, Shard};
 use super::stats::{top, tstat};
-use super::tiering::{SealQueue, SEAL_WAKE_BATCH};
+use super::tiering::SealQueue;
 #[cfg(doc)]
 use super::StoreConfig;
 use crate::medium::SpillMedium;
@@ -58,7 +58,7 @@ pub(super) struct Inbox {
     /// The deferred seals ([`StoreCore::defer_seal`]).
     pub(super) seals: SealQueue,
     /// The thread sleeps; whoever clears this notifies it.
-    parked: bool,
+    pub(super) parked: bool,
     /// Threads in [`StoreCore::wait_on_writer`].
     waiters: usize,
     /// Bytes in `jobs` that wake the parked thread: what its open batch
@@ -115,7 +115,7 @@ impl StoreCore {
             && !(inbox.closed && lacks.is_none())
             && inbox.barriers.is_empty()
             && inbox.bytes < inbox.wake_bytes
-            && inbox.seals.queued.len() < SEAL_WAKE_BATCH
+            && inbox.seals.queued.len() < self.seal_wake_batch()
         {
             let left = next.map_or(Duration::MAX, |t| {
                 t.saturating_duration_since(Instant::now())

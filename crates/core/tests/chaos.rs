@@ -827,3 +827,78 @@ fn spill_failed_fallback_restores_budget_without_degrading() {
     store.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// A text-like page, different per `(key, version)`: words drawn from a
+/// small vocabulary, which the classifier routes to LZRW1 and which
+/// seals to about half a page.
+fn lz_page(key: u64, version: u64) -> Vec<u8> {
+    const WORDS: [&str; 16] = [
+        "page", "cache", "swap", "fault", "disk", "block", "clean", "dirty", "evict", "seal",
+        "spill", "read", "write", "hot", "warm", "cold",
+    ];
+    let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version);
+    let mut page = Vec::with_capacity(PAGE + 16);
+    while page.len() < PAGE {
+        let r = rng.next_u64();
+        page.extend_from_slice(WORDS[r as usize % WORDS.len()].as_bytes());
+        page.extend_from_slice(format!(" {} ", r >> 56).as_bytes());
+    }
+    page.truncate(PAGE);
+    page
+}
+
+/// A write outage at budget while LZRW1 puts wait `Sealing`: failed
+/// batches send their pages back to memory past the budget and then
+/// degrade the store, which evicts by shedding. A `Sealing` page is on
+/// no LRU, so no shed can drop it; they stay within a quarter of the
+/// budget, so every put still finds a page to shed, and the fallback
+/// sheds back under the budget.
+#[test]
+fn a_write_outage_at_budget_sheds_past_sealing_pages() {
+    const BUDGET: usize = 16 * PAGE;
+    let admit = cc_compress::ThresholdPolicy::default().max_compressed_len(PAGE);
+    let route = cc_compress::classify(&lz_page(1, 1), admit);
+    assert_eq!(route, cc_compress::Route::Lz);
+    let injector = Arc::new(FaultInjector::new(
+        MemMedium::new(),
+        FaultPlan {
+            write_outage: Some(1..13),
+            ..FaultPlan::default()
+        },
+    ));
+    let store = CompressedStore::with_medium(
+        StoreConfig::in_memory(BUDGET)
+            .with_spill_batch_bytes(2 * PAGE)
+            .with_spill_retry(2, Duration::from_micros(100))
+            .with_degrade_after(2)
+            .with_probe_interval(Duration::from_millis(2)),
+        Arc::clone(&injector) as Arc<dyn SpillMedium>,
+    );
+    for key in 0..256u64 {
+        store.put(key, &lz_page(key, 1)).unwrap();
+        if key % 32 == 31 {
+            assert_eq!(store.check_invariants(), Ok(()), "after key {key}");
+        }
+    }
+    store.flush().unwrap();
+    let s = store.stats();
+    assert!(s.seals_deferred > 0, "nothing waited Sealing: {s:?}");
+    assert_eq!(s.degraded_entered, 1, "{s:?}");
+    assert!(
+        s.spill_fallback_resident > 0 && s.shed_pages > 0,
+        "failed batches neither reverted nor shed: {s:?}"
+    );
+    assert!(s.resident_bytes <= BUDGET as u64, "{s:?}");
+    let mut out = vec![0u8; PAGE];
+    let mut missing = 0;
+    for key in 0..256u64 {
+        match store.get(key, &mut out) {
+            Ok(true) => assert_eq!(out, lz_page(key, 1), "key {key}"),
+            Ok(false) => missing += 1,
+            Err(e) => panic!("key {key}: {e}"),
+        }
+    }
+    assert!(missing <= s.shed_pages, "{missing} missing, {s:?}");
+    assert_eq!(store.check_invariants(), Ok(()));
+    store.shutdown();
+}
