@@ -9,7 +9,7 @@ use std::sync::MutexGuard;
 
 use super::core::StoreCore;
 use super::extent::verify_extent;
-use super::shard::{Residence, Shard};
+use super::shard::{Residence, Set, Shard};
 #[cfg(doc)]
 use super::CompressedStore;
 use crate::medium::SpillMedium;
@@ -33,24 +33,27 @@ impl StoreCore {
         // `(key, offset, len, gen, codec)` of every `Spilled` entry.
         let mut spilled = Vec::new();
         for (i, shard) in shards.iter().enumerate() {
-            let (mut n_hot, mut n_warm) = (0usize, 0usize);
+            // Keys with `Hot` and with `Memory` residence, each of which
+            // must name its own slot.
+            let mut listed = [0usize; 2];
+            let mut enlisted = |set: Set, slot: u32, key: u64| {
+                listed[set as usize] += 1;
+                if shard.sets[set as usize].get(slot as usize) == Some(&key) {
+                    return Ok(());
+                }
+                Err(format!("shard {i}: key {key}'s slot {slot} names another"))
+            };
             for (&key, e) in &shard.entries {
                 match &e.residence {
-                    Residence::Hot { data, handle } => {
+                    Residence::Hot { data, slot } => {
                         hot += data.len();
-                        n_hot += 1;
-                        if shard.lru_hot.get(*handle) != Some(&key) {
-                            return Err(format!("shard {i}: hot key {key} not on the hot LRU"));
-                        }
+                        enlisted(Set::Hot, *slot, key)?;
                     }
-                    Residence::Memory { data, handle } => {
+                    Residence::Memory { data, slot } => {
                         warm += data.len();
-                        n_warm += 1;
-                        if shard.lru.get(*handle) != Some(&key) {
-                            return Err(format!("shard {i}: warm key {key} not on the warm LRU"));
-                        }
+                        enlisted(Set::Warm, *slot, key)?;
                     }
-                    // A raw page, counted hot, on no LRU.
+                    // A raw page, counted hot, in neither set.
                     Residence::Sealing { data } => {
                         hot += data.len();
                         sealing += 1;
@@ -67,13 +70,12 @@ impl StoreCore {
                     Residence::SameFilled { .. } => {}
                 }
             }
-            // Every Hot/Memory entry owns a distinct node of its list,
-            // so equal lengths leave no room for a key of another kind.
-            if shard.lru_hot.check_invariants() != n_hot || shard.lru.check_invariants() != n_warm {
+            // Every one owns a distinct slot of its set, so equal lengths
+            // leave no room for a stray key.
+            let lens = shard.sets.each_ref().map(Vec::len);
+            if lens != listed {
                 return Err(format!(
-                    "shard {i}: LRU lengths hot {} warm {} but {n_hot} Hot and {n_warm} Memory entries",
-                    shard.lru_hot.len(),
-                    shard.lru.len()
+                    "shard {i}: sets hold {lens:?} keys but {listed:?} Hot and Memory entries"
                 ));
             }
         }

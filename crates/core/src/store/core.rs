@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use super::extent::verify_extent;
 use super::gc::Segments;
-use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Shard, SCRATCH};
+use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Set, Shard, SCRATCH};
 use super::stats::{top, tstat};
 use super::tiering::DemoteOutcome;
 use super::writer::Inbox;
@@ -175,6 +175,15 @@ impl StoreCore {
             .0
             .lock()
             .expect("shard poisoned")
+    }
+
+    /// `shard`'s eviction victim from `set` ([`Shard::victim`]), if it
+    /// has idled at least `idle` operations. The clock is read under the
+    /// shard's lock: every stamp in the shard was drawn before the hold
+    /// that wrote it, so none is ahead of this read.
+    pub(super) fn victim(&self, shard: &mut Shard, set: Set, idle: u64) -> Option<u64> {
+        let (key, age) = shard.victim(set, self.touch_clock.load(Ordering::Relaxed) as u32)?;
+        (age >= idle).then_some(key)
     }
 
     pub(super) fn has_spill(&self) -> bool {
@@ -384,7 +393,7 @@ impl StoreCore {
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
             if let Some(e) = shard.entries.get_mut(&key) {
-                if let Residence::Hot { data, handle } = &mut e.residence {
+                if let Residence::Hot { data, .. } = &mut e.residence {
                     if data.len() == page.len()
                         && self
                             .cfg
@@ -392,11 +401,9 @@ impl StoreCore {
                             .keep_hot(now.wrapping_sub(e.last_touch) as u64)
                     {
                         data.copy_from_slice(page);
-                        let handle = *handle;
                         e.probe = probe_code(None);
                         e.gets = 0;
                         e.last_touch = now;
-                        shard.lru_hot.touch(handle);
                         drop(shard);
                         tout.tier = strier::HOT;
                         tout.codec = CodecId::Raw.as_u8();
@@ -514,21 +521,19 @@ impl StoreCore {
                     // discarded (the demoter re-seals along the recorded
                     // route if this page ever ages out).
                     tout.tier = strier::HOT;
-                    let handle = shard.lru_hot.push_mru(key);
                     self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
                     self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
                     entry.residence = Residence::Hot {
                         data: page.into(),
-                        handle,
+                        slot: shard.enlist(Set::Hot, key),
                     };
                 } else if reserved {
                     tout.tier = strier::MEMORY;
                     entry.codec = sel.codec.as_u8();
                     self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
-                    let handle = shard.lru.push_mru(key);
                     entry.residence = Residence::Memory {
                         data: compressed.into(),
-                        handle,
+                        slot: shard.enlist(Set::Warm, key),
                     };
                 } else {
                     // Straight-to-spill path (see above): never resident,
@@ -706,11 +711,9 @@ impl StoreCore {
             let gets = entry.gets as u32;
             tout.codec = codec;
             match &entry.residence {
-                Residence::Hot { data, handle } => {
+                Residence::Hot { data, .. } => {
                     tout.tier = strier::HOT;
                     out.copy_from_slice(data);
-                    let handle = *handle;
-                    shard.lru_hot.touch(handle);
                     drop(shard);
                     self.tel.count(shard_idx, tstat::HITS_HOT, 1);
                     self.tel.record_since(top::GET_HOT, t0, ctx.trace_id);
@@ -726,11 +729,10 @@ impl StoreCore {
                         .record_since(top::GET_SAME_FILLED, t0, ctx.trace_id);
                     return Ok(Some(HitTier::SameFilled));
                 }
-                Residence::Memory { data, handle } => {
+                Residence::Memory { data, .. } => {
                     // Take a reference to the sealed bytes under the lock
                     // so decompression runs without it.
-                    let (data, handle) = (Arc::clone(data), *handle);
-                    shard.lru.touch(handle);
+                    let data = Arc::clone(data);
                     drop(shard);
                     self.decompress_into(codec, &data, out, timed);
                 }
@@ -918,15 +920,15 @@ impl StoreCore {
             Some(e) => {
                 self.tombstone_if_journaled(e.journaled, key);
                 match e.residence {
-                    Residence::Hot { data, handle } => {
+                    Residence::Hot { data, slot } => {
                         self.resident.fetch_sub(data.len(), Ordering::Relaxed);
                         self.hot_resident.fetch_sub(data.len(), Ordering::Relaxed);
-                        shard.lru_hot.remove(handle);
+                        shard.delist(Set::Hot, slot);
                     }
-                    Residence::Memory { data, handle } => {
+                    Residence::Memory { data, slot } => {
                         self.resident.fetch_sub(data.len(), Ordering::Relaxed);
                         self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
-                        shard.lru.remove(handle);
+                        shard.delist(Set::Warm, slot);
                     }
                     // Its job drops when it is published.
                     Residence::Sealing { data } => {
@@ -991,11 +993,11 @@ impl StoreCore {
 
     /// Free budget from `shard`: spill its coldest warm entry (already
     /// sealed — the cheapest victim), else compress-and-demote its
-    /// coldest hot entry. When degraded, shed instead. `NoVictim` if
-    /// nothing on this shard can make progress; `WriterFull` (shard
-    /// untouched) if the victim's payload does not fit in flight — the
-    /// caller holds this shard's lock, so it is the caller's to release
-    /// before anyone waits.
+    /// coldest hot entry, each the oldest of a sample. When degraded,
+    /// shed instead. `NoVictim` if nothing on this shard can make
+    /// progress; `WriterFull` (shard untouched) if the victim's payload
+    /// does not fit in flight — the caller holds this shard's lock, so
+    /// it is the caller's to release before anyone waits.
     pub(super) fn evict_one(&self, shard: &mut Shard) -> Progress {
         let freed = |freed: bool| {
             if freed {
@@ -1004,7 +1006,6 @@ impl StoreCore {
                 Progress::NoVictim
             }
         };
-        let warm_victim = shard.lru.peek_lru().map(|(_, &k)| k);
         let degraded = self.degraded.load(Ordering::Relaxed);
         if self.has_spill() && degraded {
             // Degraded: the medium can't be trusted with this page, but
@@ -1019,73 +1020,61 @@ impl StoreCore {
             if degraded {
                 return Progress::NoVictim;
             }
-            if let Some((_, &victim)) = shard.lru_hot.peek_lru() {
-                return freed(matches!(
+            return match self.victim(shard, Set::Hot, 0) {
+                Some(victim) => freed(matches!(
                     self.demote_hot_locked(shard, victim),
                     DemoteOutcome::Warm
-                ));
-            }
-            return Progress::NoVictim;
+                )),
+                None => Progress::NoVictim,
+            };
         }
-        let Some(victim) = warm_victim else {
-            // Only hot entries left: compress the coldest and demote it
-            // (to warm when compression frees memory, straight to the
-            // spill writer otherwise — guaranteed progress either way).
-            if let Some((_, &victim)) = shard.lru_hot.peek_lru() {
-                return match self.demote_hot_locked(shard, victim) {
-                    DemoteOutcome::Warm | DemoteOutcome::Spilled => Progress::Evicted,
-                    DemoteOutcome::Kept => Progress::NoVictim,
-                    DemoteOutcome::WriterFull(bytes) => Progress::WriterFull(bytes),
-                };
-            }
+        if let Some(victim) = self.victim(shard, Set::Warm, 0) {
+            return self.spill_warm(shard, victim);
+        }
+        // Only hot entries left: compress the coldest and demote it (to
+        // warm when compression frees memory, straight to the spill
+        // writer otherwise — guaranteed progress either way).
+        let Some(victim) = self.victim(shard, Set::Hot, 0) else {
             return Progress::NoVictim;
         };
-        let entry = shard.entries.get_mut(&victim).expect("lru/map sync");
-        let Residence::Memory { data, handle } = &entry.residence else {
-            unreachable!("LRU entry not in memory")
+        match self.demote_hot_locked(shard, victim) {
+            DemoteOutcome::Warm | DemoteOutcome::Spilled => Progress::Evicted,
+            DemoteOutcome::Kept => Progress::NoVictim,
+            DemoteOutcome::WriterFull(bytes) => Progress::WriterFull(bytes),
+        }
+    }
+
+    /// Hand `shard`'s warm entry `victim` to the spill writer, or report
+    /// `WriterFull` (the entry untouched) if its payload does not fit in
+    /// flight.
+    pub(super) fn spill_warm(&self, shard: &mut Shard, victim: u64) -> Progress {
+        let Residence::Memory { data, slot } = &shard.entries[&victim].residence else {
+            unreachable!("a warm victim is in memory")
         };
+        let (data, slot) = (Arc::clone(data), *slot);
         let len = data.len();
         if !self.reserve_inflight(len) {
             return Progress::WriterFull(len);
         }
-        // The hand-off replaces the residence; the allocation moves on.
-        let (data, handle) = (Arc::clone(data), *handle);
-        shard.lru.remove(handle);
+        shard.delist(Set::Warm, slot);
         self.resident.fetch_sub(len, Ordering::Relaxed);
         self.warm_resident.fetch_sub(len, Ordering::Relaxed);
+        // The hand-off replaces the residence; the allocation moves on.
+        let entry = shard.entries.get_mut(&victim).expect("checked above");
         self.hand_off(victim, entry, data, TraceCtx::NONE);
         Progress::Evicted
     }
 
     /// Drop `shard`'s coldest memory entry entirely (degraded-mode
-    /// eviction and post-fallback budget repair) — the coldest warm
-    /// entry first (already compressed, cheapest to refill), then the
-    /// coldest hot one. Returns false if the shard has no in-memory
-    /// entries.
+    /// eviction and post-fallback budget repair) — a warm victim first
+    /// (already compressed, cheapest to refill), then a hot one. Returns
+    /// false if the shard has no in-memory entries.
     fn shed_one(&self, shard: &mut Shard) -> bool {
-        let victim = match shard.lru.peek_lru() {
-            Some((_, &k)) => k,
-            None => match shard.lru_hot.peek_lru() {
-                Some((_, &k)) => k,
-                None => return false,
-            },
+        let victim = self.victim(shard, Set::Warm, 0);
+        let Some(victim) = victim.or_else(|| self.victim(shard, Set::Hot, 0)) else {
+            return false;
         };
-        let entry = shard.entries.remove(&victim).expect("lru/map sync");
-        self.tombstone_if_journaled(entry.journaled, victim);
-        let bytes = match entry.residence {
-            Residence::Memory { data, handle } => {
-                self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
-                shard.lru.remove(handle);
-                data.len()
-            }
-            Residence::Hot { data, handle } => {
-                self.hot_resident.fetch_sub(data.len(), Ordering::Relaxed);
-                shard.lru_hot.remove(handle);
-                data.len()
-            }
-            _ => unreachable!("LRU entry not in memory"),
-        };
-        self.resident.fetch_sub(bytes, Ordering::Relaxed);
+        self.remove_locked(shard, victim);
         let idx = self.shard_index(victim);
         self.tel.count(idx, tstat::SHED_PAGES, 1);
         true
@@ -1118,28 +1107,29 @@ impl StoreCore {
             }
             if !progress {
                 // Nothing left to shed: every byte `resident` counts is
-                // on an LRU list or waiting for its seal, and the sealing
-                // pages stay within a quarter of the budget (`seal_bound`).
+                // in a shard's hot or warm set or waiting for its seal,
+                // and the sealing pages stay within a quarter of the
+                // budget (`seal_bound`).
                 return;
             }
         }
     }
 
-    /// Put `key`'s `Spilling` payload back into memory residence on the
-    /// warm LRU — the medium let it down (failed batch, degraded mode,
+    /// Put `key`'s `Spilling` payload back into memory residence in the
+    /// warm set — the medium let it down (failed batch, degraded mode,
     /// dead writer). The one path that may push `resident` past the
     /// budget: the alternative is losing the page. Returns whether it
     /// did; the caller sheds once it has let go of the shard, with
     /// `shedding` raised from before this call until after the shed.
     pub(super) fn revert_to_memory(&self, shard: &mut Shard, key: u64) -> bool {
+        let slot = shard.enlist(Set::Warm, key);
         let e = shard.entries.get_mut(&key).expect("caller looked it up");
         let old = std::mem::replace(&mut e.residence, Residence::SameFilled { pattern: 0 });
         let Residence::Spilling { data } = old else {
             unreachable!("caller checked the residence")
         };
         let bytes = data.len();
-        let handle = shard.lru.push_mru(key);
-        e.residence = Residence::Memory { data, handle };
+        e.residence = Residence::Memory { data, slot };
         self.tel
             .count(self.shard_index(key), tstat::SPILL_FALLBACK_RESIDENT, 1);
         self.warm_resident.fetch_add(bytes, Ordering::Relaxed);

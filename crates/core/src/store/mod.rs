@@ -17,9 +17,10 @@
 //!
 //! The store is **lock-striped**: keys hash onto a power-of-two number of
 //! shards (default: one per hardware thread), each with its own entry
-//! map, LRU spill ordering, and buffer pool behind its own mutex. The
-//! global memory budget is enforced through a single atomic byte counter
-//! using compare-and-swap reservation, so `stats().resident_bytes` never
+//! map and the hot and warm key sets its eviction victims are sampled
+//! from, behind its own mutex. The global memory budget is enforced
+//! through a single atomic byte counter using compare-and-swap
+//! reservation, so `stats().resident_bytes` never
 //! exceeds the configured budget, while puts and gets on different shards
 //! proceed fully in parallel. Compression and decompression always run
 //! outside any shard lock, on thread-local reusable buffers, so the
@@ -358,10 +359,10 @@ impl CompressedStore {
     ///   plus the jobs whose entry was removed, replaced or promoted
     ///   since (they drop at publish), and the `Sealing` bytes stay
     ///   within the smaller of 64 pages and a quarter of the budget;
-    /// - a key is on the hot LRU ⇔ its residence is `Hot`, on the warm
-    ///   LRU ⇔ `Memory`, on neither otherwise, `Sealing` included (and
-    ///   both lists pass [`cc_util::LruList::check_invariants`], which
-    ///   panics);
+    /// - a key is in its shard's hot set ⇔ its residence is `Hot`, in
+    ///   the warm set ⇔ `Memory`, in neither otherwise, `Sealing`
+    ///   included: each such residence's slot names its own key there,
+    ///   and each set holds exactly as many keys as those residences;
     /// - `spill_inflight_bytes == Σ len(Spilling payloads)` plus the
     ///   payloads of jobs whose entry was removed or replaced while they
     ///   were queued (still held by the job, still counted);

@@ -9,14 +9,13 @@ use std::time::{Duration, Instant};
 
 use super::core::StoreCore;
 use super::gc::{segment_bytes, Segments};
-use super::shard::{Entry, EntryMap, Padded, Residence, Shard};
+use super::shard::{Entry, Padded, Residence, Shard};
 use super::stats::{top, tstat, STORE_TELEMETRY};
 use super::writer::{Background, Inbox, SpillWriter};
 use super::{CompressedStore, StoreConfig, StoreError};
 use crate::medium::{FileMedium, SpillMedium};
 use crate::persist::{self, Persist, Superblock};
 use cc_telemetry::Telemetry;
-use cc_util::LruList;
 
 impl CompressedStore {
     /// Open a store. With [`StoreConfig::spill_path`] the spill file is
@@ -106,13 +105,7 @@ impl CompressedStore {
     ) -> Self {
         let nshards = cfg.resolved_shards();
         let shards = (0..nshards)
-            .map(|_| {
-                Padded(Mutex::new(Shard {
-                    entries: EntryMap::default(),
-                    lru: LruList::new(),
-                    lru_hot: LruList::new(),
-                }))
-            })
+            .map(|i| Padded(Mutex::new(Shard::new(i as u64))))
             .collect();
         let tel = Telemetry::new(STORE_TELEMETRY, nshards, cfg.telemetry);
         let core = Arc::new(StoreCore {

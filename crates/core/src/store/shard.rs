@@ -1,6 +1,7 @@
 //! One lock stripe: the entries it owns, where each one lives
-//! ([`Residence`]) and its two LRU lists — plus the per-thread scratch
-//! the codecs run in, outside any shard lock.
+//! ([`Residence`]) and the two sets its eviction victims are sampled
+//! from — plus the per-thread scratch the codecs run in, outside any
+//! shard lock.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -8,38 +9,34 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use cc_compress::{CodecSet, Route};
-use cc_util::LruList;
+use cc_util::SplitMix64;
 #[cfg(doc)]
 use {super::extent::EXTENT_HEADER, super::tiering::SealJob, cc_compress::CodecId};
 
 /// Where an entry's bytes live. Every payload is one allocation of
 /// exactly its length — the bytes the budget counts are the bytes the
 /// store holds, give or take the allocator's header — and every variant
-/// fits in 24 bytes, so an [`Entry`] is 40 and its map slot 48.
+/// fits in 24 bytes, so an [`Entry`] is 40 and its map slot 48. `slot`
+/// is the key's index in its shard's [`Shard::sets`].
 pub(super) enum Residence {
     /// The hot tier: the page's raw uncompressed bytes (not a sealed
-    /// block — no method byte), tracked on the shard's hot LRU and
-    /// counted against the budget at full page size. A get is a memcpy.
-    Hot {
-        data: Box<[u8]>,
-        handle: cc_util::LruHandle,
-    },
-    /// Compressed (or raw) bytes in memory, LRU-tracked, counted against
-    /// the budget. Shared, never copied: a get decodes from its own
-    /// clone outside the shard lock, and eviction hands this same
-    /// allocation to the writer.
-    Memory {
-        data: Arc<[u8]>,
-        handle: cc_util::LruHandle,
-    },
+    /// block — no method byte), in the shard's hot set and counted
+    /// against the budget at full page size. A get is a memcpy.
+    Hot { data: Box<[u8]>, slot: u32 },
+    /// Compressed (or raw) bytes in memory, in the shard's warm set,
+    /// counted against the budget. Shared, never copied: a get decodes
+    /// from its own clone outside the shard lock, and eviction hands
+    /// this same allocation to the writer.
+    Memory { data: Arc<[u8]>, slot: u32 },
     /// The raw page of a put whose route is LZRW1, waiting for the
     /// background thread to seal it ([`SealJob`]). Counted at full page size in
-    /// the budget and the hot gauge, on no LRU; a get is a memcpy. The
-    /// job holds the other clone, and its publish revalidates against
-    /// this allocation exactly as the writer's does for `Spilling`.
+    /// the budget and the hot gauge, in neither set; a get is a memcpy.
+    /// The job holds the other clone, and its publish revalidates
+    /// against this allocation exactly as the writer's does for
+    /// `Spilling`.
     Sealing { data: Arc<[u8]> },
     /// The whole page is one repeated 8-byte word; nothing is stored but
-    /// the pattern. Never LRU-tracked or spilled: reconstructing it is
+    /// the pattern. Never an eviction victim or spilled: reconstructing it is
     /// cheaper than any I/O, and it occupies no budget.
     SameFilled { pattern: u64 },
     /// Handed to the writer; data still readable until the write lands
@@ -87,7 +84,9 @@ pub(super) struct Entry {
     /// Low 32 bits of the store's operation clock when this entry was
     /// last put or got. Ages are wrapping differences on this — at one
     /// op per clock tick a 32-bit window is ~4 billion operations deep,
-    /// far past any policy's idle threshold.
+    /// far past any policy's idle threshold. The only recency record:
+    /// eviction and the demote passes pick the oldest of a sample
+    /// ([`Shard::victim`]).
     pub(super) last_touch: u32,
     /// Whether this key may have a record in a batch summary on the
     /// spill file (set when its spill job's batch is published, kept
@@ -147,15 +146,70 @@ impl Hasher for KeyHasher {
 
 pub(super) type EntryMap = HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>;
 
+/// Keys an eviction samples from a set ([`Shard::victim`]): the
+/// associativity of a set-associative cache.
+const SAMPLE: usize = 8;
+
+/// One of a shard's two victim sets, indexing [`Shard::sets`].
+#[derive(Clone, Copy)]
+pub(super) enum Set {
+    Hot,
+    Warm,
+}
+
 pub(super) struct Shard {
     pub(super) entries: EntryMap,
-    /// Coldest-first spill ordering over the keys with `Memory` residence.
-    pub(super) lru: LruList<u64>,
-    /// Coldest-first demotion ordering over the keys with `Hot`
-    /// residence. Kept separate from `lru` so pressure eviction can
-    /// prefer warm victims (already compressed — spilling them is
-    /// cheap) and only then start compressing hot ones.
-    pub(super) lru_hot: LruList<u64>,
+    /// The keys with `Hot` and with `Memory` residence, in no order: a
+    /// residence's `slot` is its key's index in its set. Kept apart so
+    /// pressure eviction can prefer warm victims (already compressed —
+    /// spilling them is cheap) and only then start compressing hot ones.
+    pub(super) sets: [Vec<u64>; 2],
+    /// Draws the eviction samples.
+    rng: SplitMix64,
+}
+
+impl Shard {
+    /// An empty shard whose samples are drawn from `seed`.
+    pub(super) fn new(seed: u64) -> Shard {
+        Shard {
+            entries: EntryMap::default(),
+            sets: [Vec::new(), Vec::new()],
+            rng: SplitMix64::new(seed),
+        }
+    }
+
+    /// Add `key` to `set`; its residence must record the slot returned.
+    pub(super) fn enlist(&mut self, set: Set, key: u64) -> u32 {
+        self.sets[set as usize].push(key);
+        (self.sets[set as usize].len() - 1) as u32
+    }
+
+    /// Take `slot` off `set`: the set's last key moves into it, and that
+    /// key's residence is told so.
+    pub(super) fn delist(&mut self, set: Set, slot: u32) {
+        let keys = &mut self.sets[set as usize];
+        keys.swap_remove(slot as usize);
+        let Some(moved) = keys.get(slot as usize) else {
+            return;
+        };
+        match &mut self.entries.get_mut(moved).expect("set/map sync").residence {
+            Residence::Hot { slot: s, .. } | Residence::Memory { slot: s, .. } => *s = slot,
+            _ => unreachable!("a key in a set is in memory"),
+        }
+    }
+
+    /// The least recently touched of [`SAMPLE`] keys drawn from `set`,
+    /// or of all of them when it holds that many or fewer, with its age
+    /// at `now`. Every stamp in the shard must have been drawn before
+    /// `now`, so no wrapping age comes out huge.
+    pub(super) fn victim(&mut self, set: Set, now: u32) -> Option<(u64, u64)> {
+        let keys = &self.sets[set as usize];
+        let (n, rng) = (keys.len(), &mut self.rng);
+        (0..n.min(SAMPLE))
+            .map(|i| keys[if n <= SAMPLE { i } else { rng.gen_index(n) }])
+            .map(|key| (key, now.wrapping_sub(self.entries[&key].last_touch) as u64))
+            .max_by_key(|&(_, age)| age)
+    }
 }
 
 /// Pad shards to their own cache lines so hot per-shard state on

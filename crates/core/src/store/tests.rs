@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::extent::{encode_extent, verify_extent, EXTENT_HEADER};
-use super::shard::{probe_code, Residence, PROBE_REJECTED};
+use super::shard::{probe_code, Residence, Set, PROBE_REJECTED};
 use super::*;
 use crate::tier::TierPolicy;
 use cc_compress::{same_filled_pattern, CodecId, CodecPolicy};
@@ -1261,14 +1261,105 @@ fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
 
 /// The map holds one entry per key, so on a spill-heavy store every
 /// byte of it is a byte per key: every residence fits in 24 bytes (a
-/// fat pointer and a 4-byte LRU handle, or an extent's offset, length
-/// and generation), an entry in 40, and its map slot in 48.
+/// fat pointer and a 4-byte slot in its shard's hot or warm set, or an
+/// extent's offset, length and generation), an entry in 40, and its map
+/// slot in 48.
 #[test]
 fn an_entry_takes_40_bytes_and_its_map_slot_48() {
     use std::mem::size_of;
     assert_eq!(size_of::<Residence>(), 24);
     assert_eq!(size_of::<super::shard::Entry>(), 40);
     assert_eq!(size_of::<(u64, super::shard::Entry)>(), 48);
+}
+
+/// A one-shard store that keeps every page warm and spills to memory,
+/// with `n` keys put and then read in an order drawn from `seed`: the
+/// order, oldest first.
+fn touched_warm_store(n: u64, seed: u64) -> (CompressedStore, Vec<u64>) {
+    let cfg = StoreConfig::in_memory(16 << 20)
+        .with_shards(1)
+        .with_tier_policy(TierPolicy::COMPRESS_ALL);
+    let store = CompressedStore::with_medium(cfg, Arc::new(MemMedium::new()));
+    let mut order: Vec<u64> = (0..n).collect();
+    for &k in &order {
+        store.put(k, &bdi_page(k as u8)).unwrap();
+    }
+    cc_util::SplitMix64::new(seed).shuffle(&mut order);
+    let mut out = vec![0u8; 4096];
+    for &k in &order {
+        assert!(store.get(k, &mut out).unwrap());
+    }
+    (store, order)
+}
+
+/// Force one eviction on `store`'s only shard: the position in `warm`
+/// (oldest first) of the key it spilled, which leaves `warm`.
+fn evict_warm(store: &CompressedStore, warm: &mut Vec<u64>) -> usize {
+    let mut shard = store.core.shard(0);
+    let progress = store.core.evict_one(&mut shard);
+    assert!(matches!(progress, super::core::Progress::Evicted));
+    let taken = (warm.iter())
+        .position(|k| !matches!(shard.entries[k].residence, Residence::Memory { .. }))
+        .expect("no warm key was spilled");
+    drop(shard);
+    warm.remove(taken);
+    taken
+}
+
+/// A set of eight or fewer is sampled whole, so a small store evicts in
+/// exact `last_touch` order, as an LRU list would.
+#[test]
+fn a_few_warm_pages_are_evicted_in_exact_touch_order() {
+    for seed in 0..4 {
+        let (store, mut warm) = touched_warm_store(8, seed);
+        while !warm.is_empty() {
+            assert_eq!(evict_warm(&store, &mut warm), 0, "seed {seed}");
+        }
+        store.flush().unwrap();
+        store.check_invariants().unwrap();
+    }
+}
+
+/// On a large set a victim is the oldest of eight sampled keys, whose
+/// expected age rank is about 1/9 of the set: 256 victims out of 512
+/// pages must come, on average, from the oldest quarter.
+#[test]
+fn sampled_victims_come_from_the_oldest_quarter() {
+    let (store, mut warm) = touched_warm_store(512, 7);
+    let mut rank = 0.0;
+    for _ in 0..256 {
+        let len = warm.len() as f64;
+        rank += evict_warm(&store, &mut warm) as f64 / len;
+    }
+    let mean = rank / 256.0;
+    assert!(mean < 0.25, "mean age rank {mean:.3}");
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+}
+
+/// The checker holds every `Hot` and `Memory` slot to its own key and
+/// each set to those keys alone.
+#[test]
+fn the_checker_catches_a_wrong_slot_and_a_stray_key() {
+    let (store, _) = touched_warm_store(2, 0);
+    let swap_slot = |key: u64| {
+        let mut shard = store.core.shard(0);
+        let e = shard.entries.get_mut(&key).unwrap();
+        let Residence::Memory { slot, .. } = &mut e.residence else {
+            panic!("key {key} is not warm")
+        };
+        *slot ^= 1;
+    };
+    swap_slot(0);
+    let err = store.check_invariants().unwrap_err();
+    assert!(err.contains("key 0's slot 1 names another"), "{err}");
+    swap_slot(0);
+    store.check_invariants().unwrap();
+    store.core.shard(0).sets[Set::Warm as usize].push(99);
+    let err = store.check_invariants().unwrap_err();
+    assert!(err.contains("sets hold [0, 3] keys"), "{err}");
+    store.core.shard(0).sets[Set::Warm as usize].pop();
+    store.check_invariants().unwrap();
 }
 
 /// The cleaner works a batch at a time: one step copies the survivors

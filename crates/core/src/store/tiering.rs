@@ -12,13 +12,12 @@ use std::time::Instant;
 
 use super::config::INFLIGHT_SHARE;
 use super::core::{Progress, StoreCore};
-use super::shard::{probe_code, probe_hint, Entry, Residence, Scratch, Shard, SCRATCH};
+use super::shard::{probe_code, probe_hint, Entry, Residence, Scratch, Set, Shard, SCRATCH};
 use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::CompressedStore;
 use cc_compress::{CodecId, Route, Selection};
 use cc_telemetry::trace::{sop, tier as strier, TraceCtx};
-use cc_util::LruList;
 
 impl StoreCore {
     /// Decompress-back-to-hot promotion of `key`, whose just-served
@@ -71,9 +70,9 @@ impl StoreCore {
         }
         let mut e = shard.entries.remove(&key).expect("checked above");
         match e.residence {
-            Residence::Memory { data, handle } => {
+            Residence::Memory { data, slot } => {
                 self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
-                shard.lru.remove(handle);
+                shard.delist(Set::Warm, slot);
             }
             Residence::Spilled { offset, len, .. } => {
                 // The extent stays behind as dead bytes for the cleaner.
@@ -86,10 +85,9 @@ impl StoreCore {
             }
             _ => unreachable!("checked above"),
         }
-        let handle = shard.lru_hot.push_mru(key);
         e.residence = Residence::Hot {
             data: page.into(),
-            handle,
+            slot: shard.enlist(Set::Hot, key),
         };
         e.codec = CodecId::Raw.as_u8();
         shard.entries.insert(key, e);
@@ -112,8 +110,9 @@ impl StoreCore {
     /// Compress `shard`'s hot entry `key` (along the route its put took —
     /// no re-classification) and demote it: to warm residence when the
     /// sealed form is smaller, else to the spill writer when one is
-    /// available. `Kept` means neither helped; the entry is cycled to
-    /// the hot MRU end so a bounded sweep doesn't re-grind it.
+    /// available. `Kept` means neither helped; the entry is stamped as
+    /// touched now, so the next sample passes it over and a bounded sweep
+    /// doesn't re-grind it.
     /// `WriterFull` means the spill writer has no room in flight for it.
     pub(super) fn demote_hot_locked(&self, shard: &mut Shard, key: u64) -> DemoteOutcome {
         let shard_idx = self.shard_index(key);
@@ -121,10 +120,10 @@ impl StoreCore {
             return DemoteOutcome::Kept;
         };
         let route = probe_hint(e.probe);
-        let Residence::Hot { data, .. } = &e.residence else {
+        let Residence::Hot { data, slot } = &e.residence else {
             return DemoteOutcome::Kept;
         };
-        let orig_len = data.len();
+        let (orig_len, slot) = (data.len(), *slot);
         // Seal under the shard lock: the demoter touches one entry per
         // lock hold, and compressing outside the lock would need a page
         // copy plus revalidation — more overhead than it saves on a
@@ -153,24 +152,15 @@ impl StoreCore {
             sel
         });
         if sel.len < orig_len {
-            // Hot → warm: swap the raw page for its sealed form at the
-            // *cold* end of the warm LRU (an aged page stays first in
-            // line for the next spill).
+            // Hot → warm: swap the raw page for its sealed form. It keeps
+            // its age, so an aged page stays first in line for the next
+            // spill.
             let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].into());
-            let handle = shard.lru.push_lru(key);
+            shard.delist(Set::Hot, slot);
+            let slot = shard.enlist(Set::Warm, key);
             let e = shard.entries.get_mut(&key).expect("checked above");
             e.codec = sel.codec.as_u8();
-            let hot = std::mem::replace(
-                &mut e.residence,
-                Residence::Memory {
-                    data: sealed,
-                    handle,
-                },
-            );
-            let Residence::Hot { handle, .. } = hot else {
-                unreachable!("checked above")
-            };
-            shard.lru_hot.remove(handle);
+            e.residence = Residence::Memory { data: sealed, slot };
             self.resident
                 .fetch_sub(orig_len - sel.len, Ordering::Relaxed);
             self.hot_resident.fetch_sub(orig_len, Ordering::Relaxed);
@@ -185,12 +175,9 @@ impl StoreCore {
                 return DemoteOutcome::WriterFull(sel.len);
             }
             let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].into());
+            shard.delist(Set::Hot, slot);
             let e = shard.entries.get_mut(&key).expect("checked above");
-            let Residence::Hot { handle, .. } = e.residence else {
-                unreachable!("checked above")
-            };
             e.codec = sel.codec.as_u8();
-            shard.lru_hot.remove(handle);
             // The raw page is freed when the hand-off replaces the
             // residence.
             self.resident.fetch_sub(orig_len, Ordering::Relaxed);
@@ -199,27 +186,12 @@ impl StoreCore {
             self.tel.count(shard_idx, tstat::DEMOTED_HOT, 1);
             DemoteOutcome::Spilled
         } else {
-            // Nothing to gain and nowhere to spill: cycle it so the
+            // Nothing to gain and nowhere to spill: stamp it so the
             // caller's bounded walk moves on.
-            if let Some(e) = shard.entries.get(&key) {
-                if let Residence::Hot { handle, .. } = &e.residence {
-                    let handle = *handle;
-                    shard.lru_hot.touch(handle);
-                }
-            }
+            let e = shard.entries.get_mut(&key).expect("checked above");
+            e.last_touch = self.touch_clock.load(Ordering::Relaxed) as u32;
             DemoteOutcome::Kept
         }
-    }
-
-    /// `list`'s coldest key, if it has idled at least `idle` operations.
-    /// The clock is read under `shard`'s lock: every stamp in the shard
-    /// was drawn before the hold that wrote it, so none is ahead of this
-    /// read and the wrapping age cannot come out as a huge one.
-    fn aged_victim(&self, shard: &Shard, list: &LruList<u64>, idle: u64) -> Option<u64> {
-        let now = self.touch_clock.load(Ordering::Relaxed) as u32;
-        let (_, &victim) = list.peek_lru()?;
-        let age = now.wrapping_sub(shard.entries.get(&victim)?.last_touch) as u64;
-        (age >= idle).then_some(victim)
     }
 
     /// One bounded demotion sweep across every shard. Hot entries idle
@@ -236,7 +208,7 @@ impl StoreCore {
         let do_hot = hot_idle != u64::MAX && pressure >= policy.hot_demote_pressure_pct;
         let do_warm = warm_idle != u64::MAX
             && pressure >= policy.warm_demote_pressure_pct
-            && self.has_spill()
+            && self.spill_open()
             && !self.degraded.load(Ordering::Relaxed);
         if !do_hot && !do_warm {
             return (0, 0);
@@ -244,13 +216,13 @@ impl StoreCore {
         let t0 = Instant::now();
         let (mut hot_n, mut warm_n) = (0u64, 0u64);
         // One entry per lock hold: the shard lock is re-taken (and the
-        // LRU re-peeked) for every victim, so a foreground op on the
+        // set re-sampled) for every victim, so a foreground op on the
         // shard waits for at most one seal, never for a batch of them.
         for (shard_idx, slot) in self.shards.iter().enumerate() {
             if do_hot {
                 for _ in 0..DEMOTE_SHARD_BATCH {
                     let mut shard = slot.0.lock().expect("shard poisoned");
-                    let Some(victim) = self.aged_victim(&shard, &shard.lru_hot, hot_idle) else {
+                    let Some(victim) = self.victim(&mut shard, Set::Hot, hot_idle) else {
                         break;
                     };
                     match self.demote_hot_locked(&mut shard, victim) {
@@ -264,12 +236,12 @@ impl StoreCore {
             if do_warm {
                 for _ in 0..DEMOTE_SHARD_BATCH {
                     let mut shard = slot.0.lock().expect("shard poisoned");
-                    if self.aged_victim(&shard, &shard.lru, warm_idle).is_none() {
+                    let Some(victim) = self.victim(&mut shard, Set::Warm, warm_idle) else {
                         break;
-                    }
+                    };
                     // `WriterFull` included: the demoter skips, it
                     // never waits on the writer.
-                    if !matches!(self.evict_one(&mut shard), Progress::Evicted) {
+                    if !matches!(self.spill_warm(&mut shard, victim), Progress::Evicted) {
                         break;
                     }
                     self.tel.count(shard_idx, tstat::DEMOTED_WARM, 1);
@@ -286,8 +258,9 @@ impl StoreCore {
     /// Defer the seal of a put of `page`, its raw bytes reserved and
     /// `key`'s shard lock held, in one hold of the inbox lock: claim a
     /// job, push it, and wake the thread if that completes a batch; `e`
-    /// then waits `Sealing`, counted hot on no LRU. `false`, with nothing
-    /// changed, after shutdown or at [`StoreCore::seal_bound`] jobs.
+    /// then waits `Sealing`, counted hot, in neither set. `false`, with
+    /// nothing changed, after shutdown or at [`StoreCore::seal_bound`]
+    /// jobs.
     pub(super) fn defer_seal(&self, e: &mut Entry, key: u64, page: &[u8], timed: bool) -> bool {
         let mut inbox = self.inbox();
         if inbox.closed || inbox.seals.outstanding >= self.seal_bound() {
@@ -321,9 +294,9 @@ impl StoreCore {
     }
 
     /// Seal jobs outstanding at once: [`SEAL_QUEUE_CAP`], or fewer, so
-    /// the raw pages `Sealing` entries hold off every LRU stay within the
-    /// budget's in-flight share and a failed batch can always shed back
-    /// under the budget.
+    /// the raw pages `Sealing` entries hold outside both sets stay within
+    /// the budget's in-flight share and a failed batch can always shed
+    /// back under the budget.
     pub(super) fn seal_bound(&self) -> usize {
         let page = self.page_size.load(Ordering::Relaxed).max(1);
         SEAL_QUEUE_CAP.min(self.cfg.memory_budget / INFLIGHT_SHARE / page)
@@ -407,9 +380,9 @@ impl StoreCore {
     }
 
     /// Place a sealed job's page where the inline put would have — warm
-    /// at the MRU end when the policy does not admit it hot, hot
-    /// otherwise — if its entry is still the `Sealing` one it was queued
-    /// for ([`Arc::ptr_eq`]); a re-put, remove or promotion since has
+    /// when the policy does not admit it hot, hot otherwise — if its
+    /// entry is still the `Sealing` one it was queued for
+    /// ([`Arc::ptr_eq`]); a re-put, remove or promotion since has
     /// orphaned it, and it drops. The put's codec counters count either
     /// way: the seal ran. The job goes back to the free list under the
     /// shard lock, so the checker sees it outstanding exactly while its
@@ -431,21 +404,21 @@ impl StoreCore {
         if !waiting {
             self.seal_orphaned.fetch_sub(1, Ordering::Relaxed);
         } else if hot {
-            let handle = shard.lru_hot.push_mru(key);
+            let slot = shard.enlist(Set::Hot, key);
             let e = shard.entries.get_mut(&key).expect("checked above");
             e.probe = probe_code(Some(sel.route()));
             e.residence = Residence::Hot {
                 data: job.raw[..].into(),
-                handle,
+                slot,
             };
         } else {
-            let handle = shard.lru.push_mru(key);
+            let slot = shard.enlist(Set::Warm, key);
             let e = shard.entries.get_mut(&key).expect("checked above");
             e.probe = probe_code(Some(sel.route()));
             e.codec = sel.codec.as_u8();
             e.residence = Residence::Memory {
                 data: job.out[..sel.len].into(),
-                handle,
+                slot,
             };
             self.resident.fetch_sub(raw - sel.len, Ordering::Relaxed);
             self.hot_resident.fetch_sub(raw, Ordering::Relaxed);
@@ -542,14 +515,14 @@ pub(super) enum DemoteOutcome {
     Warm,
     /// Handed to the spill writer (freed the whole raw page).
     Spilled,
-    /// Nothing freed and nowhere to spill; cycled to the hot MRU end.
+    /// Nothing freed and nowhere to spill; stamped as touched now.
     Kept,
     /// The sealed form (this many bytes) must spill and does not fit in
     /// flight; the entry is untouched.
     WriterFull(usize),
 }
 
-/// Per-LRU-list cap on entries each demoter pass inspects per shard —
+/// Per-set cap on entries each demoter pass inspects per shard —
 /// bounds the time a pass holds any one shard lock, so foreground puts
 /// and gets never stall behind a long sweep.
 const DEMOTE_SHARD_BATCH: usize = 8;

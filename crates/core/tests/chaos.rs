@@ -472,6 +472,20 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
         store.stats().corrupt_detected > detected,
         "the flip was never detected"
     );
+    // The storm's reads make an injected corruption likely, not
+    // certain: read the fresh pages on the spill file until the injector
+    // has damaged one, and check every page that comes back.
+    for key in FRESH.cycle().take(4_096) {
+        if injector.injected().read_corruptions > 0 {
+            break;
+        }
+        if store.peek_tier(key) != Some(HitTier::Spill) {
+            continue;
+        }
+        if let Ok(true) = store.get(key, &mut out) {
+            assert_eq!(out, noise_page(key, 1), "key {key} corrupted");
+        }
+    }
 
     let s = store.stats();
     let inj = injector.injected();
@@ -849,10 +863,10 @@ fn lz_page(key: u64, version: u64) -> Vec<u8> {
 
 /// A write outage at budget while LZRW1 puts wait `Sealing`: failed
 /// batches send their pages back to memory past the budget and then
-/// degrade the store, which evicts by shedding. A `Sealing` page is on
-/// no LRU, so no shed can drop it; they stay within a quarter of the
-/// budget, so every put still finds a page to shed, and the fallback
-/// sheds back under the budget.
+/// degrade the store, which evicts by shedding. A `Sealing` page is in
+/// neither victim set, so no shed can drop it; they stay within a
+/// quarter of the budget, so every put still finds a page to shed, and
+/// the fallback sheds back under the budget.
 #[test]
 fn a_write_outage_at_budget_sheds_past_sealing_pages() {
     const BUDGET: usize = 16 * PAGE;

@@ -29,7 +29,7 @@ const PAGE: usize = 4096;
 
 /// A distinct page per key. Compressible ones are a third noise and the
 /// rest text (LZRW1 seals them at ~1.5 KB, so they live warm and spill
-/// from the warm LRU); the others are all noise (kept hot, sealed only
+/// from the warm set); the others are all noise (kept hot, sealed only
 /// when demoted, spilled raw).
 fn page_for(key: u64, compressible: bool) -> Vec<u8> {
     let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED);

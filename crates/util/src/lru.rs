@@ -1,11 +1,11 @@
 //! Intrusive LRU list with O(1) touch, insert, and eviction.
 //!
-//! Three independent consumers in the reproduced system keep LRU order over
-//! their pages: the VM resident set, the file buffer cache, and the
-//! compression cache's frame queue. Sprite approximated LRU with clock
-//! hands; we keep exact LRU (the paper's analysis assumes LRU replacement,
-//! §5.1) using a doubly-linked list threaded through a slab so that *every*
-//! operation on the fault fast path is constant time.
+//! Two consumers in the simulator keep LRU order over their pages: the
+//! VM resident set (`cc_sim::vm`) and the file buffer cache
+//! (`cc_sim::blockfs`). Sprite approximated LRU with clock hands; we keep
+//! exact LRU (the paper's analysis assumes LRU replacement, §5.1) using a
+//! doubly-linked list threaded through a slab so that *every* operation on
+//! the fault fast path is constant time.
 
 use crate::slab::Slab;
 
@@ -98,26 +98,6 @@ impl<T> LruList<T> {
         self.head = Some(idx);
         if self.tail.is_none() {
             self.tail = Some(idx);
-        }
-        LruHandle::new(idx)
-    }
-
-    /// Insert `value` as the *least* recently used entry.
-    ///
-    /// Used when reloading a page whose recency should not displace the
-    /// working set (e.g. pages prefetched as part of a batched swap read).
-    pub fn push_lru(&mut self, value: T) -> LruHandle {
-        let idx = self.nodes.insert(Node {
-            value,
-            prev: self.tail,
-            next: None,
-        });
-        if let Some(old_tail) = self.tail {
-            self.nodes[old_tail].next = Some(idx);
-        }
-        self.tail = Some(idx);
-        if self.head.is_none() {
-            self.head = Some(idx);
         }
         LruHandle::new(idx)
     }
@@ -324,15 +304,6 @@ mod tests {
         lru.check_invariants();
         assert_eq!(lru.pop_lru(), Some(1));
         assert_eq!(lru.pop_lru(), Some(3));
-    }
-
-    #[test]
-    fn push_lru_goes_to_tail() {
-        let mut lru = LruList::new();
-        lru.push_mru("warm");
-        lru.push_lru("cold");
-        assert_eq!(*lru.peek_lru().unwrap().1, "cold");
-        assert_eq!(*lru.peek_mru().unwrap().1, "warm");
     }
 
     #[test]

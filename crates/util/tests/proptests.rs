@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 enum LruOp {
     Push(u32),
-    PushCold(u32),
     Touch(usize),
     Remove(usize),
     PopLru,
@@ -21,7 +20,6 @@ enum LruOp {
 fn lru_op() -> impl Strategy<Value = LruOp> {
     prop_oneof![
         any::<u32>().prop_map(LruOp::Push),
-        any::<u32>().prop_map(LruOp::PushCold),
         (0usize..64).prop_map(LruOp::Touch),
         (0usize..64).prop_map(LruOp::Remove),
         Just(LruOp::PopLru),
@@ -45,11 +43,6 @@ proptest! {
                     let h = lru.push_mru(v);
                     handles.push(h);
                     model.push_front((handles.len() - 1, v));
-                }
-                LruOp::PushCold(v) => {
-                    let h = lru.push_lru(v);
-                    handles.push(h);
-                    model.push_back((handles.len() - 1, v));
                 }
                 LruOp::Touch(i) => {
                     if let Some(pos) = model.iter().position(|&(hi, _)| hi == i) {
