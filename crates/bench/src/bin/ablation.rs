@@ -15,7 +15,7 @@
 //! Run with `--quick` for 1/8 scale.
 
 use cc_bench::scaled;
-use cc_disk::DiskParams;
+use cc_sim::disk::DiskParams;
 use cc_sim::workloads::thrasher::{measure_cycle_access_time, Thrasher};
 use cc_sim::{CodecKind, Mode, SimConfig, System};
 use cc_util::SplitMix64;

@@ -7,8 +7,9 @@
 //! file streaming, back to the sweep) and plots the compression cache's
 //! frame count over virtual time.
 
+use cc_bench::plot;
 use cc_sim::{Mode, SimConfig, System};
-use cc_util::{plot, SplitMix64};
+use cc_util::SplitMix64;
 
 const MB: u64 = 1024 * 1024;
 

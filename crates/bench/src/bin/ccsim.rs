@@ -27,7 +27,7 @@
 //! ```
 
 use cc_compress::ThresholdPolicy;
-use cc_disk::DiskParams;
+use cc_sim::disk::DiskParams;
 use cc_sim::workloads::{
     compare::CompareApp,
     gold::{GoldApp, GoldPhase, GoldWorkload},

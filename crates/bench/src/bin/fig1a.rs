@@ -5,10 +5,10 @@
 //! slowdown. This harness prints the surface as a table, the paper's
 //! three-region shading as an ASCII heatmap, and the break-even frontier.
 
+use cc_bench::plot;
 use cc_sim::analytic::{
     bandwidth_breakeven_ratio, bandwidth_speedup, grid, ratio_axis, speed_axis,
 };
-use cc_util::plot;
 
 fn main() {
     println!("== Figure 1(a): bandwidth speedup, compress-to-backing-store ==");

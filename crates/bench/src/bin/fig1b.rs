@@ -8,8 +8,8 @@
 //!   *linear in the speed of compression* ((4/3)s);
 //! - crossing r = 1/2 produces the "sharp leap" down as disk I/O turns on.
 
+use cc_bench::plot;
 use cc_sim::analytic::{grid, ratio_axis, reference_speedup, speed_axis};
-use cc_util::plot;
 
 fn main() {
     println!("== Figure 1(b): reference-time speedup, compressed pages kept in memory ==\n");

@@ -8,10 +8,9 @@
 //!
 //! Run with `--quick` for a 1/8-scale smoke pass.
 
-use cc_bench::scaled;
+use cc_bench::{plot, scaled};
 use cc_sim::workloads::thrasher::{measure_cycle_access_time, Thrasher};
 use cc_sim::{Mode, SimConfig, System};
-use cc_util::plot;
 
 const MB: u64 = 1024 * 1024;
 

@@ -18,6 +18,7 @@ use cc_sim::workloads::{Workload, WorkloadSummary};
 use cc_sim::{Mode, SimConfig, System};
 use cc_util::{Ns, SplitMix64};
 
+pub mod plot;
 pub mod smoke;
 
 /// Zipfian sampler over ranks `0..n` for `storebench` and `loadgen`: a

@@ -15,9 +15,9 @@
 //! afterthought.
 //!
 //! The 1993 system itself is reproduced elsewhere: the §4 circular-buffer
-//! cache and the VM and file-system models it runs on in `cc-sim` (as
-//! `cc_sim::paper`, `cc_sim::vm` and `cc_sim::blockfs`), over the memory
-//! and disk models in `cc-mem` and `cc-disk`.
+//! cache, the VM and file-system models it runs on, and the memory and
+//! disk models under them are all in `cc-sim` (as `cc_sim::paper`,
+//! `cc_sim::vm`, `cc_sim::blockfs`, `cc_sim::mem` and `cc_sim::disk`).
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! comparing the LRU ages of their oldest pages — §4 of the paper extends
 //! that two-way negotiation to three ways. This module provides the file
 //! side: an LRU cache of `(file, block)` entries whose frames come from the
-//! shared [`cc_mem::FramePool`], exposing exactly the hooks the memory
+//! shared [`mem::FramePool`](crate::mem::FramePool), exposing exactly the hooks the memory
 //! arbiter needs (oldest age, eviction, dirty write-back information).
 //!
 //! The cache stores block *contents* in its frames; the simulator charges
@@ -17,8 +17,9 @@
 
 use std::collections::HashMap;
 
-use cc_mem::{FrameId, FrameOwner, FramePool};
-use cc_util::{LruHandle, LruList, Ns};
+use crate::lru::{LruHandle, LruList};
+use crate::mem::{FrameId, FrameOwner, FramePool};
+use cc_util::Ns;
 
 use super::FileId;
 
@@ -215,7 +216,7 @@ pub fn read_block_through(
 mod tests {
     use super::*;
     use crate::blockfs::FileSystem;
-    use cc_disk::{Disk, DiskParams};
+    use crate::disk::{Disk, DiskParams};
 
     fn setup() -> (BufferCache, FramePool, FileSystem, FileId) {
         let mut fs = FileSystem::new(Disk::new(DiskParams::rz57()));

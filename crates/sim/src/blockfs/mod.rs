@@ -22,7 +22,7 @@
 //!
 //! The module also provides the Sprite **file buffer cache** substrate
 //! ([`BufferCache`]): an LRU block cache drawing frames from the shared
-//! [`cc_mem::FramePool`], so the simulator can trade physical memory
+//! [`mem::FramePool`](crate::mem::FramePool), so the simulator can trade physical memory
 //! between VM pages, file blocks, and compressed pages by comparing LRU
 //! ages — the §4.2 mechanism.
 
@@ -30,7 +30,7 @@ mod buffer_cache;
 
 pub use buffer_cache::{read_block_through, BufferCache, CacheBlockKey, EvictedBlock};
 
-use cc_disk::{Completion, Disk};
+use crate::disk::{Completion, Disk};
 use cc_util::{Ns, Slab};
 
 /// Identifier of a file within the [`FileSystem`].
@@ -231,7 +231,7 @@ impl FileSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_disk::DiskParams;
+    use crate::disk::DiskParams;
 
     fn fs() -> FileSystem {
         FileSystem::new(Disk::new(DiskParams::rz57()))

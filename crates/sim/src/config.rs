@@ -1,7 +1,7 @@
 //! Simulator configuration: machine, mode, and policy knobs.
 
+use crate::disk::DiskParams;
 use cc_compress::ThresholdPolicy;
-use cc_disk::DiskParams;
 use cc_util::Ns;
 
 use crate::paper::cache::CpuCosts;

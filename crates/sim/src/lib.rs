@@ -7,11 +7,14 @@
 //! | [`system`] | the whole machine and the three-way memory arbiter |
 //! | [`vm`] | Sprite's VM: segments, page tables, exact-LRU residency, dirty tracking |
 //! | [`blockfs`] | Sprite's 4 KB-block files over the disk model, and the buffer cache |
+//! | [`mem`] | the physical frame pool, with real page contents and per-owner counts |
+//! | [`disk`] | RZ57 and friends: seeks, rotation, transfer, request queueing |
+//! | [`lru`] | the intrusive LRU list behind the VM's resident set and the buffer cache |
 //! | [`analytic`] | Figure 1's closed-form models |
 //!
 //! [`System`] wires the substrates together the way the modified Sprite
-//! kernel does: a [`vm::Vm`] over a shared [`cc_mem::FramePool`], a
-//! [`blockfs::FileSystem`] on a [`cc_disk::Disk`], an optional
+//! kernel does: a [`vm::Vm`] over a shared [`mem::FramePool`], a
+//! [`blockfs::FileSystem`] on a [`disk::Disk`], an optional
 //! [`paper::CompressionCache`], and — the §4.2 contribution — a
 //! **three-way memory arbiter** that trades physical frames among
 //! uncompressed VM pages, file-cache blocks, and compressed pages by
@@ -37,6 +40,9 @@
 pub mod analytic;
 pub mod blockfs;
 pub mod config;
+pub mod disk;
+pub mod lru;
+pub mod mem;
 pub mod paper;
 pub mod stats;
 pub mod system;

@@ -6,7 +6,7 @@
 //! use [`MemBacking`], an in-memory implementation with a trivial cost
 //! model, so the cache mechanism can be tested in isolation.
 
-use cc_disk::Completion;
+use crate::disk::Completion;
 use cc_util::Ns;
 
 /// Byte-addressed backing storage with virtual-time costs.

@@ -23,8 +23,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::mem::{FrameId, FrameOwner, FramePool};
 use cc_compress::{CompressDecision, Compressor};
-use cc_mem::{FrameId, FrameOwner, FramePool};
 use cc_util::Ns;
 
 use super::backing::BackingStore;

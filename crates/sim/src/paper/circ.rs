@@ -22,7 +22,7 @@
 //! [`CircBuf::read_bytes`], so any layout bug corrupts page data and is
 //! caught by the end-to-end integrity tests.
 
-use cc_mem::{FrameId, FramePool};
+use crate::mem::{FrameId, FramePool};
 
 /// Per-slot state of the cache's VA range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,7 +334,7 @@ impl CircBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_mem::FrameOwner;
+    use crate::mem::FrameOwner;
 
     fn pool(n: usize) -> FramePool {
         FramePool::new(n, 64)

@@ -1,6 +1,6 @@
 //! Aggregated measurements and the end-of-run report.
 
-use cc_disk::DiskStats;
+use crate::disk::DiskStats;
 use cc_telemetry::HistSummary;
 use cc_util::{fmt, Ns};
 

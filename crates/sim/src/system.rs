@@ -3,9 +3,9 @@
 
 use std::collections::HashMap;
 
+use crate::disk::{Completion, Disk, DiskStats};
+use crate::mem::{FrameId, FrameOwner, FramePool};
 use cc_compress::{Compressor, Lzrw1, Lzss, Null, Rle};
-use cc_disk::{Completion, Disk, DiskStats};
-use cc_mem::{FrameId, FrameOwner, FramePool};
 use cc_telemetry::{Telemetry, TelemetrySpec};
 use cc_util::Ns;
 
@@ -433,7 +433,7 @@ impl System {
 
     /// Who holds the machine's frames right now (the §4.2 three-way
     /// split).
-    pub fn frame_counts(&self) -> cc_mem::FrameCounts {
+    pub fn frame_counts(&self) -> crate::mem::FrameCounts {
         self.pool.counts()
     }
 

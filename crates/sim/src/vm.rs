@@ -14,8 +14,9 @@
 //! legality (see [`PageState`]) and keeps exact LRU over resident pages
 //! with the per-page timestamps that the three-way memory arbiter compares.
 
-use cc_mem::FrameId;
-use cc_util::{LruHandle, LruList, Ns, Slab};
+use crate::lru::{LruHandle, LruList};
+use crate::mem::FrameId;
+use cc_util::{Ns, Slab};
 
 /// Identifier of a segment (one per process address space region; the
 /// workloads here use one data segment each, as `thrasher` does).
@@ -32,7 +33,7 @@ pub struct VPage {
 }
 
 impl VPage {
-    /// Pack into a u64 tag (for [`cc_mem::FrameOwner`]).
+    /// Pack into a u64 tag (for [`mem::FrameOwner`](crate::mem::FrameOwner)).
     pub fn tag(self) -> u64 {
         ((self.seg.0 as u64) << 32) | self.page as u64
     }
@@ -127,7 +128,7 @@ impl VmStats {
 /// # Examples
 ///
 /// ```
-/// use cc_mem::FrameId;
+/// use cc_sim::mem::FrameId;
 /// use cc_util::Ns;
 /// use cc_sim::vm::{AccessResult, FaultKind, Vm, VPage};
 ///

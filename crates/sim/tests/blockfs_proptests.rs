@@ -1,8 +1,8 @@
 //! Property tests of the block file layer: contents and I/O accounting
 //! against a byte-array model, including the §4.3 read-modify-write rule.
 
-use cc_disk::{Disk, DiskParams};
 use cc_sim::blockfs::FileSystem;
+use cc_sim::disk::{Disk, DiskParams};
 use cc_util::Ns;
 use proptest::prelude::*;
 

@@ -8,7 +8,7 @@
 //! buffer, fragment packing, or GC relocation fails these tests.
 
 use cc_compress::Lzrw1;
-use cc_mem::FramePool;
+use cc_sim::mem::FramePool;
 use cc_sim::paper::{
     cache::CpuCosts, CacheConfig, CleanEvictOutcome, CompressionCache, FaultOutcome, InsertOutcome,
     MemBacking, PageKey,
@@ -199,7 +199,7 @@ fn buffer_mode_when_no_memory_granted() {
     // data by writing compressed pages straight to the backing store.
     let (mut cache, _unused_pool, mut backing) = new_cache(4, 8);
     let mut pool = FramePool::new(1, PAGE); // effectively no spare memory
-    let only = pool.alloc(cc_mem::FrameOwner::Vm { tag: 0 }).unwrap(); // consume it
+    let only = pool.alloc(cc_sim::mem::FrameOwner::Vm { tag: 0 }).unwrap(); // consume it
     let _ = only;
     let mut clock = Ns::ZERO;
 

@@ -1,6 +1,6 @@
 //! Property tests of the VM page tables and resident LRU against a model.
 
-use cc_mem::FrameId;
+use cc_sim::mem::FrameId;
 use cc_sim::vm::{AccessResult, FaultKind, PageState, VPage, Vm};
 use cc_util::Ns;
 use proptest::prelude::*;

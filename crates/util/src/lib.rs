@@ -1,20 +1,17 @@
 //! Utility substrate for the compression-cache reproduction.
 //!
-//! This crate collects the small, dependency-free building blocks shared by
-//! every other crate in the workspace:
+//! This crate collects the small, dependency-free building blocks that more
+//! than one crate of the workspace uses:
 //!
 //! - [`time`] — the virtual-time representation ([`time::Ns`]) used by the
 //!   whole simulator. All costs in the system are expressed as nanoseconds of
 //!   virtual time so that runs are exactly reproducible.
 //! - [`slab`] — a minimal slab allocator with stable integer keys.
-//! - [`lru`] — an intrusive doubly-linked LRU list built on the slab, used by
-//!   the VM resident list, the file buffer cache, and the compression cache.
 //! - [`rng`] — a tiny deterministic SplitMix64 generator: every seeded
 //!   workload, simulator run and test draws from it (the workspace has no
 //!   `rand` dependency).
 //! - [`crc`] — CRC-32 for self-verifying on-disk extents: carry-less
 //!   multiply where the CPU has it, slice-by-16 tables everywhere.
-//! - [`plot`] — ASCII line charts and heatmaps used by the figure harnesses.
 //! - [`fmt`] — human-friendly byte/time formatting.
 //!
 //! Histograms live in `cc_telemetry`: `AtomicHistogram` is the workspace's
@@ -25,14 +22,11 @@
 
 pub mod crc;
 pub mod fmt;
-pub mod lru;
-pub mod plot;
 pub mod rng;
 pub mod slab;
 pub mod time;
 
 pub use crc::{crc32, Crc32};
-pub use lru::{LruHandle, LruList};
 pub use rng::SplitMix64;
 pub use slab::Slab;
 pub use time::Ns;

@@ -15,7 +15,7 @@
 //! cargo run --release --example mobile_paging
 //! ```
 
-use compression_cache::disk::DiskParams;
+use compression_cache::sim::disk::DiskParams;
 use compression_cache::sim::{Mode, SimConfig, System};
 use compression_cache::util::SplitMix64;
 

@@ -16,13 +16,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`util`] | `cc-util` | virtual time, seeded RNG, LRU list, slab, CRC-32, formatting |
+//! | [`util`] | `cc-util` | virtual time, seeded RNG, slab, CRC-32, formatting |
 //! | [`telemetry`] | `cc-telemetry` | counters, histograms, tracing, snapshot renderers |
 //! | [`compress`] | `cc-compress` | LZRW1 (from scratch), LZSS, RLE, null; the 4:3 threshold policy |
-//! | [`disk`] | `cc-disk` | RZ57 and friends: seeks, rotation, transfer, request queueing |
-//! | [`mem`] | `cc-mem` | physical frame pool with real page contents |
 //! | [`core`] | `cc-core` | the compressed page store: hot/warm/cold tiers, adaptive codecs, crash-safe spill |
-//! | [`sim`] | `cc-sim` | **the compression cache** ([`sim::paper`]: circular buffer, cleaner, fragments, swap GC), the workloads ([`sim::workloads`]: thrasher, compare, isca, sort, gold), Sprite's VM ([`sim::vm`]: segments, page tables, exact-LRU residency) and block files ([`sim::blockfs`]: 4 KB-block files, read-modify-write semantics, buffer cache), Figure 1's closed-form models ([`sim::analytic`]), and the whole machine under one virtual clock with the three-way memory arbiter |
+//! | [`sim`] | `cc-sim` | **the compression cache** ([`sim::paper`]: circular buffer, cleaner, fragments, swap GC), the workloads ([`sim::workloads`]: thrasher, compare, isca, sort, gold), Sprite's VM ([`sim::vm`]: segments, page tables, exact-LRU residency) and block files ([`sim::blockfs`]: 4 KB-block files, read-modify-write semantics, buffer cache), the physical frame pool with real page contents ([`sim::mem`]), the RZ57 and friends ([`sim::disk`]: seeks, rotation, transfer, request queueing), Figure 1's closed-form models ([`sim::analytic`]), and the whole machine under one virtual clock with the three-way memory arbiter |
 //!
 //! ## Quickstart
 //!
@@ -48,8 +46,6 @@
 
 pub use cc_compress as compress;
 pub use cc_core as core;
-pub use cc_disk as disk;
-pub use cc_mem as mem;
 pub use cc_sim as sim;
 pub use cc_telemetry as telemetry;
 pub use cc_util as util;
