@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use super::extent::verify_extent;
 use super::gc::Segments;
-use super::shard::{probe_code, stage_slot, Entry, Padded, Residence, Set, Shard, SCRATCH};
+use super::shard::{mix64, probe_code, stage_slot, Entry, Padded, Residence, Set, Shard, SCRATCH};
 use super::stats::{top, tstat};
 use super::tiering::DemoteOutcome;
 use super::writer::Inbox;
@@ -159,14 +159,12 @@ pub(super) fn backoff(base: Duration, attempt: u32) -> Duration {
 }
 
 impl StoreCore {
+    /// `key`'s shard: bits 32 and up of [`mix64`], clear of the entry
+    /// maps' bucket index (the low bits) and of hashbrown's tag (the top
+    /// 7) at every shard count the store resolves to (≤ 256).
     #[inline]
     pub(super) fn shard_index(&self, key: u64) -> usize {
-        // splitmix64 finalizer: decorrelates the shard choice from any
-        // key-assignment pattern (sequential keys, strided keys, ...).
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) & self.shard_mask) as usize
+        ((mix64(key) >> 32) & self.shard_mask) as usize
     }
 
     #[inline]

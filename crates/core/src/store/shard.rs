@@ -11,7 +11,10 @@ use std::sync::Arc;
 use cc_compress::{CodecSet, Route};
 use cc_util::SplitMix64;
 #[cfg(doc)]
-use {super::extent::EXTENT_HEADER, super::tiering::SealJob, cc_compress::CodecId};
+use {
+    super::core::StoreCore, super::extent::EXTENT_HEADER, super::tiering::SealJob,
+    cc_compress::CodecId,
+};
 
 /// Where an entry's bytes live. Every payload is one allocation of
 /// exactly its length — the bytes the budget counts are the bytes the
@@ -120,9 +123,24 @@ pub(super) fn probe_hint(code: u8) -> Option<Route> {
     }
 }
 
-/// Multiplicative hasher for the per-shard entry maps: the keys are
-/// already well-mixed page numbers, so SipHash's DoS resistance only
-/// costs cycles here.
+/// The splitmix64 finalizer: full avalanche in three multiplies, so a
+/// key's shard and its map bucket do not follow any key-assignment
+/// pattern (sequential keys, strided keys, ...). The entry maps hash
+/// with all of it ([`KeyHasher`]) and the shard is drawn from bits 32
+/// and up ([`StoreCore::shard_index`]). Were it the low bits, every key
+/// of shard `s` would hash to `s` modulo the shard count, and a shard's
+/// map would start its probes in one bucket of every shard count.
+#[inline]
+pub(super) fn mix64(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Hasher for the per-shard entry maps: the keys are page numbers, so
+/// SipHash's DoS resistance only costs cycles here; [`mix64`] spreads
+/// them.
 #[derive(Default)]
 pub(super) struct KeyHasher(u64);
 
@@ -136,11 +154,7 @@ impl Hasher for KeyHasher {
         }
     }
     fn write_u64(&mut self, k: u64) {
-        // splitmix64 finalizer — full avalanche in three multiplies.
-        let mut z = k.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
+        self.0 = mix64(k);
     }
 }
 

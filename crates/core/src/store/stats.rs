@@ -134,7 +134,9 @@ pub struct StoreStats {
     /// Puts whose LZRW1 seal was handed to the background thread: the
     /// raw page waited in memory (a get is a memcpy) and the sealed form
     /// was placed by a later put or `flush()`. Their codec counters
-    /// count when the seal is published.
+    /// count when the seal is published, and never for a job whose entry
+    /// was re-put, removed or promoted before its seal ran: that seal is
+    /// skipped.
     pub seals_deferred: u64,
     /// Original bytes of pages admitted under LZRW1 (with
     /// [`StoreStats::lzrw1_out_bytes`], the codec's achieved ratio).

@@ -341,6 +341,26 @@ fn shard_count_resolves_to_power_of_two() {
     assert!(auto.shard_count().is_power_of_two());
 }
 
+/// The shard and the map bucket are drawn from different bits of one
+/// mix: at 64 shards, one shard's keys still start their map probes at
+/// every residue modulo 64, not only at the shard's own.
+#[test]
+fn a_shards_keys_spread_over_every_map_residue() {
+    use std::hash::BuildHasher;
+    let store = CompressedStore::new(StoreConfig::in_memory(1 << 20).with_shards(64));
+    let hasher = std::hash::BuildHasherDefault::<super::shard::KeyHasher>::default();
+    let mut residues = [0u32; 64];
+    for key in (0..1u64 << 18).filter(|&k| store.core.shard_index(k) == 5) {
+        residues[(hasher.hash_one(key) % 64) as usize] += 1;
+    }
+    let total: u32 = residues.iter().sum();
+    assert!(total > 3000, "shard 5 drew {total} of 262 144 keys");
+    assert!(
+        residues.iter().all(|&n| n > 0),
+        "map residues of shard 5's keys: {residues:?}"
+    );
+}
+
 #[test]
 fn single_shard_still_works() {
     let store = CompressedStore::new(StoreConfig::in_memory(1 << 20).with_shards(1));
@@ -2402,8 +2422,11 @@ fn race_a_deferred_seal(sealed: bool, act: impl Fn(&CompressedStore), want: Opti
         if let Some(want) = want {
             assert_eq!(out, want);
         }
+        // A job orphaned while queued is never sealed, and only seals
+        // that ran count.
         let s = store.stats();
-        assert_eq!(s.puts_lzrw1, s.seals_deferred, "{s:?}");
+        let skipped = u64::from(!sealed);
+        assert_eq!(s.puts_lzrw1 + skipped, s.seals_deferred, "{s:?}");
     }
 }
 
@@ -2426,6 +2449,31 @@ fn read_twice(store: &CompressedStore) {
     }
     assert_eq!(store.stats().promotions, 1);
     assert_eq!(store.peek_tier(7), Some(HitTier::Hot));
+}
+
+/// A re-put while the first put's job is still queued orphans that
+/// job: the seal step, on the background thread or in a flush, skips
+/// its LZRW1 pass, and the codec counters count the one seal that ran.
+#[test]
+fn an_orphaned_queued_seal_is_published_unsealed() {
+    for by_the_thread in [true, false] {
+        let store = deferring_store();
+        store.put(7, &page(1)).unwrap();
+        store.put(7, &page(2)).unwrap();
+        assert!(is_sealing(&store, 7));
+        if by_the_thread {
+            store.core.seal_queued();
+        }
+        store.check_invariants().unwrap();
+        store.flush().unwrap();
+        store.check_invariants().unwrap();
+        let s = store.stats();
+        assert_eq!((s.seals_deferred, s.puts_lzrw1), (2, 1), "{s:?}");
+        assert_eq!(s.lzrw1_in_bytes, 4096, "{s:?}");
+        let mut out = vec![0u8; 4096];
+        assert!(store.get(7, &mut out).unwrap());
+        assert_eq!(out, page(2));
+    }
 }
 
 #[test]

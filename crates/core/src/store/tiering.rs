@@ -332,8 +332,14 @@ impl StoreCore {
         }
     }
 
-    /// Run `job`'s LZRW1 pass on this thread's codec set.
+    /// Run `job`'s LZRW1 pass on this thread's codec set, unless its
+    /// entry has let go of the page: the job then holds the only clone,
+    /// and the re-put, remove or promotion that let go counted it
+    /// orphaned, so it publishes unsealed.
     fn seal(&self, job: &mut SealJob) {
+        if Arc::strong_count(&job.raw) == 1 {
+            return;
+        }
         let t0 = job.timed.then(Instant::now);
         let sel = SCRATCH.with(|c| {
             c.borrow_mut().codecs.compress_with_hint(
@@ -383,16 +389,20 @@ impl StoreCore {
     /// when the policy does not admit it hot, hot otherwise — if its
     /// entry is still the `Sealing` one it was queued for
     /// ([`Arc::ptr_eq`]); a re-put, remove or promotion since has
-    /// orphaned it, and it drops. The put's codec counters count either
-    /// way: the seal ran. The job goes back to the free list under the
-    /// shard lock, so the checker sees it outstanding exactly while its
-    /// entry or an orphan count says so.
-    fn publish_seal(&self, job: SealJob) {
-        let (sel, ns) = job.sel.expect("published a job before sealing it");
+    /// orphaned it, and it drops. The put's codec counters count only a
+    /// seal that ran, orphaned or not. The job goes back to the free list
+    /// under the shard lock, so the checker sees it outstanding exactly
+    /// while its entry or an orphan count says so.
+    fn publish_seal(&self, mut job: SealJob) {
         let (key, raw) = (job.key, job.raw.len());
         let shard_idx = self.shard_index(key);
-        let hot = self.cfg.tier_policy.admit_hot(sel.admitted);
-        self.count_seal(shard_idx, &sel, raw, ns);
+        let sealed = job.sel.take();
+        if let Some((sel, ns)) = &sealed {
+            self.count_seal(shard_idx, sel, raw, *ns);
+        }
+        let hot = sealed
+            .as_ref()
+            .is_some_and(|(sel, _)| self.cfg.tier_policy.admit_hot(sel.admitted));
         if hot {
             self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
         }
@@ -401,28 +411,33 @@ impl StoreCore {
             shard.entries.get(&key).map(|e| &e.residence),
             Some(Residence::Sealing { data }) if Arc::ptr_eq(data, &job.raw)
         );
-        if !waiting {
-            self.seal_orphaned.fetch_sub(1, Ordering::Relaxed);
-        } else if hot {
-            let slot = shard.enlist(Set::Hot, key);
-            let e = shard.entries.get_mut(&key).expect("checked above");
-            e.probe = probe_code(Some(sel.route()));
-            e.residence = Residence::Hot {
-                data: job.raw[..].into(),
-                slot,
-            };
-        } else {
-            let slot = shard.enlist(Set::Warm, key);
-            let e = shard.entries.get_mut(&key).expect("checked above");
-            e.probe = probe_code(Some(sel.route()));
-            e.codec = sel.codec.as_u8();
-            e.residence = Residence::Memory {
-                data: job.out[..sel.len].into(),
-                slot,
-            };
-            self.resident.fetch_sub(raw - sel.len, Ordering::Relaxed);
-            self.hot_resident.fetch_sub(raw, Ordering::Relaxed);
-            self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
+        match sealed.filter(|_| waiting) {
+            None => {
+                debug_assert!(!waiting, "skipped the seal of a page still waiting on it");
+                self.seal_orphaned.fetch_sub(1, Ordering::Relaxed);
+            }
+            Some((sel, _)) if hot => {
+                let slot = shard.enlist(Set::Hot, key);
+                let e = shard.entries.get_mut(&key).expect("checked above");
+                e.probe = probe_code(Some(sel.route()));
+                e.residence = Residence::Hot {
+                    data: job.raw[..].into(),
+                    slot,
+                };
+            }
+            Some((sel, _)) => {
+                let slot = shard.enlist(Set::Warm, key);
+                let e = shard.entries.get_mut(&key).expect("checked above");
+                e.probe = probe_code(Some(sel.route()));
+                e.codec = sel.codec.as_u8();
+                e.residence = Residence::Memory {
+                    data: job.out[..sel.len].into(),
+                    slot,
+                };
+                self.resident.fetch_sub(raw - sel.len, Ordering::Relaxed);
+                self.hot_resident.fetch_sub(raw, Ordering::Relaxed);
+                self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
+            }
         }
         let q = &mut self.inbox().seals;
         q.outstanding -= 1;
@@ -450,7 +465,8 @@ pub(super) struct SealJob {
     out: Vec<u8>,
     /// The put's timing decision.
     timed: bool,
-    /// What the seal produced, and its nanoseconds when timed.
+    /// What the seal produced, and its nanoseconds when timed; `None`
+    /// until it runs, and after it was skipped for an orphan.
     sel: Option<(Selection, Option<u64>)>,
 }
 

@@ -1,8 +1,8 @@
 //! A blocking, connection-reusing client for `cc-server`.
 //!
-//! One [`Client`] owns one TCP connection, a reusable encode buffer and
-//! one receive buffer ([`RecvBuf`], sized for a window of 16 page
-//! replies); every call is a single request/response round-trip on that
+//! One [`Client`] owns one TCP connection, a send buffer and one
+//! receive buffer ([`RecvBuf`], sized for a window of 16 page replies);
+//! every call is a single request/response round-trip on that
 //! connection, so a loop of operations allocates nothing in steady
 //! state. The client is deliberately synchronous — it is the building
 //! block of the load generator and the integration tests, and N
@@ -13,8 +13,17 @@
 //! every reply the socket holds, so the rest of a pipelined window is
 //! reaped without a syscall. Bytes already read survive a failed read:
 //! a read timeout in the middle of a reply leaves the partial frame
-//! buffered, and the next receive completes it. Requests go out as they
-//! are made, one `writev` each.
+//! buffered, and the next receive completes it.
+//!
+//! Requests are encoded into the send buffer, and a pipelined request
+//! stays there until the client must wait: everything held goes out in
+//! one `write` when a receive finds no whole reply buffered, when the
+//! held bytes reach the receive buffer's size, ahead of a simple call's
+//! own request (so the wire keeps the order the calls were made in), on
+//! [`Client::pipeline_flush`], and on drop. A window of requests issued
+//! while a burst of replies is reaped is thus one write, not one per
+//! request. A transport error on a held request surfaces from the call
+//! that writes it.
 //!
 //! Every request frame carries a `seq` tag the server echoes on the
 //! response; the simple call API verifies the echo, and the **pipelined
@@ -36,14 +45,15 @@
 
 use crate::frame::{self, FrameError, RecvBuf};
 use crate::proto::{ProtoError, Request, Response, Status};
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Receive buffer size: a window of 16 GET replies of a 4 KiB page
 /// (header, status byte, page each), so a full window queued in the
 /// socket comes back in one `read`. Larger replies (STATS, DUMP) grow
-/// the buffer for as long as they take.
+/// the buffer for as long as they take. Pipelined requests are held
+/// until this many bytes of them wait to be written.
 pub(crate) const RECV_BUF: usize = 16 * (frame::HEADER_LEN + 1 + 4096);
 
 /// Bounded retry policy for transient failures (`BUSY` answers,
@@ -156,7 +166,7 @@ pub struct Client {
     /// Resolved peer address, kept for retry reconnects (the server
     /// closes a connection it answered `BUSY`).
     addr: SocketAddr,
-    /// Request body staging (reused).
+    /// Request frames encoded and not yet written (reused).
     send: Vec<u8>,
     /// Replies read from the socket and not yet reaped.
     rbuf: RecvBuf,
@@ -227,8 +237,8 @@ impl Client {
     }
 
     /// Replace the connection ahead of a retry (the server closes
-    /// `BUSY` connections, and a torn stream can't be reused). Bytes
-    /// buffered from the old connection are dropped.
+    /// `BUSY` connections, and a torn stream can't be reused). Requests
+    /// held for the old connection and bytes read from it are dropped.
     fn reconnect(&mut self) -> io::Result<()> {
         let stream = match self.timeout {
             Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
@@ -238,15 +248,42 @@ impl Client {
         stream.set_read_timeout(self.timeout)?;
         stream.set_write_timeout(self.timeout)?;
         self.stream = stream;
+        self.send.clear();
         self.rbuf.clear();
         Ok(())
     }
 
-    /// Block until a whole reply is buffered. Its body sits at
+    /// Encode `req` as the next frame of the send buffer, returning its
+    /// tag.
+    fn hold(&mut self, req: &Request<'_>) -> u32 {
+        let seq = self.alloc_seq();
+        frame::append_frame(&mut self.send, seq, 0, |out| req.encode(out));
+        seq
+    }
+
+    /// Write every held request in one `write`. Whatever the outcome,
+    /// nothing stays held: after a failed write the connection's state
+    /// is unknown, as after a failed pipelined send.
+    fn write_held(&mut self) -> io::Result<()> {
+        if self.send.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.send);
+        self.send.clear();
+        written
+    }
+
+    /// Block until a whole reply is buffered, writing what is held
+    /// first if it must read. Its body sits at
     /// `self.rbuf.unparsed()[frame.body]` until [`Client::reaped`].
-    fn next_reply(&mut self) -> Result<frame::ParsedFrame, FrameError> {
-        self.rbuf
-            .next_frame(&mut self.stream, frame::DEFAULT_MAX_FRAME)
+    fn next_reply(&mut self) -> Result<frame::ParsedFrame, ClientError> {
+        if let Some(reply) = self.rbuf.parse(frame::DEFAULT_MAX_FRAME)? {
+            return Ok(reply);
+        }
+        self.write_held()?;
+        Ok(self
+            .rbuf
+            .next_frame(&mut self.stream, frame::DEFAULT_MAX_FRAME)?)
     }
 
     /// Drop a reply [`Client::next_reply`] returned, and any growth a
@@ -261,10 +298,8 @@ impl Client {
     /// frames (tag 0) a server sends are `BUSY`/`ERR` ahead of a close,
     /// which map to their own outcomes.
     fn call_once(&mut self, req: &Request<'_>) -> Result<Status, ClientError> {
-        let seq = self.alloc_seq();
-        self.send.clear();
-        req.encode(&mut self.send);
-        frame::write_frame(&mut self.stream, seq, &self.send)?;
+        let seq = self.hold(req);
+        self.write_held()?;
         let reply = self.next_reply()?;
         let resp_seq = reply.seq;
         self.recv.clear();
@@ -282,22 +317,31 @@ impl Client {
         Ok(status)
     }
 
-    /// Pipelined send: encode and write one tagged request *without*
-    /// waiting for its response, returning the tag to reap later with
-    /// [`Client::pipeline_recv`]. No retry is applied.
+    /// Pipelined send: encode one tagged request *without* waiting for
+    /// its response, returning the tag to reap later with
+    /// [`Client::pipeline_recv`]. The request is held until the client
+    /// must wait for a reply or a window of requests has gathered (see
+    /// the module docs); a transport error surfaces from whichever call
+    /// writes it. No retry is applied.
     pub fn pipeline_send(&mut self, req: &Request<'_>) -> Result<u32, ClientError> {
-        let seq = self.alloc_seq();
-        self.send.clear();
-        req.encode(&mut self.send);
-        frame::write_frame(&mut self.stream, seq, &self.send)?;
+        let seq = self.hold(req);
+        if self.send.len() >= RECV_BUF {
+            self.write_held()?;
+        }
         Ok(seq)
     }
 
+    /// Write every held pipelined request now, for a caller that sends
+    /// without receiving. A receive or a simple call does this itself.
+    pub fn pipeline_flush(&mut self) -> Result<(), ClientError> {
+        Ok(self.write_held()?)
+    }
+
     /// Pipelined receive: read the next tagged response, leaving its
-    /// payload in `out` (cleared first). Returns `(seq, status)`; the
-    /// caller matches `seq` against its outstanding window (see
-    /// [`Pipeline`]). An unsolicited `BUSY` (tag 0) surfaces as
-    /// [`ClientError::Busy`].
+    /// payload in `out` (cleared first); when none is buffered, the held
+    /// requests are written first. Returns `(seq, status)`; the caller
+    /// matches `seq` against its outstanding window (see [`Pipeline`]).
+    /// An unsolicited `BUSY` (tag 0) surfaces as [`ClientError::Busy`].
     pub fn pipeline_recv(&mut self, out: &mut Vec<u8>) -> Result<(u32, Status), ClientError> {
         let reply = self.next_reply()?;
         let reaped = reap(reply.seq, &self.rbuf.unparsed()[reply.body.clone()], out);
@@ -444,6 +488,15 @@ impl Client {
     }
 }
 
+impl Drop for Client {
+    /// Write what is still held: a caller may pipeline requests it
+    /// never reaps. An error is dropped here; [`Client::pipeline_flush`]
+    /// returns it.
+    fn drop(&mut self) {
+        let _ = self.write_held();
+    }
+}
+
 /// Decode one pipelined reply tagged `seq`, copying its payload into
 /// `out`. An unsolicited frame (tag 0) is the server's `BUSY` or `ERR`.
 fn reap(seq: u32, body: &[u8], out: &mut Vec<u8>) -> Result<(u32, Status), ClientError> {
@@ -516,7 +569,8 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
+    use std::collections::HashMap;
+    use std::io::Read as _;
     use std::net::TcpListener;
 
     /// A reply frame as the server writes it.
@@ -569,5 +623,148 @@ mod tests {
         second.write_all(&reply(4, Status::Ok, b"fresh")).unwrap();
         assert_eq!(client.pipeline_recv(&mut out).unwrap(), (4, Status::Ok));
         assert_eq!(out, b"fresh");
+    }
+
+    /// The frames in `wire`, which must hold whole frames only, as
+    /// `(tag, request)`.
+    fn requests(wire: &[u8]) -> Vec<(u32, Request<'_>)> {
+        let mut found = Vec::new();
+        let mut at = 0;
+        while at < wire.len() {
+            let f = frame::parse_frame(&wire[at..], frame::DEFAULT_MAX_FRAME)
+                .unwrap()
+                .expect("a whole frame");
+            let body = &wire[at..][f.body];
+            found.push((f.seq, Request::decode(body).unwrap()));
+            at += f.consumed;
+        }
+        found
+    }
+
+    /// Whether `peer` gets any byte within 20 ms.
+    fn peer_hears_anything(peer: &mut TcpStream) -> bool {
+        peer.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        peer.read(&mut [0u8; 64]).is_ok()
+    }
+
+    #[test]
+    fn held_requests_reach_the_peer_in_one_burst_once_the_client_waits() {
+        let (mut client, _listener, mut peer) = pair();
+        for key in 0..4u64 {
+            assert_eq!(
+                client.pipeline_send(&Request::Get { key }).unwrap(),
+                key as u32 + 1
+            );
+        }
+        assert!(!peer_hears_anything(&mut peer), "sent before the wait");
+        // No reply is buffered, so the receive writes what is held, then
+        // times out waiting on the silent peer.
+        let mut out = Vec::new();
+        assert!(matches!(
+            client.pipeline_recv(&mut out),
+            Err(ClientError::Io(_))
+        ));
+        let mut wire = [0u8; 4096];
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let n = peer.read(&mut wire).unwrap();
+        let sent: Vec<_> = (0..4u64)
+            .map(|key| (key as u32 + 1, Request::Get { key }))
+            .collect();
+        assert_eq!(requests(&wire[..n]), sent, "one read, in send order");
+    }
+
+    /// A peer that serves `n` requests as a store would, in the order
+    /// they arrive, and then answers them last first: the protocol lets
+    /// replies complete in any order, and this way a simple call's reply
+    /// comes ahead of the pipelined ones it was issued after.
+    fn serve_last_first(mut peer: TcpStream, n: usize) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut rbuf = RecvBuf::new();
+            let mut pages: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut replies = Vec::new();
+            for _ in 0..n {
+                let f = rbuf
+                    .next_frame(&mut peer, frame::DEFAULT_MAX_FRAME)
+                    .unwrap();
+                let answer = match Request::decode(&rbuf.unparsed()[f.body.clone()]).unwrap() {
+                    Request::Put { key, page } => {
+                        pages.insert(key, page.to_vec());
+                        reply(f.seq, Status::Ok, b"")
+                    }
+                    Request::Get { key } => match pages.get(&key) {
+                        Some(page) => reply(f.seq, Status::Ok, page),
+                        None => reply(f.seq, Status::NotFound, b""),
+                    },
+                    other => panic!("unexpected request {other:?}"),
+                };
+                replies.push(answer);
+                rbuf.consume(f.consumed);
+            }
+            replies.reverse();
+            peer.write_all(&replies.concat()).unwrap();
+        })
+    }
+
+    #[test]
+    fn a_get_after_a_held_put_of_its_key_sees_that_put() {
+        let (mut client, _listener, peer) = pair();
+        client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        let peer = serve_last_first(peer, 2);
+        let put = client
+            .pipeline_send(&Request::Put {
+                key: 7,
+                page: b"version 1",
+            })
+            .unwrap();
+        let mut out = Vec::new();
+        assert!(client.get(7, &mut out).unwrap(), "the GET overtook the PUT");
+        assert_eq!(out, b"version 1");
+        assert_eq!(client.pipeline_recv(&mut out).unwrap(), (put, Status::Ok));
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn held_bytes_past_one_window_are_written_without_a_wait() {
+        let (mut client, _listener, mut peer) = pair();
+        let page = [0x5A; 4096];
+        let put = |key| Request::Put { key, page: &page };
+        let mut one = Vec::new();
+        put(0).encode(&mut one);
+        let frame_len = frame::HEADER_LEN + one.len();
+        let window = RECV_BUF.div_ceil(frame_len) as u64;
+        for key in 0..window - 1 {
+            client.pipeline_send(&put(key)).unwrap();
+        }
+        assert!(!peer_hears_anything(&mut peer), "sent under one window");
+        client.pipeline_send(&put(window - 1)).unwrap();
+        let mut wire = vec![0u8; window as usize * frame_len];
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        peer.read_exact(&mut wire).unwrap();
+        let keys: Vec<_> = requests(&wire).into_iter().map(|(_, r)| r).collect();
+        assert_eq!(keys, (0..window).map(put).collect::<Vec<_>>());
+        // The window starts over: the next request is held until a
+        // flush asks for it.
+        client.pipeline_send(&Request::Ping).unwrap();
+        assert!(!peer_hears_anything(&mut peer), "sent under one window");
+        client.pipeline_flush().unwrap();
+        let mut ping = [0u8; frame::HEADER_LEN + 1];
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        peer.read_exact(&mut ping).unwrap();
+        assert_eq!(requests(&ping), [(window as u32 + 1, Request::Ping)]);
+    }
+
+    #[test]
+    fn dropping_the_client_writes_what_it_holds() {
+        let (mut client, _listener, mut peer) = pair();
+        for _ in 0..3 {
+            client.pipeline_send(&Request::Ping).unwrap();
+        }
+        drop(client);
+        let mut wire = Vec::new();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        peer.read_to_end(&mut wire).unwrap();
+        let sent: Vec<_> = (1..=3).map(|seq| (seq, Request::Ping)).collect();
+        assert_eq!(requests(&wire), sent);
     }
 }
