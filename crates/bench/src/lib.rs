@@ -1,6 +1,7 @@
 //! Shared machinery for the figure/table harnesses.
 //!
-//! Each binary in `src/bin/` regenerates one of the paper's exhibits:
+//! Each binary in `src/bin/` regenerates one of the paper's exhibits,
+//! except `ccsim`, the simulator's command-line front end:
 //!
 //! | binary | exhibit |
 //! |---|---|
@@ -10,45 +11,17 @@
 //! | `table1` | Table 1: the seven application rows |
 //! | `ablation` | design-choice sweeps (§4.2 bias, §4.3 spanning, threshold, codec, adaptive disable, backing stores) |
 //! | `overheads` | §4.4 memory-overhead accounting |
+//! | `cachesize` | §4.2 dynamic sizing: the cache's size over a phase-shifting workload |
+//! | `ccsim` | none: one simulated run, every knob on the command line |
 //!
-//! Binaries accept a `--quick` flag that shrinks problem sizes by ~8x for
-//! smoke runs; full-scale settings match EXPERIMENTS.md.
+//! `fig3`, `table1` and `ablation` accept a `--quick` flag that shrinks
+//! problem sizes by ~8x; full-scale settings match EXPERIMENTS.md.
 
 use cc_sim::workloads::{Workload, WorkloadSummary};
 use cc_sim::{Mode, SimConfig, System};
-use cc_util::{Ns, SplitMix64};
+use cc_util::Ns;
 
 pub mod plot;
-pub mod smoke;
-
-/// Zipfian sampler over ranks `0..n` for `storebench` and `loadgen`: a
-/// precomputed CDF and a binary search, so a draw is one `SplitMix64`
-/// step and a `partition_point`.
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Rank `k` is drawn with weight `1 / (k + 1)^s`.
-    pub fn new(n: u64, s: f64) -> Self {
-        let mut cdf = Vec::with_capacity(n as usize);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cdf.push(total);
-        }
-        for v in cdf.iter_mut() {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// One draw: a rank `< n`, rank 0 the most frequent.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        self.cdf.partition_point(|&c| c < u) as u64
-    }
-}
 
 /// Measurements from one std-vs-cc pair of runs.
 #[derive(Debug, Clone)]
@@ -133,59 +106,6 @@ pub fn render_table1(rows: &[PairResult]) -> String {
     cc_util::fmt::table(&header, &body)
 }
 
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// What [`paired_rates`] read: each arm's median trial rate (for scale)
-/// and the median over the pairs of `rate on / rate off` — the cost of
-/// the "on" arm is read off that ratio, not off the two rates.
-#[derive(Debug, Clone, Copy)]
-pub struct PairedRates {
-    /// Median trial rate of the "off" arm.
-    pub off: f64,
-    /// Median trial rate of the "on" arm.
-    pub on: f64,
-    /// Median of the per-pair `on / off` ratios.
-    pub on_over_off: f64,
-}
-
-/// The overhead-probe loop `storebench` and `loadgen` share: `pairs`
-/// adjacent trials of arm 0 ("off") and arm 1 ("on"), strictly
-/// interleaved, `trial(arm)` running one short trial against that arm's
-/// long-lived state and returning its rate.
-///
-/// Why this shape: the host's speed wanders ±10 % over tens of
-/// milliseconds, in both directions, so the arms must alternate faster
-/// than that and be compared pair by pair, each pair sharing its
-/// weather. Which arm of a pair runs first alternates, so neither
-/// always follows the other's cache state.
-pub fn paired_rates(pairs: usize, mut trial: impl FnMut(usize) -> f64) -> PairedRates {
-    let mut rates = [Vec::new(), Vec::new()];
-    let mut ratios = Vec::new();
-    for pair in 0..pairs {
-        for arm in [pair % 2, (pair + 1) % 2] {
-            rates[arm].push(trial(arm));
-        }
-        ratios.push(rates[1][pair] / rates[0][pair]);
-    }
-    let [off, on] = rates.map(|mut r| median(&mut r));
-    PairedRates {
-        off,
-        on,
-        on_over_off: median(&mut ratios),
-    }
-}
-
-impl PairedRates {
-    /// Throughput the "on" arm loses, percent of the "off" rate (clamped
-    /// at 0 — on a noisy host "on" can measure faster).
-    pub fn overhead_pct(&self) -> f64 {
-        ((1.0 - self.on_over_off) * 100.0).max(0.0)
-    }
-}
-
 /// Whether `--quick` was passed.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -222,21 +142,5 @@ mod tests {
         let table = render_table1(std::slice::from_ref(&result));
         assert!(table.contains("thrasher"));
         assert!(table.contains("Speedup"));
-    }
-
-    #[test]
-    fn zipf_cdf_ends_at_one_and_rank_zero_leads() {
-        const N: u64 = 100;
-        let zipf = Zipf::new(N, 0.99);
-        assert!(zipf.cdf.windows(2).all(|w| w[0] < w[1]), "CDF not monotone");
-        assert_eq!(zipf.cdf.last().copied(), Some(1.0));
-        let mut rng = SplitMix64::new(7);
-        let mut hits = [0u32; N as usize];
-        for _ in 0..100_000 {
-            let k = zipf.sample(&mut rng);
-            assert!(k < N, "sample {k} out of 0..{N}");
-            hits[k as usize] += 1;
-        }
-        assert!(hits[1..].iter().all(|&h| h < hits[0]), "{hits:?}");
     }
 }

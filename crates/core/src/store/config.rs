@@ -148,7 +148,7 @@ impl StoreConfig {
     }
 
     /// Override the codec-selection policy (see
-    /// [`StoreConfig::codec_policy`]). `storebench --smoke` sweeps
+    /// [`StoreConfig::codec_policy`]). The codec-sweep gate test sweeps
     /// `lzrw1-only` / `adaptive` through this.
     pub fn with_codec_policy(mut self, policy: CodecPolicy) -> Self {
         self.codec_policy = policy;

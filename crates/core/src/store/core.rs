@@ -1138,7 +1138,12 @@ impl StoreCore {
         self.publish_seals(true);
         if self.has_spill() {
             self.wait_on_writer(|inflight| inflight == 0, || {});
-            if self.spill_inflight.load(Ordering::Relaxed) != 0 {
+            // Test the writer, not the gauge: another thread's put may
+            // have handed off a job since the wait saw zero, and a live
+            // writer will publish it.
+            if self.writer_dead.load(Ordering::Relaxed)
+                && self.spill_inflight.load(Ordering::Relaxed) != 0
+            {
                 // The writer is gone with jobs still in flight: nobody
                 // will publish them. Revert them to memory residence
                 // (the data is still held by the `Spilling` Arc),

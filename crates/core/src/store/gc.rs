@@ -355,7 +355,10 @@ impl Segments {
     /// every live extent as `[start, end)`: each segment's live bytes are
     /// exactly the live extents inside it, `bytes_on_spill −
     /// spill_dead_bytes` is their sum, no extent sits in a free segment,
-    /// and only an extent inside a run crosses a segment boundary.
+    /// and only an extent inside a run crosses a segment boundary. It
+    /// does not bound the tombstones held by the extent records listed:
+    /// removes break that bound until the cleaner reaches their segment
+    /// (`held_tombstones_may_outnumber_listed_extents_after_removes`).
     pub(super) fn check(&self, extents: &[(u64, u64)]) -> Result<(), String> {
         let mut live = vec![0u64; self.segs.len()];
         for &(a, b) in extents {

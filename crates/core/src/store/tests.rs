@@ -2161,6 +2161,41 @@ fn held_tombstones_stay_flat_under_overwrite_churn() {
     );
 }
 
+/// Why `Segments::check` does not bound held tombstones by the extent
+/// records on the file: the bound holds under overwrite churn (above)
+/// but not after removes. Sixty-four spilled keys, all removed: their
+/// tombstones sit in a later segment, and once the next batch lets the
+/// cleaner free the dead segments that listed the extents, the table
+/// holds 64 tombstones against a few records — while every identity
+/// the checker does hold still holds. A tombstone is dropped when its
+/// own segment is cleaned, so the count does not grow without bound.
+#[test]
+fn held_tombstones_may_outnumber_listed_extents_after_removes() {
+    let cfg = StoreConfig::with_spill(2048, "/unused")
+        .with_spill_batch_bytes(1)
+        .with_gc_dead_ratio(0.2);
+    let store = CompressedStore::with_medium(cfg, Arc::new(MemMedium::new()));
+    for k in 0..64u64 {
+        store.put(k, &noise_page(k)).unwrap();
+    }
+    store.flush().unwrap();
+    for k in 0..64u64 {
+        assert!(store.remove(k));
+    }
+    let mut seen = Vec::new();
+    for k in 64..128u64 {
+        store.put(k, &noise_page(k)).unwrap();
+        store.flush().unwrap();
+        let (extents, tombs) = listed(&store);
+        if extents < tombs {
+            store.check_invariants().unwrap();
+            return;
+        }
+        seen.push((extents, tombs));
+    }
+    panic!("tombstones never outnumbered the extent records: {seen:?}");
+}
+
 /// A spill store over an in-memory medium that can be cut: 128 KiB
 /// segments of ~31 pages, cleaned once 30 % dead, one shard.
 fn cuttable_store(

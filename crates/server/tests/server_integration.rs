@@ -6,10 +6,11 @@
 //! answering `BUSY` with the rejection visible in the wire counters,
 //! each malformed-input class closing the connection with `ERR` without
 //! panicking the reactor, wall-clock idle-timeout reaping, pipelined
-//! windows round-tripping tagged responses, STATS being a parseable
-//! Prometheus payload, graceful shutdown leaving the store flushed and
-//! readable — and the `open_connections` gauge returning to zero on
-//! every path.
+//! windows round-tripping tagged responses, a pipelined client costing
+//! the reactor under half a socket syscall per request, STATS being a
+//! parseable Prometheus payload, graceful shutdown leaving the store
+//! flushed and readable — and the `open_connections` gauge returning to
+//! zero on every path.
 //!
 //! Every scenario runs on both pollers: the platform one (epoll) and
 //! the poll(2) fallback.
@@ -17,6 +18,7 @@
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_server::frame::{self, FrameError, RecvBuf};
 use cc_server::proto::Request;
+use cc_server::service::wstat;
 use cc_server::{
     Client, ClientError, Pipeline, Response, Server, ServerBackend, ServerConfig, Status,
 };
@@ -79,10 +81,25 @@ fn shutdown_and_check_gauge(server: Server, what: &str) {
     );
 }
 
+/// What a request must answer, pinned against the shadow map when it
+/// is sent: the server runs each connection's requests in order, so the
+/// pin is exact even with a window of them in flight.
+enum Expect {
+    Put,
+    /// The key and the version the shadow holds for it.
+    Get(u64, Option<u64>),
+    /// Whether the key existed.
+    Del(bool),
+}
+
 /// 4 client threads × mixed ops, every GET checked byte-for-byte
 /// against a per-thread shadow map, zero mismatches, and the store's
-/// resident bytes never exceed the budget.
-fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
+/// resident bytes never exceed the budget. With `window > 0` the
+/// clients keep that many tagged requests in flight through a
+/// [`Pipeline`], and every tag must be reaped exactly once. Each client
+/// also PINGs, FLUSHes and fetches STATS, so every opcode's wire
+/// histogram must have samples.
+fn mixed_load(backend: ServerBackend, ops: u64, tag: &str, window: usize) {
     const THREADS: usize = 4;
     const KEYS_PER_THREAD: u64 = 256;
     const BUDGET: usize = 256 << 10; // well under the working set: spill exercised
@@ -110,6 +127,7 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
                 client
                     .set_timeout(Some(Duration::from_secs(30)))
                     .expect("timeout");
+                client.ping().expect("ping");
                 let base = t as u64 * KEYS_PER_THREAD;
                 let mut shadow: HashMap<u64, u64> = HashMap::new();
                 let mut version = 0u64;
@@ -117,47 +135,82 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
                 let mut page = vec![0u8; PAGE];
                 let mut expect = vec![0u8; PAGE];
                 let mut out = Vec::with_capacity(PAGE);
+                let mut pipe = Pipeline::new();
+                let mut pending: HashMap<u32, Expect> = HashMap::new();
+                let mut hits = 0u64;
                 let mut next = || {
                     rng = rng
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     rng >> 33
                 };
+                let found = |hit| if hit { Status::Ok } else { Status::NotFound };
+                let mut check = |op: u64, pin: Expect, status: Status, out: &[u8]| match pin {
+                    Expect::Put => assert_eq!(status, Status::Ok, "thread {t} op {op}: PUT"),
+                    Expect::Get(key, Some(v)) => {
+                        assert_eq!(status, Status::Ok, "thread {t} op {op}: GET({key}) missed");
+                        fill_page(key, v, &mut expect);
+                        assert_eq!(
+                            out, expect,
+                            "thread {t} op {op}: GET({key}) returned wrong bytes"
+                        );
+                        hits += 1;
+                    }
+                    Expect::Get(key, None) => assert_eq!(
+                        status,
+                        Status::NotFound,
+                        "thread {t} op {op}: GET({key}) hit a key the shadow does not hold"
+                    ),
+                    Expect::Del(existed) => assert_eq!(
+                        status,
+                        found(existed),
+                        "thread {t} op {op}: DEL existed-bit disagrees with shadow"
+                    ),
+                };
                 for op in 0..ops {
                     let key = base + next() % KEYS_PER_THREAD;
-                    match next() % 10 {
+                    let (req, pin) = match next() % 10 {
                         0..=4 => {
                             version += 1;
                             fill_page(key, version, &mut page);
-                            client.put(key, &page).expect("put");
                             shadow.insert(key, version);
+                            (Request::Put { key, page: &page }, Expect::Put)
                         }
-                        5..=8 => {
-                            let hit = client.get(key, &mut out).expect("get");
-                            match (hit, shadow.get(&key).copied()) {
-                                (true, Some(v)) => {
-                                    fill_page(key, v, &mut expect);
-                                    assert_eq!(
-                                        out, expect,
-                                        "thread {t} op {op}: GET({key}) returned wrong bytes"
-                                    );
-                                }
-                                (false, None) => {}
-                                (hit, expected) => panic!(
-                                    "thread {t} op {op}: GET({key}) hit={hit} but shadow={expected:?}"
-                                ),
+                        5..=8 => (
+                            Request::Get { key },
+                            Expect::Get(key, shadow.get(&key).copied()),
+                        ),
+                        _ => (
+                            Request::Del { key },
+                            Expect::Del(shadow.remove(&key).is_some()),
+                        ),
+                    };
+                    if window == 0 {
+                        let status = match req {
+                            Request::Put { key, page } => {
+                                client.put(key, page).map(|()| Status::Ok)
                             }
-                        }
-                        _ => {
-                            let existed = client.del(key).expect("del");
-                            assert_eq!(
-                                existed,
-                                shadow.remove(&key).is_some(),
-                                "thread {t} op {op}: DEL({key}) existed-bit disagrees with shadow"
-                            );
-                        }
+                            Request::Get { key } => client.get(key, &mut out).map(found),
+                            _ => client.del(key).map(found),
+                        };
+                        check(op, pin, status.expect("call"), &out);
+                        continue;
+                    }
+                    pending.insert(pipe.send(&mut client, &req).expect("send"), pin);
+                    while pipe.in_flight() >= window || (op + 1 == ops && pipe.in_flight() > 0) {
+                        // `recv` fails on a duplicate or unknown tag.
+                        let (seq, status) = pipe.recv(&mut client, &mut out).expect("reap");
+                        check(op, pending.remove(&seq).expect("tag pinned"), status, &out);
                     }
                 }
+                assert!(
+                    pending.is_empty(),
+                    "thread {t}: {} replies lost",
+                    pending.len()
+                );
+                assert!(hits > 0, "thread {t}: no GET ever hit");
+                client.flush().expect("flush");
+                client.stats().expect("stats");
             })
         })
         .collect();
@@ -175,23 +228,90 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
     let wire = |n: &str| snap.counter(n).unwrap_or(0);
     assert_eq!(wire("malformed_frames"), 0);
     assert_eq!(wire("busy_rejected"), 0);
+    assert_eq!(wire("idle_timeouts"), 0);
     assert_eq!(wire("conns_opened"), THREADS as u64);
     assert_eq!(
         wire("req_put") + wire("req_get") + wire("req_del"),
         THREADS as u64 * ops
     );
+    for op in ["put", "get", "del", "flush", "stats", "ping"] {
+        let count = snap.op(op).map_or(0, |h| h.count);
+        assert!(count > 0, "{tag}: wire histogram {op} recorded nothing");
+    }
     shutdown_and_check_gauge(server, tag);
 }
 
 #[test]
 fn concurrent_integrity_under_mixed_load() {
-    mixed_load(ServerBackend::Evented, 10_000, "integrity");
+    mixed_load(ServerBackend::Evented, 10_000, "integrity", 0);
 }
 
 /// The same load through the poll(2) fallback of the evented backend.
 #[test]
 fn concurrent_integrity_evented_backend() {
-    mixed_load(ServerBackend::EventedPoll, 5_000, "integrity-poll");
+    mixed_load(ServerBackend::EventedPoll, 5_000, "integrity-poll", 0);
+}
+
+/// The same load with a window of 8 tagged requests in flight per
+/// connection.
+#[test]
+fn concurrent_integrity_pipelined() {
+    mixed_load(ServerBackend::Evented, 5_000, "integrity-pipelined", 8);
+}
+
+/// One client with a window of 16 costs the reactor under half a
+/// socket syscall per request. The client holds its requests until it
+/// must wait, so a window reaches the reactor in one write: one read,
+/// one read that finds the socket empty, one write and one poll answer
+/// it, 0.25 per request. A client that writes each frame at once costs
+/// ~2.05. Prints the three counts per request (`--nocapture`).
+#[test]
+fn a_pipelined_client_costs_under_half_a_syscall_per_request() {
+    const WINDOW: usize = 16;
+    const OPS: u64 = 4096;
+    let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(16 << 20)));
+    let server = Server::spawn(store, "127.0.0.1:0", ServerConfig::default()).expect("spawn");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut pipe = Pipeline::new();
+    let (mut page, mut out) = (vec![0u8; PAGE], Vec::new());
+    for i in 0..OPS {
+        let key = i % 256;
+        fill_page(key, i, &mut page);
+        let req = match i % 10 {
+            0..=2 => Request::Put { key, page: &page },
+            _ => Request::Get { key },
+        };
+        pipe.send(&mut client, &req).expect("send");
+        while pipe.in_flight() >= WINDOW || (i + 1 == OPS && pipe.in_flight() > 0) {
+            pipe.recv(&mut client, &mut out).expect("reap");
+        }
+    }
+    let snap = server.service().snapshot();
+    let requests: u64 = (wstat::NAMES.iter())
+        .filter(|n| n.starts_with("req_"))
+        .map(|n| snap.counter(n).unwrap_or(0))
+        .sum();
+    assert_eq!(requests, OPS);
+    let per_request = |n: &str| snap.counter(n).unwrap_or(0) as f64 / requests as f64;
+    let counts = ["sock_reads", "sock_writes", "polls"].map(per_request);
+    println!(
+        "per request: {:.3} reads, {:.3} writes, {:.3} polls",
+        counts[0], counts[1], counts[2]
+    );
+    assert!(
+        counts.iter().all(|&c| c > 0.0),
+        "a syscall counter is not wired: {counts:?}"
+    );
+    let sum: f64 = counts.iter().sum();
+    assert!(
+        sum <= 0.5,
+        "{sum:.3} reactor syscalls per request (limit 0.5): {counts:?}"
+    );
+    drop(client);
+    shutdown_and_check_gauge(server, "syscalls per request");
 }
 
 /// Reads one response frame (with its tag) off a raw connection

@@ -197,8 +197,9 @@ fn backpressure_stall_fires_anomaly_and_dump() {
 }
 
 /// The DUMP opcode returns the recorder over the wire, the sampled
-/// request span tree is complete (wire root → store children), and an
-/// untraced server answers a valid empty document.
+/// request span tree is complete (wire root → store children), the GET
+/// histogram's max exemplar resolves to a dumped trace, and an untraced
+/// server answers a valid empty document.
 #[test]
 fn dump_opcode_and_span_tree_end_to_end() {
     let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
@@ -237,6 +238,16 @@ fn dump_opcode_and_span_tree_end_to_end() {
         .expect("get's parent span exists");
     assert_eq!(root.op, sop::REQUEST, "store_get must hang off the root");
     assert_eq!(root.parent, 0, "request span is the root");
+    // The slowest GET's exemplar names a trace the DUMP holds.
+    let max_trace = server
+        .service()
+        .snapshot()
+        .op("get")
+        .map_or(0, |h| h.max_trace);
+    assert!(
+        max_trace != 0 && dump.contains(&format!("\"trace_id\": {max_trace}")),
+        "GET max exemplar trace {max_trace:#x} not in the DUMP"
+    );
     server.shutdown();
 
     // Untraced server: DUMP still answers, with an empty document.

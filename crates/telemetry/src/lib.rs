@@ -36,10 +36,10 @@
 //! samples, not of operations (those are counters), and its `max` is
 //! the largest sampled or traced latency, not the largest of all. [`Telemetry::record`] itself records every call it is given
 //! — background threads, the simulator's virtual-time histograms and
-//! the server's per-request histograms are not sampled. The
-//! `storebench --smoke` CI gate measures the end-to-end overhead on the
-//! store's mixed zipfian workload and fails the build if
-//! instrumentation costs more than 5%.
+//! the server's per-request histograms are not sampled. The server
+//! crate's release-only timed gates (`crates/server/tests/timed_gates.rs`)
+//! measure the end-to-end overhead on the store's mixed zipfian workload
+//! and fail the build if instrumentation costs more than 5%.
 
 #![warn(missing_docs)]
 

@@ -26,8 +26,9 @@
 //!
 //! Overhead: an unsampled request pays one relaxed `fetch_add` for the
 //! sampling decision; a sampled one pays a handful of `Instant::now()`
-//! calls and one ring slot per span. The loadgen `--smoke --trace` CI
-//! gate holds the end-to-end cost at default sampling under 5%.
+//! calls and one ring slot per span. The server crate's release-only
+//! timed gates (`crates/server/tests/timed_gates.rs`) hold the
+//! end-to-end cost at default sampling under 5%.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
