@@ -491,42 +491,105 @@ fn spills_to_file_and_reads_back() {
     cleanup(dir, path);
 }
 
+/// A page of one-byte deltas from a base, which BDI seals to ~520
+/// bytes.
+fn delta_page(k: u64) -> Vec<u8> {
+    (0..512u64)
+        .flat_map(|i| ((k << 40) + i % 100).to_le_bytes())
+        .collect()
+}
+
 #[test]
 fn spill_batches_coalesce_entries() {
-    let (dir, path) = temp_path("batch");
-    {
-        // Budget of a few compressed pages: nearly every put evicts, and
-        // the single-threaded put loop outruns the 200 µs linger, so
-        // the writer must pack multiple entries per batch. The pages are
-        // a base plus one-byte deltas, which BDI seals in ~80 µs a put
-        // even in an unoptimised build; `page`'s LZRW1 pages take ~230 µs
-        // there, longer than the linger.
-        let page = |k: u64| -> Vec<u8> {
-            (0..512u64)
-                .flat_map(|i| ((k << 40) + i % 100).to_le_bytes())
-                .collect()
-        };
-        let store = CompressedStore::new(StoreConfig::with_spill(4 * 1024, &path));
-        for k in 0..256u64 {
-            store.put(k, &page(k)).unwrap();
+    // Every spill batch write is held until half the in-flight limit
+    // (4 KiB of 8) is in flight. A batch stops once it holds 2 KiB, so
+    // the held one carries at most ~2.1 KiB of payload and three or
+    // more jobs wait behind it, which the next batch must take
+    // together. So every batch but the first and the last carries ≥ 3,
+    // whatever the threads' timing; a writer that sends one entry per
+    // batch reads 1. The puts run on a thread of their own, so one that
+    // waits on the held writer cannot keep this thread from releasing
+    // it.
+    let gate = Arc::new(Gate::new(Arc::new(MemMedium::new())));
+    let cfg = StoreConfig::with_spill(32 * 1024, "/unused").with_spill_batch_bytes(2048);
+    let half = cfg.spill_inflight_limit() as u64 / 2;
+    let store = Arc::new(CompressedStore::with_medium(cfg, Arc::clone(&gate) as _));
+    gate.arm();
+    let putter = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || {
+            for k in 0..320u64 {
+                store.put(k, &delta_page(k)).unwrap();
+            }
+        })
+    };
+    while !putter.is_finished() {
+        if gate.held() && store.stats().spill_inflight_bytes >= half {
+            gate.arm();
+            gate.release();
         }
-        store.flush().unwrap();
-        let s = store.stats();
-        assert!(s.spilled >= 200, "expected heavy spilling: {s:?}");
-        let per_batch = s.spilled as f64 / s.spill_batches.max(1) as f64;
-        assert!(
-            per_batch >= 2.0,
-            "writer failed to coalesce: {} spills in {} batches",
-            s.spilled,
-            s.spill_batches
-        );
-        let mut out = vec![0u8; 4096];
-        for k in 0..256u64 {
-            assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
-            assert_eq!(out, page(k), "key {k} corrupted");
-        }
+        std::thread::sleep(Duration::from_micros(50));
     }
-    cleanup(dir, path);
+    gate.open();
+    putter.join().unwrap();
+    store.flush().unwrap();
+    let s = store.stats();
+    assert!(s.spilled >= 200, "expected heavy spilling: {s:?}");
+    let per_batch = s.spilled as f64 / s.spill_batches.max(1) as f64;
+    assert!(
+        per_batch >= 2.0,
+        "writer failed to coalesce: {} spills in {} batches",
+        s.spilled,
+        s.spill_batches
+    );
+    let mut out = vec![0u8; 4096];
+    for k in 0..320u64 {
+        assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
+        assert_eq!(out, delta_page(k), "key {k} corrupted");
+    }
+    store.check_invariants().unwrap();
+}
+
+/// An in-flight gauge wrapped below zero is the checker's to report: a
+/// put that must spill finds the writer full and waits, rather than
+/// overflowing the gauge's sum and panicking.
+#[test]
+fn a_wrapped_inflight_gauge_fails_the_checker_not_a_put() {
+    let store = Arc::new(CompressedStore::with_medium(
+        StoreConfig::with_spill(16 * 1024, "/unused"),
+        Arc::new(MemMedium::new()),
+    ));
+    for k in 0..64u64 {
+        store.put(k, &delta_page(k)).unwrap();
+    }
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    // 9 bytes below zero, so adding any payload overflows.
+    store
+        .core
+        .spill_inflight
+        .store(usize::MAX - 8, Ordering::Relaxed);
+    let putter = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || store.put(1000, &delta_page(1000)))
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while store.stats().put_backpressure_waits == 0 && !putter.is_finished() {
+        assert!(Instant::now() < deadline, "the put never waited");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(!putter.is_finished(), "the put ended: {:?}", putter.join());
+    let err = store.check_invariants().unwrap_err();
+    assert!(err.contains("spill_inflight_bytes"), "{err}");
+    // Mend the gauge, and wake the put as the writer would.
+    store.core.spill_inflight.store(0, Ordering::Relaxed);
+    {
+        let _inbox = store.core.inbox();
+        store.core.wake.notify_all();
+    }
+    putter.join().unwrap().unwrap();
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
 }
 
 #[test]
@@ -1863,8 +1926,19 @@ impl Gate {
         st.1
     }
 
+    /// Whether a write is held now.
+    fn held(&self) -> bool {
+        self.state.lock().unwrap().1
+    }
+
     fn release(&self) {
         self.state.lock().unwrap().1 = false;
+        self.cv.notify_all();
+    }
+
+    /// Disarm, and release a write if one is held.
+    fn open(&self) {
+        *self.state.lock().unwrap() = (false, false);
         self.cv.notify_all();
     }
 }

@@ -147,7 +147,7 @@ impl StoreCore {
         let limit = self.cfg.spill_inflight_limit();
         self.spill_inflight
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                (cur == 0 || cur.saturating_add(bytes) <= limit).then_some(cur + bytes)
+                (cur == 0 || cur.saturating_add(bytes) <= limit).then(|| cur + bytes)
             })
             .is_ok()
     }

@@ -16,14 +16,18 @@
 //! buffered, and the next receive completes it.
 //!
 //! Requests are encoded into the send buffer, and a pipelined request
-//! stays there until the client must wait: everything held goes out in
-//! one `write` when a receive finds no whole reply buffered, when the
-//! held bytes reach the receive buffer's size, ahead of a simple call's
-//! own request (so the wire keeps the order the calls were made in), on
-//! [`Client::pipeline_flush`], and on drop. A window of requests issued
-//! while a burst of replies is reaped is thus one write, not one per
-//! request. A transport error on a held request surfaces from the call
-//! that writes it.
+//! stays there until the client must wait or has enough to keep the
+//! server busy: everything held goes out in one `write` when a receive
+//! finds no whole reply buffered, when at least as many requests are
+//! held as were written and not yet reaped, when the held bytes reach
+//! the receive buffer's size, ahead of a simple call's own request (so
+//! the wire keeps the order the calls were made in), on
+//! [`Client::pipeline_flush`], and on drop. With nothing outstanding a
+//! window is one write; once replies are owed, a window of 16 settles
+//! into two halves of 8, and the server executes one half while the
+//! client reaps the other half's replies and refills it, so neither
+//! side idles while the other works. A transport error on a held
+//! request surfaces from the call that writes it.
 //!
 //! Every request frame carries a `seq` tag the server echoes on the
 //! response; the simple call API verifies the echo, and the **pipelined
@@ -53,7 +57,7 @@ use std::time::Duration;
 /// (header, status byte, page each), so a full window queued in the
 /// socket comes back in one `read`. Larger replies (STATS, DUMP) grow
 /// the buffer for as long as they take. Pipelined requests are held
-/// until this many bytes of them wait to be written.
+/// no longer than until this many bytes of them wait to be written.
 pub(crate) const RECV_BUF: usize = 16 * (frame::HEADER_LEN + 1 + 4096);
 
 /// Bounded retry policy for transient failures (`BUSY` answers,
@@ -168,6 +172,10 @@ pub struct Client {
     addr: SocketAddr,
     /// Request frames encoded and not yet written (reused).
     send: Vec<u8>,
+    /// Frames in `send`.
+    held: usize,
+    /// Frames written whose reply has not been reaped.
+    unreaped: usize,
     /// Replies read from the socket and not yet reaped.
     rbuf: RecvBuf,
     /// The last [`Client::call`]'s response body (reused).
@@ -191,6 +199,8 @@ impl Client {
             stream,
             addr,
             send: Vec::new(),
+            held: 0,
+            unreaped: 0,
             rbuf: RecvBuf::with_len(RECV_BUF),
             recv: Vec::new(),
             timeout: None,
@@ -250,6 +260,8 @@ impl Client {
         self.stream = stream;
         self.send.clear();
         self.rbuf.clear();
+        self.held = 0;
+        self.unreaped = 0;
         Ok(())
     }
 
@@ -258,18 +270,24 @@ impl Client {
     fn hold(&mut self, req: &Request<'_>) -> u32 {
         let seq = self.alloc_seq();
         frame::append_frame(&mut self.send, seq, 0, |out| req.encode(out));
+        self.held += 1;
         seq
     }
 
-    /// Write every held request in one `write`. Whatever the outcome,
-    /// nothing stays held: after a failed write the connection's state
-    /// is unknown, as after a failed pipelined send.
+    /// Write every held request in one `write`; once written they are
+    /// owed replies. Whatever the outcome, nothing stays held: after a
+    /// failed write the connection's state is unknown, as after a failed
+    /// pipelined send.
     fn write_held(&mut self) -> io::Result<()> {
         if self.send.is_empty() {
             return Ok(());
         }
         let written = self.stream.write_all(&self.send);
+        if written.is_ok() {
+            self.unreaped += self.held;
+        }
         self.send.clear();
+        self.held = 0;
         written
     }
 
@@ -289,6 +307,8 @@ impl Client {
     /// Drop a reply [`Client::next_reply`] returned, and any growth a
     /// large one left behind once nothing else is buffered.
     fn reaped(&mut self, reply: frame::ParsedFrame) {
+        // An unsolicited frame answers no request, so saturate.
+        self.unreaped = self.unreaped.saturating_sub(1);
         self.rbuf.consume(reply.consumed);
         self.rbuf.shrink_when_drained(RECV_BUF);
     }
@@ -320,12 +340,13 @@ impl Client {
     /// Pipelined send: encode one tagged request *without* waiting for
     /// its response, returning the tag to reap later with
     /// [`Client::pipeline_recv`]. The request is held until the client
-    /// must wait for a reply or a window of requests has gathered (see
-    /// the module docs); a transport error surfaces from whichever call
-    /// writes it. No retry is applied.
+    /// must wait for a reply, until as many are held as are owed replies
+    /// (so the server works on those while the client reaps), or until a
+    /// window of bytes has gathered (see the module docs); a transport
+    /// error surfaces from whichever call writes it. No retry is applied.
     pub fn pipeline_send(&mut self, req: &Request<'_>) -> Result<u32, ClientError> {
         let seq = self.hold(req);
-        if self.send.len() >= RECV_BUF {
+        if self.send.len() >= RECV_BUF || (self.unreaped > 0 && self.held >= self.unreaped) {
             self.write_held()?;
         }
         Ok(seq)
@@ -752,6 +773,65 @@ mod tests {
         peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         peer.read_exact(&mut ping).unwrap();
         assert_eq!(requests(&ping), [(window as u32 + 1, Request::Ping)]);
+    }
+
+    #[test]
+    fn with_replies_owed_the_client_writes_once_it_holds_as_many() {
+        let (mut client, _listener, mut peer) = pair();
+        for key in 0..16u64 {
+            client.pipeline_send(&Request::Get { key }).unwrap();
+        }
+        // Nothing is buffered, so the receive writes all 16, then times
+        // out on the silent peer.
+        let mut out = Vec::new();
+        assert!(matches!(
+            client.pipeline_recv(&mut out),
+            Err(ClientError::Io(_))
+        ));
+        let mut rbuf = RecvBuf::new();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut read_requests = |peer: &mut TcpStream, n: u64| {
+            (0..n)
+                .map(|_| {
+                    let f = rbuf.next_frame(peer, frame::DEFAULT_MAX_FRAME).unwrap();
+                    let req = Request::decode(&rbuf.unparsed()[f.body.clone()]).unwrap();
+                    let Request::Get { key } = req else {
+                        panic!("unexpected request {req:?}")
+                    };
+                    rbuf.consume(f.consumed);
+                    (f.seq, key)
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = read_requests(&mut peer, 16);
+        assert_eq!(
+            first,
+            (0..16).map(|k| (k as u32 + 1, k)).collect::<Vec<_>>()
+        );
+        let half: Vec<u8> = (1..=8)
+            .flat_map(|seq| reply(seq, Status::NotFound, b""))
+            .collect();
+        peer.write_all(&half).unwrap();
+        // Reap one, send one: with 16 - k replies owed and k held, the
+        // client writes at k = 8 without waiting on the 8 still owed.
+        for k in 1..=8u64 {
+            let (seq, _) = client.pipeline_recv(&mut out).unwrap();
+            assert_eq!(seq, k as u32);
+            client
+                .pipeline_send(&Request::Get { key: 100 + k })
+                .unwrap();
+            if k == 7 {
+                assert!(!peer_hears_anything(&mut peer), "sent under half a window");
+                peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            }
+        }
+        assert_eq!(
+            read_requests(&mut peer, 8),
+            (1..=8)
+                .map(|k| (16 + k as u32, 100 + k))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!((client.held, client.unreaped), (0, 16), "8 + 8 owed");
     }
 
     #[test]

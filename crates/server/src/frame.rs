@@ -225,6 +225,13 @@ impl RecvBuf {
         &self.buf[self.start..self.end]
     }
 
+    /// Whether the buffered bytes reach the end of the buffer: after
+    /// [`RecvBuf::fill_from`], whether that read filled the whole free
+    /// tail it was offered.
+    pub fn is_full(&self) -> bool {
+        self.end == self.buf.len()
+    }
+
     /// Bytes allocated.
     pub fn capacity(&self) -> usize {
         self.buf.capacity()

@@ -514,8 +514,11 @@ impl Reactor {
             // Don't grow the buffer for a peer we've stopped serving.
             if conn.close_after_flush.is_none() {
                 conn.last_active = Instant::now();
-                // Read until the socket is empty: the final `read` is the
-                // one that answers `WouldBlock`.
+                // Read until a read leaves the free tail unfilled: the
+                // socket held less than the buffer offered, so it is
+                // empty. Both pollers are level-triggered, so bytes that
+                // arrive after that read show up at the next poll; a
+                // socket drained by a full read answers `WouldBlock`.
                 let mut reads = 0;
                 let mut failed = false;
                 loop {
@@ -526,7 +529,9 @@ impl Reactor {
                             break;
                         }
                         Ok(_) => {
-                            if conn.wire.pending_out() > WRITE_BACKPRESSURE {
+                            if !conn.wire.rbuf.is_full()
+                                || conn.wire.pending_out() > WRITE_BACKPRESSURE
+                            {
                                 break;
                             }
                         }
