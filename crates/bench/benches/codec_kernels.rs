@@ -3,13 +3,14 @@
 //! The inner loop for work on `cc-compress`'s hot paths: `probe_bdi` and
 //! the whole `classify` it starts (on noise, the trigram reject test
 //! runs to the end; it has to stay a small fraction of the bounded LZRW1
-//! pass it saves), BDI encode/decode, LZRW1 encode (unbounded, bounded
-//! at the 4:3 admit bound the store passes, and unbounded on the
-//! 16 384-entry table `ablation` uses — the width whose hash pass needs
-//! the high half of each product as well), LZRW1 decode, and
-//! each decoder through its
-//! `Vec` API against its slice form, and `crc32` — the checksum that
-//! guards every spilled extent — in ns per extent at three extent sizes
+//! pass it saves), BDI encode/decode on the build the CPU runs
+//! (`bdi::kernel()`) and (`bdi_*_portable`) on the portable one, LZRW1
+//! encode (unbounded, bounded at the 4:3 admit bound the store passes,
+//! and unbounded on the 16 384-entry table `ablation` uses — the width
+//! whose hash pass needs the high half of each product as well), LZRW1
+//! decode, and each decoder through its `Vec` API against its slice
+//! form, and `crc32` — the checksum that guards every spilled extent —
+//! in ns per extent at three extent sizes
 //! (a BDI block, the mean spilled extent, a raw page), on the kernel the
 //! CPU runs and (`crc32_portable`) on the portable one. The simulator's
 //! comparator codecs, LZSS and RLE, get encode and decode rows too: their
@@ -23,7 +24,7 @@
 //!
 //! It gates nothing; end-to-end claims are made with ccbench.
 
-use cc_compress::{classify, probe_bdi, Bdi, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy};
+use cc_compress::{bdi, classify, probe_bdi, Bdi, Compressor, Lzrw1, Lzss, Rle, ThresholdPolicy};
 use cc_util::crc::crc32_portable;
 use cc_util::{crc32, SplitMix64};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -125,6 +126,9 @@ fn bench_kernels(c: &mut Criterion) {
         rotate(&mut group, "bdi_encode", class, &pages, |p| {
             black_box(bdi.compress(p, &mut sealed));
         });
+        rotate(&mut group, "bdi_encode_portable", class, &pages, |p| {
+            black_box(bdi::compress_portable(p, &mut sealed));
+        });
         rotate(&mut group, "lzrw1_encode", class, &pages, |p| {
             black_box(lz.compress(p, &mut sealed));
         });
@@ -158,6 +162,9 @@ fn bench_kernels(c: &mut Criterion) {
         });
         rotate(&mut group, "bdi_decode_slice", class, &bdi_blocks, |b| {
             Bdi::decode_into(b, &mut plain).expect("own block");
+        });
+        rotate(&mut group, "bdi_decode_portable", class, &bdi_blocks, |b| {
+            bdi::decode_into_portable(b, &mut plain).expect("own block");
         });
         rotate(&mut group, "lzrw1_decode_vec", class, &lz_blocks, |b| {
             lz.decompress(b, &mut sealed, PAGE).expect("own block");
