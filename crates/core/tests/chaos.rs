@@ -15,35 +15,57 @@
 //!    the medium) turns `flush()` into `Err(ShuttingDown)`, not a wait
 //!    for completions that will never come.
 
+mod support;
+
 use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium, MemMedium, SpillMedium};
 use cc_core::persist::{decode_summary, read_superblock, SUPERBLOCK_RESERVED};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig, StoreError};
 use cc_core::tier::TierPolicy;
-use cc_util::SplitMix64;
 use proptest::prelude::*;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::model::{self, Arm, Class, Class::*, Mix, Mode, Model, Unchecked};
+use support::TempPath;
 
 const PAGE: usize = 1024;
 
-fn temp_path(tag: &str, salt: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "cc-chaos-{tag}-{}-{salt:x}.bin",
-        std::process::id()
-    ))
+/// Read back version `version` of the `class` pages of `keys`: each
+/// exact or missing, never an error. Returns how many are missing.
+fn missing(store: &CompressedStore, keys: std::ops::Range<u64>, class: Class, version: u64) -> u64 {
+    let mut out = vec![0u8; PAGE];
+    let mut missing = 0;
+    for key in keys {
+        match store.get(key, &mut out) {
+            Ok(true) => assert_eq!(out, class.page(key, version, PAGE), "key {key} corrupted"),
+            Ok(false) => missing += 1,
+            Err(e) => panic!("key {key}: {e}"),
+        }
+    }
+    missing
 }
 
-/// Deterministic page content for `(key, version)`: incompressible
-/// noise, so every page takes the raw/compressed path (never the
-/// same-filled fast path, which bypasses the spill machinery entirely).
-fn noise_page(key: u64, version: u64) -> Vec<u8> {
-    let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version);
-    (0..PAGE).map(|_| rng.next_u64() as u8).collect()
+/// Read back keys `0..keys` after a bit flip: a page must be
+/// `page(key)`, and a miss means a key lost without a `Corrupt`. Returns
+/// the keys that surfaced `Corrupt`.
+fn corrupt_keys(
+    store: &CompressedStore,
+    keys: u64,
+    page: impl Fn(u64) -> Vec<u8>,
+) -> Result<Vec<u64>, TestCaseError> {
+    let mut out = vec![0u8; PAGE];
+    let mut corrupt = Vec::new();
+    for key in 0..keys {
+        match store.get(key, &mut out) {
+            Ok(true) => prop_assert_eq!(&out, &page(key), "key {} returned wrong bytes", key),
+            Ok(false) => prop_assert!(false, "key {key} lost without a Corrupt"),
+            Err(StoreError::Corrupt) => corrupt.push(key),
+            Err(e) => prop_assert!(false, "key {key}: unexpected error {e}"),
+        }
+    }
+    Ok(corrupt)
 }
 
 /// Spin until `cond` holds or `what` times out.
@@ -68,24 +90,24 @@ proptest! {
     #[test]
     fn any_single_bit_flip_is_detected(sel in any::<u64>()) {
         const KEYS: u64 = 24;
-        let path = temp_path("bitflip", sel);
+        let path = TempPath::new(&format!("chaos-bitflip-{sel:x}"));
         {
             // Single read attempt: a verification failure is immediately
             // persistent (the flip is on the medium, retrying cannot
             // help), which keeps the case fast and the accounting exact.
             let store = CompressedStore::new(
-                StoreConfig::with_spill(2 * PAGE, &path)
+                StoreConfig::with_spill(2 * PAGE, &*path)
                     .with_spill_retry(1, Duration::ZERO),
             );
             for key in 0..KEYS {
-                store.put(key, &noise_page(key, 1)).unwrap();
+                store.put(key, &Noise.page(key, 1, PAGE)).unwrap();
             }
             store.flush().unwrap();
 
             // What lies where: after the superblock region, each segment
             // is a chain of batches, a summary and then its extents.
-            let file = std::fs::read(&path).unwrap();
-            let sb = read_superblock(&FileMedium::open(&path).unwrap()).expect("a superblock");
+            let file = std::fs::read(&*path).unwrap();
+            let sb = read_superblock(&FileMedium::open(&*path).unwrap()).expect("a superblock");
             // `[start, end)` of each summary, and whether it names a live
             // extent (the newest generation of its key: each key is put
             // once here, so every extent on the file is live).
@@ -117,7 +139,7 @@ proptest! {
                 let f = std::fs::OpenOptions::new()
                     .read(true)
                     .write(true)
-                    .open(&path)
+                    .open(&*path)
                     .unwrap();
                 let len = f.metadata().unwrap().len();
                 prop_assert!(!extents.is_empty(), "nothing spilled under a 2-page budget");
@@ -131,23 +153,8 @@ proptest! {
             let in_extent = extents.iter().any(|&(a, b)| (a..b).contains(&flipped));
             let summary = summaries.iter().find(|&&(a, b, _)| (a..b).contains(&flipped));
 
+            let corrupt_keys = corrupt_keys(&store, KEYS, |key| Noise.page(key, 1, PAGE))?;
             let mut out = vec![0u8; PAGE];
-            let mut corrupt_keys = Vec::new();
-            for key in 0..KEYS {
-                match store.get(key, &mut out) {
-                    Ok(true) => prop_assert_eq!(
-                        &out,
-                        &noise_page(key, 1),
-                        "key {} returned wrong bytes", key
-                    ),
-                    Ok(false) => prop_assert!(
-                        false,
-                        "key {} missing before any Corrupt was reported", key
-                    ),
-                    Err(StoreError::Corrupt) => corrupt_keys.push(key),
-                    Err(e) => prop_assert!(false, "key {key}: unexpected error {e}"),
-                }
-            }
             // One flipped bit damages at most one extent; inside an
             // extent it damages exactly one, and anywhere else none.
             prop_assert!(corrupt_keys.len() <= 1, "one bit, {corrupt_keys:?} corrupt");
@@ -178,7 +185,6 @@ proptest! {
             }
             store.shutdown();
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Satellite (codec layer): flipping a bit in the *codec id byte* of
@@ -195,29 +201,13 @@ proptest! {
         const CODEC_OFFSET: u64 = 16;
         const HEADER: usize = 24;
 
-        // BDI-sealed content: words clustered near one base.
-        let bdi_page = |key: u64| -> Vec<u8> {
-            let base = 0x4000_0000_0000u64 + (key << 20);
-            let mut p = Vec::with_capacity(PAGE);
-            for i in 0..(PAGE as u64 / 8) {
-                p.extend_from_slice(&(base + (i * 13 + key) % 100).to_le_bytes());
-            }
-            p
-        };
-        // LZRW1-sealed content: byte-regular, word-irregular.
-        let lz_page = |key: u64| -> Vec<u8> {
-            (0..PAGE).map(|i| ((i / 7 + key as usize) % 61) as u8 + b' ').collect()
-        };
-        let page_for = |key: u64| if key.is_multiple_of(2) {
-            bdi_page(key)
-        } else {
-            lz_page(key)
-        };
+        // BDI-sealed and LZRW1-sealed pages.
+        let page_for = |key: u64| [Words, Text][key as usize % 2].page(key, 1, PAGE);
 
-        let path = temp_path("codecflip", sel);
+        let path = TempPath::new(&format!("chaos-codecflip-{sel:x}"));
         {
             let store = CompressedStore::new(
-                StoreConfig::with_spill(2 * PAGE, &path)
+                StoreConfig::with_spill(2 * PAGE, &*path)
                     .with_spill_retry(1, Duration::ZERO),
             );
             for key in 0..KEYS {
@@ -232,7 +222,7 @@ proptest! {
                 let f = std::fs::OpenOptions::new()
                     .read(true)
                     .write(true)
-                    .open(&path)
+                    .open(&*path)
                     .unwrap();
                 let len = f.metadata().unwrap().len() as usize;
                 let mut file = vec![0u8; len];
@@ -260,20 +250,7 @@ proptest! {
                 f.write_all_at(&byte, target + CODEC_OFFSET).unwrap();
             }
 
-            let mut out = vec![0u8; PAGE];
-            let mut corrupt_keys = Vec::new();
-            for key in 0..KEYS {
-                match store.get(key, &mut out) {
-                    Ok(true) => prop_assert_eq!(
-                        &out,
-                        &page_for(key),
-                        "key {} returned wrong bytes after codec-id flip", key
-                    ),
-                    Ok(false) => prop_assert!(false, "key {} lost without a Corrupt", key),
-                    Err(StoreError::Corrupt) => corrupt_keys.push(key),
-                    Err(e) => prop_assert!(false, "key {key}: unexpected error {e}"),
-                }
-            }
+            let corrupt_keys = corrupt_keys(&store, KEYS, page_for)?;
             prop_assert_eq!(
                 corrupt_keys.len(), 1,
                 "exactly the flipped extent must fail: {:?}", corrupt_keys
@@ -282,7 +259,6 @@ proptest! {
             prop_assert_eq!(store.check_invariants(), Ok(()));
             store.shutdown();
         }
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -340,14 +316,14 @@ impl<M: SpillMedium> SpillMedium for FlipOnRequest<M> {
 /// plus `write_outage`, degrading after `degrade_after` failed batches.
 fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u32) {
     const THREADS: u64 = 8;
-    const OPS: u64 = 1_500;
+    const OPS: usize = 1_500;
     const KEYS_PER_THREAD: u64 = 96;
     const BUDGET: usize = 8 * PAGE;
 
     let outage = write_outage.is_some();
-    let path = temp_path("stress", degrade_after.into());
+    let path = TempPath::new(&format!("chaos-stress-{degrade_after}"));
     let injector = Arc::new(FaultInjector::new(
-        FlipOnRequest(FileMedium::create(&path).unwrap()),
+        FlipOnRequest(FileMedium::create(&*path).unwrap()),
         FaultPlan {
             seed: 0xC4A0_5CA0,
             read_error_1_in: 61,
@@ -368,92 +344,54 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
         Arc::clone(&injector) as Arc<dyn SpillMedium>,
     ));
 
-    let violations = Arc::new(AtomicU64::new(0));
+    // Each thread runs its own script on its own keys, under a lossy
+    // model: a miss is legal (shed or dropped) and so is an error
+    // (Corrupt, or retries exhausted on injected EIO), but wrong bytes
+    // never are. Removes churn the spill file so GC compaction runs (and
+    // relocates extents) mid-fault-storm.
+    let arm = Arm::store("recency", "adaptive", "faults");
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let store = Arc::clone(&store);
-            let violations = Arc::clone(&violations);
             std::thread::spawn(move || {
-                let base = t * KEYS_PER_THREAD;
-                let mut shadow: HashMap<u64, u64> = HashMap::new();
-                let mut version = 0u64;
-                let mut rng = SplitMix64::new(t + 1);
-                let mut out = vec![0u8; PAGE];
-                for _ in 0..OPS {
-                    let key = base + rng.next_u64() % KEYS_PER_THREAD;
-                    match rng.next_u64() % 10 {
-                        // Removes churn the spill file so GC compaction
-                        // runs (and relocates extents) mid-fault-storm.
-                        0..=1 => {
-                            store.remove(key);
-                            shadow.remove(&key);
-                        }
-                        2..=5 => {
-                            version += 1;
-                            match store.put(key, &noise_page(key, version)) {
-                                Ok(()) => {
-                                    shadow.insert(key, version);
-                                }
-                                Err(_) => {
-                                    shadow.remove(&key);
-                                }
-                            }
-                        }
-                        _ => match store.get(key, &mut out) {
-                            Ok(true) => {
-                                // THE invariant: returned data is exact.
-                                // (A miss is legal — shed or dropped —
-                                // but garbage never is.)
-                                if let Some(&v) = shadow.get(&key) {
-                                    if out != noise_page(key, v) {
-                                        violations.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            Ok(false) => {
-                                shadow.remove(&key);
-                            }
-                            Err(_) => {
-                                // Corrupt (entry dropped) or retries
-                                // exhausted on injected EIO: both are
-                                // honest failures, never wrong data.
-                                shadow.remove(&key);
-                            }
-                        },
-                    }
-                }
-                shadow
+                let mix = Mix {
+                    keys: t * KEYS_PER_THREAD..(t + 1) * KEYS_PER_THREAD,
+                    weights: [4, 4, 2, 0, 0],
+                    classes: &[Noise],
+                    shared: false,
+                };
+                let seed = format!("thread {t}, script seed {}", t + 1);
+                let mut model = Model::new(Mode::Lossy, PAGE);
+                let ops = model::script(t + 1, OPS, &mix);
+                let ran = model.run(&mut Unchecked(&*store), &ops, &arm, &seed);
+                ran.map(|()| (model, seed))
             })
         })
         .collect();
-
-    let mut live: Vec<(u64, u64)> = Vec::new();
-    for h in handles {
-        live.extend(h.join().expect("chaos thread panicked"));
-    }
-    assert_eq!(
-        violations.load(Ordering::Relaxed),
-        0,
-        "a get returned wrong bytes under fault injection"
-    );
+    let mut models: Vec<_> = (handles.into_iter())
+        .map(|h| {
+            h.join()
+                .expect("chaos thread panicked")
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect();
 
     // The outage window is finite: wait out probation, then settle.
     wait_for("recovery from the outage", || !store.is_degraded());
     let _ = store.flush();
     // Final readback: every surviving key exact-or-absent.
-    let mut out = vec![0u8; PAGE];
-    for (key, version) in live {
-        if let Ok(true) = store.get(key, &mut out) {
-            assert_eq!(out, noise_page(key, version), "final: key {key} corrupted");
-        }
+    for (model, seed) in &mut models {
+        let verified = model.verify_all(&mut Unchecked(&*store), &arm, seed);
+        verified.unwrap_or_else(|e| panic!("{e}"));
     }
+    let mut out = vec![0u8; PAGE];
     // One detection the test causes rather than hopes for: fill the
     // spill file with fresh pages and flip a bit of this thread's read
     // of one of them. The read is retried, so the get still returns the
     // page, or `Corrupt` if every retry failed too — never other bytes.
     const FRESH: std::ops::Range<u64> = 10_000..10_032;
     for key in FRESH {
-        store.put(key, &noise_page(key, 1)).unwrap();
+        store.put(key, &Noise.page(key, 1, PAGE)).unwrap();
     }
     let _ = store.flush();
     let spilled = FRESH
@@ -463,7 +401,7 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
     let detected = store.stats().corrupt_detected;
     FLIP_NEXT_READ.set(true);
     match store.get(spilled, &mut out) {
-        Ok(true) => assert_eq!(out, noise_page(spilled, 1), "key {spilled} corrupted"),
+        Ok(true) => assert_eq!(out, Noise.page(spilled, 1, PAGE), "key {spilled} corrupted"),
         Err(StoreError::Corrupt) => {}
         other => panic!("key {spilled}: {other:?}"),
     }
@@ -483,7 +421,7 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
             continue;
         }
         if let Ok(true) = store.get(key, &mut out) {
-            assert_eq!(out, noise_page(key, 1), "key {key} corrupted");
+            assert_eq!(out, Noise.page(key, 1, PAGE), "key {key} corrupted");
         }
     }
 
@@ -511,7 +449,6 @@ fn stress_schedule(write_outage: Option<std::ops::Range<u64>>, degrade_after: u3
     }
     assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Tentpole: a scheduled write outage drives the degraded-mode state
@@ -527,9 +464,9 @@ fn write_outage_degrades_then_probes_recover() {
     // consuming write indices, so the outage expires on schedule.
     const OUTAGE: std::ops::Range<u64> = 1..25;
 
-    let path = temp_path("outage", 0);
+    let path = TempPath::new("chaos-outage");
     let injector = Arc::new(FaultInjector::new(
-        FileMedium::create(&path).unwrap(),
+        FileMedium::create(&*path).unwrap(),
         FaultPlan {
             write_outage: Some(OUTAGE),
             ..FaultPlan::default()
@@ -548,7 +485,7 @@ fn write_outage_degrades_then_probes_recover() {
     // hard-fail against the outage, entries bounce back to memory, and
     // the failure counter crosses the threshold.
     for key in 0..32u64 {
-        let _ = store.put(key, &noise_page(key, 1));
+        let _ = store.put(key, &Noise.page(key, 1, PAGE));
     }
     wait_for("degraded mode", || store.is_degraded());
 
@@ -578,7 +515,7 @@ fn write_outage_degrades_then_probes_recover() {
     // everything still present reads back exact.
     let before = s.spill_batches;
     for key in 100..132u64 {
-        store.put(key, &noise_page(key, 2)).unwrap();
+        store.put(key, &Noise.page(key, 2, PAGE)).unwrap();
     }
     store.flush().unwrap();
     let after = store.stats();
@@ -587,18 +524,11 @@ fn write_outage_degrades_then_probes_recover() {
         "spilling never resumed after recovery: {after:?}"
     );
     assert!(!after.degraded);
-    let mut out = vec![0u8; PAGE];
-    for key in 100..132u64 {
-        match store.get(key, &mut out) {
-            Ok(true) => assert_eq!(out, noise_page(key, 2), "post-recovery key {key}"),
-            Ok(false) => {} // shed while over budget: a miss, never garbage
-            Err(e) => panic!("post-recovery key {key}: {e}"),
-        }
-    }
+    // A miss is a page shed while over budget, never garbage.
+    missing(&store, 100..132, Noise, 2);
     assert!(after.resident_bytes <= BUDGET as u64, "{after:?}");
     assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A medium whose writes fail while `broken` is set.
@@ -648,7 +578,7 @@ fn a_stream_of_flushes_does_not_starve_the_probe() {
     );
     // Healthy: nearly every page spills, so its key is on the file.
     for key in 0..KEYS {
-        store.put(key, &noise_page(key, 1)).unwrap();
+        store.put(key, &Noise.page(key, 1, PAGE)).unwrap();
     }
     store.flush().unwrap();
     // Broken: the next batch fails, and the store degrades.
@@ -656,7 +586,7 @@ fn a_stream_of_flushes_does_not_starve_the_probe() {
     let mut key = KEYS;
     while !store.is_degraded() {
         assert!(key < 2 * KEYS, "the store never degraded");
-        let _ = store.put(key, &noise_page(key, 1));
+        let _ = store.put(key, &Noise.page(key, 1, PAGE));
         key += 1;
     }
     medium.broken.store(false, Ordering::SeqCst);
@@ -714,7 +644,7 @@ fn writer_panic_degrades_and_flush_never_hangs() {
 
     // Force evictions: the first spill batch murders the writer.
     for key in 0..16u64 {
-        let _ = store.put(key, &noise_page(key, 1));
+        let _ = store.put(key, &Noise.page(key, 1, PAGE));
     }
     wait_for("degraded after writer panic", || store.is_degraded());
 
@@ -737,19 +667,11 @@ fn writer_panic_degrades_and_flush_never_hangs() {
     );
 
     // Whatever survived shedding reads back exact, from memory.
+    assert!(
+        missing(&store, 0..16, Noise, 1) < 16,
+        "everything lost: shedding was total"
+    );
     let mut out = vec![0u8; PAGE];
-    let mut readable = 0;
-    for key in 0..16u64 {
-        match store.get(key, &mut out) {
-            Ok(true) => {
-                assert_eq!(out, noise_page(key, 1), "key {key} corrupted");
-                readable += 1;
-            }
-            Ok(false) => {}
-            Err(e) => panic!("key {key}: {e}"),
-        }
-    }
-    assert!(readable > 0, "everything lost: shedding was total");
     // Same-filled pages bypass the budget and the (dead) writer: the
     // degraded store still serves them.
     store.put(999, &[0x5Au8; PAGE]).unwrap();
@@ -771,14 +693,14 @@ fn writer_panic_degrades_and_flush_never_hangs() {
 #[test]
 fn spill_failed_fallback_restores_budget_without_degrading() {
     const BUDGET: usize = 4 * PAGE;
-    let path = temp_path("fallback", 0);
+    let path = TempPath::new("chaos-fallback");
     // After the superblock the store stamps as it opens (op 0), the
     // next medium operations are exactly the first batch's write
     // attempts (nothing has spilled, so no reads can precede them):
     // scripting WriteError at ops 1..4 hard-fails batch #1 through all
     // three of its retries and leaves every later batch clean.
     let injector = Arc::new(FaultInjector::new(
-        FileMedium::create(&path).unwrap(),
+        FileMedium::create(&*path).unwrap(),
         FaultPlan {
             script: vec![
                 (1, Fault::WriteError),
@@ -796,7 +718,7 @@ fn spill_failed_fallback_restores_budget_without_degrading() {
     );
 
     for key in 0..24u64 {
-        store.put(key, &noise_page(key, 1)).unwrap();
+        store.put(key, &Noise.page(key, 1, PAGE)).unwrap();
     }
     store.flush().unwrap();
 
@@ -823,15 +745,7 @@ fn spill_failed_fallback_restores_budget_without_degrading() {
     );
 
     // Exact-or-absent, and absences are explained by shedding.
-    let mut out = vec![0u8; PAGE];
-    let mut missing = 0u64;
-    for key in 0..24u64 {
-        match store.get(key, &mut out) {
-            Ok(true) => assert_eq!(out, noise_page(key, 1), "key {key} corrupted"),
-            Ok(false) => missing += 1,
-            Err(e) => panic!("key {key}: {e}"),
-        }
-    }
+    let missing = missing(&store, 0..24, Noise, 1);
     assert!(
         missing <= s.shed_pages,
         "{missing} keys missing but only {} shed",
@@ -839,26 +753,6 @@ fn spill_failed_fallback_restores_budget_without_degrading() {
     );
     assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();
-    let _ = std::fs::remove_file(&path);
-}
-
-/// A text-like page, different per `(key, version)`: words drawn from a
-/// small vocabulary, which the classifier routes to LZRW1 and which
-/// seals to about half a page.
-fn lz_page(key: u64, version: u64) -> Vec<u8> {
-    const WORDS: [&str; 16] = [
-        "page", "cache", "swap", "fault", "disk", "block", "clean", "dirty", "evict", "seal",
-        "spill", "read", "write", "hot", "warm", "cold",
-    ];
-    let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version);
-    let mut page = Vec::with_capacity(PAGE + 16);
-    while page.len() < PAGE {
-        let r = rng.next_u64();
-        page.extend_from_slice(WORDS[r as usize % WORDS.len()].as_bytes());
-        page.extend_from_slice(format!(" {} ", r >> 56).as_bytes());
-    }
-    page.truncate(PAGE);
-    page
 }
 
 /// A write outage at budget while LZRW1 puts wait `Sealing`: failed
@@ -871,7 +765,7 @@ fn lz_page(key: u64, version: u64) -> Vec<u8> {
 fn a_write_outage_at_budget_sheds_past_sealing_pages() {
     const BUDGET: usize = 16 * PAGE;
     let admit = cc_compress::ThresholdPolicy::default().max_compressed_len(PAGE);
-    let route = cc_compress::classify(&lz_page(1, 1), admit);
+    let route = cc_compress::classify(&Text.page(1, 1, PAGE), admit);
     assert_eq!(route, cc_compress::Route::Lz);
     let injector = Arc::new(FaultInjector::new(
         MemMedium::new(),
@@ -889,7 +783,7 @@ fn a_write_outage_at_budget_sheds_past_sealing_pages() {
         Arc::clone(&injector) as Arc<dyn SpillMedium>,
     );
     for key in 0..256u64 {
-        store.put(key, &lz_page(key, 1)).unwrap();
+        store.put(key, &Text.page(key, 1, PAGE)).unwrap();
         if key % 32 == 31 {
             assert_eq!(store.check_invariants(), Ok(()), "after key {key}");
         }
@@ -903,15 +797,7 @@ fn a_write_outage_at_budget_sheds_past_sealing_pages() {
         "failed batches neither reverted nor shed: {s:?}"
     );
     assert!(s.resident_bytes <= BUDGET as u64, "{s:?}");
-    let mut out = vec![0u8; PAGE];
-    let mut missing = 0;
-    for key in 0..256u64 {
-        match store.get(key, &mut out) {
-            Ok(true) => assert_eq!(out, lz_page(key, 1), "key {key}"),
-            Ok(false) => missing += 1,
-            Err(e) => panic!("key {key}: {e}"),
-        }
-    }
+    let missing = missing(&store, 0..256, Text, 1);
     assert!(missing <= s.shed_pages, "{missing} missing, {s:?}");
     assert_eq!(store.check_invariants(), Ok(()));
     store.shutdown();

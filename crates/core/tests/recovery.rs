@@ -1,7 +1,9 @@
 //! Crash-recovery tests: the persistent spill tier against power loss.
 //!
-//! The contract (DESIGN.md §14) is checked against a shadow model of
-//! *durably-committed* entries:
+//! The contract (DESIGN.md §14) is checked against the store suites'
+//! reference model (`support::model`): its snapshot at each completed
+//! flush is what the barrier made durable, and its history of every
+//! version put is what may ever be served.
 //!
 //! 1. **Never garbage.** A recovered store never serves bytes that are
 //!    not byte-exact some version that was actually put for that key.
@@ -20,25 +22,21 @@
 //! cumulative write stream" is a deterministic, replayable fault —
 //! optionally with the torn sector scribbled.
 
+mod support;
+
 use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, MemMedium, SpillMedium};
 use cc_core::persist::{decode_summary, read_superblock, Superblock, SUMMARY_HEAD};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::TierPolicy;
-use cc_util::SplitMix64;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use support::model::{self, Arm, Class::Noise, Mix, Mode, Model, Op, Unchecked};
+use support::TempPath;
 
 const PAGE: usize = 1024;
-
-/// Deterministic incompressible content for `(key, version)` — always
-/// takes the raw/compressed spill path, never the same-filled one.
-fn noise_page(key: u64, version: u64) -> Vec<u8> {
-    let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version);
-    (0..PAGE).map(|_| rng.next_u64() as u8).collect()
-}
 
 /// A tight-budget config: almost everything spills, no background
 /// demoter (`TierPolicy::COMPRESS_ALL`), GC off unless a trial turns it
@@ -56,12 +54,17 @@ fn matrix_cfg() -> StoreConfig {
     cfg(MATRIX_BUDGET_PAGES, f64::MAX)
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Put(u64),
-    Remove(u64),
-    /// `flush()` + model snapshot: a durability barrier.
-    Barrier,
+/// Appends a put of `key`: a noise page, so always the raw/compressed
+/// spill path and never the same-filled one, whose version is its place
+/// in the schedule counted from 1, as [`model::script`] numbers them.
+/// A schedule's `Op::Flush` is a durability barrier.
+fn put(schedule: &mut Vec<Op>, key: u64) {
+    let version = schedule.len() as u64 + 1;
+    schedule.push(Op::Put {
+        key,
+        version,
+        class: Noise,
+    });
 }
 
 /// When (and whether) the power dies during a trial.
@@ -191,7 +194,7 @@ impl SpillMedium for Tapped {
 }
 
 /// What the store had provably made durable at one barrier.
-struct Model {
+struct Barrier {
     bytes: u64,
     /// (key, version): in the spill tier at the barrier — written with
     /// its summary, must be served byte-exact after any cut ≥ here.
@@ -209,12 +212,12 @@ struct Model {
 struct Outcome {
     /// The in-memory medium (left empty by a trial on a real file).
     data: MemMedium,
-    models: Vec<Model>,
+    barriers: Vec<Barrier>,
     cut_at: u64,
-    /// Every version ever put, per key — the never-garbage set.
-    versions: HashMap<u64, HashMap<u64, Vec<u8>>>,
-    /// Keys whose final state in the schedule is "removed".
-    forever_removed: HashSet<u64>,
+    /// The model the schedule ran against: every version ever put per
+    /// key (the never-garbage set), and the keys whose final state is
+    /// "removed".
+    model: Model,
     final_bytes: u64,
     /// Stats of the crashed/finished store itself (pre-reopen).
     run_stats: cc_core::StoreStats,
@@ -222,7 +225,10 @@ struct Outcome {
 
 /// Run `schedule` against a fresh store behind a [`CrashSwitch`],
 /// injecting `crash`: over the real file at the config's spill path if
-/// it names one, else over an in-memory medium.
+/// it names one, else over an in-memory medium. The schedule runs on the
+/// model barrier by barrier; at each one the checker runs, the model's
+/// snapshot says what must be served, and the power may be cut there or
+/// armed to die a little later.
 fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
     let data_mem = MemMedium::new();
     let (crash_after_bytes, crash_tear) = match crash {
@@ -264,87 +270,66 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
     };
     let store = CompressedStore::with_medium(config.clone(), data);
 
-    let mut vnext: HashMap<u64, u64> = HashMap::new();
-    let mut shadow: HashMap<u64, u64> = HashMap::new();
-    let mut removed: HashSet<u64> = HashSet::new();
-    let mut versions: HashMap<u64, HashMap<u64, Vec<u8>>> = HashMap::new();
-    let mut models = Vec::new();
+    let arm = Arm::store("compress-all", "adaptive", "crash-switch");
+    let mut model = Model::new(Mode::Exact, PAGE);
+    let mut barriers = Vec::new();
     let mut cut_at = u64::MAX;
-    let mut barrier = 0usize;
-    for op in schedule {
-        match *op {
-            Op::Put(k) => {
-                let v = {
-                    let n = vnext.entry(k).or_insert(0);
-                    *n += 1;
-                    *n
-                };
-                let page = noise_page(k, v);
-                store.put(k, &page).expect("put");
-                versions.entry(k).or_default().insert(v, page);
-                shadow.insert(k, v);
-                removed.remove(&k);
+    for (barrier, ops) in schedule.split_inclusive(|op| *op == Op::Flush).enumerate() {
+        let seed = format!("{crash:?}, the ops up to barrier {barrier}");
+        let ran = model.run(&mut Unchecked(&store), ops, &arm, &seed);
+        ran.unwrap_or_else(|e| panic!("{e}"));
+        let Some(durable) = model.durable.get(barrier) else {
+            break; // ops past the last barrier
+        };
+        // Past the cut the medium silently drops writes, so the file no
+        // longer holds what the store wrote: only the read-back of the
+        // file may fail then.
+        let checked = store.check_invariants();
+        let lost = switch.is_cut()
+            && checked
+                .as_ref()
+                .is_err_and(|e| e.starts_with("on the file"));
+        assert!(checked.is_ok() || lost, "at barrier {barrier}: {checked:?}");
+        let bytes = switch.bytes_written();
+        barriers.push(Barrier {
+            bytes,
+            must_serve: (durable.held.iter())
+                .filter(|&(&k, _)| store.peek_tier(k) == Some(HitTier::Spill))
+                .map(|(&k, &(v, _))| (k, v))
+                .collect(),
+            must_miss: durable.removed.iter().copied().collect(),
+            touched_later: HashSet::new(),
+        });
+        match crash {
+            Crash::AtBarrier(i) if i == barrier => {
+                switch.cut_now();
+                cut_at = bytes;
             }
-            Op::Remove(k) => {
-                store.remove(k);
-                shadow.remove(&k);
-                removed.insert(k);
+            Crash::ArmedAfterBarrier {
+                barrier: i,
+                delta,
+                tear,
+            } if i == barrier => {
+                switch.arm(bytes + delta, tear);
+                cut_at = bytes + delta;
             }
-            Op::Barrier => {
-                store.flush().expect("flush");
-                // Past the cut the medium silently drops writes, so the
-                // file no longer holds what the store wrote: only the
-                // read-back of the file may fail then.
-                let checked = store.check_invariants();
-                let lost = switch.is_cut()
-                    && checked
-                        .as_ref()
-                        .is_err_and(|e| e.starts_with("on the file"));
-                assert!(checked.is_ok() || lost, "at barrier {barrier}: {checked:?}");
-                let must_serve = shadow
-                    .iter()
-                    .filter(|&(&k, _)| store.peek_tier(k) == Some(HitTier::Spill))
-                    .map(|(&k, &v)| (k, v))
-                    .collect();
-                let bytes = switch.bytes_written();
-                match crash {
-                    Crash::AtBarrier(i) if i == barrier => {
-                        switch.cut_now();
-                        cut_at = bytes;
-                    }
-                    Crash::ArmedAfterBarrier {
-                        barrier: i,
-                        delta,
-                        tear,
-                    } if i == barrier => {
-                        switch.arm(bytes + delta, tear);
-                        cut_at = bytes + delta;
-                    }
-                    _ => {}
-                }
-                models.push(Model {
-                    bytes,
-                    must_serve,
-                    must_miss: removed.iter().copied().collect(),
-                    touched_later: HashSet::new(),
-                });
-                barrier += 1;
-            }
+            _ => {}
         }
     }
     // Backfill `touched_later`: walk the schedule once more, noting for
     // each barrier which keys any later op touches.
     let mut later: HashSet<u64> = HashSet::new();
-    let mut b = models.len();
+    let mut b = barriers.len();
     for op in schedule.iter().rev() {
         match *op {
-            Op::Put(k) | Op::Remove(k) => {
-                later.insert(k);
+            Op::Put { key, .. } | Op::Remove { key } => {
+                later.insert(key);
             }
-            Op::Barrier => {
+            Op::Flush => {
                 b -= 1;
-                models[b].touched_later = later.clone();
+                barriers[b].touched_later = later.clone();
             }
+            _ => {}
         }
     }
     if let Crash::ArmedAt { at, .. } = crash {
@@ -361,17 +346,16 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
     drop(store);
     Outcome {
         data: data_mem,
-        models,
+        barriers,
         cut_at,
-        versions,
-        forever_removed: removed,
+        model,
         final_bytes,
         run_stats,
     }
 }
 
 /// Reopen the trial's media and check the recovery contract.
-fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
+fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
     let config = config.clone().with_gc_dead_ratio(f64::MAX);
     let reopened = match config.spill_path {
         Some(_) => CompressedStore::open_existing(config),
@@ -389,10 +373,11 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
     let mut out = vec![0u8; PAGE];
 
     // 1. Never garbage: anything served is byte-exact some put version.
-    for (&k, vers) in &o.versions {
+    let keys: Vec<u64> = o.model.history.keys().copied().collect();
+    for k in keys {
         if reopened.get(k, &mut out).expect("recovered get") {
             assert!(
-                vers.values().any(|p| p[..] == out[..]),
+                o.model.version_of(k, &out).is_some(),
                 "key {k}: served bytes match no version ever put (cut at {})",
                 o.cut_at
             );
@@ -405,10 +390,10 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
     // have made later records durable, so keys the schedule touches
     // again after the barrier are exempt from the barrier's verdict
     // (never-garbage above still binds them).
-    if let Some(model) = o.models.iter().rev().find(|m| m.bytes <= o.cut_at) {
-        let exact = o.cut_at <= model.bytes + 1;
-        for &(k, v) in &model.must_serve {
-            if !exact && model.touched_later.contains(&k) {
+    if let Some(barrier) = o.barriers.iter().rev().find(|b| b.bytes <= o.cut_at) {
+        let exact = o.cut_at <= barrier.bytes + 1;
+        for &(k, v) in &barrier.must_serve {
+            if !exact && barrier.touched_later.contains(&k) {
                 continue;
             }
             // Warm restart, not re-PUT: the entry must already be in
@@ -426,10 +411,9 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
             );
             // Ops between the barrier and the cut may have written a
             // newer version; the served one must be >= the barrier's.
-            let served = o.versions[&k]
-                .iter()
-                .find(|(_, p)| p[..] == out[..])
-                .map(|(&sv, _)| sv)
+            let served = o
+                .model
+                .version_of(k, &out)
                 .expect("never-garbage already checked");
             assert!(
                 served >= v,
@@ -442,8 +426,8 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
                 assert_eq!(served, v, "key {k}: wrong version at exact-barrier cut");
             }
         }
-        for k in model.must_miss.iter().filter(|k| {
-            exact || (o.forever_removed.contains(k) && !model.touched_later.contains(k))
+        for k in barrier.must_miss.iter().filter(|k| {
+            exact || (o.model.removed.contains(k) && !barrier.touched_later.contains(k))
         }) {
             assert!(
                 !reopened.get(*k, &mut out).expect("recovered get"),
@@ -453,8 +437,8 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
         }
         // The keys the barrier's verdict binds: a deeper cut may have
         // made a later remove of an exempt key durable too.
-        let binding = (model.must_serve.iter())
-            .filter(|(k, _)| exact || !model.touched_later.contains(k))
+        let binding = (barrier.must_serve.iter())
+            .filter(|(k, _)| exact || !barrier.touched_later.contains(k))
             .count();
         assert!(
             stats.extents_recovered >= binding as u64,
@@ -473,26 +457,26 @@ fn verify(o: &Outcome, config: &StoreConfig) -> cc_core::StoreStats {
 fn matrix_schedule() -> Vec<Op> {
     let mut s = Vec::new();
     for k in 0..12 {
-        s.push(Op::Put(k));
+        put(&mut s, k);
     }
-    s.push(Op::Barrier); // 0: initial spill wave
+    s.push(Op::Flush); // 0: initial spill wave
     for k in 0..4 {
-        s.push(Op::Put(k)); // overwrite -> v2, stale v1 extents on file
+        put(&mut s, k); // overwrite -> v2, stale v1 extents on file
     }
-    s.push(Op::Barrier); // 1
+    s.push(Op::Flush); // 1
     for k in 4..8 {
-        s.push(Op::Remove(k));
+        s.push(Op::Remove { key: k });
     }
-    s.push(Op::Barrier); // 2: tombstones committed
+    s.push(Op::Flush); // 2: tombstones committed
     for k in 12..16 {
-        s.push(Op::Put(k));
+        put(&mut s, k);
     }
-    s.push(Op::Put(4)); // resurrect one removed key
-    s.push(Op::Barrier); // 3
+    put(&mut s, 4); // resurrect one removed key
+    s.push(Op::Flush); // 3
     for k in 8..10 {
-        s.push(Op::Put(k)); // second overwrite wave
+        put(&mut s, k); // second overwrite wave
     }
-    s.push(Op::Barrier); // 4
+    s.push(Op::Flush); // 4
     s
 }
 
@@ -502,18 +486,15 @@ fn matrix_schedule() -> Vec<Op> {
 #[test]
 fn kill_at_every_batch_boundary_recovers_durable_entries() {
     let schedule = matrix_schedule();
-    let barriers = schedule
-        .iter()
-        .filter(|op| matches!(op, Op::Barrier))
-        .count();
+    let barriers = schedule.iter().filter(|op| matches!(op, Op::Flush)).count();
     let mut replayed_total = 0;
     for i in 0..barriers {
-        let o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(i));
-        let stats = verify(&o, &matrix_cfg());
+        let mut o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(i));
+        let stats = verify(&mut o, &matrix_cfg());
         replayed_total += stats.summary_records_replayed;
         assert_eq!(stats.clean_recoveries, 0, "cut run must not look clean");
 
-        let o = run_trial(
+        let mut o = run_trial(
             &schedule,
             &matrix_cfg(),
             Crash::ArmedAfterBarrier {
@@ -522,7 +503,7 @@ fn kill_at_every_batch_boundary_recovers_durable_entries() {
                 tear: true,
             },
         );
-        verify(&o, &matrix_cfg());
+        verify(&mut o, &matrix_cfg());
     }
     assert!(replayed_total > 0, "matrix never replayed a summary");
 }
@@ -533,8 +514,8 @@ fn kill_at_every_batch_boundary_recovers_durable_entries() {
 fn stale_generations_are_dropped_and_counted() {
     let schedule = matrix_schedule();
     // Cut at the last barrier: both overwrite waves durable.
-    let o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
-    let stats = verify(&o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
+    let stats = verify(&mut o, &matrix_cfg());
     assert!(
         stats.stale_generation_dropped >= 1,
         "overwrites + a tombstoned re-put must supersede summary records"
@@ -548,8 +529,8 @@ fn stale_generations_are_dropped_and_counted() {
 #[test]
 fn clean_shutdown_reopen_skips_extent_scan() {
     let schedule = matrix_schedule();
-    let o = run_trial(&schedule, &matrix_cfg(), Crash::None);
-    let stats = verify(&o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::None);
+    let stats = verify(&mut o, &matrix_cfg());
     assert_eq!(stats.clean_recoveries, 1, "seal not honoured");
     assert_eq!(
         stats.recovery_extents_verified, 0,
@@ -564,8 +545,8 @@ fn clean_shutdown_reopen_skips_extent_scan() {
 #[test]
 fn orderly_drop_also_seals_clean() {
     let schedule = matrix_schedule();
-    let o = run_trial(&schedule, &matrix_cfg(), Crash::Drop);
-    let stats = verify(&o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::Drop);
+    let stats = verify(&mut o, &matrix_cfg());
     assert_eq!(stats.clean_recoveries, 1, "drop did not seal");
     assert_eq!(stats.recovery_extents_verified, 0);
     assert!(stats.extents_recovered > 0);
@@ -577,8 +558,8 @@ fn orderly_drop_also_seals_clean() {
 #[test]
 fn unclean_but_complete_media_recover_via_verification() {
     let schedule = matrix_schedule();
-    let o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
-    let stats = verify(&o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
+    let stats = verify(&mut o, &matrix_cfg());
     assert_eq!(stats.clean_recoveries, 0);
     assert!(
         stats.recovery_extents_verified >= stats.extents_recovered,
@@ -600,7 +581,7 @@ fn recovered_store_survives_a_second_crash() {
     .unwrap();
     // New generation of writes on top of the recovered state.
     for k in 100..108 {
-        reopened.put(k, &noise_page(k, 1)).unwrap();
+        reopened.put(k, &Noise.page(k, 1, PAGE)).unwrap();
     }
     reopened.flush().unwrap();
     reopened.shutdown();
@@ -616,17 +597,17 @@ fn recovered_store_survives_a_second_crash() {
     let mut served = 0;
     for k in 100..108 {
         if third.get(k, &mut out).unwrap() {
-            assert_eq!(out, noise_page(k, 1), "second-generation key {k}");
+            assert_eq!(out, Noise.page(k, 1, PAGE), "second-generation key {k}");
             served += 1;
         }
     }
     assert!(served > 0, "no second-generation key survived the restart");
     // First-generation durable entries are still there too.
-    let model = o.models.last().unwrap();
-    for &(k, v) in &model.must_serve {
-        if o.versions[&k].len() == 1 {
+    let barrier = o.barriers.last().unwrap();
+    for &(k, v) in &barrier.must_serve {
+        if o.model.history[&k].len() == 1 {
             assert!(third.get(k, &mut out).unwrap(), "key {k} lost in round 2");
-            assert_eq!(out, noise_page(k, v));
+            assert_eq!(out, Noise.page(k, v, PAGE));
         }
     }
 }
@@ -642,33 +623,33 @@ fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
     // second wave's batches clean them and then reuse the first.
     let mut schedule = Vec::new();
     for k in 0..160 {
-        schedule.push(Op::Put(k));
+        put(&mut schedule, k);
     }
-    schedule.push(Op::Barrier); // 0
+    schedule.push(Op::Flush); // 0
     for k in (0..160).step_by(2) {
-        schedule.push(Op::Remove(k)); // dead space for the cleaner
+        schedule.push(Op::Remove { key: k }); // dead space for the cleaner
     }
-    schedule.push(Op::Barrier); // 1: tombstones durable, nothing cleaned
+    schedule.push(Op::Flush); // 1: tombstones durable, nothing cleaned
     for k in 160..260 {
-        schedule.push(Op::Put(k)); // batches after this trigger cleaning
+        put(&mut schedule, k); // batches after this trigger cleaning
     }
-    schedule.push(Op::Barrier); // 2
+    schedule.push(Op::Flush); // 2
     let gc_cfg = gc_cfg();
 
     // Probe run: learn the write-stream geometry and prove cleaning ran.
-    let probe = run_trial(&schedule, &gc_cfg, Crash::Drop);
-    verify(&probe, &gc_cfg);
+    let mut probe = run_trial(&schedule, &gc_cfg, Crash::Drop);
+    verify(&mut probe, &gc_cfg);
     assert!(
         probe.run_stats.gc_runs >= 2,
         "schedule failed to trigger cleaning: {:?}",
         probe.run_stats
     );
     for edge in [Edge::Relocated, Edge::Invalidated, Edge::Reused] {
-        let o = run_trial(&schedule, &gc_cfg, Crash::AtEdge(edge));
+        let mut o = run_trial(&schedule, &gc_cfg, Crash::AtEdge(edge));
         assert_ne!(o.cut_at, u64::MAX, "the run never reached {edge:?}");
-        verify(&o, &gc_cfg);
+        verify(&mut o, &gc_cfg);
     }
-    let gc_start = probe.models[1].bytes;
+    let gc_start = probe.barriers[1].bytes;
     let total = probe.final_bytes;
     assert!(total > gc_start);
 
@@ -678,7 +659,7 @@ fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
     let span = total - gc_start;
     for step in 0..16u64 {
         let at = gc_start + 1 + step * span / 16;
-        let o = run_trial(
+        let mut o = run_trial(
             &schedule,
             &gc_cfg,
             Crash::ArmedAt {
@@ -686,7 +667,7 @@ fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
                 tear: step % 2 == 1,
             },
         );
-        verify(&o, &gc_cfg);
+        verify(&mut o, &gc_cfg);
     }
 }
 
@@ -700,35 +681,33 @@ fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
 fn a_cleaned_tombstone_keeps_an_older_copy_dead() {
     let mut schedule = Vec::new();
     for k in 0..60 {
-        schedule.push(Op::Put(k)); // ~ one segment: key 0's copy stays here
+        put(&mut schedule, k); // ~ one segment: key 0's copy stays here
     }
     for k in 100..130 {
-        schedule.push(Op::Put(k)); // the next segment, left open
+        put(&mut schedule, k); // the next segment, left open
     }
-    schedule.push(Op::Barrier); // 0
-    schedule.push(Op::Remove(0));
-    schedule.push(Op::Barrier); // 1: key 0's tombstone joins the open segment
+    schedule.push(Op::Flush); // 0
+    schedule.push(Op::Remove { key: 0 });
+    schedule.push(Op::Flush); // 1: key 0's tombstone joins the open segment
     for k in 100..130 {
-        schedule.push(Op::Remove(k)); // which is now mostly dead
+        schedule.push(Op::Remove { key: k }); // which is now mostly dead
     }
     for k in 200..290 {
-        schedule.push(Op::Put(k)); // seal it, then clean it
+        put(&mut schedule, k); // seal it, then clean it
     }
-    schedule.push(Op::Barrier); // 2
-    let path =
-        std::env::temp_dir().join(format!("cc-recovery-tombstone-{}.bin", std::process::id()));
+    schedule.push(Op::Flush); // 2
+    let path = TempPath::new("recovery-tombstone");
     let config = StoreConfig {
-        spill_path: Some(path.clone()),
+        spill_path: Some(path.to_path_buf()),
         ..gc_cfg()
     };
-    let o = run_trial(&schedule, &config, Crash::AtBarrier(2));
+    let mut o = run_trial(&schedule, &config, Crash::AtBarrier(2));
     assert!(
         o.run_stats.gc_runs >= 1,
         "nothing was cleaned: {:?}",
         o.run_stats
     );
-    verify(&o, &config);
-    let _ = std::fs::remove_file(&path);
+    verify(&mut o, &config);
 }
 
 /// `mid_gc_crash`'s cleaner: 2 KiB batches, so 64 KiB segments of ~30
@@ -737,13 +716,13 @@ fn gc_cfg() -> StoreConfig {
     cfg(MATRIX_BUDGET_PAGES, 0.2).with_spill_batch_bytes(2048)
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0u64..24).prop_map(Op::Put),
-        2 => (0u64..24).prop_map(Op::Remove),
-        2 => Just(Op::Barrier),
-    ]
-}
+/// The random schedules' mix: puts, removes and barriers over 24 keys.
+const MIX: Mix = Mix {
+    keys: 0..24,
+    weights: [5, 0, 2, 2, 0],
+    classes: &[Noise],
+    shared: false,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -754,13 +733,14 @@ proptest! {
     /// puts, overwrites, removes, and barriers.
     #[test]
     fn crash_at_any_byte_never_serves_wrong_bytes(
-        ops in proptest::collection::vec(op_strategy(), 12..60),
+        seed in any::<u64>(),
+        len in 12usize..60,
         cut_seed in any::<u64>(),
         tear in any::<bool>(),
         cleaning in any::<bool>(),
     ) {
-        let mut schedule = ops;
-        schedule.push(Op::Barrier); // every schedule ends durable
+        let mut schedule = model::script(seed, len, &MIX);
+        schedule.push(Op::Flush); // every schedule ends durable
         // Probe the total stream length, then cut somewhere inside it —
         // but never before the initial superblock (first 128 bytes): a
         // machine that dies before the store finishes *creating* the
@@ -770,7 +750,7 @@ proptest! {
         let probe = run_trial(&schedule, &config, Crash::Drop);
         let span = probe.final_bytes.max(129) - 128;
         let at = 128 + cut_seed % span;
-        let o = run_trial(&schedule, &config, Crash::ArmedAt { at, tear });
-        verify(&o, &config);
+        let mut o = run_trial(&schedule, &config, Crash::ArmedAt { at, tear });
+        verify(&mut o, &config);
     }
 }

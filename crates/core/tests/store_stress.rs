@@ -6,8 +6,8 @@
 //! accounting. Two invariants must hold throughout:
 //!
 //! 1. **Round-trip integrity** — a `get` either misses or returns exactly
-//!    the page deterministically derived from its key; torn, stale-beyond
-//!    -replacement, or cross-key data is a failure.
+//!    the one page every put of its key writes (the model's shared
+//!    mode); torn, stale or cross-key data is a failure.
 //! 2. **Budget** — `stats().resident_bytes` never exceeds the configured
 //!    memory budget, at any sampled instant, under full contention.
 //!
@@ -18,109 +18,83 @@
 mod support;
 
 use cc_compress::CodecPolicy;
-use cc_core::store::{CompressedStore, StoreConfig, StoreError};
+use cc_core::store::{CompressedStore, StoreConfig};
 use cc_core::tier::TierPolicy;
 use cc_util::SplitMix64;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use support::{Zipf, TIER_POLICIES};
+use support::model::{self, Arm, Class, Class::*, Mix, Mode, Model, Op, Unchecked};
+use support::{TempPath, Zipf, AGGRESSIVE, TIER_POLICIES};
 
 const PAGE: usize = 4096;
 const THREADS: u64 = 8;
 /// Shared key space: every key is touched by several threads.
 const KEYS: u64 = 512;
+/// Every third key noise, the rest text: the keep and the reject
+/// threshold paths both.
+const MIXED: &[Class] = &[Noise, Text, Text];
 
-/// The one true page for `key`: mixed compressible/incompressible
-/// content so stores exercise both the keep and reject threshold paths.
-fn page_for(key: u64) -> Vec<u8> {
-    let mut p = vec![0u8; PAGE];
-    if key.is_multiple_of(3) {
-        let mut rng = SplitMix64::new(key.wrapping_mul(0x9E37_79B9));
-        for b in p.iter_mut() {
-            *b = rng.next_u64() as u8;
-        }
-    } else {
-        for (i, b) in p.iter_mut().enumerate() {
-            *b = (key as u8).wrapping_add((i / 61) as u8);
-        }
+/// A shared mix over [`KEYS`] of `classes`, with `weights` of put, get,
+/// remove and flush.
+fn mix(weights: [u64; 4], classes: &'static [Class]) -> Mix {
+    let [put, get, remove, flush] = weights;
+    Mix {
+        keys: 0..KEYS,
+        weights: [put, get, remove, flush, 0],
+        classes,
+        shared: true,
     }
-    p
 }
 
-fn hammer(store: Arc<CompressedStore>, ops_per_thread: u64, allow_oom: bool) {
-    let stop = Arc::new(AtomicBool::new(false));
-    // Budget watcher: samples the gauge as fast as it can while the
-    // worker threads churn.
-    let budget = {
-        let store = Arc::clone(&store);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut max_seen = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                max_seen = max_seen.max(store.stats().resident_bytes);
-            }
-            max_seen
+/// What [`hammer`] saw.
+struct Hammered {
+    puts: u64,
+    /// The largest `resident_bytes` the watcher read.
+    max_resident: u64,
+}
+
+/// [`THREADS`] threads each run `ops` ops of `mix` on `store`, script
+/// seeds `seed + thread`, every reply checked by the thread's model in
+/// shared mode, while a watcher samples the budget gauge as fast as it
+/// can. Then every key is read back.
+fn hammer(store: &Arc<CompressedStore>, arm: Arm, seed: u64, ops: usize, mix: Mix) -> Hammered {
+    let watch = support::ResidentWatch::start(store);
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (store, mix) = (Arc::clone(store), mix.clone());
+            std::thread::spawn(move || {
+                let (seed, mut model) = (seed + t, Model::new(Mode::Shared(mix.classes), PAGE));
+                let ops = model::script(seed, ops, &mix);
+                let label = format!("thread {t}, script seed {seed:#x}");
+                let ran = model.run(&mut Unchecked(&*store), &ops, &arm, &label);
+                ran.map(|()| ops.iter().filter(|op| matches!(op, Op::Put { .. })).count() as u64)
+            })
         })
-    };
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        let store = Arc::clone(&store);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = SplitMix64::new(t + 1);
-            let mut out = vec![0u8; PAGE];
-            for i in 0..ops_per_thread {
-                let key = rng.next_u64() % KEYS;
-                match rng.next_u64() % 10 {
-                    // 50% puts keep the store full and churning.
-                    0..=4 => match store.put(key, &page_for(key)) {
-                        Ok(()) => {}
-                        Err(StoreError::OutOfMemory) if allow_oom => {}
-                        Err(e) => panic!("put({key}) failed: {e}"),
-                    },
-                    5..=7 => {
-                        if store.get(key, &mut out).unwrap() {
-                            assert_eq!(out, page_for(key), "key {key} corrupted");
-                        }
-                    }
-                    8 => {
-                        store.remove(key);
-                    }
-                    _ => {
-                        if i % 64 == 0 {
-                            store.flush().unwrap();
-                        }
-                    }
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    stop.store(true, Ordering::Relaxed);
-    let max_seen = budget.join().unwrap();
-    let limit = store.stats().resident_bytes.max(max_seen);
-    assert!(
-        limit <= 48 * 1024 * 1024,
-        "sanity: observed resident {limit}"
-    );
+        .collect();
+    let puts = (workers.into_iter())
+        .map(|h| {
+            h.join()
+                .expect("worker panicked")
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .sum();
+    let max_resident = watch.stop();
+    // Every key's one page, whoever put it last.
+    let sweep: Vec<Op> = mix.keys.clone().map(|key| Op::Get { key }).collect();
+    let mut model = Model::new(Mode::Shared(mix.classes), PAGE);
+    let swept = model.run(&mut Unchecked(&**store), &sweep, &arm, "final sweep");
+    swept.unwrap_or_else(|e| panic!("{e}"));
+    Hammered { puts, max_resident }
 }
 
 #[test]
 fn stress_in_memory_unbounded() {
     // Budget far above working set: no eviction, pure lock-striping churn.
     let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(48 << 20)));
-    hammer(Arc::clone(&store), 4000, false);
-    // Every surviving key must still round-trip.
-    let mut out = vec![0u8; PAGE];
-    for key in 0..KEYS {
-        if store.get(key, &mut out).unwrap() {
-            assert_eq!(out, page_for(key), "final key {key}");
-        }
-    }
+    let arm = Arm::store("recency", "adaptive", "memory");
+    let run = hammer(&store, arm, 1, 3600, mix([500, 300, 100, 2], MIXED));
     let s = store.stats();
-    assert!(s.resident_bytes <= 48 << 20);
+    assert!(run.max_resident.max(s.resident_bytes) <= 48 << 20);
     store.check_invariants().unwrap();
 }
 
@@ -136,256 +110,132 @@ fn stress_spill_under_budget_pressure_compress_all() {
     spill_under_budget_pressure("compress-all", TierPolicy::COMPRESS_ALL);
 }
 
-fn spill_under_budget_pressure(name: &str, policy: TierPolicy) {
-    let dir = std::env::temp_dir().join(format!("ccstore-stress-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("spill.bin");
+fn spill_under_budget_pressure(name: &'static str, policy: TierPolicy) {
+    let path = TempPath::new(&format!("stress-{name}"));
     const BUDGET: usize = 256 * 1024; // a few dozen compressed pages
-    {
-        let cfg = StoreConfig::with_spill(BUDGET, &path).with_tier_policy(policy);
-        let limit = cfg.spill_inflight_limit() as u64;
-        let store = Arc::new(CompressedStore::new(cfg));
-        let stop = Arc::new(AtomicBool::new(false));
-        let watcher = {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut max_seen = 0u64;
-                let mut samples = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    max_seen = max_seen.max(store.stats().resident_bytes);
-                    samples += 1;
-                }
-                (max_seen, samples)
-            })
-        };
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                let mut rng = SplitMix64::new(0xC0FFEE + t);
-                let mut out = vec![0u8; PAGE];
-                let mut puts = 0u64;
-                for i in 0..1500u64 {
-                    let key = rng.next_u64() % KEYS;
-                    match rng.next_u64() % 8 {
-                        0..=3 => {
-                            store.put(key, &page_for(key)).unwrap();
-                            puts += 1;
-                        }
-                        4..=5 => {
-                            if store.get(key, &mut out).unwrap() {
-                                assert_eq!(out, page_for(key), "key {key} corrupted");
-                            }
-                        }
-                        6 => {
-                            store.remove(key);
-                        }
-                        _ => {
-                            if i % 100 == 0 {
-                                store.flush().unwrap();
-                            }
-                        }
-                    }
-                }
-                puts
-            }));
-        }
-        let puts: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        stop.store(true, Ordering::Relaxed);
-        let (max_seen, samples) = watcher.join().unwrap();
-        assert!(samples > 0);
-        assert!(
-            max_seen <= BUDGET as u64,
-            "budget exceeded: saw {max_seen} resident with budget {BUDGET}"
-        );
-        store.flush().unwrap();
-        store.check_invariants().unwrap();
-        let s = store.stats();
-        assert!(s.resident_bytes <= BUDGET as u64);
-        assert!(s.spilled > 0, "pressure test never spilled: {s:?}");
-        assert!(s.spill_batches > 0, "the writer committed no batch: {s:?}");
-        // Full final verification through every residence class.
-        let mut out = vec![0u8; PAGE];
-        for key in 0..KEYS {
-            if store.get(key, &mut out).unwrap() {
-                assert_eq!(out, page_for(key), "final key {key}");
-            }
-        }
-        // The budget means memory: what the writer holds is bounded, and
-        // it gives it back on its own, without a flush. The watcher is
-        // gone, so the phase samples the budget itself.
-        let phase = support::put_only_phase(&store, KEYS, BUDGET);
-        assert!(
-            phase.max_resident <= BUDGET as u64,
-            "put-only phase: saw {} resident with budget {BUDGET}",
-            phase.max_resident
-        );
-        assert!(
-            phase.max_inflight <= limit,
-            "put-only phase: {} bytes in flight with a limit of {limit}",
-            phase.max_inflight
-        );
-        assert!(
-            phase.drained_after.is_some(),
-            "put-only phase: in-flight bytes not back to 0 within 1 s of the last put"
-        );
-        store.flush().unwrap();
-        store.check_invariants().unwrap();
-        // A put wakes the background thread only to hand it a batch of
-        // LZRW1 seals, never per put, and a demote pass runs on the
-        // interval alone: one kick per eviction reads about one pass per
-        // five puts, the interval alone about one per two hundred.
-        let s = store.stats();
-        assert!(
-            s.demoter_passes <= puts / 16,
-            "{} demote passes for {puts} puts: something wakes the demoter per put",
-            s.demoter_passes
-        );
-        let snap = store.telemetry_snapshot();
-        for op in [
-            "put",
-            "get_memory",
-            "get_spill",
-            "spill_write",
-            "spill_read",
-            "spill_verify",
-        ] {
-            let count = snap.op(op).map_or(0, |h| h.count);
-            assert!(count > 0, "histogram {op} recorded nothing");
-        }
+    let cfg = StoreConfig::with_spill(BUDGET, &*path).with_tier_policy(policy);
+    let limit = cfg.spill_inflight_limit() as u64;
+    let store = Arc::new(CompressedStore::new(cfg));
+    let arm = Arm::store(name, "adaptive", "spill-file");
+    let run = hammer(&store, arm, 0xC0FFEE, 1314, mix([400, 200, 100, 1], MIXED));
+    assert!(
+        run.max_resident <= BUDGET as u64,
+        "budget exceeded: saw {} resident with budget {BUDGET}",
+        run.max_resident
+    );
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    let s = store.stats();
+    assert!(s.resident_bytes <= BUDGET as u64);
+    assert!(s.spilled > 0, "pressure test never spilled: {s:?}");
+    assert!(s.spill_batches > 0, "the writer committed no batch: {s:?}");
+    // The budget means memory: what the writer holds is bounded, and
+    // it gives it back on its own, without a flush. The watcher is
+    // gone, so the phase samples the budget itself.
+    let phase = support::put_only_phase(&store, KEYS, BUDGET);
+    assert!(
+        phase.max_resident <= BUDGET as u64,
+        "put-only phase: saw {} resident with budget {BUDGET}",
+        phase.max_resident
+    );
+    assert!(
+        phase.max_inflight <= limit,
+        "put-only phase: {} bytes in flight with a limit of {limit}",
+        phase.max_inflight
+    );
+    assert!(
+        phase.drained_after.is_some(),
+        "put-only phase: in-flight bytes not back to 0 within 1 s of the last put"
+    );
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    // A put wakes the background thread only to hand it a batch of
+    // LZRW1 seals, never per put, and a demote pass runs on the
+    // interval alone: one kick per eviction reads about one pass per
+    // five puts, the interval alone about one per two hundred.
+    let s = store.stats();
+    assert!(
+        s.demoter_passes <= run.puts / 16,
+        "{} demote passes for {} puts: something wakes the demoter per put",
+        s.demoter_passes,
+        run.puts
+    );
+    let snap = store.telemetry_snapshot();
+    for op in [
+        "put",
+        "get_memory",
+        "get_spill",
+        "spill_write",
+        "spill_read",
+        "spill_verify",
+    ] {
+        let count = snap.op(op).map_or(0, |h| h.count);
+        assert!(count > 0, "histogram {op} recorded nothing");
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
 }
 
 /// Budget + integrity under *aggressive compaction*: tiny spill batches
 /// and a low dead ratio make the writer run GC constantly while eight
 /// threads churn replaces and removes, so extents relocate under live
 /// readers. The budget gauge must never exceed the budget — including
-/// during compaction passes — and same-filled pages (mixed into the
-/// workload) must round-trip through their pattern encoding.
+/// during compaction passes — and same-filled pages (every fourth key)
+/// must round-trip through their pattern encoding.
 #[test]
 fn stress_gc_churn_with_same_filled() {
-    let dir = std::env::temp_dir().join(format!("ccstore-gcstress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("spill.bin");
+    let path = TempPath::new("stress-gc");
     const BUDGET: usize = 128 * 1024;
-    {
-        let store = Arc::new(CompressedStore::new(
-            StoreConfig::with_spill(BUDGET, &path)
-                .with_spill_batch_bytes(4 * 1024)
-                .with_gc_dead_ratio(0.25),
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let watcher = {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut max_seen = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    max_seen = max_seen.max(store.stats().resident_bytes);
-                }
-                max_seen
-            })
-        };
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                let mut rng = SplitMix64::new(0x6C_5EED + t);
-                let mut out = vec![0u8; PAGE];
-                for i in 0..1200u64 {
-                    let key = rng.next_u64() % KEYS;
-                    match rng.next_u64() % 10 {
-                        // Heavy replace churn feeds dead bytes to GC.
-                        0..=4 => store.put(key, &page_for(key)).unwrap(),
-                        // Every 10th op stores a same-filled page under a
-                        // dedicated key range so both encodings coexist.
-                        5 => {
-                            let sf = KEYS + (key % 16);
-                            store.put(sf, &vec![(sf % 251) as u8; PAGE]).unwrap();
-                        }
-                        6..=7 => {
-                            if store.get(key, &mut out).unwrap() {
-                                assert_eq!(out, page_for(key), "key {key} corrupted");
-                            }
-                        }
-                        8 => {
-                            let sf = KEYS + (key % 16);
-                            if store.get(sf, &mut out).unwrap() {
-                                assert_eq!(
-                                    out,
-                                    vec![(sf % 251) as u8; PAGE],
-                                    "same-filled key {sf} corrupted"
-                                );
-                            }
-                        }
-                        _ => {
-                            store.remove(key);
-                            if i % 200 == 0 {
-                                store.flush().unwrap();
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        let max_seen = watcher.join().unwrap();
-        assert!(
-            max_seen <= BUDGET as u64,
-            "budget exceeded during GC churn: saw {max_seen} with budget {BUDGET}"
-        );
-        store.flush().unwrap();
-        store.check_invariants().unwrap();
-        let s = store.stats();
-        assert!(s.spilled > 0, "GC stress never spilled: {s:?}");
-        assert!(s.gc_runs > 0, "GC never ran under replace churn: {s:?}");
-        assert!(s.same_filled > 0, "same-filled path unexercised: {s:?}");
-        // GC detail telemetry: under this much replace churn compaction
-        // must physically move live extents, and every pass is timed.
-        assert!(
-            s.gc_bytes_relocated > 0,
-            "GC ran but relocated no bytes: {s:?}"
-        );
-        assert!(s.gc_pause_max_ns > 0, "GC pauses went unmeasured: {s:?}");
-        // One pause sample per completed GC pass. `>=` rather than `==`:
-        // the writer may legally finish one more pass between the two
-        // reads.
-        let gc_pause = store.telemetry_snapshot().op("gc_pause").unwrap();
-        assert!(
-            gc_pause.count >= s.gc_runs,
-            "pause samples ({}) < GC runs ({})",
-            gc_pause.count,
-            s.gc_runs
-        );
-        assert!(gc_pause.max >= s.gc_pause_max_ns);
-        // The file stays bounded by the live working set: thousands of
-        // replace-spills flowed through it (several × KEYS × PAGE bytes),
-        // so without reclamation it would dwarf the key space. With GC it
-        // cannot exceed one uncompressed copy of every key.
-        assert!(
-            s.bytes_on_spill < (KEYS + 16) * PAGE as u64,
-            "spill file unbounded under churn: {s:?}"
-        );
-        let mut out = vec![0u8; PAGE];
-        for key in 0..KEYS {
-            if store.get(key, &mut out).unwrap() {
-                assert_eq!(out, page_for(key), "final key {key}");
-            }
-        }
-        for sf in KEYS..KEYS + 16 {
-            if store.get(sf, &mut out).unwrap() {
-                assert_eq!(out, vec![(sf % 251) as u8; PAGE], "final same-filled {sf}");
-            }
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+    let store = Arc::new(CompressedStore::new(
+        StoreConfig::with_spill(BUDGET, &*path)
+            .with_spill_batch_bytes(4 * 1024)
+            .with_gc_dead_ratio(0.25),
+    ));
+    // Heavy replace churn feeds dead bytes to GC.
+    let classes = &[Noise, Text, Text, Same];
+    let arm = Arm::store("recency", "adaptive", "cleaner");
+    let run = hammer(
+        &store,
+        arm,
+        0x6C_5EED,
+        1200,
+        mix([600, 300, 100, 1], classes),
+    );
+    assert!(
+        run.max_resident <= BUDGET as u64,
+        "budget exceeded during GC churn: saw {} with budget {BUDGET}",
+        run.max_resident
+    );
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    let s = store.stats();
+    assert!(s.spilled > 0, "GC stress never spilled: {s:?}");
+    assert!(s.gc_runs > 0, "GC never ran under replace churn: {s:?}");
+    assert!(s.same_filled > 0, "same-filled path unexercised: {s:?}");
+    // GC detail telemetry: under this much replace churn compaction
+    // must physically move live extents, and every pass is timed.
+    assert!(
+        s.gc_bytes_relocated > 0,
+        "GC ran but relocated no bytes: {s:?}"
+    );
+    assert!(s.gc_pause_max_ns > 0, "GC pauses went unmeasured: {s:?}");
+    // One pause sample per completed GC pass. `>=` rather than `==`:
+    // the writer may legally finish one more pass between the two
+    // reads.
+    let gc_pause = store.telemetry_snapshot().op("gc_pause").unwrap();
+    assert!(
+        gc_pause.count >= s.gc_runs,
+        "pause samples ({}) < GC runs ({})",
+        gc_pause.count,
+        s.gc_runs
+    );
+    assert!(gc_pause.max >= s.gc_pause_max_ns);
+    // The file stays bounded by the live working set: thousands of
+    // replace-spills flowed through it (several × KEYS × PAGE bytes),
+    // so without reclamation it would dwarf the key space. With GC it
+    // cannot exceed one uncompressed copy of every key.
+    assert!(
+        s.bytes_on_spill < KEYS * PAGE as u64,
+        "spill file unbounded under churn: {s:?}"
+    );
 }
 
 /// Budget + integrity with the *background demoter* running flat out: a
@@ -398,110 +248,49 @@ fn stress_gc_churn_with_same_filled() {
 /// exact bytes whatever tier it caught the page in.
 #[test]
 fn stress_tiering_with_background_demoter() {
-    let dir = std::env::temp_dir().join(format!("ccstore-tierstress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("spill.bin");
+    let path = TempPath::new("stress-tiering");
     const BUDGET: usize = 256 * 1024;
     const BATCH: usize = 8 * 1024;
-    {
-        let policy = TierPolicy {
-            rejects_hot: true,
-            hot_idle: 1,
-            warm_idle: 2,
-            promote_window: u64::MAX,
-            max_promote_pressure_pct: 100,
-            hot_demote_pressure_pct: 0,
-            warm_demote_pressure_pct: 0,
-        };
-        let store = Arc::new(CompressedStore::new(
-            StoreConfig::with_spill(BUDGET, &path)
-                .with_tier_policy(policy)
-                .with_demote_interval(Duration::from_millis(1))
-                .with_spill_batch_bytes(BATCH)
-                .with_gc_dead_ratio(0.25),
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let watcher = {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut max_seen = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    max_seen = max_seen.max(store.stats().resident_bytes);
-                }
-                max_seen
-            })
-        };
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                let mut rng = SplitMix64::new(0x7E1E_D0AA + t);
-                let mut out = vec![0u8; PAGE];
-                for i in 0..1500u64 {
-                    let key = rng.next_u64() % KEYS;
-                    match rng.next_u64() % 10 {
-                        0..=4 => store.put(key, &page_for(key)).unwrap(),
-                        // Get bursts so re-accessed pages cross the
-                        // promotion bar while the demoter pulls the
-                        // other way.
-                        5..=7 => {
-                            for _ in 0..2 {
-                                if store.get(key, &mut out).unwrap() {
-                                    assert_eq!(out, page_for(key), "key {key} corrupted");
-                                }
-                            }
-                        }
-                        8 => {
-                            store.remove(key);
-                        }
-                        _ => {
-                            if i % 100 == 0 {
-                                store.flush().unwrap();
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        let max_seen = watcher.join().unwrap();
-        assert!(
-            max_seen <= BUDGET as u64,
-            "budget exceeded under demoter churn: saw {max_seen} with budget {BUDGET}"
-        );
-        store.flush().unwrap();
-        store.check_invariants().unwrap();
-        let s = store.stats();
-        // Every tier mechanism must actually have fired under this load.
-        assert!(s.puts_hot > 0, "no hot placements: {s:?}");
-        assert!(s.promotions > 0, "no promotions: {s:?}");
-        assert!(s.demoted_hot > 0, "demoter never demoted hot: {s:?}");
-        assert!(s.demoted_warm > 0, "demoter never spilled warm: {s:?}");
-        assert!(s.demoter_passes > 0, "demoter never ran: {s:?}");
-        assert!(s.spilled > 0, "pressure never spilled: {s:?}");
-        // A cleaning step copies at most one batch of survivors, and
-        // every extent here is smaller than a batch.
-        assert!(s.gc_runs > 0, "the cleaner never ran: {s:?}");
-        assert!(
-            s.gc_bytes_relocated <= s.gc_runs * BATCH as u64,
-            "{} B relocated in {} cleaning steps: more than one batch a step",
-            s.gc_bytes_relocated,
-            s.gc_runs
-        );
-        let mut out = vec![0u8; PAGE];
-        for key in 0..KEYS {
-            if store.get(key, &mut out).unwrap() {
-                assert_eq!(out, page_for(key), "final key {key}");
-            }
-        }
-        store.shutdown();
-    }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+    let store = Arc::new(CompressedStore::new(
+        StoreConfig::with_spill(BUDGET, &*path)
+            .with_tier_policy(AGGRESSIVE)
+            .with_demote_interval(Duration::from_millis(1))
+            .with_spill_batch_bytes(BATCH)
+            .with_gc_dead_ratio(0.25),
+    ));
+    let arm = Arm::store("aggressive", "adaptive", "cleaner");
+    let run = hammer(
+        &store,
+        arm,
+        0x7E1E_D0AA,
+        1800,
+        mix([500, 600, 100, 1], MIXED),
+    );
+    assert!(
+        run.max_resident <= BUDGET as u64,
+        "budget exceeded under demoter churn: saw {} with budget {BUDGET}",
+        run.max_resident
+    );
+    store.flush().unwrap();
+    store.check_invariants().unwrap();
+    let s = store.stats();
+    // Every tier mechanism must actually have fired under this load.
+    assert!(s.puts_hot > 0, "no hot placements: {s:?}");
+    assert!(s.promotions > 0, "no promotions: {s:?}");
+    assert!(s.demoted_hot > 0, "demoter never demoted hot: {s:?}");
+    assert!(s.demoted_warm > 0, "demoter never spilled warm: {s:?}");
+    assert!(s.demoter_passes > 0, "demoter never ran: {s:?}");
+    assert!(s.spilled > 0, "pressure never spilled: {s:?}");
+    // A cleaning step copies at most one batch of survivors, and
+    // every extent here is smaller than a batch.
+    assert!(s.gc_runs > 0, "the cleaner never ran: {s:?}");
+    assert!(
+        s.gc_bytes_relocated <= s.gc_runs * BATCH as u64,
+        "{} B relocated in {} cleaning steps: more than one batch a step",
+        s.gc_bytes_relocated,
+        s.gc_runs
+    );
+    store.shutdown();
 }
 
 /// The codec sweep on the pattern-heavy mix: adaptive selection routes
@@ -553,14 +342,11 @@ fn codec_sweep_routes_both_codecs_and_keeps_the_ratio() {
 fn tier_sweep_holds_the_budget_and_hits_every_tier() {
     const TIER_KEYS: u64 = 256;
     const TIER_BUDGET: usize = 384 << 10;
-    let dir = std::env::temp_dir().join(format!("ccstore-tiersweep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let mut failed = Vec::new();
     for s in [0.99, 0.6] {
         for (name, policy) in TIER_POLICIES {
-            let path = dir.join(format!("{name}-{s}.bin"));
+            let path = TempPath::new(&format!("tier-sweep-{name}-{s}"));
             let arm = support::tier_arm(policy, TIER_KEYS, TIER_BUDGET, s, 300, &path);
-            let _ = std::fs::remove_file(&path);
             if arm.max_resident > TIER_BUDGET as u64 {
                 failed.push(format!("{name} s={s}: {} resident", arm.max_resident));
             }
@@ -574,7 +360,6 @@ fn tier_sweep_holds_the_budget_and_hits_every_tier() {
             }
         }
     }
-    let _ = std::fs::remove_dir(&dir);
     assert!(failed.is_empty(), "budget {TIER_BUDGET}: {failed:#?}");
 }
 

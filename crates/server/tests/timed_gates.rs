@@ -19,7 +19,7 @@ use cc_telemetry::trace::Tracer;
 use cc_util::SplitMix64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::{page_for, Zipf, PAGE, TIER_POLICIES};
+use support::{page_for, TempPath, Zipf, PAGE, TIER_POLICIES};
 
 /// What [`paired_rates`] read: each arm's median trial rate, and the
 /// median over the pairs of `rate on / rate off`.
@@ -75,15 +75,14 @@ fn paired_rates(pairs: usize, mut trial: impl FnMut(usize) -> f64) -> PairedRate
 fn put_only_rss() {
     const BUDGET: usize = 1 << 20;
     const KEYS: u64 = 4096;
-    let path = std::env::temp_dir().join(format!("cc-timed-rss-{}.bin", std::process::id()));
+    let path = TempPath::new("timed-rss");
     let store = CompressedStore::new(
-        StoreConfig::with_spill(BUDGET, &path).with_tier_policy(TierPolicy::COMPRESS_ALL),
+        StoreConfig::with_spill(BUDGET, &*path).with_tier_policy(TierPolicy::COMPRESS_ALL),
     );
     support::prefill(&store, KEYS);
     store.flush().expect("flush");
     let phase = support::put_only_phase(&store, KEYS, BUDGET);
     drop(store);
-    let _ = std::fs::remove_file(&path);
     println!(
         "put-only phase: VmRSS +{} B, max resident {} B (budget {BUDGET})",
         phase.rss_growth, phase.max_resident
@@ -214,10 +213,8 @@ fn adaptive_put_p50() {
 fn recency_get_p50() {
     let [flat, recency] = [0, 2].map(|arm| {
         let (name, policy) = TIER_POLICIES[arm];
-        let path = std::env::temp_dir().join(format!("cc-timed-{name}-{}.bin", std::process::id()));
-        let p50 = support::tier_arm(policy, 2048, 3 << 20, 0.99, 8_000, &path).get_p50_ns;
-        let _ = std::fs::remove_file(&path);
-        p50
+        let path = TempPath::new(&format!("timed-{name}"));
+        support::tier_arm(policy, 2048, 3 << 20, 0.99, 8_000, &path).get_p50_ns
     });
     println!("get p50: recency {recency} ns, compress-all {flat} ns");
     assert!(
