@@ -9,10 +9,10 @@
 //! way §4.3's backing-store interface does. [`tier`] holds the placement
 //! policies that decide where each page lives, [`medium`] abstracts the
 //! spill file behind a positioned-I/O trait with a deterministic fault
-//! injector for chaos testing, and [`persist`] makes the spill tier
-//! crash-safe and warm-restartable. Checksummed extents, bounded retry
-//! and degraded-mode operation are part of the store's contract, not an
-//! afterthought.
+//! injector for chaos testing and a write recorder for crash images,
+//! and [`persist`] makes the spill tier crash-safe and warm-restartable.
+//! Checksummed extents, bounded retry and degraded-mode operation are
+//! part of the store's contract, not an afterthought.
 //!
 //! The 1993 system itself is reproduced elsewhere: the §4 circular-buffer
 //! cache, the VM and file-system models it runs on, and the memory and
@@ -27,7 +27,7 @@ pub mod store;
 pub mod tier;
 
 pub use medium::{
-    CrashSwitch, Fault, FaultInjector, FaultPlan, FileMedium, InjectedFaults, MemMedium,
+    Fault, FaultInjector, FaultPlan, FileMedium, InjectedFaults, MemMedium, RecordingMedium,
     SpillMedium,
 };
 pub use persist::{RecoverError, RecoveryCounts};

@@ -1,5 +1,6 @@
 //! The spill medium: the store's abstraction over its backing file, plus
-//! a deterministic fault injector for chaos testing.
+//! a deterministic fault injector for chaos testing and a recorder that
+//! rebuilds crash images.
 //!
 //! §4.3's backing-store interface is the fragile seam of the design: once
 //! pages leave the compression cache the fixed page↔block mapping is
@@ -18,18 +19,18 @@
 //!
 //! Power loss is the one fault that isn't per-operation: a crash cuts the
 //! *byte stream* — everything written before byte N is on the platter,
-//! nothing after is, and the victim process never sees an error.
-//! [`CrashSwitch`] models exactly that: every injector counts the bytes
-//! written through it on its own switch, silently swallowing all bytes
-//! past the cut, optionally scribbling over the torn sector. A store
-//! writes one spill file, so one switch cuts all of it. Arm it at a byte
-//! offset recorded from a previous run and the crash replays exactly.
+//! nothing after is, and the victim process never sees an error. It is
+//! not injected while the store runs. [`RecordingMedium`] logs every
+//! write, flush and truncation in order, and after the run
+//! [`RecordingMedium::replay`] writes the log's prefix up to any byte
+//! onto a fresh medium, optionally with the torn sector scribbled: one
+//! run yields the image of a crash at every byte of its stream.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -146,75 +147,6 @@ impl SpillMedium for MemMedium {
     }
 }
 
-/// The power-loss model: a cut in the cumulative byte stream written
-/// through one [`FaultInjector`].
-///
-/// Each write claims its range of the shared stream; bytes at or past
-/// the cut position are silently dropped (the caller sees success — a
-/// dying machine reports nothing), a write straddling the cut lands only
-/// its prefix, and `flush`/`set_len` after the cut are swallowed. With
-/// `tear`, the sector the cut lands in gets scribbled past the cut
-/// point, modelling a drive that corrupts the in-flight sector instead
-/// of cutting cleanly — the case checksums exist for.
-#[derive(Debug)]
-pub struct CrashSwitch {
-    written: AtomicU64,
-    /// Cut position in the cumulative stream; `u64::MAX` = not armed.
-    cut: AtomicU64,
-    tear: AtomicBool,
-}
-
-/// Sector size used by [`CrashSwitch`] tear scribbling.
-const TEAR_SECTOR: u64 = 512;
-
-impl CrashSwitch {
-    /// A switch armed to cut the stream at byte `at` (`u64::MAX`: never;
-    /// writes pass through but are counted, so a later run can replay a
-    /// cut at any observed position).
-    fn armed(at: u64, tear: bool) -> Arc<CrashSwitch> {
-        Arc::new(CrashSwitch {
-            written: AtomicU64::new(0),
-            cut: AtomicU64::new(at),
-            tear: AtomicBool::new(tear),
-        })
-    }
-
-    /// Arm (or re-arm) the cut at byte `at` of the cumulative stream.
-    pub fn arm(&self, at: u64, tear: bool) {
-        self.tear.store(tear, Ordering::SeqCst);
-        self.cut.store(at, Ordering::SeqCst);
-    }
-
-    /// Cut immediately: nothing written from this instant persists.
-    pub fn cut_now(&self) {
-        self.cut
-            .store(self.written.load(Ordering::SeqCst), Ordering::SeqCst);
-    }
-
-    /// Total bytes offered to the stream so far (including dropped
-    /// ones) — the coordinate space `arm` positions are in.
-    pub fn bytes_written(&self) -> u64 {
-        self.written.load(Ordering::SeqCst)
-    }
-
-    /// Whether the stream has reached (or passed) the cut.
-    pub fn is_cut(&self) -> bool {
-        self.written.load(Ordering::SeqCst) >= self.cut.load(Ordering::SeqCst)
-    }
-
-    /// Claim `len` bytes of the stream. Returns how many of them land
-    /// on the medium (the rest vanish).
-    fn claim(&self, len: u64) -> u64 {
-        let start = self.written.fetch_add(len, Ordering::SeqCst);
-        let cut = self.cut.load(Ordering::SeqCst);
-        if start >= cut {
-            0
-        } else {
-            len.min(cut - start)
-        }
-    }
-}
-
 #[cfg(unix)]
 impl SpillMedium for FileMedium {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
@@ -305,13 +237,6 @@ pub struct FaultPlan {
     pub write_outage: Option<std::ops::Range<u64>>,
     /// Explicit `(global operation index, fault)` overrides.
     pub script: Vec<(u64, Fault)>,
-    /// Power loss: silently persist nothing past byte N of the
-    /// cumulative write stream (the caller still sees success). The
-    /// injector's [`FaultInjector::switch`] can also arm or cut later.
-    pub crash_after_bytes: Option<u64>,
-    /// When the crash cut lands mid-write, scribble over the rest of
-    /// the torn sector instead of cutting cleanly.
-    pub crash_tear: bool,
 }
 
 impl FaultPlan {
@@ -334,8 +259,6 @@ pub struct InjectedFaults {
     pub short_writes: u64,
     /// Latency spikes imposed.
     pub delays: u64,
-    /// Writes fully or partially swallowed by a crash cut.
-    pub crash_cut_writes: u64,
 }
 
 impl InjectedFaults {
@@ -350,7 +273,6 @@ pub struct FaultInjector<M> {
     inner: M,
     plan: FaultPlan,
     script: HashMap<u64, Fault>,
-    switch: Arc<CrashSwitch>,
     ops: AtomicU64,
     writes: AtomicU64,
     read_errors: AtomicU64,
@@ -358,7 +280,6 @@ pub struct FaultInjector<M> {
     write_errors: AtomicU64,
     short_writes: AtomicU64,
     delays: AtomicU64,
-    crash_cut_writes: AtomicU64,
 }
 
 /// splitmix64 finalizer: the per-operation decision hash.
@@ -374,17 +295,13 @@ fn one_in(h: u64, n: u64) -> bool {
 }
 
 impl<M: SpillMedium> FaultInjector<M> {
-    /// Wrap `inner` with `plan`. The injector's [`CrashSwitch`] is armed
-    /// at the plan's crash cut, if it has one.
+    /// Wrap `inner` with `plan`.
     pub fn new(inner: M, plan: FaultPlan) -> FaultInjector<M> {
-        let switch =
-            CrashSwitch::armed(plan.crash_after_bytes.unwrap_or(u64::MAX), plan.crash_tear);
         let script = plan.script.iter().copied().collect();
         FaultInjector {
             inner,
             plan,
             script,
-            switch,
             ops: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
@@ -392,13 +309,7 @@ impl<M: SpillMedium> FaultInjector<M> {
             write_errors: AtomicU64::new(0),
             short_writes: AtomicU64::new(0),
             delays: AtomicU64::new(0),
-            crash_cut_writes: AtomicU64::new(0),
         }
-    }
-
-    /// The crash switch counting this injector's writes.
-    pub fn switch(&self) -> &Arc<CrashSwitch> {
-        &self.switch
     }
 
     /// Faults injected so far.
@@ -409,44 +320,12 @@ impl<M: SpillMedium> FaultInjector<M> {
             write_errors: self.write_errors.load(Ordering::Relaxed),
             short_writes: self.short_writes.load(Ordering::Relaxed),
             delays: self.delays.load(Ordering::Relaxed),
-            crash_cut_writes: self.crash_cut_writes.load(Ordering::Relaxed),
         }
     }
 
     /// Operations (reads + writes) observed so far.
     pub fn operations(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
-    }
-
-    /// Route a write through the crash switch. `Some(_)` means the cut
-    /// claimed the write and only a prefix of it (possibly empty,
-    /// possibly with a torn sector) landed; `None` means it lies wholly
-    /// before the cut.
-    fn crash_cut(&self, data: &[u8], offset: u64) -> Option<io::Result<()>> {
-        let switch = &self.switch;
-        let keep = switch.claim(data.len() as u64);
-        if keep >= data.len() as u64 {
-            return None; // Entirely before the cut: write normally.
-        }
-        self.crash_cut_writes.fetch_add(1, Ordering::Relaxed);
-        if keep > 0 {
-            // The prefix made it to the platter before power died.
-            let _ = self.inner.write_at(&data[..keep as usize], offset);
-        }
-        if switch.tear.load(Ordering::SeqCst) && keep > 0 {
-            // Scribble the rest of the in-flight sector: a drive that
-            // doesn't cut cleanly leaves garbage the CRC must catch.
-            let sector_end = (keep.div_ceil(TEAR_SECTOR) * TEAR_SECTOR).min(data.len() as u64);
-            if sector_end > keep {
-                let garbage: Vec<u8> = data[keep as usize..sector_end as usize]
-                    .iter()
-                    .map(|b| b ^ 0xA5)
-                    .collect();
-                let _ = self.inner.write_at(&garbage, offset + keep);
-            }
-        }
-        // The dying machine reports nothing: the caller sees success.
-        Some(Ok(()))
     }
 
     fn decide(&self, idx: u64, read: bool) -> Option<Fault> {
@@ -511,9 +390,6 @@ impl<M: SpillMedium> SpillMedium for FaultInjector<M> {
     fn write_at(&self, data: &[u8], offset: u64) -> io::Result<()> {
         let idx = self.ops.fetch_add(1, Ordering::Relaxed);
         let widx = self.writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(result) = self.crash_cut(data, offset) {
-            return result;
-        }
         if let Some(outage) = &self.plan.write_outage {
             if outage.contains(&widx) {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
@@ -550,16 +426,127 @@ impl<M: SpillMedium> SpillMedium for FaultInjector<M> {
     }
 
     fn flush(&self) -> io::Result<()> {
-        if self.switch.is_cut() {
-            return Ok(()); // Power is out; nothing reaches the platter.
-        }
         self.inner.flush()
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        if self.switch.is_cut() {
-            return Ok(());
+        self.inner.set_len(len)
+    }
+}
+
+/// One operation a [`RecordingMedium`] passed through.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Recorded {
+    /// `write_at(data, offset)`.
+    Write {
+        /// Where the write landed.
+        offset: u64,
+        /// What it wrote.
+        data: Vec<u8>,
+    },
+    /// `flush()`.
+    Flush,
+    /// `set_len(len)`.
+    SetLen(u64),
+}
+
+/// A medium that passes everything through to another [`SpillMedium`]
+/// and logs every write, flush and truncation in the order they reach
+/// it. Its byte stream is the writes' data end to end: a crash at byte
+/// N of it is [`RecordingMedium::replay`]`(N, ..)` onto a fresh medium.
+pub struct RecordingMedium {
+    inner: Box<dyn SpillMedium>,
+    log: Mutex<Log>,
+}
+
+#[derive(Default)]
+struct Log {
+    ops: Vec<Recorded>,
+    /// Bytes of every write in `ops`.
+    written: u64,
+}
+
+/// The sector a torn write scribbles to its end.
+const SECTOR: usize = 512;
+
+impl RecordingMedium {
+    /// Record what is done to `inner`.
+    pub fn new(inner: impl SpillMedium) -> RecordingMedium {
+        RecordingMedium {
+            inner: Box::new(inner),
+            log: Mutex::default(),
         }
+    }
+
+    fn log(&self) -> std::sync::MutexGuard<'_, Log> {
+        self.log.lock().expect("recording medium poisoned")
+    }
+
+    /// Bytes written so far: the stream position of a crash now.
+    pub fn position(&self) -> u64 {
+        self.log().written
+    }
+
+    /// The operations recorded so far, in order.
+    pub fn ops(&self) -> Vec<Recorded> {
+        self.log().ops.clone()
+    }
+
+    /// Write the log's prefix up to byte `cut` of its stream onto `onto`:
+    /// the image a power loss at that byte leaves. A write that straddles
+    /// the cut lands only its prefix; with `tear`, the rest of the write's
+    /// 512-byte sector the cut falls in lands XOR `0xA5`, a drive that
+    /// scribbles the in-flight sector instead of cutting cleanly. Flushes
+    /// and truncations past the cut are lost with the writes.
+    pub fn replay(&self, cut: u64, tear: bool, onto: &dyn SpillMedium) -> io::Result<()> {
+        let mut at = 0;
+        for op in &self.log().ops {
+            if at >= cut {
+                break;
+            }
+            match op {
+                Recorded::Write { offset, data } => {
+                    let keep = (cut - at).min(data.len() as u64) as usize;
+                    onto.write_at(&data[..keep], *offset)?;
+                    let end = keep.next_multiple_of(SECTOR).min(data.len());
+                    if tear && end > keep {
+                        let scribble: Vec<u8> = data[keep..end].iter().map(|b| b ^ 0xA5).collect();
+                        onto.write_at(&scribble, offset + keep as u64)?;
+                    }
+                    at += data.len() as u64;
+                }
+                Recorded::Flush => onto.flush()?,
+                Recorded::SetLen(len) => onto.set_len(*len)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+impl SpillMedium for RecordingMedium {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.inner.read_at(buf, offset)
+    }
+
+    fn write_at(&self, data: &[u8], offset: u64) -> io::Result<()> {
+        let mut log = self.log();
+        log.written += data.len() as u64;
+        log.ops.push(Recorded::Write {
+            offset,
+            data: data.to_vec(),
+        });
+        self.inner.write_at(data, offset)
+    }
+
+    fn flush(&self) -> io::Result<()> {
+        let mut log = self.log();
+        log.ops.push(Recorded::Flush);
+        self.inner.flush()
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        let mut log = self.log();
+        log.ops.push(Recorded::SetLen(len));
         self.inner.set_len(len)
     }
 }
@@ -684,61 +671,54 @@ mod tests {
 
     #[test]
     fn crash_cut_silently_drops_everything_past_byte_n() {
-        let plan = FaultPlan {
-            crash_after_bytes: Some(10),
-            ..FaultPlan::default()
-        };
-        let disk = MemMedium::new();
-        let m = FaultInjector::new(disk.share(), plan);
+        let m = RecordingMedium::new(MemMedium::new());
         m.write_at(&[0xAAu8; 8], 0).unwrap(); // bytes 0..8: land
         m.write_at(&[0xBBu8; 8], 8).unwrap(); // bytes 8..16: 2 land
-        m.write_at(&[0xCCu8; 8], 16).unwrap(); // fully past cut, still "succeeds"
-        m.flush().unwrap(); // swallowed
-        m.set_len(4).unwrap(); // swallowed: must NOT shrink the platter
-        assert_eq!(m.injected().crash_cut_writes, 2);
-        assert!(m.switch().is_cut());
+        m.write_at(&[0xCCu8; 8], 16).unwrap(); // wholly past the cut
+        m.flush().unwrap(); // past the cut
+        m.set_len(4).unwrap(); // past the cut: must NOT shrink the platter
+        assert_eq!(m.position(), 24);
+        let disk = MemMedium::new();
+        m.replay(10, false, &disk).unwrap();
         // Reopen the "disk": only the first 10 bytes exist.
         assert_eq!(disk.len(), 10);
         let mut buf = [0u8; 10];
         disk.read_at(&mut buf, 0).unwrap();
         assert_eq!(&buf[..8], &[0xAAu8; 8]);
         assert_eq!(&buf[8..], &[0xBBu8; 2]);
+        // The whole log is what the medium underneath holds.
+        let whole = MemMedium::new();
+        m.replay(u64::MAX, false, &whole).unwrap();
+        assert_eq!(whole.len(), 4);
     }
 
     #[test]
-    fn crash_tear_scribbles_the_torn_sector() {
-        let plan = FaultPlan {
-            crash_after_bytes: Some(100),
-            crash_tear: true,
-            ..FaultPlan::default()
-        };
+    fn a_torn_replay_scribbles_the_torn_sector() {
+        let m = RecordingMedium::new(MemMedium::new());
+        m.write_at(&[0x00u8; 1024], 0).unwrap();
         let disk = MemMedium::new();
-        let m = FaultInjector::new(disk.share(), plan);
-        m.write_at(&[0x00u8; 256], 0).unwrap();
-        assert_eq!(disk.len(), 256, "torn sector scribble extends past cut");
-        let mut buf = [0u8; 256];
+        m.replay(100, true, &disk).unwrap();
+        assert_eq!(disk.len(), 512, "the scribble ends with the torn sector");
+        let mut buf = [0u8; 512];
         disk.read_at(&mut buf, 0).unwrap();
         assert!(buf[..100].iter().all(|&b| b == 0x00), "prefix intact");
         assert!(buf[100..].iter().all(|&b| b == 0xA5), "tail scribbled");
+        // A cut on a sector boundary has nothing to scribble.
+        let clean = MemMedium::new();
+        m.replay(512, true, &clean).unwrap();
+        assert_eq!(clean.len(), 512);
     }
 
     #[test]
-    fn cut_now_replays_from_recorded_byte_position() {
-        // First run: no cut, record the stream position at a barrier.
-        let run = |cut_at: Option<u64>| {
-            let disk = MemMedium::new();
-            let m = FaultInjector::new(disk.share(), FaultPlan::quiet());
-            if let Some(at) = cut_at {
-                m.switch().arm(at, false);
-            }
-            m.write_at(&[7u8; 33], 0).unwrap();
-            let barrier = m.switch().bytes_written();
-            m.write_at(&[9u8; 19], 33).unwrap();
-            (disk.len(), barrier)
-        };
-        let (full, barrier) = run(None);
-        assert_eq!(full, 52);
-        let (cut, _) = run(Some(barrier));
-        assert_eq!(cut, 33, "replayed cut lands exactly at the barrier");
+    fn replay_cuts_at_a_recorded_byte_position() {
+        let m = RecordingMedium::new(MemMedium::new());
+        m.write_at(&[7u8; 33], 0).unwrap();
+        let barrier = m.position();
+        m.write_at(&[9u8; 19], 33).unwrap();
+        let (full, cut) = (MemMedium::new(), MemMedium::new());
+        m.replay(u64::MAX, false, &full).unwrap();
+        m.replay(barrier, false, &cut).unwrap();
+        assert_eq!(full.len(), 52);
+        assert_eq!(cut.len(), 33, "the cut lands exactly at the barrier");
     }
 }

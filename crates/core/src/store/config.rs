@@ -8,7 +8,7 @@ use std::time::Duration;
 #[cfg(doc)]
 use super::{CompressedStore, StoreStats};
 use crate::tier::TierPolicy;
-use cc_compress::{CodecPolicy, ThresholdPolicy};
+use cc_compress::CodecPolicy;
 use cc_telemetry::trace::Tracer;
 
 /// Configuration of a [`CompressedStore`].
@@ -25,9 +25,6 @@ pub struct StoreConfig {
     /// a summary of what it holds, so the cold tier can be rebuilt from
     /// the file alone after a crash or restart.
     pub spill_path: Option<PathBuf>,
-    /// Keep-compressed threshold; pages failing it are stored raw (they
-    /// still count against the budget — exactly the paper's accounting).
-    pub threshold: ThresholdPolicy,
     /// Which codec(s) the put path may use. The default,
     /// [`CodecPolicy::Adaptive`], probes each page and runs the BDI
     /// word-pattern codec when it predicts a win, LZRW1 otherwise;
@@ -123,7 +120,6 @@ impl StoreConfig {
         StoreConfig {
             memory_budget,
             spill_path: None,
-            threshold: ThresholdPolicy::default(),
             codec_policy: CodecPolicy::default(),
             shards: 0,
             spill_batch_bytes: DEFAULT_SPILL_BATCH,

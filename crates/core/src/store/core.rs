@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use super::extent::verify_extent;
 use super::gc::Segments;
-use super::shard::{mix64, probe_code, stage_slot, Entry, Padded, Residence, Set, Shard, SCRATCH};
+use super::shard::{mix64, stage_slot, Entry, Padded, Residence, Set, Shard, SCRATCH};
 use super::stats::{top, tstat};
 use super::tiering::DemoteOutcome;
 use super::writer::Inbox;
@@ -22,7 +22,7 @@ use crate::medium::SpillMedium;
 use crate::persist::Persist;
 use cc_compress::{
     classify, decode_into, expand_same_filled, same_filled_pattern, CodecId, CodecPolicy, Route,
-    Selection,
+    Selection, ThresholdPolicy,
 };
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
 use cc_telemetry::Telemetry;
@@ -368,7 +368,7 @@ impl StoreCore {
                     residence: Residence::SameFilled { pattern },
                     orig_len: page.len() as u32,
                     codec: CodecId::SameFilled.as_u8(),
-                    probe: 0,
+                    probe: None,
                     gets: 0,
                     last_touch: now,
                     journaled: false,
@@ -399,7 +399,7 @@ impl StoreCore {
                             .keep_hot(now.wrapping_sub(e.last_touch) as u64)
                     {
                         data.copy_from_slice(page);
-                        e.probe = probe_code(None);
+                        e.probe = None;
                         e.gets = 0;
                         e.last_touch = now;
                         drop(shard);
@@ -418,8 +418,8 @@ impl StoreCore {
         // of this page never classifies it again. The route is a pure
         // function of the bytes and the threshold, so classifying after
         // the keep-hot check changes no routing decision.
-        let route = (self.cfg.codec_policy == CodecPolicy::Adaptive)
-            .then(|| classify(page, self.cfg.threshold.max_compressed_len(page.len())));
+        let admit = ThresholdPolicy::default().max_compressed_len(page.len());
+        let route = (self.cfg.codec_policy == CodecPolicy::Adaptive).then(|| classify(page, admit));
 
         // LZRW1 is the one codec pass worth handing to the background
         // thread, if the store runs its demote step; BDI costs less than
@@ -434,7 +434,7 @@ impl StoreCore {
             residence: Residence::SameFilled { pattern: 0 },
             orig_len: page.len() as u32,
             codec: CodecId::Raw.as_u8(),
-            probe: probe_code(Some(Route::Lz)),
+            probe: Some(Route::Lz),
             gets: 0,
             last_touch: now,
             journaled: false,
@@ -512,7 +512,7 @@ impl StoreCore {
             // One allocation of exactly the stored length, whichever tier.
             Some(sel) => SCRATCH.with(|c| {
                 let compressed = &c.borrow().comp[..sel.len];
-                entry.probe = probe_code(Some(sel.route()));
+                entry.probe = Some(sel.route());
                 if reserved && self.cfg.tier_policy.admit_hot(sel.admitted) {
                     // Hot tier: keep the raw page (a hot entry holds raw
                     // bytes, not the sealed form); the sealed bytes are
@@ -565,7 +565,7 @@ impl StoreCore {
         let ct0 = Self::step_start(timed, ctx);
         let sel = SCRATCH.with(|c| {
             let s = &mut *c.borrow_mut();
-            let (policy, threshold) = (self.cfg.codec_policy, self.cfg.threshold);
+            let (policy, threshold) = (self.cfg.codec_policy, ThresholdPolicy::default());
             s.codecs
                 .compress_with_hint(policy, threshold, page, &mut s.comp, route)
         });

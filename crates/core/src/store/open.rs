@@ -150,7 +150,7 @@ impl CompressedStore {
                         },
                         orig_len: rec.page_size,
                         codec: e.codec,
-                        probe: 0,
+                        probe: None,
                         gets: 0,
                         last_touch: 0,
                         journaled: true,

@@ -69,18 +69,17 @@ pub(super) struct Entry {
     /// cross-checked after a read. Hot entries record [`CodecId::Raw`]
     /// (nothing is sealed while hot).
     pub(super) codec: u8,
-    /// The [`Route`] the put that stored these exact bytes took
-    /// ([`probe_code`]): 1 = BDI sealed them, 2 = LZRW1 did,
-    /// [`PROBE_REJECTED`] = they were stored raw, predicted or rejected
-    /// by the threshold; 0 = not classified (a kept-hot re-put, a
+    /// The [`Route`] the put that stored these exact bytes took:
+    /// [`Route::Raw`] if they were stored raw, predicted or rejected by
+    /// the threshold; `None` if not classified (a kept-hot re-put, a
     /// same-filled page, a recovered entry). Demotion hands the route
     /// back to the codec layer, so aging a hot page never classifies it
     /// again and a rejected page is sealed as the stored block it
     /// already was — no second compression of a page that is hot
-    /// *because* the first one failed. The code cannot go stale: a hot
+    /// *because* the first one failed. The route cannot go stale: a hot
     /// entry's bytes change only through the kept-hot re-put, which
-    /// resets it to 0.
-    pub(super) probe: u8,
+    /// resets it to `None`.
+    pub(super) probe: Option<Route>,
     /// Gets served since the last put of this key (saturating). The
     /// promotion signal: re-access frequency within the recency window.
     pub(super) gets: u16,
@@ -98,29 +97,6 @@ pub(super) struct Entry {
     /// would resurrect it. A key whose batch never reached the file has
     /// no record to kill.
     pub(super) journaled: bool,
-}
-
-/// [`Entry::probe`] byte of a route (`None`: not classified).
-pub(super) fn probe_code(route: Option<Route>) -> u8 {
-    match route {
-        None => 0,
-        Some(Route::Bdi) => 1,
-        Some(Route::Lz) => 2,
-        Some(Route::Raw) => PROBE_REJECTED,
-    }
-}
-
-/// [`Entry::probe`] byte of a page stored raw: [`Route::Raw`].
-pub(super) const PROBE_REJECTED: u8 = 3;
-
-/// Decode [`probe_code`] back into the codec layer's hint.
-pub(super) fn probe_hint(code: u8) -> Option<Route> {
-    match code {
-        1 => Some(Route::Bdi),
-        2 => Some(Route::Lz),
-        PROBE_REJECTED => Some(Route::Raw),
-        _ => None,
-    }
 }
 
 /// The splitmix64 finalizer: full avalanche in three multiplies, so a

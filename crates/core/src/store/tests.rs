@@ -2,11 +2,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::extent::{encode_extent, verify_extent, EXTENT_HEADER};
-use super::shard::{probe_code, Residence, Set, PROBE_REJECTED};
+use super::shard::{Residence, Set};
 use super::*;
 use crate::tier::TierPolicy;
-use cc_compress::{same_filled_pattern, CodecId, CodecPolicy};
+use cc_compress::{same_filled_pattern, CodecId, CodecPolicy, Route};
 use cc_telemetry::trace::Tracer;
+
+#[path = "../../tests/support/temp_path.rs"]
+mod temp_path;
+use temp_path::TempPath;
 
 fn page(tag: u8) -> Vec<u8> {
     let mut p = vec![0u8; 4096];
@@ -16,23 +20,12 @@ fn page(tag: u8) -> Vec<u8> {
     p
 }
 
-fn temp_path(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("ccstore-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    (dir.clone(), dir.join("spill.bin"))
-}
-
 /// Bytes of a hex string (the golden on-disk records).
 pub(crate) fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
         .collect()
-}
-
-fn cleanup(dir: std::path::PathBuf, path: std::path::PathBuf) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_dir(dir);
 }
 
 #[test]
@@ -216,13 +209,13 @@ fn codec_policy_pins_the_codec() {
 
 #[test]
 fn codec_id_survives_spill_and_gc() {
-    let (dir, path) = temp_path("codecid");
+    let path = TempPath::new("codecid");
     {
         // Tiny budget + tiny batches + aggressive GC: BDI-sealed
         // extents are spilled, relocated by compaction, and must still
         // decode with the codec recorded at seal time.
         let store = CompressedStore::new(
-            StoreConfig::with_spill(4 * 1024, &path)
+            StoreConfig::with_spill(4 * 1024, &*path)
                 .with_spill_batch_bytes(2 * 1024)
                 .with_gc_dead_ratio(0.3),
         );
@@ -266,7 +259,6 @@ fn codec_id_survives_spill_and_gc() {
         assert!(disk_hits > 0, "nothing read back from disk: {s:?}");
         assert_eq!(store.stats().corrupt_detected, 0);
     }
-    cleanup(dir, path);
 }
 
 #[test]
@@ -468,10 +460,10 @@ fn same_filled_odd_page_size_roundtrip() {
 
 #[test]
 fn spills_to_file_and_reads_back() {
-    let (dir, path) = temp_path("test");
+    let path = TempPath::new("test");
     {
         // Budget fits only a handful of compressed pages.
-        let store = CompressedStore::new(StoreConfig::with_spill(8 * 1024, &path));
+        let store = CompressedStore::new(StoreConfig::with_spill(8 * 1024, &*path));
         for k in 0..64u64 {
             store.put(k, &page(k as u8)).unwrap();
         }
@@ -488,7 +480,6 @@ fn spills_to_file_and_reads_back() {
         }
         assert!(store.stats().hits_spill > 0);
     }
-    cleanup(dir, path);
 }
 
 /// A page of one-byte deltas from a base, which BDI seals to ~520
@@ -594,13 +585,13 @@ fn a_wrapped_inflight_gauge_fails_the_checker_not_a_put() {
 
 #[test]
 fn flush_makes_partial_batch_readable() {
-    let (dir, path) = temp_path("midbatch");
+    let path = TempPath::new("midbatch");
     {
         // A batch target far larger than the data guarantees the
         // entries sit in a partially-filled batch; flush() must still
         // make them durable and readable.
         let store = CompressedStore::new(
-            StoreConfig::with_spill(4 * 1024, &path).with_spill_batch_bytes(1 << 20),
+            StoreConfig::with_spill(4 * 1024, &*path).with_spill_batch_bytes(1 << 20),
         );
         for k in 0..8u64 {
             store.put(k, &page(k as u8)).unwrap();
@@ -622,16 +613,15 @@ fn flush_makes_partial_batch_readable() {
         }
         assert!(disk_hits > 0, "flush left no entries on disk: {s:?}");
     }
-    cleanup(dir, path);
 }
 
 #[test]
 fn remove_and_replace_account_dead_bytes() {
-    let (dir, path) = temp_path("dead");
+    let path = TempPath::new("dead");
     {
         // GC disabled so the gauge is observable without compaction.
         let store =
-            CompressedStore::new(StoreConfig::with_spill(4 * 1024, &path).with_gc_dead_ratio(1e9));
+            CompressedStore::new(StoreConfig::with_spill(4 * 1024, &*path).with_gc_dead_ratio(1e9));
         for k in 0..32u64 {
             store.put(k, &page(k as u8)).unwrap();
         }
@@ -660,17 +650,16 @@ fn remove_and_replace_account_dead_bytes() {
             "replaces must strand dead bytes: {after_remove} -> {after_replace}"
         );
     }
-    cleanup(dir, path);
 }
 
 #[test]
 fn gc_compacts_dead_space_and_preserves_data() {
-    let (dir, path) = temp_path("gc");
+    let path = TempPath::new("gc");
     {
         // Tiny batches + aggressive ratio so compaction triggers
         // repeatedly under replace churn.
         let store = CompressedStore::new(
-            StoreConfig::with_spill(4 * 1024, &path)
+            StoreConfig::with_spill(4 * 1024, &*path)
                 .with_spill_batch_bytes(2 * 1024)
                 .with_gc_dead_ratio(0.3),
         );
@@ -715,14 +704,13 @@ fn gc_compacts_dead_space_and_preserves_data() {
         }
         // The file never grows past the segments the table knows, and
         // cleaned segments are reused rather than appended after.
-        let fs_len = std::fs::metadata(&path).unwrap().len();
+        let fs_len = std::fs::metadata(&*path).unwrap().len();
         let high_water = store.core.segments().high_water();
         assert!(
             fs_len <= high_water && high_water < total_spilled_bytes / 4,
             "fs={fs_len} segments end at {high_water}, ~{total_spilled_bytes} written"
         );
     }
-    cleanup(dir, path);
 }
 
 /// Exact dead bytes under churn: two threads remove and re-put spilled
@@ -732,10 +720,10 @@ fn gc_compacts_dead_space_and_preserves_data() {
 /// cleaning step is counted once, in the segment its entry named.
 #[test]
 fn dead_bytes_stay_exact_while_removes_race_the_cleaner() {
-    let (dir, path) = temp_path("exactdead");
+    let path = TempPath::new("exactdead");
     {
         let store = Arc::new(CompressedStore::new(
-            StoreConfig::with_spill(4 * 1024, &path)
+            StoreConfig::with_spill(4 * 1024, &*path)
                 .with_spill_batch_bytes(1)
                 .with_gc_dead_ratio(0.2),
         ));
@@ -792,7 +780,6 @@ fn dead_bytes_stay_exact_while_removes_race_the_cleaner() {
             assert_eq!(out, page((k + 29) as u8), "key {k} corrupted");
         }
     }
-    cleanup(dir, path);
 }
 
 /// A page larger than a segment still spills: one-byte batches make the
@@ -802,10 +789,10 @@ fn dead_bytes_stay_exact_while_removes_race_the_cleaner() {
 /// eight live runs.
 #[test]
 fn pages_larger_than_a_segment_spill_in_runs() {
-    let (dir, path) = temp_path("runs");
+    let path = TempPath::new("runs");
     {
         let store = CompressedStore::new(
-            StoreConfig::with_spill(48 * 1024, &path)
+            StoreConfig::with_spill(48 * 1024, &*path)
                 .with_spill_batch_bytes(1)
                 .with_gc_dead_ratio(0.3),
         );
@@ -834,17 +821,16 @@ fn pages_larger_than_a_segment_spill_in_runs() {
             assert_eq!(out, big(k, 5), "key {k} corrupted");
         }
     }
-    cleanup(dir, path);
 }
 
 #[test]
 fn telemetry_snapshot_covers_tiers_and_events() {
     use cc_telemetry::LATENCY_SAMPLE_PERIOD;
-    let (dir, path) = temp_path("tel");
+    let path = TempPath::new("tel");
     {
         let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
         let store = CompressedStore::new(
-            StoreConfig::with_spill(8 * 1024, &path)
+            StoreConfig::with_spill(8 * 1024, &*path)
                 .with_spill_batch_bytes(2 * 1024)
                 .with_tracer(Arc::clone(&tracer)),
         );
@@ -950,7 +936,6 @@ fn telemetry_snapshot_covers_tiers_and_events() {
         assert_eq!(s.compressed, 64 + puts);
         assert_eq!(s.hits_spill, snap.counter("hits_spill").unwrap());
     }
-    cleanup(dir, path);
 }
 
 #[test]
@@ -1012,9 +997,9 @@ fn telemetry_schema_names_are_pinned() {
 
 #[test]
 fn shutdown_then_reads_still_work() {
-    let (dir, path) = temp_path("shut");
+    let path = TempPath::new("shut");
     {
-        let store = CompressedStore::new(StoreConfig::with_spill(8 * 1024, &path));
+        let store = CompressedStore::new(StoreConfig::with_spill(8 * 1024, &*path));
         for k in 0..32u64 {
             store.put(k, &page(k as u8)).unwrap();
         }
@@ -1025,7 +1010,6 @@ fn shutdown_then_reads_still_work() {
             assert_eq!(out, page(k as u8));
         }
     }
-    cleanup(dir, path);
 }
 
 #[test]
@@ -1056,11 +1040,11 @@ fn concurrent_threads_round_trip() {
 
 #[test]
 fn concurrent_with_spill_pressure() {
-    let (dir, path) = temp_path("mt");
+    let path = TempPath::new("mt");
     {
         let store = Arc::new(CompressedStore::new(StoreConfig::with_spill(
             16 * 1024,
-            &path,
+            &*path,
         )));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -1095,7 +1079,6 @@ fn concurrent_with_spill_pressure() {
         }
         store.check_invariants().unwrap();
     }
-    cleanup(dir, path);
 }
 
 #[test]
@@ -1108,11 +1091,11 @@ fn page_size_exposed_after_first_put() {
 
 #[test]
 fn put_after_shutdown_fails_instead_of_panicking() {
-    let (dir, path) = temp_path("shutdown-put");
+    let path = TempPath::new("shutdown-put");
     {
         // Budget of ~1 compressed page: puts beyond the first must
         // go through the (stopped) spill writer.
-        let store = CompressedStore::new(StoreConfig::with_spill(4 * 1024, &path));
+        let store = CompressedStore::new(StoreConfig::with_spill(4 * 1024, &*path));
         for k in 0..16u64 {
             store.put(k, &page(k as u8)).unwrap();
         }
@@ -1134,7 +1117,6 @@ fn put_after_shutdown_fails_instead_of_panicking() {
             "expected ShuttingDown, got {err:?}"
         );
     }
-    cleanup(dir, path);
 }
 
 /// An incompressible page (uniform noise) — the tier policies send
@@ -1151,9 +1133,9 @@ fn noise_page(seed: u64) -> Vec<u8> {
 /// reopen serves exactly the keys that were not removed.
 #[test]
 fn straight_to_spill_puts_are_journaled() {
-    let (dir, path) = temp_path("direct-spill");
+    let path = TempPath::new("direct-spill");
     {
-        let cfg = StoreConfig::with_spill(2048, &path);
+        let cfg = StoreConfig::with_spill(2048, &*path);
         let store = CompressedStore::new(cfg.clone());
         for k in 0..16u64 {
             store.put(k, &noise_page(k)).unwrap();
@@ -1182,7 +1164,6 @@ fn straight_to_spill_puts_are_journaled() {
         }
         store.check_invariants().unwrap();
     }
-    cleanup(dir, path);
 }
 
 #[test]
@@ -1226,10 +1207,10 @@ fn reaccessed_warm_page_is_promoted_to_hot() {
 
 #[test]
 fn compress_all_policy_reproduces_flat_store() {
-    let (dir, path) = temp_path("tier-flat");
+    let path = TempPath::new("tier-flat");
     {
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path).with_tier_policy(TierPolicy::COMPRESS_ALL),
+            StoreConfig::with_spill(1 << 20, &*path).with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         let mut out = vec![0u8; 4096];
         for k in 0..8u64 {
@@ -1250,7 +1231,6 @@ fn compress_all_policy_reproduces_flat_store() {
         assert_eq!(s.warm_bytes, s.resident_bytes, "{s:?}");
         store.shutdown();
     }
-    cleanup(dir, path);
 }
 
 #[test]
@@ -1283,7 +1263,7 @@ fn paper_threshold_policy_splits_on_admission_only() {
 /// byte-identical at every step.
 #[test]
 fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
-    let (dir, path) = temp_path("tier-cycle");
+    let path = TempPath::new("tier-cycle");
     {
         let policy = TierPolicy {
             hot_idle: 1,
@@ -1295,7 +1275,7 @@ fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
             ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path)
+            StoreConfig::with_spill(1 << 20, &*path)
                 .with_tier_policy(policy)
                 // Only the explicit demote_now() passes below run, so
                 // every counter assertion is deterministic.
@@ -1339,7 +1319,6 @@ fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
         assert_eq!(store.stats().promotions, 2);
         store.shutdown();
     }
-    cleanup(dir, path);
 }
 
 /// The map holds one entry per key, so on a spill-heavy store every
@@ -1451,11 +1430,11 @@ fn the_checker_catches_a_wrong_slot_and_a_stray_key() {
 /// buffer stays two batches long — and every page survives the moves.
 #[test]
 fn a_cleaning_step_copies_at_most_one_batch() {
-    let (dir, path) = temp_path("cleanbatch");
+    let path = TempPath::new("cleanbatch");
     const BATCH: usize = 8 * 1024;
     {
         let store = CompressedStore::new(
-            StoreConfig::with_spill(16 * 1024, &path)
+            StoreConfig::with_spill(16 * 1024, &*path)
                 .with_spill_batch_bytes(BATCH)
                 .with_gc_dead_ratio(0.3)
                 .with_tier_policy(TierPolicy::COMPRESS_ALL),
@@ -1484,7 +1463,6 @@ fn a_cleaning_step_copies_at_most_one_batch() {
             assert_eq!(out, page((k + last) as u8), "key {k} corrupted");
         }
     }
-    cleanup(dir, path);
 }
 
 /// `(codec id, sealed payload length)` of `key`'s stored form.
@@ -1506,8 +1484,8 @@ fn sealed_form(store: &CompressedStore, key: u64) -> (u8, usize) {
 /// exactly what a put that probes up front produces, on every route.
 #[test]
 fn kept_hot_reput_seals_like_a_probed_put() {
-    let (dir, path) = temp_path("tier-reput");
-    let (dir_flat, path_flat) = temp_path("tier-reput-flat");
+    let path = TempPath::new("tier-reput");
+    let path_flat = TempPath::new("tier-reput-flat");
     {
         let policy = TierPolicy {
             hot_idle: 4,
@@ -1516,13 +1494,14 @@ fn kept_hot_reput_seals_like_a_probed_put() {
             ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path)
+            StoreConfig::with_spill(1 << 20, &*path)
                 .with_tier_policy(policy)
                 // Only the explicit demote_now() below runs.
                 .with_demote_interval(Duration::from_secs(3600)),
         );
         let flat = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path_flat).with_tier_policy(TierPolicy::COMPRESS_ALL),
+            StoreConfig::with_spill(1 << 20, &*path_flat)
+                .with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         let routes = [
             (1u64, bdi_page(1), CodecId::Bdi),
@@ -1547,7 +1526,7 @@ fn kept_hot_reput_seals_like_a_probed_put() {
                 (before.compressed, before.stored_raw),
                 "a kept-hot re-put runs no codec"
             );
-            assert_eq!(store.core.shard(*key).entries[key].probe, probe_code(None));
+            assert_eq!(store.core.shard(*key).entries[key].probe, None);
         }
         // Age every page past `hot_idle`, then seal them all.
         for k in 100..104u64 {
@@ -1568,8 +1547,6 @@ fn kept_hot_reput_seals_like_a_probed_put() {
         store.shutdown();
         flat.shutdown();
     }
-    cleanup(dir, path);
-    cleanup(dir_flat, path_flat);
 }
 /// A page is hot *because* the threshold rejected its compressed
 /// form, and the entry remembers that: demotion seals it as the
@@ -1579,8 +1556,8 @@ fn kept_hot_reput_seals_like_a_probed_put() {
 /// bytes forgets it.
 #[test]
 fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
-    let (dir, path) = temp_path("tier-rejected");
-    let (dir_flat, path_flat) = temp_path("tier-rejected-flat");
+    let path = TempPath::new("tier-rejected");
+    let path_flat = TempPath::new("tier-rejected-flat");
     {
         let policy = TierPolicy {
             hot_idle: 4,
@@ -1589,13 +1566,14 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
             ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path)
+            StoreConfig::with_spill(1 << 20, &*path)
                 .with_tier_policy(policy)
                 // Only the explicit demote_now() below runs.
                 .with_demote_interval(Duration::from_secs(3600)),
         );
         let flat = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path_flat).with_tier_policy(TierPolicy::COMPRESS_ALL),
+            StoreConfig::with_spill(1 << 20, &*path_flat)
+                .with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
         let probe_of = |key: u64| store.core.shard(key).entries[&key].probe;
         let age = |from: u64| {
@@ -1609,13 +1587,13 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
         store.put(4, &noise_page(4)).unwrap();
         for key in [3, 4] {
             assert_eq!(store.peek_tier(key), Some(HitTier::Hot));
-            assert_eq!(probe_of(key), PROBE_REJECTED);
+            assert_eq!(probe_of(key), Some(Route::Raw));
         }
         // Key 4 is overwritten in place with compressible bytes: the
         // verdict was about the old ones.
         store.put(4, &bdi_page(4)).unwrap();
         assert_eq!(store.peek_tier(4), Some(HitTier::Hot));
-        assert_eq!(probe_of(4), probe_code(None));
+        assert_eq!(probe_of(4), None);
 
         age(100);
         assert_eq!(store.demote_now().0, 2);
@@ -1634,7 +1612,7 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
             assert_eq!(out, noise_page(3));
         }
         assert_eq!(store.peek_tier(3), Some(HitTier::Hot));
-        assert_eq!(probe_of(3), PROBE_REJECTED);
+        assert_eq!(probe_of(3), Some(Route::Raw));
         age(200);
         assert_eq!(store.demote_now().0, 1);
         assert_eq!(sealed_form(&store, 3), raw);
@@ -1646,8 +1624,6 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
         store.shutdown();
         flat.shutdown();
     }
-    cleanup(dir, path);
-    cleanup(dir_flat, path_flat);
 }
 
 /// A noise page never reaches a codec: the put counts the reject the
@@ -1658,7 +1634,7 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
 /// LZRW1 seals it and the put counts a misprediction.
 #[test]
 fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
-    let (dir, path) = temp_path("tier-predicted");
+    let path = TempPath::new("tier-predicted");
     {
         let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
         let policy = TierPolicy {
@@ -1668,7 +1644,7 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
             ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path)
+            StoreConfig::with_spill(1 << 20, &*path)
                 .with_tier_policy(policy)
                 .with_tracer(Arc::clone(&tracer))
                 // Only the explicit demote_now() below runs.
@@ -1699,7 +1675,7 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
         assert_eq!(after.reject_mispredicted, 0);
         assert_eq!(codec_work(&after), codec_work(&before));
         assert_eq!(store.peek_tier(3), Some(HitTier::Hot));
-        assert_eq!(store.core.shard(3).entries[&3].probe, PROBE_REJECTED);
+        assert_eq!(store.core.shard(3).entries[&3].probe, Some(Route::Raw));
 
         for k in 100..104u64 {
             store.put(k, &vec![k as u8; 4096]).unwrap();
@@ -1713,14 +1689,14 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
 
         // A 1 600-byte random block repeated: LZRW1 matches it across the
         // page, the sampled windows never see it twice.
-        let t = store.core.cfg.threshold;
+        let t = cc_compress::ThresholdPolicy::default();
         let admit = t.max_compressed_len(4096);
         let mut set = cc_compress::CodecSet::new();
         let mut dst = Vec::new();
         let audited = (0..4096u64)
             .map(|seed| noise_page(seed)[..1600].repeat(3)[..4096].to_vec())
             .find(|p| {
-                cc_compress::classify(p, admit) == cc_compress::Route::Raw
+                cc_compress::classify(p, admit) == Route::Raw
                     && set
                         .compress_with_policy(CodecPolicy::Adaptive, t, p, &mut dst)
                         .admitted
@@ -1732,10 +1708,7 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
         assert_eq!(after.reject_predicted, before.reject_predicted + 1);
         assert_eq!(after.reject_mispredicted, before.reject_mispredicted + 1);
         assert_eq!(after.puts_lzrw1, before.puts_lzrw1 + 1);
-        assert_eq!(
-            store.core.shard(4).entries[&4].probe,
-            probe_code(Some(cc_compress::Route::Lz))
-        );
+        assert_eq!(store.core.shard(4).entries[&4].probe, Some(Route::Lz));
         let mut out = vec![0u8; 4096];
         assert!(store.get(3, &mut out).unwrap());
         assert_eq!(out, noise_page(3));
@@ -1744,7 +1717,6 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
         store.check_invariants().unwrap();
         store.shutdown();
     }
-    cleanup(dir, path);
 }
 
 /// Nobody wakes the demoter but its own interval, and one wake drains
@@ -1753,7 +1725,7 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
 /// number of passes that is small beside the operations issued.
 #[test]
 fn demoter_drains_aged_backlog_without_a_kick() {
-    let (dir, path) = temp_path("tier-drain");
+    let path = TempPath::new("tier-drain");
     {
         let policy = TierPolicy {
             hot_idle: 512,
@@ -1762,7 +1734,7 @@ fn demoter_drains_aged_backlog_without_a_kick() {
             ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
-            StoreConfig::with_spill(1 << 20, &path)
+            StoreConfig::with_spill(1 << 20, &*path)
                 .with_tier_policy(policy)
                 .with_demote_interval(Duration::from_millis(2)),
         );
@@ -1813,7 +1785,6 @@ fn demoter_drains_aged_backlog_without_a_kick() {
         }
         store.shutdown();
     }
-    cleanup(dir, path);
 }
 
 /// Four putters at budget pressure while the demoter, woken every
@@ -1824,7 +1795,7 @@ fn demoter_drains_aged_backlog_without_a_kick() {
 fn putters_at_pressure_race_a_fast_demoter() {
     const PUTTERS: u64 = 4;
     const KEYS_EACH: u64 = 96;
-    let (dir, path) = temp_path("tier-race");
+    let path = TempPath::new("tier-race");
     {
         let policy = TierPolicy {
             hot_idle: 64,
@@ -1834,7 +1805,7 @@ fn putters_at_pressure_race_a_fast_demoter() {
             ..TierPolicy::RECENCY
         };
         let store = CompressedStore::new(
-            StoreConfig::with_spill(256 << 10, &path)
+            StoreConfig::with_spill(256 << 10, &*path)
                 .with_tier_policy(policy)
                 .with_demote_interval(Duration::from_millis(1)),
         );
@@ -1892,7 +1863,6 @@ fn putters_at_pressure_race_a_fast_demoter() {
         }
         store.shutdown();
     }
-    cleanup(dir, path);
 }
 
 /// A medium that, once armed, holds the next batch write — one past the
@@ -1965,8 +1935,16 @@ impl SpillMedium for Gate {
     }
 }
 
-use crate::medium::{FaultInjector, FaultPlan, MemMedium, SpillMedium};
+use crate::medium::{MemMedium, RecordingMedium, SpillMedium};
 use crate::persist::{read_superblock, SUMMARY_HEAD};
+
+/// What `recorder`'s medium holds after a power loss at byte `cut` of
+/// its write stream.
+fn image(recorder: &RecordingMedium, cut: u64) -> MemMedium {
+    let disk = MemMedium::new();
+    recorder.replay(cut, false, &disk).unwrap();
+    disk
+}
 
 /// `flush` makes a remove durable even when the remove's tombstone is
 /// already in a batch being written — here a cleaning step's relocation
@@ -1974,9 +1952,8 @@ use crate::persist::{read_superblock, SUMMARY_HEAD};
 /// file: the power is cut the moment it returns, and the key stays gone.
 #[test]
 fn flush_waits_for_a_tombstone_in_a_relocation_batch() {
-    let disk = MemMedium::new();
-    let injector = Arc::new(FaultInjector::new(disk.share(), FaultPlan::quiet()));
-    let gate = Arc::new(Gate::new(Arc::clone(&injector) as Arc<dyn SpillMedium>));
+    let recorder = Arc::new(RecordingMedium::new(MemMedium::new()));
+    let gate = Arc::new(Gate::new(Arc::clone(&recorder) as Arc<dyn SpillMedium>));
     let cfg = StoreConfig::with_spill(2048, "/unused")
         .with_spill_batch_bytes(1)
         .with_gc_dead_ratio(0.2);
@@ -2008,11 +1985,10 @@ fn flush_waits_for_a_tombstone_in_a_relocation_batch() {
     assert!(gate.holding(), "no relocation batch was written");
     let (tx, rx) = std::sync::mpsc::channel();
     let flusher = {
-        let (store, injector) = (Arc::clone(&store), Arc::clone(&injector));
+        let (store, recorder) = (Arc::clone(&store), Arc::clone(&recorder));
         std::thread::spawn(move || {
             let res = store.flush();
-            injector.switch().cut_now();
-            tx.send(res.is_ok()).unwrap();
+            tx.send(res.is_ok().then(|| recorder.position())).unwrap();
         })
     };
     let early = rx.recv_timeout(Duration::from_millis(300)).is_ok();
@@ -2021,10 +1997,11 @@ fn flush_waits_for_a_tombstone_in_a_relocation_batch() {
         !early,
         "flush returned while the tombstone's batch was held"
     );
-    assert!(rx.recv().unwrap(), "flush failed");
+    let cut = rx.recv().unwrap().expect("flush failed");
     flusher.join().unwrap();
     drop(store);
-    let store = CompressedStore::open_existing_with_media(cfg, Arc::new(disk.share())).unwrap();
+    let disk = image(&recorder, cut);
+    let store = CompressedStore::open_existing_with_media(cfg, Arc::new(disk)).unwrap();
     let mut out = vec![0u8; 4096];
     assert!(
         !store.get(0, &mut out).unwrap(),
@@ -2118,17 +2095,16 @@ impl SpillMedium for FailSuperblock {
 #[test]
 fn crossing_the_sequence_lease_restamps_the_superblock() {
     use std::sync::atomic::Ordering::SeqCst;
-    let disk = MemMedium::new();
-    let injector = Arc::new(FaultInjector::new(disk.share(), FaultPlan::quiet()));
+    let recorder = Arc::new(RecordingMedium::new(MemMedium::new()));
     let medium = Arc::new(FailSuperblock {
-        inner: Arc::clone(&injector) as _,
+        inner: Arc::clone(&recorder) as _,
         fail: std::sync::atomic::AtomicU32::new(0),
     });
     let cfg = StoreConfig::with_spill(2048, "/unused").with_spill_batch_bytes(1);
     let store = CompressedStore::with_medium(cfg.clone(), Arc::clone(&medium) as _);
     // The writer stamps the file's first superblock as it starts.
     let first = loop {
-        match read_superblock(&disk) {
+        match read_superblock(&*recorder) {
             Some(sb) => break sb,
             None => std::thread::yield_now(),
         }
@@ -2140,7 +2116,7 @@ fn crossing_the_sequence_lease_restamps_the_superblock() {
     }
     store.flush().unwrap();
     store.check_invariants().unwrap();
-    let now = read_superblock(&disk).unwrap();
+    let now = read_superblock(&*recorder).unwrap();
     assert_eq!(medium.fail.load(SeqCst), 0, "no batch reached the lease");
     assert!(
         now.seq_limit > first.seq_limit && now.seq > first.seq,
@@ -2157,7 +2133,7 @@ fn crossing_the_sequence_lease_restamps_the_superblock() {
         .map(|k| store.get_tier(k, &mut out).unwrap() == Some(HitTier::Spill))
         .collect();
     assert!(on_file.iter().filter(|&&f| f).count() > KEYS as usize / 2);
-    injector.switch().cut_now();
+    let disk = image(&recorder, recorder.position());
     drop(store);
     for clean in [false, true] {
         let store =
@@ -2270,30 +2246,22 @@ fn held_tombstones_may_outnumber_listed_extents_after_removes() {
     panic!("tombstones never outnumbered the extent records: {seen:?}");
 }
 
-/// A spill store over an in-memory medium that can be cut: 128 KiB
-/// segments of ~31 pages, cleaned once 30 % dead, one shard.
-fn cuttable_store(
-    policy: TierPolicy,
-) -> (
-    CompressedStore,
-    StoreConfig,
-    MemMedium,
-    Arc<FaultInjector<MemMedium>>,
-) {
-    let disk = MemMedium::new();
-    let injector = Arc::new(FaultInjector::new(disk.share(), FaultPlan::quiet()));
+/// A spill store over a recorded in-memory medium, so it can be cut:
+/// 128 KiB segments of ~31 pages, cleaned once 30 % dead, one shard.
+fn cuttable_store(policy: TierPolicy) -> (CompressedStore, StoreConfig, Arc<RecordingMedium>) {
+    let recorder = Arc::new(RecordingMedium::new(MemMedium::new()));
     let cfg = StoreConfig::with_spill(4 * 4096, "/unused")
         .with_tier_policy(policy)
         .with_shards(1)
         .with_spill_batch_bytes(4096)
         .with_gc_dead_ratio(0.3);
-    let store = CompressedStore::with_medium(cfg.clone(), Arc::clone(&injector) as _);
+    let store = CompressedStore::with_medium(cfg.clone(), Arc::clone(&recorder) as _);
     // Key 0, then 60 keys never touched again: the first segment holds
     // key 0's copy among live pages, so the cleaner leaves it alone.
     for k in 0..=60 {
         store.put(k, &noise_page(k)).unwrap();
     }
-    (store, cfg, disk, injector)
+    (store, cfg, recorder)
 }
 
 /// One version more of each of 64 churn keys, made durable: their old
@@ -2332,13 +2300,12 @@ fn spilled_gen(store: &CompressedStore, key: u64) -> Option<u64> {
 fn cut_and_reopen(
     store: CompressedStore,
     cfg: StoreConfig,
-    disk: &MemMedium,
-    injector: &FaultInjector<MemMedium>,
+    recorder: &RecordingMedium,
     on_file: &[u64],
 ) -> CompressedStore {
-    injector.switch().cut_now();
+    let disk = image(recorder, recorder.position());
     drop(store);
-    let store = CompressedStore::open_existing_with_media(cfg, Arc::new(disk.share())).unwrap();
+    let store = CompressedStore::open_existing_with_media(cfg, Arc::new(disk)).unwrap();
     let mut out = vec![0u8; 4096];
     for &k in on_file {
         assert!(store.get(k, &mut out).unwrap(), "key {k} lost");
@@ -2354,7 +2321,7 @@ fn cut_and_reopen(
 /// reopen, the copy stays dead.
 #[test]
 fn a_tombstone_outlives_two_cleanings_while_an_older_copy_is_listed() {
-    let (store, cfg, disk, injector) = cuttable_store(TierPolicy::COMPRESS_ALL);
+    let (store, cfg, recorder) = cuttable_store(TierPolicy::COMPRESS_ALL);
     churn(&store, 0);
     let g1 = spilled_gen(&store, 0).expect("key 0 spilled");
     assert!(store.remove(0));
@@ -2380,7 +2347,7 @@ fn a_tombstone_outlives_two_cleanings_while_an_older_copy_is_listed() {
     let on_file: Vec<u64> = (1..=60)
         .filter(|&k| store.peek_tier(k) == Some(HitTier::Spill))
         .collect();
-    let store = cut_and_reopen(store, cfg, &disk, &injector, &on_file);
+    let store = cut_and_reopen(store, cfg, &recorder, &on_file);
     assert!(
         !store.get(0, &mut vec![0u8; 4096]).unwrap(),
         "the removed key came back"
@@ -2397,7 +2364,7 @@ fn a_tombstone_outlives_two_cleanings_while_an_older_copy_is_listed() {
 fn a_promoted_extent_never_lets_a_removed_generation_back() {
     // Every page starts warm, and every second hit is promoted when the
     // budget has room for it.
-    let (store, cfg, disk, injector) = cuttable_store(TierPolicy {
+    let (store, cfg, recorder) = cuttable_store(TierPolicy {
         rejects_hot: false,
         promote_window: u64::MAX,
         max_promote_pressure_pct: 100,
@@ -2442,7 +2409,7 @@ fn a_promoted_extent_never_lets_a_removed_generation_back() {
     let on_file: Vec<u64> = (1..=60)
         .filter(|&k| store.peek_tier(k) == Some(HitTier::Spill))
         .collect();
-    let store = cut_and_reopen(store, cfg, &disk, &injector, &on_file);
+    let store = cut_and_reopen(store, cfg, &recorder, &on_file);
     let hit = store.get(0, &mut out).unwrap();
     assert!(!(hit && out == v1), "the removed generation came back");
 }

@@ -12,11 +12,11 @@ use std::time::Instant;
 
 use super::config::INFLIGHT_SHARE;
 use super::core::{Progress, StoreCore};
-use super::shard::{probe_code, probe_hint, Entry, Residence, Scratch, Set, Shard, SCRATCH};
+use super::shard::{Entry, Residence, Scratch, Set, Shard, SCRATCH};
 use super::stats::{top, tstat};
 #[cfg(doc)]
 use super::CompressedStore;
-use cc_compress::{CodecId, Route, Selection};
+use cc_compress::{CodecId, Route, Selection, ThresholdPolicy};
 use cc_telemetry::trace::{sop, tier as strier, TraceCtx};
 
 impl StoreCore {
@@ -119,7 +119,7 @@ impl StoreCore {
         let Some(e) = shard.entries.get(&key) else {
             return DemoteOutcome::Kept;
         };
-        let route = probe_hint(e.probe);
+        let route = e.probe;
         let Residence::Hot { data, slot } = &e.residence else {
             return DemoteOutcome::Kept;
         };
@@ -130,7 +130,7 @@ impl StoreCore {
         // background path.
         let sel = SCRATCH.with(|c| {
             let Scratch { codecs, demote, .. } = &mut *c.borrow_mut();
-            let (policy, threshold) = (self.cfg.codec_policy, self.cfg.threshold);
+            let (policy, threshold) = (self.cfg.codec_policy, ThresholdPolicy::default());
             let mut compress =
                 |hint| codecs.compress_with_hint(policy, threshold, data, demote, hint);
             // The route the put took is a pure function of bytes, policy
@@ -344,7 +344,7 @@ impl StoreCore {
         let sel = SCRATCH.with(|c| {
             c.borrow_mut().codecs.compress_with_hint(
                 self.cfg.codec_policy,
-                self.cfg.threshold,
+                ThresholdPolicy::default(),
                 &job.raw,
                 &mut job.out,
                 Some(Route::Lz),
@@ -419,7 +419,7 @@ impl StoreCore {
             Some((sel, _)) if hot => {
                 let slot = shard.enlist(Set::Hot, key);
                 let e = shard.entries.get_mut(&key).expect("checked above");
-                e.probe = probe_code(Some(sel.route()));
+                e.probe = Some(sel.route());
                 e.residence = Residence::Hot {
                     data: job.raw[..].into(),
                     slot,
@@ -428,7 +428,7 @@ impl StoreCore {
             Some((sel, _)) => {
                 let slot = shard.enlist(Set::Warm, key);
                 let e = shard.entries.get_mut(&key).expect("checked above");
-                e.probe = probe_code(Some(sel.route()));
+                e.probe = Some(sel.route());
                 e.codec = sel.codec.as_u8();
                 e.residence = Residence::Memory {
                     data: job.out[..sel.len].into(),
@@ -480,7 +480,7 @@ impl SealJob {
         SCRATCH.with(|c| {
             c.borrow_mut().codecs.compress_with_hint(
                 core.cfg.codec_policy,
-                core.cfg.threshold,
+                ThresholdPolicy::default(),
                 page,
                 &mut out,
                 Some(Route::Raw),

@@ -17,21 +17,22 @@
 //!    superblock; reopening skips extent verification entirely and
 //!    still recovers everything.
 //!
-//! Crashes are injected with [`CrashSwitch`]: a byte-position cut in the
-//! spill file's write stream, so "the machine died at byte N of its
-//! cumulative write stream" is a deterministic, replayable fault —
-//! optionally with the torn sector scribbled.
+//! Each schedule runs the store once, over a [`RecordingMedium`] that
+//! logs its write stream. A crash is an image built from that log after
+//! the run: [`RecordingMedium::replay`] writes its prefix up to byte N —
+//! a barrier, one torn byte past it, any byte, an ordering edge of
+//! cleaning, or the whole log — onto a fresh medium, optionally with the
+//! torn sector scribbled, and the store reopens from it.
 
 mod support;
 
-use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, MemMedium, SpillMedium};
-use cc_core::persist::{decode_summary, read_superblock, Superblock, SUMMARY_HEAD};
+use cc_core::medium::{FileMedium, MemMedium, Recorded, RecordingMedium, SpillMedium};
+use cc_core::persist::{decode_summary, read_superblock, SUMMARY_HEAD};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::TierPolicy;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 use support::model::{self, Arm, Class::Noise, Mix, Mode, Model, Op, Unchecked};
 use support::TempPath;
@@ -67,26 +68,34 @@ fn put(schedule: &mut Vec<Op>, key: u64) {
     });
 }
 
-/// When (and whether) the power dies during a trial.
-#[derive(Debug, Clone, Copy)]
-enum Crash {
-    /// Run to completion and shut down in order (clean seal).
-    None,
-    /// Run to completion but just drop the store (unclean, complete).
+/// How a trial's run ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum End {
+    /// An orderly `shutdown()` (clean seal).
+    Shutdown,
+    /// The store is just dropped.
     Drop,
-    /// Hard cut exactly at barrier `i`'s byte position.
-    AtBarrier(usize),
-    /// Arm the cut `delta` bytes past barrier `i`: the next write is
-    /// torn mid-flight (and the torn sector scribbled when `tear`).
-    ArmedAfterBarrier {
+}
+
+/// Where the power dies in a trial's write log.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    /// Nothing is lost: the image is the whole log.
+    Whole,
+    /// Exactly at barrier `i`'s byte position.
+    Barrier(usize),
+    /// `delta` bytes past barrier `i`: the next write is torn mid-flight
+    /// (and the torn sector scribbled when `tear`).
+    AfterBarrier {
         barrier: usize,
         delta: u64,
         tear: bool,
     },
-    /// Arm the cut at an absolute byte position before the run starts.
-    ArmedAt { at: u64, tear: bool },
-    /// Cut at an ordering edge of the first cleaning step.
-    AtEdge(Edge),
+    /// At an absolute byte of the stream.
+    At { at: u64, tear: bool },
+    /// Just past the write that completes an ordering edge of the first
+    /// cleaning.
+    Edge(Edge),
 }
 
 /// The ordering edges of cleaning a segment on a persistent store, in
@@ -104,93 +113,60 @@ enum Edge {
     Reused,
 }
 
-/// Cuts the power at an [`Edge`] of the first cleaning. It reads the
-/// batch summaries as they go by: they say where each `(key,
-/// generation)` lives, the first batch naming one a second time is a
-/// relocation, the homes it leaves are the victim's extents, a blank
-/// summary head written over their segment is the invalidation, and the
-/// first later write over one of them is the reuse.
-struct EdgeTap {
-    edge: Edge,
-    switch: Arc<CrashSwitch>,
-    state: Mutex<TapState>,
-}
-
-#[derive(Default)]
-struct TapState {
-    /// `(key, generation)` → `(offset, len)` of every extent written.
-    homes: HashMap<(u64, u64), (u64, u64)>,
-    /// The homes the first relocation batch vacated.
-    vacated: Vec<(u64, u64)>,
-    /// The victim's first summary has been invalidated.
-    invalidated: bool,
-    /// Stream position of the cut, once made.
-    cut_at: Option<u64>,
-}
-
-impl EdgeTap {
-    /// Called after each write lands on the file `sb` describes;
-    /// returns whether to cut the power here.
-    fn observe(&self, data: &[u8], offset: u64, sb: &Superblock) -> bool {
-        let mut st = self.state.lock().unwrap();
-        if st.cut_at.is_some() {
-            return false;
-        }
-        let (a, b) = (offset, offset + data.len() as u64);
-        if st.invalidated {
-            return self.edge == Edge::Reused
-                && st.vacated.iter().any(|&(o, l)| a < o + l && o < b);
-        }
-        if !st.vacated.is_empty() {
-            let seg = sb.seg_bytes;
-            st.invalidated = data == [0u8; SUMMARY_HEAD]
-                && st.vacated.iter().any(|&(o, _)| (a..a + seg).contains(&o));
-            return st.invalidated && self.edge == Edge::Invalidated;
-        }
-        let Some(summary) = decode_summary(data, data.len() as u64, sb) else {
-            return false;
+/// The stream position just past the write that reaches `edge` of the
+/// first cleaning in `log`, if the run reached it. Each write is read
+/// against the superblock the file held right after it: the batch
+/// summaries say where each `(key, generation)` lives, the first batch
+/// naming one a second time is a relocation, the homes it leaves are the
+/// victim's extents, a blank summary head written over their segment is
+/// the invalidation, and the first later write over one of them is the
+/// reuse.
+fn edge_cut(log: &RecordingMedium, edge: Edge) -> Option<u64> {
+    let file = MemMedium::new();
+    let mut at = 0;
+    // `(key, generation)` → `(offset, len)` of every extent written.
+    let mut homes = HashMap::new();
+    // The homes the first relocation batch vacated.
+    let mut vacated: Vec<(u64, u64)> = Vec::new();
+    let mut invalidated = false;
+    for op in log.ops() {
+        let (offset, data) = match op {
+            Recorded::Write { offset, data } => (offset, data),
+            Recorded::SetLen(len) => {
+                file.set_len(len).unwrap();
+                continue;
+            }
+            Recorded::Flush => continue,
         };
-        let mut moved = Vec::new();
-        for r in summary.records.iter().filter(|r| !r.is_tombstone()) {
-            let home = (offset + r.rel as u64, r.len as u64);
-            if let Some(old) = st.homes.insert((r.key, r.gen), home) {
-                moved.push(old);
+        file.write_at(&data, offset).unwrap();
+        at += data.len() as u64;
+        let Some(sb) = read_superblock(&file) else {
+            continue;
+        };
+        let (a, b) = (offset, offset + data.len() as u64);
+        if invalidated {
+            if edge == Edge::Reused && vacated.iter().any(|&(o, l)| a < o + l && o < b) {
+                return Some(at);
+            }
+        } else if !vacated.is_empty() {
+            invalidated = data == [0u8; SUMMARY_HEAD]
+                && vacated
+                    .iter()
+                    .any(|&(o, _)| (a..a + sb.seg_bytes).contains(&o));
+            if invalidated && edge == Edge::Invalidated {
+                return Some(at);
+            }
+        } else if let Some(summary) = decode_summary(&data, data.len() as u64, &sb) {
+            for r in summary.records.iter().filter(|r| !r.is_tombstone()) {
+                let home = (offset + r.rel as u64, r.len as u64);
+                vacated.extend(homes.insert((r.key, r.gen), home));
+            }
+            if !vacated.is_empty() && edge == Edge::Relocated {
+                return Some(at);
             }
         }
-        st.vacated = moved;
-        !st.vacated.is_empty() && self.edge == Edge::Relocated
     }
-
-    fn cut(&self) {
-        self.switch.cut_now();
-        self.state.lock().unwrap().cut_at = Some(self.switch.bytes_written());
-    }
-}
-
-/// A medium that shows every write to an [`EdgeTap`] once it has landed.
-struct Tapped {
-    inner: Arc<dyn SpillMedium>,
-    tap: Arc<EdgeTap>,
-}
-
-impl SpillMedium for Tapped {
-    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        self.inner.read_at(buf, offset)
-    }
-    fn write_at(&self, data: &[u8], offset: u64) -> io::Result<()> {
-        let res = self.inner.write_at(data, offset);
-        let sb = read_superblock(&*self.inner);
-        if sb.is_some_and(|sb| self.tap.observe(data, offset, &sb)) {
-            self.tap.cut();
-        }
-        res
-    }
-    fn flush(&self) -> io::Result<()> {
-        self.inner.flush()
-    }
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
-    }
+    None
 }
 
 /// What the store had provably made durable at one barrier.
@@ -210,89 +186,64 @@ struct Barrier {
 }
 
 struct Outcome {
-    /// The in-memory medium (left empty by a trial on a real file).
-    data: MemMedium,
+    /// Every write, flush and truncation the store made.
+    log: Arc<RecordingMedium>,
     barriers: Vec<Barrier>,
-    cut_at: u64,
     /// The model the schedule ran against: every version ever put per
     /// key (the never-garbage set), and the keys whose final state is
     /// "removed".
     model: Model,
-    final_bytes: u64,
-    /// Stats of the crashed/finished store itself (pre-reopen).
+    /// Stats of the finished store itself (pre-reopen).
     run_stats: cc_core::StoreStats,
 }
 
-/// Run `schedule` against a fresh store behind a [`CrashSwitch`],
-/// injecting `crash`: over the real file at the config's spill path if
-/// it names one, else over an in-memory medium. The schedule runs on the
-/// model barrier by barrier; at each one the checker runs, the model's
-/// snapshot says what must be served, and the power may be cut there or
-/// armed to die a little later.
-fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
-    let data_mem = MemMedium::new();
-    let (crash_after_bytes, crash_tear) = match crash {
-        Crash::ArmedAt { at, tear } => (Some(at), tear),
-        _ => (None, false),
-    };
-    let plan = FaultPlan {
-        crash_after_bytes,
-        crash_tear,
-        ..FaultPlan::quiet()
-    };
-    let (switch, injector): (_, Arc<dyn SpillMedium>) = match &config.spill_path {
-        Some(path) => {
-            let file = FaultInjector::new(
-                FileMedium::create(path).expect("create the spill file"),
-                plan,
-            );
-            (Arc::clone(file.switch()), Arc::new(file))
+impl Outcome {
+    /// The byte of the log `cut` falls at, and whether it tears.
+    fn resolve(&self, cut: Cut) -> (u64, bool) {
+        match cut {
+            Cut::Whole => (u64::MAX, false),
+            Cut::Barrier(i) => (self.barriers[i].bytes, false),
+            Cut::AfterBarrier {
+                barrier,
+                delta,
+                tear,
+            } => (self.barriers[barrier].bytes + delta, tear),
+            Cut::At { at, tear } => (at, tear),
+            Cut::Edge(edge) => match edge_cut(&self.log, edge) {
+                Some(at) => (at, false),
+                None => panic!("the run never reached {edge:?}"),
+            },
         }
-        None => {
-            let mem = FaultInjector::new(data_mem.share(), plan);
-            (Arc::clone(mem.switch()), Arc::new(mem))
-        }
-    };
-    let tap = match crash {
-        Crash::AtEdge(edge) => Some(Arc::new(EdgeTap {
-            edge,
-            switch: Arc::clone(&switch),
-            state: Mutex::default(),
-        })),
-        _ => None,
-    };
-    let data: Arc<dyn SpillMedium> = match &tap {
-        Some(tap) => Arc::new(Tapped {
-            inner: injector,
-            tap: Arc::clone(tap),
-        }),
-        None => injector,
-    };
-    let store = CompressedStore::with_medium(config.clone(), data);
+    }
+}
 
-    let arm = Arm::store("compress-all", "adaptive", "crash-switch");
+/// Run `schedule` once against a fresh store over a [`RecordingMedium`]:
+/// over the real file at the config's spill path if it names one, else
+/// over an in-memory medium. The schedule runs on the model barrier by
+/// barrier; at each one the checker runs, the model's snapshot says what
+/// must be served, and the log's position is the barrier's byte.
+fn run_trial(schedule: &[Op], config: &StoreConfig, end: End) -> Outcome {
+    let log = Arc::new(match &config.spill_path {
+        Some(path) => {
+            RecordingMedium::new(FileMedium::create(path).expect("create the spill file"))
+        }
+        None => RecordingMedium::new(MemMedium::new()),
+    });
+    let store = CompressedStore::with_medium(config.clone(), Arc::clone(&log) as _);
+
+    let arm = Arm::store("compress-all", "adaptive", "recorded");
     let mut model = Model::new(Mode::Exact, PAGE);
     let mut barriers = Vec::new();
-    let mut cut_at = u64::MAX;
     for (barrier, ops) in schedule.split_inclusive(|op| *op == Op::Flush).enumerate() {
-        let seed = format!("{crash:?}, the ops up to barrier {barrier}");
+        let seed = format!("the ops up to barrier {barrier}");
         let ran = model.run(&mut Unchecked(&store), ops, &arm, &seed);
         ran.unwrap_or_else(|e| panic!("{e}"));
         let Some(durable) = model.durable.get(barrier) else {
             break; // ops past the last barrier
         };
-        // Past the cut the medium silently drops writes, so the file no
-        // longer holds what the store wrote: only the read-back of the
-        // file may fail then.
-        let checked = store.check_invariants();
-        let lost = switch.is_cut()
-            && checked
-                .as_ref()
-                .is_err_and(|e| e.starts_with("on the file"));
-        assert!(checked.is_ok() || lost, "at barrier {barrier}: {checked:?}");
-        let bytes = switch.bytes_written();
+        assert_eq!(store.check_invariants(), Ok(()), "at barrier {barrier}");
         barriers.push(Barrier {
-            bytes,
+            bytes: log.position(),
             must_serve: (durable.held.iter())
                 .filter(|&(&k, _)| store.peek_tier(k) == Some(HitTier::Spill))
                 .map(|(&k, &(v, _))| (k, v))
@@ -300,21 +251,6 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
             must_miss: durable.removed.iter().copied().collect(),
             touched_later: HashSet::new(),
         });
-        match crash {
-            Crash::AtBarrier(i) if i == barrier => {
-                switch.cut_now();
-                cut_at = bytes;
-            }
-            Crash::ArmedAfterBarrier {
-                barrier: i,
-                delta,
-                tear,
-            } if i == barrier => {
-                switch.arm(bytes + delta, tear);
-                cut_at = bytes + delta;
-            }
-            _ => {}
-        }
     }
     // Backfill `touched_later`: walk the schedule once more, noting for
     // each barrier which keys any later op touches.
@@ -332,43 +268,44 @@ fn run_trial(schedule: &[Op], config: &StoreConfig, crash: Crash) -> Outcome {
             _ => {}
         }
     }
-    if let Crash::ArmedAt { at, .. } = crash {
-        cut_at = at;
-    }
-    if let Some(at) = tap.as_ref().and_then(|t| t.state.lock().unwrap().cut_at) {
-        cut_at = at;
-    }
-    if matches!(crash, Crash::None) {
+    if end == End::Shutdown {
         store.shutdown();
     }
-    let final_bytes = switch.bytes_written();
     let run_stats = store.stats();
     drop(store);
     Outcome {
-        data: data_mem,
+        log,
         barriers,
-        cut_at,
         model,
-        final_bytes,
         run_stats,
     }
 }
 
-/// Reopen the trial's media and check the recovery contract.
-fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
+/// Replay the trial's log up to `cut` onto a fresh medium — the spill
+/// path's file if the config names one, else memory — reopen the store
+/// from it and check the recovery contract.
+fn verify(o: &mut Outcome, config: &StoreConfig, cut: Cut) -> cc_core::StoreStats {
+    let (cut_at, tear) = o.resolve(cut);
     let config = config.clone().with_gc_dead_ratio(f64::MAX);
-    let reopened = match config.spill_path {
-        Some(_) => CompressedStore::open_existing(config),
-        None => CompressedStore::open_existing_with_media(
-            config,
-            Arc::new(o.data.share()) as Arc<dyn SpillMedium>,
-        ),
+    let reopened = match &config.spill_path {
+        Some(path) => {
+            let file = FileMedium::create(path).expect("create the spill file");
+            o.log
+                .replay(cut_at, tear, &file)
+                .expect("replay onto the file");
+            CompressedStore::open_existing(config)
+        }
+        None => {
+            let disk = MemMedium::new();
+            o.log.replay(cut_at, tear, &disk).expect("replay in memory");
+            CompressedStore::open_existing_with_media(config, Arc::new(disk))
+        }
     }
     .expect("recovery must succeed whenever a superblock slot survives");
     // The recovered location map is a consistent one: no two extents
     // overlap, none lies past the segments' end, and every one verifies
     // and is named by a summary in its segment.
-    assert_eq!(reopened.check_invariants(), Ok(()), "cut at {}", o.cut_at);
+    assert_eq!(reopened.check_invariants(), Ok(()), "{cut:?} at {cut_at}");
     let stats = reopened.stats();
     let mut out = vec![0u8; PAGE];
 
@@ -378,8 +315,7 @@ fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
         if reopened.get(k, &mut out).expect("recovered get") {
             assert!(
                 o.model.version_of(k, &out).is_some(),
-                "key {k}: served bytes match no version ever put (cut at {})",
-                o.cut_at
+                "key {k}: served bytes match no version ever put ({cut:?} at {cut_at})"
             );
         }
     }
@@ -390,8 +326,8 @@ fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
     // have made later records durable, so keys the schedule touches
     // again after the barrier are exempt from the barrier's verdict
     // (never-garbage above still binds them).
-    if let Some(barrier) = o.barriers.iter().rev().find(|b| b.bytes <= o.cut_at) {
-        let exact = o.cut_at <= barrier.bytes + 1;
+    if let Some(barrier) = o.barriers.iter().rev().find(|b| b.bytes <= cut_at) {
+        let exact = cut_at <= barrier.bytes + 1;
         for &(k, v) in &barrier.must_serve {
             if !exact && barrier.touched_later.contains(&k) {
                 continue;
@@ -401,13 +337,11 @@ fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
             assert_eq!(
                 reopened.peek_tier(k),
                 Some(HitTier::Spill),
-                "durable key {k} not recovered to the spill tier (cut at {})",
-                o.cut_at
+                "durable key {k} not recovered to the spill tier ({cut:?} at {cut_at})"
             );
             assert!(
                 reopened.get(k, &mut out).expect("recovered get"),
-                "durable key {k} lost (cut at {})",
-                o.cut_at
+                "durable key {k} lost ({cut:?} at {cut_at})"
             );
             // Ops between the barrier and the cut may have written a
             // newer version; the served one must be >= the barrier's.
@@ -417,8 +351,7 @@ fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
                 .expect("never-garbage already checked");
             assert!(
                 served >= v,
-                "durable key {k} regressed from v{v} to v{served} (cut at {})",
-                o.cut_at
+                "durable key {k} regressed from v{v} to v{served} ({cut:?} at {cut_at})"
             );
             if exact {
                 // At the barrier itself (or one torn byte past it)
@@ -431,8 +364,7 @@ fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
         }) {
             assert!(
                 !reopened.get(*k, &mut out).expect("recovered get"),
-                "removed key {k} resurrected (cut at {})",
-                o.cut_at
+                "removed key {k} resurrected ({cut:?} at {cut_at})"
             );
         }
         // The keys the barrier's verdict binds: a deeper cut may have
@@ -447,7 +379,7 @@ fn verify(o: &mut Outcome, config: &StoreConfig) -> cc_core::StoreStats {
         );
     }
     reopened.flush().expect("recovered flush");
-    assert_eq!(reopened.check_invariants(), Ok(()), "cut at {}", o.cut_at);
+    assert_eq!(reopened.check_invariants(), Ok(()), "{cut:?} at {cut_at}");
     stats
 }
 
@@ -487,23 +419,19 @@ fn matrix_schedule() -> Vec<Op> {
 fn kill_at_every_batch_boundary_recovers_durable_entries() {
     let schedule = matrix_schedule();
     let barriers = schedule.iter().filter(|op| matches!(op, Op::Flush)).count();
+    let mut o = run_trial(&schedule, &matrix_cfg(), End::Drop);
     let mut replayed_total = 0;
     for i in 0..barriers {
-        let mut o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(i));
-        let stats = verify(&mut o, &matrix_cfg());
+        let stats = verify(&mut o, &matrix_cfg(), Cut::Barrier(i));
         replayed_total += stats.summary_records_replayed;
         assert_eq!(stats.clean_recoveries, 0, "cut run must not look clean");
 
-        let mut o = run_trial(
-            &schedule,
-            &matrix_cfg(),
-            Crash::ArmedAfterBarrier {
-                barrier: i,
-                delta: 1,
-                tear: true,
-            },
-        );
-        verify(&mut o, &matrix_cfg());
+        let torn = Cut::AfterBarrier {
+            barrier: i,
+            delta: 1,
+            tear: true,
+        };
+        verify(&mut o, &matrix_cfg(), torn);
     }
     assert!(replayed_total > 0, "matrix never replayed a summary");
 }
@@ -514,8 +442,8 @@ fn kill_at_every_batch_boundary_recovers_durable_entries() {
 fn stale_generations_are_dropped_and_counted() {
     let schedule = matrix_schedule();
     // Cut at the last barrier: both overwrite waves durable.
-    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
-    let stats = verify(&mut o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), End::Drop);
+    let stats = verify(&mut o, &matrix_cfg(), Cut::Barrier(4));
     assert!(
         stats.stale_generation_dropped >= 1,
         "overwrites + a tombstoned re-put must supersede summary records"
@@ -529,8 +457,8 @@ fn stale_generations_are_dropped_and_counted() {
 #[test]
 fn clean_shutdown_reopen_skips_extent_scan() {
     let schedule = matrix_schedule();
-    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::None);
-    let stats = verify(&mut o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), End::Shutdown);
+    let stats = verify(&mut o, &matrix_cfg(), Cut::Whole);
     assert_eq!(stats.clean_recoveries, 1, "seal not honoured");
     assert_eq!(
         stats.recovery_extents_verified, 0,
@@ -545,8 +473,8 @@ fn clean_shutdown_reopen_skips_extent_scan() {
 #[test]
 fn orderly_drop_also_seals_clean() {
     let schedule = matrix_schedule();
-    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::Drop);
-    let stats = verify(&mut o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), End::Drop);
+    let stats = verify(&mut o, &matrix_cfg(), Cut::Whole);
     assert_eq!(stats.clean_recoveries, 1, "drop did not seal");
     assert_eq!(stats.recovery_extents_verified, 0);
     assert!(stats.extents_recovered > 0);
@@ -558,8 +486,8 @@ fn orderly_drop_also_seals_clean() {
 #[test]
 fn unclean_but_complete_media_recover_via_verification() {
     let schedule = matrix_schedule();
-    let mut o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
-    let stats = verify(&mut o, &matrix_cfg());
+    let mut o = run_trial(&schedule, &matrix_cfg(), End::Drop);
+    let stats = verify(&mut o, &matrix_cfg(), Cut::Barrier(4));
     assert_eq!(stats.clean_recoveries, 0);
     assert!(
         stats.recovery_extents_verified >= stats.extents_recovered,
@@ -573,12 +501,11 @@ fn unclean_but_complete_media_recover_via_verification() {
 #[test]
 fn recovered_store_survives_a_second_crash() {
     let schedule = matrix_schedule();
-    let o = run_trial(&schedule, &matrix_cfg(), Crash::AtBarrier(4));
-    let reopened = CompressedStore::open_existing_with_media(
-        matrix_cfg(),
-        Arc::new(o.data.share()) as Arc<dyn SpillMedium>,
-    )
-    .unwrap();
+    let o = run_trial(&schedule, &matrix_cfg(), End::Drop);
+    let disk = MemMedium::new();
+    o.log.replay(o.barriers[4].bytes, false, &disk).unwrap();
+    let reopened =
+        CompressedStore::open_existing_with_media(matrix_cfg(), Arc::new(disk.share())).unwrap();
     // New generation of writes on top of the recovered state.
     for k in 100..108 {
         reopened.put(k, &Noise.page(k, 1, PAGE)).unwrap();
@@ -587,11 +514,7 @@ fn recovered_store_survives_a_second_crash() {
     reopened.shutdown();
     drop(reopened);
 
-    let third = CompressedStore::open_existing_with_media(
-        matrix_cfg(),
-        Arc::new(o.data.share()) as Arc<dyn SpillMedium>,
-    )
-    .unwrap();
+    let third = CompressedStore::open_existing_with_media(matrix_cfg(), Arc::new(disk)).unwrap();
     assert_eq!(third.stats().clean_recoveries, 1);
     let mut out = vec![0u8; PAGE];
     let mut served = 0;
@@ -636,38 +559,26 @@ fn mid_gc_crash_resolves_to_exactly_one_valid_copy() {
     schedule.push(Op::Flush); // 2
     let gc_cfg = gc_cfg();
 
-    // Probe run: learn the write-stream geometry and prove cleaning ran.
-    let mut probe = run_trial(&schedule, &gc_cfg, Crash::Drop);
-    verify(&mut probe, &gc_cfg);
+    let mut o = run_trial(&schedule, &gc_cfg, End::Drop);
+    verify(&mut o, &gc_cfg, Cut::Whole);
     assert!(
-        probe.run_stats.gc_runs >= 2,
+        o.run_stats.gc_runs >= 2,
         "schedule failed to trigger cleaning: {:?}",
-        probe.run_stats
+        o.run_stats
     );
     for edge in [Edge::Relocated, Edge::Invalidated, Edge::Reused] {
-        let mut o = run_trial(&schedule, &gc_cfg, Crash::AtEdge(edge));
-        assert_ne!(o.cut_at, u64::MAX, "the run never reached {edge:?}");
-        verify(&mut o, &gc_cfg);
+        verify(&mut o, &gc_cfg, Cut::Edge(edge));
     }
-    let gc_start = probe.barriers[1].bytes;
-    let total = probe.final_bytes;
+    let gc_start = o.barriers[1].bytes;
+    let total = o.log.position();
     assert!(total > gc_start);
 
-    // Spray cuts across the cleaning region. Each armed run records its
-    // own barriers, so the checks stay sound even if this run's geometry
-    // drifts from the probe's.
+    // Spray cuts across the cleaning region.
     let span = total - gc_start;
     for step in 0..16u64 {
         let at = gc_start + 1 + step * span / 16;
-        let mut o = run_trial(
-            &schedule,
-            &gc_cfg,
-            Crash::ArmedAt {
-                at,
-                tear: step % 2 == 1,
-            },
-        );
-        verify(&mut o, &gc_cfg);
+        let tear = step % 2 == 1;
+        verify(&mut o, &gc_cfg, Cut::At { at, tear });
     }
 }
 
@@ -701,13 +612,13 @@ fn a_cleaned_tombstone_keeps_an_older_copy_dead() {
         spill_path: Some(path.to_path_buf()),
         ..gc_cfg()
     };
-    let mut o = run_trial(&schedule, &config, Crash::AtBarrier(2));
+    let mut o = run_trial(&schedule, &config, End::Drop);
     assert!(
         o.run_stats.gc_runs >= 1,
         "nothing was cleaned: {:?}",
         o.run_stats
     );
-    verify(&mut o, &config);
+    verify(&mut o, &config, Cut::Barrier(2));
 }
 
 /// `mid_gc_crash`'s cleaner: 2 KiB batches, so 64 KiB segments of ~30
@@ -741,16 +652,15 @@ proptest! {
     ) {
         let mut schedule = model::script(seed, len, &MIX);
         schedule.push(Op::Flush); // every schedule ends durable
-        // Probe the total stream length, then cut somewhere inside it —
-        // but never before the initial superblock (first 128 bytes): a
-        // machine that dies before the store finishes *creating* the
-        // file legitimately has nothing to recover. With `cleaning`,
-        // the cut may land in a cleaning step, a free or a reuse.
+        // Cut somewhere inside the run's write stream — but never before
+        // the initial superblock (first 128 bytes): a machine that dies
+        // before the store finishes *creating* the file legitimately has
+        // nothing to recover. With `cleaning`, the cut may land in a
+        // cleaning step, a free or a reuse.
         let config = if cleaning { gc_cfg() } else { cfg(2, f64::MAX) };
-        let probe = run_trial(&schedule, &config, Crash::Drop);
-        let span = probe.final_bytes.max(129) - 128;
+        let mut o = run_trial(&schedule, &config, End::Drop);
+        let span = o.log.position().max(129) - 128;
         let at = 128 + cut_seed % span;
-        let mut o = run_trial(&schedule, &config, Crash::ArmedAt { at, tear });
-        verify(&mut o, &config);
+        verify(&mut o, &config, Cut::At { at, tear });
     }
 }

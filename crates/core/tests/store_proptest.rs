@@ -15,7 +15,7 @@ mod support;
 
 use cc_compress::CodecPolicy;
 use cc_core::medium::{FaultInjector, FaultPlan, MemMedium};
-use cc_core::store::{CompressedStore, StoreConfig};
+use cc_core::store::{CompressedStore, StoreConfig, StoreStats};
 use cc_core::tier::TierPolicy;
 use proptest::prelude::*;
 use std::path::Path;
@@ -107,7 +107,8 @@ const MIX: Mix = Mix {
 /// Seeds per medium; each script runs on all eight policy × codec arms.
 const CASES: u64 = 12;
 
-/// Run `ops` on one arm and check the store at rest after it.
+/// Run `ops` on one arm and check the store at rest after it; the
+/// store's stats at rest.
 fn run_arm(
     medium: Medium,
     demoter: Demoter,
@@ -115,7 +116,7 @@ fn run_arm(
     codec: CodecPolicy,
     ops: &[Op],
     seed: &str,
-) {
+) -> StoreStats {
     let arm = Arm::store(policy, codec.name(), medium.name());
     let path = TempPath::new(&format!("model-{}", medium.name()));
     let mut cfg = medium
@@ -157,6 +158,7 @@ fn run_arm(
         "file unbounded",
     );
     store.shutdown();
+    s
 }
 
 /// The same seeded scripts on every `policies` × `codecs` arm of `medium`.
@@ -236,6 +238,54 @@ fn pinned_script_matches_model() {
             for codec in CodecPolicy::all() {
                 run_arm(medium, Live, policy, codec, PINNED, "pinned");
             }
+        }
+    }
+}
+
+/// A script that makes the cleaner work: ~190 noise pages fill three
+/// segments, removes and overwrites leave the first two mostly dead, and
+/// the puts after them write the batches the cleaning steps run between.
+fn cleaning_script() -> Vec<Op> {
+    let put = |ops: &mut Vec<Op>, key| {
+        let version = ops.len() as u64 + 1;
+        ops.push(Put {
+            key,
+            version,
+            class: Noise,
+        });
+    };
+    let mut ops = Vec::new();
+    for key in 0..192 {
+        put(&mut ops, key);
+    }
+    for key in (0..128).step_by(2) {
+        ops.push(Remove { key });
+    }
+    for key in (1..128).step_by(4) {
+        put(&mut ops, key);
+    }
+    for key in 192..320 {
+        put(&mut ops, key);
+    }
+    ops
+}
+
+/// `gc_churn_matches_model`'s file bound holds whether or not the
+/// cleaner ever runs. On this script it must run on every arm, and
+/// relocate survivors of the segments it takes.
+#[test]
+fn the_cleaner_relocates_survivors() {
+    let ops = cleaning_script();
+    for policy in POLICIES {
+        for codec in CodecPolicy::all() {
+            let s = run_arm(Cleaner, Live, policy, codec, &ops, "cleaning");
+            let ran = s.gc_runs > 0 && s.gc_bytes_relocated > 0;
+            assert!(
+                ran,
+                "{} / {}: the cleaner did not run: {s:?}",
+                policy.0,
+                codec.name()
+            );
         }
     }
 }

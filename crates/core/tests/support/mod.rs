@@ -8,6 +8,9 @@
 #![allow(dead_code)]
 
 pub mod model;
+mod temp_path;
+
+pub use temp_path::TempPath;
 
 use cc_compress::CodecPolicy;
 use cc_core::store::{CompressedStore, StoreConfig};
@@ -15,42 +18,12 @@ use cc_core::tier::TierPolicy;
 use cc_core::StoreStats;
 use cc_telemetry::Snapshot;
 use cc_util::SplitMix64;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub const PAGE: usize = 4096;
-
-/// A spill-file path in the temp dir, named by `tag`, the process id and
-/// a count of the paths made before it in the process (tests of one
-/// binary run at once): removed if it is there when made, and again when
-/// dropped.
-pub struct TempPath(PathBuf);
-
-impl TempPath {
-    pub fn new(tag: &str) -> TempPath {
-        static MADE: AtomicU64 = AtomicU64::new(0);
-        let n = MADE.fetch_add(1, Ordering::Relaxed);
-        let name = format!("cc-test-{tag}-{}-{n}.bin", std::process::id());
-        let path = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_file(&path);
-        TempPath(path)
-    }
-}
-
-impl std::ops::Deref for TempPath {
-    type Target = Path;
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 /// Samples a store's resident gauge as fast as it can, on a thread of
 /// its own, until stopped.

@@ -72,8 +72,9 @@ pub(crate) const WRITE_BACKPRESSURE: usize = 1 << 20;
 /// Hard cap on how long a drain-shutdown waits for started frames.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
 
-/// Where a connection is in its request cycle (observable in tests;
-/// the transitions are the documented state machine).
+/// Where a connection is in its request cycle: the documented state
+/// machine, read off the buffers in tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConnState {
     /// Waiting for (the rest of) an 8-byte frame header.
@@ -99,9 +100,9 @@ pub(crate) enum CloseReason {
     Error,
 }
 
-/// The socket-independent half of a connection: buffers, the parse
-/// cursor, and the state machine. Split out so the frame-walking logic
-/// is unit-testable without a live socket.
+/// The socket-independent half of a connection: buffers and the parse
+/// cursor. Split out so the frame-walking logic is unit-testable
+/// without a live socket.
 pub(crate) struct Wire {
     /// Input read from the socket and not yet parsed.
     rbuf: RecvBuf,
@@ -110,7 +111,6 @@ pub(crate) struct Wire {
     wpos: usize,
     /// Requests executed on this connection.
     requests: u64,
-    state: ConnState,
 }
 
 impl Wire {
@@ -120,13 +120,23 @@ impl Wire {
             wbuf: Vec::new(),
             wpos: 0,
             requests: 0,
-            state: ConnState::ReadHeader,
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Where the connection is in its request cycle, from what its
+    /// buffers hold.
+    #[cfg(test)]
     pub(crate) fn state(&self) -> ConnState {
-        self.state
+        let unparsed = self.rbuf.unparsed().len();
+        if unparsed >= HEADER_LEN {
+            // A complete header is buffered: we are mid-body (either
+            // waiting for bytes or parked behind backpressure).
+            ConnState::ReadBody
+        } else if unparsed == 0 && self.pending_out() > 0 {
+            ConnState::WriteResponse
+        } else {
+            ConnState::ReadHeader
+        }
     }
 
     pub(crate) fn requests(&self) -> u64 {
@@ -177,7 +187,7 @@ impl Wire {
         conn_id: u64,
         scratch: &mut Vec<u8>,
     ) -> Option<CloseReason> {
-        let fail = loop {
+        loop {
             if self.pending_out() > WRITE_BACKPRESSURE {
                 break None;
             }
@@ -242,9 +252,7 @@ impl Wire {
                     break Some(CloseReason::Malformed);
                 }
             }
-        };
-        self.update_state();
-        fail
+        }
     }
 
     /// The peer half-closed its stream. A partial frame left behind is
@@ -265,22 +273,6 @@ impl Wire {
             b.push(Status::Err as u8);
             b.extend_from_slice(msg.as_bytes());
         });
-        self.update_state();
-    }
-
-    fn update_state(&mut self) {
-        let unparsed = self.rbuf.unparsed().len();
-        self.state = if unparsed >= HEADER_LEN {
-            // A complete header is buffered: we are mid-body (either
-            // waiting for bytes or parked behind backpressure).
-            ConnState::ReadBody
-        } else if unparsed > 0 {
-            ConnState::ReadHeader
-        } else if self.pending_out() > 0 {
-            ConnState::WriteResponse
-        } else {
-            ConnState::ReadHeader
-        };
     }
 
     /// Shrink over-grown buffers back to the configured high-water mark

@@ -32,7 +32,6 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -336,8 +335,6 @@ pub enum DumpSink {
     /// Discard automatic dumps (on-demand [`Tracer::dump_json`] still
     /// works).
     Null,
-    /// Write `ccdump-<n>.json` files into this directory.
-    Dir(PathBuf),
     /// Keep dumps in memory — tests and in-process gates read them
     /// back via [`Tracer::dumps`].
     Memory(Mutex<Vec<String>>),
@@ -398,11 +395,6 @@ impl TracerBuilder {
     /// Keep automatic dumps in memory ([`DumpSink::Memory`]).
     pub fn sink_memory(self) -> Self {
         self.sink(DumpSink::Memory(Mutex::new(Vec::new())))
-    }
-
-    /// Write automatic dumps as files into `dir`.
-    pub fn sink_dir(self, dir: impl Into<PathBuf>) -> Self {
-        self.sink(DumpSink::Dir(dir.into()))
     }
 
     /// GC pauses above this trip a [`AnomalyKind::GcPause`] dump.
@@ -492,11 +484,6 @@ impl Tracer {
         TracerBuilder::default()
     }
 
-    /// The configured 1-in-N sampling rate (0 = request sampling off).
-    pub fn sample_rate(&self) -> u64 {
-        self.sample_every
-    }
-
     /// GC pauses above this duration trip an anomaly dump.
     pub fn gc_pause_threshold(&self) -> Duration {
         self.gc_pause_threshold
@@ -574,11 +561,6 @@ impl Tracer {
         out
     }
 
-    /// Spans ever recorded (across stripes, including overwritten).
-    pub fn spans_recorded(&self) -> u64 {
-        self.rings.iter().map(|r| r.recorded()).sum()
-    }
-
     /// Whether any stripe has wrapped (overwritten spans). While
     /// false, [`Tracer::spans`] is the complete record and every
     /// sampled trace must form a closed tree.
@@ -589,7 +571,7 @@ impl Tracer {
     }
 
     /// Record an anomaly and (budget permitting) write an automatic
-    /// flight-recorder dump to the sink.
+    /// flight-recorder dump to the sink; the null sink renders none.
     pub fn anomaly(&self, kind: AnomalyKind, trace_id: u64, a: u64, b: u64) {
         {
             let mut q = self.anomalies.lock().expect("anomaly buffer poisoned");
@@ -613,15 +595,10 @@ impl Tracer {
         {
             return;
         }
-        let json = self.dump_json(kind.name());
-        let n = self.dumps_written.fetch_add(1, Ordering::Relaxed);
-        match &self.sink {
-            DumpSink::Null => {}
-            DumpSink::Dir(dir) => {
-                let _ = std::fs::create_dir_all(dir);
-                let _ = std::fs::write(dir.join(format!("ccdump-{n}.json")), &json);
-            }
-            DumpSink::Memory(v) => v.lock().expect("dump sink poisoned").push(json),
+        self.dumps_written.fetch_add(1, Ordering::Relaxed);
+        if let DumpSink::Memory(v) = &self.sink {
+            let json = self.dump_json(kind.name());
+            v.lock().expect("dump sink poisoned").push(json);
         }
     }
 
