@@ -7,7 +7,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use super::extent::verify_extent;
 use super::gc::Segments;
@@ -24,8 +23,9 @@ use cc_compress::{
     classify, decode_into, expand_same_filled, same_filled_pattern, CodecId, CodecPolicy, Route,
     Selection, ThresholdPolicy,
 };
-use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, Span, TraceCtx};
-use cc_telemetry::Telemetry;
+use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, TraceCtx};
+use cc_telemetry::{OpTimer, Telemetry};
+use cc_util::backoff;
 
 /// Everything the public handle and the background thread share: the
 /// shards, the budget gauge, the inbox, and the spill-file bookkeeping.
@@ -117,21 +117,6 @@ pub(super) struct StoreCore {
     pub(super) persist: Persist,
 }
 
-/// Span bookkeeping for one traced store operation: its span id and
-/// start instant (see [`StoreCore::op_trace`]).
-struct OpTrace {
-    span: u32,
-    t0: Instant,
-}
-
-/// What a store operation reports back for its span: the tier it
-/// resolved to and the codec involved.
-#[derive(Default)]
-struct TraceOut {
-    tier: u8,
-    codec: u8,
-}
-
 /// How one attempt at a cold get ended ([`StoreCore::read_cold`]).
 enum ColdRead {
     /// The page is in the caller's buffer.
@@ -143,6 +128,16 @@ enum ColdRead {
     Failed(StoreError),
 }
 
+/// The histogram of a put's seal by `codec`: none for a stored block,
+/// which is a memcpy, not a codec.
+fn seal_hist(codec: CodecId) -> Option<usize> {
+    match codec {
+        CodecId::Lzrw1 => Some(top::COMPRESS_LZRW1),
+        CodecId::Bdi => Some(top::COMPRESS_BDI),
+        _ => None,
+    }
+}
+
 /// Whether `key`'s entry is spilled at exactly `at` = `(offset, len,
 /// generation)`.
 fn names_extent(shard: &Shard, key: u64, at: (u64, u32, u64)) -> bool {
@@ -150,12 +145,6 @@ fn names_extent(shard: &Shard, key: u64, at: (u64, u32, u64)) -> bool {
         shard.entries.get(&key).map(|e| &e.residence),
         Some(&Residence::Spilled { offset, len, gen }) if (offset, len, gen) == at
     )
-}
-
-/// Backoff before retry `attempt` (1-based): `base << (attempt - 1)`,
-/// capped to keep a misconfigured attempt count from sleeping forever.
-pub(super) fn backoff(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << (attempt - 1).min(10))
 }
 
 impl StoreCore {
@@ -212,132 +201,25 @@ impl StoreCore {
         }
     }
 
-    /// Clock read for one step inside an operation (compress, spill
-    /// read, promotion). The operation's one timing decision
-    /// ([`Telemetry::op_timer`], passed down as `timed`) governs it; a
-    /// traced request also reads the clock for its child span when
-    /// telemetry is off.
-    #[inline]
-    pub(super) fn step_start(timed: bool, ctx: TraceCtx) -> Option<Instant> {
-        (timed || ctx.sampled()).then(Instant::now)
-    }
-
-    /// Record a step started by [`StoreCore::step_start`] on `op`'s
-    /// histogram if the operation is timed.
-    #[inline]
-    pub(super) fn step_end(&self, op: usize, timed: bool, t0: Option<Instant>) {
-        self.tel.record_since(op, t0.filter(|_| timed), 0);
-    }
-
-    /// Start tracing one store operation under a sampled request:
-    /// allocates the operation's span id and stamps its start. `None`
-    /// when the request is unsampled or no tracer is configured —
-    /// callers skip all span work in that case.
-    #[inline]
-    fn op_trace(&self, ctx: TraceCtx) -> Option<OpTrace> {
-        if !ctx.sampled() {
-            return None;
-        }
-        let tr = self.cfg.tracer.as_deref()?;
-        Some(OpTrace {
-            span: tr.alloc_span(),
-            t0: Instant::now(),
-        })
-    }
-
-    /// Record the span opened by [`StoreCore::op_trace`].
-    fn finish_op(&self, ot: OpTrace, ctx: TraceCtx, op: u8, tout: &TraceOut, status: u8, key: u64) {
-        let Some(tr) = self.cfg.tracer.as_deref() else {
-            return;
-        };
-        tr.record(
-            self.shard_index(key),
-            &Span {
-                trace_id: ctx.trace_id,
-                span_id: ot.span,
-                parent: ctx.parent_span,
-                op,
-                tier: tout.tier,
-                codec: tout.codec,
-                status,
-                start_ns: tr.now_ns(ot.t0),
-                queue_ns: 0,
-                service_ns: ot.t0.elapsed().as_nanos() as u64,
-                arg: key,
-            },
-        );
-    }
-
-    /// Record a leaf child span under `ctx` spanning `t0 → now` (no-op
-    /// when unsampled, untimed, or untraced).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn child_span(
-        &self,
-        ctx: TraceCtx,
-        t0: Option<Instant>,
-        op: u8,
-        tier: u8,
-        codec: u8,
-        status: u8,
-        arg: u64,
-        stripe: usize,
-    ) {
-        let (Some(t0), true) = (t0, ctx.sampled()) else {
-            return;
-        };
-        let Some(tr) = self.cfg.tracer.as_deref() else {
-            return;
-        };
-        tr.record(
-            stripe,
-            &Span {
-                trace_id: ctx.trace_id,
-                span_id: tr.alloc_span(),
-                parent: ctx.parent_span,
-                op,
-                tier,
-                codec,
-                status,
-                start_ns: tr.now_ns(t0),
-                queue_ns: 0,
-                service_ns: t0.elapsed().as_nanos() as u64,
-                arg,
-            },
-        );
-    }
-
     /// Store or replace `key`'s page, recording a `store_put` span (and
     /// children) when `ctx` is sampled, then publish the seals the
     /// demoter has finished.
     pub(super) fn put(&self, key: u64, page: &[u8], ctx: TraceCtx) -> Result<(), StoreError> {
-        let res = match self.op_trace(ctx) {
-            None => self.put_inner(key, page, TraceCtx::NONE, &mut TraceOut::default()),
-            Some(ot) => {
-                let mut tout = TraceOut::default();
-                let res = self.put_inner(key, page, ctx.child(ot.span), &mut tout);
-                self.finish_op(ot, ctx, sop::STORE_PUT, &tout, res.is_err() as u8, key);
-                res
-            }
-        };
+        // The op's unique stamp makes its one timing decision.
+        let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+        let op = self.tel.start_op(stamp, self.cfg.tracer.as_deref(), ctx);
+        let res = self.put_inner(key, page, stamp as u32, &op);
+        let (stripe, hist) = (self.shard_index(key), res.is_ok().then_some(top::PUT));
+        op.finish(hist, stripe, sop::STORE_PUT, res.is_err() as u8, key);
         if self.seals_ready.load(Ordering::Relaxed) {
             self.publish_seals(false);
         }
         res
     }
 
-    fn put_inner(
-        &self,
-        key: u64,
-        page: &[u8],
-        ctx: TraceCtx,
-        tout: &mut TraceOut,
-    ) -> Result<(), StoreError> {
-        // The op's unique stamp decides, once, whether it is timed; the
-        // answer is passed down to every clock read below.
-        let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
-        let t0 = self.tel.op_timer(stamp, ctx.sampled());
-        let timed = t0.is_some();
-        let now = stamp as u32;
+    /// The put itself: `now` is its operation stamp, and `op` carries
+    /// its timing down to every step and reports where the page went.
+    fn put_inner(&self, key: u64, page: &[u8], now: u32, op: &OpTimer) -> Result<(), StoreError> {
         // Fix the page size (or reject a mismatch) before compressing.
         match self
             .page_size
@@ -357,8 +239,7 @@ impl StoreCore {
         // compressor, the budget, or the allocator — the pattern *is* the
         // stored form.
         if let Some(pattern) = same_filled_pattern(page) {
-            tout.tier = strier::SAME_FILLED;
-            tout.codec = CodecId::SameFilled.as_u8();
+            op.note(strier::SAME_FILLED, CodecId::SameFilled.as_u8());
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
             self.remove_locked(&mut shard, key);
@@ -376,7 +257,6 @@ impl StoreCore {
             );
             drop(shard);
             self.tel.count(shard_idx, tstat::SAME_FILLED, 1);
-            self.tel.record_since(top::PUT, t0, ctx.trace_id);
             return Ok(());
         }
 
@@ -403,10 +283,8 @@ impl StoreCore {
                         e.gets = 0;
                         e.last_touch = now;
                         drop(shard);
-                        tout.tier = strier::HOT;
-                        tout.codec = CodecId::Raw.as_u8();
+                        op.note(strier::HOT, CodecId::Raw.as_u8());
                         self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
-                        self.tel.record_since(top::PUT, t0, ctx.trace_id);
                         return Ok(());
                     }
                 }
@@ -425,7 +303,7 @@ impl StoreCore {
         // thread, if the store runs its demote step; BDI costs less than
         // the hand-off. `None` until the put seals inline.
         let defer = route.is_none_or(|r| r == Route::Lz) && self.cfg.tier_policy.wants_demoter();
-        let mut sel = (!defer).then(|| self.seal_inline(key, page, route, ctx, timed, tout));
+        let mut sel = (!defer).then(|| self.seal_inline(key, page, route, op));
         let shard_idx = self.shard_index(key);
         let mut shard = self.shard(key);
         self.remove_locked(&mut shard, key);
@@ -454,7 +332,7 @@ impl StoreCore {
             // the way, or the raw page has no room or no job — a deferring
             // put then seals inline, any other yields.
             let wait = if self.reserve_resident(need) {
-                if sel.is_some() || self.defer_seal(&mut entry, key, page, timed) {
+                if sel.is_some() || self.defer_seal(&mut entry, key, page, op) {
                     break;
                 }
                 self.resident.fetch_sub(need, Ordering::Relaxed);
@@ -498,7 +376,7 @@ impl StoreCore {
             drop(shard);
             match (wait, &sel) {
                 (Some(bytes), _) => self.wait_for_writer(bytes, shard_idx),
-                (None, None) => sel = Some(self.seal_inline(key, page, route, ctx, timed, tout)),
+                (None, None) => sel = Some(self.seal_inline(key, page, route, op)),
                 (None, Some(_)) => std::thread::yield_now(),
             }
             shard = self.shard(key);
@@ -508,7 +386,9 @@ impl StoreCore {
         }
         match sel {
             // Deferred: the raw page waits `Sealing` for the seal's publish.
-            None => (tout.tier, tout.codec) = (strier::MEMORY, CodecId::Raw.as_u8()),
+            None => {
+                op.note(strier::MEMORY, CodecId::Raw.as_u8());
+            }
             // One allocation of exactly the stored length, whichever tier.
             Some(sel) => SCRATCH.with(|c| {
                 let compressed = &c.borrow().comp[..sel.len];
@@ -518,7 +398,7 @@ impl StoreCore {
                     // bytes, not the sealed form); the sealed bytes are
                     // discarded (the demoter re-seals along the recorded
                     // route if this page ever ages out).
-                    tout.tier = strier::HOT;
+                    op.note(strier::HOT, sel.codec.as_u8());
                     self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
                     self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
                     entry.residence = Residence::Hot {
@@ -526,7 +406,7 @@ impl StoreCore {
                         slot: shard.enlist(Set::Hot, key),
                     };
                 } else if reserved {
-                    tout.tier = strier::MEMORY;
+                    op.note(strier::MEMORY, sel.codec.as_u8());
                     entry.codec = sel.codec.as_u8();
                     self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
                     entry.residence = Residence::Memory {
@@ -536,15 +416,14 @@ impl StoreCore {
                 } else {
                     // Straight-to-spill path (see above): never resident,
                     // its `len` bytes already counted in flight.
-                    tout.tier = strier::SPILL;
+                    op.note(strier::SPILL, sel.codec.as_u8());
                     entry.codec = sel.codec.as_u8();
-                    self.hand_off(key, &mut entry, compressed.into(), ctx);
+                    self.hand_off(key, &mut entry, compressed.into(), op.ctx());
                 }
             }),
         }
         shard.entries.insert(key, entry);
         drop(shard);
-        self.tel.record_since(top::PUT, t0, ctx.trace_id);
         Ok(())
     }
 
@@ -553,35 +432,23 @@ impl StoreCore {
     /// predicted reject), the threshold then admits or rewrites the
     /// buffer as a stored block; either way the selection names exactly
     /// the codec that sealed what sits in `comp`.
-    fn seal_inline(
-        &self,
-        key: u64,
-        page: &[u8],
-        route: Option<Route>,
-        ctx: TraceCtx,
-        timed: bool,
-        tout: &mut TraceOut,
-    ) -> Selection {
-        let ct0 = Self::step_start(timed, ctx);
+    fn seal_inline(&self, key: u64, page: &[u8], route: Option<Route>, op: &OpTimer) -> Selection {
+        let step = op.step();
         let sel = SCRATCH.with(|c| {
             let s = &mut *c.borrow_mut();
             let (policy, threshold) = (self.cfg.codec_policy, ThresholdPolicy::default());
             s.codecs
                 .compress_with_hint(policy, threshold, page, &mut s.comp, route)
         });
-        let comp_ns = ct0.map(|t| t.elapsed().as_nanos() as u64);
         let (shard_idx, codec) = (self.shard_index(key), sel.codec.as_u8());
-        tout.codec = codec;
-        let status = sel.fell_back as u8;
-        self.child_span(
-            ctx,
-            ct0,
-            sop::COMPRESS,
-            strier::NONE,
-            codec,
-            status,
-            key,
+        op.note(strier::NONE, codec);
+        step.note(strier::NONE, codec);
+        step.finish(
+            seal_hist(sel.codec),
             shard_idx,
+            sop::COMPRESS,
+            sel.fell_back as u8,
+            key,
         );
         if sel.fell_back {
             self.tel.count(shard_idx, tstat::CODEC_FALLBACKS, 1);
@@ -593,13 +460,13 @@ impl StoreCore {
                 self.tel.count(shard_idx, tstat::REJECT_MISPREDICTED, 1);
             }
         }
-        self.count_seal(shard_idx, &sel, page.len(), comp_ns.filter(|_| timed));
+        self.count_seal(shard_idx, &sel, page.len(), None);
         sel
     }
 
     /// Count one put's seal `sel` of a `page_len`-byte page on its
-    /// codec's counters, and `ns` on its histogram when the put is timed
-    /// — inline, or when a deferred seal is published.
+    /// codec's counters — inline, or when a deferred seal is published —
+    /// and a deferred seal's `ns` on its histogram when the put is timed.
     pub(super) fn count_seal(
         &self,
         shard_idx: usize,
@@ -607,18 +474,14 @@ impl StoreCore {
         page_len: usize,
         ns: Option<u64>,
     ) {
-        let (inb, outb, hist) = match sel.codec {
+        let (inb, outb) = match sel.codec {
             CodecId::Lzrw1 => {
                 self.tel.count(shard_idx, tstat::PUTS_LZRW1, 1);
-                (
-                    tstat::LZRW1_IN_BYTES,
-                    tstat::LZRW1_OUT_BYTES,
-                    top::COMPRESS_LZRW1,
-                )
+                (tstat::LZRW1_IN_BYTES, tstat::LZRW1_OUT_BYTES)
             }
             CodecId::Bdi => {
                 self.tel.count(shard_idx, tstat::PUTS_BDI, 1);
-                (tstat::BDI_IN_BYTES, tstat::BDI_OUT_BYTES, top::COMPRESS_BDI)
+                (tstat::BDI_IN_BYTES, tstat::BDI_OUT_BYTES)
             }
             _ => {
                 debug_assert_eq!(sel.codec, CodecId::Raw, "unexpected put codec");
@@ -629,7 +492,7 @@ impl StoreCore {
         self.tel.count(shard_idx, tstat::COMPRESSED, 1);
         self.tel.count(shard_idx, inb, page_len as u64);
         self.tel.count(shard_idx, outb, sel.len as u64);
-        if let Some(ns) = ns {
+        if let (Some(ns), Some(hist)) = (ns, seal_hist(sel.codec)) {
             self.tel.record(hist, ns);
         }
     }
@@ -652,29 +515,22 @@ impl StoreCore {
         out: &mut [u8],
         ctx: TraceCtx,
     ) -> Result<Option<HitTier>, StoreError> {
-        match self.op_trace(ctx) {
-            None => self.get_inner(key, out, TraceCtx::NONE, &mut TraceOut::default()),
-            Some(ot) => {
-                let mut tout = TraceOut::default();
-                let res = self.get_inner(key, out, ctx.child(ot.span), &mut tout);
-                self.finish_op(ot, ctx, sop::STORE_GET, &tout, res.is_err() as u8, key);
-                res
-            }
-        }
+        let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+        let op = self.tel.start_op(stamp, self.cfg.tracer.as_deref(), ctx);
+        let res = self.get_inner(key, out, stamp as u32, &op);
+        let stripe = self.shard_index(key);
+        op.finish(None, stripe, sop::STORE_GET, res.is_err() as u8, key);
+        res
     }
 
+    /// The get itself, as [`StoreCore::put_inner`] is the put.
     fn get_inner(
         &self,
         key: u64,
         out: &mut [u8],
-        ctx: TraceCtx,
-        tout: &mut TraceOut,
+        now: u32,
+        op: &OpTimer,
     ) -> Result<Option<HitTier>, StoreError> {
-        // One timing decision per op, as in `put_inner`.
-        let stamp = self.touch_clock.fetch_add(1, Ordering::Relaxed);
-        let t0 = self.tel.op_timer(stamp, ctx.sampled());
-        let timed = t0.is_some();
-        let now = stamp as u32;
         let shard_idx = self.shard_index(key);
         // Transient spill-read failures (I/O errors, corrupt extents)
         // consumed so far by this get; bounded by the retry policy.
@@ -707,24 +563,22 @@ impl StoreCore {
             entry.last_touch = now;
             entry.gets = entry.gets.saturating_add(1);
             let gets = entry.gets as u32;
-            tout.codec = codec;
             match &entry.residence {
                 Residence::Hot { data, .. } => {
-                    tout.tier = strier::HOT;
+                    op.note(strier::HOT, codec);
                     out.copy_from_slice(data);
                     drop(shard);
                     self.tel.count(shard_idx, tstat::HITS_HOT, 1);
-                    self.tel.record_since(top::GET_HOT, t0, ctx.trace_id);
+                    op.record(top::GET_HOT);
                     return Ok(Some(HitTier::Hot));
                 }
                 Residence::SameFilled { pattern } => {
-                    tout.tier = strier::SAME_FILLED;
+                    op.note(strier::SAME_FILLED, codec);
                     let pattern = *pattern;
                     drop(shard);
                     expand_same_filled(out, pattern);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    self.tel
-                        .record_since(top::GET_SAME_FILLED, t0, ctx.trace_id);
+                    op.record(top::GET_SAME_FILLED);
                     return Ok(Some(HitTier::SameFilled));
                 }
                 Residence::Memory { data, .. } => {
@@ -732,7 +586,7 @@ impl StoreCore {
                     // so decompression runs without it.
                     let data = Arc::clone(data);
                     drop(shard);
-                    self.decompress_into(codec, &data, out, timed);
+                    self.decompress_into(codec, &data, out, op);
                 }
                 // A page waiting for its seal is served as a warm hit is,
                 // by a memcpy.
@@ -741,20 +595,20 @@ impl StoreCore {
                     drop(shard);
                 }
                 Residence::Spilling { data, .. } => {
-                    tout.tier = strier::MEMORY;
+                    op.note(strier::MEMORY, codec);
                     let data = Arc::clone(data);
                     drop(shard);
-                    self.decompress_into(codec, &data, out, timed);
+                    self.decompress_into(codec, &data, out, op);
                     self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
+                    op.record(top::GET_MEMORY);
                     return Ok(Some(HitTier::Memory));
                 }
                 Residence::Spilled { offset, len, gen } => {
-                    tout.tier = strier::SPILL;
+                    op.note(strier::SPILL, codec);
                     let (offset, len, gen) = (*offset, *len, *gen);
                     drop(shard);
                     let at = (offset, len, gen);
-                    let failed = match self.read_cold(key, at, codec, out, ctx, timed) {
+                    let failed = match self.read_cold(key, at, codec, out, op) {
                         ColdRead::Served => None,
                         // The entry no longer names this extent (replaced,
                         // or relocated by GC mid-read): look again.
@@ -783,27 +637,27 @@ impl StoreCore {
                         std::thread::sleep(backoff(self.cfg.spill_retry_base, io_attempts));
                         continue;
                     }
-                    self.tel.record_since(top::GET_SPILL, t0, ctx.trace_id);
+                    op.record(top::GET_SPILL);
                     if self
                         .cfg
                         .tier_policy
                         .promote(gets, age, || self.pressure_pct())
                     {
-                        self.try_promote(key, shard_idx, now, strier::SPILL, out, ctx, timed);
+                        self.try_promote(key, now, strier::SPILL, out, op);
                     }
                     return Ok(Some(HitTier::Spill));
                 }
             }
             // A warm hit: `Memory` or `Sealing`.
-            tout.tier = strier::MEMORY;
+            op.note(strier::MEMORY, codec);
             self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-            self.tel.record_since(top::GET_MEMORY, t0, ctx.trace_id);
+            op.record(top::GET_MEMORY);
             if self
                 .cfg
                 .tier_policy
                 .promote(gets, age, || self.pressure_pct())
             {
-                self.try_promote(key, shard_idx, now, strier::MEMORY, out, ctx, timed);
+                self.try_promote(key, now, strier::MEMORY, out, op);
             }
             return Ok(Some(HitTier::Memory));
         }
@@ -819,33 +673,23 @@ impl StoreCore {
         at: (u64, u32, u64),
         codec: u8,
         out: &mut [u8],
-        ctx: TraceCtx,
-        timed: bool,
+        op: &OpTimer,
     ) -> ColdRead {
         let (offset, len, gen) = at;
         let shard_idx = self.shard_index(key);
-        let spill_read_span = |rt0, status| {
-            self.child_span(
-                ctx,
-                rt0,
-                sop::SPILL_READ,
-                strier::SPILL,
-                codec,
-                status,
-                offset,
-                shard_idx,
-            )
-        };
         SCRATCH.with(|c| {
             let mut scratch = c.borrow_mut();
             let ext = stage_slot(&mut scratch.stage, len as usize);
-            let rt0 = Self::step_start(timed, ctx);
+            let read = op.step();
+            read.note(strier::SPILL, codec);
+            let spill_read_span =
+                |status| read.finish(None, shard_idx, sop::SPILL_READ, status, offset);
             let io = self
                 .medium
                 .as_ref()
                 .expect("spilled entry without spill medium")
                 .read_at(ext, offset);
-            self.step_end(top::SPILL_READ, timed, rt0);
+            read.record(top::SPILL_READ);
             // Validate after the read: if the entry still names this
             // exact extent, the cleaner cannot have clobbered it (it
             // republishes an extent, under this shard's lock, before any
@@ -858,46 +702,46 @@ impl StoreCore {
                 return ColdRead::Moved;
             }
             if let Err(e) = io {
-                spill_read_span(rt0, 1);
+                spill_read_span(1);
                 return ColdRead::Failed(e.into());
             }
             // Verify AFTER revalidation: a torn read caused by a
             // legitimate GC relocation returned `Moved` above and never
             // reaches here, so a failure now is real corruption — count
             // it, never decompress it.
-            let vt0 = Self::step_start(timed, ctx);
+            let verify = op.step();
             let payload = verify_extent(ext, gen, codec);
-            self.step_end(top::SPILL_VERIFY, timed, vt0);
+            verify.record(top::SPILL_VERIFY);
             let Some(payload) = payload else {
                 self.tel.count(shard_idx, tstat::CORRUPT_DETECTED, 1);
-                spill_read_span(rt0, 2);
+                spill_read_span(2);
                 if let Some(tr) = self.cfg.tracer.as_deref() {
-                    tr.anomaly(AnomalyKind::Corrupt, ctx.trace_id, key, offset);
+                    tr.anomaly(AnomalyKind::Corrupt, op.ctx().trace_id, key, offset);
                 }
                 return ColdRead::Failed(StoreError::Corrupt);
             };
-            spill_read_span(rt0, 0);
+            spill_read_span(0);
             self.tel.count(shard_idx, tstat::HITS_SPILL, 1);
-            self.decompress_into(codec, payload, out, timed);
+            self.decompress_into(codec, payload, out, op);
             ColdRead::Served
         })
     }
 
     /// Decode `data`, sealed by the entry's recorded codec id, straight
-    /// into `out`; a `timed` get records the decode on the per-codec
+    /// into `out`; a timed get records the decode on the per-codec
     /// histogram.
-    fn decompress_into(&self, codec: u8, data: &[u8], out: &mut [u8], timed: bool) {
+    fn decompress_into(&self, codec: u8, data: &[u8], out: &mut [u8], op: &OpTimer) {
         let id = CodecId::from_u8(codec).expect("unknown codec id in entry");
-        let t0 = timed.then(Instant::now);
+        let step = op.step();
         decode_into(id, data, out).expect("corrupt page in store");
         // Raw blocks are a memcpy, not a codec — they are excluded so the
         // per-codec histograms measure real decode work.
-        let op = match id {
+        let hist = match id {
             CodecId::Bdi => top::DECOMPRESS_BDI,
             CodecId::Lzrw1 => top::DECOMPRESS_LZRW1,
             _ => return,
         };
-        self.tel.record_since(op, t0, 0);
+        step.record(hist);
     }
 
     /// Persistence hook for every path that removes (or supersedes) an

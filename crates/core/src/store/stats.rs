@@ -64,8 +64,8 @@ pub(super) mod tstat {
 
 /// Timed-operation indices (one lock-free latency histogram each).
 ///
-/// Foreground ops (everything a put or get times) are fed by
-/// [`Telemetry::op_timer`]: 1 operation in
+/// Foreground ops (everything a put or get times) are fed by the op's
+/// [`cc_telemetry::OpTimer`], timed by [`Telemetry::op_timer`]'s rule: 1 operation in
 /// [`cc_telemetry::LATENCY_SAMPLE_PERIOD`], traced requests always, so
 /// their `count` is a number of *samples* — the op totals are the
 /// `hits_*`/`puts_*` counters — and their `max` the largest sampled or

@@ -957,6 +957,106 @@ fn telemetry_disabled_keeps_stats_exact() {
     assert_eq!(snap.counter("compressed"), Some(16), "counters stay live");
 }
 
+/// The timing contract of one op, crossed: telemetry {on, off} ×
+/// {traced, untraced} on put, warm get and cold get. A traced op records
+/// its whole span tree — `store_put` over `compress`, `store_get` over
+/// `spill_read` when cold — with telemetry on or off, and is timed iff
+/// telemetry is on; an untraced op records no span and is timed at the
+/// hashed rate, never with telemetry off.
+#[test]
+fn traced_ops_span_whatever_telemetry_and_untraced_ops_sample() {
+    use super::stats::top;
+    use cc_telemetry::trace::{orphan_spans, sop, TraceCtx};
+    use cc_telemetry::LATENCY_SAMPLE_PERIOD;
+    const KEYS: u64 = 256;
+    for telemetry in [true, false] {
+        for traced in [true, false] {
+            let arm = format!("telemetry {telemetry}, traced {traced}");
+            let path = TempPath::new("timing-contract");
+            let tracer = Arc::new(Tracer::builder().sample_every(1).build());
+            // Flat policy: every put seals inline and no get promotes.
+            let store = CompressedStore::new(
+                StoreConfig::with_spill(16 * 1024, &*path)
+                    .with_tier_policy(TierPolicy::COMPRESS_ALL)
+                    .with_telemetry(telemetry)
+                    .with_tracer(Arc::clone(&tracer)),
+            );
+            let ctx = || {
+                if traced {
+                    tracer.sample()
+                } else {
+                    TraceCtx::NONE
+                }
+            };
+            for k in 0..KEYS {
+                store.put_traced(k, &page(k as u8), ctx()).unwrap();
+            }
+            store.flush().unwrap();
+            let mut out = vec![0u8; 4096];
+            let (mut warm, mut cold) = (0, 0);
+            for k in 0..KEYS {
+                match store.peek_tier(k) {
+                    Some(HitTier::Memory) => warm += 1,
+                    Some(HitTier::Spill) => cold += 1,
+                    tier => panic!("{arm}: key {k} in {tier:?}"),
+                }
+                assert!(store.get_traced(k, &mut out, ctx()).unwrap());
+                assert_eq!(out, page(k as u8), "{arm}: key {k}");
+            }
+            assert!(warm > 0 && cold > 0, "{arm}: {warm} warm, {cold} cold gets");
+
+            let spans: Vec<_> = tracer
+                .spans()
+                .into_iter()
+                .filter(|s| s.trace_id != 0)
+                .collect();
+            assert!(!tracer.wrapped(), "{arm}");
+            let count = |op| spans.iter().filter(|s| s.op == op).count() as u64;
+            let want = |n: u64| if traced { n } else { 0 };
+            assert_eq!(count(sop::STORE_PUT), want(KEYS), "{arm}");
+            assert_eq!(count(sop::COMPRESS), want(KEYS), "{arm}");
+            assert_eq!(count(sop::STORE_GET), want(KEYS), "{arm}");
+            assert_eq!(count(sop::SPILL_READ), want(cold), "{arm}");
+            assert_eq!(orphan_spans(&spans), 0, "{arm}");
+            for s in &spans {
+                let parent = spans.iter().find(|p| p.span_id == s.parent);
+                let want_parent = match s.op {
+                    sop::COMPRESS | sop::SPILL_WRITE => Some(sop::STORE_PUT),
+                    sop::SPILL_READ => Some(sop::STORE_GET),
+                    _ => None,
+                };
+                assert_eq!(parent.map(|p| p.op), want_parent, "{arm}: {s:?}");
+            }
+
+            let snap = store.telemetry_snapshot();
+            let samples = |op| snap.op(op).unwrap().count;
+            let gets = samples("get_memory") + samples("get_spill");
+            let foreground = top::NAMES
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !top::BACKGROUND.contains(i))
+                .map(|(_, &op)| samples(op))
+                .sum::<u64>();
+            match (telemetry, traced) {
+                (false, _) => assert_eq!(foreground, 0, "{arm}"),
+                (true, true) => {
+                    assert_eq!(samples("put"), KEYS, "{arm}");
+                    assert_eq!(samples("get_memory"), warm, "{arm}");
+                    assert_eq!(samples("get_spill"), cold, "{arm}");
+                    assert_eq!(samples("spill_read"), cold, "{arm}");
+                }
+                (true, false) => {
+                    let rate =
+                        KEYS / (2 * LATENCY_SAMPLE_PERIOD)..=2 * KEYS / LATENCY_SAMPLE_PERIOD;
+                    assert!(rate.contains(&samples("put")), "{arm}: {}", samples("put"));
+                    assert!(rate.contains(&gets), "{arm}: {gets} gets timed");
+                }
+            }
+            store.shutdown();
+        }
+    }
+}
+
 /// The exported schema, in order: STATS, Prometheus and the text table
 /// render these names as they stand, so a rename or a reorder must show
 /// here.

@@ -18,6 +18,7 @@ use super::stats::{top, tstat};
 use super::CompressedStore;
 use cc_compress::{CodecId, Route, Selection, ThresholdPolicy};
 use cc_telemetry::trace::{sop, tier as strier, TraceCtx};
+use cc_telemetry::OpTimer;
 
 impl StoreCore {
     /// Decompress-back-to-hot promotion of `key`, whose just-served
@@ -25,20 +26,11 @@ impl StoreCore {
     /// delta is CAS-reserved outright and the promotion is abandoned
     /// (counted) when it doesn't fit. The entry must still carry this
     /// get's unique `now` stamp — any interleaved put or get stamps its
-    /// own clock value, so a stale swap is impossible. `timed` is the
-    /// get's timing decision.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_promote(
-        &self,
-        key: u64,
-        shard_idx: usize,
-        now: u32,
-        src_tier: u8,
-        page: &[u8],
-        ctx: TraceCtx,
-        timed: bool,
-    ) {
-        let t0 = Self::step_start(timed, ctx);
+    /// own clock value, so a stale swap is impossible. It is a step of
+    /// the get's `op`.
+    pub(super) fn try_promote(&self, key: u64, now: u32, src_tier: u8, page: &[u8], op: &OpTimer) {
+        let step = op.step();
+        let shard_idx = self.shard_index(key);
         let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
         let Some(e) = shard.entries.get(&key) else {
             return;
@@ -94,17 +86,8 @@ impl StoreCore {
         drop(shard);
         self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
         self.tel.count(shard_idx, tstat::PROMOTIONS, 1);
-        self.step_end(top::PROMOTE, timed, t0);
-        self.child_span(
-            ctx,
-            t0,
-            sop::PROMOTE,
-            src_tier,
-            CodecId::Raw.as_u8(),
-            0,
-            key,
-            shard_idx,
-        );
+        step.note(src_tier, CodecId::Raw.as_u8());
+        step.finish(Some(top::PROMOTE), shard_idx, sop::PROMOTE, 0, key);
     }
 
     /// Compress `shard`'s hot entry `key` (along the route its put took —
@@ -261,7 +244,8 @@ impl StoreCore {
     /// then waits `Sealing`, counted hot, in neither set. `false`, with
     /// nothing changed, after shutdown or at [`StoreCore::seal_bound`]
     /// jobs.
-    pub(super) fn defer_seal(&self, e: &mut Entry, key: u64, page: &[u8], timed: bool) -> bool {
+    pub(super) fn defer_seal(&self, e: &mut Entry, key: u64, page: &[u8], op: &OpTimer) -> bool {
+        let timed = op.timed();
         let mut inbox = self.inbox();
         if inbox.closed || inbox.seals.outstanding >= self.seal_bound() {
             return false;

@@ -11,7 +11,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
-use super::core::{backoff, StoreCore};
+use super::core::StoreCore;
 use super::extent::encode_extent;
 use super::gc::Cleaning;
 use super::shard::{Entry, Residence, Shard};
@@ -21,7 +21,8 @@ use super::tiering::SealQueue;
 use super::StoreConfig;
 use crate::medium::SpillMedium;
 use crate::persist::{encode_summary, summary_len, SummaryRecord, Tombstone};
-use cc_telemetry::trace::{sop, tier as strier, Span, TraceCtx};
+use cc_telemetry::trace::{sop, tier as strier, Span, SpanTag, TraceCtx};
+use cc_util::backoff;
 
 /// An entry handed to the writer. The file offset is chosen by the
 /// writer at batch-commit time, not by the producer — that is what lets
@@ -287,21 +288,10 @@ impl StoreCore {
     /// no request (trace 0, no parent) carrying `arg` when traced.
     /// Returns its nanoseconds.
     pub(super) fn record_pause(&self, hist: usize, op: u8, tier: u8, t0: Instant, arg: u64) -> u64 {
-        let pause = t0.elapsed().as_nanos() as u64;
-        self.tel.record(hist, pause);
-        if let Some(tr) = self.cfg.tracer.as_deref() {
-            let span = Span {
-                span_id: tr.alloc_span(),
-                op,
-                tier,
-                start_ns: tr.now_ns(t0),
-                service_ns: pause,
-                arg,
-                ..Span::default()
-            };
-            tr.record(0, &span);
-        }
-        pause
+        let tr = self.cfg.tracer.as_deref();
+        let step = self.tel.op_since(t0, tr, TraceCtx::NONE);
+        let pause = step.note(tier, 0).finish(Some(hist), 0, op, 0, arg);
+        pause.expect("a background step is always timed")
     }
 }
 
@@ -752,22 +742,16 @@ impl SpillWriter {
                 let queue_ns = j
                     .queued
                     .map_or(0, |q| t0.saturating_duration_since(q).as_nanos() as u64);
-                tr.record(
-                    0,
-                    &Span {
-                        trace_id: j.ctx.trace_id,
-                        span_id: tr.alloc_span(),
-                        parent: j.ctx.parent_span,
-                        op: sop::SPILL_WRITE,
-                        tier: strier::SPILL,
-                        codec: j.codec,
-                        status: !ok as u8,
-                        start_ns: tr.now_ns(t0),
-                        queue_ns,
-                        service_ns: write_ns,
-                        arg: if ok { base + j.rel as u64 } else { j.key },
-                    },
-                );
+                let tag = SpanTag {
+                    op: sop::SPILL_WRITE,
+                    tier: strier::SPILL,
+                    codec: j.codec,
+                    status: !ok as u8,
+                    arg: if ok { base + j.rel as u64 } else { j.key },
+                };
+                let mut span = Span::new(j.ctx, tr.alloc_span(), tag, tr.now_ns(t0), write_ns);
+                span.queue_ns = queue_ns;
+                tr.record(0, &span);
             }
         }
         let jobs = staged

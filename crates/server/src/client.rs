@@ -49,6 +49,7 @@
 
 use crate::frame::{self, FrameError, RecvBuf};
 use crate::proto::{ProtoError, Request, Response, Status};
+use cc_util::backoff;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -91,12 +92,6 @@ impl RetryPolicy {
         }
         total
     }
-}
-
-/// Backoff before retry `attempt` (1-based): exponential, capped so a
-/// huge attempt count cannot overflow into an absurd sleep.
-fn backoff(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << (attempt - 1).min(10))
 }
 
 /// Transient transport failures worth a reconnect-and-retry: the server

@@ -50,7 +50,7 @@ use crate::frame::{self, FrameError, RecvBuf, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
 use crate::service::{wstat, Service, STRIPE};
 use crate::ServerConfig;
-use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, Span};
+use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, TraceCtx};
 use cc_util::Slab;
 use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -100,6 +100,15 @@ pub(crate) enum CloseReason {
     Error,
 }
 
+/// The reactor's one clock read on the request path. Requests drained
+/// together chain their stamps: request i's end is request i+1's start,
+/// so a burst of n reads the clock n + 1 times.
+fn stamp() -> Instant {
+    #[cfg(test)]
+    tests::STAMPS.with(|n| n.set(n.get() + 1));
+    Instant::now()
+}
+
 /// The socket-independent half of a connection: buffers and the parse
 /// cursor. Split out so the frame-walking logic is unit-testable
 /// without a live socket.
@@ -111,6 +120,8 @@ pub(crate) struct Wire {
     wpos: usize,
     /// Requests executed on this connection.
     requests: u64,
+    /// The end stamp of the last request executed.
+    last_stamp: Option<Instant>,
 }
 
 impl Wire {
@@ -120,6 +131,7 @@ impl Wire {
             wbuf: Vec::new(),
             wpos: 0,
             requests: 0,
+            last_stamp: None,
         }
     }
 
@@ -180,6 +192,12 @@ impl Wire {
     /// staging tagged responses. Stops early under write backpressure.
     /// Returns the close reason when the stream is unrecoverable
     /// (malformed input) — the staged `ERR` still flushes first.
+    ///
+    /// Each request is timed from the previous one's end stamp to the
+    /// staging of its reply, its parse included — the first from a
+    /// stamp read once its frame decodes, so a call that finds no
+    /// complete frame reads no clock: every request on its opcode's
+    /// histogram, and a sampled one as its `request` span.
     pub(crate) fn drain_requests(
         &mut self,
         service: &Service,
@@ -187,6 +205,7 @@ impl Wire {
         conn_id: u64,
         scratch: &mut Vec<u8>,
     ) -> Option<CloseReason> {
+        let mut start = None;
         loop {
             if self.pending_out() > WRITE_BACKPRESSURE {
                 break None;
@@ -212,36 +231,28 @@ impl Wire {
             let body = &self.rbuf.unparsed()[parsed.body];
             match Request::decode(body) {
                 Ok(req) => {
-                    let op = req.opcode();
-                    let t0 = Instant::now();
-                    let (status, tctx) = service.handle(conn_id, &req, scratch);
-                    let f0 = tctx.sampled().then(Instant::now);
+                    let opcode = req.opcode();
+                    let op = service.begin(*start.get_or_insert_with(stamp));
+                    let status = service.handle(&req, scratch, &op);
+                    // Reply flush on this backend is the staging of the
+                    // tagged frame; the socket write happens when the
+                    // peer is writable.
+                    let reply = op.traced().then(|| op.step());
                     frame::append_frame(&mut self.wbuf, parsed.seq, 1 + scratch.len(), |b| {
                         b.push(status as u8);
                         b.extend_from_slice(scratch);
                     });
-                    if let (Some(tr), Some(f0)) = (service.tracer(), f0) {
-                        // Reply flush on this backend is the staging of
-                        // the tagged frame; the socket write happens
-                        // asynchronously when the peer is writable.
-                        tr.record(
-                            STRIPE,
-                            &Span {
-                                trace_id: tctx.trace_id,
-                                span_id: tr.alloc_span(),
-                                parent: tctx.parent_span,
-                                op: sop::REPLY_FLUSH,
-                                tier: trace_tier::NONE,
-                                codec: op as u8,
-                                status: status as u8,
-                                start_ns: tr.now_ns(f0),
-                                queue_ns: 0,
-                                service_ns: f0.elapsed().as_nanos() as u64,
-                                arg: (1 + scratch.len()) as u64,
-                            },
-                        );
+                    let end = stamp();
+                    let (codec, status) = (opcode as u8, status as u8);
+                    if let Some(reply) = reply {
+                        let len = (1 + scratch.len()) as u64;
+                        reply.note(trace_tier::NONE, codec);
+                        reply.finish_at(end, None, STRIPE, sop::REPLY_FLUSH, status, len);
                     }
-                    service.record_latency(op, t0.elapsed().as_nanos() as u64, tctx.trace_id);
+                    op.note(trace_tier::NONE, codec);
+                    let hist = Some(opcode as usize - 1); // `wop`'s index
+                    op.finish_at(end, hist, STRIPE, sop::REQUEST, status, conn_id);
+                    (start, self.last_stamp) = (Some(end), Some(end));
                     self.requests += 1;
                     self.rbuf.consume(parsed.consumed);
                 }
@@ -625,28 +636,17 @@ impl Reactor {
             let parked =
                 conn.close_after_flush.is_none() && conn.wire.pending_out() > WRITE_BACKPRESSURE;
             match (parked, conn.parked_since) {
+                // Parked since the request whose reply crossed the cap.
                 (true, None) => {
-                    conn.parked_since = Some(Instant::now());
+                    conn.parked_since = Some(conn.wire.last_stamp.unwrap_or_else(Instant::now));
                     conn.parked_pending = conn.wire.pending_out();
                     conn.stall_reported = false;
                 }
                 (false, Some(since)) => {
-                    tr.record(
-                        STRIPE,
-                        &Span {
-                            trace_id: 0,
-                            span_id: tr.alloc_span(),
-                            parent: 0,
-                            op: sop::PARK,
-                            tier: trace_tier::NONE,
-                            codec: 0,
-                            status: 0,
-                            start_ns: tr.now_ns(since),
-                            queue_ns: 0,
-                            service_ns: since.elapsed().as_nanos() as u64,
-                            arg: conn.conn_id,
-                        },
-                    );
+                    let park = service
+                        .telemetry()
+                        .op_since(since, Some(tr), TraceCtx::NONE);
+                    park.finish(None, STRIPE, sop::PARK, 0, conn.conn_id);
                     conn.parked_since = None;
                     conn.stall_reported = false;
                 }
@@ -798,6 +798,12 @@ mod tests {
     use super::*;
     use cc_core::store::{CompressedStore, StoreConfig};
     use cc_server_test_helpers::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Clock reads at [`stamp`] on this thread.
+        pub(super) static STAMPS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// In-crate test helpers (kept in a module so unit tests read
     /// cleanly).
@@ -902,6 +908,39 @@ mod tests {
             if i >= 8 {
                 assert_eq!(payload, &page, "GET seq {seq} returned wrong bytes");
             }
+        }
+    }
+
+    /// A drained burst of n requests reads the clock n + 1 times — each
+    /// request's end stamp is the next one's start — and still records
+    /// every request: each opcode histogram counts exactly its requests.
+    /// A drain that finds only part of a frame reads no clock.
+    #[test]
+    fn a_burst_of_n_requests_takes_n_plus_one_stamps() {
+        let service = service();
+        let cfg = test_cfg();
+        let mut scratch = Vec::new();
+        let page = vec![0x3C; 512];
+        let mut burst = Vec::new();
+        for seq in 1..=12u32 {
+            burst.extend_from_slice(&put_frame(seq, seq as u64 % 5, &page));
+        }
+        for seq in 13..=20u32 {
+            burst.extend_from_slice(&get_frame(seq, seq as u64 % 7));
+        }
+        let mut w = Wire::new();
+        w.ingest(&burst[..5]);
+        STAMPS.with(|n| n.set(0));
+        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert_eq!((w.requests(), STAMPS.with(Cell::get)), (0, 0));
+        w.ingest(&burst[5..]);
+        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert_eq!(w.requests(), 20);
+        assert_eq!(STAMPS.with(Cell::get), 20 + 1);
+        let snap = service.snapshot();
+        for (hist, counter, n) in [("put", "req_put", 12), ("get", "req_get", 8)] {
+            assert_eq!(snap.counter(counter), Some(n), "{counter}");
+            assert_eq!(snap.op(hist).map(|h| h.count), Some(n), "{hist} histogram");
         }
     }
 

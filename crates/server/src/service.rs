@@ -7,10 +7,10 @@
 //! `cc_store`) with the server's own (prefix `cc_server`), both rendered
 //! by [`cc_telemetry::Snapshot::to_prometheus`].
 
-use crate::proto::{Opcode, Request, Status};
+use crate::proto::{Request, Status};
 use cc_core::store::{CompressedStore, StoreError};
-use cc_telemetry::trace::{sop, tier, Span, TraceCtx, Tracer};
-use cc_telemetry::{Snapshot, Telemetry, TelemetrySpec};
+use cc_telemetry::trace::{TraceCtx, Tracer};
+use cc_telemetry::{OpTimer, Snapshot, Telemetry, TelemetrySpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -157,32 +157,24 @@ impl Service {
         self.tel.count(STRIPE, wstat::MALFORMED_FRAMES, 1);
     }
 
-    pub(crate) fn record_latency(&self, op: Opcode, ns: u64, trace: u64) {
-        self.tel.record_traced(op as usize - 1, ns, trace);
+    /// Open the op of a request that started at `start`. Sampling
+    /// happens here, at the wire: every request is timed on its opcode's
+    /// histogram, and a sampled one also records a root `request` span
+    /// that its store work and its reply hang off.
+    pub(crate) fn begin(&self, start: Instant) -> OpTimer<'_> {
+        let tr = self.tracer.as_deref();
+        let ctx = tr.map_or(TraceCtx::NONE, |t| t.sample());
+        self.tel.op_since(start, tr.filter(|_| ctx.sampled()), ctx)
     }
 
-    /// Execute one request. The response payload is written into `out`
+    /// Execute one request under its `op` ([`Service::begin`]); the
+    /// caller ends it. The response payload is written into `out`
     /// (cleared first); the returned status plus `out` form the response
     /// body. Never panics on store errors — they become [`Status::Err`]
     /// with the error text as payload.
-    ///
-    /// Sampling happens here, at the wire: a sampled request gets a root
-    /// `request` span (with the opcode and connection id) and its store
-    /// work records child spans under it. The returned [`TraceCtx`] is
-    /// that root's child context ([`TraceCtx::NONE`] when unsampled) —
-    /// callers tag reply-flush spans and latency exemplars with it.
-    pub(crate) fn handle(
-        &self,
-        conn_id: u64,
-        req: &Request<'_>,
-        out: &mut Vec<u8>,
-    ) -> (Status, TraceCtx) {
+    pub(crate) fn handle(&self, req: &Request<'_>, out: &mut Vec<u8>, op: &OpTimer) -> Status {
         out.clear();
-        let tr = self.tracer.as_deref();
-        let rctx = tr.map_or(TraceCtx::NONE, |t| t.sample());
-        let t0 = rctx.sampled().then(Instant::now);
-        let root = tr.map_or(0, |t| t.new_span(rctx));
-        let ctx = rctx.child(root);
+        let ctx = op.ctx();
         let (counter, status) = match req {
             Request::Put { key, page } => {
                 let status = match self.store.put_traced(*key, page, ctx) {
@@ -230,7 +222,7 @@ impl Service {
             }
             Request::Ping => (wstat::REQ_PING, Status::Ok),
             Request::Dump => {
-                match tr {
+                match self.tracer.as_deref() {
                     Some(t) => out.extend_from_slice(t.dump_json("on-demand").as_bytes()),
                     // Untraced server: an empty-but-valid document, so
                     // clients need not special-case the response.
@@ -240,25 +232,7 @@ impl Service {
             }
         };
         self.tel.count(STRIPE, counter, 1);
-        if let (Some(t), Some(t0)) = (tr, t0) {
-            t.record(
-                STRIPE,
-                &Span {
-                    trace_id: rctx.trace_id,
-                    span_id: root,
-                    parent: 0,
-                    op: sop::REQUEST,
-                    tier: tier::NONE,
-                    codec: req.opcode() as u8,
-                    status: status as u8,
-                    start_ns: t.now_ns(t0),
-                    queue_ns: 0,
-                    service_ns: t0.elapsed().as_nanos() as u64,
-                    arg: conn_id,
-                },
-            );
-        }
-        (status, ctx)
+        status
     }
 }
 

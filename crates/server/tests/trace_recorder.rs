@@ -20,6 +20,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[path = "../../core/tests/support/temp_path.rs"]
+mod temp_path;
+use temp_path::TempPath;
+
 const PAGE: usize = 4096;
 
 /// A page that compresses well (the store keeps it compressed).
@@ -31,18 +35,13 @@ fn text_page(tag: u64) -> Vec<u8> {
     p
 }
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("cc-trace-{name}-{}.bin", std::process::id()))
-}
-
 /// A scripted spill-read corruption produces an automatic dump whose
 /// span tree and anomaly row name the failing key and extent offset —
 /// the acceptance scenario of the flight recorder.
 #[test]
 fn scripted_corruption_triggers_dump_naming_the_extent() {
     let tracer = Arc::new(Tracer::builder().sample_every(1).sink_memory().build());
-    let path = temp_path("corrupt");
-    let _ = std::fs::remove_file(&path);
+    let path = TempPath::new("trace-corrupt");
     // Corrupt every read among the first 4096 medium operations; writes
     // at those indices are untouched, so the spill file itself is fine
     // and the fault is a deterministic transfer-side bit flip.
@@ -50,9 +49,9 @@ fn scripted_corruption_triggers_dump_naming_the_extent() {
         script: (0..4096).map(|i| (i, Fault::ReadCorrupt)).collect(),
         ..FaultPlan::quiet()
     };
-    let medium = FaultInjector::new(FileMedium::create(&path).expect("spill file"), plan);
+    let medium = FaultInjector::new(FileMedium::create(&*path).expect("spill file"), plan);
     // A small budget so most of the working set spills.
-    let cfg = StoreConfig::with_spill(16 << 10, &path).with_tracer(Arc::clone(&tracer));
+    let cfg = StoreConfig::with_spill(16 << 10, &*path).with_tracer(Arc::clone(&tracer));
     let store = CompressedStore::with_medium(cfg, Arc::new(medium));
 
     for key in 0..64u64 {
@@ -115,7 +114,6 @@ fn scripted_corruption_triggers_dump_naming_the_extent() {
     assert_eq!(orphan_spans(&tracer.spans()), 0, "orphan spans in tree");
 
     store.shutdown();
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A peer that pipelines GETs for a large page but never reads its

@@ -19,6 +19,8 @@
 //!   Prometheus text or an aligned table.
 //! - [`Tracer`] — sampled request spans and the flight recorder: the
 //!   history behind the counts, dumped on an anomaly or on demand.
+//! - [`OpTimer`] — one operation's timing decision, start stamp and
+//!   span, carried down its steps.
 //!
 //! The [`Telemetry`] facade bundles a counter bank and one histogram
 //! per operation behind a single handle. Its hot-path costs: a counter
@@ -28,10 +30,11 @@
 //! twice — together ~130 ns a call when paid on every call (ccbench's
 //! `store.telemetry_overhead_ns_per_op` on `store_hot_read`), as much
 //! as the hot-tier hit they were measuring.
-//! So a data-path operation asks [`Telemetry::op_timer`] once whether
-//! it is timed at all: 1 in [`LATENCY_SAMPLE_PERIOD`] by a hash of its
-//! operation stamp, traced requests always, and the other fifteen read
-//! no clock and write no histogram. Counters are never sampled. What
+//! So a data-path operation asks once whether it is timed at all
+//! ([`Telemetry::start_op`], by [`Telemetry::op_timer`]'s rule): 1 in
+//! [`LATENCY_SAMPLE_PERIOD`] by a hash of its operation stamp, traced
+//! requests always, and the other fifteen read no clock and write no
+//! histogram. Counters are never sampled. What
 //! sampling gives up: a sampled histogram's `count` is the number of
 //! samples, not of operations (those are counters), and its `max` is
 //! the largest sampled or traced latency, not the largest of all. [`Telemetry::record`] itself records every call it is given
@@ -45,13 +48,15 @@
 
 pub mod counters;
 pub mod hist;
+pub mod op;
 pub mod snapshot;
 pub mod trace;
 
 pub use counters::CounterBank;
 pub use hist::{AtomicHistogram, HistSummary};
+pub use op::OpTimer;
 pub use snapshot::Snapshot;
-pub use trace::{AnomalyKind, DumpSink, Span, SpanRing, TraceCtx, Tracer, TracerBuilder};
+pub use trace::{AnomalyKind, DumpSink, Span, SpanRing, SpanTag, TraceCtx, Tracer, TracerBuilder};
 
 use std::time::{Instant, SystemTime};
 
@@ -165,10 +170,10 @@ impl Telemetry {
     /// its `stamp` — any number unique to the operation, e.g. a
     /// generation clock. Hashed, not `stamp % period`, so that a caller
     /// timing its own calls on a stride sees the same mix of timed and
-    /// untimed operations as everyone else. The caller passes the answer
-    /// down to every sub-step it would time (codec, spill read,
-    /// promotion) and finishes with [`Telemetry::record_since`]; nothing
-    /// below decides again.
+    /// untimed operations as everyone else. [`Telemetry::start_op`] makes
+    /// this decision for an [`OpTimer`], which carries it down to every
+    /// sub-step (codec, spill read, promotion); nothing below decides
+    /// again.
     #[inline]
     pub fn op_timer(&self, stamp: u64, forced: bool) -> Option<Instant> {
         (self.timing && (forced || stamp_sampled(stamp))).then(Instant::now)

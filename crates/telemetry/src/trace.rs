@@ -25,10 +25,10 @@
 //!   server's `DUMP` opcode).
 //!
 //! Overhead: an unsampled request pays one relaxed `fetch_add` for the
-//! sampling decision; a sampled one pays a handful of `Instant::now()`
-//! calls and one ring slot per span. The server crate's release-only
-//! timed gates (`crates/server/tests/timed_gates.rs`) hold the
-//! end-to-end cost at default sampling under 5%.
+//! sampling decision; a sampled one pays a clock read per step it spans
+//! ([`crate::OpTimer`]) and one ring slot per span. The server crate's
+//! release-only timed gates (`crates/server/tests/timed_gates.rs`) hold
+//! the end-to-end cost at default sampling under 5%.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -169,10 +169,46 @@ pub struct Span {
     pub arg: u64,
 }
 
+/// What a span reports besides its place in the trace and its timing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SpanTag {
+    /// Operation code ([`sop`]).
+    pub op: u8,
+    /// Storage tier touched ([`tier`]).
+    pub tier: u8,
+    /// Codec id involved (or, for [`sop::REQUEST`], the wire opcode).
+    pub codec: u8,
+    /// Outcome code (op-specific; 0 = ok).
+    pub status: u8,
+    /// Op-specific argument: key, connection id, or file offset.
+    pub arg: u64,
+}
+
 /// `u64` words a packed span occupies in a ring slot.
 pub const SPAN_WORDS: usize = 7;
 
 impl Span {
+    /// The span `span_id` of `tag` under `ctx` — its trace and parent
+    /// span; [`TraceCtx::NONE`] for background work — that started
+    /// `start_ns` after the tracer's epoch and ran `service_ns`. Every
+    /// span the workspace records is built here (most through
+    /// [`crate::OpTimer`]); a queued one then sets `queue_ns`.
+    pub fn new(ctx: TraceCtx, span_id: u32, tag: SpanTag, start_ns: u64, service_ns: u64) -> Span {
+        Span {
+            trace_id: ctx.trace_id,
+            span_id,
+            parent: ctx.parent_span,
+            op: tag.op,
+            tier: tag.tier,
+            codec: tag.codec,
+            status: tag.status,
+            start_ns,
+            queue_ns: 0,
+            service_ns,
+            arg: tag.arg,
+        }
+    }
+
     fn pack(&self) -> [u64; SPAN_WORDS] {
         [
             self.trace_id,
@@ -517,18 +553,7 @@ impl Tracer {
         }
     }
 
-    /// Allocate a span id under `ctx` (0 — record nothing — when the
-    /// request is unsampled).
-    #[inline]
-    pub fn new_span(&self, ctx: TraceCtx) -> u32 {
-        if !ctx.sampled() {
-            return 0;
-        }
-        self.alloc_span()
-    }
-
-    /// Allocate a span id unconditionally (background spans: GC, park
-    /// intervals — recorded with `trace_id` 0).
+    /// Allocate a span id.
     pub fn alloc_span(&self) -> u32 {
         self.next_span.fetch_add(1, Ordering::Relaxed) as u32
     }
@@ -792,7 +817,7 @@ mod tests {
             .auto_dump_budget(2)
             .build();
         let ctx = tr.sample();
-        let span = tr.new_span(ctx);
+        let span = tr.alloc_span();
         tr.record(
             0,
             &Span {

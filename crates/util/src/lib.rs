@@ -5,7 +5,8 @@
 //!
 //! - [`time`] — the virtual-time representation ([`time::Ns`]) used by the
 //!   whole simulator. All costs in the system are expressed as nanoseconds of
-//!   virtual time so that runs are exactly reproducible.
+//!   virtual time so that runs are exactly reproducible — and the one
+//!   retry [`backoff`] schedule.
 //! - [`slab`] — a minimal slab allocator with stable integer keys.
 //! - [`rng`] — a tiny deterministic SplitMix64 generator: every seeded
 //!   workload, simulator run and test draws from it (the workspace has no
@@ -29,4 +30,4 @@ pub mod time;
 pub use crc::{crc32, Crc32};
 pub use rng::SplitMix64;
 pub use slab::Slab;
-pub use time::Ns;
+pub use time::{backoff, Ns};

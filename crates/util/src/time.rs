@@ -197,6 +197,13 @@ impl fmt::Display for Ns {
     }
 }
 
+/// Backoff before retry `attempt` (1-based): `base << (attempt - 1)`,
+/// capped at `base << 10` so a misconfigured attempt count cannot sleep
+/// forever.
+pub fn backoff(base: std::time::Duration, attempt: u32) -> std::time::Duration {
+    base.saturating_mul(1u32 << (attempt - 1).min(10))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
