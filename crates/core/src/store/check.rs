@@ -9,7 +9,7 @@ use std::sync::MutexGuard;
 
 use super::core::StoreCore;
 use super::extent::verify_extent;
-use super::shard::{Residence, Set, Shard};
+use super::shard::{Residence, Shard};
 #[cfg(doc)]
 use super::CompressedStore;
 use crate::medium::SpillMedium;
@@ -33,26 +33,12 @@ impl StoreCore {
         // `(key, offset, len, gen, codec)` of every `Spilled` entry.
         let mut spilled = Vec::new();
         for (i, shard) in shards.iter().enumerate() {
-            // Keys with `Hot` and with `Memory` residence, each of which
-            // must name its own slot.
-            let mut listed = [0usize; 2];
-            let mut enlisted = |set: Set, slot: u32, key: u64| {
-                listed[set as usize] += 1;
-                if shard.sets[set as usize].get(slot as usize) == Some(&key) {
-                    return Ok(());
-                }
-                Err(format!("shard {i}: key {key}'s slot {slot} names another"))
-            };
-            for (&key, e) in &shard.entries {
+            // Index, arena and sets agree; what is left is the bytes.
+            shard.check().map_err(|e| format!("shard {i}: {e}"))?;
+            for e in shard.iter() {
                 match &e.residence {
-                    Residence::Hot { data, slot } => {
-                        hot += data.len();
-                        enlisted(Set::Hot, *slot, key)?;
-                    }
-                    Residence::Memory { data, slot } => {
-                        warm += data.len();
-                        enlisted(Set::Warm, *slot, key)?;
-                    }
+                    Residence::Hot { data, .. } => hot += data.len(),
+                    Residence::Memory { data, .. } => warm += data.len(),
                     // A raw page, counted hot, in neither set.
                     Residence::Sealing { data } => {
                         hot += data.len();
@@ -62,21 +48,13 @@ impl StoreCore {
                     Residence::Spilling { data, .. } => spilling += data.len(),
                     Residence::Spilled { offset, len, gen } => {
                         if !e.journaled {
-                            return Err(format!("shard {i}: spilled key {key} not journaled"));
+                            return Err(format!("shard {i}: spilled key {} not journaled", e.key));
                         }
                         extents.push((*offset, *offset + *len as u64));
-                        spilled.push((key, *offset, *len, *gen, e.codec));
+                        spilled.push((e.key, *offset, *len, *gen, e.codec));
                     }
                     Residence::SameFilled { .. } => {}
                 }
-            }
-            // Every one owns a distinct slot of its set, so equal lengths
-            // leave no room for a stray key.
-            let lens = shard.sets.each_ref().map(Vec::len);
-            if lens != listed {
-                return Err(format!(
-                    "shard {i}: sets hold {lens:?} keys but {listed:?} Hot and Memory entries"
-                ));
             }
         }
         let gauge = |a: &AtomicUsize| a.load(Ordering::Relaxed);

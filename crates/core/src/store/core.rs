@@ -142,7 +142,7 @@ fn seal_hist(codec: CodecId) -> Option<usize> {
 /// generation)`.
 fn names_extent(shard: &Shard, key: u64, at: (u64, u32, u64)) -> bool {
     matches!(
-        shard.entries.get(&key).map(|e| &e.residence),
+        shard.get(key).map(|e| &e.residence),
         Some(&Residence::Spilled { offset, len, gen }) if (offset, len, gen) == at
     )
 }
@@ -164,13 +164,14 @@ impl StoreCore {
             .expect("shard poisoned")
     }
 
-    /// `shard`'s eviction victim from `set` ([`Shard::victim`]), if it
-    /// has idled at least `idle` operations. The clock is read under the
-    /// shard's lock: every stamp in the shard was drawn before the hold
-    /// that wrote it, so none is ahead of this read.
-    pub(super) fn victim(&self, shard: &mut Shard, set: Set, idle: u64) -> Option<u64> {
-        let (key, age) = shard.victim(set, self.touch_clock.load(Ordering::Relaxed) as u32)?;
-        (age >= idle).then_some(key)
+    /// The arena index of `shard`'s eviction victim from `set`
+    /// ([`Shard::victim`]), if it has idled at least `idle` operations.
+    /// The clock is read under the shard's lock: every stamp in the
+    /// shard was drawn before the hold that wrote it, so none is ahead
+    /// of this read.
+    pub(super) fn victim(&self, shard: &mut Shard, set: Set, idle: u64) -> Option<u32> {
+        let (at, age) = shard.victim(set, self.touch_clock.load(Ordering::Relaxed) as u32)?;
+        (age >= idle).then_some(at)
     }
 
     pub(super) fn has_spill(&self) -> bool {
@@ -243,18 +244,16 @@ impl StoreCore {
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
             self.remove_locked(&mut shard, key);
-            shard.entries.insert(
+            shard.insert(Entry {
                 key,
-                Entry {
-                    residence: Residence::SameFilled { pattern },
-                    orig_len: page.len() as u32,
-                    codec: CodecId::SameFilled.as_u8(),
-                    probe: None,
-                    gets: 0,
-                    last_touch: now,
-                    journaled: false,
-                },
-            );
+                residence: Residence::SameFilled { pattern },
+                orig_len: page.len() as u32,
+                codec: CodecId::SameFilled.as_u8(),
+                probe: None,
+                gets: 0,
+                last_touch: now,
+                journaled: false,
+            });
             drop(shard);
             self.tel.count(shard_idx, tstat::SAME_FILLED, 1);
             return Ok(());
@@ -270,7 +269,7 @@ impl StoreCore {
         if self.cfg.tier_policy.may_keep_hot() {
             let shard_idx = self.shard_index(key);
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-            if let Some(e) = shard.entries.get_mut(&key) {
+            if let Some(e) = shard.get_mut(key) {
                 if let Residence::Hot { data, .. } = &mut e.residence {
                     if data.len() == page.len()
                         && self
@@ -308,6 +307,7 @@ impl StoreCore {
         let mut shard = self.shard(key);
         self.remove_locked(&mut shard, key);
         let mut entry = Entry {
+            key,
             // Placeholder: the arms below set where the page lives.
             residence: Residence::SameFilled { pattern: 0 },
             orig_len: page.len() as u32,
@@ -384,6 +384,9 @@ impl StoreCore {
             // have landed, and this one supersedes it.
             self.remove_locked(&mut shard, key);
         }
+        // No reader sees the placeholder residence: the arms below set
+        // where the page lives before this lock hold ends.
+        let at = shard.insert(entry);
         match sel {
             // Deferred: the raw page waits `Sealing` for the seal's publish.
             None => {
@@ -392,7 +395,7 @@ impl StoreCore {
             // One allocation of exactly the stored length, whichever tier.
             Some(sel) => SCRATCH.with(|c| {
                 let compressed = &c.borrow().comp[..sel.len];
-                entry.probe = Some(sel.route());
+                shard[at].probe = Some(sel.route());
                 if reserved && self.cfg.tier_policy.admit_hot(sel.admitted) {
                     // Hot tier: keep the raw page (a hot entry holds raw
                     // bytes, not the sealed form); the sealed bytes are
@@ -401,28 +404,31 @@ impl StoreCore {
                     op.note(strier::HOT, sel.codec.as_u8());
                     self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
                     self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
-                    entry.residence = Residence::Hot {
+                    let slot = shard.enlist(Set::Hot, at);
+                    shard[at].residence = Residence::Hot {
                         data: page.into(),
-                        slot: shard.enlist(Set::Hot, key),
+                        slot,
                     };
                 } else if reserved {
                     op.note(strier::MEMORY, sel.codec.as_u8());
-                    entry.codec = sel.codec.as_u8();
                     self.warm_resident.fetch_add(sel.len, Ordering::Relaxed);
+                    let slot = shard.enlist(Set::Warm, at);
+                    let entry = &mut shard[at];
+                    entry.codec = sel.codec.as_u8();
                     entry.residence = Residence::Memory {
                         data: compressed.into(),
-                        slot: shard.enlist(Set::Warm, key),
+                        slot,
                     };
                 } else {
                     // Straight-to-spill path (see above): never resident,
                     // its `len` bytes already counted in flight.
                     op.note(strier::SPILL, sel.codec.as_u8());
+                    let entry = &mut shard[at];
                     entry.codec = sel.codec.as_u8();
-                    self.hand_off(key, &mut entry, compressed.into(), op.ctx());
+                    self.hand_off(key, entry, compressed.into(), op.ctx());
                 }
             }),
         }
-        shard.entries.insert(key, entry);
         drop(shard);
         Ok(())
     }
@@ -542,7 +548,7 @@ impl StoreCore {
         // arm returns on the first pass.
         loop {
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-            let Some(entry) = shard.entries.get_mut(&key) else {
+            let Some(entry) = shard.get_mut(key) else {
                 drop(shard);
                 self.tel.count(shard_idx, tstat::MISSES, 1);
                 return Ok(None);
@@ -758,7 +764,7 @@ impl StoreCore {
     }
 
     pub(super) fn remove_locked(&self, shard: &mut Shard, key: u64) -> bool {
-        match shard.entries.remove(&key) {
+        match shard.remove(key) {
             Some(e) => {
                 self.tombstone_if_journaled(e.journaled, key);
                 match e.residence {
@@ -886,11 +892,11 @@ impl StoreCore {
         }
     }
 
-    /// Hand `shard`'s warm entry `victim` to the spill writer, or report
-    /// `WriterFull` (the entry untouched) if its payload does not fit in
-    /// flight.
-    pub(super) fn spill_warm(&self, shard: &mut Shard, victim: u64) -> Progress {
-        let Residence::Memory { data, slot } = &shard.entries[&victim].residence else {
+    /// Hand the warm entry at `shard`'s arena index `at` to the spill
+    /// writer, or report `WriterFull` (the entry untouched) if its
+    /// payload does not fit in flight.
+    pub(super) fn spill_warm(&self, shard: &mut Shard, at: u32) -> Progress {
+        let Residence::Memory { data, slot } = &shard[at].residence else {
             unreachable!("a warm victim is in memory")
         };
         let (data, slot) = (Arc::clone(data), *slot);
@@ -902,8 +908,8 @@ impl StoreCore {
         self.resident.fetch_sub(len, Ordering::Relaxed);
         self.warm_resident.fetch_sub(len, Ordering::Relaxed);
         // The hand-off replaces the residence; the allocation moves on.
-        let entry = shard.entries.get_mut(&victim).expect("checked above");
-        self.hand_off(victim, entry, data, TraceCtx::NONE);
+        let entry = &mut shard[at];
+        self.hand_off(entry.key, entry, data, TraceCtx::NONE);
         Progress::Evicted
     }
 
@@ -916,8 +922,9 @@ impl StoreCore {
         let Some(victim) = victim.or_else(|| self.victim(shard, Set::Hot, 0)) else {
             return false;
         };
-        self.remove_locked(shard, victim);
-        let idx = self.shard_index(victim);
+        let key = shard[victim].key;
+        self.remove_locked(shard, key);
+        let idx = self.shard_index(key);
         self.tel.count(idx, tstat::SHED_PAGES, 1);
         true
     }
@@ -964,8 +971,9 @@ impl StoreCore {
     /// did; the caller sheds once it has let go of the shard, with
     /// `shedding` raised from before this call until after the shed.
     pub(super) fn revert_to_memory(&self, shard: &mut Shard, key: u64) -> bool {
-        let slot = shard.enlist(Set::Warm, key);
-        let e = shard.entries.get_mut(&key).expect("caller looked it up");
+        let at = shard.find(key).expect("caller looked it up");
+        let slot = shard.enlist(Set::Warm, at);
+        let e = &mut shard[at];
         let old = std::mem::replace(&mut e.residence, Residence::SameFilled { pattern: 0 });
         let Residence::Spilling { data } = old else {
             unreachable!("caller checked the residence")

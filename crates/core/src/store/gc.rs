@@ -543,7 +543,7 @@ impl SpillWriter {
         let mut survivors: Vec<StagedJob> = Vec::new();
         for (key, _) in keys {
             let shard = self.core.shard(key);
-            let Some(e) = shard.entries.get(&key) else {
+            let Some(e) = shard.get(key) else {
                 continue;
             };
             if let Residence::Spilled { offset, len, gen } = e.residence {
@@ -707,7 +707,7 @@ impl SpillWriter {
         c.tombs.clear();
         for (j, &old) in staged.iter().zip(&old) {
             let mut shard = self.core.shard(j.key);
-            let Some(e) = shard.entries.get_mut(&j.key) else {
+            let Some(e) = shard.get_mut(j.key) else {
                 continue;
             };
             match &mut e.residence {

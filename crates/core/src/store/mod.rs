@@ -235,7 +235,7 @@ impl CompressedStore {
     /// is where a read would be served.
     pub fn peek_tier(&self, key: u64) -> Option<HitTier> {
         let shard = self.core.shard(key);
-        shard.entries.get(&key).map(|e| match e.residence {
+        shard.get(key).map(|e| match e.residence {
             Residence::Hot { .. } => HitTier::Hot,
             Residence::Memory { .. } | Residence::Sealing { .. } | Residence::Spilling { .. } => {
                 HitTier::Memory
@@ -260,7 +260,7 @@ impl CompressedStore {
 
     /// Whether the store currently knows `key`.
     pub fn contains(&self, key: u64) -> bool {
-        self.core.shard(key).entries.contains_key(&key)
+        self.core.shard(key).find(key).is_some()
     }
 
     /// Number of stored pages (memory + spill).
@@ -268,7 +268,7 @@ impl CompressedStore {
         self.core
             .shards
             .iter()
-            .map(|s| s.0.lock().expect("shard poisoned").entries.len())
+            .map(|s| s.0.lock().expect("shard poisoned").len())
             .sum()
     }
 
@@ -359,10 +359,14 @@ impl CompressedStore {
     ///   plus the jobs whose entry was removed, replaced or promoted
     ///   since (they drop at publish), and the `Sealing` bytes stay
     ///   within the smaller of 64 pages and a quarter of the budget;
-    /// - a key is in its shard's hot set ⇔ its residence is `Hot`, in
-    ///   the warm set ⇔ `Memory`, in neither otherwise, `Sealing`
-    ///   included: each such residence's slot names its own key there,
-    ///   and each set holds exactly as many keys as those residences;
+    /// - each shard's index names, for every key, a live arena slot
+    ///   holding that key, and the arena holds no other live entry;
+    ///   its free list links exactly the vacated slots;
+    /// - an entry is in its shard's hot set ⇔ its residence is `Hot`,
+    ///   in the warm set ⇔ `Memory`, in neither otherwise, `Sealing`
+    ///   included: each set position names a live entry of that set
+    ///   whose residence records that position, and each set holds
+    ///   exactly as many entries as those residences;
     /// - `spill_inflight_bytes == Σ len(Spilling payloads)` plus the
     ///   payloads of jobs whose entry was removed or replaced while they
     ///   were queued (still held by the job, still counted);

@@ -137,25 +137,32 @@ impl CompressedStore {
         core.mirror(&core.segments());
         let fresh = recovery.is_none();
         if let Some((rec, took)) = recovery {
+            // Size each shard's index once for what it recovers, not by
+            // doubling it log2(n) times.
+            let mut per_shard = vec![0; nshards];
+            for e in &rec.entries {
+                per_shard[core.shard_index(e.key)] += 1;
+            }
+            for (s, n) in core.shards.iter().zip(per_shard) {
+                s.0.lock().expect("shard poisoned").reserve(n);
+            }
             for e in &rec.entries {
                 let idx = core.shard_index(e.key);
                 let mut shard = core.shards[idx].0.lock().expect("shard poisoned");
-                shard.entries.insert(
-                    e.key,
-                    Entry {
-                        residence: Residence::Spilled {
-                            offset: e.offset,
-                            len: e.len,
-                            gen: e.gen,
-                        },
-                        orig_len: rec.page_size,
-                        codec: e.codec,
-                        probe: None,
-                        gets: 0,
-                        last_touch: 0,
-                        journaled: true,
+                shard.insert(Entry {
+                    key: e.key,
+                    residence: Residence::Spilled {
+                        offset: e.offset,
+                        len: e.len,
+                        gen: e.gen,
                     },
-                );
+                    orig_len: rec.page_size,
+                    codec: e.codec,
+                    probe: None,
+                    gets: 0,
+                    last_touch: 0,
+                    journaled: true,
+                });
             }
             // Resume generations above everything the file has seen
             // (ABA safety across the restart, and the walk rule's

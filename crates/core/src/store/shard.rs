@@ -1,11 +1,12 @@
-//! One lock stripe: the entries it owns, where each one lives
-//! ([`Residence`]) and the two sets its eviction victims are sampled
-//! from — plus the per-thread scratch the codecs run in, outside any
-//! shard lock.
+//! One lock stripe: the entries it owns in an arena behind a key index,
+//! where each one lives ([`Residence`]) and the two sets its eviction
+//! victims are sampled from — plus the per-thread scratch the codecs run
+//! in, outside any shard lock.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use cc_compress::{CodecSet, Route};
@@ -19,8 +20,8 @@ use {
 /// Where an entry's bytes live. Every payload is one allocation of
 /// exactly its length — the bytes the budget counts are the bytes the
 /// store holds, give or take the allocator's header — and every variant
-/// fits in 24 bytes, so an [`Entry`] is 40 and its map slot 48. `slot`
-/// is the key's index in its shard's [`Shard::sets`].
+/// fits in 24 bytes, so an [`Entry`] is 48 with its key. `slot` is the
+/// entry's position in its shard's [`Shard::sets`].
 pub(super) enum Residence {
     /// The hot tier: the page's raw uncompressed bytes (not a sealed
     /// block — no method byte), in the shard's hot set and counted
@@ -61,6 +62,9 @@ pub(super) enum Residence {
 }
 
 pub(super) struct Entry {
+    /// The key this entry is indexed under: a sample or a set fix-up
+    /// reads it here, with no lookup.
+    pub(super) key: u64,
     pub(super) residence: Residence,
     pub(super) orig_len: u32,
     /// [`CodecId`] (as its wire byte) that sealed this entry's bytes.
@@ -101,11 +105,11 @@ pub(super) struct Entry {
 
 /// The splitmix64 finalizer: full avalanche in three multiplies, so a
 /// key's shard and its map bucket do not follow any key-assignment
-/// pattern (sequential keys, strided keys, ...). The entry maps hash
+/// pattern (sequential keys, strided keys, ...). The key indices hash
 /// with all of it ([`KeyHasher`]) and the shard is drawn from bits 32
 /// and up ([`StoreCore::shard_index`]). Were it the low bits, every key
 /// of shard `s` would hash to `s` modulo the shard count, and a shard's
-/// map would start its probes in one bucket of every shard count.
+/// index would start its probes in one bucket of every shard count.
 #[inline]
 pub(super) fn mix64(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -114,7 +118,7 @@ pub(super) fn mix64(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hasher for the per-shard entry maps: the keys are page numbers, so
+/// Hasher for the per-shard key indices: the keys are page numbers, so
 /// SipHash's DoS resistance only costs cycles here; [`mix64`] spreads
 /// them.
 #[derive(Default)]
@@ -134,7 +138,103 @@ impl Hasher for KeyHasher {
     }
 }
 
-pub(super) type EntryMap = HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>;
+/// Entries an arena chunk holds. A chunk is allocated whole, once, and
+/// never grows, so no entry moves while it lives and no doubling leaves
+/// an old copy of the entries behind in the heap.
+pub(super) const CHUNK: usize = 1024;
+
+/// An arena slot: a live entry, or a vacated one that links the next
+/// vacated slot (`NIL` ends the list). 48 bytes either way.
+pub(super) enum Slot {
+    Live(Entry),
+    Free(u32),
+}
+
+/// The end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A shard's entries, each at a `u32` index that holds still while it
+/// lives: chunks of [`CHUNK`] slots, the first `used` of them used, and
+/// a free list of vacated slots that the next insert reuses.
+struct Arena {
+    chunks: Vec<Box<[Slot; CHUNK]>>,
+    used: u32,
+    free: u32,
+}
+
+impl Arena {
+    /// The slot at `at`, if the arena has used it.
+    fn slot(&self, at: u32) -> Option<&Slot> {
+        (at < self.used).then(|| &self.chunks[at as usize / CHUNK][at as usize % CHUNK])
+    }
+
+    fn slot_mut(&mut self, at: u32) -> &mut Slot {
+        &mut self.chunks[at as usize / CHUNK][at as usize % CHUNK]
+    }
+
+    /// The entry at `at`, if that slot is live.
+    fn live(&self, at: u32) -> Option<&Entry> {
+        match self.slot(at) {
+            Some(Slot::Live(e)) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// Every slot the arena has used, in index order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.iter())
+            .take(self.used as usize)
+    }
+
+    /// Place `entry` in the last vacated slot, or else the next unused
+    /// one (a new chunk's first, when every chunk is used), and return
+    /// its index.
+    fn alloc(&mut self, entry: Entry) -> u32 {
+        if self.free == NIL {
+            if self.used as usize == self.chunks.len() * CHUNK {
+                let chunk: Box<[Slot]> = (0..CHUNK).map(|_| Slot::Free(NIL)).collect();
+                self.chunks
+                    .push(chunk.try_into().ok().expect("CHUNK slots"));
+            }
+            self.free = self.used;
+            self.used += 1;
+        }
+        let at = self.free;
+        let Slot::Free(next) = std::mem::replace(self.slot_mut(at), Slot::Live(entry)) else {
+            unreachable!("free slot {at} is live")
+        };
+        self.free = next;
+        at
+    }
+
+    /// Take the entry at `at` out and put its slot on the free list.
+    fn vacate(&mut self, at: u32) -> Entry {
+        let next = std::mem::replace(&mut self.free, at);
+        match std::mem::replace(self.slot_mut(at), Slot::Free(next)) {
+            Slot::Live(e) => e,
+            Slot::Free(_) => unreachable!("slot {at} vacated twice"),
+        }
+    }
+}
+
+impl Index<u32> for Arena {
+    type Output = Entry;
+    fn index(&self, at: u32) -> &Entry {
+        self.live(at)
+            .unwrap_or_else(|| panic!("slot {at} is not live"))
+    }
+}
+
+impl IndexMut<u32> for Arena {
+    fn index_mut(&mut self, at: u32) -> &mut Entry {
+        match self.slot_mut(at) {
+            Slot::Live(e) => e,
+            Slot::Free(_) => panic!("slot {at} is not live"),
+        }
+    }
+}
 
 /// Keys an eviction samples from a set ([`Shard::victim`]): the
 /// associativity of a set-associative cache.
@@ -148,12 +248,15 @@ pub(super) enum Set {
 }
 
 pub(super) struct Shard {
-    pub(super) entries: EntryMap,
-    /// The keys with `Hot` and with `Memory` residence, in no order: a
-    /// residence's `slot` is its key's index in its set. Kept apart so
-    /// pressure eviction can prefer warm victims (already compressed —
-    /// spilling them is cheap) and only then start compressing hot ones.
-    pub(super) sets: [Vec<u64>; 2],
+    arena: Arena,
+    /// Each key's arena index: 16 bytes a bucket.
+    index: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    /// The arena indices of the entries with `Hot` and with `Memory`
+    /// residence, in no order: a residence's `slot` is its position in
+    /// its set. Kept apart so pressure eviction can prefer warm victims
+    /// (already compressed — spilling them is cheap) and only then
+    /// start compressing hot ones.
+    pub(super) sets: [Vec<u32>; 2],
     /// Draws the eviction samples.
     rng: SplitMix64,
 }
@@ -162,43 +265,184 @@ impl Shard {
     /// An empty shard whose samples are drawn from `seed`.
     pub(super) fn new(seed: u64) -> Shard {
         Shard {
-            entries: EntryMap::default(),
+            arena: Arena {
+                chunks: Vec::new(),
+                used: 0,
+                free: NIL,
+            },
+            index: HashMap::default(),
             sets: [Vec::new(), Vec::new()],
             rng: SplitMix64::new(seed),
         }
     }
 
-    /// Add `key` to `set`; its residence must record the slot returned.
-    pub(super) fn enlist(&mut self, set: Set, key: u64) -> u32 {
-        self.sets[set as usize].push(key);
+    /// `key`'s arena index, if the shard holds it.
+    pub(super) fn find(&self, key: u64) -> Option<u32> {
+        self.index.get(&key).copied()
+    }
+
+    pub(super) fn get(&self, key: u64) -> Option<&Entry> {
+        self.find(key).map(|at| &self.arena[at])
+    }
+
+    pub(super) fn get_mut(&mut self, key: u64) -> Option<&mut Entry> {
+        let at = self.find(key)?;
+        Some(&mut self.arena[at])
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Room in the index for `n` more keys, so that many inserts size
+    /// its table once.
+    pub(super) fn reserve(&mut self, n: usize) {
+        self.index.reserve(n);
+    }
+
+    /// Every entry, in arena order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = &Entry> {
+        self.arena.slots().filter_map(|s| match s {
+            Slot::Live(e) => Some(e),
+            Slot::Free(_) => None,
+        })
+    }
+
+    /// Add `entry`, whose key the shard must not hold, and return its
+    /// arena index. A `Hot` or `Memory` entry must then be enlisted.
+    pub(super) fn insert(&mut self, entry: Entry) -> u32 {
+        let key = entry.key;
+        let at = self.arena.alloc(entry);
+        let old = self.index.insert(key, at);
+        debug_assert!(old.is_none(), "key {key} inserted twice");
+        at
+    }
+
+    /// Take `key`'s entry out; one in a set must then be delisted.
+    pub(super) fn remove(&mut self, key: u64) -> Option<Entry> {
+        let at = self.index.remove(&key)?;
+        Some(self.arena.vacate(at))
+    }
+
+    /// Add the entry at arena index `at` to `set`; its residence must
+    /// record the slot returned.
+    pub(super) fn enlist(&mut self, set: Set, at: u32) -> u32 {
+        self.sets[set as usize].push(at);
         (self.sets[set as usize].len() - 1) as u32
     }
 
-    /// Take `slot` off `set`: the set's last key moves into it, and that
-    /// key's residence is told so.
+    /// Take `slot` off `set`: the set's last entry moves into it, and
+    /// its residence is told so.
     pub(super) fn delist(&mut self, set: Set, slot: u32) {
-        let keys = &mut self.sets[set as usize];
-        keys.swap_remove(slot as usize);
-        let Some(moved) = keys.get(slot as usize) else {
+        let ats = &mut self.sets[set as usize];
+        ats.swap_remove(slot as usize);
+        let Some(&moved) = ats.get(slot as usize) else {
             return;
         };
-        match &mut self.entries.get_mut(moved).expect("set/map sync").residence {
+        match &mut self.arena[moved].residence {
             Residence::Hot { slot: s, .. } | Residence::Memory { slot: s, .. } => *s = slot,
-            _ => unreachable!("a key in a set is in memory"),
+            _ => unreachable!("an entry in a set is in memory"),
         }
     }
 
-    /// The least recently touched of [`SAMPLE`] keys drawn from `set`,
-    /// or of all of them when it holds that many or fewer, with its age
-    /// at `now`. Every stamp in the shard must have been drawn before
-    /// `now`, so no wrapping age comes out huge.
-    pub(super) fn victim(&mut self, set: Set, now: u32) -> Option<(u64, u64)> {
-        let keys = &self.sets[set as usize];
-        let (n, rng) = (keys.len(), &mut self.rng);
+    /// The arena index of the least recently touched of [`SAMPLE`]
+    /// entries drawn from `set`, or of all of them when it holds that
+    /// many or fewer, with its age at `now`. Every stamp in the shard
+    /// must have been drawn before `now`, so no wrapping age comes out
+    /// huge.
+    pub(super) fn victim(&mut self, set: Set, now: u32) -> Option<(u32, u64)> {
+        let ats = &self.sets[set as usize];
+        let (n, rng) = (ats.len(), &mut self.rng);
         (0..n.min(SAMPLE))
-            .map(|i| keys[if n <= SAMPLE { i } else { rng.gen_index(n) }])
-            .map(|key| (key, now.wrapping_sub(self.entries[&key].last_touch) as u64))
+            .map(|i| ats[if n <= SAMPLE { i } else { rng.gen_index(n) }])
+            .map(|at| (at, now.wrapping_sub(self.arena[at].last_touch) as u64))
             .max_by_key(|&(_, age)| age)
+    }
+
+    /// The arena's own identities: every index entry names a live slot
+    /// holding its key, and every live slot is indexed; the free list
+    /// links every vacated slot and nothing else; the sets hold as many
+    /// entries as there are `Hot` and `Memory` ones, and each position
+    /// names a live entry of its set that records that position.
+    pub(super) fn check(&self) -> Result<(), String> {
+        let arena = &self.arena;
+        let stray = self
+            .index
+            .iter()
+            .find(|&(&k, &at)| arena.live(at).is_none_or(|e| e.key != k));
+        if let Some((key, at)) = stray {
+            return Err(format!(
+                "key {key}'s index names slot {at}, which does not hold it"
+            ));
+        }
+        let vacant = arena.slots().filter(|s| matches!(s, Slot::Free(_))).count();
+        let (mut linked, mut next) = (0, arena.free);
+        while next != NIL && linked <= vacant {
+            let Some(Slot::Free(after)) = arena.slot(next) else {
+                return Err(format!(
+                    "the free list links slot {next}, which is not vacant"
+                ));
+            };
+            (linked, next) = (linked + 1, *after);
+        }
+        if linked != vacant {
+            return Err(format!(
+                "{vacant} vacant slots but {linked} or more on the free list"
+            ));
+        }
+        let live = arena.used as usize - vacant;
+        if live != self.index.len() {
+            return Err(format!(
+                "{live} live slots but {} keys indexed",
+                self.index.len()
+            ));
+        }
+        let mut listed = [0usize; 2];
+        for e in self.iter() {
+            match e.residence {
+                Residence::Hot { .. } => listed[Set::Hot as usize] += 1,
+                Residence::Memory { .. } => listed[Set::Warm as usize] += 1,
+                _ => {}
+            }
+        }
+        let lens = self.sets.each_ref().map(Vec::len);
+        if lens != listed {
+            return Err(format!(
+                "sets hold {lens:?} keys but {listed:?} Hot and Memory entries"
+            ));
+        }
+        for (set, ats) in [Set::Hot, Set::Warm].into_iter().zip(&self.sets) {
+            for (pos, &at) in (0u32..).zip(ats) {
+                let Some(e) = arena.live(at) else {
+                    return Err(format!(
+                        "set position {pos} names slot {at}, which is not live"
+                    ));
+                };
+                match (set, &e.residence) {
+                    (Set::Hot, Residence::Hot { slot, .. })
+                    | (Set::Warm, Residence::Memory { slot, .. }) => {
+                        if *slot != pos {
+                            return Err(format!("key {}'s slot {slot} names another", e.key));
+                        }
+                    }
+                    _ => return Err(format!("key {} is in a set its residence is not", e.key)),
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Index<u32> for Shard {
+    type Output = Entry;
+    fn index(&self, at: u32) -> &Entry {
+        &self.arena[at]
+    }
+}
+
+impl IndexMut<u32> for Shard {
+    fn index_mut(&mut self, at: u32) -> &mut Entry {
+        &mut self.arena[at]
     }
 }
 

@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::extent::{encode_extent, verify_extent, EXTENT_HEADER};
-use super::shard::{Residence, Set};
+use super::shard::{Entry, Residence, Set, Shard, Slot, CHUNK};
 use super::*;
 use crate::tier::TierPolicy;
 use cc_compress::{same_filled_pattern, CodecId, CodecPolicy, Route};
@@ -760,8 +760,7 @@ fn dead_bytes_stay_exact_while_removes_race_the_cleaner() {
             .iter()
             .flat_map(|sh| {
                 let sh = sh.0.lock().unwrap();
-                sh.entries
-                    .values()
+                sh.iter()
                     .filter_map(|e| match e.residence {
                         Residence::Spilled { len, .. } => Some(len as u64),
                         _ => None,
@@ -1421,17 +1420,119 @@ fn demote_now_cycles_hot_to_warm_to_cold_and_back() {
     }
 }
 
-/// The map holds one entry per key, so on a spill-heavy store every
+/// The arena holds one entry per key, so on a spill-heavy store every
 /// byte of it is a byte per key: every residence fits in 24 bytes (a
 /// fat pointer and a 4-byte slot in its shard's hot or warm set, or an
-/// extent's offset, length and generation), an entry in 40, and its map
-/// slot in 48.
+/// extent's offset, length and generation), an entry with its key in 48,
+/// a vacated arena slot in the same 48, and its index slot in 16.
 #[test]
-fn an_entry_takes_40_bytes_and_its_map_slot_48() {
+fn an_entry_takes_48_bytes_and_its_index_slot_16() {
     use std::mem::size_of;
     assert_eq!(size_of::<Residence>(), 24);
-    assert_eq!(size_of::<super::shard::Entry>(), 40);
-    assert_eq!(size_of::<(u64, super::shard::Entry)>(), 48);
+    assert_eq!(size_of::<Entry>(), 48);
+    assert_eq!(size_of::<Slot>(), 48);
+    assert_eq!(size_of::<(u64, u32)>(), 16);
+}
+
+/// Insert `key`, last touched at `touch`, hot on an empty page (which
+/// allocates nothing) and enlisted; its arena index.
+fn insert_hot(shard: &mut Shard, key: u64, touch: u32) -> u32 {
+    let at = shard.insert(Entry {
+        key,
+        residence: Residence::SameFilled { pattern: 0 },
+        orig_len: 0,
+        codec: CodecId::Raw.as_u8(),
+        probe: None,
+        gets: 0,
+        last_touch: touch,
+        journaled: false,
+    });
+    let slot = shard.enlist(Set::Hot, at);
+    shard[at].residence = Residence::Hot {
+        data: Box::default(),
+        slot,
+    };
+    at
+}
+
+/// The arena on its own: a key's index reaches its entry, a removed
+/// key's slot is the next one reused (the last vacated first), growth
+/// takes whole new chunks and leaves every live entry where it was, and
+/// iteration yields each live entry once.
+#[test]
+fn the_arena_reuses_vacated_slots_and_never_moves_an_entry() {
+    let mut shard = Shard::new(0);
+    let first = insert_hot(&mut shard, 0, 0);
+    let address = std::ptr::from_ref(&shard[first]);
+    let n = 3 * CHUNK as u64;
+    for key in 1..n {
+        assert_eq!(insert_hot(&mut shard, key, key as u32), key as u32);
+    }
+    assert!(
+        std::ptr::eq(&shard[first], address),
+        "growth moved an entry"
+    );
+    assert_eq!(
+        (shard.len(), shard.get(7).map(|e| e.key)),
+        (n as usize, Some(7))
+    );
+    shard.check().unwrap();
+    for key in [5, 2 * CHUNK as u64 + 9] {
+        let Residence::Hot { slot, .. } = shard.remove(key).unwrap().residence else {
+            unreachable!("inserted hot")
+        };
+        shard.delist(Set::Hot, slot);
+        assert!(shard.get(key).is_none() && shard.find(key).is_none());
+        shard.check().unwrap();
+    }
+    assert_eq!(insert_hot(&mut shard, n, 0), 2 * CHUNK as u32 + 9);
+    assert_eq!(insert_hot(&mut shard, n + 1, 0), 5);
+    assert_eq!(insert_hot(&mut shard, n + 2, 0), n as u32, "a fourth chunk");
+    shard.check().unwrap();
+    let mut keys: Vec<u64> = shard.iter().map(|e| e.key).collect();
+    keys.sort_unstable();
+    let want: Vec<u64> = (0..n + 3)
+        .filter(|&k| k != 5 && k != 2 * CHUNK as u64 + 9)
+        .collect();
+    assert_eq!(keys, want);
+    assert!(std::ptr::eq(&shard[first], address), "reuse moved an entry");
+}
+
+/// Victim draws over one shard of 16 Ki hot entries (warm in cache) and
+/// one of 1 Mi (cold): ns per victim, each the oldest of 8 sampled
+/// entries. A timing, not a gate, on release codegen only:
+/// `cargo test --release -p cc-core --lib -- --ignored victim_draws --nocapture`.
+#[test]
+#[ignore = "a timing: run it by hand on release codegen"]
+fn victim_draws_over_16k_and_1m_entries() {
+    if cfg!(debug_assertions) {
+        eprintln!("victim draws are timed on release codegen only");
+        return;
+    }
+    for n in [1u64 << 14, 1 << 20] {
+        let mut shard = Shard::new(n);
+        let mut rng = cc_util::SplitMix64::new(n);
+        for key in 0..n {
+            insert_hot(&mut shard, key, rng.next_u32() >> 1);
+        }
+        // The best of nine rounds: a shared host only ever adds time.
+        const VICTIMS: u32 = 1 << 18;
+        let mut sink = 0u64;
+        let ns = (0..9)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..VICTIMS {
+                    sink ^= shard.victim(Set::Hot, u32::MAX).expect("a full set").0 as u64;
+                }
+                t0.elapsed().as_nanos() as f64 / VICTIMS as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        println!(
+            "{n} entries: {ns:.1} ns per victim, {:.1} per sampled entry",
+            ns / 8.0
+        );
+        std::hint::black_box(sink);
+    }
 }
 
 /// A one-shard store that keeps every page warm and spills to memory,
@@ -1461,7 +1562,7 @@ fn evict_warm(store: &CompressedStore, warm: &mut Vec<u64>) -> usize {
     let progress = store.core.evict_one(&mut shard);
     assert!(matches!(progress, super::core::Progress::Evicted));
     let taken = (warm.iter())
-        .position(|k| !matches!(shard.entries[k].residence, Residence::Memory { .. }))
+        .position(|k| !matches!(shard.get(*k).unwrap().residence, Residence::Memory { .. }))
         .expect("no warm key was spilled");
     drop(shard);
     warm.remove(taken);
@@ -1506,7 +1607,7 @@ fn the_checker_catches_a_wrong_slot_and_a_stray_key() {
     let (store, _) = touched_warm_store(2, 0);
     let swap_slot = |key: u64| {
         let mut shard = store.core.shard(0);
-        let e = shard.entries.get_mut(&key).unwrap();
+        let e = shard.get_mut(key).unwrap();
         let Residence::Memory { slot, .. } = &mut e.residence else {
             panic!("key {key} is not warm")
         };
@@ -1569,7 +1670,7 @@ fn a_cleaning_step_copies_at_most_one_batch() {
 fn sealed_form(store: &CompressedStore, key: u64) -> (u8, usize) {
     store.flush().unwrap();
     let shard = store.core.shard(key);
-    let e = shard.entries.get(&key).expect("key stored");
+    let e = shard.get(key).expect("key stored");
     let len = match &e.residence {
         Residence::Memory { data, .. } => data.len(),
         Residence::Spilled { len, .. } => *len as usize - EXTENT_HEADER,
@@ -1626,7 +1727,7 @@ fn kept_hot_reput_seals_like_a_probed_put() {
                 (before.compressed, before.stored_raw),
                 "a kept-hot re-put runs no codec"
             );
-            assert_eq!(store.core.shard(*key).entries[key].probe, None);
+            assert_eq!(store.core.shard(*key).get(*key).unwrap().probe, None);
         }
         // Age every page past `hot_idle`, then seal them all.
         for k in 100..104u64 {
@@ -1675,7 +1776,7 @@ fn rejected_page_is_sealed_raw_from_the_remembered_verdict() {
             StoreConfig::with_spill(1 << 20, &*path_flat)
                 .with_tier_policy(TierPolicy::COMPRESS_ALL),
         );
-        let probe_of = |key: u64| store.core.shard(key).entries[&key].probe;
+        let probe_of = |key: u64| store.core.shard(key).get(key).unwrap().probe;
         let age = |from: u64| {
             for k in from..from + 4 {
                 store.put(k, &vec![k as u8; 4096]).unwrap();
@@ -1775,7 +1876,7 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
         assert_eq!(after.reject_mispredicted, 0);
         assert_eq!(codec_work(&after), codec_work(&before));
         assert_eq!(store.peek_tier(3), Some(HitTier::Hot));
-        assert_eq!(store.core.shard(3).entries[&3].probe, Some(Route::Raw));
+        assert_eq!(store.core.shard(3).get(3).unwrap().probe, Some(Route::Raw));
 
         for k in 100..104u64 {
             store.put(k, &vec![k as u8; 4096]).unwrap();
@@ -1808,7 +1909,7 @@ fn predicted_reject_skips_the_codecs_and_the_audit_counts_a_miss() {
         assert_eq!(after.reject_predicted, before.reject_predicted + 1);
         assert_eq!(after.reject_mispredicted, before.reject_mispredicted + 1);
         assert_eq!(after.puts_lzrw1, before.puts_lzrw1 + 1);
-        assert_eq!(store.core.shard(4).entries[&4].probe, Some(Route::Lz));
+        assert_eq!(store.core.shard(4).get(4).unwrap().probe, Some(Route::Lz));
         let mut out = vec![0u8; 4096];
         assert!(store.get(3, &mut out).unwrap());
         assert_eq!(out, noise_page(3));
@@ -2389,7 +2490,7 @@ fn lists(store: &CompressedStore, key: u64, gen: u64) -> bool {
 
 /// The generation `key` is spilled under, if it is spilled.
 fn spilled_gen(store: &CompressedStore, key: u64) -> Option<u64> {
-    match store.core.shard(key).entries.get(&key)?.residence {
+    match store.core.shard(key).get(key)?.residence {
         Residence::Spilled { gen, .. } => Some(gen),
         _ => None,
     }
@@ -2569,7 +2670,7 @@ fn at_budget_store(medium: Arc<dyn SpillMedium>) -> CompressedStore {
 fn is_sealing(store: &CompressedStore, key: u64) -> bool {
     let shard = store.core.shard(key);
     matches!(
-        shard.entries.get(&key).map(|e| &e.residence),
+        shard.get(key).map(|e| &e.residence),
         Some(Residence::Sealing { .. })
     )
 }

@@ -32,9 +32,10 @@ impl StoreCore {
         let step = op.step();
         let shard_idx = self.shard_index(key);
         let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-        let Some(e) = shard.entries.get(&key) else {
+        let Some(at) = shard.find(key) else {
             return;
         };
+        let e = &shard[at];
         if e.last_touch != now {
             self.tel.count(shard_idx, tstat::PROMOTIONS_REJECTED, 1);
             return;
@@ -60,8 +61,17 @@ impl StoreCore {
             self.resident
                 .fetch_sub((-delta) as usize, Ordering::Relaxed);
         }
-        let mut e = shard.entries.remove(&key).expect("checked above");
-        match e.residence {
+        let slot = shard.enlist(Set::Hot, at);
+        let e = &mut shard[at];
+        e.codec = CodecId::Raw.as_u8();
+        let old = std::mem::replace(
+            &mut e.residence,
+            Residence::Hot {
+                data: page.into(),
+                slot,
+            },
+        );
+        match old {
             Residence::Memory { data, slot } => {
                 self.warm_resident.fetch_sub(data.len(), Ordering::Relaxed);
                 shard.delist(Set::Warm, slot);
@@ -77,12 +87,6 @@ impl StoreCore {
             }
             _ => unreachable!("checked above"),
         }
-        e.residence = Residence::Hot {
-            data: page.into(),
-            slot: shard.enlist(Set::Hot, key),
-        };
-        e.codec = CodecId::Raw.as_u8();
-        shard.entries.insert(key, e);
         drop(shard);
         self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
         self.tel.count(shard_idx, tstat::PROMOTIONS, 1);
@@ -90,19 +94,17 @@ impl StoreCore {
         step.finish(Some(top::PROMOTE), shard_idx, sop::PROMOTE, 0, key);
     }
 
-    /// Compress `shard`'s hot entry `key` (along the route its put took —
-    /// no re-classification) and demote it: to warm residence when the
-    /// sealed form is smaller, else to the spill writer when one is
-    /// available. `Kept` means neither helped; the entry is stamped as
-    /// touched now, so the next sample passes it over and a bounded sweep
-    /// doesn't re-grind it.
+    /// Compress the hot entry at `shard`'s arena index `at` (along the
+    /// route its put took — no re-classification) and demote it: to warm
+    /// residence when the sealed form is smaller, else to the spill
+    /// writer when one is available. `Kept` means neither helped; the
+    /// entry is stamped as touched now, so the next sample passes it
+    /// over and a bounded sweep doesn't re-grind it.
     /// `WriterFull` means the spill writer has no room in flight for it.
-    pub(super) fn demote_hot_locked(&self, shard: &mut Shard, key: u64) -> DemoteOutcome {
+    pub(super) fn demote_hot_locked(&self, shard: &mut Shard, at: u32) -> DemoteOutcome {
+        let e = &shard[at];
+        let (key, route) = (e.key, e.probe);
         let shard_idx = self.shard_index(key);
-        let Some(e) = shard.entries.get(&key) else {
-            return DemoteOutcome::Kept;
-        };
-        let route = e.probe;
         let Residence::Hot { data, slot } = &e.residence else {
             return DemoteOutcome::Kept;
         };
@@ -140,8 +142,8 @@ impl StoreCore {
             // spill.
             let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].into());
             shard.delist(Set::Hot, slot);
-            let slot = shard.enlist(Set::Warm, key);
-            let e = shard.entries.get_mut(&key).expect("checked above");
+            let slot = shard.enlist(Set::Warm, at);
+            let e = &mut shard[at];
             e.codec = sel.codec.as_u8();
             e.residence = Residence::Memory { data: sealed, slot };
             self.resident
@@ -159,7 +161,7 @@ impl StoreCore {
             }
             let sealed = SCRATCH.with(|c| c.borrow().demote[..sel.len].into());
             shard.delist(Set::Hot, slot);
-            let e = shard.entries.get_mut(&key).expect("checked above");
+            let e = &mut shard[at];
             e.codec = sel.codec.as_u8();
             // The raw page is freed when the hand-off replaces the
             // residence.
@@ -171,8 +173,7 @@ impl StoreCore {
         } else {
             // Nothing to gain and nowhere to spill: stamp it so the
             // caller's bounded walk moves on.
-            let e = shard.entries.get_mut(&key).expect("checked above");
-            e.last_touch = self.touch_clock.load(Ordering::Relaxed) as u32;
+            shard[at].last_touch = self.touch_clock.load(Ordering::Relaxed) as u32;
             DemoteOutcome::Kept
         }
     }
@@ -391,27 +392,29 @@ impl StoreCore {
             self.tel.count(shard_idx, tstat::PUTS_HOT, 1);
         }
         let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-        let waiting = matches!(
-            shard.entries.get(&key).map(|e| &e.residence),
-            Some(Residence::Sealing { data }) if Arc::ptr_eq(data, &job.raw)
-        );
-        match sealed.filter(|_| waiting) {
+        let waiting = shard.find(key).filter(|&at| {
+            matches!(&shard[at].residence, Residence::Sealing { data } if Arc::ptr_eq(data, &job.raw))
+        });
+        match sealed.zip(waiting) {
             None => {
-                debug_assert!(!waiting, "skipped the seal of a page still waiting on it");
+                debug_assert!(
+                    waiting.is_none(),
+                    "skipped the seal of a page still waiting on it"
+                );
                 self.seal_orphaned.fetch_sub(1, Ordering::Relaxed);
             }
-            Some((sel, _)) if hot => {
-                let slot = shard.enlist(Set::Hot, key);
-                let e = shard.entries.get_mut(&key).expect("checked above");
+            Some(((sel, _), at)) if hot => {
+                let slot = shard.enlist(Set::Hot, at);
+                let e = &mut shard[at];
                 e.probe = Some(sel.route());
                 e.residence = Residence::Hot {
                     data: job.raw[..].into(),
                     slot,
                 };
             }
-            Some((sel, _)) => {
-                let slot = shard.enlist(Set::Warm, key);
-                let e = shard.entries.get_mut(&key).expect("checked above");
+            Some(((sel, _), at)) => {
+                let slot = shard.enlist(Set::Warm, at);
+                let e = &mut shard[at];
                 e.probe = Some(sel.route());
                 e.codec = sel.codec.as_u8();
                 e.residence = Residence::Memory {

@@ -267,10 +267,9 @@ impl StoreCore {
                 .collect();
             for shard in &mut shards {
                 let orphaned: Vec<u64> = shard
-                    .entries
                     .iter()
-                    .filter(|(_, e)| matches!(e.residence, Residence::Spilling { .. }))
-                    .map(|(&k, _)| k)
+                    .filter(|e| matches!(e.residence, Residence::Spilling { .. }))
+                    .map(|e| e.key)
                     .collect();
                 for key in orphaned {
                     self.revert_to_memory(shard, key);
@@ -569,7 +568,7 @@ impl SpillWriter {
         let payload = data.len();
         let mut shard = core.shard(key);
         let mut over_budget = false;
-        let waiting = match shard.entries.get_mut(&key) {
+        let waiting = match shard.get_mut(key) {
             Some(e) if matches!(&e.residence, Residence::Spilling { data: d } if Arc::ptr_eq(d, data)) =>
             {
                 if let Some((offset, len, gen)) = landed {
