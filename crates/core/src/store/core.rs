@@ -45,9 +45,8 @@ pub(super) struct StoreCore {
     pub(super) warm_resident: AtomicUsize,
     /// Global operation clock: every put and get bumps it, and entries
     /// stamp `last_touch` with the value — the tier policy's
-    /// generation-counter aging. Each op's value is unique, which is
-    /// what lets promotion revalidate "the entry I served is still the
-    /// entry I'm swapping" by comparing stamps.
+    /// generation-counter aging. Each op's value is unique, and it makes
+    /// the op's one timing decision.
     pub(super) touch_clock: AtomicU64,
     /// What the foreground hands the background thread — spill jobs,
     /// flush barriers, deferred seals, shutdown — and whether it sleeps.
@@ -118,14 +117,16 @@ pub(super) struct StoreCore {
 }
 
 /// How one attempt at a cold get ended ([`StoreCore::read_cold`]).
-enum ColdRead {
-    /// The page is in the caller's buffer.
-    Served,
+enum ColdRead<'a> {
+    /// The page is in the caller's buffer, decoded in this hold of its
+    /// shard, where the entry at this arena index still names the extent.
+    Served(MutexGuard<'a, Shard>, u32),
     /// The entry stopped naming the extent while it was being read.
     Moved,
     /// The medium failed the read ([`StoreError::Io`]), or the extent
-    /// came back and failed verification ([`StoreError::Corrupt`]).
-    Failed(StoreError),
+    /// came back and failed verification ([`StoreError::Corrupt`]), in
+    /// this hold of its shard, where the entry still names the extent.
+    Failed(MutexGuard<'a, Shard>, StoreError),
 }
 
 /// The histogram of a put's seal by `codec`: none for a stored block,
@@ -138,13 +139,15 @@ fn seal_hist(codec: CodecId) -> Option<usize> {
     }
 }
 
-/// Whether `key`'s entry is spilled at exactly `at` = `(offset, len,
-/// generation)`.
-fn names_extent(shard: &Shard, key: u64, at: (u64, u32, u64)) -> bool {
-    matches!(
-        shard.get(key).map(|e| &e.residence),
-        Some(&Residence::Spilled { offset, len, gen }) if (offset, len, gen) == at
-    )
+/// The arena index of `key`'s entry, if it is spilled at exactly `at` =
+/// `(offset, len, generation)`.
+fn extent_at(shard: &Shard, key: u64, at: (u64, u32, u64)) -> Option<u32> {
+    shard.find(key).filter(|&i| {
+        matches!(
+            shard[i].residence,
+            Residence::Spilled { offset, len, gen } if (offset, len, gen) == at
+        )
+    })
 }
 
 impl StoreCore {
@@ -529,7 +532,10 @@ impl StoreCore {
         res
     }
 
-    /// The get itself, as [`StoreCore::put_inner`] is the put.
+    /// The get itself, as [`StoreCore::put_inner`] is the put. A hit in
+    /// memory is served, and promoted if the policy asks, in the one
+    /// hold of the shard lock that found it; a cold hit reads the medium
+    /// between two holds, the second of which serves and promotes it.
     fn get_inner(
         &self,
         key: u64,
@@ -548,11 +554,12 @@ impl StoreCore {
         // arm returns on the first pass.
         loop {
             let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-            let Some(entry) = shard.get_mut(key) else {
+            let Some(mut at) = shard.find(key) else {
                 drop(shard);
                 self.tel.count(shard_idx, tstat::MISSES, 1);
                 return Ok(None);
             };
+            let entry = &mut shard[at];
             let orig_len = entry.orig_len as usize;
             let codec = entry.codec;
             if out.len() != orig_len {
@@ -562,14 +569,12 @@ impl StoreCore {
                 });
             }
             // Stamp the access for the tier policy: the age the
-            // promotion decision sees is the gap this get closed, and
-            // the unique clock stamp doubles as the promotion
-            // revalidation token.
+            // promotion decision sees is the gap this get closed.
             let age = now.wrapping_sub(entry.last_touch) as u64;
             entry.last_touch = now;
             entry.gets = entry.gets.saturating_add(1);
             let gets = entry.gets as u32;
-            match &entry.residence {
+            let tier = match &entry.residence {
                 Residence::Hot { data, .. } => {
                     op.note(strier::HOT, codec);
                     out.copy_from_slice(data);
@@ -587,92 +592,78 @@ impl StoreCore {
                     op.record(top::GET_SAME_FILLED);
                     return Ok(Some(HitTier::SameFilled));
                 }
-                Residence::Memory { data, .. } => {
-                    // Take a reference to the sealed bytes under the lock
-                    // so decompression runs without it.
-                    let data = Arc::clone(data);
-                    drop(shard);
-                    self.decompress_into(codec, &data, out, op);
+                // Sealed bytes in memory, warm or in flight to the file.
+                Residence::Memory { data, .. } | Residence::Spilling { data } => {
+                    self.decompress_into(codec, data, out, op);
+                    HitTier::Memory
                 }
                 // A page waiting for its seal is served as a warm hit is,
                 // by a memcpy.
                 Residence::Sealing { data } => {
                     out.copy_from_slice(data);
-                    drop(shard);
-                }
-                Residence::Spilling { data, .. } => {
-                    op.note(strier::MEMORY, codec);
-                    let data = Arc::clone(data);
-                    drop(shard);
-                    self.decompress_into(codec, &data, out, op);
-                    self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-                    op.record(top::GET_MEMORY);
-                    return Ok(Some(HitTier::Memory));
+                    HitTier::Memory
                 }
                 Residence::Spilled { offset, len, gen } => {
                     op.note(strier::SPILL, codec);
-                    let (offset, len, gen) = (*offset, *len, *gen);
+                    let extent = (*offset, *len, *gen);
                     drop(shard);
-                    let at = (offset, len, gen);
-                    let failed = match self.read_cold(key, at, codec, out, op) {
-                        ColdRead::Served => None,
+                    match self.read_cold(key, extent, codec, out, op) {
+                        ColdRead::Served(held, found) => {
+                            (shard, at) = (held, found);
+                            HitTier::Spill
+                        }
                         // The entry no longer names this extent (replaced,
                         // or relocated by GC mid-read): look again.
                         ColdRead::Moved => continue,
-                        ColdRead::Failed(e) => Some(e),
-                    };
-                    // Transient I/O failure or corrupt extent: bounded
-                    // retry with backoff.
-                    if let Some(e) = failed {
-                        io_attempts += 1;
-                        if io_attempts >= self.cfg.spill_retry_attempts.max(1) {
-                            if matches!(e, StoreError::Corrupt) {
-                                // Persistent corruption: drop the entry (if
-                                // it still names this extent) so later gets
-                                // miss and can refill, instead of serving
-                                // the same garbage forever.
-                                let mut shard =
-                                    self.shards[shard_idx].0.lock().expect("shard poisoned");
-                                if names_extent(&shard, key, at) {
-                                    self.remove_locked(&mut shard, key);
+                        // Transient I/O failure or corrupt extent: bounded
+                        // retry with backoff.
+                        ColdRead::Failed(mut held, e) => {
+                            io_attempts += 1;
+                            if io_attempts >= self.cfg.spill_retry_attempts.max(1) {
+                                if matches!(e, StoreError::Corrupt) {
+                                    // Persistent corruption: drop the entry,
+                                    // which still names this extent, so later
+                                    // gets miss and can refill, instead of
+                                    // serving the same garbage forever.
+                                    self.remove_locked(&mut held, key);
                                 }
+                                return Err(e);
                             }
-                            return Err(e);
+                            drop(held);
+                            self.tel.count(shard_idx, tstat::IO_RETRIES, 1);
+                            std::thread::sleep(backoff(self.cfg.spill_retry_base, io_attempts));
+                            continue;
                         }
-                        self.tel.count(shard_idx, tstat::IO_RETRIES, 1);
-                        std::thread::sleep(backoff(self.cfg.spill_retry_base, io_attempts));
-                        continue;
                     }
-                    op.record(top::GET_SPILL);
-                    if self
-                        .cfg
-                        .tier_policy
-                        .promote(gets, age, || self.pressure_pct())
-                    {
-                        self.try_promote(key, now, strier::SPILL, out, op);
-                    }
-                    return Ok(Some(HitTier::Spill));
                 }
-            }
-            // A warm hit: `Memory` or `Sealing`.
-            op.note(strier::MEMORY, codec);
-            self.tel.count(shard_idx, tstat::HITS_MEMORY, 1);
-            op.record(top::GET_MEMORY);
+            };
+            // A warm or cold hit, its page in `out`, still in the hold
+            // that served it.
+            let (src, hist, hits) = match tier {
+                HitTier::Spill => (strier::SPILL, top::GET_SPILL, tstat::HITS_SPILL),
+                _ => (strier::MEMORY, top::GET_MEMORY, tstat::HITS_MEMORY),
+            };
+            op.note(src, codec);
+            op.record(hist);
             if self
                 .cfg
                 .tier_policy
                 .promote(gets, age, || self.pressure_pct())
             {
-                self.try_promote(key, now, strier::MEMORY, out, op);
+                self.try_promote(&mut shard, at, src, out, op);
             }
-            return Ok(Some(HitTier::Memory));
+            drop(shard);
+            self.tel.count(shard_idx, hits, 1);
+            return Ok(Some(tier));
         }
     }
 
     /// One attempt at serving `key` from the extent `at` = `(offset, len,
     /// generation)` its entry named a moment ago, in one borrow of this
-    /// thread's staging buffer: read, revalidate, verify, decode into
-    /// `out`. The caller holds no lock and owns the retry policy.
+    /// thread's staging buffer: read it with no lock held, then, in one
+    /// hold of the shard, revalidate, verify and decode it into `out`.
+    /// The caller owns the retry policy, and gets the hold back to
+    /// promote the page or drop a corrupt extent in it.
     fn read_cold(
         &self,
         key: u64,
@@ -680,7 +671,7 @@ impl StoreCore {
         codec: u8,
         out: &mut [u8],
         op: &OpTimer,
-    ) -> ColdRead {
+    ) -> ColdRead<'_> {
         let (offset, len, gen) = at;
         let shard_idx = self.shard_index(key);
         SCRATCH.with(|c| {
@@ -700,16 +691,13 @@ impl StoreCore {
             // exact extent, the cleaner cannot have clobbered it (it
             // republishes an extent, under this shard's lock, before any
             // byte of its old segment is reused).
-            if !names_extent(
-                &self.shards[shard_idx].0.lock().expect("shard poisoned"),
-                key,
-                at,
-            ) {
+            let shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
+            let Some(found) = extent_at(&shard, key, at) else {
                 return ColdRead::Moved;
-            }
+            };
             if let Err(e) = io {
                 spill_read_span(1);
-                return ColdRead::Failed(e.into());
+                return ColdRead::Failed(shard, e.into());
             }
             // Verify AFTER revalidation: a torn read caused by a
             // legitimate GC relocation returned `Moved` above and never
@@ -724,12 +712,11 @@ impl StoreCore {
                 if let Some(tr) = self.cfg.tracer.as_deref() {
                     tr.anomaly(AnomalyKind::Corrupt, op.ctx().trace_id, key, offset);
                 }
-                return ColdRead::Failed(StoreError::Corrupt);
+                return ColdRead::Failed(shard, StoreError::Corrupt);
             };
             spill_read_span(0);
-            self.tel.count(shard_idx, tstat::HITS_SPILL, 1);
             self.decompress_into(codec, payload, out, op);
-            ColdRead::Served
+            ColdRead::Served(shard, found)
         })
     }
 

@@ -28,9 +28,9 @@ pub(super) enum Residence {
     /// against the budget at full page size. A get is a memcpy.
     Hot { data: Box<[u8]>, slot: u32 },
     /// Compressed (or raw) bytes in memory, in the shard's warm set,
-    /// counted against the budget. Shared, never copied: a get decodes
-    /// from its own clone outside the shard lock, and eviction hands
-    /// this same allocation to the writer.
+    /// counted against the budget. A get decodes them in place, under
+    /// the shard lock; eviction hands this same allocation to the
+    /// writer, never a copy.
     Memory { data: Arc<[u8]>, slot: u32 },
     /// The raw page of a put whose route is LZRW1, waiting for the
     /// background thread to seal it ([`SealJob`]). Counted at full page size in

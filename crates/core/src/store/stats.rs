@@ -158,9 +158,8 @@ pub struct StoreStats {
     /// Warm or cold pages decompressed back into the hot tier on
     /// re-access.
     pub promotions: u64,
-    /// Promotions the policy asked for that the store declined — the
-    /// uncompressed bytes did not fit the budget without eviction, or
-    /// the entry changed while the budget was being reserved.
+    /// Promotions the policy asked for that the store declined: the
+    /// uncompressed bytes did not fit the budget without eviction.
     pub promotions_rejected: u64,
     /// Hot pages the demote passes (or budget-pressure eviction) compressed
     /// down to warm or shipped cold.

@@ -1304,6 +1304,64 @@ fn reaccessed_warm_page_is_promoted_to_hot() {
     assert_eq!(out, page(1));
 }
 
+/// A promotion is refused for one reason only: the raw page does not
+/// fit the budget. The store holds one warm page and cannot take one
+/// more raw page, so the second get inside `promote_window` serves the
+/// page warm and counts the refusal.
+#[test]
+fn a_refused_promotion_is_a_budget_refusal() {
+    let store = CompressedStore::new(
+        StoreConfig::in_memory(4095).with_demote_interval(Duration::from_secs(3600)),
+    );
+    let v = bdi_page(1);
+    store.put(1, &v).unwrap();
+    assert_eq!(store.peek_tier(1), Some(HitTier::Memory));
+    let mut out = vec![0u8; 4096];
+    assert_eq!(store.get_tier(1, &mut out).unwrap(), Some(HitTier::Memory));
+    assert_eq!(store.stats().promotions_rejected, 0);
+    assert_eq!(store.get_tier(1, &mut out).unwrap(), Some(HitTier::Memory));
+    assert_eq!(out, v);
+    let s = store.stats();
+    assert_eq!((s.promotions, s.promotions_rejected), (0, 1), "{s:?}");
+    assert_eq!(store.peek_tier(1), Some(HitTier::Memory));
+    store.check_invariants().unwrap();
+}
+
+/// Gets racing on the same warm keys promote each key exactly once: the
+/// get that crosses the promotion bar promotes in the hold that served
+/// it, so every later get finds the page hot and none is refused.
+#[test]
+fn each_key_is_promoted_once_under_concurrent_gets() {
+    let store = Arc::new(CompressedStore::new(
+        StoreConfig::in_memory(16 << 20).with_demote_interval(Duration::from_secs(3600)),
+    ));
+    for k in 0..64u8 {
+        store.put(k as u64, &bdi_page(k)).unwrap();
+        assert_eq!(store.peek_tier(k as u64), Some(HitTier::Memory));
+    }
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                let mut out = vec![0u8; 4096];
+                for _ in 0..2 {
+                    for k in 0..64u8 {
+                        assert!(store.get(k as u64, &mut out).unwrap());
+                        assert_eq!(out, bdi_page(k), "key {k}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for r in readers {
+        r.join().unwrap();
+    }
+    let s = store.stats();
+    assert_eq!((s.promotions, s.promotions_rejected), (64, 0), "{s:?}");
+    assert!((0..64).all(|k| store.peek_tier(k) == Some(HitTier::Hot)));
+    store.check_invariants().unwrap();
+}
+
 #[test]
 fn compress_all_policy_reproduces_flat_store() {
     let path = TempPath::new("tier-flat");

@@ -21,39 +21,34 @@ use cc_telemetry::trace::{sop, tier as strier, TraceCtx};
 use cc_telemetry::OpTimer;
 
 impl StoreCore {
-    /// Decompress-back-to-hot promotion of `key`, whose just-served
-    /// page bytes are in `page`. Promotion never evicts: the budget
-    /// delta is CAS-reserved outright and the promotion is abandoned
-    /// (counted) when it doesn't fit. The entry must still carry this
-    /// get's unique `now` stamp — any interleaved put or get stamps its
-    /// own clock value, so a stale swap is impossible. It is a step of
-    /// the get's `op`.
-    pub(super) fn try_promote(&self, key: u64, now: u32, src_tier: u8, page: &[u8], op: &OpTimer) {
+    /// Promote the entry at `shard`'s arena index `at`, whose page a get
+    /// has just served into `page`, back to hot, in the caller's hold of
+    /// the shard lock. Promotion never evicts: the budget delta is
+    /// CAS-reserved outright and the promotion is abandoned (counted)
+    /// when it doesn't fit. It is a step of the get's `op`.
+    pub(super) fn try_promote(
+        &self,
+        shard: &mut Shard,
+        at: u32,
+        src_tier: u8,
+        page: &[u8],
+        op: &OpTimer,
+    ) {
         let step = op.step();
+        let key = shard[at].key;
         let shard_idx = self.shard_index(key);
-        let mut shard = self.shards[shard_idx].0.lock().expect("shard poisoned");
-        let Some(at) = shard.find(key) else {
-            return;
-        };
-        let e = &shard[at];
-        if e.last_touch != now {
-            self.tel.count(shard_idx, tstat::PROMOTIONS_REJECTED, 1);
-            return;
-        }
         // Net budget delta: the raw page comes in, the warm sealed
         // bytes (if that's where it lives) go out. A spilled source
         // frees nothing in memory.
-        let freed = match &e.residence {
+        let freed = match &shard[at].residence {
             Residence::Memory { data, .. } | Residence::Sealing { data } => data.len() as i64,
             Residence::Spilled { .. } => 0,
-            // Already hot, in flight to disk, or same-filled (which is
-            // strictly cheaper than hot): nothing to do.
+            // In flight to disk: nothing to do.
             _ => return,
         };
         let delta = page.len() as i64 - freed;
         if delta > 0 {
             if !self.reserve_resident(delta as usize) {
-                drop(shard);
                 self.tel.count(shard_idx, tstat::PROMOTIONS_REJECTED, 1);
                 return;
             }
@@ -87,7 +82,6 @@ impl StoreCore {
             }
             _ => unreachable!("checked above"),
         }
-        drop(shard);
         self.hot_resident.fetch_add(page.len(), Ordering::Relaxed);
         self.tel.count(shard_idx, tstat::PROMOTIONS, 1);
         step.note(src_tier, CodecId::Raw.as_u8());
