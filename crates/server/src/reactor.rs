@@ -29,8 +29,9 @@
 //! - **Counted admission** — at most [`crate::ServerConfig::max_conns`]
 //!   connections; the next accept is answered `BUSY` (tag 0) and
 //!   closed.
-//! - **Idle timeout** — wall-clock, enforced by a coarse timer wheel;
-//!   an idle connection is closed and counted once.
+//! - **Idle timeout** — wall-clock, enforced by a sweep over every
+//!   connection once a tick ([`Reactor::sweep`]); an idle connection is
+//!   closed and counted once.
 //! - **Malformed input** — counts, best-effort `ERR`, close. Nothing on
 //!   the wire can panic the reactor.
 //! - **Backpressure** — a peer that writes requests but never reads
@@ -329,14 +330,16 @@ struct Conn {
     /// (parsing paused); reset on any flush progress. Tracing only.
     parked_since: Option<Instant>,
     /// Pending output observed when the park episode started (or last
-    /// made progress) — the stall sweep compares against it.
+    /// made progress) — [`Reactor::sweep`] compares against it.
     parked_pending: usize,
     /// A backpressure-stall anomaly already fired for this episode.
     stall_reported: bool,
 }
 
-/// The readiness loop. Owns the listener, the registered connections,
-/// and the timer wheel; runs on one dedicated thread.
+/// The readiness loop. Owns the listener and the registered
+/// connections; runs on one dedicated thread. Besides the request stamps
+/// ([`stamp`]) it reads the clock once a loop turn, and once a tick it
+/// [`Reactor::sweep`]s every connection.
 pub(crate) struct Reactor {
     backend: Box<dyn EventBackend>,
     listener: Option<TcpListener>,
@@ -345,7 +348,8 @@ pub(crate) struct Reactor {
     cfg: Arc<ServerConfig>,
     shutdown: Arc<AtomicBool>,
     conns: Slab<Conn>,
-    wheel: TimerWheel,
+    /// When the next [`Reactor::sweep`] is due.
+    next_sweep: Instant,
     scratch: Vec<u8>,
     events: Vec<Event>,
     draining: bool,
@@ -369,7 +373,6 @@ impl Reactor {
         backend.register(waker.reader_fd(), TOKEN_WAKER, Interest::READ)?;
         let handle = waker.handle()?;
         let now = Instant::now();
-        let wheel = TimerWheel::new(cfg.idle_timeout, now);
         Ok((
             Reactor {
                 backend,
@@ -379,7 +382,7 @@ impl Reactor {
                 cfg,
                 shutdown,
                 conns: Slab::new(),
-                wheel,
+                next_sweep: now,
                 scratch: Vec::new(),
                 events: Vec::with_capacity(256),
                 draining: false,
@@ -391,9 +394,12 @@ impl Reactor {
 
     /// Drive the loop until shutdown completes its drain.
     pub(crate) fn run(mut self) {
-        let mut expired: Vec<(usize, u64)> = Vec::new();
+        // The sweep's period and the longest poll: a sixteenth of the
+        // idle span, within 1–100 ms.
+        let tick = (self.cfg.idle_timeout / 16)
+            .clamp(Duration::from_millis(1), Duration::from_millis(100));
+        let mut timeout = tick;
         loop {
-            let timeout = self.wheel.granularity.min(Duration::from_millis(100));
             let mut events = std::mem::take(&mut self.events);
             self.service.count(wstat::POLLS, 1);
             if let Err(e) = self.backend.poll(&mut events, Some(timeout)) {
@@ -402,12 +408,15 @@ impl Reactor {
                 debug_assert!(false, "event backend poll failed: {e}");
                 self.shutdown.store(true, Ordering::Relaxed);
             }
+            // The turn's one clock read: it stamps every event's
+            // activity, every accept and every park start.
+            let now = Instant::now();
             let mut accept_ready = false;
             for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => accept_ready = true,
                     TOKEN_WAKER => self.waker.drain(),
-                    token => self.conn_ready(token, ev),
+                    token => self.conn_ready(token, ev, now),
                 }
             }
             events.clear();
@@ -415,15 +424,18 @@ impl Reactor {
             // Accept after serving existing connections: a token freed
             // and reused this batch must not see the old fd's events.
             if accept_ready && !self.draining {
-                self.accept_ready();
+                self.accept_ready(now);
             }
 
-            let now = Instant::now();
             if !self.draining && self.shutdown.load(Ordering::Relaxed) {
                 self.begin_drain(now);
             }
-            self.tick_timers(now, &mut expired);
-            self.sweep_stalled_parks(now);
+            if now >= self.next_sweep {
+                self.sweep(now);
+                self.next_sweep = now + tick;
+            }
+            // Wake for the next sweep when nothing else arrives.
+            timeout = self.next_sweep - now;
             if self.draining {
                 if self.conns.is_empty() {
                     break;
@@ -441,7 +453,7 @@ impl Reactor {
 
     /// Accept every pending connection (bounded per wake-up), applying
     /// counted admission.
-    fn accept_ready(&mut self) {
+    fn accept_ready(&mut self, now: Instant) {
         for _ in 0..ACCEPT_BATCH {
             let Some(listener) = self.listener.as_ref() else {
                 return;
@@ -452,7 +464,7 @@ impl Reactor {
                         self.reject_busy(stream);
                         continue;
                     }
-                    self.admit(stream);
+                    self.admit(stream, now);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -472,13 +484,12 @@ impl Reactor {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 
-    fn admit(&mut self, stream: TcpStream) {
+    fn admit(&mut self, stream: TcpStream, now: Instant) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let _ = stream.set_nodelay(true);
         let conn_id = self.service.next_conn_id();
-        let now = Instant::now();
         let token = self.conns.insert(Conn {
             stream,
             conn_id,
@@ -497,13 +508,11 @@ impl Reactor {
             return;
         }
         self.service.conn_opened();
-        self.wheel
-            .schedule(now + self.cfg.idle_timeout, token, conn_id);
     }
 
     /// Dispatch readiness on a connection token. Stale tokens (closed
     /// earlier in this batch) are skipped.
-    fn conn_ready(&mut self, token: usize, ev: Event) {
+    fn conn_ready(&mut self, token: usize, ev: Event, now: Instant) {
         if !self.conns.contains(token) {
             return;
         }
@@ -516,7 +525,7 @@ impl Reactor {
             let conn = &mut self.conns[token];
             // Don't grow the buffer for a peer we've stopped serving.
             if conn.close_after_flush.is_none() {
-                conn.last_active = Instant::now();
+                conn.last_active = now;
                 // Read until a read leaves the free tail unfilled: the
                 // socket held less than the buffer offered, so it is
                 // empty. Both pollers are level-triggered, so bytes that
@@ -553,13 +562,13 @@ impl Reactor {
                 }
             }
         }
-        self.advance(token, eof);
+        self.advance(token, eof, now);
     }
 
     /// Execute buffered frames, flush staged responses, settle interest
     /// and close state. The one place every connection event funnels
     /// through.
-    fn advance(&mut self, token: usize, eof: bool) {
+    fn advance(&mut self, token: usize, eof: bool, now: Instant) {
         let Reactor {
             conns,
             service,
@@ -630,15 +639,15 @@ impl Reactor {
 
         // Park/unpark bookkeeping (tracing only): a connection is parked
         // while backpressure pauses its parsing. The park itself becomes
-        // a span when it ends; a park that stops making progress is the
-        // stall sweep's business (see `sweep_stalled_parks`).
+        // a span when it ends; a park that stops making progress is
+        // `sweep`'s business.
         if let Some(tr) = service.tracer() {
             let parked =
                 conn.close_after_flush.is_none() && conn.wire.pending_out() > WRITE_BACKPRESSURE;
             match (parked, conn.parked_since) {
                 // Parked since the request whose reply crossed the cap.
                 (true, None) => {
-                    conn.parked_since = Some(conn.wire.last_stamp.unwrap_or_else(Instant::now));
+                    conn.parked_since = Some(conn.wire.last_stamp.unwrap_or(now));
                     conn.parked_pending = conn.wire.pending_out();
                     conn.stall_reported = false;
                 }
@@ -677,18 +686,21 @@ impl Reactor {
         self.service.conn_closed(reason == CloseReason::Idle);
     }
 
-    /// Fire a backpressure-stall anomaly for any parked connection whose
-    /// staged output has made no flush progress for the tracer's stall
-    /// window — a peer that pipelines requests but stopped reading
-    /// responses. Reported once per park episode; the poll timeout
-    /// bounds detection latency to ~100 ms past the window.
-    fn sweep_stalled_parks(&mut self, now: Instant) {
-        let Some(tr) = self.service.tracer().cloned() else {
-            return;
-        };
-        let stall = tr.stall_after();
-        for (_, conn) in self.conns.iter_mut() {
-            let Some(since) = conn.parked_since else {
+    /// The tick's one pass over the connections. Closes each one idle
+    /// for `idle_timeout` (never early; at most a tick and a loop turn
+    /// late), and fires a backpressure-stall anomaly for each parked one
+    /// whose staged output has made no flush progress for the tracer's
+    /// stall window — a peer that pipelines requests but stopped reading
+    /// responses — once per park episode. O(connections) per tick.
+    fn sweep(&mut self, now: Instant) {
+        let tracer = self.service.tracer();
+        let mut idle = Vec::new();
+        for (token, conn) in self.conns.iter_mut() {
+            if now.saturating_duration_since(conn.last_active) >= self.cfg.idle_timeout {
+                idle.push(token);
+                continue;
+            }
+            let (Some(tr), Some(since)) = (tracer, conn.parked_since) else {
                 continue;
             };
             let pending = conn.wire.pending_out();
@@ -697,7 +709,9 @@ impl Reactor {
                 conn.parked_since = Some(now);
                 conn.parked_pending = pending;
                 conn.stall_reported = false;
-            } else if !conn.stall_reported && now.saturating_duration_since(since) >= stall {
+            } else if !conn.stall_reported
+                && now.saturating_duration_since(since) >= tr.stall_after()
+            {
                 tr.anomaly(
                     AnomalyKind::BackpressureStall,
                     0,
@@ -706,6 +720,9 @@ impl Reactor {
                 );
                 conn.stall_reported = true;
             }
+        }
+        for token in idle {
+            self.close(token, CloseReason::Idle);
         }
     }
 
@@ -719,76 +736,7 @@ impl Reactor {
         }
         let tokens: Vec<usize> = self.conns.iter().map(|(t, _)| t).collect();
         for token in tokens {
-            self.advance(token, false);
-        }
-    }
-
-    /// Advance the timer wheel; expire idle connections, reschedule the
-    /// rest (lazy deadlines: activity only bumps `last_active`).
-    fn tick_timers(&mut self, now: Instant, expired: &mut Vec<(usize, u64)>) {
-        expired.clear();
-        self.wheel.advance(now, expired);
-        for &(token, conn_id) in expired.iter() {
-            let Some(conn) = self.conns.get(token) else {
-                continue;
-            };
-            if conn.conn_id != conn_id {
-                continue; // token reused since this entry was scheduled
-            }
-            let deadline = conn.last_active + self.cfg.idle_timeout;
-            if now >= deadline {
-                self.close(token, CloseReason::Idle);
-            } else {
-                self.wheel.schedule(deadline, token, conn_id);
-            }
-        }
-    }
-}
-
-/// A coarse hashed timing wheel. Entries are `(token, conn_id)` pairs;
-/// expiry is *lazy* — the reactor revalidates the real deadline when a
-/// slot fires and reschedules if the connection was active since. Cost
-/// is O(1) per scheduled timer, independent of connection count.
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<(usize, u64)>>,
-    granularity: Duration,
-    cursor: usize,
-    cursor_time: Instant,
-}
-
-impl TimerWheel {
-    /// Size the wheel to cover `span` (the idle timeout) with 16–64
-    /// ticks of at least 1 ms and at most 250 ms.
-    pub(crate) fn new(span: Duration, now: Instant) -> TimerWheel {
-        let granularity = (span / 16)
-            .max(Duration::from_millis(1))
-            .min(Duration::from_millis(250));
-        let ticks = (span.as_nanos() / granularity.as_nanos().max(1)) as usize + 2;
-        TimerWheel {
-            slots: vec![Vec::new(); ticks],
-            granularity,
-            cursor: 0,
-            cursor_time: now,
-        }
-    }
-
-    /// Schedule `(token, id)` to fire at (or just after) `deadline`.
-    pub(crate) fn schedule(&mut self, deadline: Instant, token: usize, id: u64) {
-        let delta = deadline.saturating_duration_since(self.cursor_time);
-        // Round up and land one tick late rather than early: lazy
-        // revalidation tolerates late, never early-forgets.
-        let ticks = (delta.as_nanos() / self.granularity.as_nanos().max(1)) as usize + 1;
-        let ticks = ticks.min(self.slots.len() - 1).max(1);
-        let slot = (self.cursor + ticks) % self.slots.len();
-        self.slots[slot].push((token, id));
-    }
-
-    /// Advance to `now`, draining every slot whose time has passed.
-    pub(crate) fn advance(&mut self, now: Instant, out: &mut Vec<(usize, u64)>) {
-        while self.cursor_time + self.granularity <= now {
-            self.cursor_time += self.granularity;
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            out.append(&mut self.slots[self.cursor]);
+            self.advance(token, false, now);
         }
     }
 }
@@ -1070,25 +1018,50 @@ mod tests {
         assert_eq!(snap.counter("malformed_frames"), Some(3));
     }
 
-    /// The timer wheel fires entries at (or just after) their deadline,
-    /// never early, across reschedules.
+    /// `sweep` closes a connection idle for `idle_timeout` at the
+    /// deadline and not before, counted once; a connection then admitted
+    /// into the freed slot keeps its own deadline.
     #[test]
-    fn timer_wheel_fires_late_never_early() {
+    fn sweep_closes_idle_connections_at_the_deadline_never_early() {
+        const IDLE: Duration = Duration::from_secs(1);
+        let ms = Duration::from_millis;
+        let service = Arc::new(service());
+        let cfg = Arc::new(test_cfg().with_idle_timeout(IDLE));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (mut reactor, _wake) =
+            Reactor::new(listener, Arc::clone(&service), cfg, shutdown).unwrap();
+        // The client ends stay open, so only a deadline closes anything.
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut clients = Vec::new();
+        let mut accept = || {
+            clients.push(TcpStream::connect(peer.local_addr().unwrap()).unwrap());
+            peer.accept().unwrap().0
+        };
+        let counted = |name| service.snapshot().counter(name);
+
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(160), t0);
-        let mut out = Vec::new();
+        reactor.admit(accept(), t0);
+        let (slot, _) = reactor.conns.iter().next().expect("admitted");
+        reactor.sweep(t0 + ms(999));
+        assert_eq!(service.open_connections(), 1, "closed before its deadline");
+        reactor.sweep(t0 + IDLE);
+        assert_eq!(service.open_connections(), 0, "open past its deadline");
+        assert_eq!(counted("idle_timeouts"), Some(1));
 
-        wheel.schedule(t0 + Duration::from_millis(50), 1, 11);
-        wheel.schedule(t0 + Duration::from_millis(120), 2, 22);
-
-        // Before the first deadline: nothing fires.
-        wheel.advance(t0 + Duration::from_millis(30), &mut out);
-        assert!(out.is_empty());
-        // Past the first (+ a full tick of slack for lazy rounding).
-        wheel.advance(t0 + Duration::from_millis(80), &mut out);
-        assert_eq!(out, vec![(1, 11)]);
-        out.clear();
-        wheel.advance(t0 + Duration::from_millis(160), &mut out);
-        assert_eq!(out, vec![(2, 22)]);
+        let t1 = t0 + IDLE;
+        reactor.admit(accept(), t1);
+        let reused = reactor.conns.iter().next().map(|(token, _)| token);
+        assert_eq!(reused, Some(slot), "the freed slot is reused");
+        reactor.sweep(t1 + ms(999));
+        assert_eq!(
+            service.open_connections(),
+            1,
+            "closed on a deadline not its own"
+        );
+        reactor.sweep(t1 + IDLE);
+        assert_eq!(service.open_connections(), 0);
+        assert_eq!(counted("idle_timeouts"), Some(2));
+        assert_eq!(counted("conns_closed"), Some(2));
     }
 }

@@ -67,8 +67,7 @@ const SERVER_TELEMETRY: TelemetrySpec = TelemetrySpec {
     ops: wop::NAMES,
 };
 
-/// Shared per-server state: the store handle, wire telemetry, and the
-/// open-connection gauge.
+/// Shared per-server state: the store handle and the wire telemetry.
 pub struct Service {
     store: Arc<CompressedStore>,
     tel: Telemetry,
@@ -76,7 +75,6 @@ pub struct Service {
     /// wire-level spans and store spans land in the same rings, so a
     /// sampled request yields one tree from accept to spill.
     tracer: Option<Arc<Tracer>>,
-    open_conns: AtomicU64,
     next_conn_id: AtomicU64,
 }
 
@@ -89,7 +87,6 @@ impl Service {
             // One counter stripe: the reactor thread is the only writer.
             tel: Telemetry::new(SERVER_TELEMETRY, 1, true),
             tracer,
-            open_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
         }
     }
@@ -110,9 +107,15 @@ impl Service {
         &self.tel
     }
 
-    /// Connections currently being served.
+    /// Connections currently being served: those opened less those
+    /// closed. The reactor counts each open before its close, so with
+    /// the closes read first the difference is never negative; the
+    /// saturation covers the relaxed loads, which order nothing across
+    /// counters.
     pub fn open_connections(&self) -> u64 {
-        self.open_conns.load(Ordering::Relaxed)
+        let closed = self.tel.counter_sum(wstat::CONNS_CLOSED);
+        let opened = self.tel.counter_sum(wstat::CONNS_OPENED);
+        opened.saturating_sub(closed)
     }
 
     /// A snapshot of the wire telemetry with the open-connection gauge
@@ -136,12 +139,10 @@ impl Service {
     }
 
     pub(crate) fn conn_opened(&self) {
-        self.open_conns.fetch_add(1, Ordering::Relaxed);
         self.tel.count(STRIPE, wstat::CONNS_OPENED, 1);
     }
 
     pub(crate) fn conn_closed(&self, idle: bool) {
-        self.open_conns.fetch_sub(1, Ordering::Relaxed);
         self.tel.count(STRIPE, wstat::CONNS_CLOSED, 1);
         if idle {
             self.tel.count(STRIPE, wstat::IDLE_TIMEOUTS, 1);
