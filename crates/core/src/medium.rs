@@ -34,6 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use cc_util::mix64;
+
 /// Positioned I/O over the spill medium. All methods take `&self`: one
 /// medium is shared by the store's background thread and every reader, and
 /// implementations must be safe under that concurrency (the real file
@@ -282,14 +284,6 @@ pub struct FaultInjector<M> {
     delays: AtomicU64,
 }
 
-/// splitmix64 finalizer: the per-operation decision hash.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn one_in(h: u64, n: u64) -> bool {
     n != 0 && h.is_multiple_of(n)
 }
@@ -332,24 +326,24 @@ impl<M: SpillMedium> FaultInjector<M> {
         if let Some(&f) = self.script.get(&idx) {
             return Some(f);
         }
-        let h = mix(self.plan.seed ^ idx);
+        let h = mix64(self.plan.seed ^ idx);
         // Distinct decision streams per class so rates are independent.
         if read {
-            if one_in(mix(h ^ 1), self.plan.read_error_1_in) {
+            if one_in(mix64(h ^ 1), self.plan.read_error_1_in) {
                 return Some(Fault::ReadError);
             }
-            if one_in(mix(h ^ 2), self.plan.read_corrupt_1_in) {
+            if one_in(mix64(h ^ 2), self.plan.read_corrupt_1_in) {
                 return Some(Fault::ReadCorrupt);
             }
         } else {
-            if one_in(mix(h ^ 3), self.plan.write_error_1_in) {
+            if one_in(mix64(h ^ 3), self.plan.write_error_1_in) {
                 return Some(Fault::WriteError);
             }
-            if one_in(mix(h ^ 4), self.plan.short_write_1_in) {
+            if one_in(mix64(h ^ 4), self.plan.short_write_1_in) {
                 return Some(Fault::ShortWrite);
             }
         }
-        if one_in(mix(h ^ 5), self.plan.delay_1_in) {
+        if one_in(mix64(h ^ 5), self.plan.delay_1_in) {
             return Some(Fault::Delay);
         }
         None
@@ -371,7 +365,7 @@ impl<M: SpillMedium> SpillMedium for FaultInjector<M> {
             Some(Fault::ReadCorrupt) => {
                 self.inner.read_at(buf, offset)?;
                 if !buf.is_empty() {
-                    let h = mix(self.plan.seed ^ idx ^ 0xC0_44_07);
+                    let h = mix64(self.plan.seed ^ idx ^ 0xC0_44_07);
                     let bit = h as usize % (buf.len() * 8);
                     buf[bit / 8] ^= 1 << (bit % 8);
                     self.read_corruptions.fetch_add(1, Ordering::Relaxed);
@@ -406,7 +400,7 @@ impl<M: SpillMedium> SpillMedium for FaultInjector<M> {
                 // the torn bytes are exactly what the extent checksum
                 // must catch if anything ever trusts them.
                 let cut = if data.len() > 1 {
-                    (mix(self.plan.seed ^ idx ^ 0x70_42) as usize % (data.len() - 1)) + 1
+                    (mix64(self.plan.seed ^ idx ^ 0x70_42) as usize % (data.len() - 1)) + 1
                 } else {
                     0
                 };

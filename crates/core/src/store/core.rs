@@ -10,7 +10,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use super::extent::verify_extent;
 use super::gc::Segments;
-use super::shard::{mix64, stage_slot, Entry, Padded, Residence, Set, Shard, SCRATCH};
+use super::shard::{stage_slot, Entry, Residence, Set, Shard, SCRATCH};
 use super::stats::{top, tstat};
 use super::tiering::DemoteOutcome;
 use super::writer::Inbox;
@@ -25,7 +25,7 @@ use cc_compress::{
 };
 use cc_telemetry::trace::{sop, tier as strier, AnomalyKind, TraceCtx};
 use cc_telemetry::{OpTimer, Telemetry};
-use cc_util::backoff;
+use cc_util::{backoff, mix64, Padded};
 
 /// Everything the public handle and the background thread share: the
 /// shards, the budget gauge, the inbox, and the spill-file bookkeeping.

@@ -16,15 +16,21 @@
 //! # Concurrency
 //!
 //! The store is **lock-striped**: keys hash onto a power-of-two number of
-//! shards (default: one per hardware thread), each with its own entry
-//! map and the hot and warm key sets its eviction victims are sampled
-//! from, behind its own mutex. The global memory budget is enforced
+//! shards (default: one per hardware thread), each behind its own mutex
+//! with its entries in a [`cc_util::Slab`] (slots that never move, behind
+//! a key index) and the hot and warm sets of slab indices its eviction
+//! victims are sampled from. The global memory budget is enforced
 //! through a single atomic byte counter using compare-and-swap
 //! reservation, so `stats().resident_bytes` never
 //! exceeds the configured budget, while puts and gets on different shards
-//! proceed fully in parallel. Compression and decompression always run
-//! outside any shard lock, on thread-local reusable buffers, so the
-//! steady-state hot path performs no heap allocation.
+//! proceed fully in parallel. A put classifies and compresses its page
+//! before it takes the shard lock (or leaves an LZRW1 seal to the
+//! background thread), and a cold get reads its extent with no lock held;
+//! but a get decodes a warm or spilled page into the caller's buffer in
+//! the same hold of the shard lock that found its entry, and demoting a
+//! hot page seals it under the lock. Every codec runs on thread-local
+//! reusable buffers, so the steady-state hot path performs no heap
+//! allocation.
 //!
 //! # Spill pipeline
 //!

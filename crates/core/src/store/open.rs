@@ -9,13 +9,14 @@ use std::time::{Duration, Instant};
 
 use super::core::StoreCore;
 use super::gc::{segment_bytes, Segments};
-use super::shard::{Entry, Padded, Residence, Shard};
+use super::shard::{Entry, Residence, Shard};
 use super::stats::{top, tstat, STORE_TELEMETRY};
 use super::writer::{Background, Inbox, SpillWriter};
 use super::{CompressedStore, StoreConfig, StoreError};
 use crate::medium::{FileMedium, SpillMedium};
 use crate::persist::{self, Persist, Superblock};
 use cc_telemetry::Telemetry;
+use cc_util::Padded;
 
 impl CompressedStore {
     /// Open a store. With [`StoreConfig::spill_path`] the spill file is

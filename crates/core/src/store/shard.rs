@@ -1,7 +1,7 @@
-//! One lock stripe: the entries it owns in an arena behind a key index,
+//! One lock stripe: the entries it owns in a [`Slab`] behind a key index,
 //! where each one lives ([`Residence`]) and the two sets its eviction
 //! victims are sampled from — plus the per-thread scratch the codecs run
-//! in, outside any shard lock.
+//! in.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -10,7 +10,7 @@ use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use cc_compress::{CodecSet, Route};
-use cc_util::SplitMix64;
+use cc_util::{mix64, Slab, SplitMix64};
 #[cfg(doc)]
 use {
     super::core::StoreCore, super::extent::EXTENT_HEADER, super::tiering::SealJob,
@@ -103,24 +103,14 @@ pub(super) struct Entry {
     pub(super) journaled: bool,
 }
 
-/// The splitmix64 finalizer: full avalanche in three multiplies, so a
-/// key's shard and its map bucket do not follow any key-assignment
-/// pattern (sequential keys, strided keys, ...). The key indices hash
-/// with all of it ([`KeyHasher`]) and the shard is drawn from bits 32
-/// and up ([`StoreCore::shard_index`]). Were it the low bits, every key
-/// of shard `s` would hash to `s` modulo the shard count, and a shard's
-/// index would start its probes in one bucket of every shard count.
-#[inline]
-pub(super) fn mix64(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Hasher for the per-shard key indices: the keys are page numbers, so
-/// SipHash's DoS resistance only costs cycles here; [`mix64`] spreads
-/// them.
+/// SipHash's DoS resistance only costs cycles here. [`mix64`]'s full
+/// avalanche spreads them, so neither a key's shard nor its bucket
+/// follows any key-assignment pattern (sequential keys, strided keys,
+/// ...). The shard is drawn from bits 32 and up of the same hash
+/// ([`StoreCore::shard_index`]): were it the low bits, every key of
+/// shard `s` would hash to `s` modulo the shard count, and a shard's
+/// index would start its probes in one bucket of every shard count.
 #[derive(Default)]
 pub(super) struct KeyHasher(u64);
 
@@ -138,104 +128,6 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Entries an arena chunk holds. A chunk is allocated whole, once, and
-/// never grows, so no entry moves while it lives and no doubling leaves
-/// an old copy of the entries behind in the heap.
-pub(super) const CHUNK: usize = 1024;
-
-/// An arena slot: a live entry, or a vacated one that links the next
-/// vacated slot (`NIL` ends the list). 48 bytes either way.
-pub(super) enum Slot {
-    Live(Entry),
-    Free(u32),
-}
-
-/// The end of the free list.
-const NIL: u32 = u32::MAX;
-
-/// A shard's entries, each at a `u32` index that holds still while it
-/// lives: chunks of [`CHUNK`] slots, the first `used` of them used, and
-/// a free list of vacated slots that the next insert reuses.
-struct Arena {
-    chunks: Vec<Box<[Slot; CHUNK]>>,
-    used: u32,
-    free: u32,
-}
-
-impl Arena {
-    /// The slot at `at`, if the arena has used it.
-    fn slot(&self, at: u32) -> Option<&Slot> {
-        (at < self.used).then(|| &self.chunks[at as usize / CHUNK][at as usize % CHUNK])
-    }
-
-    fn slot_mut(&mut self, at: u32) -> &mut Slot {
-        &mut self.chunks[at as usize / CHUNK][at as usize % CHUNK]
-    }
-
-    /// The entry at `at`, if that slot is live.
-    fn live(&self, at: u32) -> Option<&Entry> {
-        match self.slot(at) {
-            Some(Slot::Live(e)) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Every slot the arena has used, in index order.
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.iter())
-            .take(self.used as usize)
-    }
-
-    /// Place `entry` in the last vacated slot, or else the next unused
-    /// one (a new chunk's first, when every chunk is used), and return
-    /// its index.
-    fn alloc(&mut self, entry: Entry) -> u32 {
-        if self.free == NIL {
-            if self.used as usize == self.chunks.len() * CHUNK {
-                let chunk: Box<[Slot]> = (0..CHUNK).map(|_| Slot::Free(NIL)).collect();
-                self.chunks
-                    .push(chunk.try_into().ok().expect("CHUNK slots"));
-            }
-            self.free = self.used;
-            self.used += 1;
-        }
-        let at = self.free;
-        let Slot::Free(next) = std::mem::replace(self.slot_mut(at), Slot::Live(entry)) else {
-            unreachable!("free slot {at} is live")
-        };
-        self.free = next;
-        at
-    }
-
-    /// Take the entry at `at` out and put its slot on the free list.
-    fn vacate(&mut self, at: u32) -> Entry {
-        let next = std::mem::replace(&mut self.free, at);
-        match std::mem::replace(self.slot_mut(at), Slot::Free(next)) {
-            Slot::Live(e) => e,
-            Slot::Free(_) => unreachable!("slot {at} vacated twice"),
-        }
-    }
-}
-
-impl Index<u32> for Arena {
-    type Output = Entry;
-    fn index(&self, at: u32) -> &Entry {
-        self.live(at)
-            .unwrap_or_else(|| panic!("slot {at} is not live"))
-    }
-}
-
-impl IndexMut<u32> for Arena {
-    fn index_mut(&mut self, at: u32) -> &mut Entry {
-        match self.slot_mut(at) {
-            Slot::Live(e) => e,
-            Slot::Free(_) => panic!("slot {at} is not live"),
-        }
-    }
-}
-
 /// Keys an eviction samples from a set ([`Shard::victim`]): the
 /// associativity of a set-associative cache.
 const SAMPLE: usize = 8;
@@ -248,7 +140,9 @@ pub(super) enum Set {
 }
 
 pub(super) struct Shard {
-    arena: Arena,
+    /// The entries, each at an arena index that holds still (and an
+    /// address that does not move) while it lives.
+    arena: Slab<Entry>,
     /// Each key's arena index: 16 bytes a bucket.
     index: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     /// The arena indices of the entries with `Hot` and with `Memory`
@@ -265,11 +159,7 @@ impl Shard {
     /// An empty shard whose samples are drawn from `seed`.
     pub(super) fn new(seed: u64) -> Shard {
         Shard {
-            arena: Arena {
-                chunks: Vec::new(),
-                used: 0,
-                free: NIL,
-            },
+            arena: Slab::new(),
             index: HashMap::default(),
             sets: [Vec::new(), Vec::new()],
             rng: SplitMix64::new(seed),
@@ -282,12 +172,12 @@ impl Shard {
     }
 
     pub(super) fn get(&self, key: u64) -> Option<&Entry> {
-        self.find(key).map(|at| &self.arena[at])
+        self.find(key).map(|at| &self[at])
     }
 
     pub(super) fn get_mut(&mut self, key: u64) -> Option<&mut Entry> {
         let at = self.find(key)?;
-        Some(&mut self.arena[at])
+        Some(&mut self[at])
     }
 
     pub(super) fn len(&self) -> usize {
@@ -302,17 +192,14 @@ impl Shard {
 
     /// Every entry, in arena order.
     pub(super) fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.arena.slots().filter_map(|s| match s {
-            Slot::Live(e) => Some(e),
-            Slot::Free(_) => None,
-        })
+        self.arena.iter().map(|(_, e)| e)
     }
 
     /// Add `entry`, whose key the shard must not hold, and return its
     /// arena index. A `Hot` or `Memory` entry must then be enlisted.
     pub(super) fn insert(&mut self, entry: Entry) -> u32 {
         let key = entry.key;
-        let at = self.arena.alloc(entry);
+        let at = self.arena.insert(entry) as u32;
         let old = self.index.insert(key, at);
         debug_assert!(old.is_none(), "key {key} inserted twice");
         at
@@ -321,7 +208,7 @@ impl Shard {
     /// Take `key`'s entry out; one in a set must then be delisted.
     pub(super) fn remove(&mut self, key: u64) -> Option<Entry> {
         let at = self.index.remove(&key)?;
-        Some(self.arena.vacate(at))
+        Some(self.arena.remove(at as usize))
     }
 
     /// Add the entry at arena index `at` to `set`; its residence must
@@ -339,7 +226,7 @@ impl Shard {
         let Some(&moved) = ats.get(slot as usize) else {
             return;
         };
-        match &mut self.arena[moved].residence {
+        match &mut self[moved].residence {
             Residence::Hot { slot: s, .. } | Residence::Memory { slot: s, .. } => *s = slot,
             _ => unreachable!("an entry in a set is in memory"),
         }
@@ -352,48 +239,32 @@ impl Shard {
     /// huge.
     pub(super) fn victim(&mut self, set: Set, now: u32) -> Option<(u32, u64)> {
         let ats = &self.sets[set as usize];
-        let (n, rng) = (ats.len(), &mut self.rng);
+        let (n, rng, arena) = (ats.len(), &mut self.rng, &self.arena);
         (0..n.min(SAMPLE))
             .map(|i| ats[if n <= SAMPLE { i } else { rng.gen_index(n) }])
-            .map(|at| (at, now.wrapping_sub(self.arena[at].last_touch) as u64))
+            .map(|at| (at, now.wrapping_sub(arena[at as usize].last_touch) as u64))
             .max_by_key(|&(_, age)| age)
     }
 
-    /// The arena's own identities: every index entry names a live slot
-    /// holding its key, and every live slot is indexed; the free list
-    /// links every vacated slot and nothing else; the sets hold as many
-    /// entries as there are `Hot` and `Memory` ones, and each position
-    /// names a live entry of its set that records that position.
+    /// The arena's own identities ([`Slab::check`]); every index entry
+    /// names a live slot holding its key, and every live slot is
+    /// indexed; the sets hold as many entries as there are `Hot` and
+    /// `Memory` ones, and each position names a live entry of its set
+    /// that records that position.
     pub(super) fn check(&self) -> Result<(), String> {
         let arena = &self.arena;
-        let stray = self
-            .index
-            .iter()
-            .find(|&(&k, &at)| arena.live(at).is_none_or(|e| e.key != k));
+        arena.check()?;
+        let stray = (self.index.iter())
+            .find(|&(&k, &at)| arena.get(at as usize).is_none_or(|e| e.key != k));
         if let Some((key, at)) = stray {
             return Err(format!(
                 "key {key}'s index names slot {at}, which does not hold it"
             ));
         }
-        let vacant = arena.slots().filter(|s| matches!(s, Slot::Free(_))).count();
-        let (mut linked, mut next) = (0, arena.free);
-        while next != NIL && linked <= vacant {
-            let Some(Slot::Free(after)) = arena.slot(next) else {
-                return Err(format!(
-                    "the free list links slot {next}, which is not vacant"
-                ));
-            };
-            (linked, next) = (linked + 1, *after);
-        }
-        if linked != vacant {
+        if arena.len() != self.index.len() {
             return Err(format!(
-                "{vacant} vacant slots but {linked} or more on the free list"
-            ));
-        }
-        let live = arena.used as usize - vacant;
-        if live != self.index.len() {
-            return Err(format!(
-                "{live} live slots but {} keys indexed",
+                "{} live slots but {} keys indexed",
+                arena.len(),
                 self.index.len()
             ));
         }
@@ -413,7 +284,7 @@ impl Shard {
         }
         for (set, ats) in [Set::Hot, Set::Warm].into_iter().zip(&self.sets) {
             for (pos, &at) in (0u32..).zip(ats) {
-                let Some(e) = arena.live(at) else {
+                let Some(e) = arena.get(at as usize) else {
                     return Err(format!(
                         "set position {pos} names slot {at}, which is not live"
                     ));
@@ -436,20 +307,15 @@ impl Shard {
 impl Index<u32> for Shard {
     type Output = Entry;
     fn index(&self, at: u32) -> &Entry {
-        &self.arena[at]
+        &self.arena[at as usize]
     }
 }
 
 impl IndexMut<u32> for Shard {
     fn index_mut(&mut self, at: u32) -> &mut Entry {
-        &mut self.arena[at]
+        &mut self.arena[at as usize]
     }
 }
-
-/// Pad shards to their own cache lines so hot per-shard state on
-/// neighbouring shards does not false-share.
-#[repr(align(128))]
-pub(super) struct Padded<T>(pub(super) T);
 
 /// Scratch space reused across calls on each thread: the codec set
 /// (LZRW1's hash table lives here) plus compression and staging buffers

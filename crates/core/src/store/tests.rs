@@ -2,11 +2,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::extent::{encode_extent, verify_extent, EXTENT_HEADER};
-use super::shard::{Entry, Residence, Set, Shard, Slot, CHUNK};
+use super::shard::{Entry, Residence, Set, Shard};
 use super::*;
 use crate::tier::TierPolicy;
 use cc_compress::{same_filled_pattern, CodecId, CodecPolicy, Route};
 use cc_telemetry::trace::Tracer;
+use cc_util::slab::CHUNK;
+
+/// A slot of a shard's arena.
+type Slot = cc_util::slab::Slot<Entry>;
 
 #[path = "../../tests/support/temp_path.rs"]
 mod temp_path;

@@ -10,9 +10,7 @@ use std::cell::{Cell, RefCell};
 
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_core::tier::TierPolicy;
-
-/// Entries an arena chunk holds (the store's `CHUNK`).
-const CHUNK: usize = 1024;
+use cc_util::slab::CHUNK;
 
 /// An allocator call on the watched thread: the block it freed, if any,
 /// and the block it returned, if any, each `(address, bytes)`.

@@ -11,11 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One counter on its own cache line so neighbouring stripes (or
-/// neighbouring counters of the same stripe) never false-share.
-#[repr(align(128))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
+use cc_util::Padded;
 
 /// A bank of named monotonic counters, striped `stripes` ways.
 ///
@@ -26,8 +22,10 @@ struct PaddedU64(AtomicU64);
 pub struct CounterBank {
     names: &'static [&'static str],
     stripes: usize,
-    /// Stripe-major: `cells[stripe * names.len() + counter]`.
-    cells: Box<[PaddedU64]>,
+    /// Stripe-major: `cells[stripe * names.len() + counter]`, each
+    /// counter on its own cache lines so neighbouring stripes (or
+    /// neighbouring counters of one stripe) never false-share.
+    cells: Box<[Padded<AtomicU64>]>,
 }
 
 impl CounterBank {
@@ -36,7 +34,7 @@ impl CounterBank {
     pub fn new(stripes: usize, names: &'static [&'static str]) -> Self {
         let stripes = stripes.max(1);
         let cells = (0..stripes * names.len())
-            .map(|_| PaddedU64::default())
+            .map(|_| Padded::default())
             .collect();
         CounterBank {
             names,

@@ -5,6 +5,21 @@
 //! is tiny, passes BigCrush when used as a 64-bit generator, and is more
 //! than random enough for workload address streams and synthetic data.
 
+/// SplitMix64's increment: the odd integer nearest 2⁶⁴ / φ.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function as a stateless hash: one step of the
+/// state, then the finalizer's three xor-shift-multiplies, so every input
+/// bit flips about half the output bits. [`SplitMix64::next_u64`] is
+/// `mix64` of its state.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 generator.
 ///
 /// # Examples
@@ -29,11 +44,9 @@ impl SplitMix64 {
 
     /// Next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = mix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 
     /// Next 32 uniformly distributed bits.
@@ -105,6 +118,15 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn the_stream_is_splitmix64s() {
+        // The reference generator's first outputs from seed 0.
+        let mut r = SplitMix64::new(0);
+        assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(r.next_u64(), 0x06C4_5D18_8009_454F);
     }
 
     #[test]
